@@ -1,0 +1,134 @@
+"""Byte-exact reports pinned against golden files in `tests/golden/`.
+
+Every case reproduces one output (a CLI `report.json`, `summary.csv` or
+`sweep.csv`, or a `netsim.run` report's JSON) and compares it byte for byte
+with its golden file, so a refactor that changes the order of engine calls,
+sends or latency draws shows up here.  After a change that alters reports on
+purpose, re-capture with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and say in CHANGES.md why the bytes moved.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from consentry import netsim
+from consentry.cli import main
+from consentry.netsim import ScenarioConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+G16 = {"family": "random", "n": 16, "p": 0.4}
+UNIFORM = {"random_uniform": [-100, 100]}
+PROTOCOLS = {
+    "avg-trusted": {},
+    "avg-untrusted": {},
+    "outlier-decrypt": {"protocol": "outlier", "c": 1.0},
+    "outlier-encrypted": {"protocol": "outlier", "c": 1.0,
+                          "variance_route": "encrypted"},
+}
+
+
+def _ring(n):
+    return {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]}
+
+
+def _ballots(n, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        primary = rng.randrange(n)
+        secondary = rng.choice([s for s in range(n) if s != primary] + [None])
+        out.append({"primary": primary, "secondary": secondary})
+    return out
+
+
+def _netsim_cases():
+    cases = {}
+    for name, fields in PROTOCOLS.items():
+        for schedule in ("sync", "async"):
+            for eps in (0.0, 1e-9):
+                raw = dict({"protocol": name}, topology=G16, inputs=UNIFORM,
+                           seed=5, schedule=schedule, noise_epsilon=eps)
+                raw.update(fields)
+                cases[f"{name}-g16-{schedule}-eps{eps:g}"] = raw
+    cases["avg-trusted-g16-crash"] = dict(
+        protocol="avg-trusted", topology=G16, inputs=UNIFORM, seed=6,
+        faults=[{"process": 3, "time": 2}])
+    cases["outlier-decrypt-g16-crash"] = dict(
+        protocol="outlier", c=1.0, topology=G16, inputs=UNIFORM, seed=6,
+        faults=[{"process": 3, "time": 1}])
+    cases["avg-untrusted-path5-initiators"] = dict(
+        protocol="avg-untrusted", inputs=[3.0, -1.5, 8.0, 0.25, 4.0], seed=2,
+        topology={"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+        initiators=[0, 2, 4])
+    for schedule in ("sync", "async"):
+        cases[f"election-ring8-{schedule}"] = dict(
+            protocol="election", topology=_ring(8), inputs=_ballots(8, 8),
+            seed=4, schedule=schedule)
+    return cases
+
+
+NETSIM_CASES = _netsim_cases()
+
+
+def _netsim_output(name):
+    def produce(tmp):
+        scenario = ScenarioConfig.from_dict(NETSIM_CASES[name])
+        return (netsim.run(scenario).to_json() + "\n").encode()
+    return produce
+
+
+def _cli_output(command, args, filename):
+    def produce(tmp):
+        main([command, *args, "--out", str(tmp)])
+        return (Path(tmp) / filename).read_bytes()
+    return produce
+
+
+def _cases():
+    """Golden file name -> function of a scratch directory giving its bytes."""
+    cases = {}
+    for stem in sorted(p.stem for p in CONFIGS.glob("*.json")):
+        for filename in ("report.json", "summary.csv"):
+            cases[f"cli-run-{stem}-{filename}"] = _cli_output(
+                "run", ["--config", str(CONFIGS / f"{stem}.json")], filename)
+    cases["cli-sweep-sweep_base-sweep.csv"] = _cli_output(
+        "sweep", ["--config", str(CONFIGS / "sweep_base.json"),
+                  "--vary", "family=ring,tree,random", "--vary", "n=8,16"],
+        "sweep.csv")
+    for name in NETSIM_CASES:
+        cases[f"netsim-{name}.json"] = _netsim_output(name)
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, capsys):
+    assert CASES[name](tmp_path) == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, produce in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(sys.stderr):
+            data = produce(tmp)
+        (GOLDEN / name).write_bytes(data)
+        print(f"wrote {GOLDEN.name}/{name}", file=sys.stderr)
