@@ -19,21 +19,22 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import netsim
-from .he_slots import Ciphertext, SlotBackend, SlotVector, slot_capacity_for
+from .he_slots import (Ciphertext, SlotEngine, SlotVector, seeded_backend,
+                       slot_capacity_for)
 from .topology import Topology
 
 log = logging.getLogger(__name__)
 
 AGGREGATE = "aggregate"
-SEED = "seed"
 PREPARED = "prepared"
 RESULT = "result"
 COMPLETE = "complete"
-KINDS = (AGGREGATE, SEED, PREPARED, RESULT, COMPLETE)
+KINDS = (AGGREGATE, PREPARED, RESULT, COMPLETE)
 
 ACTIVE = "active"
 DECIDED = "decided"
@@ -47,6 +48,10 @@ PREPARED_SLOT_TOLERANCE = 1e-6
 
 class PrivacyGuardError(Exception):
     """Refusal to decrypt an aggregate that has not gone through prepare."""
+
+
+class PreparedSlotsError(ValueError):
+    """A prepared aggregate whose leading slots do not all hold the same value."""
 
 
 def instance_for_initiator(k: int) -> str:
@@ -78,16 +83,27 @@ class ProtocolMessage:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.kind in (AGGREGATE, SEED) and (self.votes_ct is None or self.counts is None):
+        if self.kind == AGGREGATE and (self.votes_ct is None or self.counts is None):
             raise ValueError(f"{self.kind} message requires votes_ct and counts")
         if self.kind in (PREPARED, COMPLETE) and (self.votes_ct is None
                                                   or not self.votes_ct.prepared):
             raise ValueError(f"{self.kind} message carries an unprepared ciphertext")
 
+    @cached_property
+    def ciphertexts(self) -> tuple[Ciphertext, ...]:
+        """The ciphertexts this message carries, votes first."""
+        return tuple(ct for ct in (self.votes_ct, self.participating_ct)
+                     if ct is not None)
+
 
 @dataclass
 class ConsensusState:
-    """Per-process, per-instance flooding state."""
+    """Per-process, per-instance flooding state.
+
+    `participating_ct`, when set, is a second channel folded and prepared
+    under the same counts as the votes (the participation flags of outlier
+    round 3).
+    """
 
     id: int
     instance: str
@@ -98,6 +114,7 @@ class ConsensusState:
     required: tuple = ()          # indices whose counts must become nonzero
     prepare_n: int = 0            # denominator used by prepare
     include: tuple = ()           # indices given nonzero prepare weight
+    participating_ct: Ciphertext | None = None
 
     def __post_init__(self):
         if not self.required:
@@ -107,37 +124,35 @@ class ConsensusState:
         if not self.include:
             self.include = tuple(range(self.n))
 
+    def snapshot(self) -> ProtocolMessage:
+        """The AGGREGATE message announcing every channel of this state."""
+        return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.votes_ct,
+                               counts=tuple(int(x) for x in self.counts),
+                               participating_ct=self.participating_ct)
 
-def init_consensus(pid: int, value: float, pk, n: int, backend: SlotBackend,
+
+def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
                    instance: str = INSTANCE_TRUSTED,
-                   tag_label: str = "value") -> tuple[ConsensusState, ProtocolMessage]:
-    """Create the unit-impulse state and the broadcast that announces it."""
+                   contribution: Ciphertext | None = None) -> tuple[ConsensusState, ProtocolMessage]:
+    """Create the unit-impulse state and the broadcast that announces it.
+
+    `contribution`, when given, is an already-encrypted vote that stands in
+    for the encryption of `value`.
+    """
     cap = backend.config.slot_capacity
     if cap < n:
         raise ValueError(f"slot capacity {cap} < process count {n}")
-    votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, value),
-                            (pid, f"{instance}:{tag_label}"))
-    counts = np.zeros(cap, dtype=np.int64)
+    votes = contribution
+    if votes is None:
+        votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, value),
+                                (pid, f"{instance}:value"))
+    # float64, not int64: duplicate counts grow by about 1.45 bits per round
+    # and would overflow int64 past a diameter of about 43
+    counts = np.zeros(cap, dtype=np.float64)
     counts[pid] = 1
     state = ConsensusState(id=pid, instance=instance, n=n,
                            votes_ct=votes, counts=counts)
-    msg = ProtocolMessage(instance, AGGREGATE, votes_ct=votes,
-                          counts=tuple(int(x) for x in counts))
-    return state, msg
-
-
-def init_with_ciphertext(pid: int, contribution: Ciphertext, n: int,
-                         backend: SlotBackend, instance: str) -> tuple[ConsensusState, ProtocolMessage]:
-    """Like init_consensus but seeded with an already-encrypted contribution."""
-    cap = backend.config.slot_capacity
-    counts = np.zeros(cap, dtype=np.int64)
-    counts[pid] = 1
-    backend.record_possession(pid, contribution)
-    state = ConsensusState(id=pid, instance=instance, n=n,
-                           votes_ct=contribution, counts=counts)
-    msg = ProtocolMessage(instance, AGGREGATE, votes_ct=contribution,
-                          counts=tuple(int(x) for x in counts))
-    return state, msg
+    return state, state.snapshot()
 
 
 def _is_subset(incoming: np.ndarray, local: np.ndarray) -> bool:
@@ -145,41 +160,54 @@ def _is_subset(incoming: np.ndarray, local: np.ndarray) -> bool:
 
 
 def on_receive(state: ConsensusState, msg: ProtocolMessage,
-               backend: SlotBackend) -> tuple[ConsensusState, list[ProtocolMessage], Ciphertext | None]:
-    """Fold one aggregate message into the local state.
+               backend: SlotEngine) -> tuple[ConsensusState, list[ProtocolMessage], object]:
+    """Fold one aggregate message into every channel of the local state.
 
-    Returns the (mutated) state, any rebroadcast messages, and the prepared
-    aggregate if this message completed the counts.
+    Returns the (mutated) state, any rebroadcast messages, and what
+    `try_decide` returned if this message completed the counts.
     """
     if msg.instance != state.instance:
         log.warning("dropping message for %s at state %s", msg.instance, state.instance)
         return state, [], None
-    if state.phase != ACTIVE or msg.kind not in (AGGREGATE, SEED):
+    if state.phase != ACTIVE or msg.kind != AGGREGATE:
         return state, [], None
-    incoming = np.asarray(msg.counts, dtype=np.int64)
+    incoming = np.asarray(msg.counts, dtype=np.float64)
     if _is_subset(incoming, state.counts):
         return state, [], None
     state.votes_ct = backend.add_ct(state.votes_ct, msg.votes_ct)
+    if state.participating_ct is not None:
+        state.participating_ct = backend.add_ct(state.participating_ct,
+                                                msg.participating_ct)
     state.counts = state.counts + incoming
-    out = [ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct,
-                           counts=tuple(int(x) for x in state.counts))]
-    decision = None
-    if all(state.counts[j] > 0 for j in state.required):
-        state.phase = DECIDED
-        decision = prepare(backend, state.votes_ct, state.counts,
-                           state.prepare_n, include=state.include)
-        backend.record_possession(state.id, decision)
-    return state, out, decision
+    return state, [state.snapshot()], try_decide(state, backend)
 
 
-def prepare(backend: SlotBackend, votes_ct: Ciphertext, counts,
+def try_decide(state: ConsensusState, backend: SlotEngine):
+    """Prepare every channel once all required counts are nonzero.
+
+    Serves message arrival, round start and crash notices alike.  Returns
+    None while a required count is zero; otherwise marks the state decided
+    and returns the prepared votes, or the prepared (votes, participation)
+    pair when the state carries participation.
+    """
+    if state.phase != ACTIVE or not all(state.counts[j] > 0 for j in state.required):
+        return None
+    state.phase = DECIDED
+    prepared = tuple(prepare(backend, ct, state.counts, state.prepare_n,
+                             include=state.include)
+                     for ct in (state.votes_ct, state.participating_ct)
+                     if ct is not None)
+    return prepared if len(prepared) > 1 else prepared[0]
+
+
+def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
             n: int, include=None) -> Ciphertext:
     """Divide out duplicate counts and rotate-sum so every slot is the average.
 
     Padding slots (and excluded indices, under faults) get weight zero, which
     keeps the full-capacity rotate-sum exact.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.float64)
     cap = len(counts)
     include = tuple(include) if include is not None else tuple(range(n))
     weights = np.zeros(cap)
@@ -194,7 +222,7 @@ def prepare(backend: SlotBackend, votes_ct: Ciphertext, counts,
     return backend.mark_prepared(ct)
 
 
-def finalize_trusted(backend: SlotBackend, secret, prepared_ct: Ciphertext,
+def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
                      n: int, caller=None,
                      rel_tolerance: float = PREPARED_SLOT_TOLERANCE) -> float:
     """Decrypt a prepared aggregate and return the average it carries."""
@@ -205,94 +233,115 @@ def finalize_trusted(backend: SlotBackend, secret, prepared_ct: Ciphertext,
     ref = float(lead[0])
     scale = max(1.0, abs(ref)) * rel_tolerance + prepared_ct.noise_bound * n
     if np.max(np.abs(lead - ref)) > scale:
-        raise ValueError(f"prepared slots disagree beyond tolerance: {lead}")
+        raise PreparedSlotsError(f"prepared slots disagree beyond tolerance: {lead}")
     return ref
 
 
 # -- simulation actors -----------------------------------------------------
 
-class _FloodingMixin:
-    """Shared per-instance fold/rebroadcast mechanics for flooding nodes.
+class FloodingNode(netsim.Node):
+    """Flooding participant holding one ConsensusState per instance.
 
     Coalesces all merges from one delivery batch into a single rebroadcast,
     which is what keeps per-process traffic within a constant factor of
-    diameter * degree.
+    diameter * degree.  A decided instance's prepared aggregate goes to the
+    collector, if any, and to the neighbours; PREPARED and RESULT messages
+    are each forwarded once per instance.  Subclasses say what PREPARED and
+    RESULT messages mean to them.
     """
 
-    def _fold_batch(self, state: ConsensusState, msgs,
-                    backend: SlotBackend) -> tuple[bool, Ciphertext | None]:
-        changed = False
-        decision = None
-        for msg in msgs:
-            _, out, dec = on_receive(state, msg, backend)
-            if out:
-                changed = True
-            if dec is not None and decision is None:
-                decision = dec
-        return changed, decision
+    #: actor that receives every prepared aggregate, or None
+    collector = netsim.TRUSTED
 
-    def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
-        return ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct,
-                               counts=tuple(int(x) for x in state.counts))
-
-
-class AvgProcessNode(netsim.Node, _FloodingMixin):
-    """Algorithm participant in the trusted-collector deployment."""
-
-    def __init__(self, pid: int, value: float, pk, n: int, backend: SlotBackend,
-                 instance: str = INSTANCE_TRUSTED):
+    def __init__(self, pid: int, n: int, backend: SlotEngine):
         self.pid = pid
-        self.value = value
-        self.pk = pk
         self.n = n
         self.backend = backend
-        self.instance = instance
-        self.state: ConsensusState | None = None
-        self.encrypted_average: Ciphertext | None = None
-        self._forwarded_prepared: set[str] = set()
+        self.states: dict[str, ConsensusState] = {}
+        self._forwarded: dict[str, set] = {PREPARED: set(), RESULT: set()}
 
-    def on_start(self, ctx):
-        self.state, msg = init_consensus(self.pid, self.value, self.pk,
-                                         self.n, self.backend, self.instance)
-        ctx.broadcast(msg)
+    def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
+        return state.snapshot()
+
+    def _exclude(self, instance: str) -> tuple:
+        """Neighbours left out of the instance's rebroadcasts."""
+        return ()
 
     def on_deliver(self, ctx, batch):
-        aggregates = []
+        per_instance: dict[str, list] = {}
         for sender, msg in batch:
-            if msg.kind in (AGGREGATE, SEED):
-                aggregates.append(msg)
+            if msg.kind == AGGREGATE:
+                per_instance.setdefault(msg.instance, []).append(msg)
             elif msg.kind == PREPARED:
                 self._handle_prepared(ctx, msg)
             elif msg.kind == RESULT:
-                ctx.decide(msg.extra["average"])
-        if aggregates and self.state is not None:
-            changed, decision = self._fold_batch(self.state, aggregates, self.backend)
+                self._handle_result(ctx, msg)
+        for instance in sorted(per_instance):
+            state = self.states.get(instance)
+            if state is None:
+                continue
+            changed, decision = False, None
+            for msg in per_instance[instance]:
+                _, out, dec = on_receive(state, msg, self.backend)
+                changed = changed or bool(out)
+                if decision is None:
+                    decision = dec
             if changed:
-                ctx.broadcast(self._snapshot_msg(self.state))
+                ctx.broadcast(self._snapshot_msg(state), exclude=self._exclude(instance))
             if decision is not None:
-                ctx.mark_complete(self.instance)
-                self._emit_prepared(ctx, decision)
+                self._emit_prepared(ctx, instance, decision)
 
-    def _emit_prepared(self, ctx, prepared_ct):
-        msg = ProtocolMessage(self.instance, PREPARED, votes_ct=prepared_ct)
-        ctx.send(netsim.TRUSTED, msg)
-        self.encrypted_average = prepared_ct
-        self._forwarded_prepared.add(self.instance)
+    def _emit_prepared(self, ctx, instance: str, prepared) -> ProtocolMessage:
+        """Announce what `try_decide` returned for a decided instance."""
+        ctx.mark_complete(instance)
+        votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
+        msg = ProtocolMessage(instance, PREPARED, votes_ct=votes, participating_ct=part)
+        if self.collector is not None:
+            ctx.send(self.collector, msg)
+        self._forwarded[PREPARED].add(instance)
+        ctx.broadcast(msg)
+        return msg
+
+    def _forward_once(self, ctx, msg: ProtocolMessage):
+        """Rebroadcast the first PREPARED or RESULT message of an instance."""
+        seen = self._forwarded[msg.kind]
+        if msg.instance not in seen:
+            seen.add(msg.instance)
+            ctx.broadcast(msg)
+
+
+class AvgProcessNode(FloodingNode):
+    """Algorithm participant in the trusted-collector deployment."""
+
+    def __init__(self, pid: int, value: float, pk, n: int, backend: SlotEngine,
+                 instance: str = INSTANCE_TRUSTED):
+        super().__init__(pid, n, backend)
+        self.value = value
+        self.pk = pk
+        self.instance = instance
+
+    @property
+    def state(self) -> ConsensusState | None:
+        return self.states.get(self.instance)
+
+    def on_start(self, ctx):
+        state, msg = init_consensus(self.pid, self.value, self.pk,
+                                    self.n, self.backend, self.instance)
+        self.states[self.instance] = state
         ctx.broadcast(msg)
 
     def _handle_prepared(self, ctx, msg):
-        if msg.instance in self._forwarded_prepared:
-            return
-        self._forwarded_prepared.add(msg.instance)
-        self.encrypted_average = msg.votes_ct
-        ctx.broadcast(msg)
+        self._forward_once(ctx, msg)
+
+    def _handle_result(self, ctx, msg):
+        ctx.decide(msg.extra["average"])
 
 
 class TrustedCollectorNode(netsim.Node):
     """Out-of-graph keyholder: decrypts the first prepared aggregate per
     instance and broadcasts the result."""
 
-    def __init__(self, key_material, n: int, backend: SlotBackend):
+    def __init__(self, key_material, n: int, backend: SlotEngine):
         self.key = key_material
         self.n = n
         self.backend = backend
@@ -312,11 +361,9 @@ class TrustedCollectorNode(netsim.Node):
 
 def build_trusted(topology: Topology, inputs, *, seed: int = 0,
                   noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
-    from .he_slots import BackendConfig
     n = topology.n
     values = [ProcessInput(float(v)).v for v in inputs]
-    backend = SlotBackend(BackendConfig(slot_capacity_for(n), noise_epsilon),
-                          seed=seed * 104729 + 7)
+    backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
     for pid in range(n):
@@ -333,7 +380,7 @@ def build_trusted(topology: Topology, inputs, *, seed: int = 0,
 
 # -- collector-free variant -------------------------------------------------
 
-class UntrustedProcessNode(netsim.Node, _FloodingMixin):
+class UntrustedProcessNode(FloodingNode):
     """Participant in the concurrent per-initiator instances.
 
     For its own instance a node acts as the keyholder: it encrypts its own
@@ -341,108 +388,61 @@ class UntrustedProcessNode(netsim.Node, _FloodingMixin):
     the flooding, and decrypts only the prepared aggregate routed back.
     """
 
-    def __init__(self, pid: int, value: float, n: int, backend: SlotBackend,
+    collector = None
+
+    def __init__(self, pid: int, value: float, n: int, backend: SlotEngine,
                  keys: dict, viable: dict):
-        self.pid = pid
+        super().__init__(pid, n, backend)
         self.value = value
-        self.n = n
-        self.backend = backend
-        self.keys = keys               # initiator -> KeyMaterial (secret used by owner only)
+        self.keys = keys               # viable initiator -> KeyMaterial (secret used by owner only)
         self.viable = viable           # initiator -> bool
-        self.states: dict[str, ConsensusState] = {}
-        self.results: dict[str, float] = {}
-        self._forwarded: dict[str, set] = {PREPARED: set(), RESULT: set()}
 
     def _initiator_of(self, instance: str) -> int:
         return int(instance.split("/", 1)[1])
 
+    def _exclude(self, instance):
+        return (self._initiator_of(instance),)
+
     def on_start(self, ctx):
-        for k, ok in sorted(self.viable.items()):
-            if k == self.pid and not ok:
-                ctx.note(f"initiator_result/{k}", NON_VIABLE)
+        if self.viable.get(self.pid) is False:
+            ctx.note(f"initiator_result/{self.pid}", NON_VIABLE)
         for k, key in sorted(self.keys.items()):
-            if not self.viable[k]:
-                continue
             instance = instance_for_initiator(k)
+            state, msg = init_consensus(self.pid, self.value, key.public_part,
+                                        self.n, self.backend, instance)
             if k == self.pid:
-                seed_ct = self.backend.encrypt(
-                    key.public_part,
-                    SlotVector.impulse(self.backend.config.slot_capacity, k, self.value),
-                    (k, f"{instance}:value"))
-                counts = tuple(1 if i == k else 0
-                               for i in range(self.backend.config.slot_capacity))
-                target = min(ctx.neighbors)
-                ctx.send(target, ProtocolMessage(instance, SEED,
-                                                 votes_ct=seed_ct, counts=counts))
+                ctx.send(min(ctx.neighbors), msg)
             else:
-                state, msg = init_consensus(self.pid, self.value, key.public_part,
-                                            self.n, self.backend, instance)
                 self.states[instance] = state
                 ctx.broadcast(msg, exclude=(k,))
 
-    def on_deliver(self, ctx, batch):
-        per_instance: dict[str, list] = {}
-        for sender, msg in batch:
-            if msg.kind in (AGGREGATE, SEED):
-                per_instance.setdefault(msg.instance, []).append(msg)
-            elif msg.kind == PREPARED:
-                self._handle_prepared(ctx, msg)
-            elif msg.kind == RESULT:
-                self._handle_result(ctx, msg)
-        for instance in sorted(per_instance):
-            state = self.states.get(instance)
-            if state is None:
-                continue
-            changed, decision = self._fold_batch(state, per_instance[instance],
-                                                 self.backend)
-            k = self._initiator_of(instance)
-            if changed:
-                ctx.broadcast(self._snapshot_msg(state), exclude=(k,))
-            if decision is not None:
-                ctx.mark_complete(instance)
-                msg = ProtocolMessage(instance, PREPARED, votes_ct=decision)
-                self._forwarded[PREPARED].add(instance)
-                ctx.broadcast(msg)
-
     def _handle_prepared(self, ctx, msg):
         k = self._initiator_of(msg.instance)
-        if k == self.pid:
-            if msg.instance in self.results:
-                return
+        if k != self.pid:
+            self._forward_once(ctx, msg)
+        elif msg.instance not in self._forwarded[RESULT]:
             value = finalize_trusted(self.backend, self.keys[k].secret_part,
                                      msg.votes_ct, self.n, caller=self.pid)
-            self.results[msg.instance] = value
             ctx.note(f"initiator_result/{k}", value)
             ctx.decide(value)
             self._forwarded[RESULT].add(msg.instance)
             ctx.broadcast(ProtocolMessage(msg.instance, RESULT,
-                                          extra={"average": value,
-                                                 "initiator": k}))
-            return
-        if msg.instance in self._forwarded[PREPARED]:
-            return
-        self._forwarded[PREPARED].add(msg.instance)
-        ctx.broadcast(msg)
+                                          extra={"average": value, "initiator": k}))
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["average"])
-        if msg.instance in self._forwarded[RESULT]:
-            return
-        self._forwarded[RESULT].add(msg.instance)
-        ctx.broadcast(msg)
+        self._forward_once(ctx, msg)
 
 
 def build_untrusted(topology: Topology, inputs, initiators=None, *,
                     seed: int = 0, noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
-    from .he_slots import BackendConfig
     n = topology.n
     explicit = initiators is not None
     initiators = sorted(initiators) if explicit else list(range(n))
     if any(not (0 <= k < n) for k in initiators):
         raise ValueError(f"initiators out of range for n={n}: {initiators}")
     values = [ProcessInput(float(v)).v for v in inputs]
-    backend = SlotBackend(BackendConfig(slot_capacity_for(n), noise_epsilon),
-                          seed=seed * 104729 + 7)
+    backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     viable = {k: topology.connected_without({k}) for k in initiators}
     if not explicit and not any(viable.values()):
         raise AssertionError("connected graph must have a non-cut-vertex initiator")
@@ -451,31 +451,24 @@ def build_untrusted(topology: Topology, inputs, initiators=None, *,
     for pid in range(n):
         nodes[pid] = UntrustedProcessNode(pid, values[pid], n, backend,
                                           keys, viable)
-    setup = netsim.ProtocolSetup(
+    return netsim.ProtocolSetup(
         nodes=nodes, backend=backend,
         private_values=frozenset(values),
         expected_deciders=set(range(n)) if any(viable.values()) else set(),
     )
-    setup.viable = viable
-    return setup
 
 
 def run_untrusted(topology: Topology, inputs, initiators=None, *, seed: int = 0,
                   schedule: str = "sync", max_latency: int = 4,
                   noise_epsilon: float = 0.0) -> dict:
-    """Run the per-initiator instances and map each initiator to its average
-    (or the non-viable marker when its removal partitions the graph)."""
+    """Run the per-initiator instances through `netsim.run` and map each
+    initiator to its average (or the non-viable marker when its removal
+    partitions the graph)."""
     if not topology.is_connected():
         raise ValueError("untrusted variant requires a connected graph")
-    setup = build_untrusted(topology, inputs, initiators, seed=seed,
-                            noise_epsilon=noise_epsilon)
-    policy = netsim.SchedulePolicy(schedule, seed * 7919 + 13, max_latency)
-    sim = netsim.Simulation(topology, setup, policy)
-    report, _ = sim.run()
-    out = {}
-    for k, ok in sorted(setup.viable.items()):
-        if not ok:
-            out[k] = NON_VIABLE
-        else:
-            out[k] = report.extra.get(f"initiator_result/{k}")
-    return out
+    report = netsim.run(netsim.ScenarioConfig(
+        "avg-untrusted", topology, list(inputs), seed=seed, schedule=schedule,
+        max_latency=max_latency, noise_epsilon=noise_epsilon,
+        initiators=initiators))
+    ks = sorted(initiators) if initiators is not None else range(topology.n)
+    return {k: report.extra.get(f"initiator_result/{k}") for k in ks}

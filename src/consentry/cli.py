@@ -6,7 +6,8 @@ configured protocol for the configured number of trials, writing
 replays a base scenario over a grid of topology families / sizes and writes
 `sweep.csv` with per-cell aggregates, including the measured message-bound
 constant K.  Exit codes: 0 clean, 2 configuration error, 3 privacy violation
-or unexpected termination.
+or unexpected termination, 4 internal fault (a corrupted tally, a refused
+decryption of an unprepared aggregate, or prepared slots that disagree).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import sys
 from pathlib import Path
 
 from . import netsim
+from .avg_consensus import PreparedSlotsError, PrivacyGuardError
+from .leader_election import CorruptedTallyError, InvalidBallotError
 from .netsim import ScenarioConfig, ScenarioError
 from .topology import TopologyError
 
@@ -32,6 +35,7 @@ SWEEP_COLUMNS = ["family", "n", "trials", "diameter", "rounds_mean", "rounds_max
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ACCEPTANCE = 3
+EXIT_INTERNAL = 4
 
 
 def _out_dir(args) -> Path:
@@ -241,7 +245,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TopologyError, ValueError) as exc:
+    except (CorruptedTallyError, PrivacyGuardError, PreparedSlotsError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (ScenarioError, TopologyError, InvalidBallotError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

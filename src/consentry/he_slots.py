@@ -188,9 +188,14 @@ class SlotEngine(abc.ABC):
     """Adapter seam: exactly the operations protocol code may use.
 
     A production homomorphic-encryption backend implements this interface;
-    protocol modules never touch anything beyond it plus the possession /
-    prepared-flag bookkeeping of the simulated backend.
+    protocol modules use no engine member beyond the ones declared here.
+    The audit ledger of the simulated backend records encryptions,
+    deliveries (recorded by the simulator) and decryptions; protocol code
+    makes no ledger calls.
     """
+
+    #: engine parameters; protocol code reads `config.slot_capacity`
+    config: BackendConfig
 
     @abc.abstractmethod
     def keygen(self, holder, with_rotation: bool = True) -> KeyMaterial: ...
@@ -212,6 +217,9 @@ class SlotEngine(abc.ABC):
 
     @abc.abstractmethod
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext: ...
+
+    @abc.abstractmethod
+    def mark_prepared(self, ct: Ciphertext) -> Ciphertext: ...
 
     @abc.abstractmethod
     def audit_view(self, observer) -> list: ...
@@ -352,8 +360,6 @@ class SlotBackend(SlotEngine):
                 out.append((ev, ev.taint, decryptable))
         return out
 
-    # -- simulated-backend extras (not part of the crypto seam) ----------
-
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.
 
@@ -363,6 +369,8 @@ class SlotBackend(SlotEngine):
         """
         return Ciphertext(ct.key_id, ct._payload, ct.taint, True, ct.depth,
                           ct.op_count, ct.noise_bound, ct.handle)
+
+    # -- ledger and introspection (simulator and tests, not protocol code) -
 
     def record_possession(self, observer, ct: Ciphertext):
         self._observers.add(observer)
@@ -381,3 +389,9 @@ class SlotBackend(SlotEngine):
         Never used by protocol code; reads are not audit events.
         """
         return np.array(ct._payload)
+
+
+def seeded_backend(slot_capacity: int, noise_epsilon: float, seed: int) -> SlotBackend:
+    """The simulated engine of one run, its randomness derived from the run's seed."""
+    return SlotBackend(BackendConfig(slot_capacity, noise_epsilon),
+                       seed=seed * 104729 + 7)

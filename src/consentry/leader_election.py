@@ -24,8 +24,7 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import AGGREGATE, COMPLETE, RESULT, ProtocolMessage
-from .he_slots import (BackendConfig, Ciphertext, SlotBackend, SlotVector,
-                       slot_capacity_for)
+from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
 
 
@@ -87,11 +86,15 @@ class ElectionState:
     n: int
     ballots_ct: Ciphertext
     counts: np.ndarray
-    phase: str = "active"
+
+    def snapshot(self) -> ProtocolMessage:
+        """The AGGREGATE message announcing this lineage copy."""
+        return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.ballots_ct,
+                               counts=tuple(int(x) for x in self.counts))
 
 
 def init_election(pid: int, ballot: Ballot, pk, n: int,
-                  backend: SlotBackend) -> tuple[ElectionState, ProtocolMessage]:
+                  backend: SlotEngine) -> tuple[ElectionState, ProtocolMessage]:
     """Start this process's own lineage, already carrying its ballot."""
     cap = backend.config.slot_capacity
     instance = instance_for_origin(pid)
@@ -101,13 +104,11 @@ def init_election(pid: int, ballot: Ballot, pk, n: int,
     counts[pid] = 1
     state = ElectionState(id=pid, instance=instance, n=n,
                           ballots_ct=ct, counts=counts)
-    msg = ProtocolMessage(instance, AGGREGATE, votes_ct=ct,
-                          counts=tuple(int(x) for x in counts))
-    return state, msg
+    return state, state.snapshot()
 
 
 def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
-                        own_ballot: Ballot, pk, backend: SlotBackend,
+                        own_ballot: Ballot, pk, backend: SlotEngine,
                         pid: int, n: int, required=None):
     """Contribute (once per lineage copy) and adopt strictly larger copies.
 
@@ -128,7 +129,6 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
     have = 0 if state is None else int(state.counts[:n].sum())
     if size <= have:
         return state, [], None
-    backend.record_possession(pid, cand_ct)
     if state is None:
         state = ElectionState(id=pid, instance=msg.instance, n=n,
                               ballots_ct=cand_ct, counts=cand_counts)
@@ -136,13 +136,8 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
         state.ballots_ct = cand_ct
         state.counts = cand_counts
     if all(cand_counts[j] > 0 for j in required):
-        state.phase = "complete"
-        complete = backend.mark_prepared(cand_ct)
-        backend.record_possession(pid, complete)
-        return state, [], complete
-    out = ProtocolMessage(msg.instance, AGGREGATE, votes_ct=state.ballots_ct,
-                          counts=tuple(int(x) for x in state.counts))
-    return state, [out], None
+        return state, [], backend.mark_prepared(cand_ct)
+    return state, [state.snapshot()], None
 
 
 # -- tallying and elimination -------------------------------------------------
@@ -154,9 +149,14 @@ class TallyResult:
     primary_only: tuple
 
 
-def tally(backend: SlotBackend, secret, complete_ct: Ciphertext, n: int,
-          caller=None, tolerance: float = 0.01) -> TallyResult:
-    """Decrypt a complete ballot aggregate and reshape into tallies."""
+def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
+          caller=None, tolerance: float = 0.01, counts=None) -> TallyResult:
+    """Decrypt a complete ballot aggregate and reshape into tallies.
+
+    `counts` are the lineage's 0/1 contributor counts; the ballots must
+    number exactly its contributors (all n processes when not given, fewer
+    when crashed processes were left out).
+    """
     if not complete_ct.prepared:
         raise CorruptedTallyError("refusing to tally an incomplete aggregate")
     vec = backend.decrypt(secret, complete_ct, caller=caller)
@@ -173,9 +173,10 @@ def tally(backend: SlotBackend, secret, complete_ct: Ciphertext, n: int,
     if np.any(ints < 0):
         raise CorruptedTallyError("negative tally entry")
     primary = matrix.sum(axis=1) + primary_only
-    if int(primary.sum()) != n:
+    contributors = n if counts is None else sum(1 for c in counts[:n] if c)
+    if int(primary.sum()) != contributors:
         raise CorruptedTallyError(
-            f"total ballots {int(primary.sum())} != process count {n}")
+            f"total ballots {int(primary.sum())} != contributor count {contributors}")
     return TallyResult(tuple(int(x) for x in primary),
                        tuple(tuple(int(x) for x in row) for row in matrix),
                        tuple(int(x) for x in primary_only))
@@ -284,7 +285,7 @@ def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
 # -- simulation actors --------------------------------------------------------
 
 class ElectionProcessNode(netsim.Node):
-    def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotBackend):
+    def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
         self.pid = pid
         self.ballot = ballot
         self.pk = pk
@@ -327,32 +328,34 @@ class ElectionProcessNode(netsim.Node):
                     lineage, COMPLETE, votes_ct=complete,
                     counts=tuple(int(x) for x in state.counts)))
             elif int(state.counts[:self.n].sum()) > before:
-                ctx.broadcast(ProtocolMessage(
-                    lineage, AGGREGATE, votes_ct=state.ballots_ct,
-                    counts=tuple(int(x) for x in state.counts)))
+                ctx.broadcast(state.snapshot())
 
     def on_crash_notice(self, ctx, crashed):
         self.required = tuple(p for p in range(self.n) if p not in crashed)
 
 
 class ElectionCollectorNode(netsim.Node):
-    """Keyholder: tallies the first complete lineage, verifies the rest."""
+    """Keyholder: tallies the first complete lineage, verifies the rest.
 
-    def __init__(self, key_material, n: int, backend: SlotBackend):
+    Under crashes, lineages may complete with different contributor sets;
+    only lineages with the same contributors must agree.
+    """
+
+    def __init__(self, key_material, n: int, backend: SlotEngine):
         self.key = key_material
         self.n = n
         self.backend = backend
         self.result: ElectionResult | None = None
-        self.first_tally: TallyResult | None = None
+        self.tallies: dict[tuple, TallyResult] = {}   # 0/1 contributor counts -> first tally
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
             if msg.kind != COMPLETE:
                 continue
             t = tally(self.backend, self.key.secret_part, msg.votes_ct,
-                      self.n, caller=ctx.pid)
-            if self.first_tally is None:
-                self.first_tally = t
+                      self.n, caller=ctx.pid, counts=msg.counts)
+            first = self.tallies.setdefault(msg.counts[:self.n], t)
+            if self.result is None:
                 self.result = elect_winner(t.primary_tallies, t.matrix,
                                            t.primary_only)
                 ctx.decide(self.result.winner)
@@ -361,7 +364,7 @@ class ElectionCollectorNode(netsim.Node):
                 ctx.broadcast_processes(ProtocolMessage(
                     msg.instance, RESULT,
                     extra={"winner": self.result.winner, "issuer": "trusted"}))
-            elif t.primary_tallies != self.first_tally.primary_tallies:
+            elif t.primary_tallies != first.primary_tallies:
                 raise CorruptedTallyError(
                     "complete lineages disagree on primary tallies")
 
@@ -387,7 +390,7 @@ def build(topology: Topology, ballots, *, seed: int = 0,
     n = topology.n
     parsed = parse_ballots(ballots, n)
     _, cap = ballot_layout(n)
-    backend = SlotBackend(BackendConfig(cap, noise_epsilon), seed=seed * 104729 + 7)
+    backend = seeded_backend(cap, noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
     for pid in range(n):

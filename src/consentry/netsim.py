@@ -2,7 +2,7 @@
 
 Logical time only: in synchronous mode every message sent during round t is
 delivered at round t+1; in async mode each send draws a seeded integer
-latency.  Crash faults are detectable: every correct process receives a
+latency.  Crash faults are announced: every correct process receives a
 notification at the crash time.  A run is a pure function of
 (scenario, seed); reports serialize byte-identically across repeats.
 """
@@ -41,7 +41,6 @@ class CrashFault:
 @dataclass(frozen=True)
 class FaultPlan:
     crashes: tuple[CrashFault, ...] = ()
-    detectable: bool = True     # the simulator models only detectable crashes
 
     @classmethod
     def from_list(cls, items) -> "FaultPlan":
@@ -308,8 +307,8 @@ class Simulation:
             raise ScenarioError(f"no channel from {frm!r} to {dst!r}")
         self._activity = True
         self._messages_sent[frm] = self._messages_sent.get(frm, 0) + 1
-        n_cts = sum(1 for ct in (msg.votes_ct, msg.participating_ct) if ct is not None)
-        self._bytes[frm] = self._bytes.get(frm, 0) + MESSAGE_BASE_BYTES + n_cts * CIPHERTEXT_BYTES
+        self._bytes[frm] = (self._bytes.get(frm, 0) + MESSAGE_BASE_BYTES
+                            + len(msg.ciphertexts) * CIPHERTEXT_BYTES)
         when = self._now + self.policy.latency(frm, dst)
         self._push(when, self._PRI_DELIVER, ("deliver", frm, dst, msg))
 
@@ -377,9 +376,8 @@ class Simulation:
                 deliveries = per_receiver[dst]
                 for frm, msg in deliveries:
                     self._message_log.append((time, frm, dst, msg))
-                    for ct in (msg.votes_ct, msg.participating_ct):
-                        if ct is not None:
-                            backend.record_possession(dst, ct)
+                    for ct in msg.ciphertexts:
+                        backend.record_possession(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
             if self.setup.invariant_check is not None:
                 self.setup.invariant_check(nodes)

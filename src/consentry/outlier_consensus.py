@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netsim
-from .avg_consensus import (ACTIVE, AGGREGATE, DECIDED, PREPARED, RESULT,
-                            ConsensusState, ProtocolMessage, _FloodingMixin,
-                            finalize_trusted, init_consensus,
-                            init_with_ciphertext, on_receive, prepare)
-from .he_slots import BackendConfig, Ciphertext, SlotBackend, SlotVector, slot_capacity_for
+from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
+                            FloodingNode, ProcessInput, ProtocolMessage,
+                            finalize_trusted, init_consensus, on_receive,
+                            prepare, try_decide)
+from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
 
 R1 = "out/r1"
@@ -51,15 +51,15 @@ class OutlierParams:
 
 @dataclass
 class OutlierState:
-    """Cross-round view of one process: gate values plus the embedded
-    flooding state of the round currently in flight."""
+    """Round-3 view of one process: the flooding state whose votes channel
+    carries v (or 0 for an outlier) and whose participation channel carries
+    the 0/1 flag."""
 
-    round: int
     core: ConsensusState
-    mu: float | None = None
-    sigma: float | None = None
-    outlier: bool | None = None
-    participating_ct: Ciphertext | None = None
+
+    @property
+    def participating_ct(self) -> Ciphertext:
+        return self.core.participating_ct
 
 
 def round2_input(v: float, mu: float) -> float:
@@ -82,52 +82,21 @@ def is_outlier(v: float, mu: float, sigma: float, c: float) -> bool:
 
 
 def init_round3(pid: int, v: float, outlier: bool, pk, n: int,
-                backend: SlotBackend) -> tuple[OutlierState, ProtocolMessage]:
+                backend: SlotEngine) -> tuple[OutlierState, ProtocolMessage]:
     """Round-3 seed: vote v (or 0 if outlier) plus the participation flag."""
     cap = backend.config.slot_capacity
     vote = 0.0 if outlier else float(v)
     flag = 0.0 if outlier else 1.0
-    votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, vote),
-                            (pid, f"{R3}:value"))
-    part = backend.encrypt(pk, SlotVector.impulse(cap, pid, flag),
-                           (pid, f"{R3}:participating"))
-    counts = np.zeros(cap, dtype=np.int64)
-    counts[pid] = 1
-    core = ConsensusState(id=pid, instance=R3, n=n, votes_ct=votes, counts=counts)
-    state = OutlierState(round=3, core=core, outlier=outlier,
-                         participating_ct=part)
-    msg = ProtocolMessage(R3, AGGREGATE, votes_ct=votes,
-                          counts=tuple(int(x) for x in counts),
-                          participating_ct=part)
-    return state, msg
+    core, _ = init_consensus(pid, vote, pk, n, backend, R3)
+    core.participating_ct = backend.encrypt(pk, SlotVector.impulse(cap, pid, flag),
+                                            (pid, f"{R3}:participating"))
+    return OutlierState(core), core.snapshot()
 
 
 def on_receive_round3(state: OutlierState, msg: ProtocolMessage,
-                      backend: SlotBackend):
+                      backend: SlotEngine):
     """Round-3 fold: aggregate votes and participation under shared counts."""
-    core = state.core
-    if msg.instance != core.instance or core.phase != ACTIVE:
-        return state, [], None
-    incoming = np.asarray(msg.counts, dtype=np.int64)
-    if bool(np.all(core.counts[incoming > 0] > 0)):
-        return state, [], None
-    core.votes_ct = backend.add_ct(core.votes_ct, msg.votes_ct)
-    state.participating_ct = backend.add_ct(state.participating_ct,
-                                            msg.participating_ct)
-    core.counts = core.counts + incoming
-    out = [ProtocolMessage(R3, AGGREGATE, votes_ct=core.votes_ct,
-                           counts=tuple(int(x) for x in core.counts),
-                           participating_ct=state.participating_ct)]
-    decision = None
-    if all(core.counts[j] > 0 for j in core.required):
-        core.phase = DECIDED
-        pv = prepare(backend, core.votes_ct, core.counts, core.prepare_n,
-                     include=core.include)
-        pp = prepare(backend, state.participating_ct, core.counts,
-                     core.prepare_n, include=core.include)
-        backend.record_possession(core.id, pv)
-        backend.record_possession(core.id, pp)
-        decision = (pv, pp)
+    _, out, decision = on_receive(state.core, msg, backend)
     return state, out, decision
 
 
@@ -136,7 +105,7 @@ def on_receive_round3(state: OutlierState, msg: ProtocolMessage,
 FULL_PARTICIPATION_TOL = 1e-6
 
 
-def finalize_outlier(backend: SlotBackend, secret, prepared_votes: Ciphertext,
+def finalize_outlier(backend: SlotEngine, secret, prepared_votes: Ciphertext,
                      prepared_participating: Ciphertext, n: int,
                      caller=None) -> float:
     """Ratio of the two prepared round-3 aggregates: the outlier-free mean.
@@ -170,14 +139,14 @@ def adjust_n_on_fault(state: ConsensusState, correct_set) -> ConsensusState:
 
 # -- encrypted variance route ----------------------------------------------
 
-def variance_contribution(backend: SlotBackend, mean_ct: Ciphertext,
+def variance_contribution(backend: SlotEngine, mean_ct: Ciphertext,
                           v: float, pid: int) -> Ciphertext:
     """Per-process hook: Enc(mean,...) scaled to 2*v at the caller's slot."""
     cap = backend.config.slot_capacity
     return backend.mult_pt(mean_ct, SlotVector.impulse(cap, pid, 2.0 * v))
 
 
-def combine_variance(backend: SlotBackend, mean_ct: Ciphertext,
+def combine_variance(backend: SlotEngine, mean_ct: Ciphertext,
                      cross_prepared: Ciphertext,
                      squares_prepared: Ciphertext) -> Ciphertext:
     """avg(v^2) - avg(2 v mean) + mean^2, composed from prepared aggregates."""
@@ -188,7 +157,7 @@ def combine_variance(backend: SlotBackend, mean_ct: Ciphertext,
     return backend.mark_prepared(var)
 
 
-def encrypted_variance(backend: SlotBackend, mean_ct: Ciphertext,
+def encrypted_variance(backend: SlotEngine, mean_ct: Ciphertext,
                        values: dict, pk) -> Ciphertext:
     """Reference composition of the no-decryption variance route.
 
@@ -198,7 +167,7 @@ def encrypted_variance(backend: SlotBackend, mean_ct: Ciphertext,
     """
     cap = backend.config.slot_capacity
     n = len(values)
-    counts = np.zeros(cap, dtype=np.int64)
+    counts = np.zeros(cap, dtype=np.float64)
     cross = None
     squares = None
     for pid in sorted(values):
@@ -215,43 +184,32 @@ def encrypted_variance(backend: SlotBackend, mean_ct: Ciphertext,
 
 # -- simulation actors -------------------------------------------------------
 
-class OutlierProcessNode(netsim.Node, _FloodingMixin):
+class OutlierProcessNode(FloodingNode):
     def __init__(self, pid: int, value: float, c: float, pk, n: int,
-                 backend: SlotBackend, route: str = "decrypt"):
-        self.pid = pid
+                 backend: SlotEngine, route: str = "decrypt"):
+        super().__init__(pid, n, backend)
         self.value = float(value)
         self.params = OutlierParams(c)
         self.pk = pk
-        self.n = n
-        self.backend = backend
         self.route = route
         self.correct = set(range(n))
         self.mu: float | None = None
         self.sigma: float | None = None
-        self.outlier: bool | None = None
         self.mean_ct: Ciphertext | None = None
-        self.cores: dict[str, ConsensusState] = {}
-        self.r3: OutlierState | None = None
-        self._forwarded_prepared: set[str] = set()
-        self._started: set[str] = set()
 
     # round bootstrap ------------------------------------------------------
 
+    def _start(self, ctx, state: ConsensusState, msg: ProtocolMessage):
+        adjust_n_on_fault(state, self.correct)
+        self.states[state.instance] = state
+        ctx.broadcast(msg)
+        self._try_decide(ctx, state)
+
     def _start_core(self, ctx, instance: str, value: float = None,
                     contribution: Ciphertext = None):
-        if instance in self._started:
-            return
-        self._started.add(instance)
-        if contribution is not None:
-            state, msg = init_with_ciphertext(self.pid, contribution, self.n,
-                                              self.backend, instance)
-        else:
-            state, msg = init_consensus(self.pid, value, self.pk, self.n,
-                                        self.backend, instance)
-        adjust_n_on_fault(state, self.correct)
-        self.cores[instance] = state
-        ctx.broadcast(msg)
-        self._maybe_complete(ctx, instance)
+        state, msg = init_consensus(self.pid, value, self.pk, self.n,
+                                    self.backend, instance, contribution=contribution)
+        self._start(ctx, state, msg)
 
     def _start_round2(self, ctx):
         if self.route == "decrypt":
@@ -263,78 +221,30 @@ class OutlierProcessNode(netsim.Node, _FloodingMixin):
             self._start_core(ctx, R2_SQUARES, value=self.value ** 2)
 
     def _start_round3(self, ctx):
-        if R3 in self._started:
-            return
-        self._started.add(R3)
-        self.outlier = is_outlier(self.value, self.mu, self.sigma, self.params.c)
-        self.r3, msg = init_round3(self.pid, self.value, self.outlier,
-                                   self.pk, self.n, self.backend)
-        adjust_n_on_fault(self.r3.core, self.correct)
-        ctx.broadcast(msg)
-        self._maybe_complete(ctx, R3)
+        outlier = is_outlier(self.value, self.mu, self.sigma, self.params.c)
+        state, msg = init_round3(self.pid, self.value, outlier,
+                                 self.pk, self.n, self.backend)
+        self._start(ctx, state.core, msg)
+
+    def _try_decide(self, ctx, state: ConsensusState):
+        """Round starts and crash adjustments can satisfy a pending
+        termination condition without any further message; re-check and emit."""
+        prepared = try_decide(state, self.backend)
+        if prepared is not None:
+            self._emit_prepared(ctx, state.instance, prepared)
 
     # event handling ---------------------------------------------------------
 
     def on_start(self, ctx):
         self._start_core(ctx, R1, value=self.value)
 
-    def on_deliver(self, ctx, batch):
-        per_instance: dict[str, list] = {}
-        for sender, msg in batch:
-            if msg.kind == AGGREGATE:
-                per_instance.setdefault(msg.instance, []).append(msg)
-            elif msg.kind == PREPARED:
-                self._handle_prepared(ctx, msg)
-            elif msg.kind == RESULT:
-                self._handle_result(ctx, msg)
-        for instance in sorted(per_instance):
-            msgs = per_instance[instance]
-            if instance == R3:
-                self._fold_round3(ctx, msgs)
-            elif instance in self.cores:
-                state = self.cores[instance]
-                changed, decision = self._fold_batch(state, msgs, self.backend)
-                if changed:
-                    ctx.broadcast(self._snapshot_msg(state))
-                if decision is not None:
-                    self._emit_prepared(ctx, instance, decision)
-
-    def _fold_round3(self, ctx, msgs):
-        if self.r3 is None:
-            return
-        changed = False
-        decision = None
-        for msg in msgs:
-            _, out, dec = on_receive_round3(self.r3, msg, self.backend)
-            changed = changed or bool(out)
-            decision = decision or dec
-        if changed:
-            core = self.r3.core
-            ctx.broadcast(ProtocolMessage(
-                R3, AGGREGATE, votes_ct=core.votes_ct,
-                counts=tuple(int(x) for x in core.counts),
-                participating_ct=self.r3.participating_ct))
-        if decision is not None:
-            self._emit_prepared(ctx, R3, decision)
-
-    def _emit_prepared(self, ctx, instance, decision):
-        ctx.mark_complete(instance)
-        if instance == R3:
-            pv, pp = decision
-            msg = ProtocolMessage(R3, PREPARED, votes_ct=pv, participating_ct=pp)
-        else:
-            msg = ProtocolMessage(instance, PREPARED, votes_ct=decision)
-        ctx.send(netsim.TRUSTED, msg)
-        self._forwarded_prepared.add(instance)
-        ctx.broadcast(msg)
+    def _emit_prepared(self, ctx, instance, prepared):
+        msg = super()._emit_prepared(ctx, instance, prepared)
         if instance == R1:
             self._adopt_mean(ctx, msg.votes_ct)
 
     def _handle_prepared(self, ctx, msg):
-        first = msg.instance not in self._forwarded_prepared
-        if first:
-            self._forwarded_prepared.add(msg.instance)
-            ctx.broadcast(msg)
+        self._forward_once(ctx, msg)
         if msg.instance == R1:
             self._adopt_mean(ctx, msg.votes_ct)
 
@@ -365,48 +275,16 @@ class OutlierProcessNode(netsim.Node, _FloodingMixin):
 
     def on_crash_notice(self, ctx, crashed):
         self.correct = set(range(self.n)) - set(crashed)
-        for instance in sorted(self.cores):
-            state = self.cores[instance]
+        for _, state in sorted(self.states.items()):
             if state.phase == ACTIVE:
                 adjust_n_on_fault(state, self.correct)
-                self._maybe_complete(ctx, instance)
-        if self.r3 is not None and self.r3.core.phase == ACTIVE:
-            adjust_n_on_fault(self.r3.core, self.correct)
-            self._maybe_complete(ctx, R3)
-
-    def _maybe_complete(self, ctx, instance):
-        """Crash adjustments can satisfy a pending termination condition
-        without any further message; re-check and emit."""
-        if instance == R3:
-            if self.r3 is None:
-                return
-            core = self.r3.core
-            if core.phase != ACTIVE or not all(core.counts[j] > 0 for j in core.required):
-                return
-            core.phase = DECIDED
-            pv = prepare(self.backend, core.votes_ct, core.counts,
-                         core.prepare_n, include=core.include)
-            pp = prepare(self.backend, self.r3.participating_ct, core.counts,
-                         core.prepare_n, include=core.include)
-            self.backend.record_possession(self.pid, pv)
-            self.backend.record_possession(self.pid, pp)
-            self._emit_prepared(ctx, R3, (pv, pp))
-            return
-        state = self.cores.get(instance)
-        if state is None or state.phase != ACTIVE:
-            return
-        if all(state.counts[j] > 0 for j in state.required):
-            state.phase = DECIDED
-            decision = prepare(self.backend, state.votes_ct, state.counts,
-                               state.prepare_n, include=state.include)
-            self.backend.record_possession(self.pid, decision)
-            self._emit_prepared(ctx, instance, decision)
+                self._try_decide(ctx, state)
 
 
 class OutlierCollectorNode(netsim.Node):
     """Keyholder gating the rounds; never sees an unprepared aggregate."""
 
-    def __init__(self, key_material, n: int, backend: SlotBackend,
+    def __init__(self, key_material, n: int, backend: SlotEngine,
                  route: str = "decrypt"):
         self.key = key_material
         self.n = n
@@ -448,7 +326,6 @@ class OutlierCollectorNode(netsim.Node):
                 var_ct = combine_variance(self.backend, mean_ct,
                                           self.prepared[R2_CROSS].votes_ct,
                                           self.prepared[R2_SQUARES].votes_ct)
-                self.backend.record_possession(netsim.TRUSTED, var_ct)
                 variance = self._decrypt(var_ct)
                 mu = self._decrypt(mean_ct)
                 ctx.note("mu", mu)
@@ -474,10 +351,8 @@ class OutlierCollectorNode(netsim.Node):
 
 def build(topology: Topology, inputs, c: float, *, variance_route: str = "decrypt",
           seed: int = 0, noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
-    from .avg_consensus import ProcessInput
     n = topology.n
-    backend = SlotBackend(BackendConfig(slot_capacity_for(n), noise_epsilon),
-                          seed=seed * 104729 + 7)
+    backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
     values = [ProcessInput(float(v)).v for v in inputs]

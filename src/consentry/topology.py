@@ -15,7 +15,7 @@ class TopologyError(Exception):
 class Topology:
     """Undirected communication graph on process ids 0..n-1."""
 
-    def __init__(self, n: int, edges, labels: dict[int, str] | None = None):
+    def __init__(self, n: int, edges):
         if n < 1:
             raise TopologyError("need at least one process")
         norm = set()
@@ -28,7 +28,6 @@ class Topology:
             norm.add((min(i, j), max(i, j)))
         self.n = n
         self.edges = frozenset(norm)
-        self.labels = dict(labels or {})
         adj: dict[int, set[int]] = {i: set() for i in range(n)}
         for i, j in self.edges:
             adj[i].add(j)

@@ -257,3 +257,28 @@ def test_untrusted_average_includes_initiator_vote():
 def test_untrusted_rejects_out_of_range_initiators():
     with pytest.raises(ValueError):
         run_untrusted(topo.path(3), [1.0, 2.0, 3.0], initiators={7})
+
+
+def test_prepare_divides_out_counts_beyond_int64():
+    b = make_backend()
+    km = b.keygen("T")
+    state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
+    big = 2 ** 70
+    votes = b.encrypt(km.public_part, SlotVector([0.0, 4.0 * big, 6.0 * big, 8.0 * big]),
+                      ("x", "agg"))
+    msg = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, votes_ct=votes,
+                          counts=(0, big, big, big))
+    state, out, dec = on_receive(state, msg, b)
+    assert out and dec is not None
+    assert b.decrypt(km.secret_part, dec)[0] == pytest.approx(4.75, abs=1e-12)
+
+
+def test_long_ring_decides_the_mean():
+    # counts pass 2**63 on a 96-ring; the run must still decide the mean
+    values = [float(i) for i in range(96)]
+    sc = netsim.ScenarioConfig(protocol="avg-trusted", topology=topo.ring(96).to_dict(),
+                               inputs=values, seed=1)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = mean_oracle(values)
+    assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(96))

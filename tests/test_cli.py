@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, main
+from consentry import netsim
+from consentry.avg_consensus import PreparedSlotsError, PrivacyGuardError
+from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
+from consentry.leader_election import CorruptedTallyError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -163,3 +166,26 @@ def test_sweep_empty_grid_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["sweep", "--config", str(CONFIGS / "sweep_base.json"),
                  "--vary", "n=", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("ballot", [{"primary": 0, "secondary": 0}, {"primary": 7}])
+def test_bad_ballot_is_a_config_error(tmp_path, capsys, ballot):
+    cfg = json.loads((CONFIGS / "fig2_election.json").read_text())
+    cfg["inputs"][0] = ballot
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("fault", [CorruptedTallyError, PrivacyGuardError,
+                                   PreparedSlotsError])
+def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
+    def broken(scenario, trial=0):
+        raise fault("injected")
+    monkeypatch.setattr(netsim, "run", broken)
+    rc = main(["run", "--config", str(CONFIGS / "ring4_avg.json"),
+               "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and err.count("\n") == 1

@@ -295,3 +295,20 @@ def test_candidate_privacy_only_keyholder_decrypts_completes():
     for pid in range(5):
         for _, _, decryptable in backend.audit_view(pid):
             assert not decryptable
+
+
+def test_crash_election_decides_survivors_irv_winner():
+    # process 2 crashes before its ballot leaves it: lineages complete with
+    # four contributors, and the survivors' IRV winner (3) differs from the
+    # winner over all five ballots (0)
+    ballots = [(4, 0), (3, 2), (0, 1), (1, None), (3, 2)]
+    sc = ScenarioConfig(
+        protocol="election", topology=topo.ring(5).to_dict(),
+        inputs=[{"primary": p, "secondary": s} for p, s in ballots],
+        seed=1, faults=netsim.FaultPlan((netsim.CrashFault(process=2, time=1),)))
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = irv_oracle([b for i, b in enumerate(ballots) if i != 2], 5)
+    assert want == 3 and irv_oracle(ballots, 5) == 0
+    assert all(report.decided_values[p] == want for p in (0, 1, 3, 4))
+    assert report.privacy_violations == []

@@ -250,3 +250,14 @@ def test_disconnecting_crash_flags_deadline():
                         c=2.0, seed=2, faults=faults, expect_termination=False)
     report = netsim.run(sc)
     assert report.termination == "deadline-exceeded"
+
+
+def test_long_ring_decides_the_outlier_free_mean():
+    # counts pass 2**63 on a 96-ring in every round
+    values = [float(i) for i in range(96)]
+    sc = ScenarioConfig(protocol="outlier", topology=topo.ring(96).to_dict(),
+                        inputs=values, c=1.5, seed=1)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = outlier_oracle(values, 1.5)[3]
+    assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(96))
