@@ -112,17 +112,21 @@ class ConsensusState:
     counts: np.ndarray            # plaintext multiplicities, slot-capacity long
     phase: str = ACTIVE
     required: tuple = ()          # indices whose counts must become nonzero
-    prepare_n: int = 0            # denominator used by prepare
-    include: tuple = ()           # indices given nonzero prepare weight
     participating_ct: Ciphertext | None = None
 
     def __post_init__(self):
         if not self.required:
             self.required = tuple(range(self.n))
-        if not self.prepare_n:
-            self.prepare_n = self.n
-        if not self.include:
-            self.include = tuple(range(self.n))
+
+    @property
+    def prepare_n(self) -> int:
+        """Denominator used by prepare."""
+        return len(self.required)
+
+    @property
+    def include(self) -> tuple:
+        """Indices given nonzero prepare weight."""
+        return self.required
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing every channel of this state."""
@@ -302,6 +306,13 @@ class FloodingNode(netsim.Node):
         ctx.broadcast(msg)
         return msg
 
+    def _try_decide(self, ctx, state: ConsensusState):
+        """Round starts and crash adjustments can satisfy a pending
+        termination condition without any further message; re-check and emit."""
+        prepared = try_decide(state, self.backend)
+        if prepared is not None:
+            self._emit_prepared(ctx, state.instance, prepared)
+
     def _forward_once(self, ctx, msg: ProtocolMessage):
         """Rebroadcast the first PREPARED or RESULT message of an instance."""
         seen = self._forwarded[msg.kind]
@@ -329,6 +340,7 @@ class AvgProcessNode(FloodingNode):
                                     self.n, self.backend, self.instance)
         self.states[self.instance] = state
         ctx.broadcast(msg)
+        self._try_decide(ctx, state)
 
     def _handle_prepared(self, ctx, msg):
         self._forward_once(ctx, msg)
@@ -464,8 +476,6 @@ def run_untrusted(topology: Topology, inputs, initiators=None, *, seed: int = 0,
     """Run the per-initiator instances through `netsim.run` and map each
     initiator to its average (or the non-viable marker when its removal
     partitions the graph)."""
-    if not topology.is_connected():
-        raise ValueError("untrusted variant requires a connected graph")
     report = netsim.run(netsim.ScenarioConfig(
         "avg-untrusted", topology, list(inputs), seed=seed, schedule=schedule,
         max_latency=max_latency, noise_epsilon=noise_epsilon,

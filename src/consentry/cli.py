@@ -114,7 +114,7 @@ def cmd_run(args) -> int:
     reports = _run_trials(scenario)
     for trial, r in enumerate(reports):
         t = scenario.resolve_topology(trial)
-        r.extra["diameter"] = t.diameter() if t.is_connected() else None
+        r.extra["diameter"] = t.diameter()
     out = _out_dir(args)
     _write_report(out, raw, reports)
     _write_summary(out, scenario, reports)

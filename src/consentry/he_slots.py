@@ -150,16 +150,15 @@ class Ciphertext:
     the sanctioned prepare/complete steps of the protocol layer.
     """
 
-    __slots__ = ("key_id", "taint", "prepared", "depth", "op_count",
-                 "noise_bound", "handle", "_payload")
+    __slots__ = ("key_id", "taint", "prepared", "depth", "noise_bound",
+                 "handle", "_payload")
 
-    def __init__(self, key_id, payload, taint, prepared, depth, op_count,
-                 noise_bound, handle):
+    def __init__(self, key_id, payload, taint, prepared, depth, noise_bound,
+                 handle):
         self.key_id = key_id
         self.taint = frozenset(taint)
         self.prepared = bool(prepared)
         self.depth = int(depth)
-        self.op_count = int(op_count)
         self.noise_bound = float(noise_bound)
         self.handle = int(handle)
         payload = np.asarray(payload, dtype=np.float64)
@@ -266,13 +265,13 @@ class SlotBackend(SlotEngine):
 
     # -- ciphertext construction -----------------------------------------
 
-    def _fresh(self, key_id, payload, taint, depth, op_count, noise_bound,
+    def _fresh(self, key_id, payload, taint, depth, noise_bound,
                prepared=False) -> Ciphertext:
         eps = self.config.noise_epsilon
         if eps > 0:
             payload = payload + self._rng.uniform(-eps, eps, size=payload.shape)
         self._handle_seq += 1
-        return Ciphertext(key_id, payload, taint, prepared, depth, op_count,
+        return Ciphertext(key_id, payload, taint, prepared, depth,
                           noise_bound + eps, self._handle_seq)
 
     def _check_len(self, vec: SlotVector):
@@ -287,7 +286,7 @@ class SlotBackend(SlotEngine):
         if public_part.key_id not in self._holders:
             raise KeyMismatchError(f"unknown key {public_part.key_id!r}")
         ct = self._fresh(public_part.key_id, np.array(vector.values),
-                         taint={tag}, depth=0, op_count=1, noise_bound=0.0)
+                         taint={tag}, depth=0, noise_bound=0.0)
         owner = tag[0] if isinstance(tag, tuple) and len(tag) == 2 else None
         if owner is not None:
             self.record_possession(owner, ct)
@@ -313,7 +312,6 @@ class SlotBackend(SlotEngine):
         return self._fresh(a.key_id, a._payload + b._payload,
                            taint=a.taint | b.taint,
                            depth=max(a.depth, b.depth),
-                           op_count=a.op_count + b.op_count + 1,
                            noise_bound=a.noise_bound + b.noise_bound)
 
     def mult_pt(self, a: Ciphertext, p: SlotVector) -> Ciphertext:
@@ -322,7 +320,6 @@ class SlotBackend(SlotEngine):
         return self._fresh(a.key_id, a._payload * p.values,
                            taint=a.taint,
                            depth=a.depth + 1,
-                           op_count=a.op_count + 1,
                            noise_bound=a.noise_bound * scale)
 
     def mult_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -337,7 +334,6 @@ class SlotBackend(SlotEngine):
         return self._fresh(a.key_id, a._payload * b._payload,
                            taint=a.taint | b.taint,
                            depth=max(a.depth, b.depth) + 1,
-                           op_count=a.op_count + b.op_count + 1,
                            noise_bound=bound)
 
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext:
@@ -346,7 +342,6 @@ class SlotBackend(SlotEngine):
         return self._fresh(a.key_id, np.roll(a._payload, -int(amount)),
                            taint=a.taint,
                            depth=a.depth,
-                           op_count=a.op_count + 1,
                            noise_bound=a.noise_bound)
 
     def audit_view(self, observer) -> list[tuple[AuditEvent, frozenset, bool]]:
@@ -368,7 +363,7 @@ class SlotBackend(SlotEngine):
         variance combiner (all of which compose already-aggregate values).
         """
         return Ciphertext(ct.key_id, ct._payload, ct.taint, True, ct.depth,
-                          ct.op_count, ct.noise_bound, ct.handle)
+                          ct.noise_bound, ct.handle)
 
     # -- ledger and introspection (simulator and tests, not protocol code) -
 

@@ -300,6 +300,16 @@ class ElectionProcessNode(netsim.Node):
                                    self.backend)
         self.states[state.instance] = state
         ctx.broadcast(msg)
+        if all(state.counts[j] > 0 for j in self.required):
+            self._complete(ctx, state, self.backend.mark_prepared(state.ballots_ct))
+
+    def _complete(self, ctx, state: ElectionState, complete_ct: Ciphertext):
+        """Hand a lineage that covers every required process to the keyholder."""
+        self.completed.add(state.instance)
+        ctx.mark_complete(state.instance)
+        ctx.send(netsim.TRUSTED, ProtocolMessage(
+            state.instance, COMPLETE, votes_ct=complete_ct,
+            counts=tuple(int(x) for x in state.counts)))
 
     def on_deliver(self, ctx, batch):
         per_lineage: dict[str, list] = {}
@@ -322,11 +332,7 @@ class ElectionProcessNode(netsim.Node):
                 continue
             self.states[lineage] = state
             if complete is not None and lineage not in self.completed:
-                self.completed.add(lineage)
-                ctx.mark_complete(lineage)
-                ctx.send(netsim.TRUSTED, ProtocolMessage(
-                    lineage, COMPLETE, votes_ct=complete,
-                    counts=tuple(int(x) for x in state.counts)))
+                self._complete(ctx, state, complete)
             elif int(state.counts[:self.n].sum()) > before:
                 ctx.broadcast(state.snapshot())
 

@@ -3,13 +3,13 @@
 Logical time only: in synchronous mode every message sent during round t is
 delivered at round t+1; in async mode each send draws a seeded integer
 latency.  Crash faults are announced: every correct process receives a
-notification at the crash time.  A run is a pure function of
-(scenario, seed); reports serialize byte-identically across repeats.
+notification at the crash time.  A run ends when no message is in flight
+and no crash is pending.  A run is a pure function of (scenario, seed);
+reports serialize byte-identically across repeats.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -148,6 +148,11 @@ class SchedulePolicy:
         self.max_latency = max_latency
         self._rng = random.Random(seed)
 
+    @property
+    def longest(self) -> int:
+        """The largest latency a send can draw."""
+        return 1 if self.mode == "sync" else self.max_latency
+
     def latency(self, sender, receiver) -> int:
         if self.mode == "sync":
             return 1
@@ -262,21 +267,31 @@ class ProtocolSetup:
     invariant_check: Callable | None = None
 
 
-class Simulation:
-    """Single-threaded deterministic event loop over one protocol setup."""
+def _actor_order(actor):
+    """Processes in ascending id order, then the out-of-graph actors."""
+    return (isinstance(actor, str), actor)
 
-    _PRI_CRASH, _PRI_DELIVER = 0, 1
+
+class Simulation:
+    """Single-threaded deterministic event loop over one protocol setup.
+
+    Messages wait in a calendar that maps each delivery time to its sends in
+    send order.  Each step takes the earliest pending time, announces that
+    time's crashes and then delivers that time's messages: receivers in
+    actor order, each receiver's batch in send order.  The run ends when
+    nothing is pending.  The hard stop is logical time
+    `last crash + 10 * L * (n + 2)`, L being the schedule's largest latency;
+    a run that reaches it reports `deadline-exceeded`.
+    """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
-                 policy: SchedulePolicy, faults: FaultPlan | None = None,
-                 deadline: int | None = None):
+                 policy: SchedulePolicy, faults: FaultPlan | None = None):
         self.topology = topology
         self.setup = setup
         self.policy = policy
         self.faults = faults or FaultPlan()
         self.extra: dict = {}
-        self._queue: list = []
-        self._seq = 0
+        self._calendar: dict[int, list] = {}   # time -> [(frm, dst, msg)]
         self._now = 0
         self._crashed_at: dict[int, int] = {}
         self._decided: dict = {}
@@ -285,17 +300,8 @@ class Simulation:
         self._messages_sent: dict = {}
         self._bytes: dict = {}
         self._message_log: list = []
-        self._activity = False
-        if deadline is None:
-            diam = topology.diameter() if topology.is_connected() else topology.n
-            deadline = max(50, 10 * topology.n * max(1, diam))
-        self._deadline = deadline
 
     # -- engine internals -------------------------------------------------
-
-    def _push(self, time, priority, payload):
-        self._seq += 1
-        heapq.heappush(self._queue, (time, priority, self._seq, payload))
 
     def _edge_ok(self, frm, dst) -> bool:
         if frm == TRUSTED or dst == TRUSTED:
@@ -305,27 +311,19 @@ class Simulation:
     def _send(self, frm, dst, msg):
         if not self._edge_ok(frm, dst):
             raise ScenarioError(f"no channel from {frm!r} to {dst!r}")
-        self._activity = True
         self._messages_sent[frm] = self._messages_sent.get(frm, 0) + 1
         self._bytes[frm] = (self._bytes.get(frm, 0) + MESSAGE_BASE_BYTES
                             + len(msg.ciphertexts) * CIPHERTEXT_BYTES)
         when = self._now + self.policy.latency(frm, dst)
-        self._push(when, self._PRI_DELIVER, ("deliver", frm, dst, msg))
+        self._calendar.setdefault(when, []).append((frm, dst, msg))
 
     def _record_decide(self, pid, value):
         if pid not in self._decided:
             self._decided[pid] = value
             self._decide_time[pid] = self._now
-            self._activity = True
 
     def _record_complete(self, pid, instance):
-        key = (pid, instance)
-        if key not in self._completions:
-            self._completions[key] = self._now
-            self._activity = True
-
-    def _alive(self, actor) -> bool:
-        return actor not in self._crashed_at
+        self._completions.setdefault((pid, instance), self._now)
 
     # -- main loop ---------------------------------------------------------
 
@@ -335,60 +333,49 @@ class Simulation:
         ctxs = {pid: Context(self, pid) for pid in nodes}
         for pid in nodes:
             backend.register_observer(pid)
+        order = sorted(nodes, key=_actor_order)
+        crashes: dict[int, list] = {}
         for crash in self.faults.crashes:
-            self._push(crash.time, self._PRI_CRASH, ("crash", crash.process))
+            crashes.setdefault(crash.time, []).append(crash.process)
+        # the slowest drain seen over ring/path/star/tree/random/complete
+        # graphs and all four protocols took about 3 * n * L
+        stop = max(crashes, default=0) + 10 * self.policy.longest * (self.topology.n + 2)
 
-        for pid in sorted(nodes, key=lambda x: (isinstance(x, str), x)):
-            self._now = 0
+        for pid in order:
             nodes[pid].on_start(ctxs[pid])
+        calendar, crashed_at = self._calendar, self._crashed_at
         deadline_hit = False
-        since_progress = 0
 
-        while self._queue:
-            time, priority, _, payload = heapq.heappop(self._queue)
-            self._now = time
-            if payload[0] == "crash":
-                _, pid = payload
-                if pid in self._crashed_at:
+        while calendar or crashes:
+            now = min([*calendar, *crashes])
+            if now > stop:
+                deadline_hit = True
+                break
+            self._now = now
+            for pid in crashes.pop(now, ()):
+                if pid in crashed_at:
                     continue
-                self._crashed_at[pid] = time
-                crashed = frozenset(self._crashed_at)
-                for other in sorted(nodes, key=lambda x: (isinstance(x, str), x)):
-                    if self._alive(other):
+                crashed_at[pid] = now
+                crashed = frozenset(crashed_at)
+                for other in order:
+                    if other not in crashed:
                         nodes[other].on_crash_notice(ctxs[other], crashed)
+            if now not in calendar:
                 continue
 
-            # gather the full batch for this timestamp, grouped per receiver
-            batch_events = [payload]
-            while self._queue and self._queue[0][0] == time and \
-                    self._queue[0][1] == self._PRI_DELIVER:
-                batch_events.append(heapq.heappop(self._queue)[3])
             per_receiver: dict = {}
-            for _, frm, dst, msg in batch_events:
-                crashed_from = frm in self._crashed_at and time >= self._crashed_at[frm]
-                crashed_to = dst in self._crashed_at and time >= self._crashed_at[dst]
-                if crashed_from or crashed_to:
-                    continue
-                per_receiver.setdefault(dst, []).append((frm, msg))
-
-            self._activity = False
-            for dst in sorted(per_receiver, key=lambda x: (isinstance(x, str), x)):
+            for frm, dst, msg in calendar.pop(now):
+                if frm not in crashed_at and dst not in crashed_at:
+                    per_receiver.setdefault(dst, []).append((frm, msg))
+            for dst in sorted(per_receiver, key=_actor_order):
                 deliveries = per_receiver[dst]
                 for frm, msg in deliveries:
-                    self._message_log.append((time, frm, dst, msg))
+                    self._message_log.append((now, frm, dst, msg))
                     for ct in msg.ciphertexts:
                         backend.record_possession(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
             if self.setup.invariant_check is not None:
                 self.setup.invariant_check(nodes)
-
-            if self._activity:
-                since_progress = 0
-            else:
-                since_progress += len(batch_events)
-                if since_progress > self._deadline:
-                    deadline_hit = True
-                    break
 
         report = self._build_report(deadline_hit)
         trace = SimTrace(backend=backend, messages=list(self._message_log),
@@ -488,6 +475,8 @@ def run(scenario: ScenarioConfig, trial: int = 0) -> SimReport:
     """Execute one trial of a scenario; deterministic in (scenario, seed, trial)."""
     scenario.basic_validate()
     topo = scenario.resolve_topology(trial)
+    if not topo.is_connected():
+        raise ScenarioError(f"topology is disconnected: {topo!r}")
     trial_seed = scenario.seed + trial
 
     from . import avg_consensus, outlier_consensus, leader_election

@@ -23,7 +23,7 @@ from . import netsim
 from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
                             FloodingNode, ProcessInput, ProtocolMessage,
                             finalize_trusted, init_consensus, on_receive,
-                            prepare, try_decide)
+                            prepare)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
 
@@ -132,8 +132,6 @@ def adjust_n_on_fault(state: ConsensusState, correct_set) -> ConsensusState:
     if not correct:
         raise ValueError("correct_set must not be empty")
     state.required = tuple(p for p in correct if p < state.n)
-    state.include = state.required
-    state.prepare_n = len(state.required)
     return state
 
 
@@ -225,13 +223,6 @@ class OutlierProcessNode(FloodingNode):
         state, msg = init_round3(self.pid, self.value, outlier,
                                  self.pk, self.n, self.backend)
         self._start(ctx, state.core, msg)
-
-    def _try_decide(self, ctx, state: ConsensusState):
-        """Round starts and crash adjustments can satisfy a pending
-        termination condition without any further message; re-check and emit."""
-        prepared = try_decide(state, self.backend)
-        if prepared is not None:
-            self._emit_prepared(ctx, state.instance, prepared)
 
     # event handling ---------------------------------------------------------
 

@@ -282,3 +282,24 @@ def test_long_ring_decides_the_mean():
     assert report.termination == "decided"
     want = mean_oracle(values)
     assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(96))
+
+
+def test_lone_process_decides_its_input():
+    sc = netsim.ScenarioConfig(protocol="avg-trusted",
+                               topology={"n": 1, "edges": []}, inputs=[3.5])
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    assert report.decided_values == {0: 3.5, netsim.TRUSTED: 3.5}
+
+
+def test_untrusted_dense_graph_decides_every_initiator():
+    # redundant PREPARED/RESULT floods on G(32, 0.4) once ended this run as a
+    # false `deadline-exceeded` although every initiator had decided
+    sc = netsim.ScenarioConfig(protocol="avg-untrusted",
+                               topology={"family": "random", "n": 32, "p": 0.4},
+                               inputs={"random_uniform": [-100, 100]}, seed=1)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = mean_oracle(sc.resolve_inputs(sc.resolve_topology()))
+    for k in range(32):
+        assert report.extra[f"initiator_result/{k}"] == pytest.approx(want, abs=1e-9)

@@ -189,3 +189,15 @@ def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
     assert rc == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("protocol, topology", [
+    ("avg-trusted", {"n": 4, "edges": [[0, 1], [2, 3]]}),
+    ("avg-untrusted", {"n": 1, "edges": []}),    # no initiator can sit out
+], ids=["disconnected", "lone-untrusted"])
+def test_unrunnable_topology_is_a_config_error(tmp_path, capsys, protocol, topology):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": protocol, "topology": topology,
+                               "inputs": list(range(topology["n"]))}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")

@@ -312,3 +312,9 @@ def test_crash_election_decides_survivors_irv_winner():
     assert want == 3 and irv_oracle(ballots, 5) == 0
     assert all(report.decided_values[p] == want for p in (0, 1, 3, 4))
     assert report.privacy_violations == []
+
+
+def test_lone_process_elects_itself():
+    report = run_election([(0, None)], topo.Topology(1, []))
+    assert report.termination == "decided"
+    assert report.decided_values == {0: 0, netsim.TRUSTED: 0}

@@ -6,7 +6,8 @@ import pytest
 
 from consentry import netsim
 from consentry import topology as topo
-from consentry.avg_consensus import build_trusted
+from consentry.avg_consensus import RESULT, ProtocolMessage, build_trusted
+from consentry.he_slots import BackendConfig, SlotBackend
 from consentry.netsim import (CrashFault, FaultPlan, ScenarioConfig,
                               ScenarioError, SchedulePolicy, SimTrace)
 
@@ -111,6 +112,30 @@ def test_disconnecting_crash_reports_deadline():
                         expect_termination=False)
     report = netsim.run(sc)
     assert report.termination == "deadline-exceeded"
+
+
+class EchoNode(netsim.Node):
+    """Answers every delivery with a send, so its run never goes quiet."""
+
+    def on_start(self, ctx):
+        ctx.broadcast(ProtocolMessage("echo", RESULT))
+
+    def on_deliver(self, ctx, batch):
+        ctx.broadcast(ProtocolMessage("echo", RESULT))
+
+
+@pytest.mark.parametrize("mode, latency", [("sync", 1), ("async", 3)])
+def test_never_quiet_run_stops_at_the_time_bound(mode, latency):
+    t = topo.path(2)
+    setup = netsim.ProtocolSetup(nodes={0: EchoNode(), 1: EchoNode()},
+                                 backend=SlotBackend(BackendConfig(2), seed=0),
+                                 private_values=frozenset(), expected_deciders=set())
+    policy = SchedulePolicy(mode, 1, max_latency=latency)
+    report, trace = netsim.Simulation(t, setup, policy).run()
+    assert report.termination == "deadline-exceeded"
+    bound = 10 * latency * (t.n + 2)
+    last = max(time for time, _, _, _ in trace.messages)
+    assert bound - latency < last <= bound
 
 
 def test_scenario_config_validation():
