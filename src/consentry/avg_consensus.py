@@ -131,7 +131,7 @@ class ConsensusState:
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing every channel of this state."""
         return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.votes_ct,
-                               counts=tuple(int(x) for x in self.counts),
+                               counts=tuple(map(int, self.counts.tolist())),
                                participating_ct=self.participating_ct)
 
 

@@ -4,8 +4,9 @@ Every process casts a one-hot ballot into a flattened n*n matrix (entry
 p*n + s counts ballots with primary p and secondary s) followed by n
 primary-only slots.  Ballot ciphertexts cannot be merged across copies, so
 each origin's ciphertext travels as a lineage: a process contributes its
-ballot to a lineage copy at most once (tracked via the plaintext 0/1
-counts) and stores/forwards only copies with strictly more contributors.
+ballot to a lineage copy at most once (tracked via plaintext 0/1 counts,
+one per process) and stores/forwards only copies with strictly more
+contributors.
 A copy whose counts are all-ones is complete and goes to the keyholder,
 whose decryption reveals tallies only, never who voted for whom.
 
@@ -79,18 +80,21 @@ def make_ballot_vector(ballot: Ballot, n: int, capacity: int | None = None) -> S
 
 @dataclass
 class ElectionState:
-    """Best lineage copy a process has adopted (0/1 counts: who contributed)."""
+    """Best lineage copy a process has adopted.
+
+    `counts` holds one 0/1 entry per process (who contributed); only the
+    ballot ciphertext is n*n + n slots padded to a power of two.
+    """
 
     id: int
     instance: str
-    n: int
     ballots_ct: Ciphertext
     counts: np.ndarray
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing this lineage copy."""
         return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.ballots_ct,
-                               counts=tuple(int(x) for x in self.counts))
+                               counts=tuple(self.counts.tolist()))
 
 
 def init_election(pid: int, ballot: Ballot, pk, n: int,
@@ -100,10 +104,9 @@ def init_election(pid: int, ballot: Ballot, pk, n: int,
     instance = instance_for_origin(pid)
     ct = backend.encrypt(pk, make_ballot_vector(ballot, n, cap),
                          (pid, f"{instance}:ballot"))
-    counts = np.zeros(cap, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
     counts[pid] = 1
-    state = ElectionState(id=pid, instance=instance, n=n,
-                          ballots_ct=ct, counts=counts)
+    state = ElectionState(id=pid, instance=instance, ballots_ct=ct, counts=counts)
     return state, state.snapshot()
 
 
@@ -125,12 +128,12 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
         cand_ct = backend.add_ct(msg.votes_ct, fresh)
         cand_counts = incoming.copy()
         cand_counts[pid] = 1
-    size = int(cand_counts[:n].sum())
-    have = 0 if state is None else int(state.counts[:n].sum())
+    size = int(cand_counts.sum())
+    have = 0 if state is None else int(state.counts.sum())
     if size <= have:
         return state, [], None
     if state is None:
-        state = ElectionState(id=pid, instance=msg.instance, n=n,
+        state = ElectionState(id=pid, instance=msg.instance,
                               ballots_ct=cand_ct, counts=cand_counts)
     else:
         state.ballots_ct = cand_ct
@@ -173,7 +176,7 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     if np.any(ints < 0):
         raise CorruptedTallyError("negative tally entry")
     primary = matrix.sum(axis=1) + primary_only
-    contributors = n if counts is None else sum(1 for c in counts[:n] if c)
+    contributors = n if counts is None else sum(1 for c in counts if c)
     if int(primary.sum()) != contributors:
         raise CorruptedTallyError(
             f"total ballots {int(primary.sum())} != contributor count {contributors}")
@@ -309,7 +312,7 @@ class ElectionProcessNode(netsim.Node):
         ctx.mark_complete(state.instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
             state.instance, COMPLETE, votes_ct=complete_ct,
-            counts=tuple(int(x) for x in state.counts)))
+            counts=tuple(state.counts.tolist())))
 
     def on_deliver(self, ctx, batch):
         per_lineage: dict[str, list] = {}
@@ -320,7 +323,7 @@ class ElectionProcessNode(netsim.Node):
                 ctx.decide(msg.extra["winner"])
         for lineage in sorted(per_lineage):
             state = self.states.get(lineage)
-            before = 0 if state is None else int(state.counts[:self.n].sum())
+            before = 0 if state is None else int(state.counts.sum())
             complete = None
             for msg in per_lineage[lineage]:
                 state, _, done = on_receive_election(
@@ -333,7 +336,7 @@ class ElectionProcessNode(netsim.Node):
             self.states[lineage] = state
             if complete is not None and lineage not in self.completed:
                 self._complete(ctx, state, complete)
-            elif int(state.counts[:self.n].sum()) > before:
+            elif int(state.counts.sum()) > before:
                 ctx.broadcast(state.snapshot())
 
     def on_crash_notice(self, ctx, crashed):
@@ -360,7 +363,7 @@ class ElectionCollectorNode(netsim.Node):
                 continue
             t = tally(self.backend, self.key.secret_part, msg.votes_ct,
                       self.n, caller=ctx.pid, counts=msg.counts)
-            first = self.tallies.setdefault(msg.counts[:self.n], t)
+            first = self.tallies.setdefault(msg.counts, t)
             if self.result is None:
                 self.result = elect_winner(t.primary_tallies, t.matrix,
                                            t.primary_only)

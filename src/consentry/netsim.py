@@ -49,7 +49,11 @@ class FaultPlan:
             if isinstance(it, CrashFault):
                 crashes.append(it)
             else:
-                crashes.append(CrashFault(int(it["process"]), int(it["time"])))
+                try:
+                    crashes.append(CrashFault(int(it["process"]), int(it["time"])))
+                except (KeyError, TypeError) as exc:
+                    raise ScenarioError(
+                        f"a crash fault needs a process and a time: {it!r}") from exc
         return cls(tuple(crashes))
 
 
@@ -117,6 +121,9 @@ class ScenarioConfig:
             raise ScenarioError("trials must be >= 1")
         if self.noise_epsilon < 0:
             raise ScenarioError("noise_epsilon must be >= 0")
+        for crash in self.faults.crashes:
+            if crash.time < 0:
+                raise ScenarioError(f"crash time must be >= 0: {crash}")
 
     def resolve_topology(self, seed_offset: int = 0) -> Topology:
         source = self.topology
@@ -306,7 +313,7 @@ class Simulation:
     def _edge_ok(self, frm, dst) -> bool:
         if frm == TRUSTED or dst == TRUSTED:
             return True
-        return dst in self.topology.neighbors(frm)
+        return self.topology.has_edge(frm, dst)
 
     def _send(self, frm, dst, msg):
         if not self._edge_ok(frm, dst):
@@ -477,6 +484,9 @@ def run(scenario: ScenarioConfig, trial: int = 0) -> SimReport:
     topo = scenario.resolve_topology(trial)
     if not topo.is_connected():
         raise ScenarioError(f"topology is disconnected: {topo!r}")
+    for crash in scenario.faults.crashes:
+        if not 0 <= crash.process < topo.n:
+            raise ScenarioError(f"crash of a process outside 0..{topo.n - 1}: {crash}")
     trial_seed = scenario.seed + trial
 
     from . import avg_consensus, outlier_consensus, leader_election

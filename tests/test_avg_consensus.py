@@ -284,6 +284,16 @@ def test_long_ring_decides_the_mean():
     assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(96))
 
 
+def test_128_ring_decides_the_mean():
+    values = [float(i) for i in range(128)]
+    sc = netsim.ScenarioConfig(protocol="avg-trusted", topology=topo.ring(128).to_dict(),
+                               inputs=values, seed=1)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = mean_oracle(values)
+    assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(128))
+
+
 def test_lone_process_decides_its_input():
     sc = netsim.ScenarioConfig(protocol="avg-trusted",
                                topology={"n": 1, "edges": []}, inputs=[3.5])

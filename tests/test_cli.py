@@ -201,3 +201,15 @@ def test_unrunnable_topology_is_a_config_error(tmp_path, capsys, protocol, topol
                                "inputs": list(range(topology["n"]))}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("crash", [{"process": 99, "time": 3}, {"process": 1, "time": -5},
+                                   {"time": 1}],
+                         ids=["outside-graph", "negative-time", "no-process"])
+def test_bad_crash_fault_exits_2(tmp_path, capsys, crash):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "avg-trusted",
+                               "topology": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+                               "inputs": [1, 2, 3, 4], "faults": [crash]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")

@@ -12,7 +12,8 @@ from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        InvalidBallotError, ballot_layout,
                                        build, elect_winner, flat_index,
-                                       make_ballot_vector, tally, tie_break)
+                                       init_election, make_ballot_vector, tally,
+                                       tie_break)
 from consentry.netsim import ScenarioConfig
 
 from oracles import irv_oracle
@@ -318,3 +319,26 @@ def test_lone_process_elects_itself():
     report = run_election([(0, None)], topo.Topology(1, []))
     assert report.termination == "decided"
     assert report.decided_values == {0: 0, netsim.TRUSTED: 0}
+
+
+def test_contributor_counts_have_one_entry_per_process():
+    n = 3
+    ballots = [(0, 1), (1, None), (0, 2)]
+    t = topo.ring(n)
+    setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=1)
+    assert setup.backend.config.slot_capacity == 16
+    state, msg = init_election(0, Ballot(0, 1), setup.nodes[0].pk, n, setup.backend)
+    assert state.counts.tolist() == [1, 0, 0] and msg.counts == (1, 0, 0)
+    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1)).run()
+    completes = [msg for _, _, _, msg in trace.messages if msg.kind == COMPLETE]
+    assert completes and all(msg.counts == (1, 1, 1) for msg in completes)
+
+
+def test_32_ring_election_decides_the_irv_winner():
+    rng = random.Random(32)
+    ballots = random_ballots(rng, 32)
+    report = run_election(ballots, topo.ring(32))
+    assert report.termination == "decided"
+    want = irv_oracle(ballots, 32)
+    assert all(report.decided_values[p] == want for p in range(32))
+    assert report.privacy_violations == []

@@ -155,6 +155,22 @@ def test_scenario_config_validation():
         sc.resolve_inputs(sc.resolve_topology())
 
 
+@pytest.mark.parametrize("crash", [
+    {"process": 99, "time": 3},
+    {"process": 4, "time": 3},
+    {"process": -1, "time": 3},
+    {"process": 1, "time": -5},
+    {"time": 1},
+    3,
+], ids=["far-outside", "just-outside", "negative-id", "negative-time", "no-process",
+        "not-a-dict"])
+def test_bad_crash_fault_is_rejected(crash):
+    with pytest.raises(ScenarioError):
+        netsim.run(ScenarioConfig.from_dict(dict(
+            protocol="avg-trusted", topology=topo.ring(4).to_dict(),
+            inputs=[1, 2, 3, 4], faults=[crash])))
+
+
 # -- privacy auditor --------------------------------------------------------
 
 def test_conforming_runs_have_no_violations():

@@ -261,3 +261,13 @@ def test_long_ring_decides_the_outlier_free_mean():
     assert report.termination == "decided"
     want = outlier_oracle(values, 1.5)[3]
     assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(96))
+
+
+def test_128_ring_decides_the_outlier_free_mean():
+    values = [float(i) for i in range(128)]
+    sc = ScenarioConfig(protocol="outlier", topology=topo.ring(128).to_dict(),
+                        inputs=values, c=1.5, seed=1)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = outlier_oracle(values, 1.5)[3]
+    assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(128))
