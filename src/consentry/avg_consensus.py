@@ -59,17 +59,6 @@ def instance_for_initiator(k: int) -> str:
 
 
 @dataclass(frozen=True)
-class ProcessInput:
-    """Initial value v_i contributed by one process."""
-
-    v: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.v):
-            raise ValueError(f"initial value must be finite, got {self.v!r}")
-
-
-@dataclass(frozen=True)
 class ProtocolMessage:
     """The (votes, counts[, participating]) unit exchanged between neighbors."""
 
@@ -227,15 +216,14 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
 
 
 def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
-                     n: int, caller=None,
-                     rel_tolerance: float = PREPARED_SLOT_TOLERANCE) -> float:
+                     n: int, caller=None) -> float:
     """Decrypt a prepared aggregate and return the average it carries."""
     if not prepared_ct.prepared:
         raise PrivacyGuardError("refusing to decrypt an unprepared aggregate")
     vec = backend.decrypt(secret, prepared_ct, caller=caller)
     lead = vec.values[:n]
     ref = float(lead[0])
-    scale = max(1.0, abs(ref)) * rel_tolerance + prepared_ct.noise_bound * n
+    scale = max(1.0, abs(ref)) * PREPARED_SLOT_TOLERANCE + prepared_ct.noise_bound * n
     if np.max(np.abs(lead - ref)) > scale:
         raise PreparedSlotsError(f"prepared slots disagree beyond tolerance: {lead}")
     return ref
@@ -324,21 +312,19 @@ class FloodingNode(netsim.Node):
 class AvgProcessNode(FloodingNode):
     """Algorithm participant in the trusted-collector deployment."""
 
-    def __init__(self, pid: int, value: float, pk, n: int, backend: SlotEngine,
-                 instance: str = INSTANCE_TRUSTED):
+    def __init__(self, pid: int, value: float, pk, n: int, backend: SlotEngine):
         super().__init__(pid, n, backend)
         self.value = value
         self.pk = pk
-        self.instance = instance
 
     @property
     def state(self) -> ConsensusState | None:
-        return self.states.get(self.instance)
+        return self.states.get(INSTANCE_TRUSTED)
 
     def on_start(self, ctx):
         state, msg = init_consensus(self.pid, self.value, self.pk,
-                                    self.n, self.backend, self.instance)
-        self.states[self.instance] = state
+                                    self.n, self.backend)
+        self.states[INSTANCE_TRUSTED] = state
         ctx.broadcast(msg)
         self._try_decide(ctx, state)
 
@@ -371,10 +357,19 @@ class TrustedCollectorNode(netsim.Node):
                 msg.instance, RESULT, extra={"average": value}))
 
 
+def _finite_values(inputs) -> list[float]:
+    """The processes' initial values as floats; each must be finite."""
+    values = [float(v) for v in inputs]
+    for v in values:
+        if not np.isfinite(v):
+            raise ValueError(f"initial value must be finite, got {v!r}")
+    return values
+
+
 def build_trusted(topology: Topology, inputs, *, seed: int = 0,
                   noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
     n = topology.n
-    values = [ProcessInput(float(v)).v for v in inputs]
+    values = _finite_values(inputs)
     backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
@@ -449,15 +444,12 @@ class UntrustedProcessNode(FloodingNode):
 def build_untrusted(topology: Topology, inputs, initiators=None, *,
                     seed: int = 0, noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
     n = topology.n
-    explicit = initiators is not None
-    initiators = sorted(initiators) if explicit else list(range(n))
+    initiators = sorted(initiators) if initiators is not None else list(range(n))
     if any(not (0 <= k < n) for k in initiators):
         raise ValueError(f"initiators out of range for n={n}: {initiators}")
-    values = [ProcessInput(float(v)).v for v in inputs]
+    values = _finite_values(inputs)
     backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     viable = {k: topology.connected_without({k}) for k in initiators}
-    if not explicit and not any(viable.values()):
-        raise AssertionError("connected graph must have a non-cut-vertex initiator")
     keys = {k: backend.keygen(k) for k in initiators if viable[k]}
     nodes = {}
     for pid in range(n):

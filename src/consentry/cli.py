@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -24,7 +25,7 @@ from . import netsim
 from .avg_consensus import PreparedSlotsError, PrivacyGuardError
 from .leader_election import CorruptedTallyError, InvalidBallotError
 from .netsim import ScenarioConfig, ScenarioError
-from .topology import TopologyError
+from .topology import Topology, TopologyError
 
 SUMMARY_COLUMNS = ["trial", "protocol", "n", "diameter", "decided", "rounds",
                    "messages", "privacy_violations", "termination"]
@@ -72,8 +73,14 @@ def _decided_summary(report: netsim.SimReport) -> str:
     return ";".join(unique)
 
 
-def _run_trials(scenario: ScenarioConfig) -> list[netsim.SimReport]:
-    return [netsim.run(scenario, trial=t) for t in range(scenario.trials)]
+def _run_trials(scenario: ScenarioConfig) -> list[tuple[Topology, netsim.SimReport]]:
+    """Each trial's topology, resolved once, with the report of the run on it."""
+    trials = []
+    for t in range(scenario.trials):
+        topo = scenario.resolve_topology(t)
+        report = netsim.run(dataclasses.replace(scenario, topology=topo), trial=t)
+        trials.append((topo, report))
+    return trials
 
 
 def _write_report(out: Path, scenario_raw: dict, reports) -> None:
@@ -110,11 +117,10 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     scenario = ScenarioConfig.from_dict(raw)
-    scenario.resolve_topology()          # fail fast on config errors
-    reports = _run_trials(scenario)
-    for trial, r in enumerate(reports):
-        t = scenario.resolve_topology(trial)
-        r.extra["diameter"] = t.diameter()
+    reports = []
+    for topo, report in _run_trials(scenario):
+        report.extra["diameter"] = topo.diameter()
+        reports.append(report)
     out = _out_dir(args)
     _write_report(out, raw, reports)
     _write_summary(out, scenario, reports)
@@ -181,11 +187,8 @@ def cmd_sweep(args) -> int:
     for combo in itertools.product(*(grid[k] for k in keys)):
         assignment = dict(zip(keys, combo))
         scenario = _cell_scenario(base, assignment)
-        reports = _run_trials(scenario)
         rounds, msgs, k_cell, violations, non_viable = [], [], 0.0, 0, 0
-        diameter = None
-        for trial, report in enumerate(reports):
-            topo = scenario.resolve_topology(trial)
+        for topo, report in _run_trials(scenario):
             diameter = topo.diameter()
             for pid, count in report.messages_sent.items():
                 if not isinstance(pid, int) or topo.degree(pid) == 0:
@@ -204,7 +207,7 @@ def cmd_sweep(args) -> int:
         family = assignment.get("family",
                                 scenario.topology.get("family", "")
                                 if isinstance(scenario.topology, dict) else "")
-        n = assignment.get("n", scenario.resolve_topology().n)
+        n = assignment.get("n", report.n)
         rows.append([family, n, scenario.trials, diameter,
                      f"{sum(rounds) / len(rounds):.3f}" if rounds else "",
                      max(rounds) if rounds else "",

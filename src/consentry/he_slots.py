@@ -119,11 +119,6 @@ class PublicPart:
 
 
 @dataclass(frozen=True)
-class RotationPart:
-    key_id: str
-
-
-@dataclass(frozen=True)
 class SecretPart:
     key_id: str
     holder: object
@@ -137,7 +132,6 @@ class KeyMaterial:
     holder: object
     public_part: PublicPart
     secret_part: SecretPart
-    rotation_part: RotationPart | None
 
 
 class Ciphertext:
@@ -220,9 +214,6 @@ class SlotEngine(abc.ABC):
     @abc.abstractmethod
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext: ...
 
-    @abc.abstractmethod
-    def audit_view(self, observer) -> list: ...
-
 
 class SlotBackend(SlotEngine):
     """Cleartext-simulating engine with taint tracking and an audit ledger.
@@ -251,13 +242,11 @@ class SlotBackend(SlotEngine):
         self._holders[key_id] = holder
         self._rotation_ok[key_id] = bool(with_rotation)
         self._observers.add(holder)
-        rotation = RotationPart(key_id) if with_rotation else None
         return KeyMaterial(
             key_id=key_id,
             holder=holder,
             public_part=PublicPart(key_id),
             secret_part=SecretPart(key_id, holder),
-            rotation_part=rotation,
         )
 
     def holder_of(self, key_id: str):
@@ -279,7 +268,7 @@ class SlotBackend(SlotEngine):
             raise ValueError(
                 f"vector length {len(vec)} != slot capacity {self.config.slot_capacity}")
 
-    # -- the eight engine operations -------------------------------------
+    # -- engine operations ---------------------------------------------
 
     def encrypt(self, public_part: PublicPart, vector: SlotVector, tag) -> Ciphertext:
         self._check_len(vector)
@@ -344,17 +333,6 @@ class SlotBackend(SlotEngine):
                            depth=a.depth,
                            noise_bound=a.noise_bound)
 
-    def audit_view(self, observer) -> list[tuple[AuditEvent, frozenset, bool]]:
-        """Every exposure of `observer`, with whether it could ever decrypt it."""
-        if observer not in self._observers:
-            raise UnknownObserverError(f"observer {observer!r} never seen")
-        out = []
-        for ev in self._events:
-            if ev.observer == observer and ev.kind in ("possess", "decrypt"):
-                decryptable = self._holders.get(ev.key_id) == observer
-                out.append((ev, ev.taint, decryptable))
-        return out
-
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.
 
@@ -374,6 +352,17 @@ class SlotBackend(SlotEngine):
 
     def register_observer(self, observer):
         self._observers.add(observer)
+
+    def audit_view(self, observer) -> list[tuple[AuditEvent, frozenset, bool]]:
+        """Every exposure of `observer`, with whether it could ever decrypt it."""
+        if observer not in self._observers:
+            raise UnknownObserverError(f"observer {observer!r} never seen")
+        out = []
+        for ev in self._events:
+            if ev.observer == observer and ev.kind in ("possess", "decrypt"):
+                decryptable = self._holders.get(ev.key_id) == observer
+                out.append((ev, ev.taint, decryptable))
+        return out
 
     def events(self) -> tuple[AuditEvent, ...]:
         return tuple(self._events)

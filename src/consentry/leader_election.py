@@ -145,6 +145,10 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
 
 # -- tallying and elimination -------------------------------------------------
 
+#: largest distance of a decrypted tally slot from an integer
+_TALLY_TOLERANCE = 0.01
+
+
 @dataclass(frozen=True)
 class TallyResult:
     primary_tallies: tuple
@@ -153,7 +157,7 @@ class TallyResult:
 
 
 def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
-          caller=None, tolerance: float = 0.01, counts=None) -> TallyResult:
+          caller=None, counts=None) -> TallyResult:
     """Decrypt a complete ballot aggregate and reshape into tallies.
 
     `counts` are the lineage's 0/1 contributor counts; the ballots must
@@ -165,9 +169,9 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     vec = backend.decrypt(secret, complete_ct, caller=caller)
     flat = np.asarray(vec.values[:n * n + n])
     rounded = np.rint(flat)
-    if float(np.max(np.abs(flat - rounded))) > tolerance:
+    if float(np.max(np.abs(flat - rounded))) > _TALLY_TOLERANCE:
         raise CorruptedTallyError(
-            f"slots deviate from integers beyond {tolerance}")
+            f"slots deviate from integers beyond {_TALLY_TOLERANCE}")
     ints = rounded.astype(np.int64)
     matrix = ints[:n * n].reshape(n, n)
     primary_only = ints[n * n:]
@@ -203,86 +207,61 @@ class ElectionResult:
 def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
     """Shallow instant-runoff over the aggregated ballot matrix.
 
-    Each iteration: majority of non-exhausted votes wins; otherwise the
-    fewest-vote candidate is eliminated (mod-k pick among tied) and its
-    ballots transfer once to live secondaries or exhaust; a sole survivor
-    or an all-tied field ends the election.
+    Each round records the live tallies.  From the second round on, a sole
+    survivor wins ("last-standing") and an all-tied field is broken by the
+    mod-k rule ("tie-break"); then a majority of non-exhausted votes wins.
+    Otherwise the fewest-vote candidate is eliminated (mod-k pick among the
+    tied) and its ballots transfer once to live secondaries or exhaust.
     """
     k = len(primary_tallies)
     if k == 0:
         raise ValueError("no candidates")
     total = int(sum(primary_tallies))
-    groups = []
+    groups = []              # [current, secondary, count, transferred]
     for p in range(k):
-        for s in range(k):
-            if matrix[p][s]:
-                groups.append({"current": p, "secondary": s,
-                               "count": int(matrix[p][s]), "transferred": False})
+        groups.extend([p, s, int(matrix[p][s]), False]
+                      for s in range(k) if matrix[p][s])
         if primary_only[p]:
-            groups.append({"current": p, "secondary": None,
-                           "count": int(primary_only[p]), "transferred": False})
+            groups.append([p, None, int(primary_only[p]), False])
     live = set(range(k))
     exhausted = 0
     rounds = []
-
-    def current_votes():
-        votes = {c: 0 for c in live}
-        for g in groups:
-            if g["current"] in live:
-                votes[g["current"]] += g["count"]
-        return votes
-
     while True:
-        votes = current_votes()
-        active = total - exhausted
-        record = {"tallies": {c: votes[c] for c in sorted(live)},
-                  "exhausted": exhausted, "eliminated": None,
+        votes = dict.fromkeys(sorted(live), 0)
+        for current, _, count, _ in groups:
+            if current in live:
+                votes[current] += count
+        record = {"tallies": votes, "exhausted": exhausted, "eliminated": None,
                   "tie_break": None, "winner": None, "by": None}
-        top = max(sorted(live), key=lambda c: votes[c])
-        if 2 * votes[top] > active:
-            record["winner"], record["by"] = top, "majority"
-            rounds.append(record)
-            return ElectionResult(top, tuple(rounds), exhausted)
-
-        fewest = min(votes[c] for c in live)
-        tied = sorted(c for c in live if votes[c] == fewest)
-        if len(tied) > 1:
-            loser = tie_break(tied, fewest)
-            record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": loser}
-        else:
-            loser = tied[0]
-        record["eliminated"] = loser
-        live.discard(loser)
-        for g in groups:
-            if g["current"] != loser:
-                continue
-            if not g["transferred"] and g["secondary"] in live:
-                g["current"] = g["secondary"]
-                g["transferred"] = True
-            else:
-                g["current"] = None
-                exhausted += g["count"]
-        record["exhausted_after"] = exhausted
         rounds.append(record)
-
-        votes = current_votes()
-        if len(live) == 1:
-            winner = next(iter(live))
-            rounds.append({"tallies": {winner: votes[winner]},
-                           "exhausted": exhausted, "eliminated": None,
-                           "tie_break": None, "winner": winner,
-                           "by": "last-standing"})
-            return ElectionResult(winner, tuple(rounds), exhausted)
-        remaining = {votes[c] for c in live}
-        if len(remaining) == 1:
-            shared = remaining.pop()
-            winner = tie_break(live, shared)
-            rounds.append({"tallies": {c: votes[c] for c in sorted(live)},
-                           "exhausted": exhausted, "eliminated": None,
-                           "tie_break": {"among": sorted(live), "v_tie": shared,
-                                         "picked": winner},
-                           "winner": winner, "by": "tie-break"})
-            return ElectionResult(winner, tuple(rounds), exhausted)
+        fewest = min(votes.values())
+        tied = [c for c in votes if votes[c] == fewest]
+        top = max(votes, key=votes.get)
+        if len(rounds) > 1 and len(live) == 1:
+            record["winner"], record["by"] = top, "last-standing"
+        elif len(rounds) > 1 and len(tied) == len(live):
+            winner = tie_break(tied, fewest)
+            record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": winner}
+            record["winner"], record["by"] = winner, "tie-break"
+        elif 2 * votes[top] > total - exhausted:
+            record["winner"], record["by"] = top, "majority"
+        else:
+            loser = tie_break(tied, fewest)
+            if len(tied) > 1:
+                record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": loser}
+            record["eliminated"] = loser
+            live.discard(loser)
+            for g in groups:
+                if g[0] != loser:
+                    continue
+                if not g[3] and g[1] in live:
+                    g[0], g[3] = g[1], True
+                else:
+                    g[0] = None
+                    exhausted += g[2]
+            record["exhausted_after"] = exhausted
+            continue
+        return ElectionResult(record["winner"], tuple(rounds), exhausted)
 
 
 # -- simulation actors --------------------------------------------------------

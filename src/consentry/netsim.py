@@ -11,7 +11,7 @@ reports serialize byte-identically across repeats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
 from .topology import Topology, load_topology, from_family
@@ -56,12 +56,6 @@ class FaultPlan:
                         f"a crash fault needs a process and a time: {it!r}") from exc
         return cls(tuple(crashes))
 
-
-_SCENARIO_FIELDS = {
-    "protocol", "topology", "inputs", "c", "variance_route", "seed",
-    "schedule", "max_latency", "faults", "trials", "noise_epsilon",
-    "initiators", "expect_termination",
-}
 
 _PROTOCOLS = ("avg-trusted", "avg-untrusted", "outlier", "election")
 
@@ -143,6 +137,9 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"inputs length {len(vals)} != process count {topo.n}")
         return vals
+
+
+_SCENARIO_FIELDS = frozenset(f.name for f in fields(ScenarioConfig))
 
 
 class SchedulePolicy:
@@ -235,10 +232,6 @@ class Context:
         else:
             self.neighbors = ()
 
-    @property
-    def process_ids(self) -> tuple[int, ...]:
-        return tuple(range(self._sim.topology.n))
-
     def send(self, dst, msg):
         self._sim._send(self.pid, dst, msg)
 
@@ -249,7 +242,7 @@ class Context:
 
     def broadcast_processes(self, msg):
         """Collector channel: deliver to every (correct) process directly."""
-        for dst in self.process_ids:
+        for dst in range(self._sim.topology.n):
             self.send(dst, msg)
 
     def decide(self, value):
@@ -394,17 +387,10 @@ class Simulation:
                     if p not in self._crashed_at}
         all_decided = all(p in self._decided for p in expected)
         termination = "decided" if (all_decided and not deadline_hit) else "deadline-exceeded"
-        rounds = {}
-        primary = self.setup.primary_instance
-        for pid in self._decided:
-            if primary is not None and (pid, primary) in self._completions:
-                rounds[pid] = self._completions[(pid, primary)]
-            else:
-                rounds[pid] = self._decide_time[pid]
-        if primary is not None:
-            for (pid, inst), t in self._completions.items():
-                if inst == primary:
-                    rounds.setdefault(pid, t)
+        # completion of the primary instance where there is one, else decision
+        rounds = {**self._decide_time,
+                  **{pid: t for (pid, inst), t in self._completions.items()
+                     if inst == self.setup.primary_instance}}
         extra = dict(self.extra)
         extra["completion_times"] = {
             f"{pid}:{inst}": t for (pid, inst), t in sorted(

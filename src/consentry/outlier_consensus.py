@@ -21,7 +21,7 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
-                            FloodingNode, ProcessInput, ProtocolMessage,
+                            FloodingNode, ProtocolMessage, _finite_values,
                             finalize_trusted, init_consensus, on_receive,
                             prepare)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
@@ -67,9 +67,13 @@ def round2_input(v: float, mu: float) -> float:
     return (v - mu) ** 2
 
 
-def sigma_from_round2(variance_avg: float, tolerance: float = 1e-9) -> float:
+#: a round-2 average below zero by at most this much is rounding dust
+_VARIANCE_DUST = 1e-9
+
+
+def sigma_from_round2(variance_avg: float) -> float:
     """Standard deviation from the round-2 average, clamping tiny negatives."""
-    if variance_avg < -tolerance:
+    if variance_avg < -_VARIANCE_DUST:
         raise ValueError(f"variance average materially negative: {variance_avg}")
     return math.sqrt(max(0.0, variance_avg))
 
@@ -346,7 +350,7 @@ def build(topology: Topology, inputs, c: float, *, variance_route: str = "decryp
     backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
-    values = [ProcessInput(float(v)).v for v in inputs]
+    values = _finite_values(inputs)
     for pid in range(n):
         nodes[pid] = OutlierProcessNode(pid, values[pid], c, key.public_part,
                                         n, backend, route=variance_route)

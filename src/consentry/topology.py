@@ -156,7 +156,6 @@ def from_family(family: str, n: int, rng: random.Random, p: float = 0.4) -> Topo
         "complete": lambda: complete(n),
         "tree": lambda: random_tree(n, rng),
         "random": lambda: random_connected(n, p, rng),
-        "random-connected": lambda: random_connected(n, p, rng),
     }
     if family not in makers:
         raise TopologyError(f"unknown topology family {family!r}")

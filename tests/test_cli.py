@@ -213,3 +213,26 @@ def test_bad_crash_fault_exits_2(tmp_path, capsys, crash):
                                "inputs": [1, 2, 3, 4], "faults": [crash]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_run_untrusted_summary_lists_each_initiator(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "avg-untrusted",
+                               "topology": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                               "inputs": [1, 2, 6], "seed": 5}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    row, = read_summary(tmp_path)
+    assert row["decided"] == "0=3;1=non-viable;2=3"    # 1 is the path's cut vertex
+    assert row["diameter"] == "2"
+
+
+def test_run_random_family_reports_each_trials_diameter(tmp_path):
+    raw = {"protocol": "avg-trusted", "topology": {"family": "random", "n": 8},
+           "inputs": {"random_uniform": [-10, 10]}, "seed": 2, "trials": 3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    trials = json.loads((tmp_path / "report.json").read_text())["trials"]
+    scenario = netsim.ScenarioConfig.from_dict(raw)
+    assert [t["extra"]["diameter"] for t in trials] == [
+        scenario.resolve_topology(t).diameter() for t in range(3)]

@@ -342,3 +342,16 @@ def test_32_ring_election_decides_the_irv_winner():
     want = irv_oracle(ballots, 32)
     assert all(report.decided_values[p] == want for p in range(32))
     assert report.privacy_violations == []
+
+
+def test_two_way_swap_ends_last_standing():
+    # 0 -> 1 and 1 -> 0 tie at one vote each; the mod-k pick (1 mod 2)
+    # eliminates 1, whose ballot moves to 0, the sole survivor
+    ballots = [(0, 1), (1, 0)]
+    report = run_election(ballots, topo.Topology(2, [(0, 1)]))
+    assert report.termination == "decided"
+    assert irv_oracle(ballots, 2) == 0
+    assert report.decided_values == {0: 0, 1: 0, netsim.TRUSTED: 0}
+    first, last = report.extra["election_rounds"]
+    assert (first["by"], first["eliminated"], first["winner"]) == (None, 1, None)
+    assert (last["by"], last["eliminated"], last["winner"]) == ("last-standing", None, 0)
