@@ -69,6 +69,15 @@ def _netsim_cases():
         protocol="avg-untrusted", inputs=[3.0, -1.5, 8.0, 0.25, 4.0], seed=2,
         topology={"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
         initiators=[0, 2, 4])
+    # duplicate counts pass 2**53 on a 96-ring, so the order in which folds
+    # add counts shows in the decided bytes
+    cases["avg-trusted-ring96-sync"] = dict(
+        protocol="avg-trusted", topology=_ring(96), inputs=UNIFORM, seed=5)
+    # slots 24..31 are padding on a flooding protocol
+    cases["outlier-encrypted-g24-async"] = dict(
+        protocol="outlier", c=1.0, variance_route="encrypted",
+        topology={"family": "random", "n": 24, "p": 0.4}, inputs=UNIFORM,
+        seed=5, schedule="async")
     for schedule in ("sync", "async"):
         cases[f"election-ring8-{schedule}"] = dict(
             protocol="election", topology=_ring(8), inputs=_ballots(8, 8),
