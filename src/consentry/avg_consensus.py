@@ -2,11 +2,17 @@
 
 Each process encrypts value * e_i and floods (votes, counts) pairs; counts
 travel in plaintext and record how many times each vote was folded into the
-aggregate.  A message whose nonzero count indices are a subset of the local
-ones carries no new information and is dropped.  Once every leading count is
-nonzero the process runs the prepare step: multiply by the plaintext weights
-1/(count_j * n) to undo duplicates, then rotate-sum so every slot holds the
-average.  Only prepared aggregates ever reach the keyholder's secret key.
+aggregate.  A message carries its sender's counts as a read-only float64
+array, shared with the sender's state (a fold replaces that array, never
+writes it), together with the bitmask of its nonzero entries.  A message
+whose mask is a subset of the local one, `msg.support & ~state.support == 0`,
+carries no new information and is dropped, so a fold costs one mask test,
+one array add and the engine's ciphertext adds.  A node folds a whole
+delivery batch and then broadcasts one snapshot per changed instance.  Once
+the local mask covers the required one the process runs the prepare step:
+multiply by the plaintext weights 1/(count_j * n) to undo duplicates, then
+rotate-sum so every slot holds the average.  Only prepared aggregates ever
+reach the keyholder's secret key.
 
 Two deployment shapes are provided: a trusted collector outside the graph
 that decrypts prepared aggregates and broadcasts the result, and the
@@ -18,9 +24,6 @@ to it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
 from . import netsim
@@ -58,54 +61,107 @@ def instance_for_initiator(k: int) -> str:
     return f"avg/{k}"
 
 
-@dataclass(frozen=True)
+def support_mask(counts) -> int:
+    """Bitmask of the nonzero counts: bit j is set iff counts[j] > 0."""
+    nonzero = np.asarray(counts, dtype=np.float64) > 0
+    return int.from_bytes(np.packbits(nonzero, bitorder="little").tobytes(), "little")
+
+
 class ProtocolMessage:
-    """The (votes, counts[, participating]) unit exchanged between neighbors."""
+    """The (votes, counts[, participating]) unit exchanged between neighbors.
 
-    instance: str
-    kind: str
-    votes_ct: Ciphertext | None = None
-    counts: tuple | None = None
-    participating_ct: Ciphertext | None = None
-    extra: dict = field(default_factory=dict)
+    One message object goes to every receiver, so treat it as immutable.
+    `counts` may be given as a tuple or as a read-only array, and the message
+    keeps only what it was given: `count_array` reads it as float64 and
+    `counts` as a tuple.  `support`, the bitmask of nonzero counts, is passed
+    by snapshots and otherwise derived on first use.
+    """
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.kind == AGGREGATE and (self.votes_ct is None or self.counts is None):
-            raise ValueError(f"{self.kind} message requires votes_ct and counts")
-        if self.kind in (PREPARED, COMPLETE) and (self.votes_ct is None
-                                                  or not self.votes_ct.prepared):
-            raise ValueError(f"{self.kind} message carries an unprepared ciphertext")
+    __slots__ = ("instance", "kind", "votes_ct", "participating_ct", "extra",
+                 "ciphertexts", "_counts", "_support")
 
-    @cached_property
-    def ciphertexts(self) -> tuple[Ciphertext, ...]:
-        """The ciphertexts this message carries, votes first."""
-        return tuple(ct for ct in (self.votes_ct, self.participating_ct)
-                     if ct is not None)
+    def __init__(self, instance: str, kind: str, votes_ct: Ciphertext | None = None,
+                 counts=None, participating_ct: Ciphertext | None = None,
+                 extra: dict | None = None, support: int | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown message kind {kind!r}")
+        if kind == AGGREGATE and (votes_ct is None or counts is None):
+            raise ValueError(f"{kind} message requires votes_ct and counts")
+        if kind in (PREPARED, COMPLETE) and (votes_ct is None or not votes_ct.prepared):
+            raise ValueError(f"{kind} message carries an unprepared ciphertext")
+        self.instance = instance
+        self.kind = kind
+        self.votes_ct = votes_ct
+        self.participating_ct = participating_ct
+        self.extra = {} if extra is None else extra
+        #: the ciphertexts this message carries, votes first
+        self.ciphertexts = ((votes_ct,) if votes_ct is not None else ()) + \
+            ((participating_ct,) if participating_ct is not None else ())
+        if counts is not None and not isinstance(counts, np.ndarray):
+            counts = tuple(counts)
+        self._counts = counts
+        self._support = support
+
+    @property
+    def counts(self) -> tuple | None:
+        """The counts as a tuple of ints, as tests and the election read them."""
+        counts = self._counts
+        if isinstance(counts, np.ndarray):
+            return tuple(map(int, counts.tolist()))
+        return counts
+
+    @property
+    def count_array(self) -> np.ndarray:
+        """The counts as a float64 array; a snapshot's own read-only array."""
+        counts = self._counts
+        if isinstance(counts, np.ndarray):
+            return counts
+        return np.asarray(counts, dtype=np.float64)
+
+    @property
+    def support(self) -> int:
+        if self._support is None:
+            self._support = support_mask(self.count_array)
+        return self._support
 
 
-@dataclass
 class ConsensusState:
     """Per-process, per-instance flooding state.
 
-    `participating_ct`, when set, is a second channel folded and prepared
-    under the same counts as the votes (the participation flags of outlier
-    round 3).
+    `counts` is a read-only float64 array that a fold replaces, never
+    writes, so a snapshot can carry it as is; `support` is the bitmask of
+    its nonzero entries.  `required_mask` follows every assignment to
+    `required`.  `participating_ct`, when set, is a second channel folded and
+    prepared under the same counts as the votes (the participation flags of
+    outlier round 3).
     """
 
-    id: int
-    instance: str
-    n: int
-    votes_ct: Ciphertext
-    counts: np.ndarray            # plaintext multiplicities, slot-capacity long
-    phase: str = ACTIVE
-    required: tuple = ()          # indices whose counts must become nonzero
-    participating_ct: Ciphertext | None = None
+    def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
+                 counts, phase: str = ACTIVE, required: tuple = (),
+                 participating_ct: Ciphertext | None = None):
+        self.id = id
+        self.instance = instance
+        self.n = n
+        self.votes_ct = votes_ct
+        # float64, not int64: duplicate counts grow by about 1.45 bits per
+        # round and would overflow int64 past a diameter of about 43
+        counts = np.array(counts, dtype=np.float64)
+        counts.flags.writeable = False
+        self.counts = counts
+        self.support = support_mask(counts)
+        self.phase = phase
+        self.required = required or tuple(range(n))
+        self.participating_ct = participating_ct
 
-    def __post_init__(self):
-        if not self.required:
-            self.required = tuple(range(self.n))
+    @property
+    def required(self) -> tuple:
+        """Indices whose counts must become nonzero."""
+        return self._required
+
+    @required.setter
+    def required(self, indices):
+        self._required = tuple(indices)
+        self.required_mask = sum(1 << j for j in self._required)
 
     @property
     def prepare_n(self) -> int:
@@ -120,8 +176,9 @@ class ConsensusState:
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing every channel of this state."""
         return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.votes_ct,
-                               counts=tuple(map(int, self.counts.tolist())),
-                               participating_ct=self.participating_ct)
+                               counts=self.counts,
+                               participating_ct=self.participating_ct,
+                               support=self.support)
 
 
 def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
@@ -139,23 +196,18 @@ def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
     if votes is None:
         votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, value),
                                 (pid, f"{instance}:value"))
-    # float64, not int64: duplicate counts grow by about 1.45 bits per round
-    # and would overflow int64 past a diameter of about 43
-    counts = np.zeros(cap, dtype=np.float64)
+    counts = np.zeros(cap)
     counts[pid] = 1
     state = ConsensusState(id=pid, instance=instance, n=n,
                            votes_ct=votes, counts=counts)
     return state, state.snapshot()
 
 
-def _is_subset(incoming: np.ndarray, local: np.ndarray) -> bool:
-    return bool(np.all(local[incoming > 0] > 0))
-
-
 def on_receive(state: ConsensusState, msg: ProtocolMessage,
                backend: SlotEngine) -> tuple[ConsensusState, list[ProtocolMessage], object]:
     """Fold one aggregate message into every channel of the local state.
 
+    A message whose support is a subset of the local one is dropped.
     Returns the (mutated) state, any rebroadcast messages, and what
     `try_decide` returned if this message completed the counts.
     """
@@ -164,14 +216,17 @@ def on_receive(state: ConsensusState, msg: ProtocolMessage,
         return state, [], None
     if state.phase != ACTIVE or msg.kind != AGGREGATE:
         return state, [], None
-    incoming = np.asarray(msg.counts, dtype=np.float64)
-    if _is_subset(incoming, state.counts):
+    support = msg.support
+    if not support & ~state.support:
         return state, [], None
     state.votes_ct = backend.add_ct(state.votes_ct, msg.votes_ct)
     if state.participating_ct is not None:
         state.participating_ct = backend.add_ct(state.participating_ct,
                                                 msg.participating_ct)
-    state.counts = state.counts + incoming
+    counts = state.counts + msg.count_array
+    counts.flags.writeable = False
+    state.counts = counts
+    state.support |= support
     return state, [state.snapshot()], try_decide(state, backend)
 
 
@@ -183,7 +238,7 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     and returns the prepared votes, or the prepared (votes, participation)
     pair when the state carries participation.
     """
-    if state.phase != ACTIVE or not all(state.counts[j] > 0 for j in state.required):
+    if state.phase != ACTIVE or state.required_mask & ~state.support:
         return None
     state.phase = DECIDED
     prepared = tuple(prepare(backend, ct, state.counts, state.prepare_n,
@@ -202,12 +257,13 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
     """
     counts = np.asarray(counts, dtype=np.float64)
     cap = len(counts)
-    include = tuple(include) if include is not None else tuple(range(n))
+    include = np.arange(n) if include is None else np.asarray(include, dtype=np.intp)
+    included = counts[include]
+    zero = np.flatnonzero(included <= 0)
+    if zero.size:
+        raise ValueError(f"prepare requires a nonzero count at index {include[zero[0]]}")
     weights = np.zeros(cap)
-    for j in include:
-        if counts[j] <= 0:
-            raise ValueError(f"prepare requires a nonzero count at index {j}")
-        weights[j] = 1.0 / (counts[j] * n)
+    weights[include] = 1.0 / (included * n)
     ct = backend.mult_pt(votes_ct, SlotVector(weights))
     levels = cap.bit_length() - 1
     for i in range(levels - 1, -1, -1):

@@ -110,6 +110,13 @@ def init_election(pid: int, ballot: Ballot, pk, n: int,
     return state, state.snapshot()
 
 
+def _covers(counts: np.ndarray, required=None) -> bool:
+    """True when every required process (all of them when None) contributed."""
+    if required is None:
+        return bool(counts.all())
+    return bool(counts[np.asarray(required, dtype=np.intp)].all())
+
+
 def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
                         own_ballot: Ballot, pk, backend: SlotEngine,
                         pid: int, n: int, required=None):
@@ -117,7 +124,6 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
 
     Returns (state, rebroadcast messages, complete ciphertext or None).
     """
-    required = tuple(required) if required is not None else tuple(range(n))
     incoming = np.asarray(msg.counts, dtype=np.int64)
     if incoming[pid]:
         cand_ct, cand_counts = msg.votes_ct, incoming
@@ -138,7 +144,7 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
     else:
         state.ballots_ct = cand_ct
         state.counts = cand_counts
-    if all(cand_counts[j] > 0 for j in required):
+    if _covers(cand_counts, required):
         return state, [], backend.mark_prepared(cand_ct)
     return state, [state.snapshot()], None
 
@@ -282,7 +288,7 @@ class ElectionProcessNode(netsim.Node):
                                    self.backend)
         self.states[state.instance] = state
         ctx.broadcast(msg)
-        if all(state.counts[j] > 0 for j in self.required):
+        if _covers(state.counts, self.required):
             self._complete(ctx, state, self.backend.mark_prepared(state.ballots_ct))
 
     def _complete(self, ctx, state: ElectionState, complete_ct: Ciphertext):
