@@ -24,6 +24,7 @@ to it.
 from __future__ import annotations
 
 import logging
+
 import numpy as np
 
 from . import netsim
@@ -104,7 +105,7 @@ class ProtocolMessage:
 
     @property
     def counts(self) -> tuple | None:
-        """The counts as a tuple of ints, as tests and the election read them."""
+        """The counts as a tuple (of ints when they are held as an array)."""
         counts = self._counts
         if isinstance(counts, np.ndarray):
             return tuple(map(int, counts.tolist()))
@@ -120,6 +121,7 @@ class ProtocolMessage:
 
     @property
     def support(self) -> int:
+        """Bitmask of the nonzero counts."""
         if self._support is None:
             self._support = support_mask(self.count_array)
         return self._support

@@ -2,17 +2,20 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from consentry import netsim
+from consentry import avg_consensus, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      PrivacyGuardError, ProtocolMessage,
-                                     build_trusted, finalize_trusted,
-                                     init_consensus, on_receive, prepare,
-                                     run_untrusted)
+                                     build_trusted, build_untrusted,
+                                     finalize_trusted, init_consensus,
+                                     on_receive, prepare, run_untrusted,
+                                     try_decide)
+from consentry.outlier_consensus import adjust_n_on_fault
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 
 from oracles import mean_oracle
@@ -52,6 +55,62 @@ def test_padding_slot_stays_zero():
 def msg_of(state):
     return ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct,
                            counts=tuple(int(x) for x in state.counts))
+
+
+def test_tuple_count_message_folds_like_the_snapshot_it_copies():
+    b = make_backend(cap=8)
+    km = b.keygen("T")
+    states = [init_consensus(pid, 1.5 * pid - 2.0, km.public_part, 5, b)[0]
+              for pid in range(5)]
+    on_receive(states[2], states[1].snapshot(), b)
+    on_receive(states[3], states[1].snapshot(), b)
+    on_receive(states[3], states[2].snapshot(), b)    # counts (0, 2, 1, 1, ...)
+    source = states[3]
+    snap, copy = source.snapshot(), msg_of(source)
+    assert copy.counts == snap.counts == (0, 2, 1, 1, 0, 0, 0, 0)
+    assert copy.support == snap.support == 0b1110
+    assert copy.count_array.tolist() == snap.count_array.tolist()
+    folded = {}
+    for name, msg in (("snapshot", snap), ("tuple", copy)):
+        state, _ = init_consensus(0, -2.0, km.public_part, 5, b)
+        _, out, dec = on_receive(state, msg, b)
+        again = on_receive(state, msg, b)
+        folded[name] = (state.counts.tolist(), state.support, bool(out), dec,
+                        b.inspect_payload(state.votes_ct).tolist(), again[1:])
+    assert folded["snapshot"] == folded["tuple"]
+    assert folded["tuple"][:3] == ([1, 2, 1, 1, 0, 0, 0, 0], 0b1111, True)
+    assert folded["tuple"][5] == ([], None)
+
+
+def test_snapshot_counts_are_read_only_and_outlive_later_folds():
+    b = make_backend()
+    km = b.keygen("T")
+    state, first = init_consensus(0, 1.0, km.public_part, 4, b)
+    _, other = init_consensus(1, 2.0, km.public_part, 4, b)
+    for msg in (first, state.snapshot()):
+        assert not msg.count_array.flags.writeable
+        with pytest.raises(ValueError):
+            msg.count_array[2] = 5
+    on_receive(state, other, b)
+    on_receive(state, msg_of(state), b)
+    assert first.counts == (1, 0, 0, 0) and first.support == 0b1
+    assert state.counts.tolist() == [1, 1, 0, 0] and state.support == 0b11
+    assert state.snapshot().counts == (1, 1, 0, 0)
+
+
+def test_try_decide_follows_a_shrunk_required_set():
+    b = make_backend()
+    km = b.keygen("T")
+    values = [3.0, 5.0, 10.0]
+    state, _ = init_consensus(0, values[0], km.public_part, 4, b)
+    for pid in (1, 2):
+        on_receive(state, init_consensus(pid, values[pid], km.public_part, 4, b)[1], b)
+    assert try_decide(state, b) is None and state.phase == "active"
+    adjust_n_on_fault(state, {0, 1, 2})
+    assert state.required_mask == 0b111
+    prepared = try_decide(state, b)
+    assert state.phase == "decided" and prepared is not None
+    assert finalize_trusted(b, km.secret_part, prepared, 3) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_on_receive_subset_ignored():
@@ -137,6 +196,29 @@ def test_prepare_zero_count_rejected():
     votes = b.encrypt(km.public_part, SlotVector([1, 2, 3, 0]), ("x", "agg"))
     with pytest.raises(ValueError):
         prepare(b, votes, [1, 1, 1, 0], 4)
+
+
+def test_prepare_names_the_first_zero_count():
+    b = make_backend(cap=8)
+    km = b.keygen("T")
+    votes = b.encrypt(km.public_part, SlotVector([1, 2, 3, 4, 5, 0, 0, 0]), ("x", "agg"))
+    with pytest.raises(ValueError, match="index 3$"):
+        prepare(b, votes, [1, 1, 0, 0, 1, 0, 0, 0], 3, include=(0, 4, 3, 2))
+
+
+def test_prepare_weights_match_the_per_index_loop():
+    b = make_backend(cap=8)
+    km = b.keygen("T")
+    counts = [3.0, 2.0 ** 60 + 2.0 ** 8, 7.0, 0.0, 5.0, 0.0, 0.0, 0.0]
+    include = (0, 1, 2, 4)
+    want = np.zeros(8)
+    for j in include:
+        want[j] = 1.0 / (counts[j] * len(include))
+    seen = []
+    b.mult_pt = lambda ct, pt, mult=b.mult_pt: seen.append(pt.values) or mult(ct, pt)
+    votes = b.encrypt(km.public_part, SlotVector([1.0] * 8), ("x", "agg"))
+    prepare(b, votes, counts, len(include), include=include)
+    assert seen[0].tobytes() == want.tobytes()
 
 
 def test_prepare_padded_capacity():
@@ -313,3 +395,37 @@ def test_untrusted_dense_graph_decides_every_initiator():
     want = mean_oracle(sc.resolve_inputs(sc.resolve_topology()))
     for k in range(32):
         assert report.extra[f"initiator_result/{k}"] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("build", [build_trusted, build_untrusted])
+def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
+    """Wrapping `avg_consensus.on_receive`, as the benchmark's tracer does,
+    sees each AGGREGATE delivered to a process holding its instance, and a
+    delivery batch yields at most one AGGREGATE broadcast per instance."""
+    t = topo.random_connected(16, 0.4, random.Random(16))
+    inputs = [float(i) for i in range(16)]
+    folds = []
+
+    def counted(state, msg, backend, fold=avg_consensus.on_receive):
+        folds.append((state.id, msg))
+        return fold(state, msg, backend)
+
+    broadcasts = []
+
+    def recorded(ctx, msg, exclude=(), send=netsim.Context.broadcast):
+        if msg.kind == AGGREGATE:
+            broadcasts.append((ctx.pid, ctx._sim._now, msg.instance))
+        return send(ctx, msg, exclude)
+
+    monkeypatch.setattr(avg_consensus, "on_receive", counted)
+    monkeypatch.setattr(netsim.Context, "broadcast", recorded)
+    setup = build(t, inputs, seed=3)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    assert report.termination == "decided"
+    held = [(dst, msg) for _, _, dst, msg in trace.messages
+            if msg.kind == AGGREGATE and msg.instance in setup.nodes[dst].states]
+    assert len(held) == len(folds) > 0
+    # a batch is folded instance by instance, so compare without order
+    assert Counter((pid, id(msg)) for pid, msg in folds) == \
+        Counter((dst, id(msg)) for dst, msg in held)
+    assert len(set(broadcasts)) == len(broadcasts)
