@@ -62,7 +62,7 @@ def instance_for_initiator(k: int) -> str:
     return f"avg/{k}"
 
 
-def support_mask(counts) -> int:
+def _support_mask(counts) -> int:
     """Bitmask of the nonzero counts: bit j is set iff counts[j] > 0."""
     nonzero = np.asarray(counts, dtype=np.float64) > 0
     return int.from_bytes(np.packbits(nonzero, bitorder="little").tobytes(), "little")
@@ -123,7 +123,7 @@ class ProtocolMessage:
     def support(self) -> int:
         """Bitmask of the nonzero counts."""
         if self._support is None:
-            self._support = support_mask(self.count_array)
+            self._support = _support_mask(self.count_array)
         return self._support
 
 
@@ -150,7 +150,7 @@ class ConsensusState:
         counts = np.array(counts, dtype=np.float64)
         counts.flags.writeable = False
         self.counts = counts
-        self.support = support_mask(counts)
+        self.support = _support_mask(counts)
         self.phase = phase
         self.required = required or tuple(range(n))
         self.participating_ct = participating_ct
