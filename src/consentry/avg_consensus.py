@@ -6,8 +6,10 @@ aggregate.  A message carries its sender's counts as a read-only float64
 array, shared with the sender's state (a fold replaces that array, never
 writes it), together with the bitmask of its nonzero entries.  A message
 whose mask is a subset of the local one, `msg.support & ~state.support == 0`,
-carries no new information and is dropped, so a fold costs one mask test,
-one array add and the engine's ciphertext adds.  A node folds a whole
+carries no new information and is dropped after that one mask test.  A
+merging fold adds the count arrays, ORs the masks and runs the engine's
+ciphertext adds; it also builds a snapshot message, returned by
+`on_receive`, which `FloodingNode.on_deliver` discards.  A node folds a whole
 delivery batch and then broadcasts one snapshot per changed instance.  Once
 the local mask covers the required one the process runs the prepare step:
 multiply by the plaintext weights 1/(count_j * n) to undo duplicates, then
@@ -72,14 +74,15 @@ class ProtocolMessage:
     """The (votes, counts[, participating]) unit exchanged between neighbors.
 
     One message object goes to every receiver, so treat it as immutable.
-    `counts` may be given as a tuple or as a read-only array, and the message
-    keeps only what it was given: `count_array` reads it as float64 and
-    `counts` as a tuple.  `support`, the bitmask of nonzero counts, is passed
-    by snapshots and otherwise derived on first use.
+    The counts are held as one read-only float64 array, `count_array`: a
+    read-only float64 array given (a snapshot's) is shared, anything else is
+    copied.  `counts` reads them as a tuple of ints.  `support`, the bitmask
+    of nonzero counts, is passed by snapshots and otherwise derived on first
+    use.
     """
 
     __slots__ = ("instance", "kind", "votes_ct", "participating_ct", "extra",
-                 "ciphertexts", "_counts", "_support")
+                 "ciphertexts", "count_array", "_support")
 
     def __init__(self, instance: str, kind: str, votes_ct: Ciphertext | None = None,
                  counts=None, participating_ct: Ciphertext | None = None,
@@ -98,26 +101,22 @@ class ProtocolMessage:
         #: the ciphertexts this message carries, votes first
         self.ciphertexts = ((votes_ct,) if votes_ct is not None else ()) + \
             ((participating_ct,) if participating_ct is not None else ())
-        if counts is not None and not isinstance(counts, np.ndarray):
-            counts = tuple(counts)
-        self._counts = counts
+        if counts is not None:
+            array = np.asarray(counts, dtype=np.float64)
+            if array.flags.writeable:
+                if array is counts:     # the caller's own array
+                    array = array.copy()
+                array.flags.writeable = False
+            counts = array
+        self.count_array = counts
         self._support = support
 
     @property
     def counts(self) -> tuple | None:
-        """The counts as a tuple (of ints when they are held as an array)."""
-        counts = self._counts
-        if isinstance(counts, np.ndarray):
-            return tuple(map(int, counts.tolist()))
-        return counts
-
-    @property
-    def count_array(self) -> np.ndarray:
-        """The counts as a float64 array; a snapshot's own read-only array."""
-        counts = self._counts
-        if isinstance(counts, np.ndarray):
-            return counts
-        return np.asarray(counts, dtype=np.float64)
+        """The counts as a tuple of ints."""
+        if self.count_array is None:
+            return None
+        return tuple(map(int, self.count_array.tolist()))
 
     @property
     def support(self) -> int:

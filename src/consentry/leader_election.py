@@ -82,7 +82,8 @@ def make_ballot_vector(ballot: Ballot, n: int, capacity: int | None = None) -> S
 class ElectionState:
     """Best lineage copy a process has adopted.
 
-    `counts` holds one 0/1 entry per process (who contributed); only the
+    `counts` holds one 0/1 float64 entry per process (who contributed),
+    never written once the state holds it, so snapshots share it; only the
     ballot ciphertext is n*n + n slots padded to a power of two.
     """
 
@@ -94,7 +95,7 @@ class ElectionState:
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing this lineage copy."""
         return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.ballots_ct,
-                               counts=tuple(self.counts.tolist()))
+                               counts=self.counts)
 
 
 def init_election(pid: int, ballot: Ballot, pk, n: int,
@@ -104,8 +105,9 @@ def init_election(pid: int, ballot: Ballot, pk, n: int,
     instance = instance_for_origin(pid)
     ct = backend.encrypt(pk, make_ballot_vector(ballot, n, cap),
                          (pid, f"{instance}:ballot"))
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros(n)
     counts[pid] = 1
+    counts.flags.writeable = False
     state = ElectionState(id=pid, instance=instance, ballots_ct=ct, counts=counts)
     return state, state.snapshot()
 
@@ -124,7 +126,7 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
 
     Returns (state, rebroadcast messages, complete ciphertext or None).
     """
-    incoming = np.asarray(msg.counts, dtype=np.int64)
+    incoming = msg.count_array
     if incoming[pid]:
         cand_ct, cand_counts = msg.votes_ct, incoming
     else:
@@ -134,6 +136,7 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
         cand_ct = backend.add_ct(msg.votes_ct, fresh)
         cand_counts = incoming.copy()
         cand_counts[pid] = 1
+        cand_counts.flags.writeable = False
     size = int(cand_counts.sum())
     have = 0 if state is None else int(state.counts.sum())
     if size <= have:
@@ -297,7 +300,7 @@ class ElectionProcessNode(netsim.Node):
         ctx.mark_complete(state.instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
             state.instance, COMPLETE, votes_ct=complete_ct,
-            counts=tuple(state.counts.tolist())))
+            counts=state.counts))
 
     def on_deliver(self, ctx, batch):
         per_lineage: dict[str, list] = {}

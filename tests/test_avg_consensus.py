@@ -96,6 +96,10 @@ def test_snapshot_counts_are_read_only_and_outlive_later_folds():
     assert first.counts == (1, 0, 0, 0) and first.support == 0b1
     assert state.counts.tolist() == [1, 1, 0, 0] and state.support == 0b11
     assert state.snapshot().counts == (1, 1, 0, 0)
+    own = np.array([1.0, 1.0, 0.0, 0.0])
+    msg = ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct, counts=own)
+    own[2] = 7.0
+    assert msg.counts == (1, 1, 0, 0) and not msg.count_array.flags.writeable
 
 
 def test_try_decide_follows_a_shrunk_required_set():
