@@ -102,12 +102,10 @@ class ProtocolMessage:
         self.ciphertexts = ((votes_ct,) if votes_ct is not None else ()) + \
             ((participating_ct,) if participating_ct is not None else ())
         if counts is not None:
-            array = np.asarray(counts, dtype=np.float64)
-            if array.flags.writeable:
-                if array is counts:     # the caller's own array
-                    array = array.copy()
-                array.flags.writeable = False
-            counts = array
+            counts = np.asarray(counts, dtype=np.float64)
+            if counts.flags.writeable:
+                counts = counts.copy()
+                counts.flags.writeable = False
         self.count_array = counts
         self._support = support
 
