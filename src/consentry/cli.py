@@ -49,9 +49,12 @@ def _out_dir(args) -> Path:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"config {path} must hold a JSON object, got {raw!r}")
+    return raw
 
 
 def _fmt(value) -> str:

@@ -4,16 +4,16 @@ The built-in :class:`SlotBackend` stores payloads in the clear but enforces
 capability-based access control, provenance (taint) tracking and an
 append-only audit ledger.  It is NOT cryptographically secure; privacy
 guarantees of the protocols built on top of it are tested as
-information-flow properties over the ledger.  A real lattice-crypto
-library can be substituted behind :class:`SlotEngine` without touching
-protocol code.
+information-flow properties, checked as each decryption and possession is
+recorded.  A real lattice-crypto library can be substituted behind
+:class:`SlotEngine` without touching protocol code.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,9 +165,11 @@ class Ciphertext:
                 f"prepared={self.prepared})")
 
 
-@dataclass(frozen=True)
-class AuditEvent:
-    """One ledger entry: a ciphertext exposure or decryption attempt."""
+class AuditEvent(NamedTuple):
+    """One ledger entry: a ciphertext exposure or decryption attempt.
+
+    It names the ciphertext by handle and holds no reference to it.
+    """
 
     kind: str            # "possess" | "decrypt" | "decrypt-denied"
     observer: object
@@ -177,14 +179,28 @@ class AuditEvent:
     prepared: bool
 
 
+@dataclass
+class PrivacyViolation:
+    """One breach of an audit rule, flagged when its event happened."""
+
+    rule: str
+    observer: object
+    detail: str
+
+    def as_dict(self) -> dict:
+        return {"rule": self.rule, "observer": str(self.observer), "detail": self.detail}
+
+
 class SlotEngine(abc.ABC):
     """Adapter seam: exactly the operations protocol code may use.
 
     A production homomorphic-encryption backend implements this interface;
     protocol modules use no engine member beyond the ones declared here.
-    The audit ledger of the simulated backend records encryptions,
-    deliveries (recorded by the simulator) and decryptions; protocol code
-    makes no ledger calls.
+    The simulated backend audits encryptions, deliveries (recorded by the
+    simulator) and decryptions as they happen, flagging a decryption by
+    anyone but the key's holder and a holder's exposure to an unprepared
+    aggregate of other processes' inputs; protocol code makes no ledger
+    calls.
     """
 
     #: engine parameters; protocol code reads `config.slot_capacity`
@@ -222,6 +238,11 @@ class SlotBackend(SlotEngine):
     all derive from it).  With ``noise_epsilon`` = 0 all operations are exact;
     otherwise every operation adds per-slot uniform noise in [-eps, +eps] and
     each ciphertext carries a rigorously tracked cumulative `noise_bound`.
+
+    The ledger rules are checked when a decryption or a possession is
+    recorded, since a key's holder is fixed at `keygen`; `violations()`
+    lists what they flagged, in event order.  With `log_possessions` off the
+    ledger keeps no "possess" entry, only the checks.
     """
 
     def __init__(self, config: BackendConfig, seed: int | None = None):
@@ -230,7 +251,9 @@ class SlotBackend(SlotEngine):
         self._holders: dict[str, object] = {}
         self._rotation_ok: dict[str, bool] = {}
         self._events: list[AuditEvent] = []
+        self._violations: list[PrivacyViolation] = []
         self._observers: set = set()
+        self.log_possessions = True
         self._key_seq = 0
         self._handle_seq = 0
 
@@ -248,9 +271,6 @@ class SlotBackend(SlotEngine):
             public_part=PublicPart(key_id),
             secret_part=SecretPart(key_id, holder),
         )
-
-    def holder_of(self, key_id: str):
-        return self._holders.get(key_id)
 
     # -- ciphertext construction -----------------------------------------
 
@@ -284,15 +304,18 @@ class SlotBackend(SlotEngine):
     def decrypt(self, secret_part: SecretPart, ct: Ciphertext, caller=None) -> SlotVector:
         observer = caller if caller is not None else secret_part.holder
         if not isinstance(secret_part, SecretPart) or secret_part.key_id != ct.key_id:
-            self._events.append(AuditEvent("decrypt-denied", observer, ct.handle,
-                                           ct.key_id, ct.taint, ct.prepared))
-            self._observers.add(observer)
+            self._log("decrypt-denied", observer, ct)
             raise AccessDeniedError(
                 f"secret for {getattr(secret_part, 'key_id', None)!r} cannot decrypt "
                 f"ciphertext under {ct.key_id!r}")
-        self._events.append(AuditEvent("decrypt", observer, ct.handle,
-                                       ct.key_id, ct.taint, ct.prepared))
-        self._observers.add(observer)
+        self._log("decrypt", observer, ct)
+        holder = self._holders.get(ct.key_id)
+        if observer != holder:
+            self._violations.append(PrivacyViolation(
+                "foreign-decrypt", observer,
+                f"decrypted ciphertext {ct.handle} held by {holder!r}"))
+        else:
+            self._check_exposure("decrypt", observer, ct)
         return SlotVector(ct._payload)
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
@@ -345,16 +368,32 @@ class SlotBackend(SlotEngine):
 
     # -- ledger and introspection (simulator and tests, not protocol code) -
 
-    def record_possession(self, observer, ct: Ciphertext):
+    def _log(self, kind, observer, ct: Ciphertext):
         self._observers.add(observer)
-        self._events.append(AuditEvent("possess", observer, ct.handle,
-                                       ct.key_id, ct.taint, ct.prepared))
+        self._events.append(AuditEvent(kind, observer, ct.handle, ct.key_id,
+                                       ct.taint, ct.prepared))
+
+    def _check_exposure(self, kind, holder, ct: Ciphertext):
+        """Flag `holder`, the holder of `ct`'s key, seeing it while it is not
+        prepared and carries other processes' inputs."""
+        if not ct.prepared and not all(tag[0] == holder for tag in ct.taint):
+            self._violations.append(PrivacyViolation(
+                "unprepared-exposure", holder,
+                f"keyholder saw raw aggregate {ct.handle} (kind={kind})"))
+
+    def record_possession(self, observer, ct: Ciphertext):
+        """The one entry point for `observer` coming to hold `ct`."""
+        if self.log_possessions:
+            self._log("possess", observer, ct)
+        if self._holders.get(ct.key_id) == observer:
+            self._check_exposure("possess", observer, ct)
 
     def register_observer(self, observer):
         self._observers.add(observer)
 
     def audit_view(self, observer) -> list[tuple[AuditEvent, frozenset, bool]]:
-        """Every exposure of `observer`, with whether it could ever decrypt it."""
+        """Every exposure of `observer` the ledger kept, with whether it could
+        ever decrypt it."""
         if observer not in self._observers:
             raise UnknownObserverError(f"observer {observer!r} never seen")
         out = []
@@ -366,6 +405,10 @@ class SlotBackend(SlotEngine):
 
     def events(self) -> tuple[AuditEvent, ...]:
         return tuple(self._events)
+
+    def violations(self) -> list[PrivacyViolation]:
+        """Ledger-rule violations flagged so far, in event order."""
+        return list(self._violations)
 
     def inspect_payload(self, ct: Ciphertext) -> np.ndarray:
         """Test/introspection hook: raw payload, bypassing access control.

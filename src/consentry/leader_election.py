@@ -366,17 +366,26 @@ class ElectionCollectorNode(netsim.Node):
                     "complete lineages disagree on primary tallies")
 
 
+def _is_candidate(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_ballots(raw, n: int) -> list[Ballot]:
+    if not isinstance(raw, (list, tuple)):
+        raise InvalidBallotError(f"ballots must be a list, got {raw!r}")
     if len(raw) != n:
         raise ValueError(f"need one ballot per process, got {len(raw)} for n={n}")
     out = []
     for item in raw:
         if isinstance(item, Ballot):
             out.append(item)
-        else:
-            out.append(Ballot(int(item["primary"]),
-                              None if item.get("secondary") is None
-                              else int(item["secondary"])))
+            continue
+        if not isinstance(item, dict) or not _is_candidate(item.get("primary")) or \
+                not (item.get("secondary") is None or _is_candidate(item["secondary"])):
+            raise InvalidBallotError(
+                f"a ballot is an object with an integer primary and an optional "
+                f"integer secondary, got {item!r}")
+        out.append(Ballot(item["primary"], item.get("secondary")))
     for b in out:
         flat_index(n, b.primary, b.secondary)   # range validation
     return out

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
+from .he_slots import PrivacyViolation
 from .topology import Topology, load_topology, from_family
 import random
 
@@ -80,6 +81,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"a scenario config must be an object, got {raw!r}")
         unknown = set(raw) - _SCENARIO_FIELDS
         if unknown:
             raise ScenarioError(f"unknown config keys: {sorted(unknown)}")
@@ -94,6 +97,19 @@ class ScenarioConfig:
         return cfg
 
     def basic_validate(self):
+        numbers = {"seed": int, "max_latency": int, "trials": int,
+                   "noise_epsilon": (int, float)}
+        if self.c is not None:
+            numbers["c"] = (int, float)
+        for key, kind in numbers.items():
+            value = getattr(self, key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                what = "an integer" if kind is int else "a number"
+                raise ScenarioError(f"{key} must be {what}, got {value!r}")
+        source = self.topology
+        if isinstance(source, dict) and "family" in source and \
+                (not isinstance(source.get("n"), int) or isinstance(source["n"], bool)):
+            raise ScenarioError(f"a family topology needs an integer n: {source!r}")
         if self.protocol not in _PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.schedule not in ("sync", "async"):
@@ -164,16 +180,6 @@ class SchedulePolicy:
 
 
 @dataclass
-class PrivacyViolation:
-    rule: str
-    observer: object
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {"rule": self.rule, "observer": str(self.observer), "detail": self.detail}
-
-
-@dataclass
 class SimReport:
     """Structured result of one simulation run."""
 
@@ -201,11 +207,12 @@ class SimReport:
 
 @dataclass
 class SimTrace:
-    """Raw run artifacts consumed by the privacy auditor."""
+    """Run artifacts consumed by the privacy auditor."""
 
     backend: object
-    messages: list              # (time, sender, receiver, ProtocolMessage)
+    messages: list              # (time, sender, receiver, ProtocolMessage); [] without the log
     private_values: frozenset
+    leaks: list = field(default_factory=list)   # plaintext-leak violations, in delivery order
 
 
 class Node:
@@ -282,10 +289,17 @@ class Simulation:
     nothing is pending.  The hard stop is logical time
     `last crash + 10 * L * (n + 2)`, L being the schedule's largest latency;
     a run that reaches it reports `deadline-exceeded`.
+
+    Each delivery is audited as it happens: its ciphertexts are recorded
+    with the engine, which checks the ledger rules, and its plaintext fields
+    are checked for private inputs.  With `keep_log` (the default) the run
+    also keeps every delivered message and the engine's "possess" entries
+    for inspection; without it memory does not grow with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
-                 policy: SchedulePolicy, faults: FaultPlan | None = None):
+                 policy: SchedulePolicy, faults: FaultPlan | None = None,
+                 keep_log: bool = True):
         self.topology = topology
         self.setup = setup
         self.policy = policy
@@ -299,7 +313,9 @@ class Simulation:
         self._completions: dict = {}
         self._messages_sent: dict = {}
         self._bytes: dict = {}
-        self._message_log: list = []
+        self._message_log: list | None = [] if keep_log else None
+        self._leaks: list[PrivacyViolation] = []
+        setup.backend.log_possessions = keep_log
 
     # -- engine internals -------------------------------------------------
 
@@ -325,6 +341,20 @@ class Simulation:
     def _record_complete(self, pid, instance):
         self._completions.setdefault((pid, instance), self._now)
 
+    def _check_leaks(self, frm, msg):
+        """Flag each undeclared plaintext field of a delivered message whose
+        value equals a private input."""
+        private = self.setup.private_values
+        for key, value in msg.extra.items():
+            if key in DECLARED_PLAIN_KEYS:
+                continue
+            for leaf in _float_leaves(value):
+                if leaf in private:
+                    self._leaks.append(PrivacyViolation(
+                        "plaintext-leak", frm,
+                        f"field {key!r} in {msg.kind} message at t={self._now} "
+                        f"equals a private input"))
+
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> tuple[SimReport, SimTrace]:
@@ -344,6 +374,7 @@ class Simulation:
         for pid in order:
             nodes[pid].on_start(ctxs[pid])
         calendar, crashed_at = self._calendar, self._crashed_at
+        log, record = self._message_log, backend.record_possession
         deadline_hit = False
 
         while calendar or crashes:
@@ -370,16 +401,20 @@ class Simulation:
             for dst in sorted(per_receiver, key=_actor_order):
                 deliveries = per_receiver[dst]
                 for frm, msg in deliveries:
-                    self._message_log.append((now, frm, dst, msg))
+                    if log is not None:
+                        log.append((now, frm, dst, msg))
+                    if msg.extra:
+                        self._check_leaks(frm, msg)
                     for ct in msg.ciphertexts:
-                        backend.record_possession(dst, ct)
+                        record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
             if self.setup.invariant_check is not None:
                 self.setup.invariant_check(nodes)
 
         report = self._build_report(deadline_hit)
-        trace = SimTrace(backend=backend, messages=list(self._message_log),
-                         private_values=self.setup.private_values)
+        trace = SimTrace(backend=backend, messages=list(log or ()),
+                         private_values=self.setup.private_values,
+                         leaks=list(self._leaks))
         return report, trace
 
     def _build_report(self, deadline_hit: bool) -> SimReport:
@@ -412,43 +447,17 @@ class Simulation:
 
 # -- privacy auditor -------------------------------------------------------
 
-def _self_taint_only(taint, observer) -> bool:
-    return all(tag[0] == observer for tag in taint)
-
-
 def privacy_audit(trace: SimTrace) -> list[PrivacyViolation]:
-    """Honest-but-curious audit over a completed run.
+    """Honest-but-curious audit of a run, from checks made as it ran.
 
-    Flags (a) decryption success by anyone other than the key's holder,
-    (b) keyholder exposure to a non-prepared ciphertext tainted by other
-    processes' inputs, and (c) any undeclared plaintext message field whose
-    value equals a private input.
+    The engine flags (a) decryption success by anyone other than the key's
+    holder and (b) keyholder exposure to a non-prepared ciphertext tainted
+    by other processes' inputs, as it records each decryption and
+    possession.  The simulator flags (c) any undeclared plaintext field of a
+    delivered message whose value equals a private input.  Returns (a) and
+    (b) in event order, then (c) in delivery order.
     """
-    violations = []
-    backend = trace.backend
-    for ev in backend.events():
-        holder = backend.holder_of(ev.key_id)
-        if ev.kind == "decrypt" and ev.observer != holder:
-            violations.append(PrivacyViolation(
-                "foreign-decrypt", ev.observer,
-                f"decrypted ciphertext {ev.handle} held by {holder!r}"))
-        if ev.kind in ("possess", "decrypt") and ev.observer == holder \
-                and not ev.prepared and not _self_taint_only(ev.taint, holder):
-            violations.append(PrivacyViolation(
-                "unprepared-exposure", ev.observer,
-                f"keyholder saw raw aggregate {ev.handle} (kind={ev.kind})"))
-    private = trace.private_values
-    for time, frm, dst, msg in trace.messages:
-        for key, value in (msg.extra or {}).items():
-            if key in DECLARED_PLAIN_KEYS:
-                continue
-            for leaf in _float_leaves(value):
-                if leaf in private:
-                    violations.append(PrivacyViolation(
-                        "plaintext-leak", frm,
-                        f"field {key!r} in {msg.kind} message at t={time} "
-                        f"equals a private input"))
-    return violations
+    return trace.backend.violations() + list(trace.leaks)
 
 
 def _float_leaves(value):
@@ -498,7 +507,7 @@ def run(scenario: ScenarioConfig, trial: int = 0) -> SimReport:
 
     policy = SchedulePolicy(scenario.schedule, trial_seed * 7919 + 13,
                             scenario.max_latency)
-    sim = Simulation(topo, setup, policy, faults=scenario.faults)
+    sim = Simulation(topo, setup, policy, faults=scenario.faults, keep_log=False)
     report, trace = sim.run()
     report.protocol = scenario.protocol
     report.seed = trial_seed

@@ -236,3 +236,28 @@ def test_run_random_family_reports_each_trials_diameter(tmp_path):
     scenario = netsim.ScenarioConfig.from_dict(raw)
     assert [t["extra"]["diameter"] for t in trials] == [
         scenario.resolve_topology(t).diameter() for t in range(3)]
+
+
+RING4 = {"family": "ring", "n": 4}
+
+
+@pytest.mark.parametrize("config, extra", [
+    (3, []),
+    ([1, 2], ["--seed", "3"]),
+    ({"protocol": "avg-trusted", "topology": {"family": "ring"},
+      "inputs": {"random_uniform": [0, 1]}}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "seed": "a"}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "max_latency": "a"}, []),
+    ({"protocol": "election", "topology": RING4,
+      "inputs": [1, {"primary": 0}, {"primary": 1}, {"primary": 2}]}, []),
+], ids=["number", "list-with-seed", "family-without-n", "string-seed",
+        "string-max-latency", "ballot-not-a-mapping"])
+def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)] + extra)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

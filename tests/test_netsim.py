@@ -1,6 +1,7 @@
 """Simulator determinism, scheduling modes, crash faults, privacy auditor."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -187,6 +188,46 @@ def test_pre_prepare_exposure_mutation_is_flagged():
     from mutations import MisroutingAvgNode, run_mutated
     violations = run_mutated(MisroutingAvgNode)
     assert any(v.rule == "unprepared-exposure" for v in violations)
+
+
+@pytest.mark.parametrize("node_name", ["LeakyAvgNode", "MisroutingAvgNode"])
+def test_audit_finds_the_same_violations_without_the_log(monkeypatch, node_name):
+    import mutations
+    node_cls = getattr(mutations, node_name)
+    logged = mutations.run_mutated(node_cls)
+    traces = []
+
+    class UnloggedSimulation(netsim.Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, keep_log=False, **kwargs)
+
+        def run(self):
+            report, trace = super().run()
+            traces.append(trace)
+            return report, trace
+
+    monkeypatch.setattr(netsim, "Simulation", UnloggedSimulation)
+    unlogged = mutations.run_mutated(node_cls)
+    trace, = traces
+    assert trace.messages == []
+    assert not any(ev.kind == "possess" for ev in trace.backend.events())
+    assert logged and unlogged == logged
+
+
+def test_run_memory_does_not_grow_with_traffic():
+    # avg-trusted on a 96-ring sends about 9,800 messages; a run that kept
+    # every delivered message and possession peaked at about 33 MiB here
+    scenario = ScenarioConfig.from_dict({
+        "protocol": "avg-trusted", "topology": {"family": "ring", "n": 96},
+        "inputs": {"random_uniform": [0, 100]}, "seed": 1})
+    tracemalloc.start()
+    try:
+        report = netsim.run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "decided"
+    assert peak < 6 * 2**20
 
 
 def test_foreign_decrypt_is_flagged():
