@@ -11,6 +11,7 @@ reports serialize byte-identically across repeats.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
@@ -33,6 +34,14 @@ class ScenarioError(Exception):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CrashFault:
     process: int
@@ -45,6 +54,8 @@ class FaultPlan:
 
     @classmethod
     def from_list(cls, items) -> "FaultPlan":
+        if not isinstance(items, (list, tuple)):
+            raise ScenarioError(f"faults must be a list of crash faults, got {items!r}")
         crashes = []
         for it in items:
             if isinstance(it, CrashFault):
@@ -97,19 +108,34 @@ class ScenarioConfig:
         return cfg
 
     def basic_validate(self):
-        numbers = {"seed": int, "max_latency": int, "trials": int,
-                   "noise_epsilon": (int, float)}
+        checks = {"seed": _is_int, "max_latency": _is_int, "trials": _is_int,
+                  "noise_epsilon": _is_real}
         if self.c is not None:
-            numbers["c"] = (int, float)
-        for key, kind in numbers.items():
+            checks["c"] = _is_real
+        for key, ok in checks.items():
             value = getattr(self, key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                what = "an integer" if kind is int else "a number"
+            if not ok(value):
+                what = "an integer" if ok is _is_int else "a number"
                 raise ScenarioError(f"{key} must be {what}, got {value!r}")
         source = self.topology
-        if isinstance(source, dict) and "family" in source and \
-                (not isinstance(source.get("n"), int) or isinstance(source["n"], bool)):
+        if isinstance(source, dict) and "family" in source and not _is_int(source.get("n")):
             raise ScenarioError(f"a family topology needs an integer n: {source!r}")
+        inputs = self.inputs
+        if isinstance(inputs, dict) and "random_uniform" in inputs:
+            bounds = inputs["random_uniform"]
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2 or \
+                    not all(_is_real(b) for b in bounds):
+                raise ScenarioError(f"random_uniform needs [lo, hi], got {bounds!r}")
+        elif not isinstance(inputs, (list, tuple)):
+            raise ScenarioError(
+                f"inputs must be a list or {{\"random_uniform\": [lo, hi]}}, got {inputs!r}")
+        elif self.protocol != "election" and not all(_is_real(v) for v in inputs):
+            raise ScenarioError(f"inputs must be numbers, got {inputs!r}")
+        if self.initiators is not None and (
+                not isinstance(self.initiators, (list, tuple, set, frozenset))
+                or not all(_is_int(k) for k in self.initiators)):
+            raise ScenarioError(
+                f"initiators must be a list of process ids, got {self.initiators!r}")
         if self.protocol not in _PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.schedule not in ("sync", "async"):

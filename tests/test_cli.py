@@ -252,8 +252,17 @@ RING4 = {"family": "ring", "n": 4}
       "max_latency": "a"}, []),
     ({"protocol": "election", "topology": RING4,
       "inputs": [1, {"primary": 0}, {"primary": 1}, {"primary": 2}]}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": 5}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, None, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": RING4,
+      "inputs": {"random_uniform": [0, "a"]}}, []),
+    ({"protocol": "avg-untrusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "initiators": "a"}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "faults": 5}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
-        "string-max-latency", "ballot-not-a-mapping"])
+        "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
+        "string-uniform-bound", "string-initiators", "number-faults"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
