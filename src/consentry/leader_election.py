@@ -19,7 +19,6 @@ or an all-tied mod-k break.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,7 +367,7 @@ class ElectionCollectorNode(netsim.Node):
 
 
 def _is_candidate(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def parse_ballots(raw, n: int) -> list[Ballot]:

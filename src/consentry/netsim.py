@@ -11,9 +11,10 @@ reports serialize byte-identically across repeats.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
+
+import numpy as np
 
 from .he_slots import PrivacyViolation
 from .topology import Topology, load_topology, from_family
@@ -35,11 +36,12 @@ class ScenarioError(Exception):
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
