@@ -216,7 +216,7 @@ def test_audit_finds_the_same_violations_without_the_log(monkeypatch, node_name)
 
 def test_run_memory_does_not_grow_with_traffic():
     # avg-trusted on a 96-ring sends about 9,800 messages; a run that kept
-    # every delivered message and possession peaked at about 33 MiB here
+    # every delivered message and possession peaked at about 33 MiB
     scenario = ScenarioConfig.from_dict({
         "protocol": "avg-trusted", "topology": {"family": "ring", "n": 96},
         "inputs": {"random_uniform": [0, 100]}, "seed": 1})
