@@ -16,11 +16,14 @@ multiply by the plaintext weights 1/(count_j * n) to undo duplicates, then
 rotate-sum so every slot holds the average.  Only prepared aggregates ever
 reach the keyholder's secret key.
 
-Two deployment shapes are provided: a trusted collector outside the graph
-that decrypts prepared aggregates and broadcasts the result, and the
-collector-free variant where each initiator runs an instance under its own
-key, sits out the flooding, and decrypts the prepared aggregate routed back
-to it.
+A prepared aggregate is sent only to the keyholder that opens it; no process
+forwards one.  Two deployment shapes are provided: a trusted collector
+outside the graph, to which every decider sends its prepared aggregate and
+which broadcasts the result to every process, and the collector-free variant
+where each initiator runs an instance under its own key and sits out the
+flooding.  There the initiator's neighbours, which all decide its instance,
+send it their prepared aggregates; it decrypts the first, and each process
+floods one result, the first it decides on.
 """
 
 from __future__ import annotations
@@ -291,21 +294,17 @@ class FloodingNode(netsim.Node):
 
     Coalesces all merges from one delivery batch into a single rebroadcast,
     which is what keeps per-process traffic within a constant factor of
-    diameter * degree.  A decided instance's prepared aggregate goes to the
-    collector, if any, and to the neighbours; PREPARED and RESULT messages
-    are each forwarded once per instance.  Subclasses say what PREPARED and
-    RESULT messages mean to them.
+    diameter * degree.  A decided instance's prepared aggregate goes only to
+    the actors that read it, as `_prepared_readers` names them: by default
+    the trusted collector, which gets one straight from every decider.
+    Subclasses say what PREPARED and RESULT messages mean to them.
     """
-
-    #: actor that receives every prepared aggregate, or None
-    collector = netsim.TRUSTED
 
     def __init__(self, pid: int, n: int, backend: SlotEngine):
         self.pid = pid
         self.n = n
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
-        self._forwarded: dict[str, set] = {PREPARED: set(), RESULT: set()}
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
         return state.snapshot()
@@ -313,6 +312,11 @@ class FloodingNode(netsim.Node):
     def _exclude(self, instance: str) -> tuple:
         """Neighbours left out of the instance's rebroadcasts."""
         return ()
+
+    def _prepared_readers(self, ctx, instance: str) -> tuple:
+        """The actors that read the instance's prepared aggregate; a decider
+        sends it to each of them and to no one else."""
+        return (netsim.TRUSTED,)
 
     def on_deliver(self, ctx, batch):
         per_instance: dict[str, list] = {}
@@ -339,14 +343,12 @@ class FloodingNode(netsim.Node):
                 self._emit_prepared(ctx, instance, decision)
 
     def _emit_prepared(self, ctx, instance: str, prepared) -> ProtocolMessage:
-        """Announce what `try_decide` returned for a decided instance."""
+        """Send what `try_decide` returned for a decided instance to its readers."""
         ctx.mark_complete(instance)
         votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
         msg = ProtocolMessage(instance, PREPARED, votes_ct=votes, participating_ct=part)
-        if self.collector is not None:
-            ctx.send(self.collector, msg)
-        self._forwarded[PREPARED].add(instance)
-        ctx.broadcast(msg)
+        for dst in self._prepared_readers(ctx, instance):
+            ctx.send(dst, msg)
         return msg
 
     def _try_decide(self, ctx, state: ConsensusState):
@@ -355,13 +357,6 @@ class FloodingNode(netsim.Node):
         prepared = try_decide(state, self.backend)
         if prepared is not None:
             self._emit_prepared(ctx, state.instance, prepared)
-
-    def _forward_once(self, ctx, msg: ProtocolMessage):
-        """Rebroadcast the first PREPARED or RESULT message of an instance."""
-        seen = self._forwarded[msg.kind]
-        if msg.instance not in seen:
-            seen.add(msg.instance)
-            ctx.broadcast(msg)
 
 
 class AvgProcessNode(FloodingNode):
@@ -382,9 +377,6 @@ class AvgProcessNode(FloodingNode):
         self.states[INSTANCE_TRUSTED] = state
         ctx.broadcast(msg)
         self._try_decide(ctx, state)
-
-    def _handle_prepared(self, ctx, msg):
-        self._forward_once(ctx, msg)
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["average"])
@@ -447,10 +439,10 @@ class UntrustedProcessNode(FloodingNode):
 
     For its own instance a node acts as the keyholder: it encrypts its own
     value under its own key, hands that seed to one neighbor, stays out of
-    the flooding, and decrypts only the prepared aggregate routed back.
+    the flooding, and decrypts the first prepared aggregate its neighbours
+    send it.  Each node broadcasts one RESULT, the one it decides on: its
+    own instance's, or the first that reaches it, forwarded.
     """
-
-    collector = None
 
     def __init__(self, pid: int, value: float, n: int, backend: SlotEngine,
                  keys: dict, viable: dict):
@@ -458,12 +450,19 @@ class UntrustedProcessNode(FloodingNode):
         self.value = value
         self.keys = keys               # viable initiator -> KeyMaterial (secret used by owner only)
         self.viable = viable           # initiator -> bool
+        self.opened = False            # own instance's prepared aggregate decrypted
+        self.decided = False           # a RESULT decided on and broadcast
 
     def _initiator_of(self, instance: str) -> int:
         return int(instance.split("/", 1)[1])
 
     def _exclude(self, instance):
         return (self._initiator_of(instance),)
+
+    def _prepared_readers(self, ctx, instance):
+        # every neighbour of a viable initiator decides its instance
+        k = self._initiator_of(instance)
+        return (k,) if k in ctx.neighbors else ()
 
     def on_start(self, ctx):
         if self.viable.get(self.pid) is False:
@@ -479,21 +478,20 @@ class UntrustedProcessNode(FloodingNode):
                 ctx.broadcast(msg, exclude=(k,))
 
     def _handle_prepared(self, ctx, msg):
-        k = self._initiator_of(msg.instance)
-        if k != self.pid:
-            self._forward_once(ctx, msg)
-        elif msg.instance not in self._forwarded[RESULT]:
-            value = finalize_trusted(self.backend, self.keys[k].secret_part,
-                                     msg.votes_ct, self.n, caller=self.pid)
-            ctx.note(f"initiator_result/{k}", value)
-            ctx.decide(value)
-            self._forwarded[RESULT].add(msg.instance)
-            ctx.broadcast(ProtocolMessage(msg.instance, RESULT,
-                                          extra={"average": value, "initiator": k}))
+        if self.opened:
+            return
+        self.opened = True
+        value = finalize_trusted(self.backend, self.keys[self.pid].secret_part,
+                                 msg.votes_ct, self.n, caller=self.pid)
+        ctx.note(f"initiator_result/{self.pid}", value)
+        self._handle_result(ctx, ProtocolMessage(
+            msg.instance, RESULT, extra={"average": value, "initiator": self.pid}))
 
     def _handle_result(self, ctx, msg):
-        ctx.decide(msg.extra["average"])
-        self._forward_once(ctx, msg)
+        if not self.decided:
+            self.decided = True
+            ctx.decide(msg.extra["average"])
+            ctx.broadcast(msg)
 
 
 def build_untrusted(topology: Topology, inputs, initiators=None, *,

@@ -64,10 +64,14 @@ class FaultPlan:
                 crashes.append(it)
             else:
                 try:
-                    crashes.append(CrashFault(int(it["process"]), int(it["time"])))
+                    process, time = it["process"], it["time"]
                 except (KeyError, TypeError) as exc:
                     raise ScenarioError(
                         f"a crash fault needs a process and a time: {it!r}") from exc
+                if not (_is_int(process) and _is_int(time)):
+                    raise ScenarioError(
+                        f"a crash fault's process and time must be integers: {it!r}")
+                crashes.append(CrashFault(int(process), int(time)))
         return cls(tuple(crashes))
 
 

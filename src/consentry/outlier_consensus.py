@@ -233,21 +233,29 @@ class OutlierProcessNode(FloodingNode):
     def on_start(self, ctx):
         self._start_core(ctx, R1, value=self.value)
 
+    def _prepared_readers(self, ctx, instance):
+        # on the encrypted route every process derives its round-2 inputs
+        # from the prepared round-1 mean
+        if instance == R1 and self.route == "encrypted":
+            return (netsim.TRUSTED, *ctx.neighbors)
+        return (netsim.TRUSTED,)
+
     def _emit_prepared(self, ctx, instance, prepared):
         msg = super()._emit_prepared(ctx, instance, prepared)
-        if instance == R1:
+        if instance == R1 and self.route == "encrypted":
             self._adopt_mean(ctx, msg.votes_ct)
 
     def _handle_prepared(self, ctx, msg):
-        self._forward_once(ctx, msg)
-        if msg.instance == R1:
+        # only encrypted-route round-1 aggregates reach a process: forward
+        # the first, which also starts round 2
+        if self.mean_ct is None:
+            ctx.broadcast(msg)
             self._adopt_mean(ctx, msg.votes_ct)
 
     def _adopt_mean(self, ctx, mean_ct):
         if self.mean_ct is None:
             self.mean_ct = mean_ct
-            if self.route == "encrypted":
-                self._start_round2(ctx)
+            self._start_round2(ctx)
 
     def _handle_result(self, ctx, msg):
         if msg.instance == R1:

@@ -10,9 +10,10 @@ import pytest
 from consentry import avg_consensus, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
-                                     PrivacyGuardError, ProtocolMessage,
-                                     build_trusted, build_untrusted,
-                                     finalize_trusted, init_consensus,
+                                     PREPARED, RESULT, PrivacyGuardError,
+                                     ProtocolMessage, build_trusted,
+                                     build_untrusted, finalize_trusted,
+                                     init_consensus, instance_for_initiator,
                                      on_receive, prepare, run_untrusted,
                                      try_decide)
 from consentry.outlier_consensus import adjust_n_on_fault
@@ -433,3 +434,42 @@ def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
     assert Counter((pid, id(msg)) for pid, msg in folds) == \
         Counter((dst, id(msg)) for dst, msg in held)
     assert len(set(broadcasts)) == len(broadcasts)
+
+
+# -- traffic ----------------------------------------------------------------
+
+def _g16_run(build):
+    """A sync run on G(16, 0.4) that keeps the delivered-message log."""
+    t = topo.random_connected(16, 0.4, random.Random(16))
+    setup = build(t, [float(i) for i in range(16)], seed=3)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    assert report.termination == "decided"
+    assert report.privacy_violations == [] and trace.leaks == []
+    return trace
+
+
+def test_trusted_prepared_goes_only_to_the_collector():
+    prepared = [(frm, dst) for _, frm, dst, msg in _g16_run(build_trusted).messages
+                if msg.kind == PREPARED]
+    assert all(dst == netsim.TRUSTED for _, dst in prepared)
+    assert sorted(frm for frm, _ in prepared) == list(range(16))
+
+
+def test_untrusted_prepared_goes_to_its_initiator_and_one_result_per_process():
+    messages = _g16_run(build_untrusted).messages
+    prepared = [(dst, msg.instance) for _, _, dst, msg in messages if msg.kind == PREPARED]
+    assert {dst for dst, _ in prepared} == set(range(16))
+    assert all(instance == instance_for_initiator(dst) for dst, instance in prepared)
+    results = Counter((frm, dst) for _, frm, dst, msg in messages if msg.kind == RESULT)
+    assert {frm for frm, _ in results} == set(range(16))
+    assert max(results.values()) == 1
+
+
+def test_untrusted_dense_graph_traffic_bound():
+    sc = netsim.ScenarioConfig(protocol="avg-untrusted",
+                               topology={"family": "random", "n": 32, "p": 0.4},
+                               inputs={"random_uniform": [-100, 100]}, seed=1)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    # 81,930 while every process forwarded each instance's PREPARED and RESULT
+    assert sum(report.messages_sent.values()) <= 55_000

@@ -215,6 +215,20 @@ def test_bad_crash_fault_exits_2(tmp_path, capsys, crash):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("crash", [{"process": 1.7, "time": 2}, {"process": "1", "time": 2},
+                                   {"process": 1, "time": True}],
+                         ids=["float-process", "string-process", "bool-time"])
+def test_non_integer_crash_fault_exits_2(tmp_path, capsys, crash):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "avg-trusted",
+                               "topology": {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]},
+                               "inputs": [1, 2, 3, 4, 5, 6], "faults": [crash]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_untrusted_summary_lists_each_initiator(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"protocol": "avg-untrusted",

@@ -172,6 +172,21 @@ def test_bad_crash_fault_is_rejected(crash):
             inputs=[1, 2, 3, 4], faults=[crash])))
 
 
+@pytest.mark.parametrize("crash", [
+    {"process": 1.7, "time": 2},
+    {"process": "1", "time": 2},
+    {"process": 1, "time": True},
+    {"process": 1, "time": 2.0},
+    {"process": None, "time": 2},
+], ids=["float-process", "string-process", "bool-time", "float-time", "null-process"])
+def test_crash_fault_with_a_non_integer_field_is_rejected(crash):
+    # int() once turned 1.7 and "1" into process 1 and True into time 1
+    with pytest.raises(ScenarioError, match="must be integers"):
+        ScenarioConfig.from_dict(dict(
+            protocol="avg-trusted", topology=topo.ring(6).to_dict(),
+            inputs=[1, 2, 3, 4, 5, 6], faults=[crash]))
+
+
 # -- privacy auditor --------------------------------------------------------
 
 def test_conforming_runs_have_no_violations():

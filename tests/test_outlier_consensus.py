@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from consentry import netsim
+from consentry import netsim, outlier_consensus
 from consentry import topology as topo
-from consentry.avg_consensus import ConsensusState, prepare
+from consentry.avg_consensus import PREPARED, ConsensusState, prepare
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 from consentry.outlier_consensus import (AllOutliersError, OutlierParams,
@@ -271,3 +271,23 @@ def test_128_ring_decides_the_outlier_free_mean():
     assert report.termination == "decided"
     want = outlier_oracle(values, 1.5)[3]
     assert all(abs(report.decided_values[p] - want) <= 1e-9 for p in range(128))
+
+
+@pytest.mark.parametrize("route, between_processes", [
+    ("decrypt", set()),
+    ("encrypted", {"out/r1"}),
+])
+def test_prepared_reaches_processes_only_where_they_read_it(route, between_processes):
+    """Only the collector opens a prepared aggregate; on the encrypted route
+    processes also read the round-1 mean."""
+    t = topo.random_connected(16, 0.4, random.Random(16))
+    values = [float(i) for i in range(15)] + [90.0]
+    setup = outlier_consensus.build(t, values, 1.0, variance_route=route, seed=3)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    assert report.termination == "decided"
+    assert report.decided_values[0] == pytest.approx(outlier_oracle(values, 1.0)[3], abs=1e-9)
+    prepared = [(frm, dst, msg.instance) for _, frm, dst, msg in trace.messages
+                if msg.kind == PREPARED]
+    assert {inst for frm, dst, inst in prepared
+            if dst != netsim.TRUSTED} == between_processes
+    assert all(frm != netsim.TRUSTED for frm, _, _ in prepared)
