@@ -8,9 +8,9 @@ writes it), together with the bitmask of its nonzero entries.  A message
 whose mask is a subset of the local one, `msg.support & ~state.support == 0`,
 carries no new information and is dropped after that one mask test.  A
 merging fold adds the count arrays, ORs the masks and runs the engine's
-ciphertext adds; it also builds a snapshot message, returned by
-`on_receive`, which `FloodingNode.on_deliver` discards.  A node folds a whole
-delivery batch and then broadcasts one snapshot per changed instance.  Once
+ciphertext adds, which OR the ciphertexts' taint masks; it builds no
+message, and `on_receive` returns only whether it merged.  A node folds a
+whole delivery batch and then broadcasts one snapshot per changed instance.  Once
 the local mask covers the required one the process runs the prepare step:
 multiply by the plaintext weights 1/(count_j * n) to undo duplicates, then
 rotate-sum so every slot holds the average.  Only prepared aggregates ever
@@ -185,11 +185,13 @@ class ConsensusState:
 
 def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
                    instance: str = INSTANCE_TRUSTED,
-                   contribution: Ciphertext | None = None) -> tuple[ConsensusState, ProtocolMessage]:
+                   contribution: Ciphertext | None = None,
+                   participating_ct: Ciphertext | None = None) -> tuple[ConsensusState, ProtocolMessage]:
     """Create the unit-impulse state and the broadcast that announces it.
 
     `contribution`, when given, is an already-encrypted vote that stands in
-    for the encryption of `value`.
+    for the encryption of `value`; `participating_ct`, when given, is the
+    state's second channel.
     """
     cap = backend.config.slot_capacity
     if cap < n:
@@ -201,26 +203,27 @@ def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
     counts = np.zeros(cap)
     counts[pid] = 1
     state = ConsensusState(id=pid, instance=instance, n=n,
-                           votes_ct=votes, counts=counts)
+                           votes_ct=votes, counts=counts,
+                           participating_ct=participating_ct)
     return state, state.snapshot()
 
 
 def on_receive(state: ConsensusState, msg: ProtocolMessage,
-               backend: SlotEngine) -> tuple[ConsensusState, list[ProtocolMessage], object]:
+               backend: SlotEngine) -> tuple[ConsensusState, bool, object]:
     """Fold one aggregate message into every channel of the local state.
 
     A message whose support is a subset of the local one is dropped.
-    Returns the (mutated) state, any rebroadcast messages, and what
+    Returns the (mutated) state, whether the message was merged, and what
     `try_decide` returned if this message completed the counts.
     """
     if msg.instance != state.instance:
         log.warning("dropping message for %s at state %s", msg.instance, state.instance)
-        return state, [], None
+        return state, False, None
     if state.phase != ACTIVE or msg.kind != AGGREGATE:
-        return state, [], None
+        return state, False, None
     support = msg.support
     if not support & ~state.support:
-        return state, [], None
+        return state, False, None
     state.votes_ct = backend.add_ct(state.votes_ct, msg.votes_ct)
     if state.participating_ct is not None:
         state.participating_ct = backend.add_ct(state.participating_ct,
@@ -229,7 +232,7 @@ def on_receive(state: ConsensusState, msg: ProtocolMessage,
     counts.flags.writeable = False
     state.counts = counts
     state.support |= support
-    return state, [state.snapshot()], try_decide(state, backend)
+    return state, True, try_decide(state, backend)
 
 
 def try_decide(state: ConsensusState, backend: SlotEngine):
@@ -333,8 +336,8 @@ class FloodingNode(netsim.Node):
                 continue
             changed, decision = False, None
             for msg in per_instance[instance]:
-                _, out, dec = on_receive(state, msg, self.backend)
-                changed = changed or bool(out)
+                _, merged, dec = on_receive(state, msg, self.backend)
+                changed = changed or merged
                 if decision is None:
                     decision = dec
             if changed:

@@ -134,23 +134,66 @@ class KeyMaterial:
     secret_part: SecretPart
 
 
+class TagTable:
+    """Interns taint tags: the i-th tag interned is bit i of a taint mask.
+
+    `owned[o]` is the OR of the bits of the tags whose first element is `o`,
+    so a mask holds only `o`'s inputs iff `mask & ~owned.get(o, 0)` is 0.
+    A tag without a first element is owned by no one.
+    """
+
+    __slots__ = ("tags", "bits", "owned")
+
+    def __init__(self):
+        self.tags: list = []
+        self.bits: dict = {}
+        self.owned: dict = {}
+
+    def intern(self, tag) -> int:
+        """The one-bit mask of `tag`, assigning the next bit to a new tag."""
+        bit = self.bits.get(tag)
+        if bit is None:
+            bit = 1 << len(self.tags)
+            self.tags.append(tag)
+            self.bits[tag] = bit
+            try:
+                owner = tag[0]
+            except (TypeError, IndexError, KeyError):
+                return bit
+            self.owned[owner] = self.owned.get(owner, 0) | bit
+        return bit
+
+    def tags_of(self, mask: int) -> frozenset:
+        """The tags whose bits are set in `mask`."""
+        tags = self.tags
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(tags[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+
 class Ciphertext:
     """Opaque handle to an encrypted slot vector.
 
     The payload is reachable only through :meth:`SlotBackend.decrypt` (audited,
-    access-controlled) or the test-only introspection hook.  `taint` records
-    which raw inputs flowed into this value; `prepared` marks aggregates whose
-    decryption reveals only protocol-level results and is set exclusively by
-    the sanctioned prepare/complete steps of the protocol layer.
+    access-controlled) or the test-only introspection hook.  `taint_mask`
+    records which raw inputs flowed into this value, as bits of
+    `tag_table` (its backend's), and `taint` reads it as a frozenset of tags;
+    `prepared` marks aggregates whose decryption reveals only protocol-level
+    results and is set exclusively by the sanctioned prepare/complete steps
+    of the protocol layer.
     """
 
-    __slots__ = ("key_id", "taint", "prepared", "depth", "noise_bound",
-                 "handle", "_payload")
+    __slots__ = ("key_id", "taint_mask", "tag_table", "prepared", "depth",
+                 "noise_bound", "handle", "_payload")
 
-    def __init__(self, key_id, payload, taint, prepared, depth, noise_bound,
-                 handle):
+    def __init__(self, key_id, payload, taint_mask, tag_table, prepared, depth,
+                 noise_bound, handle):
         self.key_id = key_id
-        self.taint = frozenset(taint)
+        self.taint_mask = taint_mask
+        self.tag_table = tag_table
         self.prepared = bool(prepared)
         self.depth = int(depth)
         self.noise_bound = float(noise_bound)
@@ -158,6 +201,11 @@ class Ciphertext:
         payload = np.asarray(payload, dtype=np.float64)
         payload.setflags(write=False)
         self._payload = payload
+
+    @property
+    def taint(self) -> frozenset:
+        """The tags of the raw inputs that flowed into this value."""
+        return self.tag_table.tags_of(self.taint_mask)
 
     def __repr__(self):
         return (f"Ciphertext(handle={self.handle}, key={self.key_id!r}, "
@@ -168,15 +216,22 @@ class Ciphertext:
 class AuditEvent(NamedTuple):
     """One ledger entry: a ciphertext exposure or decryption attempt.
 
-    It names the ciphertext by handle and holds no reference to it.
+    It names the ciphertext by handle and holds no reference to it; it keeps
+    the ciphertext's taint mask and tag table, and `taint` reads them as a
+    frozenset of tags.
     """
 
     kind: str            # "possess" | "decrypt" | "decrypt-denied"
     observer: object
     handle: int
     key_id: str
-    taint: frozenset
+    taint_mask: int
+    tag_table: TagTable
     prepared: bool
+
+    @property
+    def taint(self) -> frozenset:
+        return self.tag_table.tags_of(self.taint_mask)
 
 
 @dataclass
@@ -243,6 +298,10 @@ class SlotBackend(SlotEngine):
     recorded, since a key's holder is fixed at `keygen`; `violations()`
     lists what they flagged, in event order.  With `log_possessions` off the
     ledger keeps no "possess" entry, only the checks.
+
+    Each `encrypt` tag is interned to one bit of the backend's `TagTable`,
+    so combining two ciphertexts ORs their taint masks; operands interned in
+    different tables raise `KeyMismatchError`.
     """
 
     def __init__(self, config: BackendConfig, seed: int | None = None):
@@ -253,6 +312,7 @@ class SlotBackend(SlotEngine):
         self._events: list[AuditEvent] = []
         self._violations: list[PrivacyViolation] = []
         self._observers: set = set()
+        self._tag_table = TagTable()
         self.log_possessions = True
         self._key_seq = 0
         self._handle_seq = 0
@@ -274,14 +334,21 @@ class SlotBackend(SlotEngine):
 
     # -- ciphertext construction -----------------------------------------
 
-    def _fresh(self, key_id, payload, taint, depth, noise_bound,
-               prepared=False) -> Ciphertext:
+    def _fresh(self, key_id, payload, taint_mask, tag_table, depth,
+               noise_bound) -> Ciphertext:
         eps = self.config.noise_epsilon
         if eps > 0:
             payload = payload + self._rng.uniform(-eps, eps, size=payload.shape)
         self._handle_seq += 1
-        return Ciphertext(key_id, payload, taint, prepared, depth,
+        return Ciphertext(key_id, payload, taint_mask, tag_table, False, depth,
                           noise_bound + eps, self._handle_seq)
+
+    @staticmethod
+    def _check_pair(a: Ciphertext, b: Ciphertext, op: str):
+        if a.key_id != b.key_id:
+            raise KeyMismatchError(f"{op} operands under different keys")
+        if a.tag_table is not b.tag_table:
+            raise KeyMismatchError(f"{op} operands from different tag tables")
 
     def _check_len(self, vec: SlotVector):
         if len(vec) != self.config.slot_capacity:
@@ -294,8 +361,9 @@ class SlotBackend(SlotEngine):
         self._check_len(vector)
         if public_part.key_id not in self._holders:
             raise KeyMismatchError(f"unknown key {public_part.key_id!r}")
+        table = self._tag_table
         ct = self._fresh(public_part.key_id, np.array(vector.values),
-                         taint={tag}, depth=0, noise_bound=0.0)
+                         table.intern(tag), table, depth=0, noise_bound=0.0)
         owner = tag[0] if isinstance(tag, tuple) and len(tag) == 2 else None
         if owner is not None:
             self.record_possession(owner, ct)
@@ -319,10 +387,9 @@ class SlotBackend(SlotEngine):
         return SlotVector(ct._payload)
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        if a.key_id != b.key_id:
-            raise KeyMismatchError("add_ct operands under different keys")
+        self._check_pair(a, b, "add_ct")
         return self._fresh(a.key_id, a._payload + b._payload,
-                           taint=a.taint | b.taint,
+                           a.taint_mask | b.taint_mask, a.tag_table,
                            depth=max(a.depth, b.depth),
                            noise_bound=a.noise_bound + b.noise_bound)
 
@@ -330,13 +397,12 @@ class SlotBackend(SlotEngine):
         self._check_len(p)
         scale = float(np.max(np.abs(p.values))) if len(p) else 0.0
         return self._fresh(a.key_id, a._payload * p.values,
-                           taint=a.taint,
+                           a.taint_mask, a.tag_table,
                            depth=a.depth + 1,
                            noise_bound=a.noise_bound * scale)
 
     def mult_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        if a.key_id != b.key_id:
-            raise KeyMismatchError("mult_ct operands under different keys")
+        self._check_pair(a, b, "mult_ct")
         # |err| <= |a|nb_b + |b|nb_a + nb_a*nb_b, with |a| <= max|stored| + nb_a
         ma = float(np.max(np.abs(a._payload)))
         mb = float(np.max(np.abs(b._payload)))
@@ -344,15 +410,18 @@ class SlotBackend(SlotEngine):
                  + (mb + b.noise_bound) * a.noise_bound
                  + a.noise_bound * b.noise_bound)
         return self._fresh(a.key_id, a._payload * b._payload,
-                           taint=a.taint | b.taint,
+                           a.taint_mask | b.taint_mask, a.tag_table,
                            depth=max(a.depth, b.depth) + 1,
                            noise_bound=bound)
 
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext:
         if not self._rotation_ok.get(a.key_id, False):
             raise MissingRotationKeysError(f"no rotation keys for {a.key_id!r}")
-        return self._fresh(a.key_id, np.roll(a._payload, -int(amount)),
-                           taint=a.taint,
+        # np.roll(payload, -amount), by slicing
+        payload = a._payload
+        k = int(amount) % len(payload)
+        return self._fresh(a.key_id, np.concatenate((payload[k:], payload[:k])),
+                           a.taint_mask, a.tag_table,
                            depth=a.depth,
                            noise_bound=a.noise_bound)
 
@@ -363,20 +432,20 @@ class SlotBackend(SlotEngine):
         rotate-sum, the election completeness check, and the encrypted
         variance combiner (all of which compose already-aggregate values).
         """
-        return Ciphertext(ct.key_id, ct._payload, ct.taint, True, ct.depth,
-                          ct.noise_bound, ct.handle)
+        return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table,
+                          True, ct.depth, ct.noise_bound, ct.handle)
 
     # -- ledger and introspection (simulator and tests, not protocol code) -
 
     def _log(self, kind, observer, ct: Ciphertext):
         self._observers.add(observer)
         self._events.append(AuditEvent(kind, observer, ct.handle, ct.key_id,
-                                       ct.taint, ct.prepared))
+                                       ct.taint_mask, ct.tag_table, ct.prepared))
 
     def _check_exposure(self, kind, holder, ct: Ciphertext):
         """Flag `holder`, the holder of `ct`'s key, seeing it while it is not
         prepared and carries other processes' inputs."""
-        if not ct.prepared and not all(tag[0] == holder for tag in ct.taint):
+        if not ct.prepared and ct.taint_mask & ~ct.tag_table.owned.get(holder, 0):
             self._violations.append(PrivacyViolation(
                 "unprepared-exposure", holder,
                 f"keyholder saw raw aggregate {ct.handle} (kind={kind})"))

@@ -124,7 +124,8 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
                         pid: int, n: int, required=None):
     """Contribute (once per lineage copy) and adopt strictly larger copies.
 
-    Returns (state, rebroadcast messages, complete ciphertext or None).
+    Returns (state, whether the copy was adopted, complete ciphertext or
+    None); the caller announces an adopted copy that is not complete.
     """
     incoming = msg.count_array
     if incoming[pid]:
@@ -140,7 +141,7 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
     size = int(cand_counts.sum())
     have = 0 if state is None else int(state.counts.sum())
     if size <= have:
-        return state, [], None
+        return state, False, None
     if state is None:
         state = ElectionState(id=pid, instance=msg.instance,
                               ballots_ct=cand_ct, counts=cand_counts)
@@ -148,8 +149,8 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
         state.ballots_ct = cand_ct
         state.counts = cand_counts
     if _covers(cand_counts, required):
-        return state, [], backend.mark_prepared(cand_ct)
-    return state, [state.snapshot()], None
+        return state, True, backend.mark_prepared(cand_ct)
+    return state, True, None
 
 
 # -- tallying and elimination -------------------------------------------------
@@ -311,12 +312,12 @@ class ElectionProcessNode(netsim.Node):
                 ctx.decide(msg.extra["winner"])
         for lineage in sorted(per_lineage):
             state = self.states.get(lineage)
-            before = 0 if state is None else int(state.counts.sum())
-            complete = None
+            grown, complete = False, None
             for msg in per_lineage[lineage]:
-                state, _, done = on_receive_election(
+                state, merged, done = on_receive_election(
                     state, msg, self.ballot, self.pk, self.backend,
                     self.pid, self.n, required=self.required)
+                grown = grown or merged
                 if done is not None:
                     complete = done
             if state is None:
@@ -324,7 +325,7 @@ class ElectionProcessNode(netsim.Node):
             self.states[lineage] = state
             if complete is not None and lineage not in self.completed:
                 self._complete(ctx, state, complete)
-            elif int(state.counts.sum()) > before:
+            elif grown:
                 ctx.broadcast(state.snapshot())
 
     def on_crash_notice(self, ctx, crashed):

@@ -11,6 +11,7 @@ reports serialize byte-identically across repeats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
@@ -123,6 +124,10 @@ class ScenarioConfig:
             if not ok(value):
                 what = "an integer" if ok is _is_int else "a number"
                 raise ScenarioError(f"{key} must be {what}, got {value!r}")
+        for key in ("c", "noise_epsilon"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ScenarioError(f"{key} must be finite, got {value!r}")
         source = self.topology
         if isinstance(source, dict) and "family" in source and not _is_int(source.get("n")):
             raise ScenarioError(f"a family topology needs an integer n: {source!r}")

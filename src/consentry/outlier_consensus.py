@@ -91,17 +91,19 @@ def init_round3(pid: int, v: float, outlier: bool, pk, n: int,
     cap = backend.config.slot_capacity
     vote = 0.0 if outlier else float(v)
     flag = 0.0 if outlier else 1.0
-    core, _ = init_consensus(pid, vote, pk, n, backend, R3)
-    core.participating_ct = backend.encrypt(pk, SlotVector.impulse(cap, pid, flag),
-                                            (pid, f"{R3}:participating"))
-    return OutlierState(core), core.snapshot()
+    votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, vote), (pid, f"{R3}:value"))
+    part = backend.encrypt(pk, SlotVector.impulse(cap, pid, flag),
+                           (pid, f"{R3}:participating"))
+    core, msg = init_consensus(pid, vote, pk, n, backend, R3,
+                               contribution=votes, participating_ct=part)
+    return OutlierState(core), msg
 
 
 def on_receive_round3(state: OutlierState, msg: ProtocolMessage,
                       backend: SlotEngine):
     """Round-3 fold: aggregate votes and participation under shared counts."""
-    _, out, decision = on_receive(state.core, msg, backend)
-    return state, out, decision
+    _, merged, decision = on_receive(state.core, msg, backend)
+    return state, merged, decision
 
 
 #: |participation - 1| below this means everyone participated; well clear of

@@ -80,7 +80,7 @@ def test_tuple_count_message_folds_like_the_snapshot_it_copies():
                         b.inspect_payload(state.votes_ct).tolist(), again[1:])
     assert folded["snapshot"] == folded["tuple"]
     assert folded["tuple"][:3] == ([1, 2, 1, 1, 0, 0, 0, 0], 0b1111, True)
-    assert folded["tuple"][5] == ([], None)
+    assert folded["tuple"][5] == (False, None)
 
 
 def test_snapshot_counts_are_read_only_and_outlive_later_folds():
@@ -127,7 +127,7 @@ def test_on_receive_subset_ignored():
     assert out and dec is None
     # same information again: nonzero set {1} is a subset of local {0,1}
     state, out, dec = on_receive(state, m1, b)
-    assert out == [] and dec is None
+    assert out is False and dec is None
     assert state.counts.tolist() == [1, 1, 0, 0]
 
 
@@ -168,7 +168,7 @@ def test_on_receive_instance_mismatch_dropped():
     state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
     _, m = init_consensus(1, 2.0, km.public_part, 4, b, instance="avg/9")
     state, out, dec = on_receive(state, m, b)
-    assert out == [] and dec is None and state.counts.tolist() == [1, 0, 0, 0]
+    assert out is False and dec is None and state.counts.tolist() == [1, 0, 0, 0]
 
 
 def test_prepare_uniform_counts():
@@ -434,6 +434,38 @@ def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
     assert Counter((pid, id(msg)) for pid, msg in folds) == \
         Counter((dst, id(msg)) for dst, msg in held)
     assert len(set(broadcasts)) == len(broadcasts)
+
+
+G16 = {"family": "random", "n": 16, "p": 0.4}
+RING8_BALLOTS = [{"primary": (3 * p) % 8, "secondary": (p + 1) % 8} for p in range(8)]
+
+
+@pytest.mark.parametrize("scenario", [
+    dict(protocol="avg-trusted", topology=G16),
+    dict(protocol="outlier", topology=G16, c=1.5),
+    dict(protocol="outlier", topology=G16, c=1.5, variance_route="encrypted"),
+    dict(protocol="election", topology={"family": "ring", "n": 8}, inputs=RING8_BALLOTS),
+], ids=["avg-trusted", "outlier-decrypt", "outlier-encrypted", "election-ring8"])
+def test_a_merging_fold_builds_no_message(scenario, monkeypatch):
+    """Every AGGREGATE message built during a run is sent: a fold reports a
+    merge with a flag and builds no snapshot that nobody sends."""
+    built, sent = [], set()
+
+    def init(msg, instance, kind, *args, _init=ProtocolMessage.__init__, **kwargs):
+        _init(msg, instance, kind, *args, **kwargs)
+        if kind == AGGREGATE:
+            built.append(msg)     # held, so no id is reused
+
+    def send(sim, frm, dst, msg, _send=netsim.Simulation._send):
+        sent.add(id(msg))
+        return _send(sim, frm, dst, msg)
+
+    monkeypatch.setattr(ProtocolMessage, "__init__", init)
+    monkeypatch.setattr(netsim.Simulation, "_send", send)
+    scenario = {"inputs": {"random_uniform": [-100, 100]}, "seed": 5, **scenario}
+    report = netsim.run(netsim.ScenarioConfig(**scenario))
+    assert report.termination == "decided" and not report.privacy_violations
+    assert built and [m for m in built if id(m) not in sent] == []
 
 
 # -- traffic ----------------------------------------------------------------

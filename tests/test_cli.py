@@ -284,3 +284,19 @@ def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinity"])
+@pytest.mark.parametrize("key, config", [
+    ("c", {"protocol": "outlier", "topology": RING4, "inputs": [1, 2, 3, 400]}),
+    ("noise_epsilon", {"protocol": "avg-trusted", "topology": RING4,
+                       "inputs": [1, 2, 3, 4]}),
+], ids=["c", "noise_epsilon"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, config, value):
+    # json reads the NaN and Infinity literals; neither value means anything here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, key: value}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()

@@ -9,6 +9,10 @@ from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchErr
                                 MissingRotationKeysError, SlotBackend, SlotVector,
                                 UnknownObserverError, slot_capacity_for)
 
+#: owners "T", 0, 1 and "x"; the string tags are owned by their first letter
+TAGS = [(0, "a"), (1, "a"), (0, "b"), ("T", "t"), ("x", "s"), (2, "c"),
+        "xy", "Tz", (1, "d", "more")]
+
 
 def make_backend(cap=4, eps=0.0, seed=11):
     return SlotBackend(BackendConfig(cap, eps), seed=seed)
@@ -248,3 +252,91 @@ def test_mark_prepared_sets_flag_only():
     # derived ciphertexts do not inherit the flag
     assert not b.add_ct(prepared, prepared).prepared
     assert not b.mult_pt(prepared, SlotVector.ones(4)).prepared
+
+
+def old_exposed(taint, prepared, holder):
+    """The exposure rule as a loop over a frozenset of tags."""
+    return not prepared and not all(tag[0] == holder for tag in taint)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_taint_masks_match_the_frozenset_union_rule(seed):
+    """Random op sequences: `taint` equals a frozenset kept by the union
+    rule, each possession or decryption by a keyholder is flagged exactly
+    when the loop rule says so, and its ledger entry reads the same taint."""
+    rng = random.Random(seed)
+    b = make_backend(8, eps=rng.choice([0.0, 1e-9]), seed=seed)
+    keys = [b.keygen(h) for h in ("T", 0, 1, "x")]
+    pools = {km.key_id: [] for km in keys}    # key id -> [(ct, reference taint)]
+    for _ in range(300):
+        km = rng.choice(keys)
+        pool = pools[km.key_id]
+        op = rng.choice(["encrypt"] * 2 + ["add_ct", "mult_ct", "mult_pt", "rotate",
+                                           "mark_prepared", "observe"]) if pool else "encrypt"
+        if op == "encrypt":
+            tag = rng.choice(TAGS)
+            vec = SlotVector([rng.uniform(-2, 2) for _ in range(8)])
+            item = (b.encrypt(km.public_part, vec, tag), frozenset({tag}))
+        elif op in ("add_ct", "mult_ct"):
+            (x, tx), (y, ty) = rng.choice(pool), rng.choice(pool)
+            item = (getattr(b, op)(x, y), tx | ty)
+        elif op == "mult_pt":
+            x, tx = rng.choice(pool)
+            item = (b.mult_pt(x, SlotVector([rng.uniform(-1, 1) for _ in range(8)])), tx)
+        elif op == "rotate":
+            x, tx = rng.choice(pool)
+            item = (b.rotate(x, rng.randrange(-8, 16)), tx)
+        elif op == "mark_prepared":
+            x, tx = rng.choice(pool)
+            item = (b.mark_prepared(x), tx)
+        else:
+            x, tx = rng.choice(pool)
+            before = len(b.violations())
+            if rng.random() < 0.5:
+                b.record_possession(km.holder, x)
+            else:
+                b.decrypt(km.secret_part, x)
+            assert len(b.violations()) - before == old_exposed(tx, x.prepared, km.holder)
+            ev = b.events()[-1]
+            assert ev.handle == x.handle and ev.taint == tx
+            continue
+        ct, taint = item
+        assert ct.taint == taint
+        pool.append(item)
+
+
+def test_exposure_rule_with_string_tags_and_other_owners():
+    b = make_backend(4)
+    kx = b.keygen("x")
+    enc = lambda tag: b.encrypt(kx.public_part, SlotVector([1, 0, 0, 0]), tag)
+    own = b.add_ct(enc("xy"), enc(("x", "s")))        # both owned by "x"
+    mixed = b.add_ct(own, enc((0, "a")))               # process 0's input too
+    for ct, flagged in ((own, False), (mixed, True), (b.mark_prepared(mixed), False)):
+        assert old_exposed(ct.taint, ct.prepared, "x") is flagged
+        before = len(b.violations())
+        b.record_possession("x", ct)
+        assert len(b.violations()) - before == flagged
+
+
+@pytest.mark.parametrize("cap", [2, 8, 16])
+def test_rotate_equals_np_roll(cap):
+    b = make_backend(cap)
+    km = b.keygen("T")
+    x = np.arange(cap, dtype=np.float64) * 1.5 - 3.0
+    ct = b.encrypt(km.public_part, SlotVector(x), ("p", "v"))
+    for amount in range(-cap, 2 * cap + 1):
+        assert np.array_equal(b.inspect_payload(b.rotate(ct, amount)),
+                              np.roll(x, -amount)), amount
+
+
+def test_operands_from_two_backends_raise():
+    b1, b2 = make_backend(seed=7), make_backend(seed=7)
+    k1, k2 = b1.keygen("T"), b2.keygen("T")
+    assert k1.key_id == k2.key_id                      # same seed, same key id
+    c1 = b1.encrypt(k1.public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    c2 = b2.encrypt(k2.public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    for op in (b1.add_ct, b1.mult_ct):
+        with pytest.raises(KeyMismatchError):
+            op(c1, c2)
+        with pytest.raises(KeyMismatchError):
+            op(c2, c1)

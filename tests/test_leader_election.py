@@ -169,12 +169,12 @@ def test_on_receive_election_contribution_rules():
     state2, out2, complete2 = on_receive_election(state, revisit, Ballot(2, 0),
                                                   km.public_part, backend,
                                                   pid=1, n=n)
-    assert out2 == [] and complete2 is None
-    # final contributor completes the lineage: complete ciphertext, no rebroadcast
+    assert out2 is False and complete2 is None
+    # final contributor completes the lineage: adopted, complete ciphertext
     state3, out3, complete3 = on_receive_election(None, revisit, Ballot(0, 1),
                                                   km.public_part, backend,
                                                   pid=2, n=n)
-    assert complete3 is not None and complete3.prepared and out3 == []
+    assert complete3 is not None and complete3.prepared and out3 is True
 
 
 def complete_ct_for(ballots, n, backend, km):

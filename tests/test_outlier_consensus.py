@@ -76,7 +76,7 @@ def test_on_receive_round3_merge_and_decide():
     # subset message leaves both aggregates unchanged
     before = b.inspect_payload(s0.participating_ct).tolist()
     s0, out, dec = on_receive_round3(s0, m1, b)
-    assert out == [] and b.inspect_payload(s0.participating_ct).tolist() == before
+    assert out is False and b.inspect_payload(s0.participating_ct).tolist() == before
     s0, out, dec = on_receive_round3(s0, m2, b)
     assert dec is not None
     pv, pp = dec
