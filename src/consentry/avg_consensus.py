@@ -67,10 +67,22 @@ def instance_for_initiator(k: int) -> str:
     return f"avg/{k}"
 
 
+def _bits(flags: np.ndarray) -> int:
+    """The boolean array as a bitmask: bit j is set iff flags[j]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 def _support_mask(counts) -> int:
     """Bitmask of the nonzero counts: bit j is set iff counts[j] > 0."""
-    nonzero = np.asarray(counts, dtype=np.float64) > 0
-    return int.from_bytes(np.packbits(nonzero, bitorder="little").tobytes(), "little")
+    return _bits(np.asarray(counts, dtype=np.float64) > 0)
+
+
+def _index_mask(indices: tuple) -> int:
+    """Bitmask with bit j set for each j in `indices`."""
+    idx = np.array(indices, dtype=np.intp)
+    flags = np.zeros(idx.max(initial=-1) + 1, dtype=bool)
+    flags[idx] = True
+    return _bits(flags)
 
 
 class ProtocolMessage:
@@ -163,7 +175,7 @@ class ConsensusState:
     @required.setter
     def required(self, indices):
         self._required = tuple(indices)
-        self.required_mask = sum(1 << j for j in self._required)
+        self.required_mask = _index_mask(self._required)
 
     @property
     def prepare_n(self) -> int:

@@ -34,6 +34,10 @@ class UnknownObserverError(Exception):
     """Observer never appeared in the audit ledger."""
 
 
+class UnloggedLedgerError(Exception):
+    """The ledger was asked for exposures it was told not to keep."""
+
+
 def next_power_of_two(x: int) -> int:
     n = 1
     while n < x:
@@ -189,17 +193,18 @@ class Ciphertext:
     __slots__ = ("key_id", "taint_mask", "tag_table", "prepared", "depth",
                  "noise_bound", "handle", "_payload")
 
-    def __init__(self, key_id, payload, taint_mask, tag_table, prepared, depth,
-                 noise_bound, handle):
+    def __init__(self, key_id, payload: np.ndarray, taint_mask: int,
+                 tag_table: TagTable, prepared: bool, depth: int,
+                 noise_bound: float, handle: int):
+        # the backend passes every field in its stored type; only freeze
         self.key_id = key_id
         self.taint_mask = taint_mask
         self.tag_table = tag_table
-        self.prepared = bool(prepared)
-        self.depth = int(depth)
-        self.noise_bound = float(noise_bound)
-        self.handle = int(handle)
-        payload = np.asarray(payload, dtype=np.float64)
-        payload.setflags(write=False)
+        self.prepared = prepared
+        self.depth = depth
+        self.noise_bound = noise_bound
+        self.handle = handle
+        payload.flags.writeable = False
         self._payload = payload
 
     @property
@@ -462,7 +467,12 @@ class SlotBackend(SlotEngine):
 
     def audit_view(self, observer) -> list[tuple[AuditEvent, frozenset, bool]]:
         """Every exposure of `observer` the ledger kept, with whether it could
-        ever decrypt it."""
+        ever decrypt it.  Raises `UnloggedLedgerError` when the ledger keeps
+        no "possess" entries, which would make the view vacuously clean."""
+        if not self.log_possessions:
+            raise UnloggedLedgerError(
+                "the ledger keeps no possess entries; run the simulation "
+                "with keep_log=True to inspect exposures")
         if observer not in self._observers:
             raise UnknownObserverError(f"observer {observer!r} never seen")
         out = []

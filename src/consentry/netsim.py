@@ -213,7 +213,8 @@ class SchedulePolicy:
     def latency(self, sender, receiver) -> int:
         if self.mode == "sync":
             return 1
-        return self._rng.randint(1, self.max_latency)
+        # randint(1, L) is defined as randrange(1, L + 1): the same draw
+        return self._rng.randrange(1, self.max_latency + 1)
 
 
 @dataclass
@@ -244,12 +245,14 @@ class SimReport:
 
 @dataclass
 class SimTrace:
-    """Run artifacts consumed by the privacy auditor."""
+    """Run artifacts: what the privacy auditor reads, and delivery counts."""
 
     backend: object
     messages: list              # (time, sender, receiver, ProtocolMessage); [] without the log
     private_values: frozenset
     leaks: list = field(default_factory=list)   # plaintext-leak violations, in delivery order
+    deliveries: int = 0         # messages handed to a live receiver
+    batches: int = 0            # delivery times with at least one delivery
 
 
 class Node:
@@ -266,7 +269,13 @@ class Node:
 
 
 class Context:
-    """Per-actor handle through which a node interacts with the simulation."""
+    """Per-actor handle through which a node interacts with the simulation.
+
+    `send` is one point-to-point message; `broadcast` and
+    `broadcast_processes` hand their whole destination tuple to the
+    simulator as one multicast, counted and delivered as one message per
+    destination.
+    """
 
     def __init__(self, sim: "Simulation", pid):
         self._sim = sim
@@ -275,19 +284,21 @@ class Context:
             self.neighbors = tuple(sorted(sim.topology.neighbors(pid)))
         else:
             self.neighbors = ()
+        #: the actors this one has a channel to: its neighbours and TRUSTED
+        self.reach = frozenset((*self.neighbors, TRUSTED))
 
     def send(self, dst, msg):
-        self._sim._send(self.pid, dst, msg)
+        self._sim._send(self.pid, (dst,), msg)
 
     def broadcast(self, msg, exclude=()):
-        for dst in self.neighbors:
-            if dst not in exclude:
-                self.send(dst, msg)
+        dsts = self.neighbors
+        if exclude and not self.reach.isdisjoint(exclude):
+            dsts = tuple([dst for dst in dsts if dst not in exclude])
+        self._sim._send(self.pid, dsts, msg)
 
     def broadcast_processes(self, msg):
         """Collector channel: deliver to every (correct) process directly."""
-        for dst in range(self._sim.topology.n):
-            self.send(dst, msg)
+        self._sim._send(self.pid, tuple(range(self._sim.topology.n)), msg)
 
     def decide(self, value):
         self._sim._record_decide(self.pid, value)
@@ -327,22 +338,31 @@ class Simulation:
     `last crash + 10 * L * (n + 2)`, L being the schedule's largest latency;
     a run that reaches it reports `deadline-exceeded`.
 
+    A calendar entry is `(frm, dsts, msg)`: one multicast to the
+    destination tuple `dsts`.  A send over a missing edge raises
+    `ScenarioError` before anything is counted; each destination counts as
+    one message.  In sync mode a multicast is one entry; in async mode each
+    destination draws its own latency, in the order given, and gets an
+    entry of its own.
+
     Each delivery is audited as it happens: its ciphertexts are recorded
     with the engine, which checks the ledger rules, and its plaintext fields
-    are checked for private inputs.  With `keep_log` (the default) the run
-    also keeps every delivered message and the engine's "possess" entries
-    for inspection; without it memory does not grow with traffic.
+    are checked for private inputs.  The trace counts deliveries and
+    delivery batches either way.  Only with `keep_log=True` does the run
+    also keep every delivered message and the engine's "possess" entries
+    for inspection; by default memory does not grow with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
                  policy: SchedulePolicy, faults: FaultPlan | None = None,
-                 keep_log: bool = True):
+                 keep_log: bool = False):
         self.topology = topology
         self.setup = setup
         self.policy = policy
         self.faults = faults or FaultPlan()
         self.extra: dict = {}
-        self._calendar: dict[int, list] = {}   # time -> [(frm, dst, msg)]
+        self._calendar: dict[int, list] = {}   # time -> [(frm, dsts, msg)]
+        self._reach: dict = {}   # sender -> its `Context.reach`; set by run()
         self._now = 0
         self._crashed_at: dict[int, int] = {}
         self._decided: dict = {}
@@ -356,19 +376,25 @@ class Simulation:
 
     # -- engine internals -------------------------------------------------
 
-    def _edge_ok(self, frm, dst) -> bool:
-        if frm == TRUSTED or dst == TRUSTED:
-            return True
-        return self.topology.has_edge(frm, dst)
-
-    def _send(self, frm, dst, msg):
-        if not self._edge_ok(frm, dst):
-            raise ScenarioError(f"no channel from {frm!r} to {dst!r}")
-        self._messages_sent[frm] = self._messages_sent.get(frm, 0) + 1
-        self._bytes[frm] = (self._bytes.get(frm, 0) + MESSAGE_BASE_BYTES
-                            + len(msg.ciphertexts) * CIPHERTEXT_BYTES)
-        when = self._now + self.policy.latency(frm, dst)
-        self._calendar.setdefault(when, []).append((frm, dst, msg))
+    def _send(self, frm, dsts, msg):
+        if not dsts:
+            return
+        if frm != TRUSTED:
+            reach = self._reach[frm]
+            if not reach.issuperset(dsts):
+                dst = next(d for d in dsts if d not in reach)
+                raise ScenarioError(f"no channel from {frm!r} to {dst!r}")
+        count = len(dsts)
+        self._messages_sent[frm] = self._messages_sent.get(frm, 0) + count
+        self._bytes[frm] = self._bytes.get(frm, 0) + count * (
+            MESSAGE_BASE_BYTES + len(msg.ciphertexts) * CIPHERTEXT_BYTES)
+        calendar, now = self._calendar, self._now
+        if self.policy.mode == "sync":
+            calendar.setdefault(now + 1, []).append((frm, dsts, msg))
+            return
+        latency = self.policy.latency
+        for dst in dsts:
+            calendar.setdefault(now + latency(frm, dst), []).append((frm, (dst,), msg))
 
     def _record_decide(self, pid, value):
         if pid not in self._decided:
@@ -398,6 +424,7 @@ class Simulation:
         nodes = self.setup.nodes
         backend = self.setup.backend
         ctxs = {pid: Context(self, pid) for pid in nodes}
+        self._reach = {pid: ctx.reach for pid, ctx in ctxs.items()}
         for pid in nodes:
             backend.register_observer(pid)
         order = sorted(nodes, key=_actor_order)
@@ -413,6 +440,7 @@ class Simulation:
         calendar, crashed_at = self._calendar, self._crashed_at
         log, record = self._message_log, backend.record_possession
         deadline_hit = False
+        delivered = batches = 0
 
         while calendar or crashes:
             now = min([*calendar, *crashes])
@@ -432,11 +460,18 @@ class Simulation:
                 continue
 
             per_receiver: dict = {}
-            for frm, dst, msg in calendar.pop(now):
-                if frm not in crashed_at and dst not in crashed_at:
-                    per_receiver.setdefault(dst, []).append((frm, msg))
+            for frm, dsts, msg in calendar.pop(now):
+                if frm in crashed_at:
+                    continue
+                delivery = (frm, msg)
+                for dst in dsts:
+                    if dst not in crashed_at:
+                        per_receiver.setdefault(dst, []).append(delivery)
+            if per_receiver:
+                batches += 1
             for dst in sorted(per_receiver, key=_actor_order):
                 deliveries = per_receiver[dst]
+                delivered += len(deliveries)
                 for frm, msg in deliveries:
                     if log is not None:
                         log.append((now, frm, dst, msg))
@@ -451,7 +486,8 @@ class Simulation:
         report = self._build_report(deadline_hit)
         trace = SimTrace(backend=backend, messages=list(log or ()),
                          private_values=self.setup.private_values,
-                         leaks=list(self._leaks))
+                         leaks=list(self._leaks), deliveries=delivered,
+                         batches=batches)
         return report, trace
 
     def _build_report(self, deadline_hit: bool) -> SimReport:
@@ -544,7 +580,7 @@ def run(scenario: ScenarioConfig, trial: int = 0) -> SimReport:
 
     policy = SchedulePolicy(scenario.schedule, trial_seed * 7919 + 13,
                             scenario.max_latency)
-    sim = Simulation(topo, setup, policy, faults=scenario.faults, keep_log=False)
+    sim = Simulation(topo, setup, policy, faults=scenario.faults)
     report, trace = sim.run()
     report.protocol = scenario.protocol
     report.seed = trial_seed

@@ -35,6 +35,6 @@ def run_mutated(node_cls):
     backend = setup.backend
     for pid in range(4):
         setup.nodes[pid] = node_cls(pid, inputs[pid], pk, 4, backend)
-    sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 1))
+    sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 1), keep_log=True)
     report, trace = sim.run()
     return netsim.privacy_audit(trace)

@@ -173,7 +173,7 @@ def test_criterion_5_privacy_audit():
     # direct ledger checks on a trusted-collector run
     from consentry.avg_consensus import build_trusted
     setup = build_trusted(t, inputs, seed=9)
-    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 9))
+    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 9), keep_log=True)
     _, trace = sim.run()
     backend = setup.backend
     for pid in range(t.n):

@@ -10,7 +10,8 @@ import pytest
 from consentry import avg_consensus, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
-                                     PREPARED, RESULT, PrivacyGuardError,
+                                     PREPARED, RESULT, ConsensusState,
+                                     PrivacyGuardError,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
                                      init_consensus, instance_for_initiator,
@@ -111,11 +112,29 @@ def test_try_decide_follows_a_shrunk_required_set():
     for pid in (1, 2):
         on_receive(state, init_consensus(pid, values[pid], km.public_part, 4, b)[1], b)
     assert try_decide(state, b) is None and state.phase == "active"
+    adjust_n_on_fault(state, {0, 2, 3})       # a gap at 1; 3 has not contributed
+    assert state.required_mask == 0b1101
+    assert try_decide(state, b) is None and state.phase == "active"
     adjust_n_on_fault(state, {0, 1, 2})
     assert state.required_mask == 0b111
     prepared = try_decide(state, b)
     assert state.phase == "decided" and prepared is not None
     assert finalize_trusted(b, km.secret_part, prepared, 3) == pytest.approx(6.0, abs=1e-12)
+    gapped, _ = init_consensus(0, values[0], km.public_part, 4, b)
+    for pid in (1, 2):
+        on_receive(gapped, init_consensus(pid, values[pid], km.public_part, 4, b)[1], b)
+    adjust_n_on_fault(gapped, {0, 2})         # 1 dropped though its vote arrived
+    assert gapped.required_mask == 0b101
+    prepared = try_decide(gapped, b)
+    assert gapped.phase == "decided" and prepared is not None
+    assert finalize_trusted(b, km.secret_part, prepared, 2) == pytest.approx(6.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("required", [(0,), (3, 1), (0, 2, 3), tuple(range(1, 200, 3))],
+                         ids=["one", "unsorted", "gap", "past-64-bits"])
+def test_required_mask_matches_a_bit_loop(required):
+    state = ConsensusState(0, INSTANCE_TRUSTED, 200, None, np.zeros(200), required=required)
+    assert state.required_mask == sum(1 << j for j in required)
 
 
 def test_on_receive_subset_ignored():
@@ -425,7 +444,8 @@ def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
     monkeypatch.setattr(avg_consensus, "on_receive", counted)
     monkeypatch.setattr(netsim.Context, "broadcast", recorded)
     setup = build(t, inputs, seed=3)
-    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
+                                      keep_log=True).run()
     assert report.termination == "decided"
     held = [(dst, msg) for _, _, dst, msg in trace.messages
             if msg.kind == AGGREGATE and msg.instance in setup.nodes[dst].states]
@@ -474,7 +494,8 @@ def _g16_run(build):
     """A sync run on G(16, 0.4) that keeps the delivered-message log."""
     t = topo.random_connected(16, 0.4, random.Random(16))
     setup = build(t, [float(i) for i in range(16)], seed=3)
-    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
+                                      keep_log=True).run()
     assert report.termination == "decided"
     assert report.privacy_violations == [] and trace.leaks == []
     return trace

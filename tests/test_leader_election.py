@@ -257,7 +257,7 @@ def test_simulated_ring_run_completes_and_matches_oracle():
     t = topo.ring(5)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=1)
     policy = netsim.SchedulePolicy("sync", 5)
-    sim = netsim.Simulation(t, setup, policy)
+    sim = netsim.Simulation(t, setup, policy, keep_log=True)
     report, trace = sim.run()
     assert report.termination == "decided"
     assert any(msg.kind == COMPLETE for _, _, _, msg in trace.messages)
@@ -286,7 +286,7 @@ def test_candidate_privacy_only_keyholder_decrypts_completes():
     ballots = FIG2_BALLOTS
     t = topo.ring(5)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=3)
-    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5))
+    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5), keep_log=True)
     _, trace = sim.run()
     backend = setup.backend
     for ev in backend.events():
@@ -329,7 +329,8 @@ def test_contributor_counts_have_one_entry_per_process():
     assert setup.backend.config.slot_capacity == 16
     state, msg = init_election(0, Ballot(0, 1), setup.nodes[0].pk, n, setup.backend)
     assert state.counts.tolist() == [1, 0, 0] and msg.counts == (1, 0, 0)
-    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1)).run()
+    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1),
+                                 keep_log=True).run()
     completes = [msg for _, _, _, msg in trace.messages if msg.kind == COMPLETE]
     assert completes and all(msg.counts == (1, 1, 1) for msg in completes)
 

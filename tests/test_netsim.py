@@ -8,7 +8,7 @@ import pytest
 from consentry import netsim
 from consentry import topology as topo
 from consentry.avg_consensus import RESULT, ProtocolMessage, build_trusted
-from consentry.he_slots import BackendConfig, SlotBackend
+from consentry.he_slots import BackendConfig, SlotBackend, UnloggedLedgerError
 from consentry.netsim import (CrashFault, FaultPlan, ScenarioConfig,
                               ScenarioError, SchedulePolicy, SimTrace)
 
@@ -53,7 +53,7 @@ def test_async_seed_changes_order_not_values():
     for seed in range(20):
         setup = build_trusted(t, inputs, seed=0)
         policy = SchedulePolicy("async", seed, max_latency=5)
-        report, trace = netsim.Simulation(t, setup, policy).run()
+        report, trace = netsim.Simulation(t, setup, policy, keep_log=True).run()
         assert report.termination == "decided"
         logs.append([(time, frm, dst) for time, frm, dst, _ in trace.messages])
         decided.append([report.decided_values[p] for p in range(5)])
@@ -99,7 +99,8 @@ def test_crashed_process_emits_nothing_after_crash():
     t = topo.ring(5)
     setup = build_trusted(t, [1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
     sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 3),
-                            faults=FaultPlan((CrashFault(process=2, time=3),)))
+                            faults=FaultPlan((CrashFault(process=2, time=3),)),
+                            keep_log=True)
     _, trace = sim.run()
     assert all(not (frm == 2 and time >= 3) for time, frm, dst, _ in trace.messages)
     assert all(not (dst == 2 and time >= 3) for time, frm, dst, _ in trace.messages)
@@ -132,11 +133,81 @@ def test_never_quiet_run_stops_at_the_time_bound(mode, latency):
                                  backend=SlotBackend(BackendConfig(2), seed=0),
                                  private_values=frozenset(), expected_deciders=set())
     policy = SchedulePolicy(mode, 1, max_latency=latency)
-    report, trace = netsim.Simulation(t, setup, policy).run()
+    report, trace = netsim.Simulation(t, setup, policy, keep_log=True).run()
     assert report.termination == "deadline-exceeded"
     bound = 10 * latency * (t.n + 2)
     last = max(time for time, _, _, _ in trace.messages)
     assert bound - latency < last <= bound
+
+
+class SendAtStart(netsim.Node):
+    """Makes one send at start and keeps the senders of what it receives."""
+
+    def __init__(self, send=None):
+        self.send = send
+        self.senders = []
+
+    def on_start(self, ctx):
+        if self.send is not None:
+            self.send(ctx, ProtocolMessage("probe", RESULT))
+
+    def on_deliver(self, ctx, batch):
+        self.senders += [frm for frm, _ in batch]
+
+
+def ring4_probe(sends):
+    """A sync run on ring(4), processes 0..3 and the collector each making
+    the send `sends` gives it, if any."""
+    nodes = {pid: SendAtStart(sends.get(pid)) for pid in (0, 1, 2, 3, netsim.TRUSTED)}
+    setup = netsim.ProtocolSetup(nodes=nodes, backend=SlotBackend(BackendConfig(4), seed=0),
+                                 private_values=frozenset(), expected_deciders=set())
+    sim = netsim.Simulation(topo.ring(4), setup, SchedulePolicy("sync", 1))
+    return sim, nodes
+
+
+def test_send_over_a_missing_edge_raises_naming_both_ends():
+    sim, _ = ring4_probe({0: lambda ctx, msg: ctx.send(2, msg)})
+    with pytest.raises(ScenarioError, match="no channel from 0 to 2"):
+        sim.run()
+
+
+def test_multicast_with_one_non_neighbour_raises_and_counts_nothing():
+    def multicast(ctx, msg):
+        with pytest.raises(ScenarioError, match="no channel from 0 to 2"):
+            ctx._sim._send(ctx.pid, (1, 3, 2), msg)
+
+    sim, nodes = ring4_probe({0: multicast, 1: lambda ctx, msg: ctx.broadcast(msg)})
+    report, trace = sim.run()
+    assert report.messages_sent == {1: 2}
+    assert report.bytes_modeled == {1: 2 * netsim.MESSAGE_BASE_BYTES}
+    assert [nodes[pid].senders for pid in (0, 1, 2, 3)] == [[1], [], [1], []]
+    assert trace.deliveries == 2
+
+
+def test_sends_to_and_from_the_collector_pass():
+    sim, nodes = ring4_probe({2: lambda ctx, msg: ctx.send(netsim.TRUSTED, msg),
+                              netsim.TRUSTED: lambda ctx, msg: ctx.broadcast_processes(msg)})
+    report, _ = sim.run()
+    assert report.messages_sent == {2: 1, netsim.TRUSTED: 4}
+    assert nodes[netsim.TRUSTED].senders == [2]
+    assert all(nodes[pid].senders == [netsim.TRUSTED] for pid in range(4))
+
+
+@pytest.mark.parametrize("schedule", ["sync", "async"])
+def test_trace_counts_deliveries_and_batches_with_or_without_the_log(schedule):
+    t = topo.ring(6)
+    traces = []
+    for keep_log in (True, False):
+        setup = build_trusted(t, [float(i) for i in range(6)], seed=2)
+        sim = netsim.Simulation(t, setup, SchedulePolicy(schedule, 4, max_latency=3),
+                                faults=FaultPlan((CrashFault(process=2, time=3),)),
+                                keep_log=keep_log)
+        traces.append(sim.run()[1])
+    logged, unlogged = traces
+    assert logged.deliveries == len(logged.messages) > 0
+    assert logged.batches == len({time for time, _, _, _ in logged.messages}) > 1
+    assert unlogged.messages == []
+    assert (unlogged.deliveries, unlogged.batches) == (logged.deliveries, logged.batches)
 
 
 def test_scenario_config_validation():
@@ -213,7 +284,7 @@ def test_audit_finds_the_same_violations_without_the_log(monkeypatch, node_name)
 
     class UnloggedSimulation(netsim.Simulation):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, keep_log=False, **kwargs)
+            super().__init__(*args, **{**kwargs, "keep_log": False})
 
         def run(self):
             report, trace = super().run()
@@ -257,10 +328,18 @@ def test_foreign_decrypt_is_flagged():
 def test_trusted_party_never_holds_raw_aggregates_in_conforming_run():
     t = topo.ring(4)
     setup = build_trusted(t, [1.0, 2.0, 3.0, 4.0], seed=4)
-    sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 2))
+    sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 2), keep_log=True)
     _, trace = sim.run()
     backend = setup.backend
     for ev, taint, decryptable in backend.audit_view(netsim.TRUSTED):
         assert ev.prepared
     for pid in range(4):
         assert all(not d for _, _, d in backend.audit_view(pid))
+
+
+def test_audit_view_refuses_an_unlogged_run():
+    t = topo.ring(4)
+    setup = build_trusted(t, [1.0, 2.0, 3.0, 4.0], seed=4)
+    netsim.Simulation(t, setup, SchedulePolicy("sync", 2)).run()
+    with pytest.raises(UnloggedLedgerError, match="keep_log=True"):
+        setup.backend.audit_view(netsim.TRUSTED)

@@ -283,7 +283,8 @@ def test_prepared_reaches_processes_only_where_they_read_it(route, between_proce
     t = topo.random_connected(16, 0.4, random.Random(16))
     values = [float(i) for i in range(15)] + [90.0]
     setup = outlier_consensus.build(t, values, 1.0, variance_route=route, seed=3)
-    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
+                                      keep_log=True).run()
     assert report.termination == "decided"
     assert report.decided_values[0] == pytest.approx(outlier_oracle(values, 1.0)[3], abs=1e-9)
     prepared = [(frm, dst, msg.instance) for _, frm, dst, msg in trace.messages
