@@ -6,8 +6,9 @@ with its golden file, so a refactor that changes the order of engine calls,
 sends or latency draws shows up here.  After a change that alters reports on
 purpose, re-capture with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 
+which writes the named golden files, or every one when no name is given,
 and say in CHANGES.md why the bytes moved.
 """
 
@@ -78,6 +79,12 @@ def _netsim_cases():
         protocol="outlier", c=1.0, variance_route="encrypted",
         topology={"family": "random", "n": 24, "p": 0.4}, inputs=UNIFORM,
         seed=5, schedule="async")
+    # sync batches of tens of two-channel messages pin the order of round 3's
+    # noise draws across a batch
+    cases["outlier-encrypted-g48-sync-eps1e-09"] = dict(
+        protocol="outlier", c=1.0, variance_route="encrypted",
+        topology={"family": "random", "n": 48, "p": 0.4}, inputs=UNIFORM,
+        seed=5, noise_epsilon=1e-9)
     for schedule in ("sync", "async"):
         cases[f"election-ring8-{schedule}"] = dict(
             protocol="election", topology=_ring(8), inputs=_ballots(8, 8),
@@ -134,10 +141,14 @@ if __name__ == "__main__":
     import contextlib
     import tempfile
 
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, produce in sorted(CASES.items()):
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(sys.stderr):
-            data = produce(tmp)
+            data = CASES[name](tmp)
         (GOLDEN / name).write_bytes(data)
         print(f"wrote {GOLDEN.name}/{name}", file=sys.stderr)
