@@ -7,14 +7,17 @@ array, shared with the sender's state (a fold replaces that array, never
 writes it), together with the bitmask of its nonzero entries.  A message
 whose mask is a subset of the local one, `msg.support & ~state.support == 0`,
 carries no new information and is dropped after that one mask test.  A
-merging fold adds the count arrays, ORs the masks and runs the engine's
-ciphertext adds, which OR the ciphertexts' taint masks; it builds no
-message, and `on_receive` returns only whether it merged.  A node folds a
-whole delivery batch and then broadcasts one snapshot per changed instance.  Once
-the local mask covers the required one the process runs the prepare step:
-multiply by the plaintext weights 1/(count_j * n) to undo duplicates, then
-rotate-sum so every slot holds the average.  Only prepared aggregates ever
-reach the keyholder's secret key.
+node hands each instance's share of a delivery batch to one `fold`, which
+runs that test message by message in delivery order and stops at the
+message that completes the required mask.  It adds the merged messages'
+count arrays, ORs their masks and adds their ciphertexts in one engine
+`add_many` call, which ORs the ciphertexts' taint masks; it builds no
+message and returns only whether anything merged.  The node then
+broadcasts one snapshot per changed instance.  Once the local mask covers
+the required one the process runs the prepare step: multiply by the
+plaintext weights 1/(count_j * n) to undo duplicates, then rotate-sum (one
+engine `rotate_sum` call) so every slot holds the average.  Only prepared
+aggregates ever reach the keyholder's secret key.
 
 A prepared aggregate is sent only to the keyholder that opens it; no process
 forwards one.  Two deployment shapes are provided: a trusted collector
@@ -144,8 +147,9 @@ class ConsensusState:
 
     `counts` is a read-only float64 array that a fold replaces, never
     writes, so a snapshot can carry it as is; `support` is the bitmask of
-    its nonzero entries.  `required_mask` follows every assignment to
-    `required`.  `participating_ct`, when set, is a second channel folded and
+    its nonzero entries.  `required` holds the indices whose counts must
+    become nonzero and `required_mask` their bitmask; whoever assigns one
+    assigns the other.  `participating_ct`, when set, is a second channel folded and
     prepared under the same counts as the votes (the participation flags of
     outlier round 3).
     """
@@ -164,18 +168,13 @@ class ConsensusState:
         self.counts = counts
         self.support = _support_mask(counts)
         self.phase = phase
-        self.required = required or tuple(range(n))
+        if required:
+            self.required = tuple(required)
+            self.required_mask = _index_mask(self.required)
+        else:
+            self.required = tuple(range(n))
+            self.required_mask = (1 << n) - 1
         self.participating_ct = participating_ct
-
-    @property
-    def required(self) -> tuple:
-        """Indices whose counts must become nonzero."""
-        return self._required
-
-    @required.setter
-    def required(self, indices):
-        self._required = tuple(indices)
-        self.required_mask = _index_mask(self._required)
 
     @property
     def prepare_n(self) -> int:
@@ -220,31 +219,67 @@ def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
     return state, state.snapshot()
 
 
+def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object]:
+    """Fold a delivery batch of aggregate messages into every channel of the
+    local state, in delivery order.
+
+    A message whose support is a subset of the local one (as grown by the
+    messages before it) is dropped, and so is every message after the one
+    that completes the required counts, since the state then decides.  The
+    merged messages' ciphertexts are added in one `add_many` call, or by
+    `add_ct` when only one merges, as most do in async runs, where `add_ct`
+    is the cheaper call.  Returns whether any message merged and
+    what `try_decide` returned.
+    """
+    if state.phase != ACTIVE:
+        return False, None
+    instance, support, required = state.instance, state.support, state.required_mask
+    merged = []
+    for msg in msgs:
+        if msg.instance != instance:
+            log.warning("dropping message for %s at state %s", msg.instance, instance)
+            continue
+        if msg.kind != AGGREGATE:
+            continue
+        other = msg.support
+        if not other & ~support:
+            continue
+        merged.append(msg)
+        support |= other
+        if not required & ~support:
+            break
+    if not merged:
+        return False, None
+    first = merged[0]
+    if len(merged) == 1:
+        state.votes_ct = backend.add_ct(state.votes_ct, first.votes_ct)
+        if state.participating_ct is not None:
+            state.participating_ct = backend.add_ct(state.participating_ct,
+                                                    first.participating_ct)
+    elif state.participating_ct is None:
+        state.votes_ct, = backend.add_many((state.votes_ct,),
+                                           [msg.ciphertexts for msg in merged])
+    else:
+        state.votes_ct, state.participating_ct = backend.add_many(
+            (state.votes_ct, state.participating_ct), [msg.ciphertexts for msg in merged])
+    counts = state.counts + first.count_array
+    for msg in merged[1:]:
+        counts += msg.count_array
+    counts.flags.writeable = False
+    state.counts = counts
+    state.support = support
+    return True, try_decide(state, backend)
+
+
 def on_receive(state: ConsensusState, msg: ProtocolMessage,
                backend: SlotEngine) -> tuple[ConsensusState, bool, object]:
-    """Fold one aggregate message into every channel of the local state.
+    """Fold one aggregate message: `fold` of a one-message batch.
 
-    A message whose support is a subset of the local one is dropped.
     Returns the (mutated) state, whether the message was merged, and what
     `try_decide` returned if this message completed the counts.
     """
-    if msg.instance != state.instance:
-        log.warning("dropping message for %s at state %s", msg.instance, state.instance)
-        return state, False, None
-    if state.phase != ACTIVE or msg.kind != AGGREGATE:
-        return state, False, None
-    support = msg.support
-    if not support & ~state.support:
-        return state, False, None
-    state.votes_ct = backend.add_ct(state.votes_ct, msg.votes_ct)
-    if state.participating_ct is not None:
-        state.participating_ct = backend.add_ct(state.participating_ct,
-                                                msg.participating_ct)
-    counts = state.counts + msg.count_array
-    counts.flags.writeable = False
-    state.counts = counts
-    state.support |= support
-    return state, True, try_decide(state, backend)
+    merged, decision = fold(state, (msg,), backend)
+    return state, merged, decision
 
 
 def try_decide(state: ConsensusState, backend: SlotEngine):
@@ -282,10 +317,7 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
     weights = np.zeros(cap)
     weights[include] = 1.0 / (included * n)
     ct = backend.mult_pt(votes_ct, SlotVector(weights))
-    levels = cap.bit_length() - 1
-    for i in range(levels - 1, -1, -1):
-        ct = backend.add_ct(ct, backend.rotate(ct, 2 ** i))
-    return backend.mark_prepared(ct)
+    return backend.mark_prepared(backend.rotate_sum(ct))
 
 
 def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
@@ -346,12 +378,7 @@ class FloodingNode(netsim.Node):
             state = self.states.get(instance)
             if state is None:
                 continue
-            changed, decision = False, None
-            for msg in per_instance[instance]:
-                _, merged, dec = on_receive(state, msg, self.backend)
-                changed = changed or merged
-                if decision is None:
-                    decision = dec
+            changed, decision = fold(state, per_instance[instance], self.backend)
             if changed:
                 ctx.broadcast(self._snapshot_msg(state), exclude=self._exclude(instance))
             if decision is not None:

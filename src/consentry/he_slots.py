@@ -260,7 +260,9 @@ class SlotEngine(abc.ABC):
     simulator) and decryptions as they happen, flagging a decryption by
     anyone but the key's holder and a holder's exposure to an unprepared
     aggregate of other processes' inputs; protocol code makes no ledger
-    calls.
+    calls.  `add_many` and `rotate_sum` each stand for a fixed sequence of
+    `add_ct` and `rotate` calls, which they must equal bit for bit, so that
+    a protocol folds a delivery batch, or rotate-sums a prepare, in one call.
     """
 
     #: engine parameters; protocol code reads `config.slot_capacity`
@@ -286,6 +288,17 @@ class SlotEngine(abc.ABC):
 
     @abc.abstractmethod
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext: ...
+
+    @abc.abstractmethod
+    def add_many(self, accs: tuple, rows) -> tuple:
+        """Fold each row of ciphertexts into the accumulators `accs`, channel
+        by channel: `accs[c] = add_ct(accs[c], row[c])` for each row in
+        order (OpenFHE's `EvalAddMany`, SEAL's `Evaluator::add_many`)."""
+
+    @abc.abstractmethod
+    def rotate_sum(self, a: Ciphertext) -> Ciphertext:
+        """Sum every slot into every slot: `a = add_ct(a, rotate(a, 2**i))`
+        for i from log2(capacity) - 1 down to 0 (OpenFHE's `EvalSum`)."""
 
     @abc.abstractmethod
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext: ...
@@ -429,6 +442,70 @@ class SlotBackend(SlotEngine):
                            a.taint_mask, a.tag_table,
                            depth=a.depth,
                            noise_bound=a.noise_bound)
+
+    def add_many(self, accs: tuple, rows) -> tuple:
+        """The nested `add_ct` calls, bit for bit: the same payloads, noise
+        draws (row by row, channel by channel), bounds, depths, taint and
+        handles.  A ragged row or an operand under another key or tag table
+        raises before anything is drawn."""
+        rows = list(rows)
+        if not rows:
+            return tuple(accs)
+        width = len(accs)
+        if set(map(len, rows)) != {width}:
+            raise ValueError(f"add_many rows must have {width} channel(s)")
+        eps = self.config.noise_epsilon
+        folded = []
+        for acc, col in zip(accs, zip(*rows)):
+            key, table = acc.key_id, acc.tag_table
+            mask, depth, bound = acc.taint_mask, acc.depth, acc.noise_bound
+            for ct in col:
+                if ct.key_id != key:
+                    raise KeyMismatchError("add_many operands under different keys")
+                if ct.tag_table is not table:
+                    raise KeyMismatchError("add_many operands from different tag tables")
+                mask |= ct.taint_mask
+                if ct.depth > depth:
+                    depth = ct.depth
+                bound = bound + ct.noise_bound + eps
+            folded.append((acc, col, mask, depth, bound))
+        noise = (self._rng.uniform(-eps, eps, size=(len(rows), width, len(accs[0]._payload)))
+                 if eps > 0 else None)
+        seq = self._handle_seq + (len(rows) - 1) * width
+        out = []
+        for c, (acc, col, mask, depth, bound) in enumerate(folded):
+            payload = acc._payload + col[0]._payload
+            for i, ct in enumerate(col):
+                if i:
+                    payload += ct._payload
+                if noise is not None:
+                    payload += noise[i, c]
+            out.append(Ciphertext(acc.key_id, payload, mask, acc.tag_table, False,
+                                  depth, bound, seq + c + 1))
+        self._handle_seq += len(rows) * width
+        return tuple(out)
+
+    def rotate_sum(self, a: Ciphertext) -> Ciphertext:
+        """The `rotate`/`add_ct` loop, bit for bit: the same payload, noise
+        draws, bound and handles."""
+        if not self._rotation_ok.get(a.key_id, False):
+            raise MissingRotationKeysError(f"no rotation keys for {a.key_id!r}")
+        eps = self.config.noise_epsilon
+        payload, bound = a._payload, a.noise_bound
+        cap = len(payload)
+        levels = cap.bit_length() - 1
+        for i in range(levels - 1, -1, -1):
+            k = 2 ** i
+            rotated = np.concatenate((payload[k:], payload[:k]))
+            if eps > 0:
+                rotated += self._rng.uniform(-eps, eps, size=cap)
+            payload = payload + rotated
+            if eps > 0:
+                payload += self._rng.uniform(-eps, eps, size=cap)
+            bound = bound + (bound + eps) + eps
+        self._handle_seq += 2 * levels
+        return Ciphertext(a.key_id, payload, a.taint_mask, a.tag_table, False,
+                          a.depth, bound, self._handle_seq)
 
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.

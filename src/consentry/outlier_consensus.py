@@ -22,8 +22,8 @@ import numpy as np
 from . import netsim
 from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
                             FloodingNode, ProtocolMessage, _finite_values,
-                            finalize_trusted, init_consensus, on_receive,
-                            prepare)
+                            _index_mask, finalize_trusted, init_consensus,
+                            on_receive, prepare)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
 
@@ -132,12 +132,19 @@ def finalize_outlier(backend: SlotEngine, secret, prepared_votes: Ciphertext,
     return filtered_over_n / ratio
 
 
-def adjust_n_on_fault(state: ConsensusState, correct_set) -> ConsensusState:
-    """Restrict the termination condition and prepare weights to survivors."""
+def survivors(correct_set, n: int) -> tuple[tuple, int]:
+    """The required indices of a round among `n` processes once only
+    `correct_set` is left, and their bitmask."""
     correct = sorted(int(p) for p in correct_set)
     if not correct:
         raise ValueError("correct_set must not be empty")
-    state.required = tuple(p for p in correct if p < state.n)
+    required = tuple(p for p in correct if p < n)
+    return required, _index_mask(required)
+
+
+def adjust_n_on_fault(state: ConsensusState, correct_set) -> ConsensusState:
+    """Restrict the termination condition and prepare weights to survivors."""
+    state.required, state.required_mask = survivors(correct_set, state.n)
     return state
 
 
@@ -196,7 +203,8 @@ class OutlierProcessNode(FloodingNode):
         self.params = OutlierParams(c)
         self.pk = pk
         self.route = route
-        self.correct = set(range(n))
+        #: (required indices, their bitmask), given to each new state
+        self.quorum = tuple(range(n)), (1 << n) - 1
         self.mu: float | None = None
         self.sigma: float | None = None
         self.mean_ct: Ciphertext | None = None
@@ -204,7 +212,7 @@ class OutlierProcessNode(FloodingNode):
     # round bootstrap ------------------------------------------------------
 
     def _start(self, ctx, state: ConsensusState, msg: ProtocolMessage):
-        adjust_n_on_fault(state, self.correct)
+        state.required, state.required_mask = self.quorum
         self.states[state.instance] = state
         ctx.broadcast(msg)
         self._try_decide(ctx, state)
@@ -279,10 +287,10 @@ class OutlierProcessNode(FloodingNode):
     # fault handling ---------------------------------------------------------
 
     def on_crash_notice(self, ctx, crashed):
-        self.correct = set(range(self.n)) - set(crashed)
+        self.quorum = survivors(set(range(self.n)) - set(crashed), self.n)
         for _, state in sorted(self.states.items()):
             if state.phase == ACTIVE:
-                adjust_n_on_fault(state, self.correct)
+                state.required, state.required_mask = self.quorum
                 self._try_decide(ctx, state)
 
 

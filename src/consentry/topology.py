@@ -39,10 +39,6 @@ class Topology:
             raise TopologyError(f"process id {i} out of range")
         return set(self._adj[i])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """Whether i and j are neighbors; unlike `neighbors`, copies nothing."""
-        return j in self._adj.get(i, ())
-
     def degree(self, i: int) -> int:
         return len(self._adj[i])
 

@@ -14,10 +14,10 @@ from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      PrivacyGuardError,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
-                                     init_consensus, instance_for_initiator,
+                                     fold, init_consensus, instance_for_initiator,
                                      on_receive, prepare, run_untrusted,
                                      try_decide)
-from consentry.outlier_consensus import adjust_n_on_fault
+from consentry.outlier_consensus import adjust_n_on_fault, init_round3
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 
 from oracles import mean_oracle
@@ -188,6 +188,72 @@ def test_on_receive_instance_mismatch_dropped():
     _, m = init_consensus(1, 2.0, km.public_part, 4, b, instance="avg/9")
     state, out, dec = on_receive(state, m, b)
     assert out is False and dec is None and state.counts.tolist() == [1, 0, 0, 0]
+
+
+def _fold_against_on_receive(make, eps=0.0):
+    """Fold one batch, and on a twin backend pass the same batch message by
+    message to `on_receive`; both must leave the same state and decision."""
+    seen = []
+    for batched in (False, True):
+        b = make_backend(cap=8, eps=eps, seed=4)
+        km = b.keygen("T")
+        state, msgs = make(b, km)
+        if batched:
+            merged, decision = fold(state, msgs, b)
+        else:
+            outs = [on_receive(state, msg, b)[1:] for msg in msgs]
+            merged = any(out for out, _ in outs)
+            decision = next((dec for _, dec in outs if dec is not None), None)
+        if decision is not None:
+            decision = tuple(b.inspect_payload(ct).tobytes() for ct in
+                             (decision if isinstance(decision, tuple) else (decision,)))
+        channels = [ct for ct in (state.votes_ct, state.participating_ct) if ct is not None]
+        seen.append((merged, decision, state.counts.tobytes(), state.support, state.phase,
+                     [(b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.taint_mask)
+                      for ct in channels],
+                     b.encrypt(km.public_part, SlotVector.zeros(8), ("p", "z")).handle))
+    assert seen[0] == seen[1]
+    return seen[1]
+
+
+def test_fold_stops_at_the_message_that_completes_the_counts():
+    def make(b, km):
+        states = [init_consensus(pid, 2.5 * pid - 4.0, km.public_part, 6, b)[0]
+                  for pid in range(6)]
+        on_receive(states[1], states[2].snapshot(), b)
+        on_receive(states[3], states[4].snapshot(), b)
+        state = states[0]
+        adjust_n_on_fault(state, {0, 1, 2, 3, 4})
+        # own echo (dropped), {1, 2}, {2} (now a subset), {3, 4} completes
+        # the required counts, then {5} brings a new index after the decision
+        return state, [state.snapshot(), states[1].snapshot(), states[2].snapshot(),
+                       states[3].snapshot(), states[5].snapshot()]
+    merged, decision, counts, support, phase, _, _ = _fold_against_on_receive(make)
+    assert merged and decision is not None and phase == "decided"
+    assert support == 0b11111
+    assert np.frombuffer(counts).tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
+
+
+def test_fold_of_a_two_channel_round3_batch_at_noise():
+    def make(b, km):
+        seeds = [init_round3(pid, 1.5 * pid, pid == 3, km.public_part, 6, b)
+                 for pid in range(6)]
+        states = [s.core for s, _ in seeds]
+        on_receive(states[4], seeds[5][1], b)
+        return states[0], [msg for _, msg in seeds[1:4]] + [states[4].snapshot(), seeds[2][1]]
+    merged, decision, _, support, phase, channels, _ = _fold_against_on_receive(make, eps=1e-9)
+    assert merged and len(decision) == 2 and phase == "decided"
+    assert support == 0b111111 and len(channels) == 2
+
+
+def test_fold_without_a_new_index_changes_nothing():
+    def make(b, km):
+        state, own = init_consensus(0, 1.0, km.public_part, 4, b)
+        _, other = init_consensus(1, 2.0, km.public_part, 4, b, instance="avg/9")
+        return state, [own, other, own]
+    merged, decision, counts, *_ = _fold_against_on_receive(make)
+    assert not merged and decision is None
+    assert np.frombuffer(counts).tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_prepare_uniform_counts():
@@ -422,17 +488,21 @@ def test_untrusted_dense_graph_decides_every_initiator():
 
 
 @pytest.mark.parametrize("build", [build_trusted, build_untrusted])
-def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
-    """Wrapping `avg_consensus.on_receive`, as the benchmark's tracer does,
-    sees each AGGREGATE delivered to a process holding its instance, and a
-    delivery batch yields at most one AGGREGATE broadcast per instance."""
+def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
+    """Wrapping `avg_consensus.fold` sees each AGGREGATE delivered to a
+    process holding its instance handed to it exactly once, in one call per
+    instance per delivery batch, and a delivery batch yields at most one
+    AGGREGATE broadcast per instance."""
     t = topo.random_connected(16, 0.4, random.Random(16))
     inputs = [float(i) for i in range(16)]
-    folds = []
+    folds, calls = [], []
 
-    def counted(state, msg, backend, fold=avg_consensus.on_receive):
-        folds.append((state.id, msg))
-        return fold(state, msg, backend)
+    def counted(state, msgs, backend, fold=avg_consensus.fold):
+        msgs = list(msgs)
+        assert {msg.instance for msg in msgs} == {state.instance}
+        calls.append((state.id, state.instance, len(folds)))
+        folds.extend((state.id, msg) for msg in msgs)
+        return fold(state, msgs, backend)
 
     broadcasts = []
 
@@ -441,7 +511,7 @@ def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
             broadcasts.append((ctx.pid, ctx._sim._now, msg.instance))
         return send(ctx, msg, exclude)
 
-    monkeypatch.setattr(avg_consensus, "on_receive", counted)
+    monkeypatch.setattr(avg_consensus, "fold", counted)
     monkeypatch.setattr(netsim.Context, "broadcast", recorded)
     setup = build(t, inputs, seed=3)
     report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
@@ -453,6 +523,9 @@ def test_every_aggregate_delivery_goes_through_on_receive(build, monkeypatch):
     # a batch is folded instance by instance, so compare without order
     assert Counter((pid, id(msg)) for pid, msg in folds) == \
         Counter((dst, id(msg)) for dst, msg in held)
+    batches = {(t, dst, msg.instance) for t, _, dst, msg in trace.messages
+               if msg.kind == AGGREGATE and msg.instance in setup.nodes[dst].states}
+    assert len(calls) == len(batches)
     assert len(set(broadcasts)) == len(broadcasts)
 
 

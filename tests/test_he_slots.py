@@ -340,3 +340,111 @@ def test_operands_from_two_backends_raise():
             op(c1, c2)
         with pytest.raises(KeyMismatchError):
             op(c2, c1)
+
+
+# -- batched ops against the nested calls they replace ----------------------
+
+def _random_cts(b, km, count, cap, rng, first=0):
+    """`count` ciphertexts of random payloads, every fourth one at depth 1."""
+    cts = []
+    for i in range(first, first + count):
+        ct = b.encrypt(km.public_part, SlotVector(rng.uniform(-100, 100, cap)),
+                       (i % 3, f"t{i}"))
+        if i % 4 == 1:
+            ct = b.mult_pt(ct, SlotVector(rng.uniform(-2, 2, cap)))
+        cts.append(ct)
+    return cts
+
+
+def _add_many_operands(b, width, k, cap=8):
+    """A key, `width` accumulators and `k` rows of `width` ciphertexts."""
+    rng = np.random.default_rng(5)
+    km = b.keygen("T")
+    accs = tuple(_random_cts(b, km, width, cap, rng))
+    rows = [tuple(_random_cts(b, km, width, cap, rng, first=width * (r + 1)))
+            for r in range(k)]
+    return km, accs, rows
+
+
+def _assert_same_ct(b1, x, b2, y):
+    assert b1.inspect_payload(x).tobytes() == b2.inspect_payload(y).tobytes()
+    assert (x.key_id, x.noise_bound, x.depth, x.taint_mask, x.taint, x.prepared,
+            x.handle) == (y.key_id, y.noise_bound, y.depth, y.taint_mask, y.taint,
+                          y.prepared, y.handle)
+
+
+def _assert_same_next(b1, km1, b2, km2, cap):
+    """The next fresh ciphertexts agree: same handle and same noise draws."""
+    x = b1.encrypt(km1.public_part, SlotVector(np.arange(cap, dtype=float)), ("p", "z"))
+    y = b2.encrypt(km2.public_part, SlotVector(np.arange(cap, dtype=float)), ("p", "z"))
+    _assert_same_ct(b1, x, b2, y)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_add_many_equals_nested_add_ct(eps, width, k):
+    nested, batched = make_backend(8, eps, seed=3), make_backend(8, eps, seed=3)
+    km1, accs1, rows1 = _add_many_operands(nested, width, k)
+    km2, accs2, rows2 = _add_many_operands(batched, width, k)
+    want = list(accs1)
+    for row in rows1:
+        for c, ct in enumerate(row):
+            want[c] = nested.add_ct(want[c], ct)
+    got = batched.add_many(accs2, rows2)
+    assert len(got) == width
+    for x, y in zip(want, got):
+        _assert_same_ct(nested, x, batched, y)
+    if eps:
+        assert got[0].noise_bound > eps * k
+    _assert_same_next(nested, km1, batched, km2, 8)
+
+
+def test_add_many_of_no_rows_returns_the_accumulators():
+    b = make_backend(8)
+    _, accs, _ = _add_many_operands(b, 2, 0)
+    handle = b._handle_seq
+    assert b.add_many(accs, []) == accs and b._handle_seq == handle
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("cap", [2, 8, 64])
+def test_rotate_sum_equals_the_rotate_add_loop(eps, cap):
+    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+    loop, batched = make_backend(cap, eps, seed=4), make_backend(cap, eps, seed=4)
+    km1, km2 = loop.keygen("T"), batched.keygen("T")
+    ct1 = _random_cts(loop, km1, 2, cap, rng1)[1]           # depth 1
+    ct2 = _random_cts(batched, km2, 2, cap, rng2)[1]
+    for i in range(cap.bit_length() - 2, -1, -1):
+        ct1 = loop.add_ct(ct1, loop.rotate(ct1, 2 ** i))
+    ct2 = batched.rotate_sum(ct2)
+    _assert_same_ct(loop, ct1, batched, ct2)
+    assert ct2.depth == 1
+    if not eps:
+        assert len(set(batched.inspect_payload(ct2).tolist())) == 1
+    _assert_same_next(loop, km1, batched, km2, cap)
+
+
+def test_batched_ops_raise_like_the_nested_calls():
+    b1, b2 = make_backend(seed=7), make_backend(seed=7)
+    k1, k2 = b1.keygen("T"), b2.keygen("T")
+    c1 = b1.encrypt(k1.public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    c2 = b2.encrypt(k2.public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    other = b1.encrypt(b1.keygen("U").public_part, SlotVector([1, 2, 3, 4]), ("q", "v"))
+    for bad in (c2, other):                 # another tag table, another key
+        with pytest.raises(KeyMismatchError):
+            b1.add_ct(c1, bad)
+        handle = b1._handle_seq
+        with pytest.raises(KeyMismatchError):
+            b1.add_many((c1,), [(c1,), (bad,)])
+        with pytest.raises(KeyMismatchError):
+            b1.add_many((c1, c1), [(c1, bad)])
+        assert b1._handle_seq == handle
+    with pytest.raises(ValueError):
+        b1.add_many((c1, c1), [(c1,)])
+    plain = b1.keygen("V", with_rotation=False)
+    ct = b1.encrypt(plain.public_part, SlotVector([1, 2, 3, 4]), ("r", "v"))
+    with pytest.raises(MissingRotationKeysError):
+        b1.rotate(ct, 1)
+    with pytest.raises(MissingRotationKeysError):
+        b1.rotate_sum(ct)
