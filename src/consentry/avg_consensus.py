@@ -155,8 +155,7 @@ class ConsensusState:
     """
 
     def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
-                 counts, phase: str = ACTIVE, required: tuple = (),
-                 participating_ct: Ciphertext | None = None):
+                 counts, participating_ct: Ciphertext | None = None):
         self.id = id
         self.instance = instance
         self.n = n
@@ -167,24 +166,10 @@ class ConsensusState:
         counts.flags.writeable = False
         self.counts = counts
         self.support = _support_mask(counts)
-        self.phase = phase
-        if required:
-            self.required = tuple(required)
-            self.required_mask = _index_mask(self.required)
-        else:
-            self.required = tuple(range(n))
-            self.required_mask = (1 << n) - 1
+        self.phase = ACTIVE
+        self.required = tuple(range(n))
+        self.required_mask = (1 << n) - 1
         self.participating_ct = participating_ct
-
-    @property
-    def prepare_n(self) -> int:
-        """Denominator used by prepare."""
-        return len(self.required)
-
-    @property
-    def include(self) -> tuple:
-        """Indices given nonzero prepare weight."""
-        return self.required
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing every channel of this state."""
@@ -275,6 +260,9 @@ def on_receive(state: ConsensusState, msg: ProtocolMessage,
                backend: SlotEngine) -> tuple[ConsensusState, bool, object]:
     """Fold one aggregate message: `fold` of a one-message batch.
 
+    Simulations fold whole batches with `fold`; this one-message form is
+    kept for unit tests and as the benchmark tracer's fold hook.
+
     Returns the (mutated) state, whether the message was merged, and what
     `try_decide` returned if this message completed the counts.
     """
@@ -293,8 +281,8 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     if state.phase != ACTIVE or state.required_mask & ~state.support:
         return None
     state.phase = DECIDED
-    prepared = tuple(prepare(backend, ct, state.counts, state.prepare_n,
-                             include=state.include)
+    prepared = tuple(prepare(backend, ct, state.counts, len(state.required),
+                             include=state.required)
                      for ct in (state.votes_ct, state.participating_ct)
                      if ct is not None)
     return prepared if len(prepared) > 1 else prepared[0]

@@ -26,7 +26,7 @@ import numpy as np
 from . import netsim
 from .avg_consensus import AGGREGATE, COMPLETE, RESULT, ProtocolMessage
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
-from .topology import Topology
+from .topology import Topology, _is_int
 
 
 class InvalidBallotError(Exception):
@@ -87,7 +87,6 @@ class ElectionState:
     ballot ciphertext is n*n + n slots padded to a power of two.
     """
 
-    id: int
     instance: str
     ballots_ct: Ciphertext
     counts: np.ndarray
@@ -108,7 +107,7 @@ def init_election(pid: int, ballot: Ballot, pk, n: int,
     counts = np.zeros(n)
     counts[pid] = 1
     counts.flags.writeable = False
-    state = ElectionState(id=pid, instance=instance, ballots_ct=ct, counts=counts)
+    state = ElectionState(instance=instance, ballots_ct=ct, counts=counts)
     return state, state.snapshot()
 
 
@@ -143,8 +142,8 @@ def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
     if size <= have:
         return state, False, None
     if state is None:
-        state = ElectionState(id=pid, instance=msg.instance,
-                              ballots_ct=cand_ct, counts=cand_counts)
+        state = ElectionState(instance=msg.instance, ballots_ct=cand_ct,
+                              counts=cand_counts)
     else:
         state.ballots_ct = cand_ct
         state.counts = cand_counts
@@ -367,10 +366,6 @@ class ElectionCollectorNode(netsim.Node):
                     "complete lineages disagree on primary tallies")
 
 
-def _is_candidate(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def parse_ballots(raw, n: int) -> list[Ballot]:
     if not isinstance(raw, (list, tuple)):
         raise InvalidBallotError(f"ballots must be a list, got {raw!r}")
@@ -381,8 +376,8 @@ def parse_ballots(raw, n: int) -> list[Ballot]:
         if isinstance(item, Ballot):
             out.append(item)
             continue
-        if not isinstance(item, dict) or not _is_candidate(item.get("primary")) or \
-                not (item.get("secondary") is None or _is_candidate(item["secondary"])):
+        if not isinstance(item, dict) or not _is_int(item.get("primary")) or \
+                not (item.get("secondary") is None or _is_int(item["secondary"])):
             raise InvalidBallotError(
                 f"a ballot is an object with an integer primary and an optional "
                 f"integer secondary, got {item!r}")

@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
-import numpy as np
-
 from .he_slots import PrivacyViolation
-from .topology import Topology, load_topology, from_family
+from .topology import Topology, _is_int, _is_real, load_topology, from_family
 import random
 
 TRUSTED = "trusted"            # collector actor id, outside the graph
@@ -34,15 +32,6 @@ DECLARED_PLAIN_KEYS = frozenset(
 
 class ScenarioError(Exception):
     pass
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) \
-        and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -129,8 +118,11 @@ class ScenarioConfig:
             if value is not None and not math.isfinite(value):
                 raise ScenarioError(f"{key} must be finite, got {value!r}")
         source = self.topology
-        if isinstance(source, dict) and "family" in source and not _is_int(source.get("n")):
-            raise ScenarioError(f"a family topology needs an integer n: {source!r}")
+        if isinstance(source, dict) and "family" in source:
+            if not _is_int(source.get("n")):
+                raise ScenarioError(f"a family topology needs an integer n: {source!r}")
+            if "p" in source and not _is_real(source["p"]):
+                raise ScenarioError(f"a family topology's p must be a number: {source!r}")
         inputs = self.inputs
         if isinstance(inputs, dict) and "random_uniform" in inputs:
             bounds = inputs["random_uniform"]
@@ -249,7 +241,6 @@ class SimTrace:
 
     backend: object
     messages: list              # (time, sender, receiver, ProtocolMessage); [] without the log
-    private_values: frozenset
     leaks: list = field(default_factory=list)   # plaintext-leak violations, in delivery order
     deliveries: int = 0         # messages handed to a live receiver
     batches: int = 0            # delivery times with at least one delivery
@@ -485,7 +476,6 @@ class Simulation:
 
         report = self._build_report(deadline_hit)
         trace = SimTrace(backend=backend, messages=list(log or ()),
-                         private_values=self.setup.private_values,
                          leaks=list(self._leaks), deliveries=delivered,
                          batches=batches)
         return report, trace

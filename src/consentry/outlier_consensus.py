@@ -49,19 +49,6 @@ class OutlierParams:
             raise ValueError(f"c must be positive, got {self.c}")
 
 
-@dataclass
-class OutlierState:
-    """Round-3 view of one process: the flooding state whose votes channel
-    carries v (or 0 for an outlier) and whose participation channel carries
-    the 0/1 flag."""
-
-    core: ConsensusState
-
-    @property
-    def participating_ct(self) -> Ciphertext:
-        return self.core.participating_ct
-
-
 def round2_input(v: float, mu: float) -> float:
     """Squared deviation fed into the variance round."""
     return (v - mu) ** 2
@@ -86,24 +73,21 @@ def is_outlier(v: float, mu: float, sigma: float, c: float) -> bool:
 
 
 def init_round3(pid: int, v: float, outlier: bool, pk, n: int,
-                backend: SlotEngine) -> tuple[OutlierState, ProtocolMessage]:
-    """Round-3 seed: vote v (or 0 if outlier) plus the participation flag."""
+                backend: SlotEngine) -> tuple[ConsensusState, ProtocolMessage]:
+    """Round-3 seed: a state whose votes channel carries v (or 0 if outlier)
+    and whose participation channel carries the 0/1 flag."""
     cap = backend.config.slot_capacity
     vote = 0.0 if outlier else float(v)
     flag = 0.0 if outlier else 1.0
     votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, vote), (pid, f"{R3}:value"))
     part = backend.encrypt(pk, SlotVector.impulse(cap, pid, flag),
                            (pid, f"{R3}:participating"))
-    core, msg = init_consensus(pid, vote, pk, n, backend, R3,
-                               contribution=votes, participating_ct=part)
-    return OutlierState(core), msg
+    return init_consensus(pid, vote, pk, n, backend, R3,
+                          contribution=votes, participating_ct=part)
 
 
-def on_receive_round3(state: OutlierState, msg: ProtocolMessage,
-                      backend: SlotEngine):
-    """Round-3 fold: aggregate votes and participation under shared counts."""
-    _, merged, decision = on_receive(state.core, msg, backend)
-    return state, merged, decision
+# round 3 folds like any instance; the name is kept for the benchmark tracer
+on_receive_round3 = on_receive
 
 
 #: |participation - 1| below this means everyone participated; well clear of
@@ -140,12 +124,6 @@ def survivors(correct_set, n: int) -> tuple[tuple, int]:
         raise ValueError("correct_set must not be empty")
     required = tuple(p for p in correct if p < n)
     return required, _index_mask(required)
-
-
-def adjust_n_on_fault(state: ConsensusState, correct_set) -> ConsensusState:
-    """Restrict the termination condition and prepare weights to survivors."""
-    state.required, state.required_mask = survivors(correct_set, state.n)
-    return state
 
 
 # -- encrypted variance route ----------------------------------------------
@@ -234,9 +212,8 @@ class OutlierProcessNode(FloodingNode):
 
     def _start_round3(self, ctx):
         outlier = is_outlier(self.value, self.mu, self.sigma, self.params.c)
-        state, msg = init_round3(self.pid, self.value, outlier,
-                                 self.pk, self.n, self.backend)
-        self._start(ctx, state.core, msg)
+        self._start(ctx, *init_round3(self.pid, self.value, outlier,
+                                      self.pk, self.n, self.backend))
 
     # event handling ---------------------------------------------------------
 

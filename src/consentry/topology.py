@@ -7,9 +7,20 @@ import random
 from collections import deque
 from pathlib import Path
 
+import numpy as np
+
 
 class TopologyError(Exception):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
 
 
 class Topology:
@@ -95,18 +106,20 @@ def load_topology(source) -> Topology:
             source = json.load(fh)
     if not isinstance(source, dict) or "n" not in source or "edges" not in source:
         raise TopologyError("topology must be an object with 'n' and 'edges'")
-    n = source["n"]
-    if not isinstance(n, int) or n < 1:
+    n, edges = source["n"], source["edges"]
+    if not _is_int(n) or n < 1:
         raise TopologyError(f"invalid process count {n!r}")
+    if not isinstance(edges, (list, tuple)):
+        raise TopologyError(f"edges must be a list of [i, j] pairs, got {edges!r}")
     seen = set()
-    for e in source["edges"]:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2 or not all(map(_is_int, e)):
             raise TopologyError(f"malformed edge {e!r}")
         key = (min(e), max(e))
         if key in seen:
             raise TopologyError(f"duplicate edge {e!r}")
         seen.add(key)
-    return Topology(n, source["edges"])
+    return Topology(n, edges)
 
 
 # -- generators used by the CLI sweep and the test suites ----------------

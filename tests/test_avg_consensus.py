@@ -10,14 +10,13 @@ import pytest
 from consentry import avg_consensus, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
-                                     PREPARED, RESULT, ConsensusState,
-                                     PrivacyGuardError,
+                                     PREPARED, RESULT, PrivacyGuardError,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
                                      fold, init_consensus, instance_for_initiator,
                                      on_receive, prepare, run_untrusted,
                                      try_decide)
-from consentry.outlier_consensus import adjust_n_on_fault, init_round3
+from consentry.outlier_consensus import init_round3, survivors
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 
 from oracles import mean_oracle
@@ -112,10 +111,11 @@ def test_try_decide_follows_a_shrunk_required_set():
     for pid in (1, 2):
         on_receive(state, init_consensus(pid, values[pid], km.public_part, 4, b)[1], b)
     assert try_decide(state, b) is None and state.phase == "active"
-    adjust_n_on_fault(state, {0, 2, 3})       # a gap at 1; 3 has not contributed
+    # a gap at 1; 3 has not contributed
+    state.required, state.required_mask = survivors({0, 2, 3}, state.n)
     assert state.required_mask == 0b1101
     assert try_decide(state, b) is None and state.phase == "active"
-    adjust_n_on_fault(state, {0, 1, 2})
+    state.required, state.required_mask = survivors({0, 1, 2}, state.n)
     assert state.required_mask == 0b111
     prepared = try_decide(state, b)
     assert state.phase == "decided" and prepared is not None
@@ -123,7 +123,8 @@ def test_try_decide_follows_a_shrunk_required_set():
     gapped, _ = init_consensus(0, values[0], km.public_part, 4, b)
     for pid in (1, 2):
         on_receive(gapped, init_consensus(pid, values[pid], km.public_part, 4, b)[1], b)
-    adjust_n_on_fault(gapped, {0, 2})         # 1 dropped though its vote arrived
+    # 1 dropped though its vote arrived
+    gapped.required, gapped.required_mask = survivors({0, 2}, gapped.n)
     assert gapped.required_mask == 0b101
     prepared = try_decide(gapped, b)
     assert gapped.phase == "decided" and prepared is not None
@@ -133,8 +134,9 @@ def test_try_decide_follows_a_shrunk_required_set():
 @pytest.mark.parametrize("required", [(0,), (3, 1), (0, 2, 3), tuple(range(1, 200, 3))],
                          ids=["one", "unsorted", "gap", "past-64-bits"])
 def test_required_mask_matches_a_bit_loop(required):
-    state = ConsensusState(0, INSTANCE_TRUSTED, 200, None, np.zeros(200), required=required)
-    assert state.required_mask == sum(1 << j for j in required)
+    kept, mask = survivors(required, 200)
+    assert kept == tuple(sorted(required))
+    assert mask == sum(1 << j for j in required)
 
 
 def test_on_receive_subset_ignored():
@@ -223,7 +225,7 @@ def test_fold_stops_at_the_message_that_completes_the_counts():
         on_receive(states[1], states[2].snapshot(), b)
         on_receive(states[3], states[4].snapshot(), b)
         state = states[0]
-        adjust_n_on_fault(state, {0, 1, 2, 3, 4})
+        state.required, state.required_mask = survivors({0, 1, 2, 3, 4}, state.n)
         # own echo (dropped), {1, 2}, {2} (now a subset), {3, 4} completes
         # the required counts, then {5} brings a new index after the decision
         return state, [state.snapshot(), states[1].snapshot(), states[2].snapshot(),
@@ -238,7 +240,7 @@ def test_fold_of_a_two_channel_round3_batch_at_noise():
     def make(b, km):
         seeds = [init_round3(pid, 1.5 * pid, pid == 3, km.public_part, 6, b)
                  for pid in range(6)]
-        states = [s.core for s, _ in seeds]
+        states = [s for s, _ in seeds]
         on_receive(states[4], seeds[5][1], b)
         return states[0], [msg for _, msg in seeds[1:4]] + [states[4].snapshot(), seeds[2][1]]
     merged, decision, _, support, phase, channels, _ = _fold_against_on_receive(make, eps=1e-9)

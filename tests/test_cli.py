@@ -274,9 +274,25 @@ RING4 = {"family": "ring", "n": 4}
       "initiators": "a"}, []),
     ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, 4],
       "faults": 5}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": True, "edges": []}, "inputs": [1]}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": 4, "edges": [[0, 1.7], [1, 2], [2, 3]]},
+      "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": 4, "edges": [[0, True], [1, 2], [2, 3]]},
+      "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": 2, "edges": [[0, "1"]]},
+      "inputs": [1, 2]}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": 2, "edges": [[0, None]]},
+      "inputs": [1, 2]}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": 2, "edges": 5}, "inputs": [1, 2]}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 4, "p": None},
+      "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 4, "p": True},
+      "inputs": [1, 2, 3, 4]}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
-        "string-uniform-bound", "string-initiators", "number-faults"])
+        "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
+        "fractional-edge-id", "boolean-edge-id", "string-edge-id", "null-edge-id",
+        "number-edges", "null-p", "boolean-p"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

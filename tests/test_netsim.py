@@ -321,7 +321,7 @@ def test_foreign_decrypt_is_flagged():
     km = backend.keygen("T")
     ct = backend.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), (1, "v"))
     backend.decrypt(km.secret_part, ct, caller=5)   # stolen secret
-    violations = netsim.privacy_audit(SimTrace(backend, [], frozenset()))
+    violations = netsim.privacy_audit(SimTrace(backend, []))
     assert any(v.rule == "foreign-decrypt" for v in violations)
 
 

@@ -8,14 +8,15 @@ import pytest
 
 from consentry import netsim, outlier_consensus
 from consentry import topology as topo
-from consentry.avg_consensus import PREPARED, ConsensusState, prepare
+from consentry.avg_consensus import (PREPARED, ConsensusState, finalize_trusted,
+                                     prepare, try_decide)
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 from consentry.outlier_consensus import (AllOutliersError, OutlierParams,
-                                         adjust_n_on_fault, encrypted_variance,
-                                         finalize_outlier, init_round3,
-                                         is_outlier, on_receive_round3,
-                                         round2_input, sigma_from_round2)
+                                         encrypted_variance, finalize_outlier,
+                                         init_round3, is_outlier,
+                                         on_receive_round3, round2_input,
+                                         sigma_from_round2, survivors)
 
 from oracles import outlier_oracle
 
@@ -56,13 +57,13 @@ def test_init_round3_layout():
     b = make_backend()
     km = b.keygen("T")
     state, msg = init_round3(1, 5.0, False, km.public_part, 4, b)
-    assert b.inspect_payload(state.core.votes_ct).tolist() == [0, 5, 0, 0]
+    assert b.inspect_payload(state.votes_ct).tolist() == [0, 5, 0, 0]
     assert b.inspect_payload(state.participating_ct).tolist() == [0, 1, 0, 0]
-    assert state.core.counts.tolist() == [0, 1, 0, 0]
+    assert state.counts.tolist() == [0, 1, 0, 0]
     out_state, _ = init_round3(0, 99.0, True, km.public_part, 4, b)
-    assert b.inspect_payload(out_state.core.votes_ct).tolist() == [0, 0, 0, 0]
+    assert b.inspect_payload(out_state.votes_ct).tolist() == [0, 0, 0, 0]
     assert b.inspect_payload(out_state.participating_ct).tolist() == [0, 0, 0, 0]
-    assert out_state.core.counts.tolist() == [1, 0, 0, 0]
+    assert out_state.counts.tolist() == [1, 0, 0, 0]
 
 
 def test_on_receive_round3_merge_and_decide():
@@ -213,22 +214,21 @@ def test_finalize_trusted_rejects_disagreeing_slots():
         finalize_trusted(b, km.secret_part, lopsided, 4)
 
 
-def test_adjust_n_on_fault_unit():
+def test_survivors_unit():
     b = make_backend()
     km = b.keygen("T")
     votes = b.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), ("x", "agg"))
     state = ConsensusState(id=0, instance="out/r2", n=4, votes_ct=votes,
                            counts=np.array([1, 1, 1, 0]))
-    adjust_n_on_fault(state, {0, 1, 2})
-    assert state.required == (0, 1, 2)
-    assert state.prepare_n == 3 and state.include == (0, 1, 2)
+    state.required, state.required_mask = survivors({0, 1, 2}, state.n)
+    assert state.required == (0, 1, 2) and state.required_mask == 0b111
+    # prepare weights the survivors only and divides by their number
+    prepared = try_decide(state, b)
+    assert finalize_trusted(b, km.secret_part, prepared, 4) == pytest.approx(2.0)
     # no faults: identity
-    full = ConsensusState(id=0, instance="out/r2", n=4, votes_ct=votes,
-                          counts=np.array([1, 1, 1, 1]))
-    adjust_n_on_fault(full, {0, 1, 2, 3})
-    assert full.required == (0, 1, 2, 3) and full.prepare_n == 4
+    assert survivors({0, 1, 2, 3}, 4) == ((0, 1, 2, 3), 0b1111)
     with pytest.raises(ValueError):
-        adjust_n_on_fault(state, set())
+        survivors(set(), 4)
 
 
 def test_inter_round_crash_uses_adjusted_n():
