@@ -164,18 +164,17 @@ def _parse_vary(items) -> dict:
 
 
 def _cell_scenario(base: dict, assignment: dict) -> ScenarioConfig:
+    """The base config with one grid cell's values assigned; the topology
+    keys `family`, `n` and `p` go into the base's topology object."""
     raw = json.loads(json.dumps(base))
-    topo_keys = {"family", "n", "p"}
     for key, value in assignment.items():
-        if key in topo_keys:
+        if key in ("family", "n", "p"):
             if not isinstance(raw.get("topology"), dict):
-                raw["topology"] = {"family": "ring", "n": 4}
+                raise ScenarioError(f"--vary {key} needs a topology object in the "
+                                    f"base config, got {raw.get('topology')!r}")
             raw["topology"][key] = value
         else:
             raw[key] = value
-    if isinstance(raw.get("topology"), dict) and "family" in raw["topology"]:
-        if not (isinstance(raw.get("inputs"), dict) and "random_uniform" in raw["inputs"]):
-            raw["inputs"] = {"random_uniform": [-1000, 1000]}
     return ScenarioConfig.from_dict(raw)
 
 
@@ -207,11 +206,9 @@ def cmd_sweep(args) -> int:
                               and v == "non-viable")
         worst_k = max(worst_k, k_cell)
         any_violation = any_violation or violations > 0
-        family = assignment.get("family",
-                                scenario.topology.get("family", "")
-                                if isinstance(scenario.topology, dict) else "")
-        n = assignment.get("n", report.n)
-        rows.append([family, n, scenario.trials, diameter,
+        topology = scenario.topology
+        family = topology.get("family", "") if isinstance(topology, dict) else ""
+        rows.append([family, report.n, scenario.trials, diameter,
                      f"{sum(rounds) / len(rounds):.3f}" if rounds else "",
                      max(rounds) if rounds else "",
                      f"{sum(msgs) / len(msgs):.3f}" if msgs else "",

@@ -373,9 +373,6 @@ def parse_ballots(raw, n: int) -> list[Ballot]:
         raise ValueError(f"need one ballot per process, got {len(raw)} for n={n}")
     out = []
     for item in raw:
-        if isinstance(item, Ballot):
-            out.append(item)
-            continue
         if not isinstance(item, dict) or not _is_int(item.get("primary")) or \
                 not (item.get("secondary") is None or _is_int(item["secondary"])):
             raise InvalidBallotError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
 from .he_slots import PrivacyViolation
-from .topology import Topology, _is_int, _is_real, load_topology, from_family
+from .topology import Topology, _is_int, _is_real, load_topology
 import random
 
 TRUSTED = "trusted"            # collector actor id, outside the graph
@@ -50,18 +50,15 @@ class FaultPlan:
             raise ScenarioError(f"faults must be a list of crash faults, got {items!r}")
         crashes = []
         for it in items:
-            if isinstance(it, CrashFault):
-                crashes.append(it)
-            else:
-                try:
-                    process, time = it["process"], it["time"]
-                except (KeyError, TypeError) as exc:
-                    raise ScenarioError(
-                        f"a crash fault needs a process and a time: {it!r}") from exc
-                if not (_is_int(process) and _is_int(time)):
-                    raise ScenarioError(
-                        f"a crash fault's process and time must be integers: {it!r}")
-                crashes.append(CrashFault(int(process), int(time)))
+            try:
+                process, time = it["process"], it["time"]
+            except (KeyError, TypeError) as exc:
+                raise ScenarioError(
+                    f"a crash fault needs a process and a time: {it!r}") from exc
+            if not (_is_int(process) and _is_int(time)):
+                raise ScenarioError(
+                    f"a crash fault's process and time must be integers: {it!r}")
+            crashes.append(CrashFault(int(process), int(time)))
         return cls(tuple(crashes))
 
 
@@ -117,12 +114,6 @@ class ScenarioConfig:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ScenarioError(f"{key} must be finite, got {value!r}")
-        source = self.topology
-        if isinstance(source, dict) and "family" in source:
-            if not _is_int(source.get("n")):
-                raise ScenarioError(f"a family topology needs an integer n: {source!r}")
-            if "p" in source and not _is_real(source["p"]):
-                raise ScenarioError(f"a family topology's p must be a number: {source!r}")
         inputs = self.inputs
         if isinstance(inputs, dict) and "random_uniform" in inputs:
             bounds = inputs["random_uniform"]
@@ -165,12 +156,8 @@ class ScenarioConfig:
                 raise ScenarioError(f"crash time must be >= 0: {crash}")
 
     def resolve_topology(self, seed_offset: int = 0) -> Topology:
-        source = self.topology
-        if isinstance(source, dict) and "family" in source:
-            rng = random.Random((self.seed + seed_offset) * 2654435761 % (2**31))
-            return from_family(source["family"], int(source["n"]), rng,
-                               p=float(source.get("p", 0.4)))
-        return load_topology(source)
+        rng = random.Random((self.seed + seed_offset) * 2654435761 % (2**31))
+        return load_topology(self.topology, rng)
 
     def resolve_inputs(self, topo: Topology, seed_offset: int = 0):
         if isinstance(self.inputs, dict) and "random_uniform" in self.inputs:
@@ -549,24 +536,17 @@ def run(scenario: ScenarioConfig, trial: int = 0) -> SimReport:
 
     from . import avg_consensus, outlier_consensus, leader_election
 
+    inputs = scenario.resolve_inputs(topo, trial)
+    common = {"seed": trial_seed, "noise_epsilon": scenario.noise_epsilon}
     if scenario.protocol == "avg-trusted":
-        inputs = scenario.resolve_inputs(topo, trial)
-        setup = avg_consensus.build_trusted(topo, inputs, seed=trial_seed,
-                                            noise_epsilon=scenario.noise_epsilon)
+        setup = avg_consensus.build_trusted(topo, inputs, **common)
     elif scenario.protocol == "avg-untrusted":
-        inputs = scenario.resolve_inputs(topo, trial)
-        setup = avg_consensus.build_untrusted(topo, inputs, scenario.initiators,
-                                              seed=trial_seed,
-                                              noise_epsilon=scenario.noise_epsilon)
+        setup = avg_consensus.build_untrusted(topo, inputs, scenario.initiators, **common)
     elif scenario.protocol == "outlier":
-        inputs = scenario.resolve_inputs(topo, trial)
         setup = outlier_consensus.build(topo, inputs, scenario.c,
-                                        variance_route=scenario.variance_route,
-                                        seed=trial_seed,
-                                        noise_epsilon=scenario.noise_epsilon)
+                                        variance_route=scenario.variance_route, **common)
     else:
-        setup = leader_election.build(topo, scenario.inputs, seed=trial_seed,
-                                      noise_epsilon=scenario.noise_epsilon)
+        setup = leader_election.build(topo, inputs, **common)
 
     policy = SchedulePolicy(scenario.schedule, trial_seed * 7919 + 13,
                             scenario.max_latency)

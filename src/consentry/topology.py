@@ -94,17 +94,37 @@ class Topology:
         return f"Topology(n={self.n}, edges={len(self.edges)})"
 
 
-def load_topology(source) -> Topology:
-    """Build a Topology from a dict or a JSON file `{"n": int, "edges": [[i,j],...]}`.
+def load_topology(source, rng: random.Random | None = None) -> Topology:
+    """Build a Topology from any form a scenario gives it.
 
-    Rejects duplicates, self-loops and out-of-range ids.
+    The forms are a Topology, a path to a JSON file holding one of the other
+    forms, `{"n": int, "edges": [[i, j], ...]}` and
+    `{"family": str, "n": int[, "p": float]}`; `rng` draws the tree and
+    random families.  Rejects keys a form does not have, an unreadable file,
+    duplicate edges, self-loops, out-of-range ids and a `p` outside (0, 1].
     """
     if isinstance(source, Topology):
         return source
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            source = json.load(fh)
-    if not isinstance(source, dict) or "n" not in source or "edges" not in source:
+        try:
+            with open(source) as fh:
+                source = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise TopologyError(f"cannot read topology {source}: {exc}") from exc
+    if not isinstance(source, dict):
+        raise TopologyError(f"topology must be an object or a file path, got {source!r}")
+    allowed = {"family", "n", "p"} if "family" in source else {"n", "edges"}
+    if set(source) - allowed:
+        raise TopologyError(f"unknown topology keys {sorted(set(source) - allowed)}; "
+                            f"this form takes {sorted(allowed)}")
+    if "family" in source:
+        n, p = source.get("n"), source.get("p", 0.4)
+        if not _is_int(n):
+            raise TopologyError(f"a family topology needs an integer n: {source!r}")
+        if not (_is_real(p) and 0 < p <= 1):
+            raise TopologyError(f"a family topology's p must be in (0, 1]: {source!r}")
+        return from_family(source["family"], int(n), rng, p=float(p))
+    if "n" not in source or "edges" not in source:
         raise TopologyError("topology must be an object with 'n' and 'edges'")
     n, edges = source["n"], source["edges"]
     if not _is_int(n) or n < 1:
@@ -166,7 +186,7 @@ def from_family(family: str, n: int, rng: random.Random, p: float = 0.4) -> Topo
         "tree": lambda: random_tree(n, rng),
         "random": lambda: random_connected(n, p, rng),
     }
-    if family not in makers:
+    if not isinstance(family, str) or family not in makers:
         raise TopologyError(f"unknown topology family {family!r}")
     if n < 2 and family != "path":
         raise TopologyError(f"family {family!r} needs n >= 2")

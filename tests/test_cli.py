@@ -10,6 +10,7 @@ from consentry import netsim
 from consentry.avg_consensus import PreparedSlotsError, PrivacyGuardError
 from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from consentry.leader_election import CorruptedTallyError
+from oracles import irv_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -168,6 +169,44 @@ def test_sweep_empty_grid_exits_2(tmp_path):
                  "--vary", "n=", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_sweep_election_over_a_family_decides_each_cell(tmp_path, monkeypatch):
+    base = json.loads((CONFIGS / "fig2_election.json").read_text())
+    base["topology"] = {"family": "ring", "n": 5}
+    cfg = tmp_path / "election.json"
+    cfg.write_text(json.dumps(base))
+    reports, inner = [], netsim.run
+
+    def capture(scenario, trial=0):
+        reports.append(inner(scenario, trial))
+        return reports[-1]
+    monkeypatch.setattr(netsim, "run", capture)
+    rc = main(["sweep", "--config", str(cfg), "--vary", "seed=1,2", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    winner = irv_oracle([(b["primary"], b["secondary"]) for b in base["inputs"]], 5)
+    assert [r.seed for r in reports] == [1, 2]
+    for report in reports:
+        assert report.termination == "decided"
+        assert set(report.decided_values.values()) == {winner}
+
+
+@pytest.mark.parametrize("vary, file_base", [("family=star", False), ("p=0.9", False),
+                                             ("n=6", True)],
+                         ids=["family-beside-edges", "p-beside-edges", "n-of-a-file"])
+def test_sweep_assignment_the_base_cannot_take_exits_2(tmp_path, capsys, vary, file_base):
+    config = CONFIGS / "ring4_avg.json"
+    if file_base:
+        (tmp_path / "path3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        config = tmp_path / "base.json"
+        config.write_text(json.dumps({"protocol": "avg-trusted",
+                                      "topology": str(tmp_path / "path3.json"),
+                                      "inputs": {"random_uniform": [0, 1]}}))
+    rc = main(["sweep", "--config", str(config), "--vary", vary, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("ballot", [{"primary": 0, "secondary": 0}, {"primary": 7}])
 def test_bad_ballot_is_a_config_error(tmp_path, capsys, ballot):
     cfg = json.loads((CONFIGS / "fig2_election.json").read_text())
@@ -288,11 +327,27 @@ RING4 = {"family": "ring", "n": 4}
       "inputs": [1, 2, 3, 4]}, []),
     ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 4, "p": True},
       "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 6, "P": 0.9},
+      "inputs": {"random_uniform": [0, 1]}}, []),
+    ({"protocol": "avg-trusted", "topology": dict(RING4, edges=[[0, 1]]),
+      "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"n": 2, "edges": [[0, 1]], "p": 0.5},
+      "inputs": [1, 2]}, []),
+    ({"protocol": "avg-trusted", "topology": str(CONFIGS / "no-such-topology.json"),
+      "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 256, "p": 0},
+      "inputs": {"random_uniform": [0, 1]}}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 4, "p": 1.5},
+      "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": ["ring"], "n": 4},
+      "inputs": [1, 2, 3, 4]}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
         "fractional-edge-id", "boolean-edge-id", "string-edge-id", "null-edge-id",
-        "number-edges", "null-p", "boolean-p"])
+        "number-edges", "null-p", "boolean-p", "misspelt-p", "edges-beside-family",
+        "p-beside-edges", "missing-topology-file", "zero-p-n256", "p-above-one",
+        "list-family"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -35,6 +35,15 @@ def test_loader_from_file(tmp_path):
     assert load_topology(str(p)).diameter() == 3
 
 
+@pytest.mark.parametrize("p", [0, -0.5, 1.5, float("nan")])
+def test_family_p_outside_unit_interval_is_rejected_before_a_draw(p):
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("drew an edge")
+    with pytest.raises(TopologyError, match=r"p must be in \(0, 1\]"):
+        load_topology({"family": "random", "n": 256, "p": p}, NoDraws(0))
+
+
 def test_neighbors():
     line = topo.path(3)
     assert line.neighbors(1) == {0, 2}
