@@ -89,6 +89,10 @@ def _netsim_cases():
         cases[f"election-ring8-{schedule}"] = dict(
             protocol="election", topology=_ring(8), inputs=_ballots(8, 8),
             seed=4, schedule=schedule)
+    # lineages on a dense graph, completing without a crashed contributor
+    cases["election-g16-async-crash"] = dict(
+        protocol="election", topology=G16, inputs=_ballots(16, 16), seed=5,
+        schedule="async", noise_epsilon=1e-9, faults=[{"process": 3, "time": 1}])
     return cases
 
 
