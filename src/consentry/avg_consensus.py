@@ -7,12 +7,13 @@ array, shared with the sender's state (a fold replaces that array, never
 writes it), together with the bitmask of its nonzero entries.  A message
 whose mask is a subset of the local one, `msg.support & ~state.support == 0`,
 carries no new information and is dropped after that one mask test.  A
-node hands each instance's share of a delivery batch to one `fold`, which
-runs that test message by message in delivery order and stops at the
-message that completes the required mask.  It adds the merged messages'
-count arrays, ORs their masks and adds their ciphertexts in one engine
-`add_many` call, which ORs the ciphertexts' taint masks; it builds no
-message and returns only whether anything merged.  The node then
+node hands each instance's share of a delivery batch to one `fold` (the
+election overrides `FloodingNode._fold_instance` to fold lineage copies by
+its own rule), which runs that test message by message in delivery order
+and stops at the message that completes the required mask.  It adds the
+merged messages' count arrays, ORs their masks and adds their ciphertexts
+in one engine `add_many` call, which ORs the ciphertexts' taint masks; it
+builds no message and returns only whether anything merged.  The node then
 broadcasts one snapshot per changed instance.  Once the local mask covers
 the required one the process runs the prepare step: multiply by the
 plaintext weights 1/(count_j * n) to undo duplicates, then rotate-sum (one
@@ -151,7 +152,9 @@ class ConsensusState:
     become nonzero and `required_mask` their bitmask; whoever assigns one
     assigns the other.  `participating_ct`, when set, is a second channel folded and
     prepared under the same counts as the votes (the participation flags of
-    outlier round 3).
+    outlier round 3).  DECIDED means the prepared aggregate was sent.  An
+    election lineage copy's counts are n long and 0/1, and DECIDED means its
+    complete copy was sent to the keyholder.
     """
 
     def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
@@ -363,14 +366,20 @@ class FloodingNode(netsim.Node):
             elif msg.kind == RESULT:
                 self._handle_result(ctx, msg)
         for instance in sorted(per_instance):
-            state = self.states.get(instance)
-            if state is None:
-                continue
-            changed, decision = fold(state, per_instance[instance], self.backend)
+            changed, decision = self._fold_instance(instance, per_instance[instance])
             if changed:
-                ctx.broadcast(self._snapshot_msg(state), exclude=self._exclude(instance))
+                ctx.broadcast(self._snapshot_msg(self.states[instance]),
+                              exclude=self._exclude(instance))
             if decision is not None:
                 self._emit_prepared(ctx, instance, decision)
+
+    def _fold_instance(self, instance: str, msgs) -> tuple[bool, object]:
+        """Fold one instance's share of a delivery batch; returns whether the
+        state changed and what `try_decide` returned."""
+        state = self.states.get(instance)
+        if state is None:
+            return False, None
+        return fold(state, msgs, self.backend)
 
     def _emit_prepared(self, ctx, instance: str, prepared) -> ProtocolMessage:
         """Send what `try_decide` returned for a decided instance to its readers."""

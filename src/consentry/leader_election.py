@@ -6,9 +6,11 @@ primary-only slots.  Ballot ciphertexts cannot be merged across copies, so
 each origin's ciphertext travels as a lineage: a process contributes its
 ballot to a lineage copy at most once (tracked via plaintext 0/1 counts,
 one per process) and stores/forwards only copies with strictly more
-contributors.
-A copy whose counts are all-ones is complete and goes to the keyholder,
-whose decryption reveals tallies only, never who voted for whom.
+contributors.  A lineage copy is a `ConsensusState` with n 0/1 counts,
+handled by a `FloodingNode` that folds it with `on_receive_election`.  A
+copy whose contributors cover every process not known to have crashed is
+complete and goes to the keyholder, whose decryption reveals tallies only,
+never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -19,12 +21,13 @@ or an all-tied mod-k break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import netsim
-from .avg_consensus import AGGREGATE, COMPLETE, RESULT, ProtocolMessage
+from .avg_consensus import (ACTIVE, COMPLETE, DECIDED, RESULT, ConsensusState,
+                            FloodingNode, ProtocolMessage)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology, _is_int
 
@@ -78,76 +81,50 @@ def make_ballot_vector(ballot: Ballot, n: int, capacity: int | None = None) -> S
     return SlotVector.impulse(cap, flat_index(n, ballot.primary, ballot.secondary))
 
 
-@dataclass
-class ElectionState:
-    """Best lineage copy a process has adopted.
-
-    `counts` holds one 0/1 float64 entry per process (who contributed),
-    never written once the state holds it, so snapshots share it; only the
-    ballot ciphertext is n*n + n slots padded to a power of two.
-    """
-
-    instance: str
-    ballots_ct: Ciphertext
-    counts: np.ndarray
-
-    def snapshot(self) -> ProtocolMessage:
-        """The AGGREGATE message announcing this lineage copy."""
-        return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.ballots_ct,
-                               counts=self.counts)
-
-
 def init_election(pid: int, ballot: Ballot, pk, n: int,
-                  backend: SlotEngine) -> tuple[ElectionState, ProtocolMessage]:
+                  backend: SlotEngine) -> tuple[ConsensusState, ProtocolMessage]:
     """Start this process's own lineage, already carrying its ballot."""
-    cap = backend.config.slot_capacity
     instance = instance_for_origin(pid)
-    ct = backend.encrypt(pk, make_ballot_vector(ballot, n, cap),
+    ct = backend.encrypt(pk, make_ballot_vector(ballot, n, backend.config.slot_capacity),
                          (pid, f"{instance}:ballot"))
     counts = np.zeros(n)
     counts[pid] = 1
-    counts.flags.writeable = False
-    state = ElectionState(instance=instance, ballots_ct=ct, counts=counts)
+    state = ConsensusState(id=pid, instance=instance, n=n, votes_ct=ct, counts=counts)
     return state, state.snapshot()
 
 
-def _covers(counts: np.ndarray, required=None) -> bool:
-    """True when every required process (all of them when None) contributed."""
-    if required is None:
-        return bool(counts.all())
-    return bool(counts[np.asarray(required, dtype=np.intp)].all())
-
-
-def on_receive_election(state: ElectionState | None, msg: ProtocolMessage,
+def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
                         own_ballot: Ballot, pk, backend: SlotEngine,
-                        pid: int, n: int, required=None):
+                        pid: int, n: int, required_mask: int | None = None):
     """Contribute (once per lineage copy) and adopt strictly larger copies.
 
-    Returns (state, whether the copy was adopted, complete ciphertext or
-    None); the caller announces an adopted copy that is not complete.
+    A copy is complete once its support covers `required_mask` (every
+    process when None).  Returns (state, whether the copy was adopted,
+    complete ciphertext or None); the caller announces an adopted copy that
+    is not complete.
     """
-    incoming = msg.count_array
-    if incoming[pid]:
-        cand_ct, cand_counts = msg.votes_ct, incoming
+    support = msg.support
+    if support >> pid & 1:
+        cand_ct, cand_counts = msg.votes_ct, msg.count_array
     else:
         fresh = backend.encrypt(pk, make_ballot_vector(own_ballot, n,
                                                        backend.config.slot_capacity),
                                 (pid, f"{msg.instance}:ballot"))
         cand_ct = backend.add_ct(msg.votes_ct, fresh)
-        cand_counts = incoming.copy()
+        cand_counts = msg.count_array.copy()
         cand_counts[pid] = 1
         cand_counts.flags.writeable = False
-    size = int(cand_counts.sum())
-    have = 0 if state is None else int(state.counts.sum())
-    if size <= have:
-        return state, False, None
+        support |= 1 << pid
     if state is None:
-        state = ElectionState(instance=msg.instance, ballots_ct=cand_ct,
-                              counts=cand_counts)
+        state = ConsensusState(id=pid, instance=msg.instance, n=n, votes_ct=cand_ct,
+                               counts=cand_counts)
+    elif support.bit_count() <= state.support.bit_count():
+        return state, False, None
     else:
-        state.ballots_ct = cand_ct
-        state.counts = cand_counts
-    if _covers(cand_counts, required):
+        state.votes_ct, state.counts, state.support = cand_ct, cand_counts, support
+    if required_mask is None:
+        required_mask = (1 << n) - 1
+    if not required_mask & ~support:
         return state, True, backend.mark_prepared(cand_ct)
     return state, True, None
 
@@ -275,60 +252,57 @@ def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
 
 # -- simulation actors --------------------------------------------------------
 
-class ElectionProcessNode(netsim.Node):
+class ElectionProcessNode(FloodingNode):
+    """Lineage flooding participant: one ConsensusState per lineage it holds.
+
+    Each message of a batch is folded by `on_receive_election`.  The first
+    complete copy of a lineage goes only to the keyholder, which decides the
+    state; any other adopted copy is rebroadcast.
+    """
+
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
-        self.pid = pid
+        super().__init__(pid, n, backend)
         self.ballot = ballot
         self.pk = pk
-        self.n = n
-        self.backend = backend
-        self.required = tuple(range(n))
-        self.states: dict[str, ElectionState] = {}
-        self.completed: set[str] = set()
+        self.required_mask = (1 << n) - 1
 
     def on_start(self, ctx):
         state, msg = init_election(self.pid, self.ballot, self.pk, self.n,
                                    self.backend)
         self.states[state.instance] = state
         ctx.broadcast(msg)
-        if _covers(state.counts, self.required):
-            self._complete(ctx, state, self.backend.mark_prepared(state.ballots_ct))
+        if not self.required_mask & ~state.support:
+            self._emit_prepared(ctx, state.instance,
+                                self.backend.mark_prepared(state.votes_ct))
 
-    def _complete(self, ctx, state: ElectionState, complete_ct: Ciphertext):
-        """Hand a lineage that covers every required process to the keyholder."""
-        self.completed.add(state.instance)
-        ctx.mark_complete(state.instance)
+    def _fold_instance(self, instance, msgs):
+        state = self.states.get(instance)
+        grown, complete = False, None
+        for msg in msgs:
+            state, merged, done = on_receive_election(
+                state, msg, self.ballot, self.pk, self.backend, self.pid, self.n,
+                required_mask=self.required_mask)
+            grown = grown or merged
+            if done is not None:
+                complete = done
+        self.states[instance] = state
+        if complete is not None and state.phase == ACTIVE:
+            return False, complete
+        return grown, None
+
+    def _emit_prepared(self, ctx, instance, complete_ct):
+        """Hand a lineage copy that counts every required process to the keyholder."""
+        state = self.states[instance]
+        state.phase = DECIDED
+        ctx.mark_complete(instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
-            state.instance, COMPLETE, votes_ct=complete_ct,
-            counts=state.counts))
+            instance, COMPLETE, votes_ct=complete_ct, counts=state.counts))
 
-    def on_deliver(self, ctx, batch):
-        per_lineage: dict[str, list] = {}
-        for sender, msg in batch:
-            if msg.kind == AGGREGATE:
-                per_lineage.setdefault(msg.instance, []).append(msg)
-            elif msg.kind == RESULT:
-                ctx.decide(msg.extra["winner"])
-        for lineage in sorted(per_lineage):
-            state = self.states.get(lineage)
-            grown, complete = False, None
-            for msg in per_lineage[lineage]:
-                state, merged, done = on_receive_election(
-                    state, msg, self.ballot, self.pk, self.backend,
-                    self.pid, self.n, required=self.required)
-                grown = grown or merged
-                if done is not None:
-                    complete = done
-            if state is None:
-                continue
-            self.states[lineage] = state
-            if complete is not None and lineage not in self.completed:
-                self._complete(ctx, state, complete)
-            elif grown:
-                ctx.broadcast(state.snapshot())
+    def _handle_result(self, ctx, msg):
+        ctx.decide(msg.extra["winner"])
 
     def on_crash_notice(self, ctx, crashed):
-        self.required = tuple(p for p in range(self.n) if p not in crashed)
+        self.required_mask = sum(1 << p for p in range(self.n) if p not in crashed)
 
 
 class ElectionCollectorNode(netsim.Node):

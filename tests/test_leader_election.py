@@ -161,10 +161,10 @@ def test_on_receive_election_contribution_rules():
                                                pid=1, n=n)
     assert state.counts[:3].tolist() == [1, 1, 0]
     assert out and complete is None
-    payload = backend.inspect_payload(state.ballots_ct)
+    payload = backend.inspect_payload(state.votes_ct)
     assert payload[flat_index(3, 1, 2)] == 1 and payload[flat_index(3, 2, 0)] == 1
     # the same copy revisiting a contributor: no growth, no forward
-    revisit = ProtocolMessage(msg.instance, AGGREGATE, votes_ct=state.ballots_ct,
+    revisit = ProtocolMessage(msg.instance, AGGREGATE, votes_ct=state.votes_ct,
                               counts=tuple(int(x) for x in state.counts))
     state2, out2, complete2 = on_receive_election(state, revisit, Ballot(2, 0),
                                                   km.public_part, backend,
