@@ -57,6 +57,15 @@ def _load_config(path: str) -> dict:
     return raw
 
 
+def _topology_beside(raw: dict, config: str) -> dict:
+    """The config with a relative topology file path read relative to the
+    config file's directory instead of the working directory."""
+    topology = raw.get("topology")
+    if not isinstance(topology, str) or os.path.isabs(topology):
+        return raw
+    return dict(raw, topology=os.path.join(os.path.dirname(config), topology))
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -119,7 +128,7 @@ def cmd_run(args) -> int:
     raw = _load_config(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    scenario = ScenarioConfig.from_dict(raw)
+    scenario = ScenarioConfig.from_dict(_topology_beside(raw, args.config))
     reports = []
     for topo, report in _run_trials(scenario):
         report.extra["diameter"] = topo.diameter()
@@ -179,7 +188,7 @@ def _cell_scenario(base: dict, assignment: dict) -> ScenarioConfig:
 
 
 def cmd_sweep(args) -> int:
-    base = _load_config(args.config)
+    base = _topology_beside(_load_config(args.config), args.config)
     grid = _parse_vary(args.vary)
     keys = sorted(grid)
     out = _out_dir(args)

@@ -291,6 +291,24 @@ def test_run_random_family_reports_each_trials_diameter(tmp_path):
         scenario.resolve_topology(t).diameter() for t in range(3)]
 
 
+def test_relative_topology_path_is_read_beside_the_config(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    (cfg_dir / "path3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    config = cfg_dir / "base.json"
+    config.write_text(json.dumps({"protocol": "avg-trusted", "topology": "path3.json",
+                                  "inputs": [1, 2, 3]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config), "--out", "run"]) == EXIT_OK
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["scenario"]["topology"] == "path3.json"
+    assert report["trials"][0]["decided_values"]["0"] == pytest.approx(2.0)
+    assert main(["sweep", "--config", str(config), "--vary", "seed=1,2",
+                 "--out", "sweep"]) == EXIT_OK
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        assert [row["n"] for row in csv.DictReader(fh)] == ["3", "3"]
+
+
 RING4 = {"family": "ring", "n": 4}
 
 
