@@ -199,8 +199,11 @@ def cmd_sweep(args) -> int:
         assignment = dict(zip(keys, combo))
         scenario = _cell_scenario(base, assignment)
         rounds, msgs, k_cell, violations, non_viable = [], [], 0.0, 0, 0
-        for topo, report in _run_trials(scenario):
+        trials = _run_trials(scenario)
+        diameter_max = 0
+        for topo, report in trials:
             diameter = topo.diameter()
+            diameter_max = max(diameter_max, diameter)
             for pid, count in report.messages_sent.items():
                 if not isinstance(pid, int) or topo.degree(pid) == 0:
                     continue
@@ -217,7 +220,7 @@ def cmd_sweep(args) -> int:
         any_violation = any_violation or violations > 0
         topology = scenario.topology
         family = topology.get("family", "") if isinstance(topology, dict) else ""
-        rows.append([family, report.n, scenario.trials, diameter,
+        rows.append([family, trials[0][0].n, scenario.trials, diameter_max,
                      f"{sum(rounds) / len(rounds):.3f}" if rounds else "",
                      max(rounds) if rounds else "",
                      f"{sum(msgs) / len(msgs):.3f}" if msgs else "",

@@ -291,6 +291,20 @@ def test_run_random_family_reports_each_trials_diameter(tmp_path):
         scenario.resolve_topology(t).diameter() for t in range(3)]
 
 
+def test_sweep_diameter_is_the_largest_of_the_cells_trials(tmp_path):
+    rc = main(["sweep", "--config", str(CONFIGS / "sweep_base.json"),
+               "--vary", "family=tree", "--vary", "n=16", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    with open(tmp_path / "sweep.csv") as fh:
+        row, = csv.DictReader(fh)
+    base = json.loads((CONFIGS / "sweep_base.json").read_text())
+    scenario = netsim.ScenarioConfig.from_dict(
+        dict(base, topology={"family": "tree", "n": 16}))
+    assert int(row["n"]) == 16
+    assert int(row["diameter"]) == max(scenario.resolve_topology(t).diameter()
+                                       for t in range(scenario.trials))
+
+
 def test_relative_topology_path_is_read_beside_the_config(tmp_path, monkeypatch):
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
