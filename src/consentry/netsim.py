@@ -26,8 +26,7 @@ MESSAGE_BASE_BYTES = 64
 #: plaintext message fields that are protocol outputs by design; the leak
 #: auditor ignores them when matching against private inputs.
 DECLARED_PLAIN_KEYS = frozenset(
-    {"average", "mu", "sigma", "variance", "value", "winner", "outcome",
-     "rounds", "initiator", "instance"})
+    {"average", "mu", "variance", "value", "winner", "outcome", "initiator"})
 
 
 class ScenarioError(Exception):

@@ -1,6 +1,8 @@
-"""The benchmark tracer's patch points exist in the package and are restored."""
+"""The benchmark tracer's patch points exist in the package, are restored,
+and are the ones a simulation calls."""
 
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -8,6 +10,7 @@ from consentry import (avg_consensus, cli, leader_election, netsim,
                        outlier_consensus, topology)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+CONFIGS = TRACER.parent.parent / "configs"
 
 
 def load_tracer():
@@ -34,3 +37,20 @@ def test_tracer_patches_every_name_and_restores_it():
     assert not tracer._saved
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_tracer_counts_the_folds_and_prepares_of_an_election():
+    config = json.loads((CONFIGS / "fig2_election.json").read_text())
+    pkg = types.SimpleNamespace(
+        netsim=netsim, cli=cli, topology=topology, avg_consensus=avg_consensus,
+        outlier_consensus=outlier_consensus, leader_election=leader_election)
+    tracer = load_tracer().Tracer(pkg, types.SimpleNamespace(set_up=lambda raw: raw))
+    tracer.install()
+    try:
+        tracer.begin_op()
+        netsim.run(netsim.ScenarioConfig.from_dict(config))
+        tracer.end_op("election")
+    finally:
+        tracer.uninstall()
+    op, = tracer.ops
+    assert (op["fold_attempts"], op["fold_merges"], op["prepare_calls"]) == (110, 60, 10)

@@ -269,6 +269,22 @@ def test_plaintext_leak_mutation_is_flagged():
     assert any(v.rule == "plaintext-leak" for v in violations)
 
 
+@pytest.mark.parametrize("key", ["sigma", "rounds", "instance"])
+def test_a_private_value_under_a_key_no_message_sends_is_flagged(key):
+    # no protocol message carries these keys, so declaring them plain would
+    # only exempt a leak from the check
+    from mutations import LeakyAvgNode, run_mutated
+
+    class LeakyUnderKey(LeakyAvgNode):
+        def _snapshot_msg(self, state):
+            msg = super()._snapshot_msg(state)
+            msg.extra = {key: self.value}
+            return msg
+
+    violations = run_mutated(LeakyUnderKey)
+    assert any(v.rule == "plaintext-leak" and repr(key) in v.detail for v in violations)
+
+
 def test_pre_prepare_exposure_mutation_is_flagged():
     from mutations import MisroutingAvgNode, run_mutated
     violations = run_mutated(MisroutingAvgNode)
