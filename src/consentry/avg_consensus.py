@@ -152,9 +152,9 @@ class ConsensusState:
     become nonzero and `required_mask` their bitmask; whoever assigns one
     assigns the other.  `participating_ct`, when set, is a second channel folded and
     prepared under the same counts as the votes (the participation flags of
-    outlier round 3).  DECIDED means the prepared aggregate was sent.  An
-    election lineage copy's counts are n long and 0/1, and DECIDED means its
-    complete copy was sent to the keyholder.
+    outlier round 3).  A state is DECIDED once `try_decide` prepared it.  An
+    election lineage copy's counts are n long and 0/1, and it is DECIDED once
+    its complete copy was sent to the keyholder.
     """
 
     def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
