@@ -374,8 +374,8 @@ class FloodingNode(netsim.Node):
                 self._emit_prepared(ctx, instance, decision)
 
     def _fold_instance(self, instance: str, msgs) -> tuple[bool, object]:
-        """Fold one instance's share of a delivery batch; returns whether the
-        state changed and what `try_decide` returned."""
+        """Fold one instance's share of a delivery batch; returns whether to
+        rebroadcast the state and what to hand `_emit_prepared`, or None."""
         state = self.states.get(instance)
         if state is None:
             return False, None
