@@ -66,6 +66,12 @@ def _netsim_cases():
     cases["outlier-decrypt-g16-crash"] = dict(
         protocol="outlier", c=1.0, topology=G16, inputs=UNIFORM, seed=6,
         faults=[{"process": 3, "time": 1}])
+    # the first crash lands while round 1 is active, the second while round 3
+    # has started at some processes and not yet at others
+    cases["outlier-encrypted-g16-async-crashes"] = dict(
+        protocol="outlier", c=1.0, variance_route="encrypted", topology=G16,
+        inputs=UNIFORM, seed=7, schedule="async", noise_epsilon=1e-9,
+        faults=[{"process": 3, "time": 2}, {"process": 9, "time": 14}])
     cases["avg-untrusted-path5-initiators"] = dict(
         protocol="avg-untrusted", inputs=[3.0, -1.5, 8.0, 0.25, 4.0], seed=2,
         topology={"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
