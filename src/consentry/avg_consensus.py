@@ -81,12 +81,12 @@ def _support_mask(counts) -> int:
     return _bits(np.asarray(counts, dtype=np.float64) > 0)
 
 
-def _index_mask(indices: tuple) -> int:
-    """Bitmask with bit j set for each j in `indices`."""
-    idx = np.array(indices, dtype=np.intp)
-    flags = np.zeros(idx.max(initial=-1) + 1, dtype=bool)
-    flags[idx] = True
-    return _bits(flags)
+def survivors(correct_set, n: int) -> int:
+    """The bitmask of the processes a round among `n` waits for once only
+    `correct_set` is left: bit p is set for each correct p < n."""
+    if not correct_set:
+        raise ValueError("correct_set must not be empty")
+    return sum(1 << int(p) for p in set(correct_set) if p < n)
 
 
 class ProtocolMessage:
@@ -148,13 +148,12 @@ class ConsensusState:
 
     `counts` is a read-only float64 array that a fold replaces, never
     writes, so a snapshot can carry it as is; `support` is the bitmask of
-    its nonzero entries.  `required` holds the indices whose counts must
-    become nonzero and `required_mask` their bitmask; whoever assigns one
-    assigns the other.  `participating_ct`, when set, is a second channel folded and
-    prepared under the same counts as the votes (the participation flags of
-    outlier round 3).  A state is DECIDED once `try_decide` prepared it.  An
-    election lineage copy's counts are n long and 0/1, and it is DECIDED once
-    its complete copy was sent to the keyholder.
+    its nonzero entries.  `required_mask` marks the indices whose counts must
+    become nonzero and that `try_decide` weights: all n, or an outlier node's.
+    `participating_ct`, when set, is a second channel folded and prepared
+    under the same counts as the votes (outlier round 3's participation
+    flags).  A state is DECIDED once `try_decide` prepared it; an election
+    lineage copy, whose counts are n 0/1 flags, once it went to the keyholder.
     """
 
     def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
@@ -170,7 +169,6 @@ class ConsensusState:
         self.counts = counts
         self.support = _support_mask(counts)
         self.phase = ACTIVE
-        self.required = tuple(range(n))
         self.required_mask = (1 << n) - 1
         self.participating_ct = participating_ct
 
@@ -284,8 +282,10 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     if state.phase != ACTIVE or state.required_mask & ~state.support:
         return None
     state.phase = DECIDED
-    prepared = tuple(prepare(backend, ct, state.counts, len(state.required),
-                             include=state.required)
+    # the required indices, unpacked as `_bits` packs them
+    mask = state.required_mask.to_bytes((state.n + 7) // 8, "little")
+    include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8), bitorder="little"))
+    prepared = tuple(prepare(backend, ct, state.counts, len(include), include=include)
                      for ct in (state.votes_ct, state.participating_ct)
                      if ct is not None)
     return prepared if len(prepared) > 1 else prepared[0]
@@ -336,6 +336,8 @@ class FloodingNode(netsim.Node):
     the actors that read it, as `_prepared_readers` names them: by default
     the trusted collector, which gets one straight from every decider.
     Subclasses say what PREPARED and RESULT messages mean to them.
+    `required_mask`, the processes this one waits for, is all n until an
+    outlier or election node narrows it to `survivors` on a crash notice.
     """
 
     def __init__(self, pid: int, n: int, backend: SlotEngine):
@@ -343,6 +345,7 @@ class FloodingNode(netsim.Node):
         self.n = n
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
+        self.required_mask = (1 << n) - 1
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
         return state.snapshot()

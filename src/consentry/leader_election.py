@@ -27,7 +27,7 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import (ACTIVE, COMPLETE, DECIDED, RESULT, ConsensusState,
-                            FloodingNode, ProtocolMessage)
+                            FloodingNode, ProtocolMessage, survivors)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology, _is_int
 
@@ -264,7 +264,6 @@ class ElectionProcessNode(FloodingNode):
         super().__init__(pid, n, backend)
         self.ballot = ballot
         self.pk = pk
-        self.required_mask = (1 << n) - 1
 
     def on_start(self, ctx):
         state, msg = init_election(self.pid, self.ballot, self.pk, self.n,
@@ -302,7 +301,7 @@ class ElectionProcessNode(FloodingNode):
         ctx.decide(msg.extra["winner"])
 
     def on_crash_notice(self, ctx, crashed):
-        self.required_mask = sum(1 << p for p in range(self.n) if p not in crashed)
+        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
 
 
 class ElectionCollectorNode(netsim.Node):

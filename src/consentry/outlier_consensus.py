@@ -22,8 +22,8 @@ import numpy as np
 from . import netsim
 from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
                             FloodingNode, ProtocolMessage, _finite_values,
-                            _index_mask, finalize_trusted, init_consensus,
-                            on_receive, prepare)
+                            finalize_trusted, init_consensus, on_receive,
+                            prepare, survivors)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
 
@@ -116,16 +116,6 @@ def finalize_outlier(backend: SlotEngine, secret, prepared_votes: Ciphertext,
     return filtered_over_n / ratio
 
 
-def survivors(correct_set, n: int) -> tuple[tuple, int]:
-    """The required indices of a round among `n` processes once only
-    `correct_set` is left, and their bitmask."""
-    correct = sorted(int(p) for p in correct_set)
-    if not correct:
-        raise ValueError("correct_set must not be empty")
-    required = tuple(p for p in correct if p < n)
-    return required, _index_mask(required)
-
-
 # -- encrypted variance route ----------------------------------------------
 
 def variance_contribution(backend: SlotEngine, mean_ct: Ciphertext,
@@ -181,8 +171,6 @@ class OutlierProcessNode(FloodingNode):
         self.params = OutlierParams(c)
         self.pk = pk
         self.route = route
-        #: (required indices, their bitmask), given to each new state
-        self.quorum = tuple(range(n)), (1 << n) - 1
         self.mu: float | None = None
         self.sigma: float | None = None
         self.mean_ct: Ciphertext | None = None
@@ -190,7 +178,7 @@ class OutlierProcessNode(FloodingNode):
     # round bootstrap ------------------------------------------------------
 
     def _start(self, ctx, state: ConsensusState, msg: ProtocolMessage):
-        state.required, state.required_mask = self.quorum
+        state.required_mask = self.required_mask
         self.states[state.instance] = state
         ctx.broadcast(msg)
         self._try_decide(ctx, state)
@@ -264,10 +252,10 @@ class OutlierProcessNode(FloodingNode):
     # fault handling ---------------------------------------------------------
 
     def on_crash_notice(self, ctx, crashed):
-        self.quorum = survivors(set(range(self.n)) - set(crashed), self.n)
+        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
         for _, state in sorted(self.states.items()):
             if state.phase == ACTIVE:
-                state.required, state.required_mask = self.quorum
+                state.required_mask = self.required_mask
                 self._try_decide(ctx, state)
 
 

@@ -220,13 +220,13 @@ def test_survivors_unit():
     votes = b.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), ("x", "agg"))
     state = ConsensusState(id=0, instance="out/r2", n=4, votes_ct=votes,
                            counts=np.array([1, 1, 1, 0]))
-    state.required, state.required_mask = survivors({0, 1, 2}, state.n)
-    assert state.required == (0, 1, 2) and state.required_mask == 0b111
+    state.required_mask = survivors({0, 1, 2}, state.n)
+    assert state.required_mask == 0b111
     # prepare weights the survivors only and divides by their number
     prepared = try_decide(state, b)
     assert finalize_trusted(b, km.secret_part, prepared, 4) == pytest.approx(2.0)
     # no faults: identity
-    assert survivors({0, 1, 2, 3}, 4) == ((0, 1, 2, 3), 0b1111)
+    assert survivors({0, 1, 2, 3}, 4) == 0b1111
     with pytest.raises(ValueError):
         survivors(set(), 4)
 
