@@ -527,7 +527,7 @@ class UntrustedProcessNode(FloodingNode):
                                  msg.votes_ct, self.n, caller=self.pid)
         ctx.note(f"initiator_result/{self.pid}", value)
         self._handle_result(ctx, ProtocolMessage(
-            msg.instance, RESULT, extra={"average": value, "initiator": self.pid}))
+            msg.instance, RESULT, extra={"average": value}))
 
     def _handle_result(self, ctx, msg):
         if not self.decided:

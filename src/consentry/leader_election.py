@@ -332,8 +332,7 @@ class ElectionCollectorNode(netsim.Node):
                 ctx.note("election_rounds", list(self.result.rounds))
                 ctx.note("election_exhausted", self.result.exhausted)
                 ctx.broadcast_processes(ProtocolMessage(
-                    msg.instance, RESULT,
-                    extra={"winner": self.result.winner, "issuer": "trusted"}))
+                    msg.instance, RESULT, extra={"winner": self.result.winner}))
             elif t.primary_tallies != first.primary_tallies:
                 raise CorruptedTallyError(
                     "complete lineages disagree on primary tallies")

@@ -26,7 +26,7 @@ MESSAGE_BASE_BYTES = 64
 #: plaintext message fields that are protocol outputs by design; the leak
 #: auditor ignores them when matching against private inputs.
 DECLARED_PLAIN_KEYS = frozenset(
-    {"average", "mu", "variance", "value", "winner", "outcome", "initiator"})
+    {"average", "mu", "variance", "value", "winner", "outcome"})
 
 
 class ScenarioError(Exception):
@@ -54,6 +54,8 @@ class FaultPlan:
             except (KeyError, TypeError) as exc:
                 raise ScenarioError(
                     f"a crash fault needs a process and a time: {it!r}") from exc
+            if set(it) - {"process", "time"}:
+                raise ScenarioError(f"a crash fault takes only a process and a time: {it!r}")
             if not (_is_int(process) and _is_int(time)):
                 raise ScenarioError(
                     f"a crash fault's process and time must be integers: {it!r}")
@@ -126,9 +128,12 @@ class ScenarioConfig:
             raise ScenarioError(f"inputs must be numbers, got {inputs!r}")
         if self.initiators is not None and (
                 not isinstance(self.initiators, (list, tuple, set, frozenset))
-                or not all(_is_int(k) for k in self.initiators)):
+                or not self.initiators or not all(_is_int(k) for k in self.initiators)):
             raise ScenarioError(
-                f"initiators must be a list of process ids, got {self.initiators!r}")
+                f"initiators must be a non-empty list of process ids, got {self.initiators!r}")
+        if not isinstance(self.expect_termination, bool):
+            raise ScenarioError(
+                f"expect_termination must be true or false, got {self.expect_termination!r}")
         if self.protocol not in _PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.schedule not in ("sync", "async"):

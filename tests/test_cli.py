@@ -373,13 +373,20 @@ RING4 = {"family": "ring", "n": 4}
       "inputs": [1, 2, 3, 4]}, []),
     ({"protocol": "avg-trusted", "topology": {"family": ["ring"], "n": 4},
       "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "expect_termination": "false"}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "faults": [{"process": 1, "time": 5, "kind": "byzantine"}]}, []),
+    ({"protocol": "avg-untrusted", "topology": RING4, "inputs": [1, 2, 3, 4],
+      "initiators": []}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
         "fractional-edge-id", "boolean-edge-id", "string-edge-id", "null-edge-id",
         "number-edges", "null-p", "boolean-p", "misspelt-p", "edges-beside-family",
         "p-beside-edges", "missing-topology-file", "zero-p-n256", "p-above-one",
-        "list-family"])
+        "list-family", "string-expect-termination", "crash-fault-with-a-kind",
+        "no-initiators"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -269,7 +269,7 @@ def test_plaintext_leak_mutation_is_flagged():
     assert any(v.rule == "plaintext-leak" for v in violations)
 
 
-@pytest.mark.parametrize("key", ["sigma", "rounds", "instance"])
+@pytest.mark.parametrize("key", ["sigma", "rounds", "instance", "initiator"])
 def test_a_private_value_under_a_key_no_message_sends_is_flagged(key):
     # no protocol message carries these keys, so declaring them plain would
     # only exempt a leak from the check
