@@ -2,8 +2,8 @@
 
 The built-in :class:`SlotBackend` stores payloads in the clear but enforces
 capability-based access control, provenance (taint) tracking and an
-append-only audit ledger.  It is NOT cryptographically secure; privacy
-guarantees of the protocols built on top of it are tested as
+append-only ledger of decryptions.  It is NOT cryptographically secure;
+privacy guarantees of the protocols built on top of it are tested as
 information-flow properties, checked as each decryption and possession is
 recorded.  A real lattice-crypto library can be substituted behind
 :class:`SlotEngine` without touching protocol code.
@@ -28,14 +28,6 @@ class KeyMismatchError(Exception):
 
 class MissingRotationKeysError(Exception):
     """The ciphertext's key was generated without rotation capability."""
-
-
-class UnknownObserverError(Exception):
-    """Observer never appeared in the audit ledger."""
-
-
-class UnloggedLedgerError(Exception):
-    """The ledger was asked for exposures it was told not to keep."""
 
 
 def next_power_of_two(x: int) -> int:
@@ -219,14 +211,14 @@ class Ciphertext:
 
 
 class AuditEvent(NamedTuple):
-    """One ledger entry: a ciphertext exposure or decryption attempt.
+    """One ledger entry: a decryption attempt.
 
     It names the ciphertext by handle and holds no reference to it; it keeps
     the ciphertext's taint mask and tag table, and `taint` reads them as a
     frozenset of tags.
     """
 
-    kind: str            # "possess" | "decrypt" | "decrypt-denied"
+    kind: str            # "decrypt" | "decrypt-denied"
     observer: object
     handle: int
     key_id: str
@@ -256,8 +248,8 @@ class SlotEngine(abc.ABC):
 
     A production homomorphic-encryption backend implements this interface;
     protocol modules use no engine member beyond the ones declared here.
-    The simulated backend audits encryptions, deliveries (recorded by the
-    simulator) and decryptions as they happen, flagging a decryption by
+    The simulated backend audits deliveries (reported by the simulator)
+    and decryptions as they happen, flagging a decryption by
     anyone but the key's holder and a holder's exposure to an unprepared
     aggregate of other processes' inputs; protocol code makes no ledger
     calls.  `add_many` and `rotate_sum` each stand for a fixed sequence of
@@ -305,7 +297,7 @@ class SlotEngine(abc.ABC):
 
 
 class SlotBackend(SlotEngine):
-    """Cleartext-simulating engine with taint tracking and an audit ledger.
+    """Cleartext-simulating engine with taint tracking and a decrypt ledger.
 
     Deterministic under a supplied seed (key ids, handles and emulated noise
     all derive from it).  With ``noise_epsilon`` = 0 all operations are exact;
@@ -314,8 +306,8 @@ class SlotBackend(SlotEngine):
 
     The ledger rules are checked when a decryption or a possession is
     recorded, since a key's holder is fixed at `keygen`; `violations()`
-    lists what they flagged, in event order.  With `log_possessions` off the
-    ledger keeps no "possess" entry, only the checks.
+    lists what they flagged, in event order.  `events()` keeps decryptions
+    only: who came to hold what is the simulator's delivery log.
 
     Each `encrypt` tag is interned to one bit of the backend's `TagTable`,
     so combining two ciphertexts ORs their taint masks; operands interned in
@@ -329,9 +321,7 @@ class SlotBackend(SlotEngine):
         self._rotation_ok: dict[str, bool] = {}
         self._events: list[AuditEvent] = []
         self._violations: list[PrivacyViolation] = []
-        self._observers: set = set()
         self._tag_table = TagTable()
-        self.log_possessions = True
         self._key_seq = 0
         self._handle_seq = 0
 
@@ -342,7 +332,6 @@ class SlotBackend(SlotEngine):
         key_id = f"key{self._key_seq:02d}-{int(self._rng.integers(0, 2**32)):08x}"
         self._holders[key_id] = holder
         self._rotation_ok[key_id] = bool(with_rotation)
-        self._observers.add(holder)
         return KeyMaterial(
             key_id=key_id,
             holder=holder,
@@ -380,12 +369,8 @@ class SlotBackend(SlotEngine):
         if public_part.key_id not in self._holders:
             raise KeyMismatchError(f"unknown key {public_part.key_id!r}")
         table = self._tag_table
-        ct = self._fresh(public_part.key_id, np.array(vector.values),
-                         table.intern(tag), table, depth=0, noise_bound=0.0)
-        owner = tag[0] if isinstance(tag, tuple) and len(tag) == 2 else None
-        if owner is not None:
-            self.record_possession(owner, ct)
-        return ct
+        return self._fresh(public_part.key_id, np.array(vector.values),
+                           table.intern(tag), table, depth=0, noise_bound=0.0)
 
     def decrypt(self, secret_part: SecretPart, ct: Ciphertext, caller=None) -> SlotVector:
         observer = caller if caller is not None else secret_part.holder
@@ -520,7 +505,6 @@ class SlotBackend(SlotEngine):
     # -- ledger and introspection (simulator and tests, not protocol code) -
 
     def _log(self, kind, observer, ct: Ciphertext):
-        self._observers.add(observer)
         self._events.append(AuditEvent(kind, observer, ct.handle, ct.key_id,
                                        ct.taint_mask, ct.tag_table, ct.prepared))
 
@@ -533,31 +517,11 @@ class SlotBackend(SlotEngine):
                 f"keyholder saw raw aggregate {ct.handle} (kind={kind})"))
 
     def record_possession(self, observer, ct: Ciphertext):
-        """The one entry point for `observer` coming to hold `ct`."""
-        if self.log_possessions:
-            self._log("possess", observer, ct)
+        """The simulator's one call for `observer` coming to hold `ct`: flags
+        the key's holder seeing an unprepared aggregate.  It keeps no ledger
+        entry; the simulator's delivery log is the record of possession."""
         if self._holders.get(ct.key_id) == observer:
             self._check_exposure("possess", observer, ct)
-
-    def register_observer(self, observer):
-        self._observers.add(observer)
-
-    def audit_view(self, observer) -> list[tuple[AuditEvent, frozenset, bool]]:
-        """Every exposure of `observer` the ledger kept, with whether it could
-        ever decrypt it.  Raises `UnloggedLedgerError` when the ledger keeps
-        no "possess" entries, which would make the view vacuously clean."""
-        if not self.log_possessions:
-            raise UnloggedLedgerError(
-                "the ledger keeps no possess entries; run the simulation "
-                "with keep_log=True to inspect exposures")
-        if observer not in self._observers:
-            raise UnknownObserverError(f"observer {observer!r} never seen")
-        out = []
-        for ev in self._events:
-            if ev.observer == observer and ev.kind in ("possess", "decrypt"):
-                decryptable = self._holders.get(ev.key_id) == observer
-                out.append((ev, ev.taint, decryptable))
-        return out
 
     def events(self) -> tuple[AuditEvent, ...]:
         return tuple(self._events)

@@ -228,10 +228,14 @@ class SimReport:
 
 @dataclass
 class SimTrace:
-    """Run artifacts: what the privacy auditor reads, and delivery counts."""
+    """Run artifacts: what the privacy auditor reads, and delivery counts.
+
+    `messages` is the run's one possession record: each delivery, in order,
+    as (time, sender, receiver, ProtocolMessage); [] without `keep_log`.
+    """
 
     backend: object
-    messages: list              # (time, sender, receiver, ProtocolMessage); [] without the log
+    messages: list
     leaks: list = field(default_factory=list)   # plaintext-leak violations, in delivery order
     deliveries: int = 0         # messages handed to a live receiver
     batches: int = 0            # delivery times with at least one delivery
@@ -327,12 +331,12 @@ class Simulation:
     destination draws its own latency, in the order given, and gets an
     entry of its own.
 
-    Each delivery is audited as it happens: its ciphertexts are recorded
-    with the engine, which checks the ledger rules, and its plaintext fields
+    Each delivery is audited as it happens: its ciphertexts are reported
+    to the engine, which checks the ledger rules, and its plaintext fields
     are checked for private inputs.  The trace counts deliveries and
     delivery batches either way.  Only with `keep_log=True` does the run
-    also keep every delivered message and the engine's "possess" entries
-    for inspection; by default memory does not grow with traffic.
+    also keep every delivered message, the one record of who came to hold
+    which ciphertext; by default memory does not grow with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
@@ -354,7 +358,6 @@ class Simulation:
         self._bytes: dict = {}
         self._message_log: list | None = [] if keep_log else None
         self._leaks: list[PrivacyViolation] = []
-        setup.backend.log_possessions = keep_log
 
     # -- engine internals -------------------------------------------------
 
@@ -407,8 +410,6 @@ class Simulation:
         backend = self.setup.backend
         ctxs = {pid: Context(self, pid) for pid in nodes}
         self._reach = {pid: ctx.reach for pid, ctx in ctxs.items()}
-        for pid in nodes:
-            backend.register_observer(pid)
         order = sorted(nodes, key=_actor_order)
         crashes: dict[int, list] = {}
         for crash in self.faults.crashes:

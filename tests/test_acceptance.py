@@ -16,6 +16,7 @@ from consentry.avg_consensus import NON_VIABLE, run_untrusted
 from consentry.leader_election import elect_winner
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 
+from exposures import audit_view
 from mutations import LeakyAvgNode, MisroutingAvgNode, run_mutated
 from oracles import irv_oracle, mean_oracle, outlier_oracle
 
@@ -175,10 +176,10 @@ def test_criterion_5_privacy_audit():
     setup = build_trusted(t, inputs, seed=9)
     sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 9), keep_log=True)
     _, trace = sim.run()
-    backend = setup.backend
+    keys = [setup.nodes[netsim.TRUSTED].key]
     for pid in range(t.n):
-        ok = ok and all(not d for _, _, d in backend.audit_view(pid))
-    ok = ok and all(ev.prepared for ev, _, _ in backend.audit_view(netsim.TRUSTED))
+        ok = ok and all(not d for _, _, d in audit_view(trace, keys, pid))
+    ok = ok and all(ev.prepared for ev, _, _ in audit_view(trace, keys, netsim.TRUSTED))
 
     # mutations must each raise at least one violation
     ok = ok and any(v.rule == "plaintext-leak" for v in run_mutated(LeakyAvgNode))

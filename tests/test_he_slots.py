@@ -5,9 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from consentry.avg_consensus import AGGREGATE, ProtocolMessage
 from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchError,
                                 MissingRotationKeysError, SlotBackend, SlotVector,
-                                UnknownObserverError, slot_capacity_for)
+                                slot_capacity_for)
+from consentry.netsim import SimTrace
+
+from exposures import audit_view
 
 #: owners "T", 0, 1 and "x"; the string tags are owned by their first letter
 TAGS = [(0, "a"), (1, "a"), (0, "b"), ("T", "t"), ("x", "s"), (2, "c"),
@@ -232,14 +236,15 @@ def test_audit_view_possession_and_decryptability():
     b = make_backend(4)
     km = b.keygen("T")
     ct = b.encrypt(km.public_part, SlotVector([1, 0, 0, 0]), ("1", "v"))
-    b.record_possession("1", ct)
-    b.record_possession("T", ct)
-    view1 = b.audit_view("1")
+    msg = ProtocolMessage("avg", AGGREGATE, votes_ct=ct, counts=(1, 0, 0, 0))
+    log = [(1, "1", "T", msg), (2, "T", "1", msg)]
+    trace = SimTrace(b, log, deliveries=len(log))
+    view1 = audit_view(trace, [km], "1")
     assert view1 and all(not decryptable for _, _, decryptable in view1)
-    viewT = b.audit_view("T")
+    viewT = audit_view(trace, [km], "T")
     assert viewT and all(decryptable for _, _, decryptable in viewT)
-    with pytest.raises(UnknownObserverError):
-        b.audit_view("nobody")
+    with pytest.raises(LookupError):
+        audit_view(trace, [km], "nobody")
 
 
 def test_mark_prepared_sets_flag_only():
@@ -291,14 +296,15 @@ def test_taint_masks_match_the_frozenset_union_rule(seed):
             item = (b.mark_prepared(x), tx)
         else:
             x, tx = rng.choice(pool)
-            before = len(b.violations())
+            before, logged = len(b.violations()), len(b.events())
             if rng.random() < 0.5:
                 b.record_possession(km.holder, x)
+                assert len(b.events()) == logged    # the simulator logs possession
             else:
                 b.decrypt(km.secret_part, x)
+                ev = b.events()[-1]
+                assert ev.handle == x.handle and ev.taint == tx
             assert len(b.violations()) - before == old_exposed(tx, x.prepared, km.holder)
-            ev = b.events()[-1]
-            assert ev.handle == x.handle and ev.taint == tx
             continue
         ct, taint = item
         assert ct.taint == taint

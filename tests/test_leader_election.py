@@ -16,6 +16,7 @@ from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        tie_break)
 from consentry.netsim import ScenarioConfig
 
+from exposures import audit_view
 from oracles import irv_oracle
 
 
@@ -293,8 +294,9 @@ def test_candidate_privacy_only_keyholder_decrypts_completes():
         if ev.kind == "decrypt":
             assert ev.observer == netsim.TRUSTED
             assert ev.prepared            # complete ciphertexts only
+    keys = [setup.nodes[netsim.TRUSTED].key]
     for pid in range(5):
-        for _, _, decryptable in backend.audit_view(pid):
+        for _, _, decryptable in audit_view(trace, keys, pid):
             assert not decryptable
 
 

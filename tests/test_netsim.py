@@ -8,10 +8,11 @@ import pytest
 from consentry import netsim
 from consentry import topology as topo
 from consentry.avg_consensus import RESULT, ProtocolMessage, build_trusted
-from consentry.he_slots import BackendConfig, SlotBackend, UnloggedLedgerError
+from consentry.he_slots import BackendConfig, SlotBackend
 from consentry.netsim import (CrashFault, FaultPlan, ScenarioConfig,
                               ScenarioError, SchedulePolicy, SimTrace)
 
+from exposures import audit_view
 from oracles import mean_oracle
 
 
@@ -295,23 +296,28 @@ def test_pre_prepare_exposure_mutation_is_flagged():
 def test_audit_finds_the_same_violations_without_the_log(monkeypatch, node_name):
     import mutations
     node_cls = getattr(mutations, node_name)
-    logged = mutations.run_mutated(node_cls)
     traces = []
 
-    class UnloggedSimulation(netsim.Simulation):
+    class RecordingSimulation(netsim.Simulation):
+        keep_log = True
+
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **{**kwargs, "keep_log": False})
+            super().__init__(*args, **{**kwargs, "keep_log": self.keep_log})
 
         def run(self):
             report, trace = super().run()
             traces.append(trace)
             return report, trace
 
-    monkeypatch.setattr(netsim, "Simulation", UnloggedSimulation)
+    monkeypatch.setattr(netsim, "Simulation", RecordingSimulation)
+    logged = mutations.run_mutated(node_cls)
+    RecordingSimulation.keep_log = False
     unlogged = mutations.run_mutated(node_cls)
-    trace, = traces
-    assert trace.messages == []
-    assert not any(ev.kind == "possess" for ev in trace.backend.events())
+    logged_trace, trace = traces
+    assert logged_trace.messages and trace.messages == []
+    # the log is the simulator's alone: the engine's ledger is the same
+    ledger = lambda t: [(ev.kind, ev.observer, ev.handle) for ev in t.backend.events()]
+    assert ledger(trace) == ledger(logged_trace)
     assert logged and unlogged == logged
 
 
@@ -346,16 +352,17 @@ def test_trusted_party_never_holds_raw_aggregates_in_conforming_run():
     setup = build_trusted(t, [1.0, 2.0, 3.0, 4.0], seed=4)
     sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 2), keep_log=True)
     _, trace = sim.run()
-    backend = setup.backend
-    for ev, taint, decryptable in backend.audit_view(netsim.TRUSTED):
-        assert ev.prepared
+    keys = [setup.nodes[netsim.TRUSTED].key]
+    view = audit_view(trace, keys, netsim.TRUSTED)
+    assert view and all(ev.prepared and decryptable for ev, _, decryptable in view)
     for pid in range(4):
-        assert all(not d for _, _, d in backend.audit_view(pid))
+        view = audit_view(trace, keys, pid)
+        assert view and all(not d for _, _, d in view)
 
 
 def test_audit_view_refuses_an_unlogged_run():
     t = topo.ring(4)
     setup = build_trusted(t, [1.0, 2.0, 3.0, 4.0], seed=4)
-    netsim.Simulation(t, setup, SchedulePolicy("sync", 2)).run()
-    with pytest.raises(UnloggedLedgerError, match="keep_log=True"):
-        setup.backend.audit_view(netsim.TRUSTED)
+    _, trace = netsim.Simulation(t, setup, SchedulePolicy("sync", 2)).run()
+    with pytest.raises(ValueError, match="keep_log=True"):
+        audit_view(trace, [setup.nodes[netsim.TRUSTED].key], netsim.TRUSTED)
