@@ -313,15 +313,23 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
 
 def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
                      n: int, caller=None) -> float:
-    """Decrypt a prepared aggregate and return the average it carries."""
+    """Decrypt a prepared aggregate and return the average it carries.
+
+    Slots that disagree, or any slot that is not finite (an overflowed
+    payload), raise `PreparedSlotsError`."""
     if not prepared_ct.prepared:
         raise PrivacyGuardError("refusing to decrypt an unprepared aggregate")
     vec = backend.decrypt(secret, prepared_ct, caller=caller)
     lead = vec.values[:n]
     ref = float(lead[0])
     scale = max(1.0, abs(ref)) * PREPARED_SLOT_TOLERANCE + prepared_ct.noise_bound * n
-    if np.max(np.abs(lead - ref)) > scale:
-        raise PreparedSlotsError(f"prepared slots disagree beyond tolerance: {lead}")
+    # written so that NaN, and so any infinity, fails it
+    bad = np.flatnonzero(~(np.abs(lead - ref) <= scale))
+    if bad.size:
+        i = int(bad[0])
+        other = f", slot 0 {ref!r}" if i else ""
+        raise PreparedSlotsError(f"prepared slots disagree beyond tolerance or "
+                                 f"overflowed: slot {i} holds {float(lead[i])!r}{other}")
     return ref
 
 
@@ -447,12 +455,25 @@ class TrustedCollectorNode(netsim.Node):
 
 
 def _finite_values(inputs) -> list[float]:
-    """The processes' initial values as floats; each must be finite."""
+    """The processes' initial values as floats; each must be finite, and so
+    must their sum (`_sum_fits`)."""
     values = [float(v) for v in inputs]
     for v in values:
         if not np.isfinite(v):
             raise ValueError(f"initial value must be finite, got {v!r}")
+    _sum_fits(values)
     return values
+
+
+def _sum_fits(values: list[float], squares: bool = False):
+    """Reject values whose sum, or sum of squares, may not fit in float64:
+    n times the largest magnitude (or square) must be finite.  Python float
+    products overflow to infinity where `**` would raise."""
+    top = max(map(abs, values), default=0.0)
+    if not np.isfinite(len(values) * (top * top if squares else top)):
+        what = "the squares of " if squares else ""
+        raise ValueError(f"the sum of {what}{len(values)} initial values up to "
+                         f"{top!r} in magnitude overflows float64")
 
 
 def build_trusted(topology: Topology, inputs, *, seed: int = 0,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
-                            FloodingNode, ProtocolMessage, _finite_values,
+                            FloodingNode, ProtocolMessage, _finite_values, _sum_fits,
                             finalize_trusted, init_consensus, on_receive,
                             prepare, survivors)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
@@ -334,6 +334,7 @@ def build(topology: Topology, inputs, c: float, *, variance_route: str = "decryp
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
     values = _finite_values(inputs)
+    _sum_fits(values, squares=True)
     for pid in range(n):
         nodes[pid] = OutlierProcessNode(pid, values[pid], c, key.public_part,
                                         n, backend, route=variance_route)

@@ -10,7 +10,8 @@ import pytest
 from consentry import avg_consensus, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
-                                     PREPARED, RESULT, PrivacyGuardError,
+                                     PREPARED, RESULT, PreparedSlotsError,
+                                     PrivacyGuardError,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
                                      fold, init_consensus, instance_for_initiator,
@@ -444,6 +445,26 @@ def test_prepare_divides_out_counts_beyond_int64():
     state, out, dec = on_receive(state, msg, b)
     assert out and dec is not None
     assert b.decrypt(km.secret_part, dec)[0] == pytest.approx(4.75, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_fold_that_overflows_fails_closed():
+    # counts near 2^1020 hold each value times 2^1020: two messages of value 8
+    # fold slot 2 to 2^1023 + 2^1023, which overflows float64
+    b = make_backend()
+    km = b.keygen("T")
+    state, _ = init_consensus(0, 8.0, km.public_part, 4, b)
+    big = 2 ** 1020
+    top = 8.0 * big
+    msgs = [ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, counts=counts,
+                            votes_ct=b.encrypt(km.public_part, SlotVector(votes), ("x", "agg")))
+            for votes, counts in (([0, top, top, 0], (0, big, big, 0)),
+                                  ([0, 0, top, top], (0, 0, big, big)))]
+    merged, dec = fold(state, msgs, b)
+    assert merged and dec is not None
+    assert np.isinf(b.inspect_payload(dec)).all()
+    with pytest.raises(PreparedSlotsError, match="overflowed"):
+        finalize_trusted(b, km.secret_part, dec, 4)
 
 
 def test_long_ring_decides_the_mean():

@@ -410,3 +410,40 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, config, value):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"protocol": "avg-trusted", "topology": RING4, "inputs": [1e308] * 4},
+    {"protocol": "avg-untrusted", "topology": RING4, "inputs": [1e308] * 4},
+    {"protocol": "outlier", "c": 1.0, "topology": RING4, "inputs": [1e160, 1, 2, 3]},
+], ids=["avg-trusted-sum", "avg-untrusted-sum", "outlier-sum-of-squares"])
+def test_inputs_whose_sum_overflows_exit_2(tmp_path, capsys, config):
+    # each input is finite, but n times the largest (or its square) is not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+RING48 = {"family": "ring", "n": 48}
+
+
+# duplicate counts reach about 2^36 on ring(48), so the payloads overflow
+# (numpy warns) although n times the largest input fits in float64
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("config", [
+    {"protocol": "avg-trusted", "topology": RING48, "inputs": [1e300] * 48},
+    {"protocol": "avg-untrusted", "topology": RING48, "inputs": [1e300] * 48,
+     "initiators": [0]},
+    {"protocol": "outlier", "c": 1.5, "topology": RING48,
+     "inputs": {"random_uniform": [1e150, 2e150]}},
+], ids=["avg-trusted", "avg-untrusted", "outlier"])
+def test_overflowing_aggregate_exits_4(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
