@@ -1,13 +1,16 @@
 """Backend contract tests: round trips, homomorphism, taint, access control."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from consentry import avg_consensus, leader_election, outlier_consensus
 from consentry.avg_consensus import AGGREGATE, ProtocolMessage
 from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchError,
-                                MissingRotationKeysError, SlotBackend, SlotVector,
+                                MissingRotationKeysError, SlotBackend, SlotEngine, SlotVector,
                                 slot_capacity_for)
 from consentry.netsim import SimTrace
 
@@ -454,3 +457,33 @@ def test_batched_ops_raise_like_the_nested_calls():
         b1.rotate(ct, 1)
     with pytest.raises(MissingRotationKeysError):
         b1.rotate_sum(ct)
+
+
+def engine_reads(source: str) -> dict:
+    """Each attribute read on `backend` or `self.backend` in `source`,
+    mapped to the first line that reads it."""
+    reads = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if (isinstance(owner, ast.Name) and owner.id == "backend") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "backend"
+                and isinstance(owner.value, ast.Name) and owner.value.id == "self"):
+            reads.setdefault(node.attr, node.lineno)
+    return reads
+
+
+@pytest.mark.parametrize("module", [avg_consensus, outlier_consensus, leader_election],
+                         ids=lambda m: m.__name__.rpartition(".")[2])
+def test_protocol_code_uses_only_the_engine_seam(module):
+    # protocol code makes no ledger calls: the simulator alone reports
+    # possession, so a protocol cannot hide or forge an exposure
+    seam = SlotEngine.__abstractmethods__ | {"config"}
+    source = Path(module.__file__).read_text()
+    reads = engine_reads(source)
+    assert reads and {"encrypt", "config"} <= set(reads)
+    assert {m: line for m, line in reads.items() if m not in seam} == {}
+    for mutant in ("backend.record_possession(0, ct)",
+                   "self.backend.record_possession(0, ct)"):
+        assert "record_possession" in engine_reads(source + "\n" + mutant + "\n")
