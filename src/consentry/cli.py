@@ -7,7 +7,8 @@ replays a base scenario over a grid of topology families / sizes and writes
 `sweep.csv` with per-cell aggregates, including the measured message-bound
 constant K.  Exit codes: 0 clean, 2 configuration error, 3 privacy violation
 or unexpected termination, 4 internal fault (a corrupted tally, a refused
-decryption of an unprepared aggregate, or prepared slots that disagree).
+decryption of an unprepared aggregate, or prepared slots that disagree or
+are not finite).
 """
 
 from __future__ import annotations
