@@ -33,6 +33,7 @@ floods one result, the first it decides on.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -324,12 +325,10 @@ def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
     ref = float(lead[0])
     scale = max(1.0, abs(ref)) * PREPARED_SLOT_TOLERANCE + prepared_ct.noise_bound * n
     # written so that NaN, and so any infinity, fails it
-    bad = np.flatnonzero(~(np.abs(lead - ref) <= scale))
-    if bad.size:
-        i = int(bad[0])
-        other = f", slot 0 {ref!r}" if i else ""
-        raise PreparedSlotsError(f"prepared slots disagree beyond tolerance or "
-                                 f"overflowed: slot {i} holds {float(lead[i])!r}{other}")
+    if not np.all(np.abs(lead - ref) <= scale):
+        raise PreparedSlotsError(
+            "prepared slots disagree beyond tolerance or are not finite: "
+            + np.array2string(lead, threshold=8, max_line_width=1 << 30))
     return ref
 
 
@@ -459,7 +458,7 @@ def _finite_values(inputs) -> list[float]:
     must their sum (`_sum_fits`)."""
     values = [float(v) for v in inputs]
     for v in values:
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"initial value must be finite, got {v!r}")
     _sum_fits(values)
     return values
@@ -470,7 +469,7 @@ def _sum_fits(values: list[float], squares: bool = False):
     n times the largest magnitude (or square) must be finite.  Python float
     products overflow to infinity where `**` would raise."""
     top = max(map(abs, values), default=0.0)
-    if not np.isfinite(len(values) * (top * top if squares else top)):
+    if not math.isfinite(len(values) * (top * top if squares else top)):
         what = "the squares of " if squares else ""
         raise ValueError(f"the sum of {what}{len(values)} initial values up to "
                          f"{top!r} in magnitude overflows float64")

@@ -463,7 +463,7 @@ def test_a_fold_that_overflows_fails_closed():
     merged, dec = fold(state, msgs, b)
     assert merged and dec is not None
     assert np.isinf(b.inspect_payload(dec)).all()
-    with pytest.raises(PreparedSlotsError, match="overflowed"):
+    with pytest.raises(PreparedSlotsError, match="not finite"):
         finalize_trusted(b, km.secret_part, dec, 4)
 
 

@@ -379,6 +379,10 @@ RING4 = {"family": "ring", "n": 4}
       "faults": [{"process": 1, "time": 5, "kind": "byzantine"}]}, []),
     ({"protocol": "avg-untrusted", "topology": RING4, "inputs": [1, 2, 3, 4],
       "initiators": []}, []),
+    # each input is finite, but n times the largest (or its square) is not
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1e308] * 4}, []),
+    ({"protocol": "avg-untrusted", "topology": RING4, "inputs": [1e308] * 4}, []),
+    ({"protocol": "outlier", "c": 1.0, "topology": RING4, "inputs": [1e160, 1, 2, 3]}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
@@ -386,7 +390,8 @@ RING4 = {"family": "ring", "n": 4}
         "number-edges", "null-p", "boolean-p", "misspelt-p", "edges-beside-family",
         "p-beside-edges", "missing-topology-file", "zero-p-n256", "p-above-one",
         "list-family", "string-expect-termination", "crash-fault-with-a-kind",
-        "no-initiators"])
+        "no-initiators", "avg-trusted-sum-overflows", "avg-untrusted-sum-overflows",
+        "outlier-sum-of-squares-overflows"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -412,25 +417,10 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, config, value):
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("config", [
-    {"protocol": "avg-trusted", "topology": RING4, "inputs": [1e308] * 4},
-    {"protocol": "avg-untrusted", "topology": RING4, "inputs": [1e308] * 4},
-    {"protocol": "outlier", "c": 1.0, "topology": RING4, "inputs": [1e160, 1, 2, 3]},
-], ids=["avg-trusted-sum", "avg-untrusted-sum", "outlier-sum-of-squares"])
-def test_inputs_whose_sum_overflows_exit_2(tmp_path, capsys, config):
-    # each input is finite, but n times the largest (or its square) is not
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
-    assert not (tmp_path / "report.json").exists()
-
-
 RING48 = {"family": "ring", "n": 48}
 
 
-# duplicate counts reach about 2^36 on ring(48), so the payloads overflow
+# duplicate counts reach about 2^34 on ring(48), so the payloads overflow
 # (numpy warns) although n times the largest input fits in float64
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("config", [
