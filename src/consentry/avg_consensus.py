@@ -97,12 +97,12 @@ class ProtocolMessage:
     The counts are held as one read-only float64 array, `count_array`: a
     read-only float64 array given (a snapshot's) is shared, anything else is
     copied.  `counts` reads them as a tuple of ints.  `support`, the bitmask
-    of nonzero counts, is passed by snapshots and otherwise derived on first
-    use.
+    of nonzero counts, is passed by snapshots and otherwise derived here
+    from the counts; a message without counts has none.
     """
 
     __slots__ = ("instance", "kind", "votes_ct", "participating_ct", "extra",
-                 "ciphertexts", "count_array", "_support")
+                 "ciphertexts", "count_array", "support")
 
     def __init__(self, instance: str, kind: str, votes_ct: Ciphertext | None = None,
                  counts=None, participating_ct: Ciphertext | None = None,
@@ -126,8 +126,10 @@ class ProtocolMessage:
             if counts.flags.writeable:
                 counts = counts.copy()
                 counts.flags.writeable = False
+            if support is None:
+                support = _support_mask(counts)
         self.count_array = counts
-        self._support = support
+        self.support = support
 
     @property
     def counts(self) -> tuple | None:
@@ -135,13 +137,6 @@ class ProtocolMessage:
         if self.count_array is None:
             return None
         return tuple(map(int, self.count_array.tolist()))
-
-    @property
-    def support(self) -> int:
-        """Bitmask of the nonzero counts."""
-        if self._support is None:
-            self._support = _support_mask(self.count_array)
-        return self._support
 
 
 class ConsensusState:
@@ -396,8 +391,7 @@ class FloodingNode(netsim.Node):
         ctx.mark_complete(instance)
         votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
         msg = ProtocolMessage(instance, PREPARED, votes_ct=votes, participating_ct=part)
-        for dst in self._prepared_readers(ctx, instance):
-            ctx.send(dst, msg)
+        ctx.multicast(self._prepared_readers(ctx, instance), msg)
         return msg
 
     def _try_decide(self, ctx, state: ConsensusState):

@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import netsim
 from .avg_consensus import PreparedSlotsError, PrivacyGuardError
 from .leader_election import CorruptedTallyError, InvalidBallotError
@@ -87,12 +89,17 @@ def _decided_summary(report: netsim.SimReport) -> str:
 
 
 def _run_trials(scenario: ScenarioConfig) -> list[tuple[Topology, netsim.SimReport]]:
-    """Each trial's topology, resolved once, with the report of the run on it."""
+    """Each trial's topology, resolved once, with the report of the run on it.
+
+    numpy's overflow warnings are silenced: an overflowed payload fails the
+    prepared-slot check as a `PreparedSlotsError`, and `main` reports that
+    fault in one line."""
     trials = []
-    for t in range(scenario.trials):
-        topo = scenario.resolve_topology(t)
-        report = netsim.run(dataclasses.replace(scenario, topology=topo), trial=t)
-        trials.append((topo, report))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(scenario.trials):
+            topo = scenario.resolve_topology(t)
+            report = netsim.run(dataclasses.replace(scenario, topology=topo), trial=t)
+            trials.append((topo, report))
     return trials
 
 

@@ -248,8 +248,8 @@ class SlotEngine(abc.ABC):
 
     A production homomorphic-encryption backend implements this interface;
     protocol modules use no engine member beyond the ones declared here.
-    The simulated backend audits deliveries (reported by the simulator)
-    and decryptions as they happen, flagging a decryption by
+    The simulated backend audits deliveries to keyholders (reported by the
+    simulator) and decryptions as they happen, flagging a decryption by
     anyone but the key's holder and a holder's exposure to an unprepared
     aggregate of other processes' inputs; protocol code makes no ledger
     calls.  `add_many` and `rotate_sum` each stand for a fixed sequence of
@@ -516,10 +516,17 @@ class SlotBackend(SlotEngine):
                 "unprepared-exposure", holder,
                 f"keyholder saw raw aggregate {ct.handle} (kind={kind})"))
 
+    def key_holders(self) -> frozenset:
+        """Every actor that holds a key.  Keys are made at `keygen`, before a
+        simulation runs, so the set is fixed for the run."""
+        return frozenset(self._holders.values())
+
     def record_possession(self, observer, ct: Ciphertext):
-        """The simulator's one call for `observer` coming to hold `ct`: flags
-        the key's holder seeing an unprepared aggregate.  It keeps no ledger
-        entry; the simulator's delivery log is the record of possession."""
+        """The simulator's call for `observer` coming to hold `ct`: flags the
+        key's holder seeing an unprepared aggregate.  It acts only when
+        `observer` holds `ct`'s key, so the simulator calls it for
+        deliveries to `key_holders()` alone.  It keeps no ledger entry; the
+        simulator's delivery log is the record of possession."""
         if self._holders.get(ct.key_id) == observer:
             self._check_exposure("possess", observer, ct)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
@@ -194,6 +195,8 @@ class SchedulePolicy:
         return 1 if self.mode == "sync" else self.max_latency
 
     def latency(self, sender, receiver) -> int:
+        """One send's latency.  `Simulation._send` makes the same async
+        draws inline, from the same stream."""
         if self.mode == "sync":
             return 1
         # randint(1, L) is defined as randrange(1, L + 1): the same draw
@@ -257,10 +260,10 @@ class Node:
 class Context:
     """Per-actor handle through which a node interacts with the simulation.
 
-    `send` is one point-to-point message; `broadcast` and
-    `broadcast_processes` hand their whole destination tuple to the
-    simulator as one multicast, counted and delivered as one message per
-    destination.
+    `send` is one point-to-point message.  `multicast` hands a whole
+    destination tuple to the simulator at once, counted, ordered and
+    delivered as one message per destination, as that many sends would be;
+    `broadcast` and `broadcast_processes` are multicasts.
     """
 
     def __init__(self, sim: "Simulation", pid):
@@ -276,15 +279,19 @@ class Context:
     def send(self, dst, msg):
         self._sim._send(self.pid, (dst,), msg)
 
+    def multicast(self, dsts: tuple, msg):
+        """One message to each actor of `dsts`, in that order."""
+        self._sim._send(self.pid, dsts, msg)
+
     def broadcast(self, msg, exclude=()):
         dsts = self.neighbors
         if exclude and not self.reach.isdisjoint(exclude):
             dsts = tuple([dst for dst in dsts if dst not in exclude])
-        self._sim._send(self.pid, dsts, msg)
+        self.multicast(dsts, msg)
 
     def broadcast_processes(self, msg):
         """Collector channel: deliver to every (correct) process directly."""
-        self._sim._send(self.pid, tuple(range(self._sim.topology.n)), msg)
+        self.multicast(tuple(range(self._sim.topology.n)), msg)
 
     def decide(self, value):
         self._sim._record_decide(self.pid, value)
@@ -331,9 +338,11 @@ class Simulation:
     destination draws its own latency, in the order given, and gets an
     entry of its own.
 
-    Each delivery is audited as it happens: its ciphertexts are reported
-    to the engine, which checks the ledger rules, and its plaintext fields
-    are checked for private inputs.  The trace counts deliveries and
+    Each delivery is audited as it happens.  The ciphertexts of a delivery
+    to a keyholder (`key_holders()`, fixed before the run) are reported to
+    the engine, which checks the ledger rules; a possession by anyone else
+    cannot break them, so it is not reported.  Every delivery's plaintext
+    fields are checked for private inputs.  The trace counts deliveries and
     delivery batches either way.  Only with `keep_log=True` does the run
     also keep every delivered message, the one record of who came to hold
     which ciphertext; by default memory does not grow with traffic.
@@ -377,9 +386,17 @@ class Simulation:
         if self.policy.mode == "sync":
             calendar.setdefault(now + 1, []).append((frm, dsts, msg))
             return
-        latency = self.policy.latency
+        # `SchedulePolicy.latency`'s randrange(1, L + 1), drawn as randrange
+        # draws it: 1 + r for the first r = getrandbits(bit length of L)
+        # below L
+        span = self.policy.max_latency
+        bits = span.bit_length()
+        getrandbits = self.policy._rng.getrandbits
         for dst in dsts:
-            calendar.setdefault(now + latency(frm, dst), []).append((frm, (dst,), msg))
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            calendar.setdefault(now + 1 + r, []).append((frm, (dst,), msg))
 
     def _record_decide(self, pid, value):
         if pid not in self._decided:
@@ -422,6 +439,8 @@ class Simulation:
             nodes[pid].on_start(ctxs[pid])
         calendar, crashed_at = self._calendar, self._crashed_at
         log, record = self._message_log, backend.record_possession
+        holders = backend.key_holders()
+        rank = {actor: i for i, actor in enumerate(order)}
         deadline_hit = False
         delivered = batches = 0
 
@@ -442,26 +461,33 @@ class Simulation:
             if now not in calendar:
                 continue
 
-            per_receiver: dict = {}
+            per_receiver: defaultdict = defaultdict(list)
+            plain = False    # some message of this time has plaintext fields
             for frm, dsts, msg in calendar.pop(now):
-                if frm in crashed_at:
-                    continue
+                if crashed_at:
+                    if frm in crashed_at:
+                        continue
+                    dsts = [dst for dst in dsts if dst not in crashed_at]
+                if msg.extra:
+                    plain = True
                 delivery = (frm, msg)
                 for dst in dsts:
-                    if dst not in crashed_at:
-                        per_receiver.setdefault(dst, []).append(delivery)
+                    per_receiver[dst].append(delivery)
             if per_receiver:
                 batches += 1
-            for dst in sorted(per_receiver, key=_actor_order):
+            for dst in sorted(per_receiver, key=rank.__getitem__):
                 deliveries = per_receiver[dst]
                 delivered += len(deliveries)
-                for frm, msg in deliveries:
-                    if log is not None:
-                        log.append((now, frm, dst, msg))
-                    if msg.extra:
-                        self._check_leaks(frm, msg)
-                    for ct in msg.ciphertexts:
-                        record(dst, ct)
+                holder = dst in holders
+                if log is not None or plain or holder:
+                    for frm, msg in deliveries:
+                        if log is not None:
+                            log.append((now, frm, dst, msg))
+                        if msg.extra:
+                            self._check_leaks(frm, msg)
+                        if holder:
+                            for ct in msg.ciphertexts:
+                                record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
             if self.setup.invariant_check is not None:
                 self.setup.invariant_check(nodes)

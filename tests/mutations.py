@@ -25,16 +25,21 @@ class MisroutingAvgNode(AvgProcessNode):
             ctx.send(netsim.TRUSTED, self._snapshot_msg(self.state))
 
 
+def mutated_setup(t, inputs, node_cls, seed):
+    """An avg-trusted setup on `t` with every process replaced by the
+    mutated node class."""
+    setup = build_trusted(t, inputs, seed=seed)
+    pk = setup.nodes[0].pk
+    for pid in range(t.n):
+        setup.nodes[pid] = node_cls(pid, inputs[pid], pk, t.n, setup.backend)
+    return setup
+
+
 def run_mutated(node_cls):
     """Run a 4-ring with every process replaced by the mutated node class;
     returns the privacy violations the auditor found."""
     t = topo.ring(4)
-    inputs = [5.0, 6.0, 7.0, 8.0]
-    setup = build_trusted(t, inputs, seed=1)
-    pk = setup.nodes[0].pk
-    backend = setup.backend
-    for pid in range(4):
-        setup.nodes[pid] = node_cls(pid, inputs[pid], pk, 4, backend)
+    setup = mutated_setup(t, [5.0, 6.0, 7.0, 8.0], node_cls, seed=1)
     sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 1), keep_log=True)
     report, trace = sim.run()
     return netsim.privacy_audit(trace)

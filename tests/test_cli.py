@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from consentry.leader_election import CorruptedTallyError
 from oracles import irv_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_summary(out):
@@ -437,3 +441,20 @@ def test_overflowing_aggregate_exits_4(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+def test_an_overflowing_run_writes_one_stderr_line_outside_pytest(tmp_path):
+    # pytest's warning filters hide what numpy prints to a plain process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "avg-trusted", "topology": RING48,
+                               "inputs": [1e300] * 48}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "consentry.cli", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stderr.startswith("internal error: PreparedSlotsError:")
+    assert proc.stderr.count("\n") == 1

@@ -5,13 +5,15 @@ import tracemalloc
 
 import pytest
 
-from consentry import netsim
+from consentry import leader_election, netsim, outlier_consensus
 from consentry import topology as topo
-from consentry.avg_consensus import RESULT, ProtocolMessage, build_trusted
+from consentry.avg_consensus import (RESULT, ProtocolMessage, build_trusted,
+                                     build_untrusted)
 from consentry.he_slots import BackendConfig, SlotBackend
 from consentry.netsim import (CrashFault, FaultPlan, ScenarioConfig,
                               ScenarioError, SchedulePolicy, SimTrace)
 
+import mutations
 from exposures import audit_view
 from oracles import mean_oracle
 
@@ -80,6 +82,22 @@ def test_schedule_policy_contract():
     assert all(1 <= d <= 4 for d in draws) and len(set(draws)) > 1
     with pytest.raises(ScenarioError):
         SchedulePolicy("bogus", 1)
+
+
+@pytest.mark.parametrize("longest", range(1, 17))
+def test_async_sends_draw_the_latencies_randrange_draws(longest):
+    # the simulator draws latencies inline from the policy's stream; the
+    # async golden reports rest on these being randrange(1, L + 1)'s draws
+    setup = netsim.ProtocolSetup(nodes={}, backend=SlotBackend(BackendConfig(4), seed=0),
+                                 private_values=frozenset(), expected_deciders=set())
+    sim = netsim.Simulation(topo.ring(4), setup,
+                            SchedulePolicy("async", 29, max_latency=longest))
+    dsts = tuple(range(300))
+    sim._send(netsim.TRUSTED, dsts, ProtocolMessage("probe", RESULT))
+    drawn = {dst: time for time, entries in sim._calendar.items()
+             for _, (dst,), _ in entries}
+    rng = random.Random(29)
+    assert [drawn[dst] for dst in dsts] == [rng.randrange(1, longest + 1) for _ in dsts]
 
 
 def test_crash_keeping_graph_connected_still_decides():
@@ -319,6 +337,71 @@ def test_audit_finds_the_same_violations_without_the_log(monkeypatch, node_name)
     ledger = lambda t: [(ev.kind, ev.observer, ev.handle) for ev in t.backend.events()]
     assert ledger(trace) == ledger(logged_trace)
     assert logged and unlogged == logged
+
+
+def _exposure_checks(backend):
+    """Spy on `backend`'s keyholder exposure checks: returns the list that
+    collects each one as (kind, holder, handle)."""
+    checks = []
+    check = backend._check_exposure
+
+    def spy(kind, holder, ct):
+        checks.append((kind, holder, ct.handle))
+        check(kind, holder, ct)
+
+    backend._check_exposure = spy
+    return checks
+
+
+AUDITED_SETUPS = {
+    "avg-trusted": lambda t, v: build_trusted(t, v, seed=3),
+    "avg-untrusted": lambda t, v: build_untrusted(t, v, seed=3),
+    "outlier-decrypt": lambda t, v: outlier_consensus.build(t, v, 1.5, seed=3),
+    "outlier-encrypted": lambda t, v: outlier_consensus.build(
+        t, v, 1.5, variance_route="encrypted", seed=3),
+    "election": lambda t, v: leader_election.build(
+        t, [{"primary": (p + 1) % t.n, "secondary": (p + 2) % t.n} for p in range(t.n)],
+        seed=3),
+    "LeakyAvgNode": lambda t, v: mutations.mutated_setup(t, v, mutations.LeakyAvgNode, 3),
+    "MisroutingAvgNode": lambda t, v: mutations.mutated_setup(
+        t, v, mutations.MisroutingAvgNode, 3),
+}
+
+
+@pytest.mark.parametrize("schedule", ["sync", "async"])
+@pytest.mark.parametrize("name", list(AUDITED_SETUPS))
+def test_keyholder_possession_checks_equal_a_replay_of_every_delivery(name, schedule):
+    """The simulator reports only deliveries to keyholders to the engine.
+    Replaying every ciphertext of every logged delivery through
+    `record_possession` must make the same checks and flag the same
+    violations, and a run without the log must audit the same."""
+    t = topo.random_connected(7, 0.5, random.Random(11))
+    inputs = [3.0, -1.5, 8.0, 0.25, 4.0, 40.0, 6.0]
+    audits = []
+    for keep_log in (True, False):
+        setup = AUDITED_SETUPS[name](t, inputs)
+        checks = _exposure_checks(setup.backend)
+        policy = SchedulePolicy(schedule, 5, max_latency=3)
+        report, trace = netsim.Simulation(t, setup, policy, keep_log=keep_log).run()
+        assert report.termination == "decided"
+        audit = netsim.privacy_audit(trace)
+        audits.append(audit)
+        if not keep_log:
+            continue
+        live = [check for check in checks if check[0] == "possess"]
+        flagged = len(setup.backend.violations())
+        checks.clear()
+        for _, _, dst, msg in trace.messages:
+            for ct in msg.ciphertexts:
+                setup.backend.record_possession(dst, ct)
+        assert checks and checks == live
+        assert setup.backend.violations()[flagged:] == [
+            v for v in audit if v.detail.endswith("(kind=possess)")]
+    logged, unlogged = audits
+    assert unlogged == logged
+    rule = {"LeakyAvgNode": "plaintext-leak",
+            "MisroutingAvgNode": "unprepared-exposure"}.get(name)
+    assert {v.rule for v in unlogged} == ({rule} if rule else set())
 
 
 def test_run_memory_does_not_grow_with_traffic():
