@@ -461,7 +461,7 @@ class Simulation:
             if now not in calendar:
                 continue
 
-            per_receiver: defaultdict = defaultdict(list)
+            per_receiver = defaultdict(list)
             plain = False    # some message of this time has plaintext fields
             for frm, dsts, msg in calendar.pop(now):
                 if crashed_at:
