@@ -180,27 +180,22 @@ _SCENARIO_FIELDS = frozenset(f.name for f in fields(ScenarioConfig))
 
 
 class SchedulePolicy:
-    """Delivery-order source: per-send integer latency, seeded and repeatable."""
+    """Delivery-order source: the schedule mode, the largest latency, and the
+    seeded stream `Simulation._send` draws each async send's latency from."""
 
     def __init__(self, mode: str, seed: int, max_latency: int = 4):
         if mode not in ("sync", "async"):
             raise ScenarioError(f"unknown schedule mode {mode!r}")
+        if not (_is_int(max_latency) and max_latency >= 1):
+            raise ScenarioError(f"max_latency must be an integer >= 1, got {max_latency!r}")
         self.mode = mode
-        self.max_latency = max_latency
+        self.max_latency = int(max_latency)
         self._rng = random.Random(seed)
 
     @property
     def longest(self) -> int:
         """The largest latency a send can draw."""
         return 1 if self.mode == "sync" else self.max_latency
-
-    def latency(self, sender, receiver) -> int:
-        """One send's latency.  `Simulation._send` makes the same async
-        draws inline, from the same stream."""
-        if self.mode == "sync":
-            return 1
-        # randint(1, L) is defined as randrange(1, L + 1): the same draw
-        return self._rng.randrange(1, self.max_latency + 1)
 
 
 @dataclass
@@ -386,9 +381,8 @@ class Simulation:
         if self.policy.mode == "sync":
             calendar.setdefault(now + 1, []).append((frm, dsts, msg))
             return
-        # `SchedulePolicy.latency`'s randrange(1, L + 1), drawn as randrange
-        # draws it: 1 + r for the first r = getrandbits(bit length of L)
-        # below L
+        # randrange(1, L + 1), drawn inline as randrange draws it: 1 + r for
+        # the first r = getrandbits(bit length of L) below L
         span = self.policy.max_latency
         bits = span.bit_length()
         getrandbits = self.policy._rng.getrandbits

@@ -74,30 +74,38 @@ def test_async_unit_latency_equals_sync():
     assert sync.rounds_to_decide == async1.rounds_to_decide
 
 
+def drawn_latencies(policy, count):
+    """The latency the simulator draws for each of `count` destinations of
+    one send made at time 0."""
+    setup = netsim.ProtocolSetup(nodes={}, backend=SlotBackend(BackendConfig(4), seed=0),
+                                 private_values=frozenset(), expected_deciders=set())
+    sim = netsim.Simulation(topo.ring(4), setup, policy)
+    dsts = tuple(range(count))
+    sim._send(netsim.TRUSTED, dsts, ProtocolMessage("probe", RESULT))
+    drawn = {dst: time for time, entries in sim._calendar.items()
+             for _, entry_dsts, _ in entries for dst in entry_dsts}
+    return [drawn[dst] for dst in dsts]
+
+
 def test_schedule_policy_contract():
-    sync = SchedulePolicy("sync", 1, max_latency=9)
-    assert all(sync.latency(0, 1) == 1 for _ in range(20))
-    rng_policy = SchedulePolicy("async", 1, max_latency=4)
-    draws = [rng_policy.latency(0, 1) for _ in range(200)]
+    assert drawn_latencies(SchedulePolicy("sync", 1, max_latency=9), 20) == [1] * 20
+    draws = drawn_latencies(SchedulePolicy("async", 1, max_latency=4), 200)
     assert all(1 <= d <= 4 for d in draws) and len(set(draws)) > 1
     with pytest.raises(ScenarioError):
         SchedulePolicy("bogus", 1)
+    # a latency bound below 1 would leave no latency to draw
+    for bad in (0, -3, 2.0, "4", None):
+        with pytest.raises(ScenarioError):
+            SchedulePolicy("async", 1, max_latency=bad)
 
 
 @pytest.mark.parametrize("longest", range(1, 17))
 def test_async_sends_draw_the_latencies_randrange_draws(longest):
     # the simulator draws latencies inline from the policy's stream; the
     # async golden reports rest on these being randrange(1, L + 1)'s draws
-    setup = netsim.ProtocolSetup(nodes={}, backend=SlotBackend(BackendConfig(4), seed=0),
-                                 private_values=frozenset(), expected_deciders=set())
-    sim = netsim.Simulation(topo.ring(4), setup,
-                            SchedulePolicy("async", 29, max_latency=longest))
-    dsts = tuple(range(300))
-    sim._send(netsim.TRUSTED, dsts, ProtocolMessage("probe", RESULT))
-    drawn = {dst: time for time, entries in sim._calendar.items()
-             for _, (dst,), _ in entries}
     rng = random.Random(29)
-    assert [drawn[dst] for dst in dsts] == [rng.randrange(1, longest + 1) for _ in dsts]
+    assert drawn_latencies(SchedulePolicy("async", 29, max_latency=longest), 300) == \
+        [rng.randrange(1, longest + 1) for _ in range(300)]
 
 
 def test_crash_keeping_graph_connected_still_decides():
