@@ -7,10 +7,13 @@ each origin's ciphertext travels as a lineage: a process contributes its
 ballot to a lineage copy at most once (tracked via plaintext 0/1 counts,
 one per process) and stores/forwards only copies with strictly more
 contributors.  A lineage copy is a `ConsensusState` with n 0/1 counts,
-handled by a `FloodingNode` that folds it with `on_receive_election`.  A
-copy whose contributors cover every process not known to have crashed is
-complete and goes to the keyholder, whose decryption reveals tallies only,
-never who voted for whom.
+handled by a `FloodingNode` that folds it with `on_receive_election`.  The
+fold first compares the copy's size, counting the ballot it would gain,
+with the held copy's, and encrypts the process's ballot (encoded once per
+run) only for a copy it adopts.  A copy whose contributors cover every
+process not known to have crashed is complete and goes to the keyholder
+with that copy's own counts; the keyholder's decryption reveals tallies
+only, never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -81,12 +84,12 @@ def make_ballot_vector(ballot: Ballot, n: int, capacity: int | None = None) -> S
     return SlotVector.impulse(cap, flat_index(n, ballot.primary, ballot.secondary))
 
 
-def init_election(pid: int, ballot: Ballot, pk, n: int,
+def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
                   backend: SlotEngine) -> tuple[ConsensusState, ProtocolMessage]:
-    """Start this process's own lineage, already carrying its ballot."""
+    """Start this process's own lineage, already carrying its encoded ballot
+    (`make_ballot_vector`)."""
     instance = instance_for_origin(pid)
-    ct = backend.encrypt(pk, make_ballot_vector(ballot, n, backend.config.slot_capacity),
-                         (pid, f"{instance}:ballot"))
+    ct = backend.encrypt(pk, ballot_vec, (pid, f"{instance}:ballot"))
     counts = np.zeros(n)
     counts[pid] = 1
     state = ConsensusState(id=pid, instance=instance, n=n, votes_ct=ct, counts=counts)
@@ -94,32 +97,35 @@ def init_election(pid: int, ballot: Ballot, pk, n: int,
 
 
 def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
-                        own_ballot: Ballot, pk, backend: SlotEngine,
+                        ballot_vec: SlotVector, pk, backend: SlotEngine,
                         pid: int, n: int, required_mask: int | None = None):
-    """Contribute (once per lineage copy) and adopt strictly larger copies.
+    """Adopt a strictly larger copy, adding this process's ballot to it once.
 
-    A copy is complete once its support covers `required_mask` (every
-    process when None).  Returns (state, whether the copy was adopted,
-    complete ciphertext or None); the caller announces an adopted copy that
-    is not complete.
+    The copy's size counts the ballot it would gain, so a copy no larger
+    than the held one is rejected before `ballot_vec`, the encoded ballot,
+    is encrypted; only an adopted copy that lacks this process pays for
+    `encrypt` and `add_ct`.  A copy is complete once its support covers
+    `required_mask` (every process when None).  Returns (state, whether the
+    copy was adopted, complete ciphertext or None); the complete ciphertext
+    goes with the returned state's counts, and the caller announces an
+    adopted copy that is not complete.
     """
     support = msg.support
-    if support >> pid & 1:
-        cand_ct, cand_counts = msg.votes_ct, msg.count_array
-    else:
-        fresh = backend.encrypt(pk, make_ballot_vector(own_ballot, n,
-                                                       backend.config.slot_capacity),
-                                (pid, f"{msg.instance}:ballot"))
-        cand_ct = backend.add_ct(msg.votes_ct, fresh)
-        cand_counts = msg.count_array.copy()
+    lacks = not (support >> pid & 1)
+    if state is not None and \
+            support.bit_count() + lacks <= state.support.bit_count():
+        return state, False, None
+    cand_ct, cand_counts = msg.votes_ct, msg.count_array
+    if lacks:
+        fresh = backend.encrypt(pk, ballot_vec, (pid, f"{msg.instance}:ballot"))
+        cand_ct = backend.add_ct(cand_ct, fresh)
+        cand_counts = cand_counts.copy()
         cand_counts[pid] = 1
         cand_counts.flags.writeable = False
         support |= 1 << pid
     if state is None:
         state = ConsensusState(id=pid, instance=msg.instance, n=n, votes_ct=cand_ct,
                                counts=cand_counts)
-    elif support.bit_count() <= state.support.bit_count():
-        return state, False, None
     else:
         state.votes_ct, state.counts, state.support = cand_ct, cand_counts, support
     if required_mask is None:
@@ -170,9 +176,8 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     if int(primary.sum()) != contributors:
         raise CorruptedTallyError(
             f"total ballots {int(primary.sum())} != contributor count {contributors}")
-    return TallyResult(tuple(int(x) for x in primary),
-                       tuple(tuple(int(x) for x in row) for row in matrix),
-                       tuple(int(x) for x in primary_only))
+    return TallyResult(tuple(primary.tolist()), tuple(map(tuple, matrix.tolist())),
+                       tuple(primary_only.tolist()))
 
 
 def tie_break(tied_ids, v_tie: int) -> int:
@@ -255,47 +260,55 @@ def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
 class ElectionProcessNode(FloodingNode):
     """Lineage flooding participant: one ConsensusState per lineage it holds.
 
-    Each message of a batch is folded by `on_receive_election`.  The first
-    complete copy of a lineage goes only to the keyholder, which decides the
-    state; any other adopted copy is rebroadcast.
+    Each message of a batch is folded by `on_receive_election`, with the
+    ballot `on_start` encoded once for the whole run.  The first complete
+    copy of a lineage goes only to the keyholder, with that copy's own
+    counts, and decides the state; any other adopted copy is rebroadcast.
     """
 
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
         super().__init__(pid, n, backend)
         self.ballot = ballot
+        self.ballot_vec: SlotVector | None = None
         self.pk = pk
 
     def on_start(self, ctx):
-        state, msg = init_election(self.pid, self.ballot, self.pk, self.n,
+        self.ballot_vec = make_ballot_vector(self.ballot, self.n,
+                                             self.backend.config.slot_capacity)
+        state, msg = init_election(self.pid, self.ballot_vec, self.pk, self.n,
                                    self.backend)
         self.states[state.instance] = state
         ctx.broadcast(msg)
         if not self.required_mask & ~state.support:
             self._emit_prepared(ctx, state.instance,
-                                self.backend.mark_prepared(state.votes_ct))
+                                (self.backend.mark_prepared(state.votes_ct), state.counts))
 
     def _fold_instance(self, instance, msgs):
+        """Fold a batch's copies of one lineage; a completing copy is handed
+        on as (ciphertext, counts) even if a later, larger copy that does not
+        cover `required_mask` replaces it as the held state."""
         state = self.states.get(instance)
         grown, complete = False, None
         for msg in msgs:
             state, merged, done = on_receive_election(
-                state, msg, self.ballot, self.pk, self.backend, self.pid, self.n,
+                state, msg, self.ballot_vec, self.pk, self.backend, self.pid, self.n,
                 required_mask=self.required_mask)
             grown = grown or merged
             if done is not None:
-                complete = done
+                complete = done, state.counts
         self.states[instance] = state
         if complete is not None and state.phase == ACTIVE:
             return False, complete
         return grown, None
 
-    def _emit_prepared(self, ctx, instance, complete_ct):
-        """Hand a lineage copy that counts every required process to the keyholder."""
-        state = self.states[instance]
-        state.phase = DECIDED
+    def _emit_prepared(self, ctx, instance, complete):
+        """Hand a lineage copy that counts every required process, as
+        (prepared ciphertext, its counts), to the keyholder."""
+        complete_ct, counts = complete
+        self.states[instance].phase = DECIDED
         ctx.mark_complete(instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
-            instance, COMPLETE, votes_ct=complete_ct, counts=state.counts))
+            instance, COMPLETE, votes_ct=complete_ct, counts=counts))
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["winner"])

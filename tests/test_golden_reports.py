@@ -99,6 +99,11 @@ def _netsim_cases():
     cases["election-g16-async-crash"] = dict(
         protocol="election", topology=G16, inputs=_ballots(16, 16), seed=5,
         schedule="async", noise_epsilon=1e-9, faults=[{"process": 3, "time": 1}])
+    # every noisy encryption draws from one stream, so a copy's ballot
+    # encrypted or not shifts every later draw; the tallies must not move
+    cases["election-g16-sync-eps1e-09"] = dict(
+        protocol="election", topology=G16, inputs=_ballots(16, 16), seed=5,
+        schedule="sync", noise_epsilon=1e-9)
     return cases
 
 

@@ -5,15 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from consentry import netsim
+from consentry import leader_election, netsim
 from consentry import topology as topo
-from consentry.avg_consensus import COMPLETE
+from consentry.avg_consensus import AGGREGATE, COMPLETE, ProtocolMessage
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        InvalidBallotError, ballot_layout,
                                        build, elect_winner, flat_index,
-                                       init_election, make_ballot_vector, tally,
-                                       tie_break)
+                                       init_election, make_ballot_vector,
+                                       on_receive_election, tally, tie_break)
 from consentry.netsim import ScenarioConfig
 
 from exposures import audit_view
@@ -155,9 +155,11 @@ def test_on_receive_election_contribution_rules():
     _, cap = ballot_layout(n)
     backend = SlotBackend(BackendConfig(cap), seed=4)
     km = backend.keygen("T")
-    origin_state, msg = init_election(0, Ballot(1, 2), km.public_part, n, backend)
+    origin_state, msg = init_election(0, make_ballot_vector(Ballot(1, 2), n, cap),
+                                      km.public_part, n, backend)
     # fresh lineage at a non-contributor: contributes, counts gains a 1
-    state, out, complete = on_receive_election(None, msg, Ballot(2, 0),
+    state, out, complete = on_receive_election(None, msg,
+                                               make_ballot_vector(Ballot(2, 0), n, cap),
                                                km.public_part, backend,
                                                pid=1, n=n)
     assert state.counts[:3].tolist() == [1, 1, 0]
@@ -167,12 +169,14 @@ def test_on_receive_election_contribution_rules():
     # the same copy revisiting a contributor: no growth, no forward
     revisit = ProtocolMessage(msg.instance, AGGREGATE, votes_ct=state.votes_ct,
                               counts=tuple(int(x) for x in state.counts))
-    state2, out2, complete2 = on_receive_election(state, revisit, Ballot(2, 0),
+    state2, out2, complete2 = on_receive_election(state, revisit,
+                                                  make_ballot_vector(Ballot(2, 0), n, cap),
                                                   km.public_part, backend,
                                                   pid=1, n=n)
     assert out2 is False and complete2 is None
     # final contributor completes the lineage: adopted, complete ciphertext
-    state3, out3, complete3 = on_receive_election(None, revisit, Ballot(0, 1),
+    state3, out3, complete3 = on_receive_election(None, revisit,
+                                                  make_ballot_vector(Ballot(0, 1), n, cap),
                                                   km.public_part, backend,
                                                   pid=2, n=n)
     assert complete3 is not None and complete3.prepared and out3 is True
@@ -329,7 +333,8 @@ def test_contributor_counts_have_one_entry_per_process():
     t = topo.ring(n)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=1)
     assert setup.backend.config.slot_capacity == 16
-    state, msg = init_election(0, Ballot(0, 1), setup.nodes[0].pk, n, setup.backend)
+    state, msg = init_election(0, make_ballot_vector(Ballot(0, 1), n, 16),
+                               setup.nodes[0].pk, n, setup.backend)
     assert state.counts.tolist() == [1, 0, 0] and msg.counts == (1, 0, 0)
     _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1),
                                  keep_log=True).run()
@@ -358,3 +363,149 @@ def test_two_way_swap_ends_last_standing():
     first, last = report.extra["election_rounds"]
     assert (first["by"], first["eliminated"], first["winner"]) == (None, 1, None)
     assert (last["by"], last["eliminated"], last["winner"]) == ("last-standing", None, 0)
+
+
+def lineage_copy(backend, pk, n, ballots, contributors, instance="elect/0"):
+    """An AGGREGATE carrying the encrypted ballots of `contributors`."""
+    cap = backend.config.slot_capacity
+    ct = None
+    for p in contributors:
+        enc = backend.encrypt(pk, make_ballot_vector(Ballot(*ballots[p]), n, cap),
+                              (p, f"{instance}:ballot"))
+        ct = enc if ct is None else backend.add_ct(ct, enc)
+    counts = [int(p in contributors) for p in range(n)]
+    return ProtocolMessage(instance, AGGREGATE, votes_ct=ct, counts=counts)
+
+
+def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
+    n, pid = 4, 3
+    ballots = [(0, 1), (1, None), (2, 0), (3, 2)]
+    _, cap = ballot_layout(n)
+    backend = SlotBackend(BackendConfig(cap), seed=4)
+    pk = backend.keygen("T").public_part
+    copies = {c: lineage_copy(backend, pk, n, ballots, c)
+              for c in ((0,), (1, 2), (0, 1), (1, 3), (0, 1, 2))}
+    ballot_vec = make_ballot_vector(Ballot(*ballots[pid]), n, cap)
+    encrypted, added = [], []
+    encrypt, add_ct = backend.encrypt, backend.add_ct
+    backend.encrypt = lambda pk, vec, tag: encrypted.append(vec) or encrypt(pk, vec, tag)
+    backend.add_ct = lambda a, b: added.append(b) or add_ct(a, b)
+
+    def fold(state, contributors):
+        before = (len(encrypted), len(added), backend._handle_seq)
+        state, adopted, complete = on_receive_election(
+            state, copies[contributors], ballot_vec, pk, backend, pid, n)
+        calls = (len(encrypted) - before[0], len(added) - before[1])
+        return state, adopted, complete, calls, backend._handle_seq - before[2]
+
+    # adopted copies that lack this process: one encrypt and one add_ct each
+    state, adopted, complete, calls, handles = fold(None, (0,))
+    assert adopted and complete is None and calls == (1, 1) and handles == 2
+    state, adopted, complete, calls, handles = fold(state, (1, 2))
+    assert adopted and complete is None and calls == (1, 1) and handles == 2
+    assert state.counts.tolist() == [0, 1, 1, 1]
+    # 2 + 1 and 2 + 0 contributors are no more than the held 3: no engine call
+    for contributors in ((0, 1), (1, 3)):
+        held = state.votes_ct
+        state, adopted, complete, calls, handles = fold(state, contributors)
+        assert (adopted, complete, calls, handles) == (False, None, (0, 0), 0)
+        assert state.votes_ct is held
+    state, adopted, complete, calls, handles = fold(state, (0, 1, 2))
+    assert adopted and complete is not None and calls == (1, 1) and handles == 2
+    assert state.counts.tolist() == [1, 1, 1, 1]
+    assert len(encrypted) == 3 and all(vec is ballot_vec for vec in encrypted)
+
+
+class RecordingContext:
+    def __init__(self):
+        self.sent = []
+
+    def broadcast(self, msg, exclude=()):
+        self.sent.append((None, msg))
+
+    def send(self, to, msg):
+        self.sent.append((to, msg))
+
+    def mark_complete(self, instance):
+        pass
+
+
+def test_a_completing_copy_goes_out_with_its_own_counts():
+    # 3 and 4 have crashed: {0, 1, 2} completes lineage 1 at process 0, then
+    # the larger {0, 1, 3, 4} replaces it as the held copy without covering 2
+    n = 5
+    ballots = [(0, 1), (1, None), (2, 0), (3, 2), (4, 3)]
+    setup = build(topo.complete(n), [{"primary": p, "secondary": s} for p, s in ballots],
+                  seed=1)
+    backend, node = setup.backend, setup.nodes[0]
+    key = setup.nodes[netsim.TRUSTED].key
+    ctx = RecordingContext()
+    node.on_start(ctx)
+    node.on_crash_notice(ctx, {3, 4})
+    msgs = [lineage_copy(backend, key.public_part, n, ballots, c, "elect/1")
+            for c in ((1, 2), (1, 3, 4))]
+    grown, complete = node._fold_instance("elect/1", msgs)
+    assert grown is False and complete is not None
+    assert node.states["elect/1"].counts.tolist() == [1, 1, 0, 1, 1]
+    node._emit_prepared(ctx, "elect/1", complete)
+    to, msg = ctx.sent[-1]
+    assert to == netsim.TRUSTED and msg.kind == COMPLETE
+    assert msg.counts == (1, 1, 1, 0, 0)
+    t = tally(backend, key.secret_part, msg.votes_ct, n, caller=netsim.TRUSTED,
+              counts=msg.counts)
+    assert t == tally(backend, key.secret_part,
+                      complete_ct_for(ballots[:3], n, backend, key), n,
+                      caller=netsim.TRUSTED, counts=msg.counts)
+
+
+def test_complete6_with_three_crashes_tallies_what_each_copy_counts():
+    # a batch once completed a copy and then adopted a larger, incomplete one,
+    # and the keyholder got the first copy's ballots with the second's counts
+    ballots = [(1, 4), (4, 2), (2, 3), (4, 0), (1, 3), (3, 2)]
+    t = topo.complete(6)
+    setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=66)
+    faults = netsim.FaultPlan(tuple(netsim.CrashFault(process=p, time=time)
+                                    for p, time in ((5, 1), (4, 4), (1, 5))))
+    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("async", 66 * 7919 + 13, 4),
+                            faults=faults, keep_log=True)
+    report, trace = sim.run()
+    assert report.termination == "decided"
+    completes = [msg for _, _, _, msg in trace.messages if msg.kind == COMPLETE]
+    assert completes
+    _, cap = ballot_layout(6)
+    for msg in completes:
+        want = sum(make_ballot_vector(Ballot(*ballots[p]), 6, cap).values
+                   for p, c in enumerate(msg.counts) if c)
+        assert np.array_equal(setup.backend.inspect_payload(msg.votes_ct), want)
+    first = [p for p, c in enumerate(completes[0].counts) if c]
+    winner = irv_oracle([ballots[p] for p in first], 6)
+    assert all(report.decided_values[p] == winner for p in (0, 2, 3, netsim.TRUSTED))
+
+
+def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypatch):
+    rng = random.Random(24)
+    n = 24
+    ballots = random_ballots(rng, n)
+    t = topo.random_connected(n, 0.4, rng)
+    setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=2)
+    adopted_lacking = 0
+    fold = leader_election.on_receive_election
+
+    def counted(state, msg, ballot_vec, pk, backend, pid, n, **kw):
+        nonlocal adopted_lacking
+        out = fold(state, msg, ballot_vec, pk, backend, pid, n, **kw)
+        adopted_lacking += out[1] and not (msg.support >> pid & 1)
+        return out
+
+    monkeypatch.setattr(leader_election, "on_receive_election", counted)
+    encrypted = []
+    encrypt = setup.backend.encrypt
+    setup.backend.encrypt = lambda pk, vec, tag: encrypted.append((tag[0], vec)) or \
+        encrypt(pk, vec, tag)
+    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5)).run()
+    assert report.termination == "decided"
+    want = irv_oracle(ballots, n)
+    assert all(report.decided_values[p] == want for p in range(n))
+    assert report.decided_values[netsim.TRUSTED] == want
+    assert len(encrypted) == n + adopted_lacking
+    assert all(vec is setup.nodes[pid].ballot_vec for pid, vec in encrypted)
