@@ -8,8 +8,10 @@ lies strictly outside mu +/- c*sigma.
 
 Between rounds the collector either decrypts and broadcasts the gate value
 (default) or, on the encrypted variance route, stays out of the round-1/2
-gap entirely: processes derive the variance homomorphically from the
-prepared round-1 mean and the collector only opens the combined aggregate.
+gap: each process forms Enc((v - mu)^2) at its own slot from the prepared
+round-1 mean it holds, so round 2 floods the same squared deviations on
+both routes, and the collector opens the prepared round-1 and round-2
+aggregates together.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .topology import Topology
 
 R1 = "out/r1"
 R2 = "out/r2"
-R2_CROSS = "out/r2a"
-R2_SQUARES = "out/r2b"
 R3 = "out/r3"
 
 
@@ -119,21 +119,17 @@ def finalize_outlier(backend: SlotEngine, secret, prepared_votes: Ciphertext,
 # -- encrypted variance route ----------------------------------------------
 
 def variance_contribution(backend: SlotEngine, mean_ct: Ciphertext,
-                          v: float, pid: int) -> Ciphertext:
-    """Per-process hook: Enc(mean,...) scaled to 2*v at the caller's slot."""
+                          v: float, pid: int, pk) -> Ciphertext:
+    """Per-process hook: Enc((v - mean)^2) at the caller's slot, formed from
+    the prepared round-1 mean without decrypting it."""
     cap = backend.config.slot_capacity
-    return backend.mult_pt(mean_ct, SlotVector.impulse(cap, pid, 2.0 * v))
+    own = backend.encrypt(pk, SlotVector.impulse(cap, pid, v), (pid, f"{R2}:value"))
+    diff = backend.add_ct(own, backend.mult_pt(mean_ct, SlotVector.impulse(cap, pid, -1.0)))
+    return backend.mult_ct(diff, diff)
 
 
-def combine_variance(backend: SlotEngine, mean_ct: Ciphertext,
-                     cross_prepared: Ciphertext,
-                     squares_prepared: Ciphertext) -> Ciphertext:
-    """avg(v^2) - avg(2 v mean) + mean^2, composed from prepared aggregates."""
-    cap = backend.config.slot_capacity
-    mean_sq = backend.mult_ct(mean_ct, mean_ct)
-    negated = backend.mult_pt(cross_prepared, SlotVector(np.full(cap, -1.0)))
-    var = backend.add_ct(backend.add_ct(squares_prepared, negated), mean_sq)
-    return backend.mark_prepared(var)
+# round 2 is prepared like any instance; the name is kept for the benchmark tracer
+combine_variance = prepare
 
 
 def encrypted_variance(backend: SlotEngine, mean_ct: Ciphertext,
@@ -141,24 +137,16 @@ def encrypted_variance(backend: SlotEngine, mean_ct: Ciphertext,
     """Reference composition of the no-decryption variance route.
 
     `values` maps process id -> initial value (the per-process hooks).  The
-    cross terms and squared values run through the standard aggregation and
-    prepare path; nothing is decrypted.
+    encrypted squared deviations are summed and prepared like any round;
+    nothing is decrypted.
     """
-    cap = backend.config.slot_capacity
-    n = len(values)
-    counts = np.zeros(cap, dtype=np.float64)
-    cross = None
-    squares = None
+    counts = np.zeros(backend.config.slot_capacity)
+    total = None
     for pid in sorted(values):
         counts[pid] = 1
-        contrib = variance_contribution(backend, mean_ct, values[pid], pid)
-        sq = backend.encrypt(pk, SlotVector.impulse(cap, pid, values[pid] ** 2),
-                             (pid, f"{R2_SQUARES}:value"))
-        cross = contrib if cross is None else backend.add_ct(cross, contrib)
-        squares = sq if squares is None else backend.add_ct(squares, sq)
-    cross_prepared = prepare(backend, cross, counts, n)
-    squares_prepared = prepare(backend, squares, counts, n)
-    return combine_variance(backend, mean_ct, cross_prepared, squares_prepared)
+        sq = variance_contribution(backend, mean_ct, values[pid], pid, pk)
+        total = sq if total is None else backend.add_ct(total, sq)
+    return prepare(backend, total, counts, len(values))
 
 
 # -- simulation actors -------------------------------------------------------
@@ -193,10 +181,8 @@ class OutlierProcessNode(FloodingNode):
         if self.route == "decrypt":
             self._start_core(ctx, R2, value=round2_input(self.value, self.mu))
         else:
-            cross = variance_contribution(self.backend, self.mean_ct,
-                                          self.value, self.pid)
-            self._start_core(ctx, R2_CROSS, contribution=cross)
-            self._start_core(ctx, R2_SQUARES, value=self.value ** 2)
+            self._start_core(ctx, R2, contribution=variance_contribution(
+                self.backend, self.mean_ct, self.value, self.pid, self.pk))
 
     def _start_round3(self, ctx):
         outlier = is_outlier(self.value, self.mu, self.sigma, self.params.c)
@@ -283,33 +269,21 @@ class OutlierCollectorNode(netsim.Node):
                                 self.n, caller=netsim.TRUSTED)
 
     def _advance(self, ctx):
-        if self.route == "decrypt":
-            if R1 in self.prepared and R1 not in self.announced:
-                self.announced.add(R1)
-                mu = self._decrypt(self.prepared[R1].votes_ct)
-                ctx.note("mu", mu)
-                ctx.broadcast_processes(ProtocolMessage(R1, RESULT,
-                                                        extra={"mu": mu}))
-            if R2 in self.prepared and R2 not in self.announced:
-                self.announced.add(R2)
-                variance = self._decrypt(self.prepared[R2].votes_ct)
-                ctx.note("variance", variance)
-                ctx.broadcast_processes(ProtocolMessage(R2, RESULT,
-                                                        extra={"variance": variance}))
-        else:
-            if (R2 not in self.announced and R1 in self.prepared
-                    and R2_CROSS in self.prepared and R2_SQUARES in self.prepared):
-                self.announced.add(R2)
-                mean_ct = self.prepared[R1].votes_ct
-                var_ct = combine_variance(self.backend, mean_ct,
-                                          self.prepared[R2_CROSS].votes_ct,
-                                          self.prepared[R2_SQUARES].votes_ct)
-                variance = self._decrypt(var_ct)
-                mu = self._decrypt(mean_ct)
-                ctx.note("mu", mu)
-                ctx.note("variance", variance)
-                ctx.broadcast_processes(ProtocolMessage(
-                    R2, RESULT, extra={"mu": mu, "variance": variance}))
+        if self.route == "decrypt" and R1 in self.prepared and R1 not in self.announced:
+            self.announced.add(R1)
+            mu = self._decrypt(self.prepared[R1].votes_ct)
+            ctx.note("mu", mu)
+            ctx.broadcast_processes(ProtocolMessage(R1, RESULT, extra={"mu": mu}))
+        if R1 in self.prepared and R2 in self.prepared and R2 not in self.announced:
+            # on the encrypted route the mean is announced with the variance
+            self.announced.add(R2)
+            extra = {}
+            if self.route == "encrypted":
+                extra["mu"] = self._decrypt(self.prepared[R1].votes_ct)
+                ctx.note("mu", extra["mu"])
+            extra["variance"] = self._decrypt(self.prepared[R2].votes_ct)
+            ctx.note("variance", extra["variance"])
+            ctx.broadcast_processes(ProtocolMessage(R2, RESULT, extra=extra))
         if R3 in self.prepared and R3 not in self.announced:
             self.announced.add(R3)
             msg = self.prepared[R3]

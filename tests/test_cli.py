@@ -458,3 +458,17 @@ def test_an_overflowing_run_writes_one_stderr_line_outside_pytest(tmp_path):
     assert proc.returncode == EXIT_INTERNAL
     assert proc.stderr.startswith("internal error: PreparedSlotsError:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_encrypted_route_near_1e9_decides_the_oracle_value(tmp_path, capsys):
+    # the one-pass variance avg(v^2) - mu^2 came out at -128 here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "protocol": "outlier", "topology": RING4, "c": 1.0, "seed": 1,
+        "variance_route": "encrypted",
+        "inputs": [999999999.428, 1000000000.743, 1000000001.412, 999999999.085]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    trial = json.loads((tmp_path / "report.json").read_text())["trials"][0]
+    assert trial["termination"] == "decided"
+    assert trial["decided_values"]["0"] == pytest.approx(1000000000.0855, abs=1e-6)
+

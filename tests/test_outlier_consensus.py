@@ -185,6 +185,35 @@ def test_encrypted_route_matches_decrypt_route():
         assert a == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_both_routes_match_the_oracle_at_large_magnitudes(seed):
+    """Inputs near 1e6..1e9 with a spread of about 1: a variance formed as
+    avg(v^2) - mu^2 cancels there, (v - mu)^2 averaged does not.  The
+    check is absolute, since 1e-9 relative is about 1 at 1e9."""
+    rng = random.Random(seed)
+    n = rng.choice([4, 6, 8])
+    base = rng.choice([1e6, 1e7, 1e8, 1e9])
+    values = [base + rng.uniform(-1, 1) for _ in range(n)]
+    values[rng.randrange(n)] += rng.uniform(1, 5)
+    want = outlier_oracle(values, 1.0)[3]
+    for route in ("decrypt", "encrypted"):
+        got = run_outlier_sim(values, c=1.0, route=route, seed=seed)
+        assert (got is None) == (want is None), route
+        if want is not None:
+            assert got == pytest.approx(want, abs=1e-6), route
+
+
+def test_encrypted_route_runs_one_flood_per_round():
+    values = [1.0, 2.0, 3.0, 100.0, 4.0, 5.0]
+    sc = ScenarioConfig(protocol="outlier", topology=topo.ring(6).to_dict(),
+                        inputs=values, c=1.0, seed=2, variance_route="encrypted")
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    instances = {key.split(":", 1)[1] for key in report.extra["completion_times"]}
+    assert instances == {"out/r1", "out/r2", "out/r3"}
+    assert report.decided_values[0] == pytest.approx(outlier_oracle(values, 1.0)[3], abs=1e-9)
+
+
 def test_high_outlier_removal_strictly_decreases_mean():
     """Monotone sanity: excluding a high-side outlier lowers the result."""
     rng = random.Random(63)
