@@ -154,6 +154,8 @@ class ScenarioConfig:
             raise ScenarioError("max_latency must be >= 1")
         if self.trials < 1:
             raise ScenarioError("trials must be >= 1")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.noise_epsilon < 0:
             raise ScenarioError("noise_epsilon must be >= 0")
         for crash in self.faults.crashes:

@@ -472,3 +472,19 @@ def test_encrypted_route_near_1e9_decides_the_oracle_value(tmp_path, capsys):
     assert trial["termination"] == "decided"
     assert trial["decided_values"]["0"] == pytest.approx(1000000000.0855, abs=1e-6)
 
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []),
+    ("run", ["--seed", "-1"]),
+    ("sweep", ["--vary", "seed=-1"]),
+], ids=["config", "run-option", "sweep-assignment"])
+def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys, command, extra):
+    config = json.loads((CONFIGS / "sweep_base.json").read_text())
+    if not extra:
+        config["seed"] = -3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")] + extra)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: seed ") and err.count("\n") == 1
