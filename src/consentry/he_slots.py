@@ -496,8 +496,8 @@ class SlotBackend(SlotEngine):
         """Flag an aggregate as safe to decrypt.
 
         Called only by the sanctioned protocol steps: the prepare-phase
-        rotate-sum, the election completeness check, and the encrypted
-        variance combiner (all of which compose already-aggregate values).
+        rotate-sum and the election completeness check (both of which
+        compose already-aggregate values).
         """
         return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table,
                           True, ct.depth, ct.noise_bound, ct.handle)

@@ -275,7 +275,7 @@ class OutlierCollectorNode(netsim.Node):
             ctx.note("mu", mu)
             ctx.broadcast_processes(ProtocolMessage(R1, RESULT, extra={"mu": mu}))
         if R1 in self.prepared and R2 in self.prepared and R2 not in self.announced:
-            # on the encrypted route the mean is announced with the variance
+            # the encrypted route announces the mean here, so round 1 must be in too
             self.announced.add(R2)
             extra = {}
             if self.route == "encrypted":
