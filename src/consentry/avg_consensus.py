@@ -386,13 +386,12 @@ class FloodingNode(netsim.Node):
             return False, None
         return fold(state, msgs, self.backend)
 
-    def _emit_prepared(self, ctx, instance: str, prepared) -> ProtocolMessage:
+    def _emit_prepared(self, ctx, instance: str, prepared):
         """Send what `try_decide` returned for a decided instance to its readers."""
         ctx.mark_complete(instance)
         votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
         msg = ProtocolMessage(instance, PREPARED, votes_ct=votes, participating_ct=part)
         ctx.multicast(self._prepared_readers(ctx, instance), msg)
-        return msg
 
     def _try_decide(self, ctx, state: ConsensusState):
         """Round starts and crash adjustments can satisfy a pending

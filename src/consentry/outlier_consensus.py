@@ -6,11 +6,12 @@ encrypted 0/1 participation aggregate; the ratio of the two prepared
 round-3 results is the outlier-free mean.  A value is an outlier when it
 lies strictly outside mu +/- c*sigma.
 
-Between rounds the collector either decrypts and broadcasts the gate value
-(default) or, on the encrypted variance route, stays out of the round-1/2
-gap: each process forms Enc((v - mu)^2) at its own slot from the prepared
-round-1 mean it holds, so round 2 floods the same squared deviations on
-both routes, and the collector opens the prepared round-1 and round-2
+Between rounds the collector hands every process the result of the first
+prepared aggregate it gets.  After round 1 that is the decrypted mean
+(default) or, on the encrypted variance route, the prepared round-1
+aggregate itself, unopened: each process forms Enc((v - mu)^2) at its own
+slot from it, so round 2 floods the same squared deviations on both
+routes, and the collector opens the prepared round-1 and round-2
 aggregates together.
 """
 
@@ -194,41 +195,18 @@ class OutlierProcessNode(FloodingNode):
     def on_start(self, ctx):
         self._start_core(ctx, R1, value=self.value)
 
-    def _prepared_readers(self, ctx, instance):
-        # on the encrypted route every process derives its round-2 inputs
-        # from the prepared round-1 mean
-        if instance == R1 and self.route == "encrypted":
-            return (netsim.TRUSTED, *ctx.neighbors)
-        return (netsim.TRUSTED,)
-
-    def _emit_prepared(self, ctx, instance, prepared):
-        msg = super()._emit_prepared(ctx, instance, prepared)
-        if instance == R1 and self.route == "encrypted":
-            self._adopt_mean(ctx, msg.votes_ct)
-
-    def _handle_prepared(self, ctx, msg):
-        # only encrypted-route round-1 aggregates reach a process: forward
-        # the first, which also starts round 2
-        if self.mean_ct is None:
-            ctx.broadcast(msg)
-            self._adopt_mean(ctx, msg.votes_ct)
-
-    def _adopt_mean(self, ctx, mean_ct):
-        if self.mean_ct is None:
-            self.mean_ct = mean_ct
-            self._start_round2(ctx)
-
     def _handle_result(self, ctx, msg):
         if msg.instance == R1:
-            if self.mu is None:
+            if self.route == "decrypt":
                 self.mu = msg.extra["mu"]
-                self._start_round2(ctx)
+            else:
+                self.mean_ct = msg.votes_ct
+            self._start_round2(ctx)
         elif msg.instance == R2:
-            if self.sigma is None:
-                if self.mu is None:
-                    self.mu = msg.extra["mu"]
-                self.sigma = sigma_from_round2(msg.extra["variance"])
-                self._start_round3(ctx)
+            if self.route == "encrypted":
+                self.mu = msg.extra["mu"]
+            self.sigma = sigma_from_round2(msg.extra["variance"])
+            self._start_round3(ctx)
         elif msg.instance == R3:
             if "outcome" in msg.extra:
                 ctx.decide(None)
@@ -255,38 +233,41 @@ class OutlierCollectorNode(netsim.Node):
         self.backend = backend
         self.route = route
         self.prepared: dict[str, ProtocolMessage] = {}
-        self.announced: set[str] = set()
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
-            if msg.kind != PREPARED or msg.instance in self.prepared:
-                continue
-            self.prepared[msg.instance] = msg
-            self._advance(ctx)
+            if msg.kind == PREPARED and msg.instance not in self.prepared:
+                self.prepared[msg.instance] = msg
+                self._open(ctx, msg)
 
     def _decrypt(self, ct) -> float:
         return finalize_trusted(self.backend, self.key.secret_part, ct,
                                 self.n, caller=netsim.TRUSTED)
 
-    def _advance(self, ctx):
-        if self.route == "decrypt" and R1 in self.prepared and R1 not in self.announced:
-            self.announced.add(R1)
-            mu = self._decrypt(self.prepared[R1].votes_ct)
-            ctx.note("mu", mu)
-            ctx.broadcast_processes(ProtocolMessage(R1, RESULT, extra={"mu": mu}))
-        if R1 in self.prepared and R2 in self.prepared and R2 not in self.announced:
-            # the encrypted route announces the mean here, so round 1 must be in too
-            self.announced.add(R2)
+    def _open(self, ctx, msg):
+        """Hand out the result of an instance's first prepared aggregate.
+
+        A process starts a round only on the previous round's RESULT, so
+        round 1's aggregate arrives before any of round 2's.
+        """
+        if msg.instance == R1:
+            if self.route == "decrypt":
+                mu = self._decrypt(msg.votes_ct)
+                ctx.note("mu", mu)
+                result = ProtocolMessage(R1, RESULT, extra={"mu": mu})
+            else:
+                # the mean goes out unopened; every process forms round 2 from it
+                result = ProtocolMessage(R1, RESULT, votes_ct=msg.votes_ct)
+            ctx.broadcast_processes(result)
+        elif msg.instance == R2:
             extra = {}
             if self.route == "encrypted":
                 extra["mu"] = self._decrypt(self.prepared[R1].votes_ct)
                 ctx.note("mu", extra["mu"])
-            extra["variance"] = self._decrypt(self.prepared[R2].votes_ct)
+            extra["variance"] = self._decrypt(msg.votes_ct)
             ctx.note("variance", extra["variance"])
             ctx.broadcast_processes(ProtocolMessage(R2, RESULT, extra=extra))
-        if R3 in self.prepared and R3 not in self.announced:
-            self.announced.add(R3)
-            msg = self.prepared[R3]
+        else:
             try:
                 value = finalize_outlier(self.backend, self.key.secret_part,
                                          msg.votes_ct, msg.participating_ct,

@@ -8,8 +8,8 @@ import pytest
 
 from consentry import netsim, outlier_consensus
 from consentry import topology as topo
-from consentry.avg_consensus import (PREPARED, ConsensusState, finalize_trusted,
-                                     prepare, try_decide)
+from consentry.avg_consensus import (PREPARED, RESULT, ConsensusState,
+                                     finalize_trusted, prepare, try_decide)
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 from consentry.outlier_consensus import (AllOutliersError, OutlierParams,
@@ -304,11 +304,11 @@ def test_128_ring_decides_the_outlier_free_mean():
 
 @pytest.mark.parametrize("route, between_processes", [
     ("decrypt", set()),
-    ("encrypted", {"out/r1"}),
+    ("encrypted", set()),
 ])
 def test_prepared_reaches_processes_only_where_they_read_it(route, between_processes):
     """Only the collector opens a prepared aggregate; on the encrypted route
-    processes also read the round-1 mean."""
+    it hands the round-1 mean to the processes unopened, in a RESULT."""
     t = topo.random_connected(16, 0.4, random.Random(16))
     values = [float(i) for i in range(15)] + [90.0]
     setup = outlier_consensus.build(t, values, 1.0, variance_route=route, seed=3)
@@ -321,3 +321,58 @@ def test_prepared_reaches_processes_only_where_they_read_it(route, between_proce
     assert {inst for frm, dst, inst in prepared
             if dst != netsim.TRUSTED} == between_processes
     assert all(frm != netsim.TRUSTED for frm, _, _ in prepared)
+    if route == "encrypted":
+        r1_results = [msg for _, frm, _, msg in trace.messages
+                      if frm == netsim.TRUSTED and msg.instance == "out/r1"]
+        assert len(r1_results) == 16
+        assert all(msg.kind == RESULT and msg.votes_ct.prepared and msg.extra == {}
+                   for msg in r1_results)
+
+
+def _run_capturing_nodes(monkeypatch, raw):
+    """netsim.run on `raw`, also returning the protocol's nodes."""
+    setups = []
+
+    def build(*args, **kwargs):
+        setups.append(real_build(*args, **kwargs))
+        return setups[-1]
+
+    real_build = outlier_consensus.build
+    monkeypatch.setattr(outlier_consensus, "build", build)
+    report = netsim.run(ScenarioConfig.from_dict(raw))
+    return report, setups[-1].nodes
+
+
+def test_a_crash_in_round_1_leaves_one_mean(monkeypatch):
+    """Process 4 crashes while round 1 is active, so deciders prepare over
+    different survivor sets; every survivor must still use the one mean the
+    collector opens, and both routes decide alike."""
+    values = [46.52421415521229, -48.834530620785884, 23.59916197968755,
+              -34.198727523525186, 48.63394516628233]
+    for route in ("decrypt", "encrypted"):
+        report, nodes = _run_capturing_nodes(monkeypatch, dict(
+            protocol="outlier", topology={"family": "random", "n": 5, "p": 0.6},
+            inputs=values, c=1.0, seed=1, schedule="sync", variance_route=route,
+            faults=[{"process": 4, "time": 3}]))
+        assert report.termination == "decided", route
+        assert report.extra["variance"] == pytest.approx(1666.11, abs=0.005), route
+        for p in range(4):
+            assert report.decided_values[p] == pytest.approx(35.0616880674, abs=1e-6), route
+        assert report.privacy_violations == []
+    assert len({nodes[p].mean_ct.handle for p in range(4)}) == 1
+
+
+@pytest.mark.parametrize("seed", [28, 126, 137])
+def test_routes_agree_under_a_crash(seed):
+    rng = random.Random(seed)
+    n = rng.choice([4, 5, 6, 8])
+    values = [rng.uniform(-50, 50) for _ in range(n)]
+    crash = {"process": rng.randrange(n), "time": rng.choice([1, 2, 3, 4])}
+    schedule = rng.choice(["sync", "async"])
+    reports = [netsim.run(ScenarioConfig.from_dict(dict(
+        protocol="outlier", topology={"family": "random", "n": n, "p": 0.6},
+        inputs=values, c=1.0, seed=seed, schedule=schedule, variance_route=route,
+        faults=[crash], expect_termination=False)))
+        for route in ("decrypt", "encrypted")]
+    assert reports[0].termination == reports[1].termination
+    assert reports[0].decided_values == reports[1].decided_values
