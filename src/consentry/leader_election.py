@@ -158,12 +158,18 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     """
     if not complete_ct.prepared:
         raise CorruptedTallyError("refusing to tally an incomplete aggregate")
+    # the emulated noise may move a slot by up to its tracked bound
+    tolerance = _TALLY_TOLERANCE + complete_ct.noise_bound
+    if tolerance >= 0.5:
+        raise ValueError(
+            f"noise_epsilon too large to round tallies to integers: noise bound "
+            f"{complete_ct.noise_bound:.3g} + tolerance {_TALLY_TOLERANCE} >= 0.5")
     vec = backend.decrypt(secret, complete_ct, caller=caller)
     flat = np.asarray(vec.values[:n * n + n])
     rounded = np.rint(flat)
-    if float(np.max(np.abs(flat - rounded))) > _TALLY_TOLERANCE:
+    if float(np.max(np.abs(flat - rounded))) > tolerance:
         raise CorruptedTallyError(
-            f"slots deviate from integers beyond {_TALLY_TOLERANCE}")
+            f"slots deviate from integers beyond {tolerance:g}")
     ints = rounded.astype(np.int64)
     matrix = ints[:n * n].reshape(n, n)
     primary_only = ints[n * n:]

@@ -140,7 +140,8 @@ class ScenarioConfig:
         if self.schedule not in ("sync", "async"):
             raise ScenarioError(f"schedule must be sync or async, got {self.schedule!r}")
         if self.variance_route not in ("decrypt", "encrypted"):
-            raise ScenarioError(f"variance_route must be decrypt or encrypted")
+            raise ScenarioError(f"variance_route must be decrypt or encrypted, "
+                                f"got {self.variance_route!r}")
         if self.protocol == "outlier":
             if self.c is None or self.c <= 0:
                 raise ScenarioError("outlier protocol requires c > 0")

@@ -421,6 +421,28 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, config, value):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_unknown_variance_route_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "outlier", "c": 1.0, "topology": RING4,
+                               "inputs": [1, 2, 3, 400], "variance_route": "plain"}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("config error: variance_route must be decrypt or encrypted, "
+                   "got 'plain'\n")
+
+
+def test_election_noise_too_large_to_tally_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "election", "topology": RING4, "seed": 1,
+                               "inputs": [{"primary": 0}, {"primary": 1},
+                                          {"primary": 0}, {"primary": 2}],
+                               "noise_epsilon": 0.1}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: noise_epsilon") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 RING48 = {"family": "ring", "n": 48}
 
 

@@ -321,6 +321,31 @@ def test_crash_election_decides_survivors_irv_winner():
     assert report.privacy_violations == []
 
 
+@pytest.mark.parametrize("eps", [0.003, 0.03])
+def test_noisy_tallies_round_within_their_noise_bound(eps):
+    """The complete ciphertext's noise bound (0.021 at eps 0.003) exceeds
+    the plain 0.01 tolerance, yet rounding still recovers every tally."""
+    ballots = [(0, None), (1, None), (0, None), (2, None)]
+    sc = ScenarioConfig(
+        protocol="election", topology=topo.ring(4).to_dict(),
+        inputs=[{"primary": p} for p, _ in ballots], seed=1, noise_epsilon=eps)
+    report = netsim.run(sc)
+    assert report.termination == "decided"
+    want = irv_oracle(ballots, 4)
+    assert all(report.decided_values[p] == want for p in range(4))
+
+
+def test_tally_rejects_noise_that_hides_the_integers():
+    n = 3
+    _, cap = ballot_layout(n)
+    backend = SlotBackend(BackendConfig(cap, noise_epsilon=0.1), seed=1)
+    km = backend.keygen("T")
+    ct = complete_ct_for([(0, 1)] * 3, n, backend, km)
+    assert ct.noise_bound >= 0.49
+    with pytest.raises(ValueError, match="noise_epsilon"):
+        tally(backend, km.secret_part, ct, n, caller="T")
+
+
 def test_lone_process_elects_itself():
     report = run_election([(0, None)], topo.Topology(1, []))
     assert report.termination == "decided"
