@@ -329,37 +329,32 @@ def test_prepared_reaches_processes_only_where_they_read_it(route, between_proce
                    for msg in r1_results)
 
 
-def _run_capturing_nodes(monkeypatch, raw):
-    """netsim.run on `raw`, also returning the protocol's nodes."""
-    setups = []
-
-    def build(*args, **kwargs):
-        setups.append(real_build(*args, **kwargs))
-        return setups[-1]
-
-    real_build = outlier_consensus.build
-    monkeypatch.setattr(outlier_consensus, "build", build)
-    report = netsim.run(ScenarioConfig.from_dict(raw))
-    return report, setups[-1].nodes
-
-
 def test_a_crash_in_round_1_leaves_one_mean(monkeypatch):
     """Process 4 crashes while round 1 is active, so deciders prepare over
     different survivor sets; every survivor must still use the one mean the
     collector opens, and both routes decide alike."""
     values = [46.52421415521229, -48.834530620785884, 23.59916197968755,
               -34.198727523525186, 48.63394516628233]
+    setups = []
+    real_build = outlier_consensus.build
+
+    def build(*args, **kwargs):
+        setups.append(real_build(*args, **kwargs))
+        return setups[-1]
+
+    monkeypatch.setattr(outlier_consensus, "build", build)
     for route in ("decrypt", "encrypted"):
-        report, nodes = _run_capturing_nodes(monkeypatch, dict(
+        report = netsim.run(ScenarioConfig.from_dict(dict(
             protocol="outlier", topology={"family": "random", "n": 5, "p": 0.6},
             inputs=values, c=1.0, seed=1, schedule="sync", variance_route=route,
-            faults=[{"process": 4, "time": 3}]))
+            faults=[{"process": 4, "time": 3}])))
         assert report.termination == "decided", route
         assert report.extra["variance"] == pytest.approx(1666.11, abs=0.005), route
         for p in range(4):
             assert report.decided_values[p] == pytest.approx(35.0616880674, abs=1e-6), route
         assert report.privacy_violations == []
-    assert len({nodes[p].mean_ct.handle for p in range(4)}) == 1
+    # the encrypted run's nodes
+    assert len({setups[-1].nodes[p].mean_ct.handle for p in range(4)}) == 1
 
 
 @pytest.mark.parametrize("seed", [28, 126, 137])
