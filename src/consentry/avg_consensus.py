@@ -14,11 +14,11 @@ and stops at the message that completes the required mask.  It adds the
 merged messages' count arrays, ORs their masks and adds their ciphertexts
 in one engine `add_many` call, which ORs the ciphertexts' taint masks; it
 builds no message and returns only whether anything merged.  The node then
-broadcasts one snapshot per changed instance.  Once the local mask covers
-the required one the process runs the prepare step: multiply by the
-plaintext weights 1/(count_j * n) to undo duplicates, then rotate-sum (one
-engine `rotate_sum` call) so every slot holds the average.  Only prepared
-aggregates ever reach the keyholder's secret key.
+multicasts one snapshot per changed instance to that instance's fan-out.
+Once the local mask covers the required one the process runs the prepare
+step: multiply by the plaintext weights 1/(count_j * n) to undo duplicates,
+then rotate-sum (one engine `rotate_sum` call) so every slot holds the
+average.  Only prepared aggregates ever reach the keyholder's secret key.
 
 A prepared aggregate is sent only to the keyholder that opens it; no process
 forwards one.  Two deployment shapes are provided: a trusted collector
@@ -82,6 +82,17 @@ def _support_mask(counts) -> int:
     return _bits(np.asarray(counts, dtype=np.float64) > 0)
 
 
+def _frozen(counts) -> np.ndarray:
+    """`counts` as a read-only float64 array: a read-only float64 array is
+    shared, anything else is copied."""
+    if isinstance(counts, np.ndarray) and counts.dtype == np.float64 \
+            and not counts.flags.writeable:
+        return counts
+    counts = np.array(counts, dtype=np.float64)
+    counts.flags.writeable = False
+    return counts
+
+
 def survivors(correct_set, n: int) -> int:
     """The bitmask of the processes a round among `n` waits for once only
     `correct_set` is left: bit p is set for each correct p < n."""
@@ -95,10 +106,12 @@ class ProtocolMessage:
 
     One message object goes to every receiver, so treat it as immutable.
     The counts are held as one read-only float64 array, `count_array`: a
-    read-only float64 array given (a snapshot's) is shared, anything else is
-    copied.  `counts` reads them as a tuple of ints.  `support`, the bitmask
-    of nonzero counts, is passed by snapshots and otherwise derived here
-    from the counts; a message without counts has none.
+    read-only float64 array given is shared, anything else is copied.
+    `counts` reads them as a tuple of ints.  `support`, the bitmask of
+    nonzero counts, is derived from the counts unless given; a message
+    without counts has none.  This constructor validates its fields;
+    `ConsensusState.snapshot`, which builds AGGREGATE messages from fields
+    its state already guarantees, sets them without it.
     """
 
     __slots__ = ("instance", "kind", "votes_ct", "participating_ct", "extra",
@@ -122,10 +135,7 @@ class ProtocolMessage:
         self.ciphertexts = ((votes_ct,) if votes_ct is not None else ()) + \
             ((participating_ct,) if participating_ct is not None else ())
         if counts is not None:
-            counts = np.asarray(counts, dtype=np.float64)
-            if counts.flags.writeable:
-                counts = counts.copy()
-                counts.flags.writeable = False
+            counts = _frozen(counts)
             if support is None:
                 support = _support_mask(counts)
         self.count_array = counts
@@ -144,36 +154,43 @@ class ConsensusState:
 
     `counts` is a read-only float64 array that a fold replaces, never
     writes, so a snapshot can carry it as is; `support` is the bitmask of
-    its nonzero entries.  `required_mask` marks the indices whose counts must
-    become nonzero and that `try_decide` weights: all n, or an outlier node's.
-    `participating_ct`, when set, is a second channel folded and prepared
-    under the same counts as the votes (outlier round 3's participation
-    flags).  A state is DECIDED once `try_decide` prepared it; an election
-    lineage copy, whose counts are n 0/1 flags, once it went to the keyholder.
+    its nonzero entries.  Like a message, a state shares a read-only float64
+    count array it is given, and takes `support` as given when passed, as an
+    election fold does for each copy it adopts.  `snapshot` builds its
+    AGGREGATE message straight from these fields.  `required_mask` marks the
+    indices whose counts must become nonzero and that `try_decide` weights:
+    all n, or an outlier node's.  `participating_ct`, when set, is a second
+    channel folded and prepared under the same counts as the votes (outlier
+    round 3's participation flags).  A state is DECIDED once `try_decide`
+    prepared it; an election lineage copy, whose counts are n 0/1 flags,
+    once it went to the keyholder.
     """
 
     def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
-                 counts, participating_ct: Ciphertext | None = None):
+                 counts, participating_ct: Ciphertext | None = None,
+                 support: int | None = None):
         self.id = id
         self.instance = instance
         self.n = n
         self.votes_ct = votes_ct
         # float64, not int64: duplicate counts grow by about 1.45 bits per
         # round and would overflow int64 past a diameter of about 43
-        counts = np.array(counts, dtype=np.float64)
-        counts.flags.writeable = False
-        self.counts = counts
-        self.support = _support_mask(counts)
+        self.counts = _frozen(counts)
+        self.support = _support_mask(self.counts) if support is None else support
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
         self.participating_ct = participating_ct
 
     def snapshot(self) -> ProtocolMessage:
-        """The AGGREGATE message announcing every channel of this state."""
-        return ProtocolMessage(self.instance, AGGREGATE, votes_ct=self.votes_ct,
-                               counts=self.counts,
-                               participating_ct=self.participating_ct,
-                               support=self.support)
+        """The AGGREGATE message announcing every channel of this state,
+        sharing its frozen counts and support."""
+        votes, part = self.votes_ct, self.participating_ct
+        msg = object.__new__(ProtocolMessage)
+        msg.instance, msg.kind, msg.extra = self.instance, AGGREGATE, {}
+        msg.votes_ct, msg.participating_ct = votes, part
+        msg.ciphertexts = (votes,) if part is None else (votes, part)
+        msg.count_array, msg.support = self.counts, self.support
+        return msg
 
 
 def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
@@ -250,6 +267,8 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     counts.flags.writeable = False
     state.counts = counts
     state.support = support
+    if required & ~support:
+        return True, None
     return True, try_decide(state, backend)
 
 
@@ -334,9 +353,12 @@ class FloodingNode(netsim.Node):
 
     Coalesces all merges from one delivery batch into a single rebroadcast,
     which is what keeps per-process traffic within a constant factor of
-    diameter * degree.  A decided instance's prepared aggregate goes only to
-    the actors that read it, as `_prepared_readers` names them: by default
-    the trusted collector, which gets one straight from every decider.
+    diameter * degree.  A rebroadcast is one multicast to the instance's
+    fan-out, a destination tuple fixed once per instance: `fanout[instance]`
+    where a subclass set it, otherwise the neighbours.  A decided instance's
+    prepared aggregate goes only to the actors that read it, as
+    `_prepared_readers` names them: by default the trusted collector, which
+    gets one straight from every decider.
     Subclasses say what PREPARED and RESULT messages mean to them.
     `required_mask`, the processes this one waits for, is all n until an
     outlier or election node narrows it to `survivors` on a crash notice.
@@ -347,14 +369,11 @@ class FloodingNode(netsim.Node):
         self.n = n
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
+        self.fanout: dict[str, tuple] = {}
         self.required_mask = (1 << n) - 1
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
         return state.snapshot()
-
-    def _exclude(self, instance: str) -> tuple:
-        """Neighbours left out of the instance's rebroadcasts."""
-        return ()
 
     def _prepared_readers(self, ctx, instance: str) -> tuple:
         """The actors that read the instance's prepared aggregate; a decider
@@ -373,8 +392,8 @@ class FloodingNode(netsim.Node):
         for instance in sorted(per_instance):
             changed, decision = self._fold_instance(instance, per_instance[instance])
             if changed:
-                ctx.broadcast(self._snapshot_msg(self.states[instance]),
-                              exclude=self._exclude(instance))
+                ctx.multicast(self.fanout.get(instance, ctx.neighbors),
+                              self._snapshot_msg(self.states[instance]))
             if decision is not None:
                 self._emit_prepared(ctx, instance, decision)
 
@@ -495,8 +514,11 @@ class UntrustedProcessNode(FloodingNode):
     For its own instance a node acts as the keyholder: it encrypts its own
     value under its own key, hands that seed to one neighbor, stays out of
     the flooding, and decrypts the first prepared aggregate its neighbours
-    send it.  Each node broadcasts one RESULT, the one it decides on: its
-    own instance's, or the first that reaches it, forwarded.
+    send it.  So `on_start` fixes each other instance's fan-out as the
+    neighbours other than its initiator, and its prepared readers as that
+    initiator when it is a neighbour.  Each node broadcasts one RESULT, the
+    one it decides on: its own instance's, or the first that reaches it,
+    forwarded.
     """
 
     def __init__(self, pid: int, value: float, n: int, backend: SlotEngine,
@@ -505,19 +527,12 @@ class UntrustedProcessNode(FloodingNode):
         self.value = value
         self.keys = keys               # viable initiator -> KeyMaterial (secret used by owner only)
         self.viable = viable           # initiator -> bool
+        self.readers: dict[str, tuple] = {}   # instance -> its initiator, if a neighbour
         self.opened = False            # own instance's prepared aggregate decrypted
         self.decided = False           # a RESULT decided on and broadcast
 
-    def _initiator_of(self, instance: str) -> int:
-        return int(instance.split("/", 1)[1])
-
-    def _exclude(self, instance):
-        return (self._initiator_of(instance),)
-
     def _prepared_readers(self, ctx, instance):
-        # every neighbour of a viable initiator decides its instance
-        k = self._initiator_of(instance)
-        return (k,) if k in ctx.neighbors else ()
+        return self.readers[instance]
 
     def on_start(self, ctx):
         if self.viable.get(self.pid) is False:
@@ -530,7 +545,10 @@ class UntrustedProcessNode(FloodingNode):
                 ctx.send(min(ctx.neighbors), msg)
             else:
                 self.states[instance] = state
-                ctx.broadcast(msg, exclude=(k,))
+                # every neighbour of a viable initiator decides its instance
+                self.readers[instance] = (k,) if k in ctx.neighbors else ()
+                self.fanout[instance] = tuple(d for d in ctx.neighbors if d != k)
+                ctx.multicast(self.fanout[instance], msg)
 
     def _handle_prepared(self, ctx, msg):
         if self.opened:

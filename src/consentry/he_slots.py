@@ -369,7 +369,8 @@ class SlotBackend(SlotEngine):
         if public_part.key_id not in self._holders:
             raise KeyMismatchError(f"unknown key {public_part.key_id!r}")
         table = self._tag_table
-        return self._fresh(public_part.key_id, np.array(vector.values),
+        # the vector's read-only array: noise, when on, makes a new one
+        return self._fresh(public_part.key_id, vector.values,
                            table.intern(tag), table, depth=0, noise_bound=0.0)
 
     def decrypt(self, secret_part: SecretPart, ct: Ciphertext, caller=None) -> SlotVector:
@@ -516,17 +517,22 @@ class SlotBackend(SlotEngine):
                 "unprepared-exposure", holder,
                 f"keyholder saw raw aggregate {ct.handle} (kind={kind})"))
 
-    def key_holders(self) -> frozenset:
-        """Every actor that holds a key.  Keys are made at `keygen`, before a
-        simulation runs, so the set is fixed for the run."""
-        return frozenset(self._holders.values())
+    def keys_by_holder(self) -> dict:
+        """Each actor that holds a key -> the ids of the keys it holds.  Keys
+        are made at `keygen`, before a simulation runs, so the map is fixed
+        for the run."""
+        held: dict = {}
+        for key_id, holder in self._holders.items():
+            held[holder] = held.get(holder, frozenset()) | {key_id}
+        return held
 
     def record_possession(self, observer, ct: Ciphertext):
         """The simulator's call for `observer` coming to hold `ct`: flags the
         key's holder seeing an unprepared aggregate.  It acts only when
-        `observer` holds `ct`'s key, so the simulator calls it for
-        deliveries to `key_holders()` alone.  It keeps no ledger entry; the
-        simulator's delivery log is the record of possession."""
+        `observer` holds `ct`'s key, so the simulator calls it only for a
+        ciphertext under a key `keys_by_holder()` gives `observer`.  It
+        keeps no ledger entry; the simulator's delivery log is the record of
+        possession."""
         if self._holders.get(ct.key_id) == observer:
             self._check_exposure("possess", observer, ct)
 

@@ -125,7 +125,7 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
         support |= 1 << pid
     if state is None:
         state = ConsensusState(id=pid, instance=msg.instance, n=n, votes_ct=cand_ct,
-                               counts=cand_counts)
+                               counts=cand_counts, support=support)
     else:
         state.votes_ct, state.counts, state.support = cand_ct, cand_counts, support
     if required_mask is None:

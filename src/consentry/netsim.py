@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .he_slots import PrivacyViolation
@@ -219,7 +219,8 @@ class SimReport:
     extra: dict
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        # a shallow dict of the fields: `json.dumps` only reads them
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["decided_values"] = {str(k): v for k, v in self.decided_values.items()}
         payload["rounds_to_decide"] = {str(k): v for k, v in self.rounds_to_decide.items()}
         payload["messages_sent"] = {str(k): v for k, v in self.messages_sent.items()}
@@ -281,11 +282,8 @@ class Context:
         """One message to each actor of `dsts`, in that order."""
         self._sim._send(self.pid, dsts, msg)
 
-    def broadcast(self, msg, exclude=()):
-        dsts = self.neighbors
-        if exclude and not self.reach.isdisjoint(exclude):
-            dsts = tuple([dst for dst in dsts if dst not in exclude])
-        self.multicast(dsts, msg)
+    def broadcast(self, msg):
+        self.multicast(self.neighbors, msg)
 
     def broadcast_processes(self, msg):
         """Collector channel: deliver to every (correct) process directly."""
@@ -336,14 +334,15 @@ class Simulation:
     destination draws its own latency, in the order given, and gets an
     entry of its own.
 
-    Each delivery is audited as it happens.  The ciphertexts of a delivery
-    to a keyholder (`key_holders()`, fixed before the run) are reported to
-    the engine, which checks the ledger rules; a possession by anyone else
-    cannot break them, so it is not reported.  Every delivery's plaintext
-    fields are checked for private inputs.  The trace counts deliveries and
-    delivery batches either way.  Only with `keep_log=True` does the run
-    also keep every delivered message, the one record of who came to hold
-    which ciphertext; by default memory does not grow with traffic.
+    Each delivery is audited as it happens.  A delivered ciphertext under a
+    key its receiver holds (`keys_by_holder()`, fixed before the run) is
+    reported to the engine, which checks the ledger rules; a possession by
+    anyone but the key's holder cannot break them, so it is not reported.
+    Every delivery's plaintext fields are checked for private inputs.  The
+    trace counts deliveries and delivery batches either way.  Only with
+    `keep_log=True` does the run also keep every delivered message, the one
+    record of who came to hold which ciphertext; by default memory does not
+    grow with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
@@ -436,7 +435,7 @@ class Simulation:
             nodes[pid].on_start(ctxs[pid])
         calendar, crashed_at = self._calendar, self._crashed_at
         log, record = self._message_log, backend.record_possession
-        holders = backend.key_holders()
+        keys_of = backend.keys_by_holder()
         rank = {actor: i for i, actor in enumerate(order)}
         deadline_hit = False
         delivered = batches = 0
@@ -475,16 +474,17 @@ class Simulation:
             for dst in sorted(per_receiver, key=rank.__getitem__):
                 deliveries = per_receiver[dst]
                 delivered += len(deliveries)
-                holder = dst in holders
-                if log is not None or plain or holder:
+                keys = keys_of.get(dst)
+                if log is not None or plain or keys:
                     for frm, msg in deliveries:
                         if log is not None:
                             log.append((now, frm, dst, msg))
                         if msg.extra:
                             self._check_leaks(frm, msg)
-                        if holder:
+                        if keys:
                             for ct in msg.ciphertexts:
-                                record(dst, ct)
+                                if ct.key_id in keys:
+                                    record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
             if self.setup.invariant_check is not None:
                 self.setup.invariant_check(nodes)

@@ -30,19 +30,18 @@ class Topology:
         if n < 1:
             raise TopologyError("need at least one process")
         norm = set()
+        adj: dict[int, set[int]] = {i: set() for i in range(n)}
         for e in edges:
             i, j = int(e[0]), int(e[1])
             if i == j:
                 raise TopologyError(f"self-loop at {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise TopologyError(f"edge ({i},{j}) out of range for n={n}")
-            norm.add((min(i, j), max(i, j)))
-        self.n = n
-        self.edges = frozenset(norm)
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for i, j in self.edges:
+            norm.add((i, j) if i < j else (j, i))
             adj[i].add(j)
             adj[j].add(i)
+        self.n = n
+        self.edges = frozenset(norm)
         self._adj = adj
 
     def neighbors(self, i: int) -> set[int]:

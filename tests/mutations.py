@@ -2,7 +2,9 @@
 
 from consentry import netsim
 from consentry import topology as topo
-from consentry.avg_consensus import AGGREGATE, AvgProcessNode, ProtocolMessage, build_trusted
+from consentry.avg_consensus import (AGGREGATE, AvgProcessNode, ProtocolMessage,
+                                     UntrustedProcessNode, build_trusted,
+                                     build_untrusted, instance_for_initiator)
 from consentry.netsim import SchedulePolicy
 
 
@@ -23,6 +25,29 @@ class MisroutingAvgNode(AvgProcessNode):
         super().on_deliver(ctx, batch)
         if self.state is not None:
             ctx.send(netsim.TRUSTED, self._snapshot_msg(self.state))
+
+
+class MisroutingUntrustedNode(UntrustedProcessNode):
+    """Mutation: sends each neighbouring initiator k its raw state of
+    instance k, under k's key, at the start."""
+
+    def on_start(self, ctx):
+        super().on_start(ctx)
+        for k in self.keys:
+            state = self.states.get(instance_for_initiator(k))
+            if state is not None and k in ctx.neighbors:
+                ctx.send(k, state.snapshot())
+
+
+def mutated_untrusted_setup(t, inputs, seed):
+    """An avg-untrusted setup on `t` with every process replaced by
+    `MisroutingUntrustedNode`."""
+    setup = build_untrusted(t, inputs, seed=seed)
+    keys, viable = setup.nodes[0].keys, setup.nodes[0].viable
+    for pid in range(t.n):
+        setup.nodes[pid] = MisroutingUntrustedNode(pid, inputs[pid], t.n,
+                                                   setup.backend, keys, viable)
+    return setup
 
 
 def mutated_setup(t, inputs, node_cls, seed):

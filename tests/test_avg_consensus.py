@@ -10,7 +10,8 @@ import pytest
 from consentry import avg_consensus, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
-                                     PREPARED, RESULT, PreparedSlotsError,
+                                     PREPARED, RESULT, ConsensusState,
+                                     PreparedSlotsError,
                                      PrivacyGuardError,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
@@ -514,7 +515,8 @@ def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
     """Wrapping `avg_consensus.fold` sees each AGGREGATE delivered to a
     process holding its instance handed to it exactly once, in one call per
     instance per delivery batch, and a delivery batch yields at most one
-    AGGREGATE broadcast per instance."""
+    AGGREGATE multicast per instance.  Every AGGREGATE a process sends goes
+    out through `Context.multicast`, which `broadcast` also calls."""
     t = topo.random_connected(16, 0.4, random.Random(16))
     inputs = [float(i) for i in range(16)]
     folds, calls = [], []
@@ -528,13 +530,13 @@ def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
 
     broadcasts = []
 
-    def recorded(ctx, msg, exclude=(), send=netsim.Context.broadcast):
+    def recorded(ctx, dsts, msg, send=netsim.Context.multicast):
         if msg.kind == AGGREGATE:
             broadcasts.append((ctx.pid, ctx._sim._now, msg.instance))
-        return send(ctx, msg, exclude)
+        return send(ctx, dsts, msg)
 
     monkeypatch.setattr(avg_consensus, "fold", counted)
-    monkeypatch.setattr(netsim.Context, "broadcast", recorded)
+    monkeypatch.setattr(netsim.Context, "multicast", recorded)
     setup = build(t, inputs, seed=3)
     report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
                                       keep_log=True).run()
@@ -548,6 +550,8 @@ def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
     batches = {(t, dst, msg.instance) for t, _, dst, msg in trace.messages
                if msg.kind == AGGREGATE and msg.instance in setup.nodes[dst].states}
     assert len(calls) == len(batches)
+    # the rebroadcasts after a fold are among the recorded sends
+    assert any(t > 0 for _, t, _ in broadcasts)
     assert len(set(broadcasts)) == len(broadcasts)
 
 
@@ -563,7 +567,8 @@ RING8_BALLOTS = [{"primary": (3 * p) % 8, "secondary": (p + 1) % 8} for p in ran
 ], ids=["avg-trusted", "outlier-decrypt", "outlier-encrypted", "election-ring8"])
 def test_a_merging_fold_builds_no_message(scenario, monkeypatch):
     """Every AGGREGATE message built during a run is sent: a fold reports a
-    merge with a flag and builds no snapshot that nobody sends."""
+    merge with a flag and builds no snapshot that nobody sends.  A message
+    is built by `ProtocolMessage.__init__` or by `ConsensusState.snapshot`."""
     built, sent = [], set()
 
     def init(msg, instance, kind, *args, _init=ProtocolMessage.__init__, **kwargs):
@@ -571,11 +576,17 @@ def test_a_merging_fold_builds_no_message(scenario, monkeypatch):
         if kind == AGGREGATE:
             built.append(msg)     # held, so no id is reused
 
+    def snapshot(state, _snapshot=ConsensusState.snapshot):
+        msg = _snapshot(state)
+        built.append(msg)
+        return msg
+
     def send(sim, frm, dst, msg, _send=netsim.Simulation._send):
         sent.add(id(msg))
         return _send(sim, frm, dst, msg)
 
     monkeypatch.setattr(ProtocolMessage, "__init__", init)
+    monkeypatch.setattr(ConsensusState, "snapshot", snapshot)
     monkeypatch.setattr(netsim.Simulation, "_send", send)
     scenario = {"inputs": {"random_uniform": [-100, 100]}, "seed": 5, **scenario}
     report = netsim.run(netsim.ScenarioConfig(**scenario))

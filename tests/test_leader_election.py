@@ -445,7 +445,7 @@ class RecordingContext:
     def __init__(self):
         self.sent = []
 
-    def broadcast(self, msg, exclude=()):
+    def broadcast(self, msg):
         self.sent.append((None, msg))
 
     def send(self, to, msg):

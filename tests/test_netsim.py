@@ -373,6 +373,7 @@ AUDITED_SETUPS = {
     "LeakyAvgNode": lambda t, v: mutations.mutated_setup(t, v, mutations.LeakyAvgNode, 3),
     "MisroutingAvgNode": lambda t, v: mutations.mutated_setup(
         t, v, mutations.MisroutingAvgNode, 3),
+    "MisroutingUntrustedNode": lambda t, v: mutations.mutated_untrusted_setup(t, v, 3),
 }
 
 
@@ -408,7 +409,8 @@ def test_keyholder_possession_checks_equal_a_replay_of_every_delivery(name, sche
     logged, unlogged = audits
     assert unlogged == logged
     rule = {"LeakyAvgNode": "plaintext-leak",
-            "MisroutingAvgNode": "unprepared-exposure"}.get(name)
+            "MisroutingAvgNode": "unprepared-exposure",
+            "MisroutingUntrustedNode": "unprepared-exposure"}.get(name)
     assert {v.rule for v in unlogged} == ({rule} if rule else set())
 
 
