@@ -297,10 +297,14 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     if state.phase != ACTIVE or state.required_mask & ~state.support:
         return None
     state.phase = DECIDED
-    # the required indices, unpacked as `_bits` packs them
-    mask = state.required_mask.to_bytes((state.n + 7) // 8, "little")
-    include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8), bitorder="little"))
-    prepared = tuple(prepare(backend, ct, state.counts, len(include), include=include)
+    n, include = state.n, None
+    if state.required_mask != (1 << n) - 1:
+        # the required indices, unpacked as `_bits` packs them
+        mask = state.required_mask.to_bytes((n + 7) // 8, "little")
+        include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8),
+                                               bitorder="little"))
+        n = len(include)
+    prepared = tuple(prepare(backend, ct, state.counts, n, include=include)
                      for ct in (state.votes_ct, state.participating_ct)
                      if ct is not None)
     return prepared if len(prepared) > 1 else prepared[0]
@@ -314,13 +318,13 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
     keeps the full-capacity rotate-sum exact.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    cap = len(counts)
-    include = np.arange(n) if include is None else np.asarray(include, dtype=np.intp)
+    include = slice(n) if include is None else np.asarray(include, dtype=np.intp)
     included = counts[include]
-    zero = np.flatnonzero(included <= 0)
-    if zero.size:
-        raise ValueError(f"prepare requires a nonzero count at index {include[zero[0]]}")
-    weights = np.zeros(cap)
+    if not (included > 0).all():
+        first = np.flatnonzero(~(included > 0))[0]
+        index = np.arange(len(counts))[include][first]
+        raise ValueError(f"prepare requires a nonzero count at index {index}")
+    weights = np.zeros(len(counts))
     weights[include] = 1.0 / (included * n)
     ct = backend.mult_pt(votes_ct, SlotVector(weights))
     return backend.mark_prepared(backend.rotate_sum(ct))

@@ -7,11 +7,18 @@ privacy guarantees of the protocols built on top of it are tested as
 information-flow properties, checked as each decryption and possession is
 recorded.  A real lattice-crypto library can be substituted behind
 :class:`SlotEngine` without touching protocol code.
+
+`rotate_sum` draws its noise, takes its handles and computes its noise bound
+when it is called, but sums its payload only the first time the payload is
+read (by `decrypt`, `inspect_payload` or another engine op), and at most
+once, for the result and its `mark_prepared` copy together; a prepared
+aggregate that no keyholder opens is never summed.
 """
 
 from __future__ import annotations
 
 import abc
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -42,6 +49,11 @@ def slot_capacity_for(n: int) -> int:
     return next_power_of_two(max(2, n))
 
 
+#: the largest `noise_epsilon`: noise is drawn from [-eps, eps], whose width
+#: 2 * eps must be a finite float
+MAX_NOISE_EPSILON = sys.float_info.max / 2
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Backend parameters: slot count and per-operation additive error bound."""
@@ -55,6 +67,9 @@ class BackendConfig:
             raise ValueError(f"slot_capacity must be a power of two >= 2, got {c}")
         if self.noise_epsilon < 0:
             raise ValueError("noise_epsilon must be >= 0")
+        if not self.noise_epsilon <= MAX_NOISE_EPSILON:
+            raise ValueError(f"noise_epsilon must be at most {MAX_NOISE_EPSILON!r}, "
+                             f"got {self.noise_epsilon!r}")
 
 
 class SlotVector:
@@ -204,10 +219,76 @@ class Ciphertext:
         """The tags of the raw inputs that flowed into this value."""
         return self.tag_table.tags_of(self.taint_mask)
 
+    def _slot_count(self) -> int:
+        return len(self._payload)
+
     def __repr__(self):
         return (f"Ciphertext(handle={self.handle}, key={self.key_id!r}, "
-                f"slots={len(self._payload)}, depth={self.depth}, "
+                f"slots={self._slot_count()}, depth={self.depth}, "
                 f"prepared={self.prepared})")
+
+
+def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:
+    """The payload of the `rotate`/`add_ct` loop of a rotate-sum: at each
+    level, from the widest rotation down, add the rotation's noise row to
+    the rotated payload, add that to the payload, then add the sum's row."""
+    levels = len(payload).bit_length() - 1
+    for j in range(levels):
+        k = 2 ** (levels - 1 - j)
+        rotated = np.concatenate((payload[k:], payload[:k]))
+        if noise is not None:
+            rotated += noise[j, 0]
+        payload = payload + rotated
+        if noise is not None:
+            payload += noise[j, 1]
+    payload.flags.writeable = False
+    return payload
+
+
+class _PendingSum:
+    """A rotate-sum's payload, summed by `read` the first time it is needed
+    and kept; the source and the noise drawn at the call are then dropped."""
+
+    __slots__ = ("source", "noise", "payload")
+
+    def __init__(self, source: np.ndarray, noise):
+        self.source, self.noise, self.payload = source, noise, None
+
+    def __len__(self):
+        return len(self.source if self.payload is None else self.payload)
+
+    def read(self) -> np.ndarray:
+        if self.payload is None:
+            self.payload = _rotate_add(self.source, self.noise)
+            self.source = self.noise = None
+        return self.payload
+
+
+class _SummedCiphertext(Ciphertext):
+    """A `rotate_sum` result: it holds a `_PendingSum` where a ciphertext
+    holds its payload, shared with its `mark_prepared` copy, and `_payload`
+    reads it."""
+
+    __slots__ = ("_sum",)
+
+    def __init__(self, key_id, pending: _PendingSum, taint_mask: int,
+                 tag_table: TagTable, prepared: bool, depth: int,
+                 noise_bound: float, handle: int):
+        self.key_id = key_id
+        self.taint_mask = taint_mask
+        self.tag_table = tag_table
+        self.prepared = prepared
+        self.depth = depth
+        self.noise_bound = noise_bound
+        self.handle = handle
+        self._sum = pending
+
+    @property
+    def _payload(self) -> np.ndarray:
+        return self._sum.read()
+
+    def _slot_count(self) -> int:
+        return len(self._sum)
 
 
 class AuditEvent(NamedTuple):
@@ -399,7 +480,7 @@ class SlotBackend(SlotEngine):
 
     def mult_pt(self, a: Ciphertext, p: SlotVector) -> Ciphertext:
         self._check_len(p)
-        scale = float(np.max(np.abs(p.values))) if len(p) else 0.0
+        scale = float(np.abs(p.values).max())
         return self._fresh(a.key_id, a._payload * p.values,
                            a.taint_mask, a.tag_table,
                            depth=a.depth + 1,
@@ -473,25 +554,21 @@ class SlotBackend(SlotEngine):
 
     def rotate_sum(self, a: Ciphertext) -> Ciphertext:
         """The `rotate`/`add_ct` loop, bit for bit: the same payload, noise
-        draws, bound and handles."""
+        draws, bound and handles.  The noise is drawn, in one call, and the
+        handles taken now; the payload is summed when first read."""
         if not self._rotation_ok.get(a.key_id, False):
             raise MissingRotationKeysError(f"no rotation keys for {a.key_id!r}")
         eps = self.config.noise_epsilon
         payload, bound = a._payload, a.noise_bound
-        cap = len(payload)
-        levels = cap.bit_length() - 1
-        for i in range(levels - 1, -1, -1):
-            k = 2 ** i
-            rotated = np.concatenate((payload[k:], payload[:k]))
-            if eps > 0:
-                rotated += self._rng.uniform(-eps, eps, size=cap)
-            payload = payload + rotated
-            if eps > 0:
-                payload += self._rng.uniform(-eps, eps, size=cap)
+        levels = len(payload).bit_length() - 1
+        noise = (self._rng.uniform(-eps, eps, size=(levels, 2, len(payload)))
+                 if eps > 0 else None)
+        for _ in range(levels):
             bound = bound + (bound + eps) + eps
         self._handle_seq += 2 * levels
-        return Ciphertext(a.key_id, payload, a.taint_mask, a.tag_table, False,
-                          a.depth, bound, self._handle_seq)
+        return _SummedCiphertext(a.key_id, _PendingSum(payload, noise),
+                                 a.taint_mask, a.tag_table, False, a.depth,
+                                 bound, self._handle_seq)
 
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.
@@ -500,6 +577,9 @@ class SlotBackend(SlotEngine):
         rotate-sum and the election completeness check (both of which
         compose already-aggregate values).
         """
+        if type(ct) is _SummedCiphertext:     # share the sum, not force it
+            return _SummedCiphertext(ct.key_id, ct._sum, ct.taint_mask, ct.tag_table,
+                                     True, ct.depth, ct.noise_bound, ct.handle)
         return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table,
                           True, ct.depth, ct.noise_bound, ct.handle)
 

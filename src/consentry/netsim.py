@@ -11,12 +11,12 @@ reports serialize byte-identically across repeats.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .he_slots import PrivacyViolation
+from .he_slots import MAX_NOISE_EPSILON, PrivacyViolation
 from .topology import Topology, _is_int, _is_real, load_topology
 import random
 
@@ -114,8 +114,13 @@ class ScenarioConfig:
                 raise ScenarioError(f"{key} must be {what}, got {value!r}")
         for key in ("c", "noise_epsilon"):
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            # a comparison, since math.isfinite raises on an int past float range
+            if value is not None and not abs(value) <= sys.float_info.max:
                 raise ScenarioError(f"{key} must be finite, got {value!r}")
+        if not self.noise_epsilon <= MAX_NOISE_EPSILON:
+            raise ScenarioError(f"noise_epsilon must be at most {MAX_NOISE_EPSILON!r}, "
+                                f"so that its noise range 2 * noise_epsilon is finite, "
+                                f"got {self.noise_epsilon!r}")
         inputs = self.inputs
         if isinstance(inputs, dict) and "random_uniform" in inputs:
             bounds = inputs["random_uniform"]

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from consentry import avg_consensus, netsim
+from consentry import avg_consensus, he_slots, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      PREPARED, RESULT, ConsensusState,
@@ -632,3 +632,64 @@ def test_untrusted_dense_graph_traffic_bound():
     assert report.termination == "decided"
     # 81,930 while every process forwarded each instance's PREPARED and RESULT
     assert sum(report.messages_sent.values()) <= 55_000
+
+
+# -- prepare work ------------------------------------------------------------
+
+@pytest.mark.parametrize("build, graph, schedule", [
+    (build_trusted, lambda: topo.random_connected(16, 0.4, random.Random(16)), "sync"),
+    (build_untrusted, lambda: topo.ring(8), "async"),
+], ids=["trusted-g16-sync", "untrusted-ring8-async"])
+def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule):
+    """Every decided channel is rotate-summed, but only the prepared
+    aggregates a keyholder decrypts have their payload summed."""
+    calls, sums, opened = [], [], set()
+    rotate_sum, decrypt = SlotBackend.rotate_sum, SlotBackend.decrypt
+    monkeypatch.setattr(SlotBackend, "rotate_sum",
+                        lambda self, ct: calls.append(ct.handle) or rotate_sum(self, ct))
+    monkeypatch.setattr(he_slots, "_rotate_add",
+                        lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
+
+    def opening(self, secret, ct, caller=None):
+        if ct.prepared:
+            opened.add(ct.handle)
+        return decrypt(self, secret, ct, caller)
+    monkeypatch.setattr(SlotBackend, "decrypt", opening)
+    t = graph()
+    values = [float(i) for i in range(t.n)]
+    setup = build(t, values, seed=3)
+    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy(schedule, 3)).run()
+    assert report.termination == "decided" and report.privacy_violations == []
+    assert all(v == pytest.approx(mean_oracle(values), abs=1e-9)
+               for v in report.decided_values.values())
+    decided = sum(ct is not None for node in setup.nodes.values()
+                  for state in getattr(node, "states", {}).values() if state.phase == "decided"
+                  for ct in (state.votes_ct, state.participating_ct))
+    assert len(calls) == decided and len(opened) < decided
+    assert len(sums) == len(opened)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("alive", [None, {0, 2, 3, 4}, {1, 4}],
+                         ids=["full", "one-crash", "two-left"])
+def test_try_decide_prepares_like_an_explicit_include(eps, alive):
+    n, counts = 5, [2.0, 1.0, 3.0, 2.0 ** 60, 1.0, 0.0, 0.0, 0.0]
+    values = SlotVector([4.0, -1.5, 9.0, 2.0 ** 59, 0.25, 0.0, 0.0, 0.0])
+    got, want = [], []
+    for out in (got, want):
+        b = make_backend(cap=8, eps=eps, seed=6)
+        km = b.keygen("T")
+        state = ConsensusState(0, INSTANCE_TRUSTED, n,
+                               b.encrypt(km.public_part, values, ("x", "agg")), counts)
+        if out is got:
+            if alive is not None:
+                state.required_mask = survivors(alive, n)
+            ct = try_decide(state, b)
+        else:
+            include = np.array(sorted(range(n) if alive is None else alive))
+            ct = prepare(b, state.votes_ct, counts, len(include), include=include)
+        out += [b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.handle, ct.prepared]
+        # the next draw and handle follow as well
+        nxt = b.encrypt(km.public_part, values, ("x", "next"))
+        out += [b.inspect_payload(nxt).tobytes(), nxt.handle]
+    assert got == want

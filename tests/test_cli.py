@@ -421,6 +421,22 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, config, value):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("value", [1e308, 10 ** 400], ids=["1e308", "int-past-float-range"])
+@pytest.mark.parametrize("config", [
+    {"protocol": "avg-trusted", "inputs": [1, 2, 3, 4]},
+    {"protocol": "election", "inputs": [{"primary": 0}, {"primary": 1},
+                                        {"primary": 0}, {"primary": 2}]},
+], ids=["avg-trusted", "election"])
+def test_noise_range_past_float_range_exits_2(tmp_path, capsys, config, value):
+    # noise is drawn from [-eps, eps]; 2 * 1e308 overflowed in the first encrypt
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "topology": RING4, "seed": 1, "noise_epsilon": value}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: noise_epsilon") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_unknown_variance_route_is_named(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"protocol": "outlier", "c": 1.0, "topology": RING4,

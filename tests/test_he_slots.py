@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consentry import avg_consensus, leader_election, outlier_consensus
+from consentry import avg_consensus, he_slots, leader_election, outlier_consensus
 from consentry.avg_consensus import AGGREGATE, ProtocolMessage
 from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchError,
                                 MissingRotationKeysError, SlotBackend, SlotEngine, SlotVector,
@@ -35,6 +35,19 @@ def test_backend_config_validation():
     assert slot_capacity_for(5) == 8
     assert slot_capacity_for(1) == 2
     assert slot_capacity_for(12) == 16
+
+
+def test_noise_whose_range_overflows_is_rejected():
+    # noise is drawn from [-eps, eps]: 2 * eps must be a finite float
+    top = float(np.nextafter(he_slots.MAX_NOISE_EPSILON, np.inf))
+    assert 2 * top == float("inf") > 2 * he_slots.MAX_NOISE_EPSILON
+    for eps in (top, 1e308, float("inf"), float("nan"), 10 ** 400):
+        with pytest.raises(ValueError, match="noise_epsilon"):
+            BackendConfig(4, eps)
+    b = make_backend(4, he_slots.MAX_NOISE_EPSILON)
+    km = b.keygen("T")
+    assert b.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), ("p", "v")).noise_bound == \
+        he_slots.MAX_NOISE_EPSILON
 
 
 def test_keygen_contract():
@@ -418,7 +431,10 @@ def test_add_many_of_no_rows_returns_the_accumulators():
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
 @pytest.mark.parametrize("cap", [2, 8, 64])
-def test_rotate_sum_equals_the_rotate_add_loop(eps, cap):
+def test_rotate_sum_equals_the_rotate_add_loop(eps, cap, monkeypatch):
+    sums = []
+    monkeypatch.setattr(he_slots, "_rotate_add",
+                        lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     loop, batched = make_backend(cap, eps, seed=4), make_backend(cap, eps, seed=4)
     km1, km2 = loop.keygen("T"), batched.keygen("T")
@@ -427,11 +443,22 @@ def test_rotate_sum_equals_the_rotate_add_loop(eps, cap):
     for i in range(cap.bit_length() - 2, -1, -1):
         ct1 = loop.add_ct(ct1, loop.rotate(ct1, 2 ** i))
     ct2 = batched.rotate_sum(ct2)
+    # the call took its noise draws and handles: the next op's follow the
+    # loop's before the payload is summed
+    _assert_same_next(loop, km1, batched, km2, cap)
+    prepared = batched.mark_prepared(ct2)
+    assert f"slots={cap}," in repr(ct2) + repr(prepared)
+    assert sums == []
     _assert_same_ct(loop, ct1, batched, ct2)
     assert ct2.depth == 1
     if not eps:
         assert len(set(batched.inspect_payload(ct2).tolist())) == 1
-    _assert_same_next(loop, km1, batched, km2, cap)
+    # the prepared copy reads the same bits and shares the one sum
+    opened = batched.decrypt(km2.secret_part, prepared).values
+    assert opened.tobytes() == batched.inspect_payload(ct2).tobytes()
+    assert (prepared.prepared, prepared.handle, prepared.noise_bound) == \
+        (True, ct2.handle, ct2.noise_bound)
+    assert batched.violations() == [] and len(sums) == 1
 
 
 def test_batched_ops_raise_like_the_nested_calls():
