@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def _frozen(counts) -> np.ndarray:
             and not counts.flags.writeable:
         return counts
     counts = np.array(counts, dtype=np.float64)
-    counts.flags.writeable = False
+    counts.setflags(write=False)
     return counts
 
 
@@ -212,9 +213,10 @@ def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
                                 (pid, f"{instance}:value"))
     counts = np.zeros(cap)
     counts[pid] = 1
+    counts.setflags(write=False)
     state = ConsensusState(id=pid, instance=instance, n=n,
                            votes_ct=votes, counts=counts,
-                           participating_ct=participating_ct)
+                           participating_ct=participating_ct, support=1 << pid)
     return state, state.snapshot()
 
 
@@ -227,8 +229,10 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     that completes the required counts, since the state then decides.  The
     merged messages' ciphertexts are added in one `add_many` call, or by
     `add_ct` when only one merges, as most do in async runs, where `add_ct`
-    is the cheaper call.  Returns whether any message merged and
-    what `try_decide` returned.
+    is the cheaper call.  Their count arrays are summed, in the same order,
+    into one new array, which is frozen in place (`setflags`) and replaces
+    the state's counts; no count array is ever written once shared.
+    Returns whether any message merged and what `try_decide` returned.
     """
     if state.phase != ACTIVE:
         return False, None
@@ -250,21 +254,23 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     if not merged:
         return False, None
     first = merged[0]
+    counts = state.counts + first.count_array
     if len(merged) == 1:
         state.votes_ct = backend.add_ct(state.votes_ct, first.votes_ct)
         if state.participating_ct is not None:
             state.participating_ct = backend.add_ct(state.participating_ct,
                                                     first.participating_ct)
-    elif state.participating_ct is None:
-        state.votes_ct, = backend.add_many((state.votes_ct,),
-                                           [msg.ciphertexts for msg in merged])
     else:
-        state.votes_ct, state.participating_ct = backend.add_many(
-            (state.votes_ct, state.participating_ct), [msg.ciphertexts for msg in merged])
-    counts = state.counts + first.count_array
-    for msg in merged[1:]:
-        counts += msg.count_array
-    counts.flags.writeable = False
+        for msg in merged[1:]:
+            counts += msg.count_array
+        if state.participating_ct is None:
+            state.votes_ct, = backend.add_many((state.votes_ct,),
+                                               [msg.ciphertexts for msg in merged])
+        else:
+            state.votes_ct, state.participating_ct = backend.add_many(
+                (state.votes_ct, state.participating_ct),
+                [msg.ciphertexts for msg in merged])
+    counts.setflags(write=False)
     state.counts = counts
     state.support = support
     if required & ~support:
@@ -304,10 +310,10 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
         include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8),
                                                bitorder="little"))
         n = len(include)
-    prepared = tuple(prepare(backend, ct, state.counts, n, include=include)
-                     for ct in (state.votes_ct, state.participating_ct)
-                     if ct is not None)
-    return prepared if len(prepared) > 1 else prepared[0]
+    votes = prepare(backend, state.votes_ct, state.counts, n, include=include)
+    if state.participating_ct is None:
+        return votes
+    return votes, prepare(backend, state.participating_ct, state.counts, n, include=include)
 
 
 def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
@@ -320,12 +326,14 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
     counts = np.asarray(counts, dtype=np.float64)
     include = slice(n) if include is None else np.asarray(include, dtype=np.intp)
     included = counts[include]
-    if not (included > 0).all():
+    # a comparison, so that a NaN count fails it; `initial` passes an empty include
+    if not included.min(initial=1.0) > 0:
         first = np.flatnonzero(~(included > 0))[0]
         index = np.arange(len(counts))[include][first]
         raise ValueError(f"prepare requires a nonzero count at index {index}")
     weights = np.zeros(len(counts))
-    weights[include] = 1.0 / (included * n)
+    # a float factor: numpy scales by a Python int through a slower path
+    weights[include] = 1.0 / (included * float(n))
     ct = backend.mult_pt(votes_ct, SlotVector(weights))
     return backend.mark_prepared(backend.rotate_sum(ct))
 
@@ -334,10 +342,17 @@ def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
                      n: int, caller=None) -> float:
     """Decrypt a prepared aggregate and return the average it carries.
 
-    Slots that disagree, or any slot that is not finite (an overflowed
-    payload), raise `PreparedSlotsError`."""
+    A noise bound that is not finite raises `ValueError` naming
+    `noise_epsilon`, before anything is decrypted: the noise of so large an
+    epsilon can overflow the payload, and no slot could be trusted.  Slots
+    that disagree, or any slot that is not finite (an overflowed payload),
+    raise `PreparedSlotsError`."""
     if not prepared_ct.prepared:
         raise PrivacyGuardError("refusing to decrypt an unprepared aggregate")
+    if not math.isfinite(prepared_ct.noise_bound):
+        raise ValueError(
+            f"noise_epsilon {backend.config.noise_epsilon!r} is too large: the noise "
+            f"bound of a prepared aggregate is not finite, so it holds no result")
     vec = backend.decrypt(secret, prepared_ct, caller=caller)
     lead = vec.values[:n]
     ref = float(lead[0])
@@ -385,16 +400,17 @@ class FloodingNode(netsim.Node):
         return (netsim.TRUSTED,)
 
     def on_deliver(self, ctx, batch):
-        per_instance: dict[str, list] = {}
+        per_instance: dict[str, list] = defaultdict(list)
         for sender, msg in batch:
-            if msg.kind == AGGREGATE:
-                per_instance.setdefault(msg.instance, []).append(msg)
-            elif msg.kind == PREPARED:
+            kind = msg.kind
+            if kind == AGGREGATE:
+                per_instance[msg.instance].append(msg)
+            elif kind == PREPARED:
                 self._handle_prepared(ctx, msg)
-            elif msg.kind == RESULT:
+            elif kind == RESULT:
                 self._handle_result(ctx, msg)
-        for instance in sorted(per_instance):
-            changed, decision = self._fold_instance(instance, per_instance[instance])
+        for instance, msgs in sorted(per_instance.items()):
+            changed, decision = self._fold_instance(instance, msgs)
             if changed:
                 ctx.multicast(self.fanout.get(instance, ctx.neighbors),
                               self._snapshot_msg(self.states[instance]))
@@ -410,11 +426,14 @@ class FloodingNode(netsim.Node):
         return fold(state, msgs, self.backend)
 
     def _emit_prepared(self, ctx, instance: str, prepared):
-        """Send what `try_decide` returned for a decided instance to its readers."""
+        """Send what `try_decide` returned for a decided instance to its
+        readers; with none, no message is built."""
         ctx.mark_complete(instance)
-        votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
-        msg = ProtocolMessage(instance, PREPARED, votes_ct=votes, participating_ct=part)
-        ctx.multicast(self._prepared_readers(ctx, instance), msg)
+        readers = self._prepared_readers(ctx, instance)
+        if readers:
+            votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
+            ctx.multicast(readers, ProtocolMessage(instance, PREPARED, votes_ct=votes,
+                                                   participating_ct=part))
 
     def _try_decide(self, ctx, state: ConsensusState):
         """Round starts and crash adjustments can satisfy a pending
@@ -550,9 +569,14 @@ class UntrustedProcessNode(FloodingNode):
             else:
                 self.states[instance] = state
                 # every neighbour of a viable initiator decides its instance
-                self.readers[instance] = (k,) if k in ctx.neighbors else ()
-                self.fanout[instance] = tuple(d for d in ctx.neighbors if d != k)
-                ctx.multicast(self.fanout[instance], msg)
+                if k in ctx.neighbors:
+                    self.readers[instance] = (k,)
+                    fanout = tuple(d for d in ctx.neighbors if d != k)
+                else:
+                    self.readers[instance] = ()
+                    fanout = ctx.neighbors
+                self.fanout[instance] = fanout
+                ctx.multicast(fanout, msg)
 
     def _handle_prepared(self, ctx, msg):
         if self.opened:

@@ -211,7 +211,7 @@ class Ciphertext:
         self.depth = depth
         self.noise_bound = noise_bound
         self.handle = handle
-        payload.flags.writeable = False
+        payload.setflags(write=False)
         self._payload = payload
 
     @property
@@ -241,7 +241,7 @@ def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:
         payload = payload + rotated
         if noise is not None:
             payload += noise[j, 1]
-    payload.flags.writeable = False
+    payload.setflags(write=False)
     return payload
 
 
@@ -472,11 +472,21 @@ class SlotBackend(SlotEngine):
         return SlotVector(ct._payload)
 
     def add_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._check_pair(a, b, "add_ct")
-        return self._fresh(a.key_id, a._payload + b._payload,
-                           a.taint_mask | b.taint_mask, a.tag_table,
-                           depth=max(a.depth, b.depth),
-                           noise_bound=a.noise_bound + b.noise_bound)
+        # `_check_pair` then `_fresh`, inline: the same checks, noise draw,
+        # bound and handle
+        key, table = a.key_id, a.tag_table
+        if key != b.key_id:
+            raise KeyMismatchError("add_ct operands under different keys")
+        if b.tag_table is not table:
+            raise KeyMismatchError("add_ct operands from different tag tables")
+        payload = a._payload + b._payload
+        eps = self.config.noise_epsilon
+        if eps > 0:
+            payload += self._rng.uniform(-eps, eps, size=payload.shape)
+        self._handle_seq += 1
+        return Ciphertext(key, payload, a.taint_mask | b.taint_mask, table, False,
+                          a.depth if a.depth >= b.depth else b.depth,
+                          a.noise_bound + b.noise_bound + eps, self._handle_seq)
 
     def mult_pt(self, a: Ciphertext, p: SlotVector) -> Ciphertext:
         self._check_len(p)

@@ -325,10 +325,12 @@ class Simulation:
     """Single-threaded deterministic event loop over one protocol setup.
 
     Messages wait in a calendar that maps each delivery time to its sends in
-    send order.  Each step takes the earliest pending time, announces that
-    time's crashes and then delivers that time's messages: receivers in
-    actor order, each receiver's batch in send order.  The run ends when
-    nothing is pending.  The hard stop is logical time
+    send order; `_send` appends to it with one lookup, and reads the
+    schedule's mode, largest latency and latency stream from fields set
+    once at construction.  Each step takes the earliest pending time,
+    announces that time's crashes and then delivers that time's messages:
+    receivers in actor order, each receiver's batch in send order.  The run
+    ends when nothing is pending.  The hard stop is logical time
     `last crash + 10 * L * (n + 2)`, L being the schedule's largest latency;
     a run that reaches it reports `deadline-exceeded`.
 
@@ -339,15 +341,20 @@ class Simulation:
     destination draws its own latency, in the order given, and gets an
     entry of its own.
 
-    Each delivery is audited as it happens.  A delivered ciphertext under a
-    key its receiver holds (`keys_by_holder()`, fixed before the run) is
-    reported to the engine, which checks the ledger rules; a possession by
-    anyone but the key's holder cannot break them, so it is not reported.
-    Every delivery's plaintext fields are checked for private inputs.  The
-    trace counts deliveries and delivery batches either way.  Only with
-    `keep_log=True` does the run also keep every delivered message, the one
-    record of who came to hold which ciphertext; by default memory does not
-    grow with traffic.
+    Each delivery is audited as it happens, before its receiver's callback.
+    A delivered ciphertext under a key its receiver holds (`keys_by_holder()`,
+    fixed before the run) is reported to the engine, which checks the ledger
+    rules; a possession by anyone but the key's holder cannot break them, so
+    it is not reported.  Every delivery's plaintext fields are checked for
+    private inputs.  The log, the plaintext check and the possession report
+    are separate passes over a receiver's batch, each made only when it can
+    apply: with `keep_log`, when some message of that time carries
+    plaintext fields, and when a message of that time hands the receiver a
+    ciphertext under a key it holds, which is found once per calendar entry
+    from the key's one holder.  The trace counts deliveries and delivery
+    batches either way.  Only with `keep_log=True` does the run also keep
+    every delivered message, the one record of who came to hold which
+    ciphertext; by default memory does not grow with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
@@ -358,8 +365,14 @@ class Simulation:
         self.policy = policy
         self.faults = faults or FaultPlan()
         self.extra: dict = {}
-        self._calendar: dict[int, list] = {}   # time -> [(frm, dsts, msg)]
+        self._calendar: dict[int, list] = defaultdict(list)   # time -> [(frm, dsts, msg)]
         self._reach: dict = {}   # sender -> its `Context.reach`; set by run()
+        # the schedule as `_send` reads it: sync, or async latencies drawn as
+        # randrange(1, span + 1) draws them, from getrandbits(bits)
+        self._sync = policy.mode == "sync"
+        self._span = span = policy.max_latency
+        self._bits = span.bit_length()
+        self._getrandbits = policy._rng.getrandbits
         self._now = 0
         self._crashed_at: dict[int, int] = {}
         self._decided: dict = {}
@@ -385,19 +398,17 @@ class Simulation:
         self._bytes[frm] = self._bytes.get(frm, 0) + count * (
             MESSAGE_BASE_BYTES + len(msg.ciphertexts) * CIPHERTEXT_BYTES)
         calendar, now = self._calendar, self._now
-        if self.policy.mode == "sync":
-            calendar.setdefault(now + 1, []).append((frm, dsts, msg))
+        if self._sync:
+            calendar[now + 1].append((frm, dsts, msg))
             return
         # randrange(1, L + 1), drawn inline as randrange draws it: 1 + r for
         # the first r = getrandbits(bit length of L) below L
-        span = self.policy.max_latency
-        bits = span.bit_length()
-        getrandbits = self.policy._rng.getrandbits
+        span, bits, getrandbits = self._span, self._bits, self._getrandbits
         for dst in dsts:
             r = getrandbits(bits)
             while r >= span:
                 r = getrandbits(bits)
-            calendar.setdefault(now + 1 + r, []).append((frm, (dst,), msg))
+            calendar[now + 1 + r].append((frm, (dst,), msg))
 
     def _record_decide(self, pid, value):
         if pid not in self._decided:
@@ -441,6 +452,7 @@ class Simulation:
         calendar, crashed_at = self._calendar, self._crashed_at
         log, record = self._message_log, backend.record_possession
         keys_of = backend.keys_by_holder()
+        holder_of = {key: holder for holder, keys in keys_of.items() for key in keys}
         rank = {actor: i for i, actor in enumerate(order)}
         deadline_hit = False
         delivered = batches = 0
@@ -464,6 +476,7 @@ class Simulation:
 
             per_receiver = defaultdict(list)
             plain = False    # some message of this time has plaintext fields
+            holding = set()  # receivers handed a ciphertext under their own key
             for frm, dsts, msg in calendar.pop(now):
                 if crashed_at:
                     if frm in crashed_at:
@@ -471,6 +484,10 @@ class Simulation:
                     dsts = [dst for dst in dsts if dst not in crashed_at]
                 if msg.extra:
                     plain = True
+                for ct in msg.ciphertexts:
+                    holder = holder_of.get(ct.key_id)
+                    if holder is not None and holder in dsts:
+                        holding.add(holder)
                 delivery = (frm, msg)
                 for dst in dsts:
                     per_receiver[dst].append(delivery)
@@ -479,17 +496,18 @@ class Simulation:
             for dst in sorted(per_receiver, key=rank.__getitem__):
                 deliveries = per_receiver[dst]
                 delivered += len(deliveries)
-                keys = keys_of.get(dst)
-                if log is not None or plain or keys:
+                if log is not None:
+                    log.extend([(now, frm, dst, msg) for frm, msg in deliveries])
+                if plain:
                     for frm, msg in deliveries:
-                        if log is not None:
-                            log.append((now, frm, dst, msg))
                         if msg.extra:
                             self._check_leaks(frm, msg)
-                        if keys:
-                            for ct in msg.ciphertexts:
-                                if ct.key_id in keys:
-                                    record(dst, ct)
+                if dst in holding:
+                    keys = keys_of[dst]
+                    for frm, msg in deliveries:
+                        for ct in msg.ciphertexts:
+                            if ct.key_id in keys:
+                                record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
             if self.setup.invariant_check is not None:
                 self.setup.invariant_check(nodes)

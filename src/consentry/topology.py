@@ -68,14 +68,28 @@ class Topology:
         return len(self._bfs_dist(0, alive)) == self.n
 
     def diameter(self) -> int:
-        """Longest shortest path; BFS from every node (desk-scale graphs)."""
+        """Longest shortest path: the number of hops after which every
+        process reaches every other.  Each process's reach, a bitmask of
+        the processes within d hops, grows by one hop per pass, from every
+        process at once: it ORs in its neighbours' reach of the pass
+        before.  A process whose reach is full drops out of the passes."""
         if not self.is_connected():
             raise TopologyError("diameter undefined on disconnected graph")
-        alive = set(range(self.n))
-        best = 0
-        for src in range(self.n):
-            best = max(best, max(self._bfs_dist(src, alive).values()))
-        return best
+        n, adj = self.n, self._adj
+        full = (1 << n) - 1
+        reach = [1 << v for v in range(n)]
+        growing = [(v, tuple(adj[v])) for v in range(n) if reach[v] != full]
+        hops = 0
+        while growing:
+            hops += 1
+            before = reach[:]
+            for v, nbrs in growing:
+                r = before[v]
+                for u in nbrs:
+                    r |= before[u]
+                reach[v] = r
+            growing = [item for item in growing if reach[item[0]] != full]
+        return hops
 
     def connected_without(self, removed) -> bool:
         """Connectivity of the subgraph induced by dropping `removed` ids."""

@@ -105,6 +105,29 @@ def test_snapshot_counts_are_read_only_and_outlive_later_folds():
     assert msg.counts == (1, 1, 0, 0) and not msg.count_array.flags.writeable
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_init_and_fold_count_arrays_are_read_only(eps):
+    b = make_backend(cap=8, eps=eps)
+    km = b.keygen("T")
+    pairs = [init_consensus(pid, float(pid), km.public_part, 6, b) for pid in range(6)]
+    arrays = []
+    for pid, (state, msg) in enumerate(pairs):
+        assert msg.count_array is state.counts
+        assert state.support == msg.support == 1 << pid == avg_consensus._support_mask(state.counts)
+        arrays.append(state.counts)
+    states = [state for state, _ in pairs]
+    # one merge (the `add_ct` path), then two in one batch (the `add_many` path)
+    assert fold(states[0], [pairs[1][1]], b) == (True, None)
+    arrays.append(states[0].counts)
+    assert fold(states[0], [pairs[2][1], pairs[3][1]], b) == (True, None)
+    arrays.append(states[0].counts)
+    assert states[0].counts.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+    for counts in arrays:
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[7] = 1.0
+
+
 def test_try_decide_follows_a_shrunk_required_set():
     b = make_backend()
     km = b.keygen("T")

@@ -12,6 +12,7 @@ import pytest
 from consentry import netsim
 from consentry.avg_consensus import PreparedSlotsError, PrivacyGuardError
 from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
+from consentry.he_slots import MAX_NOISE_EPSILON
 from consentry.leader_election import CorruptedTallyError
 from oracles import irv_oracle
 
@@ -434,6 +435,26 @@ def test_noise_range_past_float_range_exits_2(tmp_path, capsys, config, value):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: noise_epsilon") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"protocol": "avg-trusted"},
+    {"protocol": "avg-untrusted"},
+    {"protocol": "outlier", "c": 2.0, "variance_route": "decrypt"},
+    {"protocol": "outlier", "c": 2.0, "variance_route": "encrypted"},
+], ids=["avg-trusted", "avg-untrusted", "outlier-decrypt", "outlier-encrypted"])
+def test_noise_at_the_limit_exits_2(tmp_path, capsys, config):
+    # the largest accepted noise overflows the payload to inf, and inf - inf
+    # gave NaN slots (exit 4); the infinite noise bound now names the cause
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "topology": RING4, "inputs": [1, 2, 3, 4],
+                               "seed": 1, "noise_epsilon": MAX_NOISE_EPSILON}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: noise_epsilon {MAX_NOISE_EPSILON!r} is too large: "
+                   "the noise bound of a prepared aggregate is not finite, "
+                   "so it holds no result\n")
     assert not (tmp_path / "report.json").exists()
 
 

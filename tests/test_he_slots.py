@@ -486,6 +486,75 @@ def test_batched_ops_raise_like_the_nested_calls():
         b1.rotate_sum(ct)
 
 
+def _former_add_ct(b, x, y):
+    """`add_ct` as it was composed: `_check_pair`, then `_fresh`."""
+    b._check_pair(x, y, "add_ct")
+    return b._fresh(x.key_id, x._payload + y._payload, x.taint_mask | y.taint_mask,
+                    x.tag_table, depth=max(x.depth, y.depth),
+                    noise_bound=x.noise_bound + y.noise_bound)
+
+
+def _rng_state(b):
+    return b._rng.bit_generator.state
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_add_ct_equals_the_check_pair_fresh_composition(eps):
+    former, inline = make_backend(8, eps, seed=6), make_backend(8, eps, seed=6)
+    operands = []
+    for b in (former, inline):
+        km = b.keygen("T")
+        d0, d1, d0b = _random_cts(b, km, 3, 8, np.random.default_rng(2))   # depths 0, 1, 0
+        summed = b.rotate_sum(d0b)
+        operands.append([(d0, d0b), (d1, d0), (d0, d1), (summed, d1), (d0, summed),
+                         (d0, d0)])
+    depths = []
+    for (x1, y1), (x2, y2) in zip(*operands):
+        want = _former_add_ct(former, x1, y1)
+        got = inline.add_ct(x2, y2)
+        _assert_same_ct(former, want, inline, got)
+        assert _rng_state(former) == _rng_state(inline)
+        assert former._handle_seq == inline._handle_seq
+        assert (got.noise_bound > 0) == (eps > 0)
+        depths.append(got.depth)
+    assert depths == [0, 1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_add_ct_mismatch_raises_before_drawing(eps):
+    b1, b2 = make_backend(seed=7, eps=eps), make_backend(seed=7, eps=eps)
+    c1 = b1.encrypt(b1.keygen("T").public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    c2 = b2.encrypt(b2.keygen("T").public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    other = b1.encrypt(b1.keygen("U").public_part, SlotVector([1, 2, 3, 4]), ("q", "v"))
+    for x, y, why in ((c1, c2, "from different tag tables"),
+                      (c2, c1, "from different tag tables"),
+                      (c1, other, "under different keys"),
+                      (other, c1, "under different keys")):
+        state, handle = _rng_state(b1), b1._handle_seq
+        with pytest.raises(KeyMismatchError) as raised:
+            b1.add_ct(x, y)
+        with pytest.raises(KeyMismatchError) as composed:
+            b1._check_pair(x, y, "add_ct")
+        assert str(raised.value) == str(composed.value) == f"add_ct operands {why}"
+        assert _rng_state(b1) == state and b1._handle_seq == handle
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_every_engine_result_payload_is_read_only(eps):
+    b = make_backend(8, eps)
+    km = b.keygen("T")
+    x, y = _random_cts(b, km, 2, 8, np.random.default_rng(3))
+    summed = b.rotate_sum(x)
+    results = [x, y, b.add_ct(x, y), b.mult_pt(x, SlotVector(np.arange(8.0))),
+               b.mult_ct(x, y), b.rotate(x, 3), *b.add_many((x, y), [(y, x), (x, x)]),
+               summed, b.mark_prepared(summed), b.mark_prepared(y)]
+    for ct in results:
+        payload = ct._payload
+        assert not payload.flags.writeable, ct
+        with pytest.raises(ValueError):
+            payload[0] = 1.0
+
+
 def engine_reads(source: str) -> dict:
     """Each attribute read on `backend` or `self.backend` in `source`,
     mapped to the first line that reads it."""

@@ -85,19 +85,32 @@ def test_connected_without():
 
 def test_against_networkx_oracle():
     rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randrange(2, 20)
-        t = topo.random_connected(n, 0.35, rng)
+    graphs = [topo.random_connected(rng.randrange(2, 20), 0.35, rng) for _ in range(40)]
+    for family in ("ring", "path", "star", "complete", "tree", "random"):
+        for n in (1, 2, 16, 64):
+            # a lone process is every family's graph; `from_family` builds it as a path
+            graphs.append(topo.from_family(family if n > 1 else "path", n, rng))
+    for t in graphs:
+        n = t.n
         g = to_nx(t)
         assert t.is_connected() == nx.is_connected(g)
         assert t.diameter() == nx.diameter(g)
+        i = rng.randrange(n)
+        assert t.neighbors(i) == set(g.neighbors(i))
+        if n == 1:
+            with pytest.raises(TopologyError):
+                t.connected_without({0})
+            continue
         removed = {rng.randrange(n)}
         h = g.copy()
         h.remove_nodes_from(removed)
-        want = nx.is_connected(h) if len(h) else False
-        assert t.connected_without(removed) == want
-        i = rng.randrange(n)
-        assert t.neighbors(i) == set(g.neighbors(i))
+        assert t.connected_without(removed) == nx.is_connected(h)
+    assert Topology(1, []).diameter() == 0
+    for t in (Topology(2, []), Topology(5, [(0, 1), (1, 2), (3, 4)]),
+              Topology(64, [(i, i + 1) for i in range(63) if i != 31])):
+        assert not nx.is_connected(to_nx(t))
+        with pytest.raises(TopologyError, match="disconnected"):
+            t.diameter()
 
 
 def test_diameter_invariants():
