@@ -603,7 +603,8 @@ def build_untrusted(topology: Topology, inputs, initiators=None, *,
         raise ValueError(f"initiators out of range for n={n}: {initiators}")
     values = _finite_values(inputs)
     backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
-    viable = {k: topology.connected_without({k}) for k in initiators}
+    cut = topology.cut_vertices()
+    viable = {k: k not in cut for k in initiators}
     keys = {k: backend.keygen(k) for k in initiators if viable[k]}
     nodes = {}
     for pid in range(n):

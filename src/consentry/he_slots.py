@@ -524,19 +524,31 @@ class SlotBackend(SlotEngine):
         """The nested `add_ct` calls, bit for bit: the same payloads, noise
         draws (row by row, channel by channel), bounds, depths, taint and
         handles.  A ragged row or an operand under another key or tag table
-        raises before anything is drawn."""
+        raises before anything is drawn.  Each channel is checked and summed
+        in one pass over the rows; with noise on, every operand is checked
+        first, since the one draw comes before any sum."""
         rows = list(rows)
         if not rows:
             return tuple(accs)
         width = len(accs)
-        if set(map(len, rows)) != {width}:
-            raise ValueError(f"add_many rows must have {width} channel(s)")
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"add_many rows must have {width} channel(s)")
         eps = self.config.noise_epsilon
-        folded = []
-        for acc, col in zip(accs, zip(*rows)):
+        noise = None
+        if eps > 0:
+            for c, acc in enumerate(accs):
+                for row in rows:
+                    self._check_pair(acc, row[c], "add_many")
+            noise = self._rng.uniform(-eps, eps, size=(len(rows), width, len(accs[0]._payload)))
+        seq = self._handle_seq + (len(rows) - 1) * width
+        out = []
+        for c, acc in enumerate(accs):
             key, table = acc.key_id, acc.tag_table
             mask, depth, bound = acc.taint_mask, acc.depth, acc.noise_bound
-            for ct in col:
+            payload = None
+            for i, row in enumerate(rows):
+                ct = row[c]
                 if ct.key_id != key:
                     raise KeyMismatchError("add_many operands under different keys")
                 if ct.tag_table is not table:
@@ -545,20 +557,14 @@ class SlotBackend(SlotEngine):
                 if ct.depth > depth:
                     depth = ct.depth
                 bound = bound + ct.noise_bound + eps
-            folded.append((acc, col, mask, depth, bound))
-        noise = (self._rng.uniform(-eps, eps, size=(len(rows), width, len(accs[0]._payload)))
-                 if eps > 0 else None)
-        seq = self._handle_seq + (len(rows) - 1) * width
-        out = []
-        for c, (acc, col, mask, depth, bound) in enumerate(folded):
-            payload = acc._payload + col[0]._payload
-            for i, ct in enumerate(col):
-                if i:
+                if payload is None:
+                    payload = acc._payload + ct._payload
+                else:
                     payload += ct._payload
                 if noise is not None:
                     payload += noise[i, c]
-            out.append(Ciphertext(acc.key_id, payload, mask, acc.tag_table, False,
-                                  depth, bound, seq + c + 1))
+            out.append(Ciphertext(key, payload, mask, table, False, depth, bound,
+                                  seq + c + 1))
         self._handle_seq += len(rows) * width
         return tuple(out)
 

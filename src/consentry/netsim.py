@@ -273,10 +273,7 @@ class Context:
     def __init__(self, sim: "Simulation", pid):
         self._sim = sim
         self.pid = pid
-        if isinstance(pid, int):
-            self.neighbors = tuple(sorted(sim.topology.neighbors(pid)))
-        else:
-            self.neighbors = ()
+        self.neighbors = sim.topology.adjacency[pid] if isinstance(pid, int) else ()
         #: the actors this one has a channel to: its neighbours and TRUSTED
         self.reach = frozenset((*self.neighbors, TRUSTED))
 

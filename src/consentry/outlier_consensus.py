@@ -296,7 +296,8 @@ def build(topology: Topology, inputs, c: float, *, variance_route: str = "decryp
     nodes[netsim.TRUSTED] = OutlierCollectorNode(key, n, backend,
                                                  route=variance_route)
     private = set(values)
-    private.update(round2_input(v, float(np.mean(values))) for v in values)
+    mu = float(np.mean(values))
+    private.update(round2_input(v, mu) for v in values)
     return netsim.ProtocolSetup(
         nodes=nodes, backend=backend,
         private_values=frozenset(private),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +24,40 @@ def _is_real(value) -> bool:
 
 
 class Topology:
-    """Undirected communication graph on process ids 0..n-1."""
+    """Undirected communication graph on process ids 0..n-1.
+
+    The constructor reads the edges once, into one neighbour set per
+    process, which merges duplicate edges.  The rest is derived from those
+    sets when first asked for and then kept: `edges`, `adjacency` and
+    connectivity, which `diameter` and `netsim.run` share with the
+    generator that drew the graph.
+    """
 
     def __init__(self, n: int, edges):
         if n < 1:
             raise TopologyError("need at least one process")
-        norm = set()
-        adj: dict[int, set[int]] = {i: set() for i in range(n)}
-        for e in edges:
-            i, j = int(e[0]), int(e[1])
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for i, j in edges:
+            i, j = int(i), int(j)
             if i == j:
                 raise TopologyError(f"self-loop at {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise TopologyError(f"edge ({i},{j}) out of range for n={n}")
-            norm.add((i, j) if i < j else (j, i))
             adj[i].add(j)
             adj[j].add(i)
         self.n = n
-        self.edges = frozenset(norm)
         self._adj = adj
+        self._connected: bool | None = None
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Each edge once, as (i, j) with i < j."""
+        return frozenset((i, j) for i, nbrs in enumerate(self._adj) for j in nbrs if i < j)
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Each process's neighbours as a tuple in ascending order."""
+        return tuple(tuple(sorted(nbrs)) for nbrs in self._adj)
 
     def neighbors(self, i: int) -> set[int]:
         if not (0 <= i < self.n):
@@ -52,20 +67,22 @@ class Topology:
     def degree(self, i: int) -> int:
         return len(self._adj[i])
 
-    def _bfs_dist(self, src: int, alive: set[int]) -> dict[int, int]:
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if v in alive and v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
+    def _reached(self, src: int, removed=frozenset()) -> set[int]:
+        """`removed` plus every process reachable from `src` without
+        passing through `removed`."""
+        adj = self._adj
+        seen = {src, *removed}
+        stack = [src]
+        while stack:
+            new = adj[stack.pop()] - seen
+            seen |= new
+            stack += new
+        return seen
 
     def is_connected(self) -> bool:
-        alive = set(range(self.n))
-        return len(self._bfs_dist(0, alive)) == self.n
+        if self._connected is None:
+            self._connected = len(self._reached(0)) == self.n
+        return self._connected
 
     def diameter(self) -> int:
         """Longest shortest path: the number of hops after which every
@@ -75,10 +92,10 @@ class Topology:
         before.  A process whose reach is full drops out of the passes."""
         if not self.is_connected():
             raise TopologyError("diameter undefined on disconnected graph")
-        n, adj = self.n, self._adj
+        n = self.n
         full = (1 << n) - 1
         reach = [1 << v for v in range(n)]
-        growing = [(v, tuple(adj[v])) for v in range(n) if reach[v] != full]
+        growing = [(v, nbrs) for v, nbrs in enumerate(self.adjacency) if reach[v] != full]
         hops = 0
         while growing:
             hops += 1
@@ -97,14 +114,61 @@ class Topology:
         survivors = set(range(self.n)) - removed
         if not survivors:
             raise TopologyError("cannot remove every process")
-        start = min(survivors)
-        return len(self._bfs_dist(start, survivors)) == len(survivors)
+        return survivors <= self._reached(min(survivors), removed)
+
+    def cut_vertices(self) -> frozenset:
+        """The processes k for which `connected_without({k})` is False.
+
+        On a connected graph these are its articulation points, found with
+        one iterative depth-first search (Hopcroft and Tarjan, 1973): a
+        non-root process u is one when some child v's subtree has no edge
+        to a process discovered before u (`low[v] >= order[u]`), and the
+        root when it has two or more children.  Counting the edge back to
+        the parent in `low` cannot change either test.  On a disconnected
+        graph only an isolated process can leave the others connected."""
+        n, adj = self.n, self._adj
+        if n == 1:
+            raise TopologyError("cannot remove every process")
+        if not self.is_connected():
+            return frozenset(k for k in range(n)
+                             if adj[k] or not self.connected_without({k}))
+        order = [0] * n             # discovery time, from 1; 0 = not reached
+        low = [0] * n
+        order[0] = low[0] = 1
+        time, root_children = 1, 0
+        cut = set()
+        stack = [(0, iter(adj[0]))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if not order[w]:
+                    time += 1
+                    order[w] = low[w] = time
+                    stack.append((w, iter(adj[w])))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if u == 0:
+                    root_children += 1
+                elif low[v] >= order[u]:
+                    cut.add(u)
+        if root_children > 1:
+            cut.add(0)
+        return frozenset(cut)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "edges": sorted([list(e) for e in self.edges])}
+        return {"n": self.n, "edges": [[i, j] for i, nbrs in enumerate(self.adjacency)
+                                       for j in nbrs if i < j]}
 
     def __repr__(self):
-        return f"Topology(n={self.n}, edges={len(self.edges)})"
+        return f"Topology(n={self.n}, edges={sum(map(len, self._adj)) // 2})"
 
 
 def load_topology(source, rng: random.Random | None = None) -> Topology:

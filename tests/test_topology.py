@@ -146,3 +146,119 @@ def test_generators():
     assert len(tree.edges) == 7 and tree.is_connected()
     with pytest.raises(TopologyError):
         topo.from_family("mesh", 4, rng)
+
+
+# -- set-up in linear work: adjacency, connectivity and cut vertices --------
+
+def _cut_by_definition(t: Topology) -> set:
+    return {k for k in range(t.n) if not t.connected_without({k})}
+
+
+@pytest.mark.parametrize("family", ["ring", "path", "star", "complete", "tree", "random"])
+@pytest.mark.parametrize("n", [2, 3, 16, 64])
+def test_cut_vertices_match_the_definition_and_networkx(family, n):
+    t = topo.from_family(family, n, random.Random(n))
+    cut = t.cut_vertices()
+    assert isinstance(cut, frozenset)
+    assert cut == _cut_by_definition(t) == set(nx.articulation_points(to_nx(t)))
+
+
+def test_cut_vertices_on_random_and_disconnected_graphs():
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randrange(2, 14)
+        p = rng.choice((0.1, 0.2, 0.35))
+        t = Topology(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < p])
+        assert t.cut_vertices() == _cut_by_definition(t)
+    # a lone isolated process is the one whose removal leaves the rest connected
+    assert Topology(2, []).cut_vertices() == frozenset()
+    assert Topology(3, [(1, 2)]).cut_vertices() == {1, 2}
+    assert Topology(4, [(0, 1), (2, 3)]).cut_vertices() == {0, 1, 2, 3}
+    with pytest.raises(TopologyError, match="cannot remove every process"):
+        Topology(1, []).cut_vertices()
+
+
+def test_long_path_needs_no_recursion():
+    t = topo.path(5000)
+    assert t.is_connected()
+    assert t.cut_vertices() == frozenset(range(1, 4999))
+    assert not t.connected_without({2500})
+    assert t.to_dict()["edges"][-1] == [4998, 4999]
+
+
+def _comprehension_draw(n, p, rng):
+    """`random_connected` as first written: the whole edge list drawn by one
+    comprehension, redrawn until networkx finds it connected."""
+    while True:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        if nx.is_connected(g):
+            return set(edges)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_connected_draws_the_comprehensions_edges(seed):
+    n, p = 2 + seed % 23, (0.15, 0.4, 0.8)[seed % 3]
+    old_rng, new_rng = random.Random(seed), random.Random(seed)
+    want = _comprehension_draw(n, p, old_rng)
+    t = topo.random_connected(n, p, new_rng)
+    assert t.edges == want
+    assert new_rng.random() == old_rng.random()      # the same draws, no more
+
+
+def test_edge_errors_and_duplicate_edges():
+    with pytest.raises(TopologyError, match=r"^self-loop at 2$"):
+        Topology(3, [(0, 1), (2, 2)])
+    with pytest.raises(TopologyError, match=r"^self-loop at 5$"):
+        Topology(3, [(5, 5)])
+    with pytest.raises(TopologyError, match=r"^edge \(0,5\) out of range for n=3$"):
+        Topology(3, [(0, 5)])
+    with pytest.raises(TopologyError, match=r"^edge \(-1,2\) out of range for n=3$"):
+        Topology(3, [(-1, 2)])
+    merged = Topology(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
+    assert merged.edges == {(0, 1), (1, 2)}
+    assert [merged.degree(i) for i in range(3)] == [1, 2, 1]
+    assert merged.to_dict() == {"n": 3, "edges": [[0, 1], [1, 2]]}
+    assert repr(merged) == "Topology(n=3, edges=2)"
+    with pytest.raises(TopologyError, match="duplicate edge"):
+        load_topology({"n": 3, "edges": [[0, 1], [1, 0]]})
+
+
+def test_adjacency_is_each_processs_sorted_neighbours():
+    rng = random.Random(5)
+    for t in (topo.random_connected(40, 0.3, rng), topo.random_tree(30, rng), topo.ring(9),
+              Topology(3, [(2, 0), (1, 0)])):
+        assert t.adjacency == tuple(tuple(sorted(t.neighbors(i))) for i in range(t.n))
+        assert t.to_dict()["edges"] == sorted([list(e) for e in t.edges])
+
+
+def test_connectivity_is_searched_once_per_topology(monkeypatch):
+    searches = []
+    reached = Topology._reached
+    monkeypatch.setattr(Topology, "_reached",
+                        lambda self, *a: searches.append(1) or reached(self, *a))
+    t = topo.random_connected(24, 0.9, random.Random(2))
+    assert len(searches) == 1
+    from consentry import netsim
+    report = netsim.run(netsim.ScenarioConfig(protocol="avg-trusted", topology=t,
+                                              inputs=[float(i) for i in range(24)]))
+    assert report.termination == "decided"
+    assert t.diameter() == nx.diameter(to_nx(t))
+    assert len(searches) == 1
+
+
+def test_lone_untrusted_process_keeps_its_topology_error(tmp_path, capsys):
+    from consentry import avg_consensus, cli, netsim
+    with pytest.raises(TopologyError, match="cannot remove every process"):
+        avg_consensus.build_untrusted(topo.path(1), [1.0])
+    with pytest.raises(TopologyError, match="cannot remove every process"):
+        netsim.run(netsim.ScenarioConfig(protocol="avg-untrusted",
+                                         topology={"family": "path", "n": 1}, inputs=[1.0]))
+    cfg = tmp_path / "lone.json"
+    cfg.write_text('{"protocol": "avg-untrusted", "topology": {"family": "path", "n": 1},'
+                   ' "inputs": [1.0]}')
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
