@@ -48,8 +48,7 @@ log = logging.getLogger(__name__)
 AGGREGATE = "aggregate"
 PREPARED = "prepared"
 RESULT = "result"
-COMPLETE = "complete"
-KINDS = (AGGREGATE, PREPARED, RESULT, COMPLETE)
+KINDS = (AGGREGATE, PREPARED, RESULT)
 
 ACTIVE = "active"
 DECIDED = "decided"
@@ -109,8 +108,9 @@ class ProtocolMessage:
     The counts are held as one read-only float64 array, `count_array`: a
     read-only float64 array given is shared, anything else is copied.
     `counts` reads them as a tuple of ints.  `support`, the bitmask of
-    nonzero counts, is derived from the counts unless given; a message
-    without counts has none.  This constructor validates its fields;
+    nonzero counts, is derived from the counts unless given; an election
+    lineage copy carries its support and no counts.  This constructor
+    validates its fields;
     `ConsensusState.snapshot`, which builds AGGREGATE messages from fields
     its state already guarantees, sets them without it.
     """
@@ -123,9 +123,9 @@ class ProtocolMessage:
                  extra: dict | None = None, support: int | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
-        if kind == AGGREGATE and (votes_ct is None or counts is None):
-            raise ValueError(f"{kind} message requires votes_ct and counts")
-        if kind in (PREPARED, COMPLETE) and (votes_ct is None or not votes_ct.prepared):
+        if kind == AGGREGATE and (votes_ct is None or counts is None and support is None):
+            raise ValueError(f"{kind} message requires votes_ct and counts or a support")
+        if kind == PREPARED and (votes_ct is None or not votes_ct.prepared):
             raise ValueError(f"{kind} message carries an unprepared ciphertext")
         self.instance = instance
         self.kind = kind
@@ -156,15 +156,15 @@ class ConsensusState:
     `counts` is a read-only float64 array that a fold replaces, never
     writes, so a snapshot can carry it as is; `support` is the bitmask of
     its nonzero entries.  Like a message, a state shares a read-only float64
-    count array it is given, and takes `support` as given when passed, as an
-    election fold does for each copy it adopts.  `snapshot` builds its
-    AGGREGATE message straight from these fields.  `required_mask` marks the
-    indices whose counts must become nonzero and that `try_decide` weights:
-    all n, or an outlier node's.  `participating_ct`, when set, is a second
-    channel folded and prepared under the same counts as the votes (outlier
-    round 3's participation flags).  A state is DECIDED once `try_decide`
-    prepared it; an election lineage copy, whose counts are n 0/1 flags,
-    once it went to the keyholder.
+    count array it is given, and takes `support` as given when passed.  An
+    election lineage copy has no counts (None), only its support.
+    `snapshot` builds its AGGREGATE message straight from these fields.
+    `required_mask` marks the indices whose counts must become nonzero and
+    that `try_decide` weights: all n, or an outlier node's.
+    `participating_ct`, when set, is a second channel folded and prepared
+    under the same counts as the votes (outlier round 3's participation
+    flags).  A state is DECIDED once `try_decide` prepared it; an election
+    lineage copy once it went to the keyholder.
     """
 
     def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
@@ -176,7 +176,7 @@ class ConsensusState:
         self.votes_ct = votes_ct
         # float64, not int64: duplicate counts grow by about 1.45 bits per
         # round and would overflow int64 past a diameter of about 43
-        self.counts = _frozen(counts)
+        self.counts = None if counts is None else _frozen(counts)
         self.support = _support_mask(self.counts) if support is None else support
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
@@ -282,8 +282,9 @@ def on_receive(state: ConsensusState, msg: ProtocolMessage,
                backend: SlotEngine) -> tuple[ConsensusState, bool, object]:
     """Fold one aggregate message: `fold` of a one-message batch.
 
-    Simulations fold whole batches with `fold`; this one-message form is
-    kept for unit tests and as the benchmark tracer's fold hook.
+    Simulations fold whole batches with `fold` and never call this
+    one-message form, which unit tests use; a wrapper patched over it sees
+    no simulated fold.
 
     Returns the (mutated) state, whether the message was merged, and what
     `try_decide` returned if this message completed the counts.

@@ -33,10 +33,6 @@ class KeyMismatchError(Exception):
     """Ciphertext operands are encrypted under different keys."""
 
 
-class MissingRotationKeysError(Exception):
-    """The ciphertext's key was generated without rotation capability."""
-
-
 def next_power_of_two(x: int) -> int:
     n = 1
     while n < x:
@@ -342,7 +338,7 @@ class SlotEngine(abc.ABC):
     config: BackendConfig
 
     @abc.abstractmethod
-    def keygen(self, holder, with_rotation: bool = True) -> KeyMaterial: ...
+    def keygen(self, holder) -> KeyMaterial: ...
 
     @abc.abstractmethod
     def encrypt(self, public_part: PublicPart, vector: SlotVector, tag) -> Ciphertext: ...
@@ -399,7 +395,6 @@ class SlotBackend(SlotEngine):
         self.config = config
         self._rng = np.random.default_rng(seed)
         self._holders: dict[str, object] = {}
-        self._rotation_ok: dict[str, bool] = {}
         self._events: list[AuditEvent] = []
         self._violations: list[PrivacyViolation] = []
         self._tag_table = TagTable()
@@ -408,11 +403,10 @@ class SlotBackend(SlotEngine):
 
     # -- keys ------------------------------------------------------------
 
-    def keygen(self, holder, with_rotation: bool = True) -> KeyMaterial:
+    def keygen(self, holder) -> KeyMaterial:
         self._key_seq += 1
         key_id = f"key{self._key_seq:02d}-{int(self._rng.integers(0, 2**32)):08x}"
         self._holders[key_id] = holder
-        self._rotation_ok[key_id] = bool(with_rotation)
         return KeyMaterial(
             key_id=key_id,
             holder=holder,
@@ -510,8 +504,6 @@ class SlotBackend(SlotEngine):
                            noise_bound=bound)
 
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext:
-        if not self._rotation_ok.get(a.key_id, False):
-            raise MissingRotationKeysError(f"no rotation keys for {a.key_id!r}")
         # np.roll(payload, -amount), by slicing
         payload = a._payload
         k = int(amount) % len(payload)
@@ -572,8 +564,6 @@ class SlotBackend(SlotEngine):
         """The `rotate`/`add_ct` loop, bit for bit: the same payload, noise
         draws, bound and handles.  The noise is drawn, in one call, and the
         handles taken now; the payload is summed when first read."""
-        if not self._rotation_ok.get(a.key_id, False):
-            raise MissingRotationKeysError(f"no rotation keys for {a.key_id!r}")
         eps = self.config.noise_epsilon
         payload, bound = a._payload, a.noise_bound
         levels = len(payload).bit_length() - 1

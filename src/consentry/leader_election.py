@@ -4,16 +4,17 @@ Every process casts a one-hot ballot into a flattened n*n matrix (entry
 p*n + s counts ballots with primary p and secondary s) followed by n
 primary-only slots.  Ballot ciphertexts cannot be merged across copies, so
 each origin's ciphertext travels as a lineage: a process contributes its
-ballot to a lineage copy at most once (tracked via plaintext 0/1 counts,
-one per process) and stores/forwards only copies with strictly more
-contributors.  A lineage copy is a `ConsensusState` with n 0/1 counts,
-handled by a `FloodingNode` that folds it with `on_receive_election`.  The
-fold first compares the copy's size, counting the ballot it would gain,
-with the held copy's, and encrypts the process's ballot (encoded once per
-run) only for a copy it adopts.  A copy whose contributors cover every
-process not known to have crashed is complete and goes to the keyholder
-with that copy's own counts; the keyholder's decryption reveals tallies
-only, never who voted for whom.
+ballot to a lineage copy at most once (tracked by the copy's `support`
+bitmask, bit p set once process p contributed) and stores/forwards only
+copies with strictly more contributors.  A lineage copy is a
+`ConsensusState` with no counts and that support, handled by a
+`FloodingNode` that folds it with `on_receive_election`.  The fold first
+compares the copy's size, counting the ballot it would gain, with the held
+copy's, and encrypts the process's ballot (encoded once per run) only for
+a copy it adopts.  A copy whose contributors cover every process not known
+to have crashed is complete and goes to the keyholder as a PREPARED
+message with that copy's own support; the keyholder's decryption reveals
+the tallies and how many ballots they hold, never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netsim
-from .avg_consensus import (ACTIVE, COMPLETE, DECIDED, RESULT, ConsensusState,
+from .avg_consensus import (ACTIVE, DECIDED, PREPARED, RESULT, ConsensusState,
                             FloodingNode, ProtocolMessage, survivors)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology, _is_int
@@ -90,9 +91,8 @@ def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
     (`make_ballot_vector`)."""
     instance = instance_for_origin(pid)
     ct = backend.encrypt(pk, ballot_vec, (pid, f"{instance}:ballot"))
-    counts = np.zeros(n)
-    counts[pid] = 1
-    state = ConsensusState(id=pid, instance=instance, n=n, votes_ct=ct, counts=counts)
+    state = ConsensusState(id=pid, instance=instance, n=n, votes_ct=ct, counts=None,
+                           support=1 << pid)
     return state, state.snapshot()
 
 
@@ -107,7 +107,7 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
     `encrypt` and `add_ct`.  A copy is complete once its support covers
     `required_mask` (every process when None).  Returns (state, whether the
     copy was adopted, complete ciphertext or None); the complete ciphertext
-    goes with the returned state's counts, and the caller announces an
+    goes with the returned state's support, and the caller announces an
     adopted copy that is not complete.
     """
     support = msg.support
@@ -115,19 +115,16 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
     if state is not None and \
             support.bit_count() + lacks <= state.support.bit_count():
         return state, False, None
-    cand_ct, cand_counts = msg.votes_ct, msg.count_array
+    cand_ct = msg.votes_ct
     if lacks:
         fresh = backend.encrypt(pk, ballot_vec, (pid, f"{msg.instance}:ballot"))
         cand_ct = backend.add_ct(cand_ct, fresh)
-        cand_counts = cand_counts.copy()
-        cand_counts[pid] = 1
-        cand_counts.flags.writeable = False
         support |= 1 << pid
     if state is None:
         state = ConsensusState(id=pid, instance=msg.instance, n=n, votes_ct=cand_ct,
-                               counts=cand_counts, support=support)
+                               counts=None, support=support)
     else:
-        state.votes_ct, state.counts, state.support = cand_ct, cand_counts, support
+        state.votes_ct, state.support = cand_ct, support
     if required_mask is None:
         required_mask = (1 << n) - 1
     if not required_mask & ~support:
@@ -149,12 +146,12 @@ class TallyResult:
 
 
 def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
-          caller=None, counts=None) -> TallyResult:
+          caller=None, contributors: int | None = None) -> TallyResult:
     """Decrypt a complete ballot aggregate and reshape into tallies.
 
-    `counts` are the lineage's 0/1 contributor counts; the ballots must
-    number exactly its contributors (all n processes when not given, fewer
-    when crashed processes were left out).
+    `contributors` is the lineage's support bitmask; the ballots must number
+    exactly its set bits (all n processes when not given, fewer when crashed
+    processes were left out).
     """
     if not complete_ct.prepared:
         raise CorruptedTallyError("refusing to tally an incomplete aggregate")
@@ -178,10 +175,10 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     if np.any(ints < 0):
         raise CorruptedTallyError("negative tally entry")
     primary = matrix.sum(axis=1) + primary_only
-    contributors = n if counts is None else sum(1 for c in counts if c)
-    if int(primary.sum()) != contributors:
+    count = n if contributors is None else contributors.bit_count()
+    if int(primary.sum()) != count:
         raise CorruptedTallyError(
-            f"total ballots {int(primary.sum())} != contributor count {contributors}")
+            f"total ballots {int(primary.sum())} != contributor count {count}")
     return TallyResult(tuple(primary.tolist()), tuple(map(tuple, matrix.tolist())),
                        tuple(primary_only.tolist()))
 
@@ -269,7 +266,7 @@ class ElectionProcessNode(FloodingNode):
     Each message of a batch is folded by `on_receive_election`, with the
     ballot `on_start` encoded once for the whole run.  The first complete
     copy of a lineage goes only to the keyholder, with that copy's own
-    counts, and decides the state; any other adopted copy is rebroadcast.
+    support, and decides the state; any other adopted copy is rebroadcast.
     """
 
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
@@ -287,11 +284,11 @@ class ElectionProcessNode(FloodingNode):
         ctx.broadcast(msg)
         if not self.required_mask & ~state.support:
             self._emit_prepared(ctx, state.instance,
-                                (self.backend.mark_prepared(state.votes_ct), state.counts))
+                                (self.backend.mark_prepared(state.votes_ct), state.support))
 
     def _fold_instance(self, instance, msgs):
         """Fold a batch's copies of one lineage; a completing copy is handed
-        on as (ciphertext, counts) even if a later, larger copy that does not
+        on as (ciphertext, support) even if a later, larger copy that does not
         cover `required_mask` replaces it as the held state."""
         state = self.states.get(instance)
         grown, complete = False, None
@@ -301,7 +298,7 @@ class ElectionProcessNode(FloodingNode):
                 required_mask=self.required_mask)
             grown = grown or merged
             if done is not None:
-                complete = done, state.counts
+                complete = done, state.support
         self.states[instance] = state
         if complete is not None and state.phase == ACTIVE:
             return False, complete
@@ -309,12 +306,12 @@ class ElectionProcessNode(FloodingNode):
 
     def _emit_prepared(self, ctx, instance, complete):
         """Hand a lineage copy that counts every required process, as
-        (prepared ciphertext, its counts), to the keyholder."""
-        complete_ct, counts = complete
+        (prepared ciphertext, its support), to the keyholder."""
+        complete_ct, support = complete
         self.states[instance].phase = DECIDED
         ctx.mark_complete(instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
-            instance, COMPLETE, votes_ct=complete_ct, counts=counts))
+            instance, PREPARED, votes_ct=complete_ct, support=support))
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["winner"])
@@ -335,15 +332,15 @@ class ElectionCollectorNode(netsim.Node):
         self.n = n
         self.backend = backend
         self.result: ElectionResult | None = None
-        self.tallies: dict[tuple, TallyResult] = {}   # 0/1 contributor counts -> first tally
+        self.tallies: dict[int, TallyResult] = {}   # contributor support -> first tally
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
-            if msg.kind != COMPLETE:
+            if msg.kind != PREPARED:
                 continue
             t = tally(self.backend, self.key.secret_part, msg.votes_ct,
-                      self.n, caller=ctx.pid, counts=msg.counts)
-            first = self.tallies.setdefault(msg.counts, t)
+                      self.n, caller=ctx.pid, contributors=msg.support)
+            first = self.tallies.setdefault(msg.support, t)
             if self.result is None:
                 self.result = elect_winner(t.primary_tallies, t.matrix,
                                            t.primary_only)
@@ -364,6 +361,10 @@ def parse_ballots(raw, n: int) -> list[Ballot]:
         raise ValueError(f"need one ballot per process, got {len(raw)} for n={n}")
     out = []
     for item in raw:
+        unknown = isinstance(item, dict) and item.keys() - {"primary", "secondary"}
+        if unknown:
+            raise InvalidBallotError(f"unknown ballot keys {sorted(unknown, key=str)} in "
+                                     f"{item!r}; a ballot takes 'primary' and 'secondary'")
         if not isinstance(item, dict) or not _is_int(item.get("primary")) or \
                 not (item.get("secondary") is None or _is_int(item["secondary"])):
             raise InvalidBallotError(

@@ -14,7 +14,6 @@ import json
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 from .he_slots import MAX_NOISE_EPSILON, PrivacyViolation
 from .topology import Topology, _is_int, _is_real, load_topology
@@ -310,7 +309,6 @@ class ProtocolSetup:
     private_values: frozenset
     expected_deciders: set
     primary_instance: str | None = None
-    invariant_check: Callable | None = None
 
 
 def _actor_order(actor):
@@ -506,8 +504,6 @@ class Simulation:
                             if ct.key_id in keys:
                                 record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
-            if self.setup.invariant_check is not None:
-                self.setup.invariant_check(nodes)
 
         report = self._build_report(deadline_hit)
         trace = SimTrace(backend=backend, messages=list(log or ()),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import random
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +28,8 @@ class Topology:
     """Undirected communication graph on process ids 0..n-1.
 
     The constructor reads the edges once, into one neighbour set per
-    process, which merges duplicate edges.  The rest is derived from those
+    process, which merges duplicate edges; an endpoint that is not an int
+    or a numpy int raises `TopologyError`.  The rest is derived from those
     sets when first asked for and then kept: `edges`, `adjacency` and
     connectivity, which `diameter` and `netsim.run` share with the
     generator that drew the graph.
@@ -37,8 +39,16 @@ class Topology:
         if n < 1:
             raise TopologyError("need at least one process")
         adj: list[set[int]] = [set() for _ in range(n)]
+        index = operator.index
         for i, j in edges:
-            i, j = int(i), int(j)
+            try:
+                # `operator.index` takes ints and numpy ints, and bools too
+                if i.__class__ is bool or j.__class__ is bool:
+                    raise TypeError
+                i, j = index(i), index(j)
+            except TypeError:
+                raise TopologyError(f"edge ({i!r}, {j!r}) has a non-integer endpoint") \
+                    from None
             if i == j:
                 raise TopologyError(f"self-loop at {i}")
             if not (0 <= i < n and 0 <= j < n):

@@ -105,6 +105,18 @@ def test_snapshot_counts_are_read_only_and_outlive_later_folds():
     assert msg.counts == (1, 1, 0, 0) and not msg.count_array.flags.writeable
 
 
+def test_an_aggregate_carries_counts_or_a_support():
+    b = make_backend()
+    km = b.keygen("T")
+    state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
+    with pytest.raises(ValueError, match="counts or a support"):
+        ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct)
+    msg = ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct, support=0b1)
+    assert msg.support == 0b1 and msg.count_array is None and msg.counts is None
+    with pytest.raises(ValueError, match="unknown message kind"):
+        ProtocolMessage(state.instance, "complete", votes_ct=b.mark_prepared(state.votes_ct))
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
 def test_init_and_fold_count_arrays_are_read_only(eps):
     b = make_backend(cap=8, eps=eps)
@@ -369,10 +381,8 @@ def test_finalize_trusted_noisy_backend_close_to_oracle():
                - mean_oracle(vals)) < 1e-6
 
 
-def run_trusted(t, inputs, seed=0, schedule="sync", max_latency=4,
-                invariant_check=None, faults=None):
+def run_trusted(t, inputs, seed=0, schedule="sync", max_latency=4, faults=None):
     setup = build_trusted(t, inputs, seed=seed)
-    setup.invariant_check = invariant_check
     policy = netsim.SchedulePolicy(schedule, seed * 7919 + 13, max_latency)
     sim = netsim.Simulation(t, setup, policy, faults=faults)
     return sim.run()
@@ -383,9 +393,14 @@ def test_conservation_invariant_throughout_run():
     t = topo.ring(4)
     inputs = [1.5, -2.0, 8.0, 3.0]
 
-    def check(nodes):
+    setup = build_trusted(t, inputs)
+    checks = 0
+
+    def check():
+        nonlocal checks
+        checks += 1
         for pid in range(4):
-            node = nodes[pid]
+            node = setup.nodes[pid]
             if node.state is None or node.state.phase != "active":
                 continue
             payload = node.backend.inspect_payload(node.state.votes_ct)
@@ -393,7 +408,16 @@ def test_conservation_invariant_throughout_run():
                 assert math.isclose(payload[j], node.state.counts[j] * inputs[j],
                                     rel_tol=1e-12, abs_tol=1e-12)
 
-    report, _ = run_trusted(t, inputs, invariant_check=check)
+    def checked(deliver):
+        def on_deliver(ctx, batch):
+            deliver(ctx, batch)
+            check()
+        return on_deliver
+
+    for pid in range(4):
+        setup.nodes[pid].on_deliver = checked(setup.nodes[pid].on_deliver)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 13)).run()
+    assert checks >= trace.batches > 0
     for pid in range(4):
         assert report.decided_values[pid] == pytest.approx(mean_oracle(inputs), abs=1e-9)
 

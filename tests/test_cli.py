@@ -212,14 +212,18 @@ def test_sweep_assignment_the_base_cannot_take_exits_2(tmp_path, capsys, vary, f
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("ballot", [{"primary": 0, "secondary": 0}, {"primary": 7}])
+# a misspelt key once dropped the secondary vote, and the run exited 0
+@pytest.mark.parametrize("ballot", [{"primary": 0, "secondary": 0}, {"primary": 7},
+                                    {"primary": 1, "secondry": 2}])
 def test_bad_ballot_is_a_config_error(tmp_path, capsys, ballot):
     cfg = json.loads((CONFIGS / "fig2_election.json").read_text())
     cfg["inputs"][0] = ballot
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("fault", [CorruptedTallyError, PrivacyGuardError,

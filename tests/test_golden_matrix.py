@@ -11,12 +11,18 @@ re-capture in a commit of its own with
     PYTHONPATH=src python tests/test_golden_matrix.py
 
 and say in CHANGES.md why the digests moved.
+
+The same cells check agreement: every process and collector that decides
+in a cell decides the same bits.  avg-untrusted does not yet (ROADMAP
+item 9), so its 40 cells are one strict expected failure.
 """
 
 import hashlib
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from consentry import netsim
 from consentry.netsim import ScenarioConfig
@@ -78,6 +84,29 @@ def test_every_matrix_cell_matches_its_digest():
     assert sorted(want) == sorted(got), "matrix.json and the cells differ"
     moved = [name for name in sorted(got) if got[name] != want[name]]
     assert moved == [], f"{len(moved)} report(s) moved: {', '.join(moved)}"
+
+
+def disagreeing(untrusted: bool) -> list:
+    """The avg-untrusted cells, or all the others, in which two deciders
+    decide values of different bits."""
+    out = []
+    for name, raw in sorted(cells().items()):
+        if (raw["protocol"] == "avg-untrusted") != untrusted:
+            continue
+        report = netsim.run(ScenarioConfig.from_dict(raw))
+        if len({repr(v) for v in report.decided_values.values()}) > 1:
+            out.append(name)
+    return out
+
+
+def test_every_decider_in_a_cell_decides_the_same_bits():
+    assert disagreeing(untrusted=False) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: an avg-untrusted process "
+                   "decides the first initiator's result that reaches it")
+def test_every_avg_untrusted_decider_decides_the_same_bits():
+    assert disagreeing(untrusted=True) == []
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ import pytest
 from consentry import avg_consensus, he_slots, leader_election, outlier_consensus
 from consentry.avg_consensus import AGGREGATE, ProtocolMessage
 from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchError,
-                                MissingRotationKeysError, SlotBackend, SlotEngine, SlotVector,
-                                slot_capacity_for)
+                                SlotBackend, SlotEngine, SlotVector, slot_capacity_for)
 from consentry.netsim import SimTrace
 
 from exposures import audit_view
@@ -146,14 +145,6 @@ def test_rotate_examples():
     assert dec(b.rotate(ct, 1)) == [2, 3, 4, 1]
     assert dec(b.rotate(ct, 2)) == [3, 4, 1, 2]
     assert dec(b.rotate(ct, -1)) == [4, 1, 2, 3]
-
-
-def test_rotate_requires_rotation_keys():
-    b = make_backend(4)
-    km = b.keygen("T", with_rotation=False)
-    ct = b.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
-    with pytest.raises(MissingRotationKeysError):
-        b.rotate(ct, 1)
 
 
 def test_rotate_composition_property():
@@ -478,12 +469,6 @@ def test_batched_ops_raise_like_the_nested_calls():
         assert b1._handle_seq == handle
     with pytest.raises(ValueError):
         b1.add_many((c1, c1), [(c1,)])
-    plain = b1.keygen("V", with_rotation=False)
-    ct = b1.encrypt(plain.public_part, SlotVector([1, 2, 3, 4]), ("r", "v"))
-    with pytest.raises(MissingRotationKeysError):
-        b1.rotate(ct, 1)
-    with pytest.raises(MissingRotationKeysError):
-        b1.rotate_sum(ct)
 
 
 def _former_add_ct(b, x, y):

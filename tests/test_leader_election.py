@@ -7,7 +7,7 @@ import pytest
 
 from consentry import leader_election, netsim
 from consentry import topology as topo
-from consentry.avg_consensus import AGGREGATE, COMPLETE, ProtocolMessage
+from consentry.avg_consensus import AGGREGATE, PREPARED, ProtocolMessage
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        InvalidBallotError, ballot_layout,
@@ -157,18 +157,18 @@ def test_on_receive_election_contribution_rules():
     km = backend.keygen("T")
     origin_state, msg = init_election(0, make_ballot_vector(Ballot(1, 2), n, cap),
                                       km.public_part, n, backend)
-    # fresh lineage at a non-contributor: contributes, counts gains a 1
+    # fresh lineage at a non-contributor: contributes, support gains its bit
     state, out, complete = on_receive_election(None, msg,
                                                make_ballot_vector(Ballot(2, 0), n, cap),
                                                km.public_part, backend,
                                                pid=1, n=n)
-    assert state.counts[:3].tolist() == [1, 1, 0]
+    assert state.support == 0b011 and state.counts is None
     assert out and complete is None
     payload = backend.inspect_payload(state.votes_ct)
     assert payload[flat_index(3, 1, 2)] == 1 and payload[flat_index(3, 2, 0)] == 1
     # the same copy revisiting a contributor: no growth, no forward
     revisit = ProtocolMessage(msg.instance, AGGREGATE, votes_ct=state.votes_ct,
-                              counts=tuple(int(x) for x in state.counts))
+                              support=state.support)
     state2, out2, complete2 = on_receive_election(state, revisit,
                                                   make_ballot_vector(Ballot(2, 0), n, cap),
                                                   km.public_part, backend,
@@ -265,7 +265,7 @@ def test_simulated_ring_run_completes_and_matches_oracle():
     sim = netsim.Simulation(t, setup, policy, keep_log=True)
     report, trace = sim.run()
     assert report.termination == "decided"
-    assert any(msg.kind == COMPLETE for _, _, _, msg in trace.messages)
+    assert any(msg.kind == PREPARED for _, _, _, msg in trace.messages)
     want = irv_oracle(ballots, 5)
     assert want == 0
     for pid in range(5):
@@ -352,7 +352,7 @@ def test_lone_process_elects_itself():
     assert report.decided_values == {0: 0, netsim.TRUSTED: 0}
 
 
-def test_contributor_counts_have_one_entry_per_process():
+def test_contributor_support_has_one_bit_per_process():
     n = 3
     ballots = [(0, 1), (1, None), (0, 2)]
     t = topo.ring(n)
@@ -360,11 +360,13 @@ def test_contributor_counts_have_one_entry_per_process():
     assert setup.backend.config.slot_capacity == 16
     state, msg = init_election(0, make_ballot_vector(Ballot(0, 1), n, 16),
                                setup.nodes[0].pk, n, setup.backend)
-    assert state.counts.tolist() == [1, 0, 0] and msg.counts == (1, 0, 0)
+    assert state.support == msg.support == 0b001
+    assert state.counts is None and msg.count_array is None and msg.counts is None
     _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1),
                                  keep_log=True).run()
-    completes = [msg for _, _, _, msg in trace.messages if msg.kind == COMPLETE]
-    assert completes and all(msg.counts == (1, 1, 1) for msg in completes)
+    completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]
+    assert completes and all(msg.support == 0b111 and msg.count_array is None
+                             for msg in completes)
 
 
 def test_32_ring_election_decides_the_irv_winner():
@@ -398,8 +400,8 @@ def lineage_copy(backend, pk, n, ballots, contributors, instance="elect/0"):
         enc = backend.encrypt(pk, make_ballot_vector(Ballot(*ballots[p]), n, cap),
                               (p, f"{instance}:ballot"))
         ct = enc if ct is None else backend.add_ct(ct, enc)
-    counts = [int(p in contributors) for p in range(n)]
-    return ProtocolMessage(instance, AGGREGATE, votes_ct=ct, counts=counts)
+    support = sum(1 << p for p in contributors)
+    return ProtocolMessage(instance, AGGREGATE, votes_ct=ct, support=support)
 
 
 def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
@@ -428,7 +430,7 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
     assert adopted and complete is None and calls == (1, 1) and handles == 2
     state, adopted, complete, calls, handles = fold(state, (1, 2))
     assert adopted and complete is None and calls == (1, 1) and handles == 2
-    assert state.counts.tolist() == [0, 1, 1, 1]
+    assert state.support == 0b1110
     # 2 + 1 and 2 + 0 contributors are no more than the held 3: no engine call
     for contributors in ((0, 1), (1, 3)):
         held = state.votes_ct
@@ -437,7 +439,7 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
         assert state.votes_ct is held
     state, adopted, complete, calls, handles = fold(state, (0, 1, 2))
     assert adopted and complete is not None and calls == (1, 1) and handles == 2
-    assert state.counts.tolist() == [1, 1, 1, 1]
+    assert state.support == 0b1111
     assert len(encrypted) == 3 and all(vec is ballot_vec for vec in encrypted)
 
 
@@ -455,7 +457,7 @@ class RecordingContext:
         pass
 
 
-def test_a_completing_copy_goes_out_with_its_own_counts():
+def test_a_completing_copy_goes_out_with_its_own_support():
     # 3 and 4 have crashed: {0, 1, 2} completes lineage 1 at process 0, then
     # the larger {0, 1, 3, 4} replaces it as the held copy without covering 2
     n = 5
@@ -471,21 +473,21 @@ def test_a_completing_copy_goes_out_with_its_own_counts():
             for c in ((1, 2), (1, 3, 4))]
     grown, complete = node._fold_instance("elect/1", msgs)
     assert grown is False and complete is not None
-    assert node.states["elect/1"].counts.tolist() == [1, 1, 0, 1, 1]
+    assert node.states["elect/1"].support == 0b11011
     node._emit_prepared(ctx, "elect/1", complete)
     to, msg = ctx.sent[-1]
-    assert to == netsim.TRUSTED and msg.kind == COMPLETE
-    assert msg.counts == (1, 1, 1, 0, 0)
+    assert to == netsim.TRUSTED and msg.kind == PREPARED
+    assert msg.support == 0b00111
     t = tally(backend, key.secret_part, msg.votes_ct, n, caller=netsim.TRUSTED,
-              counts=msg.counts)
+              contributors=msg.support)
     assert t == tally(backend, key.secret_part,
                       complete_ct_for(ballots[:3], n, backend, key), n,
-                      caller=netsim.TRUSTED, counts=msg.counts)
+                      caller=netsim.TRUSTED, contributors=msg.support)
 
 
 def test_complete6_with_three_crashes_tallies_what_each_copy_counts():
     # a batch once completed a copy and then adopted a larger, incomplete one,
-    # and the keyholder got the first copy's ballots with the second's counts
+    # and the keyholder got the first copy's ballots with the second's contributors
     ballots = [(1, 4), (4, 2), (2, 3), (4, 0), (1, 3), (3, 2)]
     t = topo.complete(6)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=66)
@@ -495,14 +497,14 @@ def test_complete6_with_three_crashes_tallies_what_each_copy_counts():
                             faults=faults, keep_log=True)
     report, trace = sim.run()
     assert report.termination == "decided"
-    completes = [msg for _, _, _, msg in trace.messages if msg.kind == COMPLETE]
+    completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]
     assert completes
     _, cap = ballot_layout(6)
     for msg in completes:
         want = sum(make_ballot_vector(Ballot(*ballots[p]), 6, cap).values
-                   for p, c in enumerate(msg.counts) if c)
+                   for p in range(6) if msg.support >> p & 1)
         assert np.array_equal(setup.backend.inspect_payload(msg.votes_ct), want)
-    first = [p for p, c in enumerate(completes[0].counts) if c]
+    first = [p for p in range(6) if completes[0].support >> p & 1]
     winner = irv_oracle([ballots[p] for p in first], 6)
     assert all(report.decided_values[p] == winner for p in (0, 2, 3, netsim.TRUSTED))
 
@@ -534,3 +536,8 @@ def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypat
     assert report.decided_values[netsim.TRUSTED] == want
     assert len(encrypted) == n + adopted_lacking
     assert all(vec is setup.nodes[pid].ballot_vec for pid, vec in encrypted)
+
+
+def test_parse_ballots_rejects_an_unknown_key():
+    with pytest.raises(InvalidBallotError, match=r"unknown ballot keys \['secondry'\]"):
+        leader_election.parse_ballots([{"primary": 0}, {"primary": 0, "secondry": 1}], 2)

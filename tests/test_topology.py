@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from consentry import topology as topo
@@ -262,3 +263,20 @@ def test_lone_untrusted_process_keeps_its_topology_error(tmp_path, capsys):
                    ' "inputs": [1.0]}')
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("edge", [(0, 1.7), (1.0, 2), (np.float64(0), 1), (True, 2),
+                                  (0, False), (np.True_, 2), ("1", 2), (0, None)],
+                         ids=["float", "integral-float", "numpy-float", "true", "false",
+                              "numpy-bool", "str", "none"])
+def test_a_non_integer_endpoint_is_rejected(edge):
+    # int() once read (0, 1.7) as the edge (0, 1), and True as 1
+    with pytest.raises(TopologyError, match="non-integer endpoint"):
+        topo.Topology(3, [edge])
+
+
+def test_numpy_integer_endpoints_are_accepted_as_ints():
+    t = topo.Topology(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2)])
+    assert t.edges == {(0, 1), (1, 2)}
+    assert all(type(i) is int for edge in t.edges for i in edge)
+    assert t.adjacency == ((1,), (0, 2), (1,))
