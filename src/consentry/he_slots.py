@@ -224,6 +224,26 @@ class Ciphertext:
                 f"prepared={self.prepared})")
 
 
+#: the number of arrays from which `sum_in_order` adds them in one numpy call
+WIDE = 12
+
+
+def sum_in_order(arrays) -> np.ndarray:
+    """`arrays[0] + arrays[1] + ...` for two or more one-dimensional float64
+    arrays of one length, added left to right into a new array.  Below
+    `WIDE` arrays the sum is a loop of in-place adds; from `WIDE` on it is
+    one axis-0 `np.add.reduce` over the arrays stacked as rows, which adds
+    the rows in order (not pairwise), so the bits are the loop's and one
+    call replaces many small ones.  The rows are stacked by `concatenate`,
+    which copies them faster than `np.array` of the list."""
+    if len(arrays) < WIDE:
+        out = arrays[0] + arrays[1]
+        for a in arrays[2:]:
+            out += a
+        return out
+    return np.add.reduce(np.concatenate(arrays).reshape(len(arrays), len(arrays[0])))
+
+
 def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:
     """The payload of the `rotate`/`add_ct` loop of a rotate-sum: at each
     level, from the widest rotation down, add the rotation's noise row to
@@ -516,9 +536,12 @@ class SlotBackend(SlotEngine):
         """The nested `add_ct` calls, bit for bit: the same payloads, noise
         draws (row by row, channel by channel), bounds, depths, taint and
         handles.  A ragged row or an operand under another key or tag table
-        raises before anything is drawn.  Each channel is checked and summed
-        in one pass over the rows; with noise on, every operand is checked
-        first, since the one draw comes before any sum."""
+        raises before anything is drawn.  Each channel is checked in one pass
+        over the rows, which gathers its terms in the nested calls' order (the
+        accumulator, then each row's payload and, with noise on, that row's
+        noise), and `sum_in_order` adds them: a wide batch in one numpy call.
+        With noise on, every operand is checked first, since the one draw
+        comes before any sum."""
         rows = list(rows)
         if not rows:
             return tuple(accs)
@@ -538,7 +561,7 @@ class SlotBackend(SlotEngine):
         for c, acc in enumerate(accs):
             key, table = acc.key_id, acc.tag_table
             mask, depth, bound = acc.taint_mask, acc.depth, acc.noise_bound
-            payload = None
+            terms = [acc._payload]
             for i, row in enumerate(rows):
                 ct = row[c]
                 if ct.key_id != key:
@@ -549,14 +572,11 @@ class SlotBackend(SlotEngine):
                 if ct.depth > depth:
                     depth = ct.depth
                 bound = bound + ct.noise_bound + eps
-                if payload is None:
-                    payload = acc._payload + ct._payload
-                else:
-                    payload += ct._payload
+                terms.append(ct._payload)
                 if noise is not None:
-                    payload += noise[i, c]
-            out.append(Ciphertext(key, payload, mask, table, False, depth, bound,
-                                  seq + c + 1))
+                    terms.append(noise[i, c])
+            out.append(Ciphertext(key, sum_in_order(terms), mask, table, False, depth,
+                                  bound, seq + c + 1))
         self._handle_seq += len(rows) * width
         return tuple(out)
 

@@ -150,7 +150,7 @@ class ScenarioConfig:
             if self.c is None or self.c <= 0:
                 raise ScenarioError("outlier protocol requires c > 0")
         elif self.c is not None:
-            raise ScenarioError(f"c is only meaningful for the outlier protocol")
+            raise ScenarioError("c is only meaningful for the outlier protocol")
         if self.variance_route != "decrypt" and self.protocol != "outlier":
             raise ScenarioError("variance_route is only meaningful for the outlier protocol")
         if self.initiators is not None and self.protocol != "avg-untrusted":

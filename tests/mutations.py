@@ -18,6 +18,17 @@ class LeakyAvgNode(AvgProcessNode):
                                extra={"debug_value": self.value})
 
 
+class NestedLeakAvgNode(AvgProcessNode):
+    """Mutation: copies its private value into plaintext message fields,
+    nested inside a list and inside a dict."""
+
+    def _snapshot_msg(self, state):
+        msg = state.snapshot()
+        msg.extra = {"nested_list": ["hint", [self.value]],
+                     "nested_dict": {"hint": {"value": self.value}}}
+        return msg
+
+
 class MisroutingAvgNode(AvgProcessNode):
     """Mutation: hands the raw (pre-prepare) aggregate to the keyholder."""
 

@@ -34,7 +34,7 @@ def test_init_consensus_impulse():
     state, msg = init_consensus(2, 7.0, km.public_part, 4, b)
     assert b.inspect_payload(state.votes_ct).tolist() == [0, 0, 7, 0]
     assert state.counts.tolist() == [0, 0, 1, 0]
-    assert msg.kind == AGGREGATE and msg.counts == (0, 0, 1, 0)
+    assert msg.kind == AGGREGATE and msg.count_array.tolist() == [0, 0, 1, 0]
 
 
 def test_init_consensus_zero_vote_still_counted():
@@ -70,9 +70,8 @@ def test_tuple_count_message_folds_like_the_snapshot_it_copies():
     on_receive(states[3], states[2].snapshot(), b)    # counts (0, 2, 1, 1, ...)
     source = states[3]
     snap, copy = source.snapshot(), msg_of(source)
-    assert copy.counts == snap.counts == (0, 2, 1, 1, 0, 0, 0, 0)
+    assert copy.count_array.tolist() == snap.count_array.tolist() == [0, 2, 1, 1, 0, 0, 0, 0]
     assert copy.support == snap.support == 0b1110
-    assert copy.count_array.tolist() == snap.count_array.tolist()
     folded = {}
     for name, msg in (("snapshot", snap), ("tuple", copy)):
         state, _ = init_consensus(0, -2.0, km.public_part, 5, b)
@@ -96,13 +95,13 @@ def test_snapshot_counts_are_read_only_and_outlive_later_folds():
             msg.count_array[2] = 5
     on_receive(state, other, b)
     on_receive(state, msg_of(state), b)
-    assert first.counts == (1, 0, 0, 0) and first.support == 0b1
+    assert first.count_array.tolist() == [1, 0, 0, 0] and first.support == 0b1
     assert state.counts.tolist() == [1, 1, 0, 0] and state.support == 0b11
-    assert state.snapshot().counts == (1, 1, 0, 0)
+    assert state.snapshot().count_array.tolist() == [1, 1, 0, 0]
     own = np.array([1.0, 1.0, 0.0, 0.0])
     msg = ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct, counts=own)
     own[2] = 7.0
-    assert msg.counts == (1, 1, 0, 0) and not msg.count_array.flags.writeable
+    assert msg.count_array.tolist() == [1, 1, 0, 0] and not msg.count_array.flags.writeable
 
 
 def test_an_aggregate_carries_counts_or_a_support():
@@ -112,7 +111,7 @@ def test_an_aggregate_carries_counts_or_a_support():
     with pytest.raises(ValueError, match="counts or a support"):
         ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct)
     msg = ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct, support=0b1)
-    assert msg.support == 0b1 and msg.count_array is None and msg.counts is None
+    assert msg.support == 0b1 and msg.count_array is None
     with pytest.raises(ValueError, match="unknown message kind"):
         ProtocolMessage(state.instance, "complete", votes_ct=b.mark_prepared(state.votes_ct))
 
@@ -228,12 +227,12 @@ def test_on_receive_instance_mismatch_dropped():
     assert out is False and dec is None and state.counts.tolist() == [1, 0, 0, 0]
 
 
-def _fold_against_on_receive(make, eps=0.0):
+def _fold_against_on_receive(make, eps=0.0, cap=8):
     """Fold one batch, and on a twin backend pass the same batch message by
     message to `on_receive`; both must leave the same state and decision."""
     seen = []
     for batched in (False, True):
-        b = make_backend(cap=8, eps=eps, seed=4)
+        b = make_backend(cap=cap, eps=eps, seed=4)
         km = b.keygen("T")
         state, msgs = make(b, km)
         if batched:
@@ -249,7 +248,8 @@ def _fold_against_on_receive(make, eps=0.0):
         seen.append((merged, decision, state.counts.tobytes(), state.support, state.phase,
                      [(b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.taint_mask)
                       for ct in channels],
-                     b.encrypt(km.public_part, SlotVector.zeros(8), ("p", "z")).handle))
+                     b.encrypt(km.public_part, SlotVector.zeros(cap), ("p", "z")).handle,
+                     state.ones))
     assert seen[0] == seen[1]
     return seen[1]
 
@@ -266,9 +266,9 @@ def test_fold_stops_at_the_message_that_completes_the_counts():
         # the required counts, then {5} brings a new index after the decision
         return state, [state.snapshot(), states[1].snapshot(), states[2].snapshot(),
                        states[3].snapshot(), states[5].snapshot()]
-    merged, decision, counts, support, phase, _, _ = _fold_against_on_receive(make)
+    merged, decision, counts, support, phase, _, _, ones = _fold_against_on_receive(make)
     assert merged and decision is not None and phase == "decided"
-    assert support == 0b11111
+    assert support == 0b11111 and ones
     assert np.frombuffer(counts).tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
 
 
@@ -279,9 +279,72 @@ def test_fold_of_a_two_channel_round3_batch_at_noise():
         states = [s for s, _ in seeds]
         on_receive(states[4], seeds[5][1], b)
         return states[0], [msg for _, msg in seeds[1:4]] + [states[4].snapshot(), seeds[2][1]]
-    merged, decision, _, support, phase, channels, _ = _fold_against_on_receive(make, eps=1e-9)
+    merged, decision, _, support, phase, channels, _, ones = \
+        _fold_against_on_receive(make, eps=1e-9)
     assert merged and len(decision) == 2 and phase == "decided"
     assert support == 0b111111 and len(channels) == 2
+    # states[4]'s {4, 5} overlaps nothing before it, and the repeated {2} is dropped
+    assert ones
+
+
+def _impulses(b, km, n, pids):
+    """The first-round messages of `pids` under one key, at `n` processes."""
+    return [init_consensus(pid, 0.75 * pid - 3.0, km.public_part, n, b)[1]
+            for pid in pids]
+
+
+def test_a_wide_fold_of_disjoint_impulses_builds_its_counts_from_the_support():
+    def make(b, km):
+        state, _ = init_consensus(0, 2.0, km.public_part, 21, b)
+        return state, _impulses(b, km, 21, range(1, 21))
+    merged, decision, counts, support, phase, _, _, ones = \
+        _fold_against_on_receive(make, cap=32)
+    assert merged and decision is not None and phase == "decided"
+    assert support == (1 << 21) - 1 and ones
+    assert np.frombuffer(counts).tolist() == [1.0] * 21 + [0.0] * 11
+
+
+def test_a_wide_fold_that_overlaps_the_state_sums_its_counts():
+    def make(b, km):
+        states = [init_consensus(pid, 0.5 * pid, km.public_part, 24, b)[0]
+                  for pid in range(3)]
+        on_receive(states[0], states[1].snapshot(), b)
+        on_receive(states[2], states[1].snapshot(), b)
+        # {1, 2} overlaps the state's {0, 1}, then 19 disjoint impulses
+        return states[0], [states[2].snapshot()] + _impulses(b, km, 24, range(3, 22))
+    merged, decision, counts, support, phase, _, _, ones = \
+        _fold_against_on_receive(make, cap=32)
+    assert merged and decision is None and phase == "active"
+    assert support == (1 << 22) - 1 and not ones
+    assert np.frombuffer(counts).tolist() == [1.0, 2.0] + [1.0] * 20 + [0.0] * 10
+
+
+def test_a_wide_fold_of_a_message_with_a_repeated_count_sums_its_counts():
+    def make(b, km):
+        states = [init_consensus(pid, 0.5 * pid, km.public_part, 24, b)[0]
+                  for pid in range(4)]
+        on_receive(states[2], states[1].snapshot(), b)
+        on_receive(states[3], states[1].snapshot(), b)
+        on_receive(states[3], states[2].snapshot(), b)    # counts (0, 2, 1, 1, ...)
+        # {1, 2, 3} is disjoint from the state's {0}, but its counts are not 0/1
+        return states[0], [states[3].snapshot()] + _impulses(b, km, 24, range(4, 22))
+    merged, decision, counts, support, phase, _, _, ones = \
+        _fold_against_on_receive(make, cap=32)
+    assert merged and decision is None and phase == "active"
+    assert support == (1 << 22) - 1 and not ones
+    assert np.frombuffer(counts).tolist() == [1.0, 2.0] + [1.0] * 20 + [0.0] * 10
+
+
+def test_a_wide_fold_of_a_two_channel_round3_batch_at_noise():
+    def make(b, km):
+        seeds = [init_round3(pid, 1.5 * pid, pid == 7, km.public_part, 21, b)
+                 for pid in range(21)]
+        return seeds[0][0], [msg for _, msg in seeds[1:]]
+    merged, decision, counts, support, phase, channels, _, ones = \
+        _fold_against_on_receive(make, eps=1e-9, cap=32)
+    assert merged and len(decision) == 2 and phase == "decided"
+    assert support == (1 << 21) - 1 and len(channels) == 2 and ones
+    assert np.frombuffer(counts).tolist() == [1.0] * 21 + [0.0] * 11
 
 
 def test_fold_without_a_new_index_changes_nothing():

@@ -395,8 +395,15 @@ def _assert_same_next(b1, km1, b2, km2, cap):
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
 @pytest.mark.parametrize("width", [1, 2])
-@pytest.mark.parametrize("k", [1, 2, 5, 40])
-def test_add_many_equals_nested_add_ct(eps, width, k):
+@pytest.mark.parametrize("k", [1, 2, 5, 6, 10, 11, 12, 40])
+def test_add_many_equals_nested_add_ct(eps, width, k, monkeypatch):
+    # each channel sums the accumulator and each row's payload (and noise):
+    # at eps 0, k 10 is the last loop and 11 the first reduction; at 1e-9,
+    # k 5 and 6
+    terms = []
+    monkeypatch.setattr(he_slots, "sum_in_order",
+                        lambda arrays, f=he_slots.sum_in_order: terms.append(len(arrays))
+                        or f(arrays))
     nested, batched = make_backend(8, eps, seed=3), make_backend(8, eps, seed=3)
     km1, accs1, rows1 = _add_many_operands(nested, width, k)
     km2, accs2, rows2 = _add_many_operands(batched, width, k)
@@ -405,12 +412,35 @@ def test_add_many_equals_nested_add_ct(eps, width, k):
         for c, ct in enumerate(row):
             want[c] = nested.add_ct(want[c], ct)
     got = batched.add_many(accs2, rows2)
+    assert terms == [1 + k * (2 if eps else 1)] * width
     assert len(got) == width
     for x, y in zip(want, got):
         _assert_same_ct(nested, x, batched, y)
     if eps:
         assert got[0].noise_bound > eps * k
     _assert_same_next(nested, km1, batched, km2, 8)
+
+
+@pytest.mark.parametrize("cap", [2, 8, 128])
+@pytest.mark.parametrize("count", [2, 3, he_slots.WIDE - 1, he_slots.WIDE,
+                                   he_slots.WIDE + 1, 51])
+def test_sum_in_order_adds_left_to_right(cap, count):
+    # 1e16 + 1.0 rounds back to 1e16 and -1e16 then cancels it: a left-to-right
+    # sum of (1e16, 1, -1e16, 1, ...) differs from a pairwise or reordered one
+    pattern = [1e16, 1.0, -1e16, 1.0, 3.0, -1e16, 1e16, 0.5]
+    rng = np.random.default_rng(cap * 1000 + count)
+    rows = [np.full(cap, pattern[i % len(pattern)]) * rng.choice([1.0, 0.5], cap)
+            for i in range(count)]
+    want = np.zeros(cap)
+    for j in range(cap):
+        total = rows[0][j]
+        for row in rows[1:]:
+            total = total + row[j]
+        want[j] = total
+    got = he_slots.sum_in_order(rows)
+    assert got.tobytes() == want.tobytes(), \
+        f"numpy summed {count} rows of {cap} slots out of left-to-right order"
+    assert all(not np.shares_memory(got, row) for row in rows)
 
 
 def test_add_many_of_no_rows_returns_the_accumulators():

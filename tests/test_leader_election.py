@@ -361,7 +361,7 @@ def test_contributor_support_has_one_bit_per_process():
     state, msg = init_election(0, make_ballot_vector(Ballot(0, 1), n, 16),
                                setup.nodes[0].pk, n, setup.backend)
     assert state.support == msg.support == 0b001
-    assert state.counts is None and msg.count_array is None and msg.counts is None
+    assert state.counts is None and msg.count_array is None
     _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1),
                                  keep_log=True).run()
     completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]

@@ -254,6 +254,27 @@ def test_scenario_config_validation():
         sc.resolve_inputs(sc.resolve_topology())
 
 
+@pytest.mark.parametrize("raw, message", [
+    ([1], "a scenario config must be an object, got [1]"),
+    ({"schedule": "lockstep"}, "schedule must be sync or async, got 'lockstep'"),
+    ({"c": 1.5}, "c is only meaningful for the outlier protocol"),
+    ({"variance_route": "encrypted"},
+     "variance_route is only meaningful for the outlier protocol"),
+    ({"protocol": "election", "initiators": [0]}, "initiators only apply to avg-untrusted"),
+    ({"max_latency": 0}, "max_latency must be >= 1"),
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"noise_epsilon": -1}, "noise_epsilon must be >= 0"),
+], ids=["not-a-dict", "schedule", "c", "variance-route", "initiators", "max-latency",
+        "trials", "noise-epsilon"])
+def test_scenario_config_rejects_with_its_message(raw, message):
+    if isinstance(raw, dict):
+        raw = {"protocol": "avg-trusted", "topology": topo.ring(4).to_dict(),
+               "inputs": [1, 2, 3, 4], **raw}
+    with pytest.raises(ScenarioError) as err:
+        ScenarioConfig.from_dict(raw)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("crash", [
     {"process": 99, "time": 3},
     {"process": 4, "time": 3},
@@ -310,6 +331,13 @@ def test_a_private_value_under_a_key_no_message_sends_is_flagged(key):
 
     violations = run_mutated(LeakyUnderKey)
     assert any(v.rule == "plaintext-leak" and repr(key) in v.detail for v in violations)
+
+
+def test_a_private_value_nested_in_a_list_or_a_dict_is_flagged():
+    violations = mutations.run_mutated(mutations.NestedLeakAvgNode)
+    for key in ("nested_list", "nested_dict"):
+        assert any(v.rule == "plaintext-leak" and repr(key) in v.detail
+                   for v in violations), key
 
 
 def test_pre_prepare_exposure_mutation_is_flagged():
