@@ -15,10 +15,8 @@ merged messages' count arrays, ORs their masks and adds their ciphertexts
 in one engine `add_many` call, which ORs the ciphertexts' taint masks; it
 builds no message and returns only whether anything merged.  A wide batch
 (on a dense graph, a first round brings one impulse per neighbour) is
-summed in one numpy call per array (`he_slots.sum_in_order`), and while a
-state's counts are all 0 or 1 (`ones`: no merge has overlapped) a wide
-fold builds them from the merged support mask rather than summing.  The
-node then multicasts one snapshot per changed instance to that instance's
+summed in one numpy call per array (`he_slots.sum_in_order`).  The node
+then multicasts one snapshot per changed instance to that instance's
 fan-out.
 Once the local mask covers the required one the process runs the prepare
 step: multiply by the plaintext weights 1/(count_j * n) to undo duplicates,
@@ -44,7 +42,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import netsim
-from .he_slots import (WIDE, Ciphertext, SlotEngine, SlotVector, seeded_backend,
+from .he_slots import (Ciphertext, SlotEngine, SlotVector, seeded_backend,
                        slot_capacity_for, sum_in_order)
 from .topology import Topology
 
@@ -82,12 +80,6 @@ def _bits(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _unbits(mask: int, count: int) -> np.ndarray:
-    """The inverse of `_bits`: bits 0 to count - 1 of `mask` as a 0/1 uint8 array."""
-    packed = np.frombuffer(mask.to_bytes((count + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(packed, count=count, bitorder="little")
-
-
 def _support_mask(counts) -> int:
     """Bitmask of the nonzero counts: bit j is set iff counts[j] > 0."""
     return _bits(np.asarray(counts, dtype=np.float64) > 0)
@@ -120,15 +112,13 @@ class ProtocolMessage:
     read-only float64 array given is shared, anything else is copied.
     `support`, the bitmask of nonzero counts, is derived from the counts
     unless given; an election lineage copy carries its support and no
-    counts.  `ones` is true only when every nonzero count is 1, as it is in
-    a snapshot of a `ConsensusState` whose `ones` is true; this
-    constructor, which validates its fields, leaves it false.
+    counts.  This constructor validates its fields;
     `ConsensusState.snapshot`, which builds AGGREGATE messages from fields
     its state already guarantees, sets them without it.
     """
 
     __slots__ = ("instance", "kind", "votes_ct", "participating_ct", "extra",
-                 "ciphertexts", "count_array", "support", "ones")
+                 "ciphertexts", "count_array", "support")
 
     def __init__(self, instance: str, kind: str, votes_ct: Ciphertext | None = None,
                  counts=None, participating_ct: Ciphertext | None = None,
@@ -153,7 +143,6 @@ class ProtocolMessage:
                 support = _support_mask(counts)
         self.count_array = counts
         self.support = support
-        self.ones = False
 
 
 class ConsensusState:
@@ -161,13 +150,9 @@ class ConsensusState:
 
     `counts` is a read-only float64 array that a fold replaces, never
     writes, so a snapshot can carry it as is; `support` is the bitmask of
-    its nonzero entries, and `ones` is true only when every nonzero count is
-    1, so that `counts` is the 0/1 array of `support`: `init_consensus`
-    sets it, `fold` keeps it while no merge overlaps, and a state built
-    here starts without it.  Like a message, a state shares a read-only
-    float64 count array it is given, and takes `support` as given when
-    passed.  An election lineage copy has no counts (None), only its
-    support.
+    its nonzero entries.  Like a message, a state shares a read-only float64
+    count array it is given, and takes `support` as given when passed.  An
+    election lineage copy has no counts (None), only its support.
     `snapshot` builds its AGGREGATE message straight from these fields.
     `required_mask` marks the indices whose counts must become nonzero and
     that `try_decide` weights: all n, or an outlier node's.
@@ -188,20 +173,19 @@ class ConsensusState:
         # round and would overflow int64 past a diameter of about 43
         self.counts = None if counts is None else _frozen(counts)
         self.support = _support_mask(self.counts) if support is None else support
-        self.ones = False
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
         self.participating_ct = participating_ct
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing every channel of this state,
-        sharing its frozen counts, support and `ones` flag."""
+        sharing its frozen counts and support."""
         votes, part = self.votes_ct, self.participating_ct
         msg = object.__new__(ProtocolMessage)
         msg.instance, msg.kind, msg.extra = self.instance, AGGREGATE, {}
         msg.votes_ct, msg.participating_ct = votes, part
         msg.ciphertexts = (votes,) if part is None else (votes, part)
-        msg.count_array, msg.support, msg.ones = self.counts, self.support, self.ones
+        msg.count_array, msg.support = self.counts, self.support
         return msg
 
 
@@ -228,7 +212,6 @@ def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
     state = ConsensusState(id=pid, instance=instance, n=n,
                            votes_ct=votes, counts=counts,
                            participating_ct=participating_ct, support=1 << pid)
-    state.ones = True
     return state, state.snapshot()
 
 
@@ -243,18 +226,14 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     `add_ct` when only one merges, as most do in async runs, where `add_ct`
     is the cheaper call.  The state's count array and theirs are summed, in
     that order, into one new array (by `sum_in_order` when more than one
-    merges: a wide batch, of `WIDE` arrays or more, in one numpy call),
-    which is frozen in place (`setflags`) and replaces the state's counts;
-    no count array is ever written once shared.  The state stays `ones` only while it and every merged message
-    are `ones` and no merged support overlaps the support before it; the
-    new counts are then the 0/1 array of the new support, and a wide batch
-    builds them from that bitmask in one step instead of summing.
+    merges: a wide batch, of `he_slots.WIDE` arrays or more, in one numpy
+    call), which is frozen in place (`setflags`) and replaces the state's
+    counts; no count array is ever written once shared.
     Returns whether any message merged and what `try_decide` returned.
     """
     if state.phase != ACTIVE:
         return False, None
     instance, support, required = state.instance, state.support, state.required_mask
-    ones = state.ones
     rows, arrays = [], [state.counts]
     for msg in msgs:
         if msg.instance != instance:
@@ -267,8 +246,6 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
             continue
         rows.append(msg.ciphertexts)
         arrays.append(msg.count_array)
-        if ones and (other & support or not msg.ones):
-            ones = False
         support |= other
         if not required & ~support:
             break
@@ -281,10 +258,7 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
         if state.participating_ct is not None:
             state.participating_ct = backend.add_ct(state.participating_ct, row[1])
     else:
-        if ones and len(arrays) >= WIDE:
-            counts = _unbits(support, len(state.counts)).astype(np.float64)
-        else:
-            counts = sum_in_order(arrays)
+        counts = sum_in_order(arrays)
         if state.participating_ct is None:
             state.votes_ct, = backend.add_many((state.votes_ct,), rows)
         else:
@@ -293,7 +267,6 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     counts.setflags(write=False)
     state.counts = counts
     state.support = support
-    state.ones = ones
     if required & ~support:
         return True, None
     return True, try_decide(state, backend)
@@ -327,7 +300,10 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     state.phase = DECIDED
     n, include = state.n, None
     if state.required_mask != (1 << n) - 1:
-        include = np.flatnonzero(_unbits(state.required_mask, n))
+        # the required indices, unpacked as `_bits` packs them
+        mask = state.required_mask.to_bytes((n + 7) // 8, "little")
+        include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8),
+                                               bitorder="little"))
         n = len(include)
     votes = prepare(backend, state.votes_ct, state.counts, n, include=include)
     if state.participating_ct is None:

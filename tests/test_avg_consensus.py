@@ -248,8 +248,7 @@ def _fold_against_on_receive(make, eps=0.0, cap=8):
         seen.append((merged, decision, state.counts.tobytes(), state.support, state.phase,
                      [(b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.taint_mask)
                       for ct in channels],
-                     b.encrypt(km.public_part, SlotVector.zeros(cap), ("p", "z")).handle,
-                     state.ones))
+                     b.encrypt(km.public_part, SlotVector.zeros(cap), ("p", "z")).handle))
     assert seen[0] == seen[1]
     return seen[1]
 
@@ -266,9 +265,9 @@ def test_fold_stops_at_the_message_that_completes_the_counts():
         # the required counts, then {5} brings a new index after the decision
         return state, [state.snapshot(), states[1].snapshot(), states[2].snapshot(),
                        states[3].snapshot(), states[5].snapshot()]
-    merged, decision, counts, support, phase, _, _, ones = _fold_against_on_receive(make)
+    merged, decision, counts, support, phase, _, _ = _fold_against_on_receive(make)
     assert merged and decision is not None and phase == "decided"
-    assert support == 0b11111 and ones
+    assert support == 0b11111
     assert np.frombuffer(counts).tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
 
 
@@ -279,12 +278,9 @@ def test_fold_of_a_two_channel_round3_batch_at_noise():
         states = [s for s, _ in seeds]
         on_receive(states[4], seeds[5][1], b)
         return states[0], [msg for _, msg in seeds[1:4]] + [states[4].snapshot(), seeds[2][1]]
-    merged, decision, _, support, phase, channels, _, ones = \
-        _fold_against_on_receive(make, eps=1e-9)
+    merged, decision, _, support, phase, channels, _ = _fold_against_on_receive(make, eps=1e-9)
     assert merged and len(decision) == 2 and phase == "decided"
     assert support == 0b111111 and len(channels) == 2
-    # states[4]'s {4, 5} overlaps nothing before it, and the repeated {2} is dropped
-    assert ones
 
 
 def _impulses(b, km, n, pids):
@@ -293,18 +289,17 @@ def _impulses(b, km, n, pids):
             for pid in pids]
 
 
-def test_a_wide_fold_of_disjoint_impulses_builds_its_counts_from_the_support():
+def test_a_wide_fold_of_disjoint_impulses():
     def make(b, km):
         state, _ = init_consensus(0, 2.0, km.public_part, 21, b)
         return state, _impulses(b, km, 21, range(1, 21))
-    merged, decision, counts, support, phase, _, _, ones = \
-        _fold_against_on_receive(make, cap=32)
+    merged, decision, counts, support, phase, _, _ = _fold_against_on_receive(make, cap=32)
     assert merged and decision is not None and phase == "decided"
-    assert support == (1 << 21) - 1 and ones
+    assert support == (1 << 21) - 1
     assert np.frombuffer(counts).tolist() == [1.0] * 21 + [0.0] * 11
 
 
-def test_a_wide_fold_that_overlaps_the_state_sums_its_counts():
+def test_a_wide_fold_that_overlaps_the_state():
     def make(b, km):
         states = [init_consensus(pid, 0.5 * pid, km.public_part, 24, b)[0]
                   for pid in range(3)]
@@ -312,26 +307,9 @@ def test_a_wide_fold_that_overlaps_the_state_sums_its_counts():
         on_receive(states[2], states[1].snapshot(), b)
         # {1, 2} overlaps the state's {0, 1}, then 19 disjoint impulses
         return states[0], [states[2].snapshot()] + _impulses(b, km, 24, range(3, 22))
-    merged, decision, counts, support, phase, _, _, ones = \
-        _fold_against_on_receive(make, cap=32)
+    merged, decision, counts, support, phase, _, _ = _fold_against_on_receive(make, cap=32)
     assert merged and decision is None and phase == "active"
-    assert support == (1 << 22) - 1 and not ones
-    assert np.frombuffer(counts).tolist() == [1.0, 2.0] + [1.0] * 20 + [0.0] * 10
-
-
-def test_a_wide_fold_of_a_message_with_a_repeated_count_sums_its_counts():
-    def make(b, km):
-        states = [init_consensus(pid, 0.5 * pid, km.public_part, 24, b)[0]
-                  for pid in range(4)]
-        on_receive(states[2], states[1].snapshot(), b)
-        on_receive(states[3], states[1].snapshot(), b)
-        on_receive(states[3], states[2].snapshot(), b)    # counts (0, 2, 1, 1, ...)
-        # {1, 2, 3} is disjoint from the state's {0}, but its counts are not 0/1
-        return states[0], [states[3].snapshot()] + _impulses(b, km, 24, range(4, 22))
-    merged, decision, counts, support, phase, _, _, ones = \
-        _fold_against_on_receive(make, cap=32)
-    assert merged and decision is None and phase == "active"
-    assert support == (1 << 22) - 1 and not ones
+    assert support == (1 << 22) - 1
     assert np.frombuffer(counts).tolist() == [1.0, 2.0] + [1.0] * 20 + [0.0] * 10
 
 
@@ -340,10 +318,10 @@ def test_a_wide_fold_of_a_two_channel_round3_batch_at_noise():
         seeds = [init_round3(pid, 1.5 * pid, pid == 7, km.public_part, 21, b)
                  for pid in range(21)]
         return seeds[0][0], [msg for _, msg in seeds[1:]]
-    merged, decision, counts, support, phase, channels, _, ones = \
+    merged, decision, counts, support, phase, channels, _ = \
         _fold_against_on_receive(make, eps=1e-9, cap=32)
     assert merged and len(decision) == 2 and phase == "decided"
-    assert support == (1 << 21) - 1 and len(channels) == 2 and ones
+    assert support == (1 << 21) - 1 and len(channels) == 2
     assert np.frombuffer(counts).tolist() == [1.0] * 21 + [0.0] * 11
 
 
