@@ -610,17 +610,3 @@ def build_untrusted(topology: Topology, inputs, initiators=None, *,
         private_values=frozenset(values),
         expected_deciders=set(range(n)) if any(viable.values()) else set(),
     )
-
-
-def run_untrusted(topology: Topology, inputs, initiators=None, *, seed: int = 0,
-                  schedule: str = "sync", max_latency: int = 4,
-                  noise_epsilon: float = 0.0) -> dict:
-    """Run the per-initiator instances through `netsim.run` and map each
-    initiator to its average (or the non-viable marker when its removal
-    partitions the graph)."""
-    report = netsim.run(netsim.ScenarioConfig(
-        "avg-untrusted", topology, list(inputs), seed=seed, schedule=schedule,
-        max_latency=max_latency, noise_epsilon=noise_epsilon,
-        initiators=initiators))
-    ks = sorted(initiators) if initiators is not None else range(topology.n)
-    return {k: report.extra.get(f"initiator_result/{k}") for k in ks}

@@ -43,10 +43,12 @@ EXIT_INTERNAL = 4
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("CONSENTRY_OUT") or "."
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    out = Path(args.out or os.environ.get("CONSENTRY_OUT") or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    return out
 
 
 def _load_config(path: str) -> dict:
@@ -155,11 +157,11 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     scenario = ScenarioConfig.from_dict(_topology_beside(raw, args.config))
+    out = _out_dir(args)
     reports = []
     for topo, report in _run_trials(scenario):
         report.extra["diameter"] = topo.diameter()
         reports.append(report)
-    out = _out_dir(args)
     _write_report(out, raw, reports)
     _write_summary(out, scenario, reports)
 

@@ -108,17 +108,6 @@ class SlotVector:
     def __getitem__(self, i):
         return float(self._values[i])
 
-    def __iter__(self):
-        return iter(self._values)
-
-    def __eq__(self, other):
-        if not isinstance(other, SlotVector):
-            return NotImplemented
-        return np.array_equal(self._values, other._values)
-
-    def __repr__(self):
-        return f"SlotVector({self.to_list()!r})"
-
 
 @dataclass(frozen=True)
 class PublicPart:
@@ -623,20 +612,16 @@ class SlotBackend(SlotEngine):
                 "unprepared-exposure", holder,
                 f"keyholder saw raw aggregate {ct.handle} (kind={kind})"))
 
-    def keys_by_holder(self) -> dict:
-        """Each actor that holds a key -> the ids of the keys it holds.  Keys
-        are made at `keygen`, before a simulation runs, so the map is fixed
-        for the run."""
-        held: dict = {}
-        for key_id, holder in self._holders.items():
-            held[holder] = held.get(holder, frozenset()) | {key_id}
-        return held
+    def key_holders(self) -> dict:
+        """A copy of the map from each key id to its holder.  Keys are made at
+        `keygen`, before a simulation runs, so the map is fixed for the run."""
+        return dict(self._holders)
 
     def record_possession(self, observer, ct: Ciphertext):
         """The simulator's call for `observer` coming to hold `ct`: flags the
         key's holder seeing an unprepared aggregate.  It acts only when
         `observer` holds `ct`'s key, so the simulator calls it only for a
-        ciphertext under a key `keys_by_holder()` gives `observer`.  It
+        ciphertext under a key `key_holders()` maps to `observer`.  It
         keeps no ledger entry; the simulator's delivery log is the record of
         possession."""
         if self._holders.get(ct.key_id) == observer:

@@ -66,9 +66,9 @@ class FaultPlan:
 _PROTOCOLS = ("avg-trusted", "avg-untrusted", "outlier", "election")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Experiment input for one simulation (or a batch of trials)."""
+    """Experiment input for one simulation (or a batch of trials), checked when made."""
 
     protocol: str
     topology: object                 # Topology | dict | path to JSON file
@@ -97,11 +97,9 @@ class ScenarioConfig:
         kwargs = dict(raw)
         if "faults" in kwargs and not isinstance(kwargs["faults"], FaultPlan):
             kwargs["faults"] = FaultPlan.from_list(kwargs["faults"])
-        cfg = cls(**kwargs)
-        cfg.basic_validate()
-        return cfg
+        return cls(**kwargs)
 
-    def basic_validate(self):
+    def __post_init__(self):
         checks = {"seed": _is_int, "max_latency": _is_int, "trials": _is_int,
                   "noise_epsilon": _is_real}
         if self.c is not None:
@@ -198,11 +196,6 @@ class SchedulePolicy:
         self.mode = mode
         self.max_latency = int(max_latency)
         self._rng = random.Random(seed)
-
-    @property
-    def longest(self) -> int:
-        """The largest latency a send can draw."""
-        return 1 if self.mode == "sync" else self.max_latency
 
 
 @dataclass
@@ -337,7 +330,7 @@ class Simulation:
     entry of its own.
 
     Each delivery is audited as it happens, before its receiver's callback.
-    A delivered ciphertext under a key its receiver holds (`keys_by_holder()`,
+    A delivered ciphertext under a key its receiver holds (`key_holders()`,
     fixed before the run) is reported to the engine, which checks the ledger
     rules; a possession by anyone but the key's holder cannot break them, so
     it is not reported.  Every delivery's plaintext fields are checked for
@@ -440,14 +433,14 @@ class Simulation:
             crashes.setdefault(crash.time, []).append(crash.process)
         # the slowest drain seen over ring/path/star/tree/random/complete
         # graphs and all four protocols took about 3 * n * L
-        stop = max(crashes, default=0) + 10 * self.policy.longest * (self.topology.n + 2)
+        longest = 1 if self._sync else self._span
+        stop = max(crashes, default=0) + 10 * longest * (self.topology.n + 2)
 
         for pid in order:
             nodes[pid].on_start(ctxs[pid])
         calendar, crashed_at = self._calendar, self._crashed_at
         log, record = self._message_log, backend.record_possession
-        keys_of = backend.keys_by_holder()
-        holder_of = {key: holder for holder, keys in keys_of.items() for key in keys}
+        holder_of = backend.key_holders()
         rank = {actor: i for i, actor in enumerate(order)}
         deadline_hit = False
         delivered = batches = 0
@@ -498,10 +491,9 @@ class Simulation:
                         if msg.extra:
                             self._check_leaks(frm, msg)
                 if dst in holding:
-                    keys = keys_of[dst]
                     for frm, msg in deliveries:
                         for ct in msg.ciphertexts:
-                            if ct.key_id in keys:
+                            if holder_of.get(ct.key_id) == dst:
                                 record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
 
@@ -569,7 +561,6 @@ def _float_leaves(value):
 
 def run(scenario: ScenarioConfig, trial: int = 0) -> SimReport:
     """Execute one trial of a scenario; deterministic in (scenario, seed, trial)."""
-    scenario.basic_validate()
     topo = scenario.resolve_topology(trial)
     if not topo.is_connected():
         raise ScenarioError(f"topology is disconnected: {topo!r}")

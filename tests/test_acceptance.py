@@ -12,7 +12,7 @@ import pytest
 
 from consentry import netsim
 from consentry import topology as topo
-from consentry.avg_consensus import NON_VIABLE, run_untrusted
+from consentry.avg_consensus import NON_VIABLE
 from consentry.leader_election import elect_winner
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 
@@ -262,14 +262,16 @@ def test_criterion_7_untrusted_viability_on_trees():
         n = rng.randrange(4, 9)
         t = topo.random_tree(n, rng)
         inputs = [rng.uniform(-100, 100) for _ in range(n)]
-        result = run_untrusted(t, inputs, seed=trial)
+        report = netsim.run(ScenarioConfig(protocol="avg-untrusted", topology=t,
+                                           inputs=inputs, seed=trial))
         want = mean_oracle(inputs)
         for k in range(n):
+            got = report.extra[f"initiator_result/{k}"]
             if t.degree(k) == 1:            # leaf: viable, correct
-                ok = ok and result[k] is not None and result[k] != NON_VIABLE \
-                    and abs(result[k] - want) <= 1e-9
+                ok = ok and got is not None and got != NON_VIABLE \
+                    and abs(got - want) <= 1e-9
             else:                           # internal tree node: cut vertex
-                ok = ok and result[k] == NON_VIABLE
+                ok = ok and got == NON_VIABLE
     _verdict(7, "tree initiators: leaves succeed, cut vertices non-viable", ok)
 
 

@@ -16,8 +16,7 @@ from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
                                      fold, init_consensus, instance_for_initiator,
-                                     on_receive, prepare, run_untrusted,
-                                     try_decide)
+                                     on_receive, prepare, try_decide)
 from consentry.outlier_consensus import init_round3, survivors
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 
@@ -489,37 +488,42 @@ def test_dedup_never_blocks_termination_async():
             assert abs(report.decided_values[pid] - mean_oracle(inputs)) < 1e-9
 
 
+def untrusted_report(topology, inputs, **kw):
+    return netsim.run(netsim.ScenarioConfig("avg-untrusted", topology, inputs, **kw))
+
+
 def test_untrusted_star_center_non_viable():
-    result = run_untrusted(topo.star(5), [1, 2, 3, 4, 5])
-    assert result[0] == NON_VIABLE
+    report = untrusted_report(topo.star(5), [1, 2, 3, 4, 5])
+    assert report.termination == "decided"
+    assert report.extra["initiator_result/0"] == NON_VIABLE
     for leaf in range(1, 5):
-        assert result[leaf] == pytest.approx(3.0, abs=1e-9)
+        assert report.extra[f"initiator_result/{leaf}"] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_untrusted_path_leaves_succeed():
-    result = run_untrusted(topo.path(3), [1.0, 2.0, 3.0], initiators={0, 2})
-    assert result[0] == pytest.approx(2.0, abs=1e-9)
-    assert result[2] == pytest.approx(2.0, abs=1e-9)
-    assert 1 not in result
+    report = untrusted_report(topo.path(3), [1.0, 2.0, 3.0], initiators={0, 2})
+    assert report.extra["initiator_result/0"] == pytest.approx(2.0, abs=1e-9)
+    assert report.extra["initiator_result/2"] == pytest.approx(2.0, abs=1e-9)
+    assert "initiator_result/1" not in report.extra
 
 
 def test_untrusted_ring_all_viable_and_agree():
     inputs = [4.0, -1.0, 2.5, 10.0]
-    result = run_untrusted(topo.ring(4), inputs, seed=9)
+    report = untrusted_report(topo.ring(4), inputs, seed=9)
     want = mean_oracle(inputs)
     for k in range(4):
-        assert result[k] == pytest.approx(want, abs=1e-9)
+        assert report.extra[f"initiator_result/{k}"] == pytest.approx(want, abs=1e-9)
 
 
 def test_untrusted_average_includes_initiator_vote():
     # initiator 0's vote is injected through its neighbor's seed merge
-    result = run_untrusted(topo.path(3), [90.0, 0.0, 0.0], initiators={0})
-    assert result[0] == pytest.approx(30.0, abs=1e-9)
+    report = untrusted_report(topo.path(3), [90.0, 0.0, 0.0], initiators={0})
+    assert report.extra["initiator_result/0"] == pytest.approx(30.0, abs=1e-9)
 
 
 def test_untrusted_rejects_out_of_range_initiators():
-    with pytest.raises(ValueError):
-        run_untrusted(topo.path(3), [1.0, 2.0, 3.0], initiators={7})
+    with pytest.raises(ValueError, match="initiators out of range"):
+        untrusted_report(topo.path(3), [1.0, 2.0, 3.0], initiators={7})
 
 
 def test_prepare_divides_out_counts_beyond_int64():

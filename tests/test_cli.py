@@ -551,3 +551,22 @@ def test_negative_seed_exits_2_naming_the_key(tmp_path, capsys, command, extra):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: seed ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, extra", [("run", []), ("sweep", ["--vary", "n=4"])],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-a-file"])
+def test_an_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch,
+                                                        command, extra, under):
+    # a FileExistsError or NotADirectoryError traceback once ended the run,
+    # and `run` met it only after every trial had run
+    monkeypatch.setattr(netsim, "run", lambda *a, **kw: pytest.fail("a trial ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    rc = main([command, "--config", str(CONFIGS / "sweep_base.json"),
+               "--out", str(out)] + extra)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1

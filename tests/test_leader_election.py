@@ -335,15 +335,28 @@ def test_noisy_tallies_round_within_their_noise_bound(eps):
     assert all(report.decided_values[p] == want for p in range(4))
 
 
-def test_tally_rejects_noise_that_hides_the_integers():
+# n = 3: slot p * 3 + s counts ballots (p, s), slot 9 + p primary-only ones
+@pytest.mark.parametrize("slots, contributors, eps, error, message", [
+    ({0: 1, 5: 1, 9: 1}, None, 0.0, CorruptedTallyError,
+     r"diagonal \(primary == secondary\) is nonzero"),
+    ({1: 2, 5: 2, 9: -1}, None, 0.0, CorruptedTallyError, "negative tally entry"),
+    ({1: 1, 5: 1, 9: 1}, 0b011, 0.0, CorruptedTallyError,
+     "total ballots 3 != contributor count 2"),
+    ({1: 1, 5: 1, 9: 1}, None, 0.5, ValueError,
+     "noise_epsilon too large to round tallies to integers"),
+], ids=["nonzero-diagonal", "negative-entry", "ballots-not-the-support",
+        "noise-hides-the-integers"])
+def test_tally_rejects_a_corrupted_aggregate(slots, contributors, eps, error, message):
     n = 3
     _, cap = ballot_layout(n)
-    backend = SlotBackend(BackendConfig(cap, noise_epsilon=0.1), seed=1)
+    backend = SlotBackend(BackendConfig(cap, noise_epsilon=eps), seed=1)
     km = backend.keygen("T")
-    ct = complete_ct_for([(0, 1)] * 3, n, backend, km)
-    assert ct.noise_bound >= 0.49
-    with pytest.raises(ValueError, match="noise_epsilon"):
-        tally(backend, km.secret_part, ct, n, caller="T")
+    vec = np.zeros(cap)
+    for slot, value in slots.items():
+        vec[slot] = value
+    ct = backend.mark_prepared(backend.encrypt(km.public_part, SlotVector(vec), ("T", "x")))
+    with pytest.raises(error, match=message):
+        tally(backend, km.secret_part, ct, n, caller="T", contributors=contributors)
 
 
 def test_lone_process_elects_itself():
@@ -455,6 +468,37 @@ class RecordingContext:
 
     def mark_complete(self, instance):
         pass
+
+
+class CollectorContext:
+    pid = netsim.TRUSTED
+    decided = None
+
+    def decide(self, value):
+        self.decided = value
+
+    def note(self, key, value):
+        pass
+
+    def broadcast_processes(self, msg):
+        pass
+
+
+def test_complete_lineages_with_one_support_and_two_tallies_are_a_fault():
+    n = 3
+    setup = build(topo.ring(n), [{"primary": 0}] * n, seed=1)
+    backend, collector = setup.backend, setup.nodes[netsim.TRUSTED]
+    # both copies count all three processes; one tallies (2, 1, 0), the other (1, 2, 0)
+    votes = [complete_ct_for(ballots, n, backend, collector.key)
+             for ballots in ([(0, None), (0, None), (1, None)],
+                             [(1, None), (1, None), (0, None)])]
+    batch = [(pid, ProtocolMessage("elect/0", PREPARED, votes_ct=ct, support=0b111))
+             for pid, ct in enumerate(votes)]
+    ctx = CollectorContext()
+    with pytest.raises(CorruptedTallyError,
+                       match="complete lineages disagree on primary tallies"):
+        collector.on_deliver(ctx, batch)
+    assert ctx.decided == 0
 
 
 def test_a_completing_copy_goes_out_with_its_own_support():

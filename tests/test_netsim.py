@@ -1,5 +1,6 @@
 """Simulator determinism, scheduling modes, crash faults, privacy auditor."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -270,9 +271,20 @@ def test_scenario_config_rejects_with_its_message(raw, message):
     if isinstance(raw, dict):
         raw = {"protocol": "avg-trusted", "topology": topo.ring(4).to_dict(),
                "inputs": [1, 2, 3, 4], **raw}
+        # a directly built config is checked when it is made, as from_dict's is
+        with pytest.raises(ScenarioError) as made:
+            ScenarioConfig(**raw)
+        assert str(made.value) == message
     with pytest.raises(ScenarioError) as err:
         ScenarioConfig.from_dict(raw)
     assert str(err.value) == message
+
+
+def test_a_checked_scenario_config_cannot_change():
+    sc = ring4_scenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.max_latency = 0
+    assert sc.max_latency == 4
 
 
 @pytest.mark.parametrize("crash", [
