@@ -239,8 +239,6 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
         if msg.instance != instance:
             log.warning("dropping message for %s at state %s", msg.instance, instance)
             continue
-        if msg.kind != AGGREGATE:
-            continue
         other = msg.support
         if not other & ~support:
             continue
@@ -370,9 +368,10 @@ class FloodingNode(netsim.Node):
     diameter * degree.  A rebroadcast is one multicast to the instance's
     fan-out, a destination tuple fixed once per instance: `fanout[instance]`
     where a subclass set it, otherwise the neighbours.  A decided instance's
-    prepared aggregate goes only to the actors that read it, as
-    `_prepared_readers` names them: by default the trusted collector, which
-    gets one straight from every decider.
+    prepared aggregate goes only to the actors that read it, likewise
+    `readers[instance]` where a subclass set it, otherwise the trusted
+    collector, which gets one straight from every decider.  `_start` stores
+    and announces a process's own new state.
     Subclasses say what PREPARED and RESULT messages mean to them.
     `required_mask`, the processes this one waits for, is all n until an
     outlier or election node narrows it to `survivors` on a crash notice.
@@ -384,15 +383,19 @@ class FloodingNode(netsim.Node):
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
         self.fanout: dict[str, tuple] = {}
+        self.readers: dict[str, tuple] = {}
         self.required_mask = (1 << n) - 1
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
         return state.snapshot()
 
-    def _prepared_readers(self, ctx, instance: str) -> tuple:
-        """The actors that read the instance's prepared aggregate; a decider
-        sends it to each of them and to no one else."""
-        return (netsim.TRUSTED,)
+    def _start(self, ctx, state: ConsensusState, msg: ProtocolMessage):
+        """Adopt a new state under this node's quorum, broadcast it, and
+        decide it if that quorum is already met."""
+        state.required_mask = self.required_mask
+        self.states[state.instance] = state
+        ctx.broadcast(msg)
+        self._try_decide(ctx, state)
 
     def on_deliver(self, ctx, batch):
         per_instance: dict[str, list] = defaultdict(list)
@@ -424,7 +427,7 @@ class FloodingNode(netsim.Node):
         """Send what `try_decide` returned for a decided instance to its
         readers; with none, no message is built."""
         ctx.mark_complete(instance)
-        readers = self._prepared_readers(ctx, instance)
+        readers = self.readers.get(instance, (netsim.TRUSTED,))
         if readers:
             votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
             ctx.multicast(readers, ProtocolMessage(instance, PREPARED, votes_ct=votes,
@@ -451,11 +454,8 @@ class AvgProcessNode(FloodingNode):
         return self.states.get(INSTANCE_TRUSTED)
 
     def on_start(self, ctx):
-        state, msg = init_consensus(self.pid, self.value, self.pk,
-                                    self.n, self.backend)
-        self.states[INSTANCE_TRUSTED] = state
-        ctx.broadcast(msg)
-        self._try_decide(ctx, state)
+        self._start(ctx, *init_consensus(self.pid, self.value, self.pk,
+                                         self.n, self.backend))
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["average"])
@@ -534,30 +534,28 @@ class UntrustedProcessNode(FloodingNode):
     the flooding, and decrypts the first prepared aggregate its neighbours
     send it.  So `on_start` fixes each other instance's fan-out as the
     neighbours other than its initiator, and its prepared readers as that
-    initiator when it is a neighbour.  Each node broadcasts one RESULT, the
-    one it decides on: its own instance's, or the first that reaches it,
-    forwarded.
+    initiator when it is a neighbour, else no one.  A node holds every
+    viable initiator's public key and only its own secret key.  Each node
+    broadcasts one RESULT, the one it decides on: its own instance's, or the
+    first that reaches it, forwarded.
     """
 
     def __init__(self, pid: int, value: float, n: int, backend: SlotEngine,
-                 keys: dict, viable: dict):
+                 pks: dict, viable: dict, secret):
         super().__init__(pid, n, backend)
         self.value = value
-        self.keys = keys               # viable initiator -> KeyMaterial (secret used by owner only)
+        self.pks = pks                 # viable initiator -> PublicPart
+        self.secret = secret           # own SecretPart, if a viable initiator
         self.viable = viable           # initiator -> bool
-        self.readers: dict[str, tuple] = {}   # instance -> its initiator, if a neighbour
         self.opened = False            # own instance's prepared aggregate decrypted
         self.decided = False           # a RESULT decided on and broadcast
-
-    def _prepared_readers(self, ctx, instance):
-        return self.readers[instance]
 
     def on_start(self, ctx):
         if self.viable.get(self.pid) is False:
             ctx.note(f"initiator_result/{self.pid}", NON_VIABLE)
-        for k, key in sorted(self.keys.items()):
+        for k, pk in sorted(self.pks.items()):
             instance = instance_for_initiator(k)
-            state, msg = init_consensus(self.pid, self.value, key.public_part,
+            state, msg = init_consensus(self.pid, self.value, pk,
                                         self.n, self.backend, instance)
             if k == self.pid:
                 ctx.send(min(ctx.neighbors), msg)
@@ -577,7 +575,7 @@ class UntrustedProcessNode(FloodingNode):
         if self.opened:
             return
         self.opened = True
-        value = finalize_trusted(self.backend, self.keys[self.pid].secret_part,
+        value = finalize_trusted(self.backend, self.secret,
                                  msg.votes_ct, self.n, caller=self.pid)
         ctx.note(f"initiator_result/{self.pid}", value)
         self._handle_result(ctx, ProtocolMessage(
@@ -601,10 +599,12 @@ def build_untrusted(topology: Topology, inputs, initiators=None, *,
     cut = topology.cut_vertices()
     viable = {k: k not in cut for k in initiators}
     keys = {k: backend.keygen(k) for k in initiators if viable[k]}
+    pks = {k: key.public_part for k, key in keys.items()}
+    secrets = {k: key.secret_part for k, key in keys.items()}
     nodes = {}
     for pid in range(n):
-        nodes[pid] = UntrustedProcessNode(pid, values[pid], n, backend,
-                                          keys, viable)
+        nodes[pid] = UntrustedProcessNode(pid, values[pid], n, backend, pks, viable,
+                                          secrets.get(pid))
     return netsim.ProtocolSetup(
         nodes=nodes, backend=backend,
         private_values=frozenset(values),

@@ -81,14 +81,6 @@ class SlotVector:
         self._values = arr
 
     @classmethod
-    def zeros(cls, capacity: int) -> "SlotVector":
-        return cls(np.zeros(capacity))
-
-    @classmethod
-    def ones(cls, capacity: int) -> "SlotVector":
-        return cls(np.ones(capacity))
-
-    @classmethod
     def impulse(cls, capacity: int, index: int, value: float = 1.0) -> "SlotVector":
         """Vector that is `value` at `index` and zero elsewhere."""
         arr = np.zeros(capacity)
@@ -99,14 +91,8 @@ class SlotVector:
     def values(self) -> np.ndarray:
         return self._values
 
-    def to_list(self) -> list[float]:
-        return [float(x) for x in self._values]
-
     def __len__(self) -> int:
         return len(self._values)
-
-    def __getitem__(self, i):
-        return float(self._values[i])
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,10 @@ def flat_index(n: int, primary: int, secondary: int | None) -> int:
     return primary * n + secondary
 
 
-def make_ballot_vector(ballot: Ballot, n: int, capacity: int | None = None) -> SlotVector:
-    """One-hot encoding of a ballot in the flattened matrix layout."""
-    _, cap = ballot_layout(n)
-    if capacity is not None:
-        cap = capacity
-    return SlotVector.impulse(cap, flat_index(n, ballot.primary, ballot.secondary))
+def make_ballot_vector(ballot: Ballot, n: int, capacity: int) -> SlotVector:
+    """One-hot encoding of a ballot in the flattened matrix layout, in a
+    vector of `capacity` slots (`ballot_layout`)."""
+    return SlotVector.impulse(capacity, flat_index(n, ballot.primary, ballot.secondary))
 
 
 def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
@@ -98,17 +96,17 @@ def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
 
 def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
                         ballot_vec: SlotVector, pk, backend: SlotEngine,
-                        pid: int, n: int, required_mask: int | None = None):
+                        pid: int, n: int, required_mask: int):
     """Adopt a strictly larger copy, adding this process's ballot to it once.
 
     The copy's size counts the ballot it would gain, so a copy no larger
     than the held one is rejected before `ballot_vec`, the encoded ballot,
     is encrypted; only an adopted copy that lacks this process pays for
     `encrypt` and `add_ct`.  A copy is complete once its support covers
-    `required_mask` (every process when None).  Returns (state, whether the
-    copy was adopted, complete ciphertext or None); the complete ciphertext
-    goes with the returned state's support, and the caller announces an
-    adopted copy that is not complete.
+    `required_mask`.  Returns (state, whether the copy was adopted, complete
+    ciphertext or None); the complete ciphertext goes with the returned
+    state's support, and the caller announces an adopted copy that is not
+    complete.
     """
     support = msg.support
     lacks = not (support >> pid & 1)
@@ -125,8 +123,6 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
                                counts=None, support=support)
     else:
         state.votes_ct, state.support = cand_ct, support
-    if required_mask is None:
-        required_mask = (1 << n) - 1
     if not required_mask & ~support:
         return state, True, backend.mark_prepared(cand_ct)
     return state, True, None
@@ -146,12 +142,11 @@ class TallyResult:
 
 
 def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
-          caller=None, contributors: int | None = None) -> TallyResult:
+          caller=None, *, contributors: int) -> TallyResult:
     """Decrypt a complete ballot aggregate and reshape into tallies.
 
     `contributors` is the lineage's support bitmask; the ballots must number
-    exactly its set bits (all n processes when not given, fewer when crashed
-    processes were left out).
+    exactly its set bits (fewer than n when crashed processes were left out).
     """
     if not complete_ct.prepared:
         raise CorruptedTallyError("refusing to tally an incomplete aggregate")
@@ -175,7 +170,7 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     if np.any(ints < 0):
         raise CorruptedTallyError("negative tally entry")
     primary = matrix.sum(axis=1) + primary_only
-    count = n if contributors is None else contributors.bit_count()
+    count = contributors.bit_count()
     if int(primary.sum()) != count:
         raise CorruptedTallyError(
             f"total ballots {int(primary.sum())} != contributor count {count}")
@@ -336,8 +331,6 @@ class ElectionCollectorNode(netsim.Node):
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
-            if msg.kind != PREPARED:
-                continue
             t = tally(self.backend, self.key.secret_part, msg.votes_ct,
                       self.n, caller=ctx.pid, contributors=msg.support)
             first = self.tallies.setdefault(msg.support, t)

@@ -94,12 +94,12 @@ class ScenarioConfig:
         for key in ("protocol", "topology", "inputs"):
             if key not in raw:
                 raise ScenarioError(f"missing required config key {key!r}")
-        kwargs = dict(raw)
-        if "faults" in kwargs and not isinstance(kwargs["faults"], FaultPlan):
-            kwargs["faults"] = FaultPlan.from_list(kwargs["faults"])
-        return cls(**kwargs)
+        return cls(**raw)
 
     def __post_init__(self):
+        if not isinstance(self.faults, FaultPlan):
+            # the class is frozen; a list of crash faults becomes its plan
+            object.__setattr__(self, "faults", FaultPlan.from_list(self.faults))
         checks = {"seed": _is_int, "max_latency": _is_int, "trials": _is_int,
                   "noise_epsilon": _is_real}
         if self.c is not None:
@@ -334,12 +334,13 @@ class Simulation:
     fixed before the run) is reported to the engine, which checks the ledger
     rules; a possession by anyone but the key's holder cannot break them, so
     it is not reported.  Every delivery's plaintext fields are checked for
-    private inputs.  The log, the plaintext check and the possession report
-    are separate passes over a receiver's batch, each made only when it can
-    apply: with `keep_log`, when some message of that time carries
-    plaintext fields, and when a message of that time hands the receiver a
-    ciphertext under a key it holds, which is found once per calendar entry
-    from the key's one holder.  The trace counts deliveries and delivery
+    private inputs.  The log and the plaintext check are passes over a
+    receiver's batch, each made only when it can apply: with `keep_log`,
+    and when some message of that time carries plaintext fields.  The
+    possession report needs no pass of its own: the scan of a time's
+    calendar entries lists each ciphertext under the key's one holder, when
+    that holder is a destination, in delivery order, and the holder's list
+    is reported before its callback.  The trace counts deliveries and delivery
     batches either way.  Only with `keep_log=True` does the run also keep
     every delivered message, the one record of who came to hold which
     ciphertext; by default memory does not grow with traffic.
@@ -464,7 +465,7 @@ class Simulation:
 
             per_receiver = defaultdict(list)
             plain = False    # some message of this time has plaintext fields
-            holding = set()  # receivers handed a ciphertext under their own key
+            held = {}        # receiver -> ciphertexts it gets under its own key
             for frm, dsts, msg in calendar.pop(now):
                 if crashed_at:
                     if frm in crashed_at:
@@ -475,7 +476,7 @@ class Simulation:
                 for ct in msg.ciphertexts:
                     holder = holder_of.get(ct.key_id)
                     if holder is not None and holder in dsts:
-                        holding.add(holder)
+                        held.setdefault(holder, []).append(ct)
                 delivery = (frm, msg)
                 for dst in dsts:
                     per_receiver[dst].append(delivery)
@@ -490,11 +491,8 @@ class Simulation:
                     for frm, msg in deliveries:
                         if msg.extra:
                             self._check_leaks(frm, msg)
-                if dst in holding:
-                    for frm, msg in deliveries:
-                        for ct in msg.ciphertexts:
-                            if holder_of.get(ct.key_id) == dst:
-                                record(dst, ct)
+                for ct in held.get(dst, ()):
+                    record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
 
         report = self._build_report(deadline_hit)

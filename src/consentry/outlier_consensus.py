@@ -18,7 +18,6 @@ aggregates together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,17 +38,6 @@ class AllOutliersError(Exception):
     """Round 3 had no participants: every value was classified an outlier."""
 
 
-@dataclass(frozen=True)
-class OutlierParams:
-    """Standard-deviation multiplier defining the outlier band."""
-
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-
-
 def round2_input(v: float, mu: float) -> float:
     """Squared deviation fed into the variance round."""
     return (v - mu) ** 2
@@ -68,8 +56,6 @@ def sigma_from_round2(variance_avg: float) -> float:
 
 def is_outlier(v: float, mu: float, sigma: float, c: float) -> bool:
     """Strict test: boundary values are not outliers."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
     return abs(v - mu) > c * sigma
 
 
@@ -157,7 +143,7 @@ class OutlierProcessNode(FloodingNode):
                  backend: SlotEngine, route: str = "decrypt"):
         super().__init__(pid, n, backend)
         self.value = float(value)
-        self.params = OutlierParams(c)
+        self.c = c                     # the outlier band's width in sigmas
         self.pk = pk
         self.route = route
         self.mu: float | None = None
@@ -165,12 +151,6 @@ class OutlierProcessNode(FloodingNode):
         self.mean_ct: Ciphertext | None = None
 
     # round bootstrap ------------------------------------------------------
-
-    def _start(self, ctx, state: ConsensusState, msg: ProtocolMessage):
-        state.required_mask = self.required_mask
-        self.states[state.instance] = state
-        ctx.broadcast(msg)
-        self._try_decide(ctx, state)
 
     def _start_core(self, ctx, instance: str, value: float = None,
                     contribution: Ciphertext = None):
@@ -186,7 +166,7 @@ class OutlierProcessNode(FloodingNode):
                 self.backend, self.mean_ct, self.value, self.pid, self.pk))
 
     def _start_round3(self, ctx):
-        outlier = is_outlier(self.value, self.mu, self.sigma, self.params.c)
+        outlier = is_outlier(self.value, self.mu, self.sigma, self.c)
         self._start(ctx, *init_round3(self.pid, self.value, outlier,
                                       self.pk, self.n, self.backend))
 
@@ -290,6 +270,8 @@ def build(topology: Topology, inputs, c: float, *, variance_route: str = "decryp
     nodes = {}
     values = _finite_values(inputs)
     _sum_fits(values, squares=True)
+    if c <= 0:
+        raise ValueError(f"c must be positive, got {c}")
     for pid in range(n):
         nodes[pid] = OutlierProcessNode(pid, values[pid], c, key.public_part,
                                         n, backend, route=variance_route)

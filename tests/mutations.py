@@ -44,7 +44,7 @@ class MisroutingUntrustedNode(UntrustedProcessNode):
 
     def on_start(self, ctx):
         super().on_start(ctx)
-        for k in self.keys:
+        for k in self.pks:
             state = self.states.get(instance_for_initiator(k))
             if state is not None and k in ctx.neighbors:
                 ctx.send(k, state.snapshot())
@@ -54,10 +54,10 @@ def mutated_untrusted_setup(t, inputs, seed):
     """An avg-untrusted setup on `t` with every process replaced by
     `MisroutingUntrustedNode`."""
     setup = build_untrusted(t, inputs, seed=seed)
-    keys, viable = setup.nodes[0].keys, setup.nodes[0].viable
     for pid in range(t.n):
-        setup.nodes[pid] = MisroutingUntrustedNode(pid, inputs[pid], t.n,
-                                                   setup.backend, keys, viable)
+        node = setup.nodes[pid]
+        setup.nodes[pid] = MisroutingUntrustedNode(pid, inputs[pid], t.n, setup.backend,
+                                                   node.pks, node.viable, node.secret)
     return setup
 
 

@@ -202,7 +202,7 @@ def test_on_receive_double_count_then_prepare_undoes_it():
     assert state0.counts.tolist() == [1, 2, 1, 1]   # vote of 1 counted twice
     assert dec is not None                           # all counts nonzero
     got = b.decrypt(km.secret_part, dec)
-    assert abs(got[0] - mean_oracle(list(v.values()))) < 1e-12
+    assert abs(got.values[0] - mean_oracle(list(v.values()))) < 1e-12
 
 
 def test_on_receive_decision_trigger():
@@ -247,7 +247,7 @@ def _fold_against_on_receive(make, eps=0.0, cap=8):
         seen.append((merged, decision, state.counts.tobytes(), state.support, state.phase,
                      [(b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.taint_mask)
                       for ct in channels],
-                     b.encrypt(km.public_part, SlotVector.zeros(cap), ("p", "z")).handle))
+                     b.encrypt(km.public_part, SlotVector(np.zeros(cap)), ("p", "z")).handle))
     assert seen[0] == seen[1]
     return seen[1]
 
@@ -526,6 +526,41 @@ def test_untrusted_rejects_out_of_range_initiators():
         untrusted_report(topo.path(3), [1.0, 2.0, 3.0], initiators={7})
 
 
+def _reachable(root):
+    """Every object reachable from `root` through containers, attributes and slots."""
+    stack, seen = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif not isinstance(obj, type):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            stack.extend(getattr(obj, a) for a in getattr(type(obj), "__slots__", ())
+                         if hasattr(obj, a))
+
+
+@pytest.mark.parametrize("family, holders", [("ring", {0, 1, 2, 3, 4}),
+                                              ("star", {1, 2, 3, 4})])
+def test_untrusted_node_holds_only_its_own_secret(family, holders):
+    # the star's hub is a cut vertex, so it initiates nothing and holds no key
+    t = getattr(topo, family)(5)
+    setup = build_untrusted(t, [1.0, 2.0, 3.0, 4.0, 5.0], seed=3)
+    assert set(setup.backend.key_holders().values()) == holders
+    for pid in range(t.n):
+        secrets = [o for o in _reachable(setup.nodes[pid])
+                   if isinstance(o, he_slots.SecretPart)]
+        assert [s.holder for s in secrets] == ([pid] if pid in holders else [])
+    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    assert report.termination == "decided"
+
+
 def test_prepare_divides_out_counts_beyond_int64():
     b = make_backend()
     km = b.keygen("T")
@@ -537,7 +572,7 @@ def test_prepare_divides_out_counts_beyond_int64():
                           counts=(0, big, big, big))
     state, out, dec = on_receive(state, msg, b)
     assert out and dec is not None
-    assert b.decrypt(km.secret_part, dec)[0] == pytest.approx(4.75, abs=1e-12)
+    assert b.decrypt(km.secret_part, dec).values[0] == pytest.approx(4.75, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from consentry import netsim
+from consentry import avg_consensus, netsim
 from consentry.avg_consensus import PreparedSlotsError, PrivacyGuardError
 from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
 from consentry.he_slots import MAX_NOISE_EPSILON
 from consentry.leader_election import CorruptedTallyError
+import mutations
 from oracles import irv_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -114,6 +115,26 @@ def test_run_unexpected_termination_exits_3(tmp_path):
         "expect_termination": False,
     }))
     assert main(["run", "--config", str(cfg2), "--out", str(tmp_path)]) == EXIT_OK
+
+
+def test_a_plaintext_leak_is_reported_and_exits_3(tmp_path, monkeypatch):
+    def leaky(topology, inputs, *, seed=0, noise_epsilon=0.0):
+        return mutations.mutated_setup(topology, inputs, mutations.LeakyAvgNode, seed)
+    monkeypatch.setattr(avg_consensus, "build_trusted", leaky)
+    config = CONFIGS / "ring4_avg.json"
+    violations = netsim.run(netsim.ScenarioConfig.from_dict(
+        json.loads(config.read_text()))).privacy_violations
+    assert violations
+    assert all(v["rule"] == "plaintext-leak" and isinstance(v["observer"], str)
+               for v in violations)
+    assert {v["observer"] for v in violations} == {"0", "1", "2", "3"}
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_ACCEPTANCE
+    report = json.loads((out / "report.json").read_text())
+    assert report["trials"][0]["privacy_violations"] == violations
+    assert read_summary(out)[0]["privacy_violations"] == str(len(violations))
+    assert main(["sweep", "--config", str(CONFIGS / "sweep_base.json"), "--vary", "n=4",
+                 "--out", str(tmp_path / "sweep")]) == EXIT_ACCEPTANCE
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

@@ -39,10 +39,10 @@ def test_ballot_layout_and_indices():
 
 
 def test_make_ballot_vector():
-    v = make_ballot_vector(Ballot(1, 0), 3)
-    assert len(v) == 16 and v[3] == 1.0 and sum(v.to_list()) == 1.0
-    v2 = make_ballot_vector(Ballot(2), 3)
-    assert v2[11] == 1.0
+    v = make_ballot_vector(Ballot(1, 0), 3, 16)
+    assert len(v) == 16 and v.values[3] == 1.0 and sum(v.values.tolist()) == 1.0
+    v2 = make_ballot_vector(Ballot(2), 3, 16)
+    assert v2.values[11] == 1.0
 
 
 def test_tie_break_examples():
@@ -161,7 +161,7 @@ def test_on_receive_election_contribution_rules():
     state, out, complete = on_receive_election(None, msg,
                                                make_ballot_vector(Ballot(2, 0), n, cap),
                                                km.public_part, backend,
-                                               pid=1, n=n)
+                                               pid=1, n=n, required_mask=0b111)
     assert state.support == 0b011 and state.counts is None
     assert out and complete is None
     payload = backend.inspect_payload(state.votes_ct)
@@ -172,13 +172,13 @@ def test_on_receive_election_contribution_rules():
     state2, out2, complete2 = on_receive_election(state, revisit,
                                                   make_ballot_vector(Ballot(2, 0), n, cap),
                                                   km.public_part, backend,
-                                                  pid=1, n=n)
+                                                  pid=1, n=n, required_mask=0b111)
     assert out2 is False and complete2 is None
     # final contributor completes the lineage: adopted, complete ciphertext
     state3, out3, complete3 = on_receive_election(None, revisit,
                                                   make_ballot_vector(Ballot(0, 1), n, cap),
                                                   km.public_part, backend,
-                                                  pid=2, n=n)
+                                                  pid=2, n=n, required_mask=0b111)
     assert complete3 is not None and complete3.prepared and out3 is True
 
 
@@ -199,7 +199,7 @@ def test_tally_roundtrip():
     backend = SlotBackend(BackendConfig(cap), seed=1)
     km = backend.keygen("T")
     ct = complete_ct_for(FIG2_BALLOTS[:n], n, backend, km)
-    t = tally(backend, km.secret_part, ct, n, caller="T")
+    t = tally(backend, km.secret_part, ct, n, caller="T", contributors=(1 << n) - 1)
     assert sum(t.primary_tallies) == n
     assert t.matrix[0][2] == 1 and t.matrix[0][1] == 1 and t.matrix[1][0] == 1
 
@@ -210,7 +210,7 @@ def test_tally_primary_only_column_identity():
     backend = SlotBackend(BackendConfig(cap), seed=1)
     km = backend.keygen("T")
     ct = complete_ct_for([(0, None), (2, None), (2, None)], n, backend, km)
-    t = tally(backend, km.secret_part, ct, n, caller="T")
+    t = tally(backend, km.secret_part, ct, n, caller="T", contributors=(1 << n) - 1)
     assert all(sum(row) == 0 for row in t.matrix)
     assert t.primary_tallies == t.primary_only == (1, 0, 2)
 
@@ -223,12 +223,13 @@ def test_tally_rejects_non_integral_and_unprepared():
     bad = backend.encrypt(km.public_part,
                           SlotVector([0.5] + [0.0] * (cap - 1)), ("T", "x"))
     with pytest.raises(CorruptedTallyError):
-        tally(backend, km.secret_part, backend.mark_prepared(bad), n, caller="T")
+        tally(backend, km.secret_part, backend.mark_prepared(bad), n, caller="T",
+              contributors=(1 << n) - 1)
     good = complete_ct_for([(0, 1)] * 3, n, backend, km)
     unprepared = backend.add_ct(good, backend.encrypt(
-        km.public_part, SlotVector.zeros(cap), ("T", "z")))
+        km.public_part, SlotVector(np.zeros(cap)), ("T", "z")))
     with pytest.raises(CorruptedTallyError):
-        tally(backend, km.secret_part, unprepared, n, caller="T")
+        tally(backend, km.secret_part, unprepared, n, caller="T", contributors=(1 << n) - 1)
 
 
 def test_voter_permutation_invariance():
@@ -240,12 +241,14 @@ def test_voter_permutation_invariance():
     backend = SlotBackend(BackendConfig(cap), seed=2)
     km = backend.keygen("T")
     t1 = tally(backend, km.secret_part,
-               complete_ct_for(ballots, n, backend, km), n, caller="T")
+               complete_ct_for(ballots, n, backend, km), n, caller="T",
+               contributors=(1 << n) - 1)
     rng = random.Random(0)
     shuffled = ballots[:]
     rng.shuffle(shuffled)
     t2 = tally(backend, km.secret_part,
-               complete_ct_for(shuffled, n, backend, km), n, caller="T")
+               complete_ct_for(shuffled, n, backend, km), n, caller="T",
+               contributors=(1 << n) - 1)
     assert t1 == t2
 
 
@@ -434,7 +437,7 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
     def fold(state, contributors):
         before = (len(encrypted), len(added), backend._handle_seq)
         state, adopted, complete = on_receive_election(
-            state, copies[contributors], ballot_vec, pk, backend, pid, n)
+            state, copies[contributors], ballot_vec, pk, backend, pid, n, (1 << n) - 1)
         calls = (len(encrypted) - before[0], len(added) - before[1])
         return state, adopted, complete, calls, backend._handle_seq - before[2]
 

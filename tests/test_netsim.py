@@ -265,8 +265,13 @@ def test_scenario_config_validation():
     ({"max_latency": 0}, "max_latency must be >= 1"),
     ({"trials": 0}, "trials must be >= 1"),
     ({"noise_epsilon": -1}, "noise_epsilon must be >= 0"),
+    ({"faults": "x"}, "faults must be a list of crash faults, got 'x'"),
+    ({"faults": [{"process": 1}]}, "a crash fault needs a process and a time: {'process': 1}"),
+    ({"faults": [{"process": 1, "time": -2}]},
+     "crash time must be >= 0: CrashFault(process=1, time=-2)"),
 ], ids=["not-a-dict", "schedule", "c", "variance-route", "initiators", "max-latency",
-        "trials", "noise-epsilon"])
+        "trials", "noise-epsilon", "faults-not-a-list", "fault-without-time",
+        "fault-at-negative-time"])
 def test_scenario_config_rejects_with_its_message(raw, message):
     if isinstance(raw, dict):
         raw = {"protocol": "avg-trusted", "topology": topo.ring(4).to_dict(),
@@ -278,6 +283,42 @@ def test_scenario_config_rejects_with_its_message(raw, message):
     with pytest.raises(ScenarioError) as err:
         ScenarioConfig.from_dict(raw)
     assert str(err.value) == message
+
+
+def test_a_fault_list_makes_the_same_config_however_it_is_built():
+    raw = {"protocol": "avg-trusted", "topology": {"family": "ring", "n": 4},
+           "inputs": [1, 2, 3, 4], "faults": [{"process": 1, "time": 2}]}
+    made, loaded = ScenarioConfig(**raw), ScenarioConfig.from_dict(raw)
+    assert made == loaded
+    assert made.faults == FaultPlan((CrashFault(process=1, time=2),))
+    assert netsim.run(made).to_json() == netsim.run(loaded).to_json()
+
+
+def test_a_second_crash_of_a_crashed_process_is_announced_once(monkeypatch):
+    notices = []
+    notice = outlier_consensus.OutlierProcessNode.on_crash_notice
+
+    def counted(node, ctx, crashed):
+        notices.append((node.pid, crashed))
+        return notice(node, ctx, crashed)
+    monkeypatch.setattr(outlier_consensus.OutlierProcessNode, "on_crash_notice", counted)
+    report = netsim.run(ScenarioConfig(
+        "outlier", topo.ring(5).to_dict(), [1, 2, 3, 4, 10], c=2,
+        faults=[{"process": 2, "time": 3}, {"process": 2, "time": 5}]))
+    assert report.termination == "decided"
+    assert report.decided_values == {0: 4.25, 1: 4.25, 3: 4.25, 4: 4.25,
+                                     netsim.TRUSTED: 4.25}
+    assert report.extra["crashed"] == {"2": 3}
+    assert notices == [(p, frozenset({2})) for p in (0, 1, 3, 4)]
+
+
+def test_a_crash_after_the_last_delivery_is_still_announced():
+    report = netsim.run(ScenarioConfig(
+        "avg-trusted", topo.ring(4).to_dict(), [1, 2, 3, 4],
+        faults=[{"process": 1, "time": 500}]))
+    assert report.termination == "decided"
+    assert report.decided_values == {0: 2.5, 1: 2.5, 2: 2.5, 3: 2.5, netsim.TRUSTED: 2.5}
+    assert report.extra["crashed"] == {"1": 500}
 
 
 def test_a_checked_scenario_config_cannot_change():

@@ -12,8 +12,7 @@ from consentry.avg_consensus import (PREPARED, RESULT, ConsensusState,
                                      finalize_trusted, prepare, try_decide)
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
-from consentry.outlier_consensus import (AllOutliersError, OutlierParams,
-                                         encrypted_variance, finalize_outlier,
+from consentry.outlier_consensus import (AllOutliersError, encrypted_variance, finalize_outlier,
                                          init_round3, is_outlier,
                                          on_receive_round3, round2_input,
                                          sigma_from_round2, survivors)
@@ -26,11 +25,12 @@ def make_backend(cap=4, eps=0.0, seed=2):
 
 
 def test_outlier_params_validation():
-    with pytest.raises(ValueError):
-        OutlierParams(0)
-    with pytest.raises(ValueError):
-        OutlierParams(-1)
-    assert OutlierParams(2.0).c == 2.0
+    t, values = topo.ring(3), [1.0, 2.0, 3.0]
+    for c in (0, -1):
+        with pytest.raises(ValueError, match=f"^c must be positive, got {c}$"):
+            outlier_consensus.build(t, values, c)
+    setup = outlier_consensus.build(t, values, 2.0)
+    assert [setup.nodes[p].c for p in range(3)] == [2.0, 2.0, 2.0]
 
 
 def test_round2_input():
@@ -113,8 +113,8 @@ def test_finalize_outlier_constants():
 def test_all_outliers_surfaces_typed_error():
     b = make_backend()
     km = b.keygen("T")
-    votes = b.encrypt(km.public_part, SlotVector.zeros(4), ("x", "agg"))
-    part = b.encrypt(km.public_part, SlotVector.zeros(4), ("x", "part"))
+    votes = b.encrypt(km.public_part, SlotVector(np.zeros(4)), ("x", "agg"))
+    part = b.encrypt(km.public_part, SlotVector(np.zeros(4)), ("x", "part"))
     pv = prepare(b, votes, [1, 1, 1, 1], 4)
     pp = prepare(b, part, [1, 1, 1, 1], 4)
     with pytest.raises(AllOutliersError):
@@ -159,7 +159,7 @@ def test_encrypted_variance_examples():
 
     var_ct = encrypted_variance(b, mean_ct_of([3.0, 3.0, 3.0, 3.0]),
                                 {i: 3.0 for i in range(4)}, km.public_part)
-    assert abs(b.decrypt(km.secret_part, var_ct)[0]) < 1e-9
+    assert abs(b.decrypt(km.secret_part, var_ct).values[0]) < 1e-9
 
     b2 = make_backend(cap=2, seed=5)
     km2 = b2.keygen("T")
@@ -168,7 +168,7 @@ def test_encrypted_variance_examples():
         b2.encrypt(km2.public_part, SlotVector.impulse(2, 1, 3.0), (1, "v")))
     mean_ct = prepare(b2, votes, [1, 1], 2)
     var_ct = encrypted_variance(b2, mean_ct, {0: 1.0, 1: 3.0}, km2.public_part)
-    assert b2.decrypt(km2.secret_part, var_ct)[0] == pytest.approx(1.0)
+    assert b2.decrypt(km2.secret_part, var_ct).values[0] == pytest.approx(1.0)
 
 
 def test_encrypted_route_matches_decrypt_route():
