@@ -462,25 +462,31 @@ class AvgProcessNode(FloodingNode):
 
 
 class TrustedCollectorNode(netsim.Node):
-    """Out-of-graph keyholder: decrypts the first prepared aggregate per
-    instance and broadcasts the result."""
+    """Out-of-graph keyholder: opens the first prepared aggregate of each
+    instance and hands out the result.  `_open` says what opening means;
+    here it decrypts the average, decides it and broadcasts it."""
 
     def __init__(self, key_material, n: int, backend: SlotEngine):
         self.key = key_material
         self.n = n
         self.backend = backend
-        self.finalized: dict[str, float] = {}
+        self.prepared: dict[str, ProtocolMessage] = {}
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
-            if msg.kind != PREPARED or msg.instance in self.finalized:
-                continue
-            value = finalize_trusted(self.backend, self.key.secret_part,
-                                     msg.votes_ct, self.n, caller=ctx.pid)
-            self.finalized[msg.instance] = value
-            ctx.decide(value)
-            ctx.broadcast_processes(ProtocolMessage(
-                msg.instance, RESULT, extra={"average": value}))
+            if msg.kind == PREPARED and msg.instance not in self.prepared:
+                self.prepared[msg.instance] = msg
+                self._open(ctx, msg)
+
+    def _decrypt(self, ct) -> float:
+        return finalize_trusted(self.backend, self.key.secret_part, ct,
+                                self.n, caller=netsim.TRUSTED)
+
+    def _open(self, ctx, msg):
+        value = self._decrypt(msg.votes_ct)
+        ctx.decide(value)
+        ctx.broadcast_processes(ProtocolMessage(
+            msg.instance, RESULT, extra={"average": value}))
 
 
 def _finite_values(inputs) -> list[float]:

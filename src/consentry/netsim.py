@@ -124,6 +124,9 @@ class ScenarioConfig:
             if not isinstance(bounds, (list, tuple)) or len(bounds) != 2 or \
                     not all(_is_real(b) for b in bounds):
                 raise ScenarioError(f"random_uniform needs [lo, hi], got {bounds!r}")
+            if unknown := inputs.keys() - {"random_uniform"}:
+                raise ScenarioError(f"unknown inputs keys beside random_uniform: "
+                                    f"{sorted(unknown, key=str)}")
         elif not isinstance(inputs, (list, tuple)):
             raise ScenarioError(
                 f"inputs must be a list or {{\"random_uniform\": [lo, hi]}}, got {inputs!r}")

@@ -6,13 +6,14 @@ encrypted 0/1 participation aggregate; the ratio of the two prepared
 round-3 results is the outlier-free mean.  A value is an outlier when it
 lies strictly outside mu +/- c*sigma.
 
-Between rounds the collector hands every process the result of the first
-prepared aggregate it gets.  After round 1 that is the decrypted mean
-(default) or, on the encrypted variance route, the prepared round-1
-aggregate itself, unopened: each process forms Enc((v - mu)^2) at its own
-slot from it, so round 2 floods the same squared deviations on both
-routes, and the collector opens the prepared round-1 and round-2
-aggregates together.
+Between rounds the keyholder hands every process the result of the first
+prepared aggregate it gets, and its variance route decides what that is
+after round 1: the decrypted mean ("decrypt"), or the prepared round-1
+aggregate itself, unopened ("encrypted").  A process reacts to what it
+gets: from the mean it encrypts (v - mu)^2, from the aggregate it forms
+Enc((v - mu)^2) at its own slot.  So round 2 floods the same squared
+deviations on both routes; on the encrypted one the keyholder opens the
+prepared round-1 and round-2 aggregates together.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import math
 import numpy as np
 
 from . import netsim
-from .avg_consensus import (ACTIVE, PREPARED, RESULT, ConsensusState,
-                            FloodingNode, ProtocolMessage, _finite_values, _sum_fits,
-                            finalize_trusted, init_consensus, on_receive,
+from .avg_consensus import (ACTIVE, RESULT, ConsensusState, FloodingNode,
+                            ProtocolMessage, TrustedCollectorNode, _finite_values,
+                            _sum_fits, finalize_trusted, init_consensus, on_receive,
                             prepare, survivors)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
@@ -139,61 +140,43 @@ def encrypted_variance(backend: SlotEngine, mean_ct: Ciphertext,
 # -- simulation actors -------------------------------------------------------
 
 class OutlierProcessNode(FloodingNode):
-    def __init__(self, pid: int, value: float, c: float, pk, n: int,
-                 backend: SlotEngine, route: str = "decrypt"):
+    """Participant in the three rounds.  Each round starts on the previous
+    round's RESULT, and round 2 from whichever hand-off round 1's carries:
+    the mean `mu`, or the unopened prepared mean, kept as `mean_ct`."""
+
+    def __init__(self, pid: int, value: float, c: float, pk, n: int, backend: SlotEngine):
         super().__init__(pid, n, backend)
         self.value = float(value)
         self.c = c                     # the outlier band's width in sigmas
         self.pk = pk
-        self.route = route
         self.mu: float | None = None
-        self.sigma: float | None = None
         self.mean_ct: Ciphertext | None = None
 
-    # round bootstrap ------------------------------------------------------
-
-    def _start_core(self, ctx, instance: str, value: float = None,
-                    contribution: Ciphertext = None):
-        state, msg = init_consensus(self.pid, value, self.pk, self.n,
-                                    self.backend, instance, contribution=contribution)
-        self._start(ctx, state, msg)
-
-    def _start_round2(self, ctx):
-        if self.route == "decrypt":
-            self._start_core(ctx, R2, value=round2_input(self.value, self.mu))
-        else:
-            self._start_core(ctx, R2, contribution=variance_contribution(
-                self.backend, self.mean_ct, self.value, self.pid, self.pk))
-
-    def _start_round3(self, ctx):
-        outlier = is_outlier(self.value, self.mu, self.sigma, self.c)
-        self._start(ctx, *init_round3(self.pid, self.value, outlier,
-                                      self.pk, self.n, self.backend))
-
-    # event handling ---------------------------------------------------------
+    def _start_round(self, ctx, instance: str, value: float = None,
+                     contribution: Ciphertext = None):
+        self._start(ctx, *init_consensus(self.pid, value, self.pk, self.n, self.backend,
+                                         instance, contribution=contribution))
 
     def on_start(self, ctx):
-        self._start_core(ctx, R1, value=self.value)
+        self._start_round(ctx, R1, value=self.value)
 
     def _handle_result(self, ctx, msg):
+        self.mu = msg.extra.get("mu", self.mu)
         if msg.instance == R1:
-            if self.route == "decrypt":
-                self.mu = msg.extra["mu"]
+            if msg.votes_ct is None:
+                self._start_round(ctx, R2, value=round2_input(self.value, self.mu))
             else:
                 self.mean_ct = msg.votes_ct
-            self._start_round2(ctx)
+                self._start_round(ctx, R2, contribution=variance_contribution(
+                    self.backend, self.mean_ct, self.value, self.pid, self.pk))
         elif msg.instance == R2:
-            if self.route == "encrypted":
-                self.mu = msg.extra["mu"]
-            self.sigma = sigma_from_round2(msg.extra["variance"])
-            self._start_round3(ctx)
-        elif msg.instance == R3:
-            if "outcome" in msg.extra:
-                ctx.decide(None)
-            else:
-                ctx.decide(msg.extra["value"])
-
-    # fault handling ---------------------------------------------------------
+            sigma = sigma_from_round2(msg.extra["variance"])
+            outlier = is_outlier(self.value, self.mu, sigma, self.c)
+            self._start(ctx, *init_round3(self.pid, self.value, outlier,
+                                          self.pk, self.n, self.backend))
+        else:
+            # no value on the all-outliers result
+            ctx.decide(msg.extra.get("value"))
 
     def on_crash_notice(self, ctx, crashed):
         self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
@@ -203,26 +186,13 @@ class OutlierProcessNode(FloodingNode):
                 self._try_decide(ctx, state)
 
 
-class OutlierCollectorNode(netsim.Node):
-    """Keyholder gating the rounds; never sees an unprepared aggregate."""
+class OutlierCollectorNode(TrustedCollectorNode):
+    """Keyholder gating the three rounds; never sees an unprepared
+    aggregate.  Its variance `route` decides what round 1 hands out."""
 
-    def __init__(self, key_material, n: int, backend: SlotEngine,
-                 route: str = "decrypt"):
-        self.key = key_material
-        self.n = n
-        self.backend = backend
+    def __init__(self, key_material, n: int, backend: SlotEngine, route: str):
+        super().__init__(key_material, n, backend)
         self.route = route
-        self.prepared: dict[str, ProtocolMessage] = {}
-
-    def on_deliver(self, ctx, batch):
-        for sender, msg in batch:
-            if msg.kind == PREPARED and msg.instance not in self.prepared:
-                self.prepared[msg.instance] = msg
-                self._open(ctx, msg)
-
-    def _decrypt(self, ct) -> float:
-        return finalize_trusted(self.backend, self.key.secret_part, ct,
-                                self.n, caller=netsim.TRUSTED)
 
     def _open(self, ctx, msg):
         """Hand out the result of an instance's first prepared aggregate.
@@ -254,12 +224,11 @@ class OutlierCollectorNode(netsim.Node):
                                          self.n, caller=netsim.TRUSTED)
             except AllOutliersError:
                 ctx.note("outcome", "all-outliers")
-                ctx.broadcast_processes(ProtocolMessage(
-                    R3, RESULT, extra={"outcome": "all-outliers"}))
-                return
-            ctx.decide(value)
-            ctx.broadcast_processes(ProtocolMessage(R3, RESULT,
-                                                    extra={"value": value}))
+                extra = {"outcome": "all-outliers"}
+            else:
+                ctx.decide(value)
+                extra = {"value": value}
+            ctx.broadcast_processes(ProtocolMessage(R3, RESULT, extra=extra))
 
 
 def build(topology: Topology, inputs, c: float, *, variance_route: str = "decrypt",
@@ -273,10 +242,8 @@ def build(topology: Topology, inputs, c: float, *, variance_route: str = "decryp
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
     for pid in range(n):
-        nodes[pid] = OutlierProcessNode(pid, values[pid], c, key.public_part,
-                                        n, backend, route=variance_route)
-    nodes[netsim.TRUSTED] = OutlierCollectorNode(key, n, backend,
-                                                 route=variance_route)
+        nodes[pid] = OutlierProcessNode(pid, values[pid], c, key.public_part, n, backend)
+    nodes[netsim.TRUSTED] = OutlierCollectorNode(key, n, backend, route=variance_route)
     private = set(values)
     mu = float(np.mean(values))
     private.update(round2_input(v, mu) for v in values)

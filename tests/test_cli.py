@@ -193,6 +193,8 @@ def test_sweep_empty_grid_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["sweep", "--config", str(CONFIGS / "sweep_base.json"),
                  "--vary", "n=", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["sweep", "--config", str(CONFIGS / "sweep_base.json"),
+                 "--vary", "n", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
 def test_sweep_election_over_a_family_decides_each_cell(tmp_path, monkeypatch):
@@ -413,6 +415,16 @@ RING4 = {"family": "ring", "n": 4}
     ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1e308] * 4}, []),
     ({"protocol": "avg-untrusted", "topology": RING4, "inputs": [1e308] * 4}, []),
     ({"protocol": "outlier", "c": 1.0, "topology": RING4, "inputs": [1e160, 1, 2, 3]}, []),
+    ({"protocol": "avg-trusted", "topology": RING4,
+      "inputs": {"random_uniform": [0, 1], "lo": 5}}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, float("nan")]}, []),
+    ({"protocol": "avg-trusted", "topology": RING4, "inputs": [1, 2, 3, float("inf")]}, []),
+    ({"protocol": "outlier", "c": 1.0, "topology": RING4,
+      "inputs": [1, 2, 3, float("nan")]}, []),
+    ({"protocol": "outlier", "c": 1.0, "topology": RING4,
+      "inputs": [1, 2, 3, float("inf")]}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "ring", "n": 1}, "inputs": [1]}, []),
+    ({"protocol": "avg-trusted", "topology": 5, "inputs": [1, 2, 3, 4]}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
@@ -421,7 +433,9 @@ RING4 = {"family": "ring", "n": 4}
         "p-beside-edges", "missing-topology-file", "zero-p-n256", "p-above-one",
         "list-family", "string-expect-termination", "crash-fault-with-a-kind",
         "no-initiators", "avg-trusted-sum-overflows", "avg-untrusted-sum-overflows",
-        "outlier-sum-of-squares-overflows"])
+        "outlier-sum-of-squares-overflows", "key-beside-random-uniform",
+        "avg-trusted-nan-input", "avg-trusted-infinite-input", "outlier-nan-input",
+        "outlier-infinite-input", "one-process-ring", "number-topology"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

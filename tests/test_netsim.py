@@ -269,9 +269,11 @@ def test_scenario_config_validation():
     ({"faults": [{"process": 1}]}, "a crash fault needs a process and a time: {'process': 1}"),
     ({"faults": [{"process": 1, "time": -2}]},
      "crash time must be >= 0: CrashFault(process=1, time=-2)"),
+    ({"inputs": {"random_uniform": [0, 1], "lo": 5, "hi": 6}},
+     "unknown inputs keys beside random_uniform: ['hi', 'lo']"),
 ], ids=["not-a-dict", "schedule", "c", "variance-route", "initiators", "max-latency",
         "trials", "noise-epsilon", "faults-not-a-list", "fault-without-time",
-        "fault-at-negative-time"])
+        "fault-at-negative-time", "keys-beside-random-uniform"])
 def test_scenario_config_rejects_with_its_message(raw, message):
     if isinstance(raw, dict):
         raw = {"protocol": "avg-trusted", "topology": topo.ring(4).to_dict(),

@@ -8,7 +8,7 @@ import pytest
 
 from consentry import netsim, outlier_consensus
 from consentry import topology as topo
-from consentry.avg_consensus import (PREPARED, RESULT, ConsensusState,
+from consentry.avg_consensus import (PREPARED, RESULT, ConsensusState, ProtocolMessage,
                                      finalize_trusted, prepare, try_decide)
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
@@ -212,6 +212,46 @@ def test_encrypted_route_runs_one_flood_per_round():
     instances = {key.split(":", 1)[1] for key in report.extra["completion_times"]}
     assert instances == {"out/r1", "out/r2", "out/r3"}
     assert report.decided_values[0] == pytest.approx(outlier_oracle(values, 1.0)[3], abs=1e-9)
+
+
+class BroadcastRecorder:
+    """A process node's context that records what it broadcasts."""
+
+    def __init__(self):
+        self.sent = []
+
+    def broadcast(self, msg):
+        self.sent.append(msg)
+
+
+def test_one_process_node_starts_round_2_from_either_round_1_hand_off():
+    values = [1.0, 2.0, 3.0, 10.0]
+    setup = outlier_consensus.build(topo.ring(4), values, 1.0)
+    b, key, node = setup.backend, setup.nodes[netsim.TRUSTED].key, setup.nodes[3]
+    cap = b.config.slot_capacity
+    votes = None
+    for pid, v in enumerate(values):
+        ct = b.encrypt(key.public_part, SlotVector.impulse(cap, pid, v), (pid, "v"))
+        votes = ct if votes is None else b.add_ct(votes, ct)
+    mean_ct = prepare(b, votes, [1] * 4, 4)
+    assert mean_ct.depth == 1
+
+    # the decrypted mean: round 2 starts from a fresh Enc((v - mu)^2)
+    ctx = BroadcastRecorder()
+    node._handle_result(ctx, ProtocolMessage("out/r1", RESULT, extra={"mu": 4.0}))
+    (sent,) = ctx.sent
+    assert (sent.instance, sent.votes_ct.depth, node.mean_ct) == ("out/r2", 0, None)
+    payload = b.inspect_payload(sent.votes_ct)
+    assert np.flatnonzero(payload).tolist() == [3] and payload[3] == pytest.approx(36.0)
+
+    # the unopened prepared mean: round 2 starts from it, at depth 3
+    ctx = BroadcastRecorder()
+    node._handle_result(ctx, ProtocolMessage("out/r1", RESULT, votes_ct=mean_ct))
+    (sent,) = ctx.sent
+    assert (sent.instance, sent.votes_ct.depth) == ("out/r2", 3) and node.mean_ct is mean_ct
+    want = outlier_consensus.variance_contribution(b, mean_ct, 10.0, 3, key.public_part)
+    assert b.inspect_payload(sent.votes_ct).tolist() == b.inspect_payload(want).tolist()
+    assert b.inspect_payload(sent.votes_ct)[3] == pytest.approx(36.0)
 
 
 def test_high_outlier_removal_strictly_decreases_mean():
