@@ -209,14 +209,17 @@ def sum_in_order(arrays) -> np.ndarray:
     `WIDE` arrays the sum is a loop of in-place adds; from `WIDE` on it is
     one axis-0 `np.add.reduce` over the arrays stacked as rows, which adds
     the rows in order (not pairwise), so the bits are the loop's and one
-    call replaces many small ones.  The rows are stacked by `concatenate`,
-    which copies them faster than `np.array` of the list."""
+    call replaces many small ones.  The rows are stacked by one join of
+    their bytes, which copies them faster than `concatenate` or `np.array`
+    of the list; every operand is C-contiguous, so the bytes are its
+    values in order."""
     if len(arrays) < WIDE:
         out = arrays[0] + arrays[1]
         for a in arrays[2:]:
             out += a
         return out
-    return np.add.reduce(np.concatenate(arrays).reshape(len(arrays), len(arrays[0])))
+    rows = np.frombuffer(b"".join(arrays), np.float64)
+    return np.add.reduce(rows.reshape(len(arrays), len(arrays[0])))
 
 
 def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
 from functools import cached_property
+from itertools import combinations, compress
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,17 @@ class Topology:
         self._adj = adj
         self._connected: bool | None = None
 
+    @classmethod
+    def _of_pairs(cls, n: int, pairs) -> "Topology":
+        """The graph on `pairs`, which a generator made in range and without
+        self-loops, read into the neighbour sets with no per-edge check."""
+        t = cls(n, ())
+        adj = t._adj
+        for i, j in pairs:
+            adj[i].add(j)
+            adj[j].add(i)
+        return t
+
     @cached_property
     def edges(self) -> frozenset:
         """Each edge once, as (i, j) with i < j."""
@@ -79,11 +92,12 @@ class Topology:
 
     def _reached(self, src: int, removed=frozenset()) -> set[int]:
         """`removed` plus every process reachable from `src` without
-        passing through `removed`."""
-        adj = self._adj
+        passing through `removed`.  The search ends as soon as that is
+        every process, so on a dense graph it pops only the first few."""
+        adj, n = self._adj, self.n
         seen = {src, *removed}
         stack = [src]
-        while stack:
+        while stack and len(seen) < n:
             new = adj[stack.pop()] - seen
             seen |= new
             stack += new
@@ -120,11 +134,12 @@ class Topology:
 
     def connected_without(self, removed) -> bool:
         """Connectivity of the subgraph induced by dropping `removed` ids."""
-        removed = set(removed)
-        survivors = set(range(self.n)) - removed
+        everyone = set(range(self.n))
+        survivors = everyone.difference(removed)
         if not survivors:
             raise TopologyError("cannot remove every process")
-        return survivors <= self._reached(min(survivors), removed)
+        # only ids in range, so that the search ends when it has them all
+        return survivors <= self._reached(min(survivors), everyone - survivors)
 
     def cut_vertices(self) -> frozenset:
         """The processes k for which `connected_without({k})` is False.
@@ -232,27 +247,51 @@ def load_topology(source, rng: random.Random | None = None) -> Topology:
 # -- generators used by the CLI sweep and the test suites ----------------
 
 def ring(n: int) -> Topology:
+    # the checked constructor, which rejects ring(1)'s self-loop
     return Topology(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Topology:
-    return Topology(n, [(i, i + 1) for i in range(n - 1)])
+    return Topology._of_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(n: int) -> Topology:
-    return Topology(n, [(0, i) for i in range(1, n)])
+    return Topology._of_pairs(n, [(0, i) for i in range(1, n)])
 
 
 def complete(n: int) -> Topology:
-    return Topology(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Topology._of_pairs(n, combinations(range(n), 2))
 
 
 def random_connected(n: int, p: float, rng: random.Random) -> Topology:
-    """Erdos-Renyi G(n, p), redrawn until connected."""
+    """Erdos-Renyi G(n, p), redrawn until connected.
+
+    Each attempt draws the graph that
+    `[(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]`
+    draws, and leaves the generator in the same state, from one
+    `rng.getrandbits(64 * m)` call for its m pairs.  `rng` must be a
+    `random.Random`: its `getrandbits` returns successive 32-bit Mersenne
+    Twister outputs as the integer's little-endian 32-bit words, and its
+    `random()` is k / 2**53 with k = (a >> 5) * 2**26 + (b >> 6) for two
+    successive outputs a and b.  So `random() < p` is k < `limit`, the
+    ceiling of p * 2**53.  The top 8 of k's 53 bits are a's top byte, which
+    decides the test unless it equals `limit >> 45` (one pair in 256); only
+    then is k read in full.  `combinations` yields the pairs in the
+    comprehension's order."""
+    m = n * (n - 1) // 2
+    limit = math.ceil(p * 2.0 ** 53)
+    top = limit >> 45
+    # a's top byte -> 1 (drawn), 2 (read k in full) or 0 (not drawn)
+    table = (b"\1" * top + b"\2" + bytes(255))[:256]
     for _ in range(1000):
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < p]
-        t = Topology(n, edges)
+        words = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        drawn = bytearray(words[3::8].translate(table))
+        i = drawn.find(2)
+        while i >= 0:
+            w = int.from_bytes(words[8 * i:8 * i + 8], "little")
+            drawn[i] = ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < limit
+            i = drawn.find(2, i + 1)
+        t = Topology._of_pairs(n, compress(combinations(range(n), 2), drawn))
         if t.is_connected():
             return t
     raise TopologyError(f"could not draw a connected graph with n={n}, p={p}")
@@ -260,8 +299,7 @@ def random_connected(n: int, p: float, rng: random.Random) -> Topology:
 
 def random_tree(n: int, rng: random.Random) -> Topology:
     """Uniform-ish random tree: attach each node to a random earlier node."""
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    return Topology(n, edges)
+    return Topology._of_pairs(n, [(i, rng.randrange(i)) for i in range(1, n)])
 
 
 def from_family(family: str, n: int, rng: random.Random, p: float = 0.4) -> Topology:

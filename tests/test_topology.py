@@ -210,6 +210,59 @@ def test_random_connected_draws_the_comprehensions_edges(seed):
     assert new_rng.random() == old_rng.random()      # the same draws, no more
 
 
+def _checked_draw(n, p, rng):
+    """The comprehension read by the validating constructor, redrawn until
+    connected; returns the graph and the number of attempts."""
+    for attempt in range(1, 1001):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        t = Topology(n, edges)
+        if t.is_connected():
+            return t, attempt
+
+
+@pytest.mark.parametrize("n, p, seed", [(1, 0.4, 0), (2, 0.4, 0), (128, 0.4, 3001),
+                                        (200, 1.0, 1), (12, 0.12, 5)])
+def test_the_one_call_draw_at_the_edges_and_at_benchmark_size(n, p, seed):
+    # n = 128 reads about 32 pairs per attempt in full (a top byte equal to
+    # the limit's), n = 200 at p = 1.0 none, and n = 12 at p = 0.12 redraws
+    old_rng, new_rng = random.Random(seed), random.Random(seed)
+    want, attempts = _checked_draw(n, p, old_rng)
+    t = topo.random_connected(n, p, new_rng)
+    assert t.edges == want.edges
+    assert t.adjacency == want.adjacency
+    assert new_rng.random() == old_rng.random()
+    if p == 0.12:
+        assert attempts > 3                         # several redraws, each one call
+    if p == 1.0:
+        assert len(t.edges) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("family", ["ring", "path", "star", "complete", "tree", "random"])
+@pytest.mark.parametrize("n", [2, 5, 17])
+def test_a_generated_graph_equals_its_edge_list_rebuild(family, n):
+    t = topo.from_family(family, n, random.Random(n), p=0.3)
+    rebuilt = Topology(n, sorted(t.edges))
+    assert t.adjacency == rebuilt.adjacency
+    assert t.edges == rebuilt.edges
+    assert t.to_dict() == rebuilt.to_dict()
+    assert repr(t) == repr(rebuilt)
+    for i in range(n):
+        assert t.neighbors(i) == rebuilt.neighbors(i)
+        assert t.degree(i) == rebuilt.degree(i)
+    assert t.is_connected() == rebuilt.is_connected()
+    assert t.cut_vertices() == rebuilt.cut_vertices()
+    assert t.diameter() == rebuilt.diameter()
+    for k in {0, n // 2, n - 1, *sorted(t.cut_vertices())[:1]}:
+        assert t.connected_without({k}) == rebuilt.connected_without({k})
+
+
+def test_removing_ids_outside_the_graph_removes_nothing():
+    # the connectivity search stops once it holds n ids, so it must not count these
+    assert topo.ring(5).connected_without({1, 99, "collector"})
+    assert not topo.path(5).connected_without({2, -1, 99})
+    assert topo.path(5).connected_without({0, 5, 6, 7})
+
+
 def test_edge_errors_and_duplicate_edges():
     with pytest.raises(TopologyError, match=r"^self-loop at 2$"):
         Topology(3, [(0, 1), (2, 2)])
