@@ -1,27 +1,29 @@
 """Flooding average consensus over encrypted slot vectors.
 
-Each process encrypts value * e_i and floods (votes, counts) pairs; counts
-travel in plaintext and record how many times each vote was folded into the
-aggregate.  A message carries its sender's counts as a read-only float64
-array, shared with the sender's state (a fold replaces that array, never
-writes it), together with the bitmask of its nonzero entries.  A message
-whose mask is a subset of the local one, `msg.support & ~state.support == 0`,
-carries no new information and is dropped after that one mask test.  A
-node hands each instance's share of a delivery batch to one `fold` (the
-election overrides `FloodingNode._fold_instance` to fold lineage copies by
-its own rule), which runs that test message by message in delivery order
-and stops at the message that completes the required mask.  It adds the
-merged messages' count arrays, ORs their masks and adds their ciphertexts
-in one engine `add_many` call, which ORs the ciphertexts' taint masks; it
-builds no message and returns only whether anything merged.  A wide batch
-(on a dense graph, a first round brings one impulse per neighbour) is
-summed in one numpy call per array (`he_slots.sum_in_order`).  The node
-then multicasts one snapshot per changed instance to that instance's
-fan-out.
-Once the local mask covers the required one the process runs the prepare
-step: multiply by the plaintext weights 1/(count_j * n) to undo duplicates,
-then rotate-sum (one engine `rotate_sum` call) so every slot holds the
-average.  Only prepared aggregates ever reach the keyholder's secret key.
+Each process encrypts value * e_i and floods (channels, counts) pairs: a
+tuple of ciphertexts folded and prepared under the same counts (the votes,
+then, in outlier round 3, the participation flags) and plaintext counts of
+how many times each vote was folded into the aggregate.  A message shares
+its sender's channel tuple and counts, a read-only float64 array that a
+fold replaces, never writes, and carries the bitmask of its nonzero
+entries.  A message whose mask is a subset of the local one,
+`msg.support & ~state.support == 0`, carries no new information and is
+dropped after that one mask test.  A node hands each instance's share of a
+delivery batch to one `fold` (the election overrides
+`FloodingNode._fold_instance` to fold lineage copies by its own rule),
+which runs that test message by message in delivery order and stops at the
+message that completes the required mask.  It adds the merged messages'
+count arrays, ORs their masks and adds their channels in one engine
+`add_many` call, which ORs the ciphertexts' taint masks; it builds no
+message and returns only whether anything merged.  A wide batch (on a
+dense graph, a first round brings one impulse per neighbour) is summed in
+one numpy call per array (`he_slots.sum_in_order`).  The node then
+multicasts one snapshot per changed instance to that instance's fan-out.
+Once the local mask covers the required one the process prepares each
+channel: multiply by the plaintext weights 1/(count_j * n) to undo
+duplicates, then rotate-sum (one engine `rotate_sum` call) so every slot
+holds the average.  Only prepared aggregates ever reach the keyholder's
+secret key.
 
 A prepared aggregate is sent only to the keyholder that opens it; no process
 forwards one.  Two deployment shapes are provided: a trusted collector
@@ -105,38 +107,35 @@ def survivors(correct_set, n: int) -> int:
 
 
 class ProtocolMessage:
-    """The (votes, counts[, participating]) unit exchanged between neighbors.
+    """The (channels, counts) unit exchanged between neighbors.
 
-    One message object goes to every receiver, so treat it as immutable.
-    The counts are held as one read-only float64 array, `count_array`: a
-    read-only float64 array given is shared, anything else is copied.
-    `support`, the bitmask of nonzero counts, is derived from the counts
-    unless given; an election lineage copy carries its support and no
+    `ciphertexts` is the tuple of channels the message carries, in a state's
+    order: the votes, then outlier round 3's participation flags.  A RESULT
+    carries none, or the prepared round-1 mean on the encrypted variance
+    route.  One message object goes to every receiver, so treat it as
+    immutable.  The counts are held as one read-only float64 array,
+    `count_array`: a read-only float64 array given is shared, anything else
+    is copied.  `support`, the bitmask of nonzero counts, is derived from the
+    counts unless given; an election lineage copy carries its support and no
     counts.  This constructor validates its fields;
     `ConsensusState.snapshot`, which builds AGGREGATE messages from fields
     its state already guarantees, sets them without it.
     """
 
-    __slots__ = ("instance", "kind", "votes_ct", "participating_ct", "extra",
-                 "ciphertexts", "count_array", "support")
+    __slots__ = ("instance", "kind", "ciphertexts", "extra", "count_array", "support")
 
-    def __init__(self, instance: str, kind: str, votes_ct: Ciphertext | None = None,
-                 counts=None, participating_ct: Ciphertext | None = None,
-                 extra: dict | None = None, support: int | None = None):
+    def __init__(self, instance: str, kind: str, ciphertexts: tuple = (),
+                 counts=None, extra: dict | None = None, support: int | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
-        if kind == AGGREGATE and (votes_ct is None or counts is None and support is None):
-            raise ValueError(f"{kind} message requires votes_ct and counts or a support")
-        if kind == PREPARED and (votes_ct is None or not votes_ct.prepared):
+        if kind == AGGREGATE and (not ciphertexts or counts is None and support is None):
+            raise ValueError(f"{kind} message requires ciphertexts and counts or a support")
+        if kind == PREPARED and not (ciphertexts and all(ct.prepared for ct in ciphertexts)):
             raise ValueError(f"{kind} message carries an unprepared ciphertext")
         self.instance = instance
         self.kind = kind
-        self.votes_ct = votes_ct
-        self.participating_ct = participating_ct
+        self.ciphertexts = tuple(ciphertexts)
         self.extra = {} if extra is None else extra
-        #: the ciphertexts this message carries, votes first
-        self.ciphertexts = ((votes_ct,) if votes_ct is not None else ()) + \
-            ((participating_ct,) if participating_ct is not None else ())
         if counts is not None:
             counts = _frozen(counts)
             if support is None:
@@ -144,91 +143,87 @@ class ProtocolMessage:
         self.count_array = counts
         self.support = support
 
+    @property
+    def votes_ct(self) -> Ciphertext:
+        """The votes channel: the first ciphertext."""
+        return self.ciphertexts[0]
+
 
 class ConsensusState:
     """Per-process, per-instance flooding state.
 
-    `counts` is a read-only float64 array that a fold replaces, never
-    writes, so a snapshot can carry it as is; `support` is the bitmask of
-    its nonzero entries.  Like a message, a state shares a read-only float64
-    count array it is given, and takes `support` as given when passed.  An
-    election lineage copy has no counts (None), only its support.
-    `snapshot` builds its AGGREGATE message straight from these fields.
-    `required_mask` marks the indices whose counts must become nonzero and
-    that `try_decide` weights: all n, or an outlier node's.
-    `participating_ct`, when set, is a second channel folded and prepared
-    under the same counts as the votes (outlier round 3's participation
-    flags).  A state is DECIDED once `try_decide` prepared it; an election
-    lineage copy once it went to the keyholder.
+    `channels` is the tuple of ciphertexts folded and prepared under the
+    same counts: the votes, then, in outlier round 3, the participation
+    flags.  `counts` is a read-only float64 array that a fold replaces,
+    never writes, so a snapshot can carry it as is; `support` is the bitmask
+    of its nonzero entries.  Like a message, a state shares a read-only
+    float64 count array it is given, and takes `support` as given when
+    passed.  An election lineage copy has no counts (None), only its
+    support.  `snapshot` builds its AGGREGATE message straight from these
+    fields.  `required_mask` marks the indices whose counts must become
+    nonzero and that `try_decide` weights: all n, or an outlier node's.  A
+    state is DECIDED once `try_decide` prepared it; an election lineage copy
+    once it went to the keyholder.
     """
 
-    def __init__(self, id: int, instance: str, n: int, votes_ct: Ciphertext,
-                 counts, participating_ct: Ciphertext | None = None,
+    def __init__(self, instance: str, n: int, channels: tuple, counts,
                  support: int | None = None):
-        self.id = id
         self.instance = instance
         self.n = n
-        self.votes_ct = votes_ct
+        self.channels = channels
         # float64, not int64: duplicate counts grow by about 1.45 bits per
         # round and would overflow int64 past a diameter of about 43
         self.counts = None if counts is None else _frozen(counts)
         self.support = _support_mask(self.counts) if support is None else support
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
-        self.participating_ct = participating_ct
 
     def snapshot(self) -> ProtocolMessage:
-        """The AGGREGATE message announcing every channel of this state,
-        sharing its frozen counts and support."""
-        votes, part = self.votes_ct, self.participating_ct
+        """The AGGREGATE message announcing this state's channels, sharing
+        its channel tuple, frozen counts and support."""
         msg = object.__new__(ProtocolMessage)
         msg.instance, msg.kind, msg.extra = self.instance, AGGREGATE, {}
-        msg.votes_ct, msg.participating_ct = votes, part
-        msg.ciphertexts = (votes,) if part is None else (votes, part)
+        msg.ciphertexts = self.channels
         msg.count_array, msg.support = self.counts, self.support
         return msg
 
 
 def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
                    instance: str = INSTANCE_TRUSTED,
-                   contribution: Ciphertext | None = None,
-                   participating_ct: Ciphertext | None = None) -> tuple[ConsensusState, ProtocolMessage]:
+                   channels: tuple | None = None) -> tuple[ConsensusState, ProtocolMessage]:
     """Create the unit-impulse state and the broadcast that announces it.
 
-    `contribution`, when given, is an already-encrypted vote that stands in
-    for the encryption of `value`; `participating_ct`, when given, is the
-    state's second channel.
+    `channels`, when given, is the state's tuple of already-encrypted
+    channels, which stands in for the one encryption of `value`.
     """
     cap = backend.config.slot_capacity
     if cap < n:
         raise ValueError(f"slot capacity {cap} < process count {n}")
-    votes = contribution
-    if votes is None:
-        votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, value),
-                                (pid, f"{instance}:value"))
+    if channels is None:
+        channels = (backend.encrypt(pk, SlotVector.impulse(cap, pid, value),
+                                    (pid, f"{instance}:value")),)
     counts = np.zeros(cap)
     counts[pid] = 1
     counts.setflags(write=False)
-    state = ConsensusState(id=pid, instance=instance, n=n,
-                           votes_ct=votes, counts=counts,
-                           participating_ct=participating_ct, support=1 << pid)
+    state = ConsensusState(instance, n, channels, counts, support=1 << pid)
     return state, state.snapshot()
 
 
 def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object]:
-    """Fold a delivery batch of aggregate messages into every channel of the
-    local state, in delivery order.
+    """Fold a delivery batch of aggregate messages into the local state's
+    channels, in delivery order.
 
     A message whose support is a subset of the local one (as grown by the
     messages before it) is dropped, and so is every message after the one
     that completes the required counts, since the state then decides.  The
-    merged messages' ciphertexts are added in one `add_many` call, or by
-    `add_ct` when only one merges, as most do in async runs, where `add_ct`
-    is the cheaper call.  The state's count array and theirs are summed, in
-    that order, into one new array (by `sum_in_order` when more than one
-    merges: a wide batch, of `he_slots.WIDE` arrays or more, in one numpy
-    call), which is frozen in place (`setflags`) and replaces the state's
-    counts; no count array is ever written once shared.
+    merged messages' channel tuples are added to the state's in one
+    `add_many` call, or by one `add_ct` per channel when only one merges, as
+    most do in async runs, where `add_ct` is the cheaper call.  The state's
+    count array and theirs are summed, in that order, into one new array (by
+    `sum_in_order` when more than one merges: a wide batch, of
+    `he_slots.WIDE` arrays or more, in one numpy call), which is frozen in
+    place (`setflags`) and replaces the state's counts; no count array is
+    ever written once shared.
     Returns whether any message merged and what `try_decide` returned.
     """
     if state.phase != ACTIVE:
@@ -251,17 +246,10 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
         return False, None
     if len(rows) == 1:
         counts = arrays[0] + arrays[1]
-        row = rows[0]
-        state.votes_ct = backend.add_ct(state.votes_ct, row[0])
-        if state.participating_ct is not None:
-            state.participating_ct = backend.add_ct(state.participating_ct, row[1])
+        state.channels = tuple(map(backend.add_ct, state.channels, rows[0]))
     else:
         counts = sum_in_order(arrays)
-        if state.participating_ct is None:
-            state.votes_ct, = backend.add_many((state.votes_ct,), rows)
-        else:
-            state.votes_ct, state.participating_ct = backend.add_many(
-                (state.votes_ct, state.participating_ct), rows)
+        state.channels = backend.add_many(state.channels, rows)
     counts.setflags(write=False)
     state.counts = counts
     state.support = support
@@ -290,8 +278,7 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
 
     Serves message arrival, round start and crash notices alike.  Returns
     None while a required count is zero; otherwise marks the state decided
-    and returns the prepared votes, or the prepared (votes, participation)
-    pair when the state carries participation.
+    and returns the tuple of its prepared channels, in the state's order.
     """
     if state.phase != ACTIVE or state.required_mask & ~state.support:
         return None
@@ -303,10 +290,8 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
         include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8),
                                                bitorder="little"))
         n = len(include)
-    votes = prepare(backend, state.votes_ct, state.counts, n, include=include)
-    if state.participating_ct is None:
-        return votes
-    return votes, prepare(backend, state.participating_ct, state.counts, n, include=include)
+    return tuple(prepare(backend, ct, state.counts, n, include=include)
+                 for ct in state.channels)
 
 
 def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
@@ -424,14 +409,12 @@ class FloodingNode(netsim.Node):
         return fold(state, msgs, self.backend)
 
     def _emit_prepared(self, ctx, instance: str, prepared):
-        """Send what `try_decide` returned for a decided instance to its
-        readers; with none, no message is built."""
+        """Send the prepared channels `try_decide` returned for a decided
+        instance to its readers; with none, no message is built."""
         ctx.mark_complete(instance)
         readers = self.readers.get(instance, (netsim.TRUSTED,))
         if readers:
-            votes, part = prepared if isinstance(prepared, tuple) else (prepared, None)
-            ctx.multicast(readers, ProtocolMessage(instance, PREPARED, votes_ct=votes,
-                                                   participating_ct=part))
+            ctx.multicast(readers, ProtocolMessage(instance, PREPARED, prepared))
 
     def _try_decide(self, ctx, state: ConsensusState):
         """Round starts and crash adjustments can satisfy a pending
@@ -597,6 +580,9 @@ class UntrustedProcessNode(FloodingNode):
 def build_untrusted(topology: Topology, inputs, initiators=None, *,
                     seed: int = 0, noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
     n = topology.n
+    if n < 2:
+        raise ValueError(f"avg-untrusted needs at least 2 processes, got {n}: "
+                         f"each initiator hands its seed to a neighbour")
     initiators = sorted(initiators) if initiators is not None else list(range(n))
     if any(not (0 <= k < n) for k in initiators):
         raise ValueError(f"initiators out of range for n={n}: {initiators}")

@@ -33,16 +33,9 @@ class KeyMismatchError(Exception):
     """Ciphertext operands are encrypted under different keys."""
 
 
-def next_power_of_two(x: int) -> int:
-    n = 1
-    while n < x:
-        n <<= 1
-    return n
-
-
 def slot_capacity_for(n: int) -> int:
     """Smallest legal slot capacity (power of two, >= 2) that can hold n values."""
-    return next_power_of_two(max(2, n))
+    return 1 << (max(2, n) - 1).bit_length()
 
 
 #: the largest `noise_epsilon`: noise is drawn from [-eps, eps], whose width

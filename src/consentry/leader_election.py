@@ -89,8 +89,7 @@ def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
     (`make_ballot_vector`)."""
     instance = instance_for_origin(pid)
     ct = backend.encrypt(pk, ballot_vec, (pid, f"{instance}:ballot"))
-    state = ConsensusState(id=pid, instance=instance, n=n, votes_ct=ct, counts=None,
-                           support=1 << pid)
+    state = ConsensusState(instance, n, (ct,), counts=None, support=1 << pid)
     return state, state.snapshot()
 
 
@@ -119,10 +118,9 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
         cand_ct = backend.add_ct(cand_ct, fresh)
         support |= 1 << pid
     if state is None:
-        state = ConsensusState(id=pid, instance=msg.instance, n=n, votes_ct=cand_ct,
-                               counts=None, support=support)
+        state = ConsensusState(msg.instance, n, (cand_ct,), counts=None, support=support)
     else:
-        state.votes_ct, state.support = cand_ct, support
+        state.channels, state.support = (cand_ct,), support
     if not required_mask & ~support:
         return state, True, backend.mark_prepared(cand_ct)
     return state, True, None
@@ -279,7 +277,7 @@ class ElectionProcessNode(FloodingNode):
         ctx.broadcast(msg)
         if not self.required_mask & ~state.support:
             self._emit_prepared(ctx, state.instance,
-                                (self.backend.mark_prepared(state.votes_ct), state.support))
+                                (self.backend.mark_prepared(state.channels[0]), state.support))
 
     def _fold_instance(self, instance, msgs):
         """Fold a batch's copies of one lineage; a completing copy is handed
@@ -306,7 +304,7 @@ class ElectionProcessNode(FloodingNode):
         self.states[instance].phase = DECIDED
         ctx.mark_complete(instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
-            instance, PREPARED, votes_ct=complete_ct, support=support))
+            instance, PREPARED, (complete_ct,), support=support))
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["winner"])

@@ -1,10 +1,10 @@
 """Outlier-resistant averaging: three gated consensus rounds.
 
 Round 1 averages the raw values, round 2 averages the squared deviations
-(variance), round 3 re-averages with outliers voting zero alongside an
-encrypted 0/1 participation aggregate; the ratio of the two prepared
-round-3 results is the outlier-free mean.  A value is an outlier when it
-lies strictly outside mu +/- c*sigma.
+(variance), round 3 re-averages with outliers voting zero and carries the
+encrypted 0/1 participation flags as a second channel; the ratio of the
+two prepared round-3 channels is the outlier-free mean.  A value is an
+outlier when it lies strictly outside mu +/- c*sigma.
 
 Between rounds the keyholder hands every process the result of the first
 prepared aggregate it gets, and its variance route decides what that is
@@ -62,16 +62,15 @@ def is_outlier(v: float, mu: float, sigma: float, c: float) -> bool:
 
 def init_round3(pid: int, v: float, outlier: bool, pk, n: int,
                 backend: SlotEngine) -> tuple[ConsensusState, ProtocolMessage]:
-    """Round-3 seed: a state whose votes channel carries v (or 0 if outlier)
-    and whose participation channel carries the 0/1 flag."""
+    """Round-3 seed: a state whose channels carry v (or 0 if outlier), then
+    the 0/1 participation flag."""
     cap = backend.config.slot_capacity
     vote = 0.0 if outlier else float(v)
     flag = 0.0 if outlier else 1.0
     votes = backend.encrypt(pk, SlotVector.impulse(cap, pid, vote), (pid, f"{R3}:value"))
     part = backend.encrypt(pk, SlotVector.impulse(cap, pid, flag),
                            (pid, f"{R3}:participating"))
-    return init_consensus(pid, vote, pk, n, backend, R3,
-                          contribution=votes, participating_ct=part)
+    return init_consensus(pid, vote, pk, n, backend, R3, channels=(votes, part))
 
 
 # round 3 folds like any instance; the name is kept for the benchmark tracer
@@ -153,9 +152,9 @@ class OutlierProcessNode(FloodingNode):
         self.mean_ct: Ciphertext | None = None
 
     def _start_round(self, ctx, instance: str, value: float = None,
-                     contribution: Ciphertext = None):
+                     channels: tuple = None):
         self._start(ctx, *init_consensus(self.pid, value, self.pk, self.n, self.backend,
-                                         instance, contribution=contribution))
+                                         instance, channels=channels))
 
     def on_start(self, ctx):
         self._start_round(ctx, R1, value=self.value)
@@ -163,12 +162,12 @@ class OutlierProcessNode(FloodingNode):
     def _handle_result(self, ctx, msg):
         self.mu = msg.extra.get("mu", self.mu)
         if msg.instance == R1:
-            if msg.votes_ct is None:
+            if not msg.ciphertexts:
                 self._start_round(ctx, R2, value=round2_input(self.value, self.mu))
             else:
-                self.mean_ct = msg.votes_ct
-                self._start_round(ctx, R2, contribution=variance_contribution(
-                    self.backend, self.mean_ct, self.value, self.pid, self.pk))
+                self.mean_ct, = msg.ciphertexts
+                self._start_round(ctx, R2, channels=(variance_contribution(
+                    self.backend, self.mean_ct, self.value, self.pid, self.pk),))
         elif msg.instance == R2:
             sigma = sigma_from_round2(msg.extra["variance"])
             outlier = is_outlier(self.value, self.mu, sigma, self.c)
@@ -207,7 +206,7 @@ class OutlierCollectorNode(TrustedCollectorNode):
                 result = ProtocolMessage(R1, RESULT, extra={"mu": mu})
             else:
                 # the mean goes out unopened; every process forms round 2 from it
-                result = ProtocolMessage(R1, RESULT, votes_ct=msg.votes_ct)
+                result = ProtocolMessage(R1, RESULT, msg.ciphertexts)
             ctx.broadcast_processes(result)
         elif msg.instance == R2:
             extra = {}
@@ -220,8 +219,7 @@ class OutlierCollectorNode(TrustedCollectorNode):
         else:
             try:
                 value = finalize_outlier(self.backend, self.key.secret_part,
-                                         msg.votes_ct, msg.participating_ct,
-                                         self.n, caller=netsim.TRUSTED)
+                                         *msg.ciphertexts, self.n, caller=netsim.TRUSTED)
             except AllOutliersError:
                 ctx.note("outcome", "all-outliers")
                 extra = {"outcome": "all-outliers"}

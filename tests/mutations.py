@@ -13,7 +13,7 @@ class LeakyAvgNode(AvgProcessNode):
 
     def _snapshot_msg(self, state):
         return ProtocolMessage(state.instance, AGGREGATE,
-                               votes_ct=state.votes_ct,
+                               ciphertexts=(state.channels[0],),
                                counts=tuple(int(x) for x in state.counts),
                                extra={"debug_value": self.value})
 

@@ -31,7 +31,7 @@ def test_init_consensus_impulse():
     b = make_backend()
     km = b.keygen("T")
     state, msg = init_consensus(2, 7.0, km.public_part, 4, b)
-    assert b.inspect_payload(state.votes_ct).tolist() == [0, 0, 7, 0]
+    assert b.inspect_payload(state.channels[0]).tolist() == [0, 0, 7, 0]
     assert state.counts.tolist() == [0, 0, 1, 0]
     assert msg.kind == AGGREGATE and msg.count_array.tolist() == [0, 0, 1, 0]
 
@@ -40,7 +40,7 @@ def test_init_consensus_zero_vote_still_counted():
     b = make_backend()
     km = b.keygen("T")
     state, _ = init_consensus(0, 0.0, km.public_part, 4, b)
-    assert b.inspect_payload(state.votes_ct).tolist() == [0, 0, 0, 0]
+    assert b.inspect_payload(state.channels[0]).tolist() == [0, 0, 0, 0]
     assert state.counts.tolist() == [1, 0, 0, 0]
 
 
@@ -50,12 +50,12 @@ def test_padding_slot_stays_zero():
     state, _ = init_consensus(1, 3.5, km.public_part, 3, b)
     s2, m2 = init_consensus(2, -1.0, km.public_part, 3, b)
     on_receive(state, m2, b)
-    assert b.inspect_payload(state.votes_ct)[3] == 0.0
+    assert b.inspect_payload(state.channels[0])[3] == 0.0
     assert state.counts[3] == 0
 
 
 def msg_of(state):
-    return ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct,
+    return ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],),
                            counts=tuple(int(x) for x in state.counts))
 
 
@@ -77,7 +77,7 @@ def test_tuple_count_message_folds_like_the_snapshot_it_copies():
         _, out, dec = on_receive(state, msg, b)
         again = on_receive(state, msg, b)
         folded[name] = (state.counts.tolist(), state.support, bool(out), dec,
-                        b.inspect_payload(state.votes_ct).tolist(), again[1:])
+                        b.inspect_payload(state.channels[0]).tolist(), again[1:])
     assert folded["snapshot"] == folded["tuple"]
     assert folded["tuple"][:3] == ([1, 2, 1, 1, 0, 0, 0, 0], 0b1111, True)
     assert folded["tuple"][5] == (False, None)
@@ -98,7 +98,7 @@ def test_snapshot_counts_are_read_only_and_outlive_later_folds():
     assert state.counts.tolist() == [1, 1, 0, 0] and state.support == 0b11
     assert state.snapshot().count_array.tolist() == [1, 1, 0, 0]
     own = np.array([1.0, 1.0, 0.0, 0.0])
-    msg = ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct, counts=own)
+    msg = ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],), counts=own)
     own[2] = 7.0
     assert msg.count_array.tolist() == [1, 1, 0, 0] and not msg.count_array.flags.writeable
 
@@ -108,11 +108,11 @@ def test_an_aggregate_carries_counts_or_a_support():
     km = b.keygen("T")
     state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
     with pytest.raises(ValueError, match="counts or a support"):
-        ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct)
-    msg = ProtocolMessage(state.instance, AGGREGATE, votes_ct=state.votes_ct, support=0b1)
+        ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],))
+    msg = ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],), support=0b1)
     assert msg.support == 0b1 and msg.count_array is None
     with pytest.raises(ValueError, match="unknown message kind"):
-        ProtocolMessage(state.instance, "complete", votes_ct=b.mark_prepared(state.votes_ct))
+        ProtocolMessage(state.instance, "complete", ciphertexts=(b.mark_prepared(state.channels[0]),))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
@@ -152,8 +152,8 @@ def test_try_decide_follows_a_shrunk_required_set():
     assert try_decide(state, b) is None and state.phase == "active"
     state.required_mask = survivors({0, 1, 2}, state.n)
     assert state.required_mask == 0b111
-    prepared = try_decide(state, b)
-    assert state.phase == "decided" and prepared is not None
+    prepared, = try_decide(state, b)
+    assert state.phase == "decided"
     assert finalize_trusted(b, km.secret_part, prepared, 3) == pytest.approx(6.0, abs=1e-12)
     gapped, _ = init_consensus(0, values[0], km.public_part, 4, b)
     for pid in (1, 2):
@@ -161,8 +161,8 @@ def test_try_decide_follows_a_shrunk_required_set():
     # 1 dropped though its vote arrived
     gapped.required_mask = survivors({0, 2}, gapped.n)
     assert gapped.required_mask == 0b101
-    prepared = try_decide(gapped, b)
-    assert gapped.phase == "decided" and prepared is not None
+    prepared, = try_decide(gapped, b)
+    assert gapped.phase == "decided"
     assert finalize_trusted(b, km.secret_part, prepared, 2) == pytest.approx(6.5, abs=1e-12)
 
 
@@ -200,8 +200,8 @@ def test_on_receive_double_count_then_prepare_undoes_it():
     on_receive(state0, msg_of(states[2]), b)
     state0, out, dec = on_receive(state0, msg_of(states[3]), b)
     assert state0.counts.tolist() == [1, 2, 1, 1]   # vote of 1 counted twice
-    assert dec is not None                           # all counts nonzero
-    got = b.decrypt(km.secret_part, dec)
+    prepared, = dec                                  # all counts nonzero
+    got = b.decrypt(km.secret_part, prepared)
     assert abs(got.values[0] - mean_oracle(list(v.values()))) < 1e-12
 
 
@@ -210,11 +210,11 @@ def test_on_receive_decision_trigger():
     km = b.keygen("T")
     state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
     other = b.encrypt(km.public_part, SlotVector([0, 5, 6, 7]), ("x", "agg"))
-    m = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, votes_ct=other,
+    m = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, ciphertexts=(other,),
                         counts=(0, 1, 1, 1))
     state, out, dec = on_receive(state, m, b)
     assert state.counts.tolist() == [1, 1, 1, 1]
-    assert state.phase == "decided" and dec is not None and dec.prepared
+    assert state.phase == "decided" and [ct.prepared for ct in dec] == [True]
 
 
 def test_on_receive_instance_mismatch_dropped():
@@ -241,9 +241,8 @@ def _fold_against_on_receive(make, eps=0.0, cap=8):
             merged = any(out for out, _ in outs)
             decision = next((dec for _, dec in outs if dec is not None), None)
         if decision is not None:
-            decision = tuple(b.inspect_payload(ct).tobytes() for ct in
-                             (decision if isinstance(decision, tuple) else (decision,)))
-        channels = [ct for ct in (state.votes_ct, state.participating_ct) if ct is not None]
+            decision = tuple(b.inspect_payload(ct).tobytes() for ct in decision)
+        channels = state.channels
         seen.append((merged, decision, state.counts.tobytes(), state.support, state.phase,
                      [(b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.taint_mask)
                       for ct in channels],
@@ -443,7 +442,7 @@ def test_conservation_invariant_throughout_run():
             node = setup.nodes[pid]
             if node.state is None or node.state.phase != "active":
                 continue
-            payload = node.backend.inspect_payload(node.state.votes_ct)
+            payload = node.backend.inspect_payload(node.state.channels[0])
             for j in range(4):
                 assert math.isclose(payload[j], node.state.counts[j] * inputs[j],
                                     rel_tol=1e-12, abs_tol=1e-12)
@@ -568,11 +567,12 @@ def test_prepare_divides_out_counts_beyond_int64():
     big = 2 ** 70
     votes = b.encrypt(km.public_part, SlotVector([0.0, 4.0 * big, 6.0 * big, 8.0 * big]),
                       ("x", "agg"))
-    msg = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, votes_ct=votes,
+    msg = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, ciphertexts=(votes,),
                           counts=(0, big, big, big))
     state, out, dec = on_receive(state, msg, b)
-    assert out and dec is not None
-    assert b.decrypt(km.secret_part, dec).values[0] == pytest.approx(4.75, abs=1e-12)
+    assert out
+    prepared, = dec
+    assert b.decrypt(km.secret_part, prepared).values[0] == pytest.approx(4.75, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -584,12 +584,12 @@ def test_a_fold_that_overflows_fails_closed():
     state, _ = init_consensus(0, 8.0, km.public_part, 4, b)
     big = 2 ** 1020
     top = 8.0 * big
-    msgs = [ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, counts=counts,
-                            votes_ct=b.encrypt(km.public_part, SlotVector(votes), ("x", "agg")))
+    msgs = [ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, counts=counts, ciphertexts=(
+                b.encrypt(km.public_part, SlotVector(votes), ("x", "agg")),))
             for votes, counts in (([0, top, top, 0], (0, big, big, 0)),
                                   ([0, 0, top, top], (0, 0, big, big)))]
-    merged, dec = fold(state, msgs, b)
-    assert merged and dec is not None
+    merged, (dec,) = fold(state, msgs, b)
+    assert merged
     assert np.isinf(b.inspect_payload(dec)).all()
     with pytest.raises(PreparedSlotsError, match="not finite"):
         finalize_trusted(b, km.secret_part, dec, 4)
@@ -651,8 +651,10 @@ def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
     def counted(state, msgs, backend, fold=avg_consensus.fold):
         msgs = list(msgs)
         assert {msg.instance for msg in msgs} == {state.instance}
-        calls.append((state.id, state.instance, len(folds)))
-        folds.extend((state.id, msg) for msg in msgs)
+        pid, = (p for p, node in setup.nodes.items()
+                if getattr(node, "states", {}).get(state.instance) is state)
+        calls.append((pid, state.instance, len(folds)))
+        folds.extend((pid, msg) for msg in msgs)
         return fold(state, msgs, backend)
 
     broadcasts = []
@@ -789,9 +791,8 @@ def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule):
     assert report.termination == "decided" and report.privacy_violations == []
     assert all(v == pytest.approx(mean_oracle(values), abs=1e-9)
                for v in report.decided_values.values())
-    decided = sum(ct is not None for node in setup.nodes.values()
-                  for state in getattr(node, "states", {}).values() if state.phase == "decided"
-                  for ct in (state.votes_ct, state.participating_ct))
+    decided = sum(len(state.channels) for node in setup.nodes.values()
+                  for state in getattr(node, "states", {}).values() if state.phase == "decided")
     assert len(calls) == decided and len(opened) < decided
     assert len(sums) == len(opened)
 
@@ -806,15 +807,15 @@ def test_try_decide_prepares_like_an_explicit_include(eps, alive):
     for out in (got, want):
         b = make_backend(cap=8, eps=eps, seed=6)
         km = b.keygen("T")
-        state = ConsensusState(0, INSTANCE_TRUSTED, n,
-                               b.encrypt(km.public_part, values, ("x", "agg")), counts)
+        state = ConsensusState(INSTANCE_TRUSTED, n,
+                               (b.encrypt(km.public_part, values, ("x", "agg")),), counts)
         if out is got:
             if alive is not None:
                 state.required_mask = survivors(alive, n)
-            ct = try_decide(state, b)
+            ct, = try_decide(state, b)
         else:
             include = np.array(sorted(range(n) if alive is None else alive))
-            ct = prepare(b, state.votes_ct, counts, len(include), include=include)
+            ct = prepare(b, state.channels[0], counts, len(include), include=include)
         out += [b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.handle, ct.prepared]
         # the next draw and handle follow as well
         nxt = b.encrypt(km.public_part, values, ("x", "next"))

@@ -425,6 +425,7 @@ RING4 = {"family": "ring", "n": 4}
       "inputs": [1, 2, 3, float("inf")]}, []),
     ({"protocol": "avg-trusted", "topology": {"family": "ring", "n": 1}, "inputs": [1]}, []),
     ({"protocol": "avg-trusted", "topology": 5, "inputs": [1, 2, 3, 4]}, []),
+    ({"protocol": "avg-untrusted", "topology": {"family": "path", "n": 1}, "inputs": [5]}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
@@ -435,7 +436,8 @@ RING4 = {"family": "ring", "n": 4}
         "no-initiators", "avg-trusted-sum-overflows", "avg-untrusted-sum-overflows",
         "outlier-sum-of-squares-overflows", "key-beside-random-uniform",
         "avg-trusted-nan-input", "avg-trusted-infinite-input", "outlier-nan-input",
-        "outlier-infinite-input", "one-process-ring", "number-topology"])
+        "outlier-infinite-input", "one-process-ring", "number-topology",
+        "one-process-untrusted"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -443,6 +445,7 @@ def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "infinity"])

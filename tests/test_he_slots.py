@@ -243,7 +243,7 @@ def test_audit_view_possession_and_decryptability():
     b = make_backend(4)
     km = b.keygen("T")
     ct = b.encrypt(km.public_part, SlotVector([1, 0, 0, 0]), ("1", "v"))
-    msg = ProtocolMessage("avg", AGGREGATE, votes_ct=ct, counts=(1, 0, 0, 0))
+    msg = ProtocolMessage("avg", AGGREGATE, ciphertexts=(ct,), counts=(1, 0, 0, 0))
     log = [(1, "1", "T", msg), (2, "T", "1", msg)]
     trace = SimTrace(b, log, deliveries=len(log))
     view1 = audit_view(trace, [km], "1")

@@ -164,10 +164,10 @@ def test_on_receive_election_contribution_rules():
                                                pid=1, n=n, required_mask=0b111)
     assert state.support == 0b011 and state.counts is None
     assert out and complete is None
-    payload = backend.inspect_payload(state.votes_ct)
+    payload = backend.inspect_payload(state.channels[0])
     assert payload[flat_index(3, 1, 2)] == 1 and payload[flat_index(3, 2, 0)] == 1
     # the same copy revisiting a contributor: no growth, no forward
-    revisit = ProtocolMessage(msg.instance, AGGREGATE, votes_ct=state.votes_ct,
+    revisit = ProtocolMessage(msg.instance, AGGREGATE, ciphertexts=(state.channels[0],),
                               support=state.support)
     state2, out2, complete2 = on_receive_election(state, revisit,
                                                   make_ballot_vector(Ballot(2, 0), n, cap),
@@ -417,7 +417,7 @@ def lineage_copy(backend, pk, n, ballots, contributors, instance="elect/0"):
                               (p, f"{instance}:ballot"))
         ct = enc if ct is None else backend.add_ct(ct, enc)
     support = sum(1 << p for p in contributors)
-    return ProtocolMessage(instance, AGGREGATE, votes_ct=ct, support=support)
+    return ProtocolMessage(instance, AGGREGATE, ciphertexts=(ct,), support=support)
 
 
 def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
@@ -449,10 +449,10 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
     assert state.support == 0b1110
     # 2 + 1 and 2 + 0 contributors are no more than the held 3: no engine call
     for contributors in ((0, 1), (1, 3)):
-        held = state.votes_ct
+        held = state.channels[0]
         state, adopted, complete, calls, handles = fold(state, contributors)
         assert (adopted, complete, calls, handles) == (False, None, (0, 0), 0)
-        assert state.votes_ct is held
+        assert state.channels[0] is held
     state, adopted, complete, calls, handles = fold(state, (0, 1, 2))
     assert adopted and complete is not None and calls == (1, 1) and handles == 2
     assert state.support == 0b1111
@@ -495,7 +495,7 @@ def test_complete_lineages_with_one_support_and_two_tallies_are_a_fault():
     votes = [complete_ct_for(ballots, n, backend, collector.key)
              for ballots in ([(0, None), (0, None), (1, None)],
                              [(1, None), (1, None), (0, None)])]
-    batch = [(pid, ProtocolMessage("elect/0", PREPARED, votes_ct=ct, support=0b111))
+    batch = [(pid, ProtocolMessage("elect/0", PREPARED, ciphertexts=(ct,), support=0b111))
              for pid, ct in enumerate(votes)]
     ctx = CollectorContext()
     with pytest.raises(CorruptedTallyError,

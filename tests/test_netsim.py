@@ -346,6 +346,17 @@ def test_bad_crash_fault_is_rejected(crash):
             inputs=[1, 2, 3, 4], faults=[crash])))
 
 
+def test_one_process_untrusted_averaging_is_rejected_with_its_reason():
+    reason = ("^avg-untrusted needs at least 2 processes, got 1: "
+              "each initiator hands its seed to a neighbour$")
+    with pytest.raises(ValueError, match=reason):
+        build_untrusted(topo.path(1), [5.0])
+    scenario = ScenarioConfig.from_dict(dict(
+        protocol="avg-untrusted", topology={"family": "path", "n": 1}, inputs=[5]))
+    with pytest.raises(ValueError, match=reason):
+        netsim.run(scenario)
+
+
 @pytest.mark.parametrize("crash", [
     {"process": 1.7, "time": 2},
     {"process": "1", "time": 2},

@@ -57,12 +57,12 @@ def test_init_round3_layout():
     b = make_backend()
     km = b.keygen("T")
     state, msg = init_round3(1, 5.0, False, km.public_part, 4, b)
-    assert b.inspect_payload(state.votes_ct).tolist() == [0, 5, 0, 0]
-    assert b.inspect_payload(state.participating_ct).tolist() == [0, 1, 0, 0]
+    assert b.inspect_payload(state.channels[0]).tolist() == [0, 5, 0, 0]
+    assert b.inspect_payload(state.channels[1]).tolist() == [0, 1, 0, 0]
     assert state.counts.tolist() == [0, 1, 0, 0]
     out_state, _ = init_round3(0, 99.0, True, km.public_part, 4, b)
-    assert b.inspect_payload(out_state.votes_ct).tolist() == [0, 0, 0, 0]
-    assert b.inspect_payload(out_state.participating_ct).tolist() == [0, 0, 0, 0]
+    assert b.inspect_payload(out_state.channels[0]).tolist() == [0, 0, 0, 0]
+    assert b.inspect_payload(out_state.channels[1]).tolist() == [0, 0, 0, 0]
     assert out_state.counts.tolist() == [1, 0, 0, 0]
 
 
@@ -75,9 +75,9 @@ def test_on_receive_round3_merge_and_decide():
     s0, out, dec = on_receive_round3(s0, m1, b)
     assert out and dec is None
     # subset message leaves both aggregates unchanged
-    before = b.inspect_payload(s0.participating_ct).tolist()
+    before = b.inspect_payload(s0.channels[1]).tolist()
     s0, out, dec = on_receive_round3(s0, m1, b)
-    assert out is False and b.inspect_payload(s0.participating_ct).tolist() == before
+    assert out is False and b.inspect_payload(s0.channels[1]).tolist() == before
     s0, out, dec = on_receive_round3(s0, m2, b)
     assert dec is not None
     pv, pp = dec
@@ -246,7 +246,7 @@ def test_one_process_node_starts_round_2_from_either_round_1_hand_off():
 
     # the unopened prepared mean: round 2 starts from it, at depth 3
     ctx = BroadcastRecorder()
-    node._handle_result(ctx, ProtocolMessage("out/r1", RESULT, votes_ct=mean_ct))
+    node._handle_result(ctx, ProtocolMessage("out/r1", RESULT, ciphertexts=(mean_ct,)))
     (sent,) = ctx.sent
     assert (sent.instance, sent.votes_ct.depth) == ("out/r2", 3) and node.mean_ct is mean_ct
     want = outlier_consensus.variance_contribution(b, mean_ct, 10.0, 3, key.public_part)
@@ -287,12 +287,12 @@ def test_survivors_unit():
     b = make_backend()
     km = b.keygen("T")
     votes = b.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), ("x", "agg"))
-    state = ConsensusState(id=0, instance="out/r2", n=4, votes_ct=votes,
+    state = ConsensusState(instance="out/r2", n=4, channels=(votes,),
                            counts=np.array([1, 1, 1, 0]))
     state.required_mask = survivors({0, 1, 2}, state.n)
     assert state.required_mask == 0b111
     # prepare weights the survivors only and divides by their number
-    prepared = try_decide(state, b)
+    prepared, = try_decide(state, b)
     assert finalize_trusted(b, km.secret_part, prepared, 4) == pytest.approx(2.0)
     # no faults: identity
     assert survivors({0, 1, 2, 3}, 4) == 0b1111
