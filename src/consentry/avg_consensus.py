@@ -37,7 +37,6 @@ floods one result, the first it decides on.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import defaultdict
 
@@ -47,8 +46,6 @@ from . import netsim
 from .he_slots import (Ciphertext, SlotEngine, SlotVector, seeded_backend,
                        slot_capacity_for, sum_in_order)
 from .topology import Topology
-
-log = logging.getLogger(__name__)
 
 AGGREGATE = "aggregate"
 PREPARED = "prepared"
@@ -210,8 +207,8 @@ def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
 
 
 def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object]:
-    """Fold a delivery batch of aggregate messages into the local state's
-    channels, in delivery order.
+    """Fold the state's instance's share of a delivery batch of aggregate
+    messages into its channels, in delivery order.
 
     A message whose support is a subset of the local one (as grown by the
     messages before it) is dropped, and so is every message after the one
@@ -228,12 +225,9 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     """
     if state.phase != ACTIVE:
         return False, None
-    instance, support, required = state.instance, state.support, state.required_mask
+    support, required = state.support, state.required_mask
     rows, arrays = [], [state.counts]
     for msg in msgs:
-        if msg.instance != instance:
-            log.warning("dropping message for %s at state %s", msg.instance, instance)
-            continue
         other = msg.support
         if not other & ~support:
             continue
@@ -431,10 +425,6 @@ class AvgProcessNode(FloodingNode):
         super().__init__(pid, n, backend)
         self.value = value
         self.pk = pk
-
-    @property
-    def state(self) -> ConsensusState | None:
-        return self.states.get(INSTANCE_TRUSTED)
 
     def on_start(self, ctx):
         self._start(ctx, *init_consensus(self.pid, self.value, self.pk,

@@ -105,30 +105,17 @@ def _run_trials(scenario: ScenarioConfig) -> list[tuple[Topology, netsim.SimRepo
     return trials
 
 
-_NESTED = (dict, list, tuple)
-
-
-def _string_keys(value):
-    """`value`, a dict or list, with each dict key in it turned into the
-    string `json.dumps` writes for it: the shape `json.loads(json.dumps(value))`
-    reads back.  So `report.json` sorts nested int keys, such as an
-    election's tally ids, as strings, where `SimReport.to_json` sorts them
-    as ints."""
-    if isinstance(value, dict):
-        return {k if isinstance(k, str) else json.dumps(k):
-                _string_keys(v) if isinstance(v, _NESTED) else v
-                for k, v in value.items()}
-    return [_string_keys(v) if isinstance(v, _NESTED) else v for v in value]
-
-
 def _write_report(out: Path, scenario_raw: dict, reports) -> None:
     payload = {
         "schema_version": 1,
         "scenario": scenario_raw,
-        "trials": [_string_keys({f.name: getattr(r, f.name)
-                                 for f in dataclasses.fields(r)})
+        "trials": [{f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
                    for r in reports],
     }
+    # read back first, so nested int keys such as an election's tally ids
+    # become strings and sort as strings, where `SimReport.to_json` sorts
+    # them as ints
+    payload = json.loads(json.dumps(payload))
     (out / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
 
 

@@ -119,23 +119,6 @@ def variance_contribution(backend: SlotEngine, mean_ct: Ciphertext,
 combine_variance = prepare
 
 
-def encrypted_variance(backend: SlotEngine, mean_ct: Ciphertext,
-                       values: dict, pk) -> Ciphertext:
-    """Reference composition of the no-decryption variance route.
-
-    `values` maps process id -> initial value (the per-process hooks).  The
-    encrypted squared deviations are summed and prepared like any round;
-    nothing is decrypted.
-    """
-    counts = np.zeros(backend.config.slot_capacity)
-    total = None
-    for pid in sorted(values):
-        counts[pid] = 1
-        sq = variance_contribution(backend, mean_ct, values[pid], pid, pk)
-        total = sq if total is None else backend.add_ct(total, sq)
-    return prepare(backend, total, counts, len(values))
-
-
 # -- simulation actors -------------------------------------------------------
 
 class OutlierProcessNode(FloodingNode):

@@ -2,9 +2,10 @@
 
 from consentry import netsim
 from consentry import topology as topo
-from consentry.avg_consensus import (AGGREGATE, AvgProcessNode, ProtocolMessage,
-                                     UntrustedProcessNode, build_trusted,
-                                     build_untrusted, instance_for_initiator)
+from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, AvgProcessNode,
+                                     ProtocolMessage, UntrustedProcessNode,
+                                     build_trusted, build_untrusted,
+                                     instance_for_initiator)
 from consentry.netsim import SchedulePolicy
 
 
@@ -34,8 +35,9 @@ class MisroutingAvgNode(AvgProcessNode):
 
     def on_deliver(self, ctx, batch):
         super().on_deliver(ctx, batch)
-        if self.state is not None:
-            ctx.send(netsim.TRUSTED, self._snapshot_msg(self.state))
+        state = self.states.get(INSTANCE_TRUSTED)
+        if state is not None:
+            ctx.send(netsim.TRUSTED, self._snapshot_msg(state))
 
 
 class MisroutingUntrustedNode(UntrustedProcessNode):

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from consentry import avg_consensus, he_slots, netsim
+from consentry import avg_consensus, he_slots, netsim, outlier_consensus
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      PREPARED, RESULT, ConsensusState,
@@ -217,15 +217,6 @@ def test_on_receive_decision_trigger():
     assert state.phase == "decided" and [ct.prepared for ct in dec] == [True]
 
 
-def test_on_receive_instance_mismatch_dropped():
-    b = make_backend()
-    km = b.keygen("T")
-    state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
-    _, m = init_consensus(1, 2.0, km.public_part, 4, b, instance="avg/9")
-    state, out, dec = on_receive(state, m, b)
-    assert out is False and dec is None and state.counts.tolist() == [1, 0, 0, 0]
-
-
 def _fold_against_on_receive(make, eps=0.0, cap=8):
     """Fold one batch, and on a twin backend pass the same batch message by
     message to `on_receive`; both must leave the same state and decision."""
@@ -326,8 +317,7 @@ def test_a_wide_fold_of_a_two_channel_round3_batch_at_noise():
 def test_fold_without_a_new_index_changes_nothing():
     def make(b, km):
         state, own = init_consensus(0, 1.0, km.public_part, 4, b)
-        _, other = init_consensus(1, 2.0, km.public_part, 4, b, instance="avg/9")
-        return state, [own, other, own]
+        return state, [own, own]
     merged, decision, counts, *_ = _fold_against_on_receive(make)
     assert not merged and decision is None
     assert np.frombuffer(counts).tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
@@ -440,11 +430,12 @@ def test_conservation_invariant_throughout_run():
         checks += 1
         for pid in range(4):
             node = setup.nodes[pid]
-            if node.state is None or node.state.phase != "active":
+            state = node.states.get(INSTANCE_TRUSTED)
+            if state is None or state.phase != "active":
                 continue
-            payload = node.backend.inspect_payload(node.state.channels[0])
+            payload = node.backend.inspect_payload(state.channels[0])
             for j in range(4):
-                assert math.isclose(payload[j], node.state.counts[j] * inputs[j],
+                assert math.isclose(payload[j], state.counts[j] * inputs[j],
                                     rel_tol=1e-12, abs_tol=1e-12)
 
     def checked(deliver):
@@ -637,16 +628,32 @@ def test_untrusted_dense_graph_decides_every_initiator():
         assert report.extra[f"initiator_result/{k}"] == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("build", [build_trusted, build_untrusted])
-def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
+def _outlier_build(route):
+    def build(t, inputs, seed):
+        return outlier_consensus.build(t, inputs, 1.0, variance_route=route, seed=seed)
+    return build
+
+
+FOLDING_BUILDS = {"build_trusted": build_trusted, "build_untrusted": build_untrusted,
+                  "outlier-decrypt": _outlier_build("decrypt"),
+                  "outlier-encrypted": _outlier_build("encrypted")}
+
+
+@pytest.mark.parametrize("build,schedule", [
+    pytest.param(build, schedule, id=build if schedule == "sync" else f"{build}-async")
+    for build in FOLDING_BUILDS for schedule in ("sync", "async")])
+def test_every_aggregate_delivery_goes_through_fold(build, schedule, monkeypatch):
     """Wrapping `avg_consensus.fold` sees each AGGREGATE delivered to a
     process holding its instance handed to it exactly once, in one call per
-    instance per delivery batch, and a delivery batch yields at most one
-    AGGREGATE multicast per instance.  Every AGGREGATE a process sends goes
-    out through `Context.multicast`, which `broadcast` also calls."""
+    instance per delivery batch, and only with messages of the state's own
+    instance: the outlier rounds share one key, so a fold across rounds
+    would raise nothing.  A delivery batch yields at most one AGGREGATE
+    multicast per instance besides a round start's.  Every AGGREGATE a
+    process sends goes out through `Context.multicast`, which `broadcast`
+    also calls."""
     t = topo.random_connected(16, 0.4, random.Random(16))
     inputs = [float(i) for i in range(16)]
-    folds, calls = [], []
+    folds, calls, held, batches, starts, delivering = [], [], [], [], [], []
 
     def counted(state, msgs, backend, fold=avg_consensus.fold):
         msgs = list(msgs)
@@ -657,6 +664,21 @@ def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
         folds.extend((pid, msg) for msg in msgs)
         return fold(state, msgs, backend)
 
+    def delivered(node, ctx, batch, deliver=avg_consensus.FloodingNode.on_deliver):
+        delivering.append(node.pid)
+        deliver(node, ctx, batch)
+        delivering.pop()
+        # a round a RESULT of this batch starts is folded into in this batch
+        mine = [msg for _, msg in batch
+                if msg.kind == AGGREGATE and msg.instance in node.states]
+        held.extend((node.pid, msg) for msg in mine)
+        batches.extend((node.pid, instance) for instance in {msg.instance for msg in mine})
+
+    def started(node, ctx, state, msg, start=avg_consensus.FloodingNode._start):
+        if delivering:      # a round started on a RESULT of a delivery batch
+            starts.append((node.pid, ctx._sim._now, state.instance))
+        return start(node, ctx, state, msg)
+
     broadcasts = []
 
     def recorded(ctx, dsts, msg, send=netsim.Context.multicast):
@@ -665,23 +687,29 @@ def test_every_aggregate_delivery_goes_through_fold(build, monkeypatch):
         return send(ctx, dsts, msg)
 
     monkeypatch.setattr(avg_consensus, "fold", counted)
+    monkeypatch.setattr(avg_consensus.FloodingNode, "on_deliver", delivered)
+    monkeypatch.setattr(avg_consensus.FloodingNode, "_start", started)
     monkeypatch.setattr(netsim.Context, "multicast", recorded)
-    setup = build(t, inputs, seed=3)
-    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
+    setup = FOLDING_BUILDS[build](t, inputs, seed=3)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy(schedule, 3),
                                       keep_log=True).run()
     assert report.termination == "decided"
-    held = [(dst, msg) for _, _, dst, msg in trace.messages
-            if msg.kind == AGGREGATE and msg.instance in setup.nodes[dst].states]
+    # the wrapper saw every AGGREGATE the simulator delivered to a process
+    assert Counter((pid, id(msg)) for pid, msg in held) <= \
+        Counter((dst, id(msg)) for _, _, dst, msg in trace.messages)
     assert len(held) == len(folds) > 0
     # a batch is folded instance by instance, so compare without order
     assert Counter((pid, id(msg)) for pid, msg in folds) == \
-        Counter((dst, id(msg)) for dst, msg in held)
-    batches = {(t, dst, msg.instance) for t, _, dst, msg in trace.messages
-               if msg.kind == AGGREGATE and msg.instance in setup.nodes[dst].states}
-    assert len(calls) == len(batches)
+        Counter((pid, id(msg)) for pid, msg in held)
+    assert Counter((pid, instance) for pid, instance, _ in calls) == Counter(batches)
     # the rebroadcasts after a fold are among the recorded sends
     assert any(t > 0 for _, t, _ in broadcasts)
-    assert len(set(broadcasts)) == len(broadcasts)
+    # in async outlier runs a batch that brings a RESULT can also bring the
+    # next round's aggregates, which the round started on it then folds and
+    # multicasts a second time
+    rebroadcasts = Counter(broadcasts)
+    rebroadcasts.subtract(starts)
+    assert set(rebroadcasts.values()) <= {0, 1}
 
 
 G16 = {"family": "random", "n": 16, "p": 0.4}

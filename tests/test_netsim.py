@@ -48,6 +48,58 @@ def test_sync_diameter_bound_on_families():
             assert report.rounds_to_decide[pid] <= d
 
 
+def _eccentricities(t):
+    """Each process's eccentricity, by one breadth-first search from it."""
+    ecc = []
+    for src in range(t.n):
+        seen, frontier, depth = {src}, [src], 0
+        while frontier:
+            frontier = [j for i in frontier for j in t.neighbors(i) if j not in seen]
+            seen.update(frontier)
+            depth += 1
+        ecc.append(depth - 1)
+    return ecc
+
+
+@pytest.mark.parametrize("protocol,fields", [
+    ("avg-trusted", {}),
+    ("outlier", {"c": 1.0, "variance_route": "decrypt"}),
+    ("outlier", {"c": 1.0, "variance_route": "encrypted"}),
+], ids=["avg-trusted", "outlier-decrypt", "outlier-encrypted"])
+def test_sync_traffic_follows_the_graph_exactly(protocol, fields):
+    """In a sync run without a crash every process p sends
+    deg(p)*(1 + ecc(p)) + 1 messages per round: its start, one rebroadcast
+    per hop until its state is complete, and its prepared aggregate.  An
+    avg-trusted process decides at ecc(p) and the collector, which sends one
+    result per process, at rad(G) + 1; outlier runs three such rounds, so
+    every process decides at 3*(rad(G) + 2) and the collector one step
+    earlier, unless every value is an outlier.  None of it depends on
+    noise."""
+    rounds = 3 if protocol == "outlier" else 1
+    for family in ("ring", "path", "star", "complete", "tree", "random"):
+        for n in (2, 7, 16, 32):
+            t = topo.from_family(family, n, random.Random(n))
+            ecc = _eccentricities(t)
+            rad = min(ecc)
+            for eps in (0.0, 1e-9):
+                sc = ScenarioConfig.from_dict(dict(
+                    fields, protocol=protocol, topology=t.to_dict(), seed=n,
+                    inputs={"random_uniform": [-100, 100]}, noise_epsilon=eps))
+                report = netsim.run(sc)
+                assert report.termination == "decided"
+                assert report.messages_sent == dict(
+                    {p: rounds * (t.degree(p) * (1 + ecc[p]) + 1) for p in range(n)},
+                    **{netsim.TRUSTED: rounds * n}), (family, n, eps)
+                if protocol == "outlier":
+                    want = dict.fromkeys(range(n), 3 * (rad + 2))
+                    # with every value an outlier the collector decides nothing
+                    if report.extra.get("outcome") != "all-outliers":
+                        want[netsim.TRUSTED] = 3 * (rad + 2) - 1
+                else:
+                    want = dict(enumerate(ecc), **{netsim.TRUSTED: rad + 1})
+                assert report.rounds_to_decide == want, (family, n, eps)
+
+
 def test_async_seed_changes_order_not_values():
     """Schedule invariance: 20 async seeds agree on the decided value
     (within the correctness tolerance; duplicate multiplicities differ)."""

@@ -12,7 +12,7 @@ from consentry.avg_consensus import (PREPARED, RESULT, ConsensusState, ProtocolM
                                      finalize_trusted, prepare, try_decide)
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
-from consentry.outlier_consensus import (AllOutliersError, encrypted_variance, finalize_outlier,
+from consentry.outlier_consensus import (AllOutliersError, finalize_outlier,
                                          init_round3, is_outlier,
                                          on_receive_round3, round2_input,
                                          sigma_from_round2, survivors)
@@ -146,6 +146,16 @@ def run_outlier_sim(values, c, route="decrypt", seed=3, topology=None,
     return vals.pop()
 
 
+def prepared_variance(b, mean_ct, values, pk):
+    """The encrypted route's round 2 summed at one place: each process's
+    Enc((v - mean)^2) added up and prepared over every process."""
+    total = None
+    for pid, v in sorted(values.items()):
+        sq = outlier_consensus.variance_contribution(b, mean_ct, v, pid, pk)
+        total = sq if total is None else b.add_ct(total, sq)
+    return prepare(b, total, [1] * len(values), len(values))
+
+
 def test_encrypted_variance_examples():
     b = make_backend()
     km = b.keygen("T")
@@ -157,8 +167,8 @@ def test_encrypted_variance_examples():
             votes = ct if votes is None else b.add_ct(votes, ct)
         return prepare(b, votes, [1] * len(values), len(values))
 
-    var_ct = encrypted_variance(b, mean_ct_of([3.0, 3.0, 3.0, 3.0]),
-                                {i: 3.0 for i in range(4)}, km.public_part)
+    var_ct = prepared_variance(b, mean_ct_of([3.0, 3.0, 3.0, 3.0]),
+                               {i: 3.0 for i in range(4)}, km.public_part)
     assert abs(b.decrypt(km.secret_part, var_ct).values[0]) < 1e-9
 
     b2 = make_backend(cap=2, seed=5)
@@ -167,7 +177,7 @@ def test_encrypted_variance_examples():
         b2.encrypt(km2.public_part, SlotVector.impulse(2, 0, 1.0), (0, "v")),
         b2.encrypt(km2.public_part, SlotVector.impulse(2, 1, 3.0), (1, "v")))
     mean_ct = prepare(b2, votes, [1, 1], 2)
-    var_ct = encrypted_variance(b2, mean_ct, {0: 1.0, 1: 3.0}, km2.public_part)
+    var_ct = prepared_variance(b2, mean_ct, {0: 1.0, 1: 3.0}, km2.public_part)
     assert b2.decrypt(km2.secret_part, var_ct).values[0] == pytest.approx(1.0)
 
 
