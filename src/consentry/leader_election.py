@@ -310,7 +310,14 @@ class ElectionProcessNode(FloodingNode):
         ctx.decide(msg.extra["winner"])
 
     def on_crash_notice(self, ctx, crashed):
-        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
+        """Narrow `required_mask` to the survivors; each held active copy
+        that now covers it goes to the keyholder, in instance order, since
+        no further message may arrive to complete it."""
+        self.required_mask = required = survivors(set(range(self.n)) - crashed, self.n)
+        for instance, state in sorted(self.states.items()):
+            if state.phase == ACTIVE and not required & ~state.support:
+                self._emit_prepared(ctx, instance, (
+                    self.backend.mark_prepared(state.channels[0]), state.support))
 
 
 class ElectionCollectorNode(netsim.Node):

@@ -324,6 +324,43 @@ def test_crash_election_decides_survivors_irv_winner():
     assert report.privacy_violations == []
 
 
+def election_config(topology, ballots, seed, schedule="sync", crashes=()):
+    """An election scenario dict; ballots are (primary, secondary) pairs and
+    crashes (process, time) pairs."""
+    return {"protocol": "election", "topology": topology, "seed": seed,
+            "schedule": schedule,
+            "inputs": [{"primary": p, "secondary": s} for p, s in ballots],
+            "faults": [{"process": p, "time": time} for p, time in crashes]}
+
+
+def run_logged(raw):
+    """Trial 0 of a scenario dict through `netsim.run`'s steps, keeping the
+    delivery log: (report, trace)."""
+    sc = ScenarioConfig.from_dict(raw)
+    t = sc.resolve_topology()
+    setup = build(t, sc.inputs, seed=sc.seed, noise_epsilon=sc.noise_epsilon)
+    policy = netsim.SchedulePolicy(sc.schedule, sc.seed * 7919 + 13, sc.max_latency)
+    return netsim.Simulation(t, setup, policy, faults=sc.faults, keep_log=True).run()
+
+
+@pytest.mark.parametrize("topology, seed, crashes, ballots", [
+    ({"family": "path", "n": 5}, 8, ((3, 2), (4, 3), (2, 1)),
+     [(4, None), (1, None), (0, 2), (3, None), (3, None)]),
+    ({"family": "random", "n": 5, "p": 0.4}, 3, ((1, 2), (3, 0), (0, 3)),
+     [(3, None), (2, None), (2, None), (0, 4), (0, 4)]),
+], ids=["path5", "random5"])
+def test_a_crash_notice_completes_the_copies_a_process_holds(topology, seed, crashes,
+                                                             ballots):
+    # the last crash leaves a held copy covering every survivor, and no
+    # further message arrives to complete it: both runs once missed the deadline
+    report, trace = run_logged(election_config(topology, ballots, seed, crashes=crashes))
+    assert report.termination == "decided"
+    first = next(msg for _, _, _, msg in trace.messages if msg.kind == PREPARED)
+    want = irv_oracle([b for p, b in enumerate(ballots) if first.support >> p & 1], 5)
+    assert report.decided_values and set(report.decided_values.values()) == {want}
+    assert netsim.privacy_audit(trace) == []
+
+
 @pytest.mark.parametrize("eps", [0.003, 0.03])
 def test_noisy_tallies_round_within_their_noise_bound(eps):
     """The complete ciphertext's noise bound (0.021 at eps 0.003) exceeds
