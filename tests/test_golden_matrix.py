@@ -2,15 +2,18 @@
 
 The matrix crosses the five protocol variants with ring, path, star,
 complete and G(8, 0.5) at n = 8, both schedules, noise 0 and 1e-9, and no
-crash or process 5 crashing at t = 2.  `tests/golden/matrix.json` holds the
-digest of each cell's report JSON, so a refactor that must keep reports
-byte-identical is checked over all 200 cells, and the test names every cell
-whose bytes moved.  After a change that alters reports on purpose,
-re-capture in a commit of its own with
+crash or process 5 crashing at t = 2.  `tests/golden/matrix.json` holds each
+cell's receipt: the SHA-256 of its report JSON, and a 16-hex digest of each
+top-level report field and of each `extra` key (named `extra.<key>`), so a
+refactor that must keep reports byte-identical is checked over all 200
+cells, and the test names every cell whose bytes moved with the fields that
+moved in it.  After a change that alters reports on purpose, re-capture in a
+commit of its own with
 
     PYTHONPATH=src python tests/test_golden_matrix.py
 
-and say in CHANGES.md why the digests moved.
+which prints, by protocol variant, how many cells moved and how many of them
+moved in each field; put that summary in CHANGES.md and say why it moved.
 
 The same cells check agreement: every process and collector that decides
 in a cell decides the same bits.  avg-untrusted does not yet (ROADMAP
@@ -20,6 +23,7 @@ item 9), so its 40 cells are one strict expected failure.
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,21 +73,45 @@ def cells() -> dict:
     return out
 
 
-def digest(raw: dict) -> str:
-    report = netsim.run(ScenarioConfig.from_dict(raw))
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
+def _short(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def digests() -> dict:
-    return {name: digest(raw) for name, raw in sorted(cells().items())}
+def receipt(raw: dict) -> dict:
+    """The report digest of one cell and the digest of each of its fields."""
+    text = netsim.run(ScenarioConfig.from_dict(raw)).to_json()
+    report = json.loads(text)
+    fields = {key: _short(value) for key, value in report.items() if key != "extra"}
+    fields.update((f"extra.{key}", _short(value)) for key, value in report["extra"].items())
+    return {"report": hashlib.sha256(text.encode()).hexdigest(), "fields": fields}
+
+
+def receipts() -> dict:
+    return {name: receipt(raw) for name, raw in sorted(cells().items())}
+
+
+def moved_fields(want: dict, got: dict) -> list:
+    """The fields whose digests differ, or that one receipt lacks."""
+    was, now = want.get("fields", {}), got["fields"]
+    return sorted(key for key in was.keys() | now.keys() if was.get(key) != now.get(key))
 
 
 def test_every_matrix_cell_matches_its_digest():
     want = json.loads(MATRIX.read_text())
-    got = digests()
+    got = receipts()
     assert sorted(want) == sorted(got), "matrix.json and the cells differ"
-    moved = [name for name in sorted(got) if got[name] != want[name]]
-    assert moved == [], f"{len(moved)} report(s) moved: {', '.join(moved)}"
+    moved = [f"{name} [{', '.join(moved_fields(want[name], got[name]))}]"
+             for name in sorted(got) if got[name] != want[name]]
+    assert moved == [], f"{len(moved)} report(s) moved: {'; '.join(moved)}"
+
+
+def test_a_moved_cell_names_the_fields_that_moved():
+    want = {"report": "a", "fields": {"n": "1", "extra.crashed": "2", "seed": "4"}}
+    got = {"report": "b", "fields": {"n": "1", "messages_sent": "3", "seed": "5"}}
+    assert moved_fields(want, got) == ["extra.crashed", "messages_sent", "seed"]
+    assert summary({"election-x": want}, {"election-x": got}).splitlines()[-4:] == [
+        "election: 1 of 1 cells moved", "  extra.crashed: 1", "  messages_sent: 1",
+        "  seed: 1"]
 
 
 def disagreeing(untrusted: bool) -> list:
@@ -109,8 +137,25 @@ def test_every_avg_untrusted_decider_decides_the_same_bits():
     assert disagreeing(untrusted=True) == []
 
 
+def summary(want: dict, got: dict) -> str:
+    """Per protocol variant, the cells whose report moved from `want` to
+    `got`, and how many of those moved in each field."""
+    lines = []
+    for variant in VARIANTS:
+        names = [name for name in got if name.startswith(variant + "-")]
+        moved = [name for name in names
+                 if want.get(name, {}).get("report") != got[name]["report"]]
+        lines.append(f"{variant}: {len(moved)} of {len(names)} cells moved")
+        counts = Counter(key for name in moved
+                         for key in moved_fields(want.get(name, {}), got[name]))
+        lines.extend(f"  {key}: {count}" for key, count in sorted(counts.items()))
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    got = digests()
+    was = json.loads(MATRIX.read_text()) if MATRIX.exists() else {}
+    got = receipts()
     MATRIX.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(got)} digests to {MATRIX.parent.name}/{MATRIX.name}",
+    print(summary(was, got))
+    print(f"wrote {len(got)} receipts to {MATRIX.parent.name}/{MATRIX.name}",
           file=sys.stderr)
