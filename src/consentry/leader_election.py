@@ -5,16 +5,23 @@ p*n + s counts ballots with primary p and secondary s) followed by n
 primary-only slots.  Ballot ciphertexts cannot be merged across copies, so
 each origin's ciphertext travels as a lineage: a process contributes its
 ballot to a lineage copy at most once (tracked by the copy's `support`
-bitmask, bit p set once process p contributed) and stores/forwards only
-copies with strictly more contributors.  A lineage copy is a
-`ConsensusState` with no counts and that support, handled by a
-`FloodingNode` that folds it with `on_receive_election`.  The fold first
-compares the copy's size, counting the ballot it would gain, with the held
-copy's, and encrypts the process's ballot (encoded once per run) only for
-a copy it adopts.  A copy whose contributors cover every process not known
-to have crashed is complete and goes to the keyholder as a PREPARED
-message with that copy's own support; the keyholder's decryption reveals
-the tallies and how many ballots they hold, never who voted for whom.
+bitmask, bit p set once process p contributed).  Only processes 0 .. f
+start a lineage, f being the crash bound `netsim.Context.crash_bound`: as
+in FloodSet (Lynch, Distributed Algorithms, 6.2), one of f + 1 origins never
+crashes, so its lineage is never lost.  A process stores and forwards a copy
+only if that copy, with its own ballot added, comes later than the held one
+in one total order: more contributors first, then the larger support as an
+integer.  Under that order the latest copy of a lineage spreads and grows
+until it covers the survivors; two copies of one size cannot block each
+other.  A lineage copy is a `ConsensusState` with no counts and that
+support, handled by a `FloodingNode` that folds it with
+`on_receive_election`.  The fold first places the copy, counting the ballot
+it would gain, against the held copy, and encrypts the process's ballot
+(encoded once per run) only for a copy it adopts.  A copy whose
+contributors cover every process not known to have crashed is complete and
+goes to the keyholder as a PREPARED message with that copy's own support;
+the keyholder's decryption reveals the tallies and how many ballots they
+hold, never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -96,27 +103,28 @@ def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
 def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
                         ballot_vec: SlotVector, pk, backend: SlotEngine,
                         pid: int, n: int, required_mask: int):
-    """Adopt a strictly larger copy, adding this process's ballot to it once.
+    """Adopt a copy that comes later than the held one, adding this
+    process's ballot to it once.
 
-    The copy's size counts the ballot it would gain, so a copy no larger
-    than the held one is rejected before `ballot_vec`, the encoded ballot,
-    is encrypted; only an adopted copy that lacks this process pays for
-    `encrypt` and `add_ct`.  A copy is complete once its support covers
-    `required_mask`.  Returns (state, whether the copy was adopted, complete
-    ciphertext or None); the complete ciphertext goes with the returned
-    state's support, and the caller announces an adopted copy that is not
-    complete.
+    Copies are ordered by contributor count, then by support as an integer,
+    and the arriving copy is placed with this process's ballot counted, so a
+    copy that does not come later is rejected before `ballot_vec`, the
+    encoded ballot, is encrypted; only an adopted copy that lacks this
+    process pays for `encrypt` and `add_ct`.  A copy is complete once its
+    support covers `required_mask`.  Returns (state, whether the copy was
+    adopted, complete ciphertext or None); the complete ciphertext goes with
+    the returned state's support, and the caller announces an adopted copy
+    that is not complete.
     """
-    support = msg.support
-    lacks = not (support >> pid & 1)
-    if state is not None and \
-            support.bit_count() + lacks <= state.support.bit_count():
-        return state, False, None
+    support = msg.support | 1 << pid
+    if state is not None:
+        count, held = support.bit_count(), state.support.bit_count()
+        if count < held or count == held and support <= state.support:
+            return state, False, None
     cand_ct = msg.votes_ct
-    if lacks:
+    if support != msg.support:
         fresh = backend.encrypt(pk, ballot_vec, (pid, f"{msg.instance}:ballot"))
         cand_ct = backend.add_ct(cand_ct, fresh)
-        support |= 1 << pid
     if state is None:
         state = ConsensusState(msg.instance, n, (cand_ct,), counts=None, support=support)
     else:
@@ -256,10 +264,12 @@ def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
 class ElectionProcessNode(FloodingNode):
     """Lineage flooding participant: one ConsensusState per lineage it holds.
 
-    Each message of a batch is folded by `on_receive_election`, with the
-    ballot `on_start` encoded once for the whole run.  The first complete
-    copy of a lineage goes only to the keyholder, with that copy's own
-    support, and decides the state; any other adopted copy is rebroadcast.
+    `on_start` encodes the ballot once for the whole run, and processes
+    0 .. f, f being the context's `crash_bound`, each start a lineage with
+    it.  Each message of a batch is folded by `on_receive_election`.  The
+    first complete copy of a lineage goes only to the keyholder, with that
+    copy's own support, and decides the state; any other adopted copy is
+    rebroadcast.
     """
 
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
@@ -271,6 +281,8 @@ class ElectionProcessNode(FloodingNode):
     def on_start(self, ctx):
         self.ballot_vec = make_ballot_vector(self.ballot, self.n,
                                              self.backend.config.slot_capacity)
+        if self.pid > ctx.crash_bound:
+            return
         state, msg = init_election(self.pid, self.ballot_vec, self.pk, self.n,
                                    self.backend)
         self.states[state.instance] = state

@@ -271,6 +271,9 @@ class Context:
         self.neighbors = sim.topology.adjacency[pid] if isinstance(pid, int) else ()
         #: the actors this one has a channel to: its neighbours and TRUSTED
         self.reach = frozenset((*self.neighbors, TRUSTED))
+        #: f, how many processes may crash: the distinct processes of the
+        #: fault plan.  Every process knows the bound, not who crashes or when.
+        self.crash_bound = sim.crash_bound
 
     def send(self, dst, msg):
         self._sim._send(self.pid, (dst,), msg)
@@ -356,6 +359,7 @@ class Simulation:
         self.setup = setup
         self.policy = policy
         self.faults = faults or FaultPlan()
+        self.crash_bound = len({crash.process for crash in self.faults.crashes})
         self.extra: dict = {}
         self._calendar: dict[int, list] = defaultdict(list)   # time -> [(frm, dsts, msg)]
         self._reach: dict = {}   # sender -> its `Context.reach`; set by run()

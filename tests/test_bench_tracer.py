@@ -53,4 +53,4 @@ def test_tracer_counts_the_folds_and_prepares_of_an_election():
     finally:
         tracer.uninstall()
     op, = tracer.ops
-    assert (op["fold_attempts"], op["fold_merges"], op["prepare_calls"]) == (110, 60, 10)
+    assert (op["fold_attempts"], op["fold_merges"], op["prepare_calls"]) == (24, 15, 2)

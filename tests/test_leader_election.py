@@ -497,8 +497,9 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
 
 
 class RecordingContext:
-    def __init__(self):
+    def __init__(self, crash_bound=0):
         self.sent = []
+        self.crash_bound = crash_bound
 
     def broadcast(self, msg):
         self.sent.append((None, msg))
@@ -550,8 +551,9 @@ def test_a_completing_copy_goes_out_with_its_own_support():
                   seed=1)
     backend, node = setup.backend, setup.nodes[0]
     key = setup.nodes[netsim.TRUSTED].key
-    ctx = RecordingContext()
+    ctx = RecordingContext(crash_bound=2)
     node.on_start(ctx)
+    assert [msg.instance for _, msg in ctx.sent] == ["elect/0"]
     node.on_crash_notice(ctx, {3, 4})
     msgs = [lineage_copy(backend, key.public_part, n, ballots, c, "elect/1")
             for c in ((1, 2), (1, 3, 4))]
@@ -618,10 +620,101 @@ def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypat
     want = irv_oracle(ballots, n)
     assert all(report.decided_values[p] == want for p in range(n))
     assert report.decided_values[netsim.TRUSTED] == want
-    assert len(encrypted) == n + adopted_lacking
+    # no crash in the plan: f = 0, so process 0 alone starts a lineage
+    assert len(encrypted) == 1 + adopted_lacking
     assert all(vec is setup.nodes[pid].ballot_vec for pid, vec in encrypted)
 
 
 def test_parse_ballots_rejects_an_unknown_key():
     with pytest.raises(InvalidBallotError, match=r"unknown ballot keys \['secondry'\]"):
         leader_election.parse_ballots([{"primary": 0}, {"primary": 0, "secondry": 1}], 2)
+
+
+# -- f + 1 origins and the adoption order -------------------------------------
+
+@pytest.mark.parametrize("n, crashes, f", [
+    (1, (), 0),
+    (6, (), 0),
+    (6, ((4, 9),), 1),
+    (6, ((4, 9), (4, 2), (1, 3)), 2),     # process 4 listed twice counts once
+    (3, ((0, 5), (1, 5), (2, 6)), 3),     # more crashes than processes
+])
+def test_the_first_f_plus_1_processes_encrypt_a_ballot_at_the_start(n, crashes, f):
+    t = topo.ring(n) if n > 2 else topo.complete(n) if n > 1 else topo.Topology(1, [])
+    setup = build(t, [{"primary": p % n} for p in range(n)], seed=1)
+    faults = netsim.FaultPlan(tuple(netsim.CrashFault(p, time) for p, time in crashes))
+    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1), faults=faults)
+    assert sim.crash_bound == f
+    started = []
+    encrypt = setup.backend.encrypt
+    setup.backend.encrypt = lambda pk, vec, tag: \
+        (sim._now == 0 and started.append(tag)) or encrypt(pk, vec, tag)
+    sim.run()
+    origins = range(min(n, f + 1))
+    assert started == [(p, f"elect/{p}:ballot") for p in origins]
+
+
+def test_only_a_surviving_origin_carries_the_election():
+    # FloodSet's edge case: f = 2 gives origins 0, 1 and 2, and 0 and 1 crash
+    # before their lineages leave them, so only lineage 2 reaches the keyholder
+    ballots = [(0, None), (0, None), (4, 5), (5, 0), (4, None), (3, 0)]
+    report, trace = run_logged(election_config(
+        {"family": "ring", "n": 6}, ballots, seed=1, crashes=((0, 0), (1, 1))))
+    assert report.termination == "decided"
+    completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]
+    assert completes and {(msg.instance, msg.support) for msg in completes} == \
+        {("elect/2", 0b111100)}
+    want = irv_oracle(ballots[2:], 6)
+    assert want == 4 and irv_oracle(ballots, 6) != want
+    assert report.decided_values == {p: want for p in (2, 3, 4, 5, netsim.TRUSTED)}
+    assert netsim.privacy_audit(trace) == []
+
+
+@pytest.mark.parametrize("topology, seed, schedule, ballots", [
+    ({"family": "tree", "n": 5}, 1, "async",
+     [(1, 3), (1, 2), (3, None), (3, 0), (4, 1)]),
+    ({"family": "random", "n": 8}, 1, "sync",
+     [(5, 0), (0, None), (5, None), (5, None), (2, None), (6, 1), (6, 7), (7, 6)]),
+], ids=["tree5-async", "random8-sync"])
+def test_copies_of_one_size_do_not_block_a_lone_lineage(topology, seed, schedule, ballots):
+    # under a rule adopting only copies with strictly more contributors, two
+    # copies of one size each kept their holders, and both runs missed the
+    # deadline; the total order lets the larger support through
+    report = netsim.run(ScenarioConfig.from_dict(
+        election_config(topology, ballots, seed, schedule)))
+    assert report.termination == "decided"
+    n = len(ballots)
+    want = irv_oracle(ballots, n)
+    assert report.decided_values == {**{p: want for p in range(n)}, netsim.TRUSTED: want}
+
+
+FAMILIES = ("ring", "path", "star", "complete", "tree", "random")
+
+
+def test_elections_decide_across_families_schedules_and_crashes():
+    """Every run of a pruned survey decides, each crash-free run the IRV
+    winner: six families, n in {2, 5, 8}, both schedules, seeds 1-3, and no
+    crash, one crash or two crashes that leave the survivors connected."""
+    rng = random.Random(33)
+    undecided, wrong = [], []
+    for family in FAMILIES:
+        for n in (2, 5, 8):
+            for schedule in ("sync", "async"):
+                for seed in (1, 2, 3):
+                    t = ScenarioConfig.from_dict(election_config(
+                        {"family": family, "n": n}, [(0, None)] * n, seed)).resolve_topology()
+                    ballots = random_ballots(rng, n)
+                    for k in range(min(3, n)):
+                        crashed = rng.sample(range(n), k)
+                        if k and not t.connected_without(crashed):
+                            continue
+                        crashes = [(p, rng.randrange(3 * n)) for p in crashed]
+                        raw = election_config(t.to_dict(), ballots, seed, schedule, crashes)
+                        report = netsim.run(ScenarioConfig.from_dict(raw))
+                        case = (family, n, schedule, seed, crashes)
+                        if report.termination != "decided" or \
+                                len(set(report.decided_values.values())) != 1:
+                            undecided.append(case)
+                        elif not k and report.decided_values[0] != irv_oracle(ballots, n):
+                            wrong.append(case)
+    assert (undecided, wrong) == ([], [])
