@@ -287,7 +287,12 @@ class ElectionProcessNode(FloodingNode):
                                    self.backend)
         self.states[state.instance] = state
         ctx.broadcast(msg)
-        if not self.required_mask & ~state.support:
+        self._emit_if_complete(ctx, state)
+
+    def _emit_if_complete(self, ctx, state):
+        """Hand a held active copy that counts every required process to the
+        keyholder; a start or a crash notice can complete one with no message."""
+        if state.phase == ACTIVE and not self.required_mask & ~state.support:
             self._emit_prepared(ctx, state.instance,
                                 (self.backend.mark_prepared(state.channels[0]), state.support))
 
@@ -322,14 +327,11 @@ class ElectionProcessNode(FloodingNode):
         ctx.decide(msg.extra["winner"])
 
     def on_crash_notice(self, ctx, crashed):
-        """Narrow `required_mask` to the survivors; each held active copy
-        that now covers it goes to the keyholder, in instance order, since
-        no further message may arrive to complete it."""
-        self.required_mask = required = survivors(set(range(self.n)) - crashed, self.n)
-        for instance, state in sorted(self.states.items()):
-            if state.phase == ACTIVE and not required & ~state.support:
-                self._emit_prepared(ctx, instance, (
-                    self.backend.mark_prepared(state.channels[0]), state.support))
+        """Narrow `required_mask` to the survivors, then hand on each held
+        copy that now covers it, in instance order."""
+        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
+        for _, state in sorted(self.states.items()):
+            self._emit_if_complete(ctx, state)
 
 
 class ElectionCollectorNode(netsim.Node):

@@ -96,6 +96,21 @@ def moved_fields(want: dict, got: dict) -> list:
     return sorted(key for key in was.keys() | now.keys() if was.get(key) != now.get(key))
 
 
+def summary(want: dict, got: dict) -> str:
+    """Per protocol variant, the cells whose report moved from `want` to
+    `got`, and how many of those moved in each field."""
+    lines = []
+    for variant in VARIANTS:
+        names = [name for name in got if name.startswith(variant + "-")]
+        moved = [name for name in names
+                 if want.get(name, {}).get("report") != got[name]["report"]]
+        lines.append(f"{variant}: {len(moved)} of {len(names)} cells moved")
+        counts = Counter(key for name in moved
+                         for key in moved_fields(want.get(name, {}), got[name]))
+        lines.extend(f"  {key}: {count}" for key, count in sorted(counts.items()))
+    return "\n".join(lines)
+
+
 def test_every_matrix_cell_matches_its_digest():
     want = json.loads(MATRIX.read_text())
     got = receipts()
@@ -135,21 +150,6 @@ def test_every_decider_in_a_cell_decides_the_same_bits():
                    "decides the first initiator's result that reaches it")
 def test_every_avg_untrusted_decider_decides_the_same_bits():
     assert disagreeing(untrusted=True) == []
-
-
-def summary(want: dict, got: dict) -> str:
-    """Per protocol variant, the cells whose report moved from `want` to
-    `got`, and how many of those moved in each field."""
-    lines = []
-    for variant in VARIANTS:
-        names = [name for name in got if name.startswith(variant + "-")]
-        moved = [name for name in names
-                 if want.get(name, {}).get("report") != got[name]["report"]]
-        lines.append(f"{variant}: {len(moved)} of {len(names)} cells moved")
-        counts = Counter(key for name in moved
-                         for key in moved_fields(want.get(name, {}), got[name]))
-        lines.extend(f"  {key}: {count}" for key, count in sorted(counts.items()))
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":
