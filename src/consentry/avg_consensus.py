@@ -50,7 +50,6 @@ from .topology import Topology
 AGGREGATE = "aggregate"
 PREPARED = "prepared"
 RESULT = "result"
-KINDS = (AGGREGATE, PREPARED, RESULT)
 
 ACTIVE = "active"
 DECIDED = "decided"
@@ -74,27 +73,6 @@ def instance_for_initiator(k: int) -> str:
     return f"avg/{k}"
 
 
-def _bits(flags: np.ndarray) -> int:
-    """The boolean array as a bitmask: bit j is set iff flags[j]."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def _support_mask(counts) -> int:
-    """Bitmask of the nonzero counts: bit j is set iff counts[j] > 0."""
-    return _bits(np.asarray(counts, dtype=np.float64) > 0)
-
-
-def _frozen(counts) -> np.ndarray:
-    """`counts` as a read-only float64 array: a read-only float64 array is
-    shared, anything else is copied."""
-    if isinstance(counts, np.ndarray) and counts.dtype == np.float64 \
-            and not counts.flags.writeable:
-        return counts
-    counts = np.array(counts, dtype=np.float64)
-    counts.setflags(write=False)
-    return counts
-
-
 def survivors(correct_set, n: int) -> int:
     """The bitmask of the processes a round among `n` waits for once only
     `correct_set` is left: bit p is set for each correct p < n."""
@@ -104,40 +82,32 @@ def survivors(correct_set, n: int) -> int:
 
 
 class ProtocolMessage:
-    """The (channels, counts) unit exchanged between neighbors.
+    """A PREPARED or RESULT message; `ConsensusState.snapshot` builds every
+    AGGREGATE.
 
     `ciphertexts` is the tuple of channels the message carries, in a state's
-    order: the votes, then outlier round 3's participation flags.  A RESULT
-    carries none, or the prepared round-1 mean on the encrypted variance
-    route.  One message object goes to every receiver, so treat it as
-    immutable.  The counts are held as one read-only float64 array,
-    `count_array`: a read-only float64 array given is shared, anything else
-    is copied.  `support`, the bitmask of nonzero counts, is derived from the
-    counts unless given; an election lineage copy carries its support and no
-    counts.  This constructor validates its fields;
-    `ConsensusState.snapshot`, which builds AGGREGATE messages from fields
-    its state already guarantees, sets them without it.
+    order: a PREPARED message's prepared channels; a RESULT carries none, or
+    the prepared round-1 mean on the encrypted variance route.  An election's
+    PREPARED copy also carries its contributors' `support`.  One message
+    object goes to every receiver, so treat it as immutable.  An AGGREGATE
+    shares its state's channel tuple, read-only float64 `count_array` and
+    `support`; a message built here has no counts.
     """
 
     __slots__ = ("instance", "kind", "ciphertexts", "extra", "count_array", "support")
 
     def __init__(self, instance: str, kind: str, ciphertexts: tuple = (),
-                 counts=None, extra: dict | None = None, support: int | None = None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown message kind {kind!r}")
-        if kind == AGGREGATE and (not ciphertexts or counts is None and support is None):
-            raise ValueError(f"{kind} message requires ciphertexts and counts or a support")
+                 extra: dict | None = None, support: int | None = None):
+        if kind not in (PREPARED, RESULT):
+            raise ValueError(f"ProtocolMessage builds {PREPARED} and {RESULT} "
+                             f"messages, not {kind!r}")
         if kind == PREPARED and not (ciphertexts and all(ct.prepared for ct in ciphertexts)):
             raise ValueError(f"{kind} message carries an unprepared ciphertext")
         self.instance = instance
         self.kind = kind
         self.ciphertexts = tuple(ciphertexts)
         self.extra = {} if extra is None else extra
-        if counts is not None:
-            counts = _frozen(counts)
-            if support is None:
-                support = _support_mask(counts)
-        self.count_array = counts
+        self.count_array = None
         self.support = support
 
     @property
@@ -153,31 +123,29 @@ class ConsensusState:
     same counts: the votes, then, in outlier round 3, the participation
     flags.  `counts` is a read-only float64 array that a fold replaces,
     never writes, so a snapshot can carry it as is; `support` is the bitmask
-    of its nonzero entries.  Like a message, a state shares a read-only
-    float64 count array it is given, and takes `support` as given when
-    passed.  An election lineage copy has no counts (None), only its
-    support.  `snapshot` builds its AGGREGATE message straight from these
-    fields.  `required_mask` marks the indices whose counts must become
-    nonzero and that `try_decide` weights: all n, or an outlier node's.  A
-    state is DECIDED once `try_decide` prepared it; an election lineage copy
-    once it went to the keyholder.
+    of its nonzero entries.  Both are taken as given.  An election lineage
+    copy has no counts (None), only its support.  `snapshot` builds the
+    state's AGGREGATE message, the only way one is built.  `required_mask`
+    marks the indices whose counts must become nonzero and that `try_decide`
+    weights: all n, or an outlier node's.  A state is DECIDED once
+    `try_decide` prepared it; an election lineage copy once it went to the
+    keyholder.
     """
 
-    def __init__(self, instance: str, n: int, channels: tuple, counts,
-                 support: int | None = None):
+    def __init__(self, instance: str, n: int, channels: tuple, counts, support: int):
         self.instance = instance
         self.n = n
         self.channels = channels
         # float64, not int64: duplicate counts grow by about 1.45 bits per
         # round and would overflow int64 past a diameter of about 43
-        self.counts = None if counts is None else _frozen(counts)
-        self.support = _support_mask(self.counts) if support is None else support
+        self.counts = counts
+        self.support = support
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing this state's channels, sharing
-        its channel tuple, frozen counts and support."""
+        its channel tuple, read-only counts and support."""
         msg = object.__new__(ProtocolMessage)
         msg.instance, msg.kind, msg.extra = self.instance, AGGREGATE, {}
         msg.ciphertexts = self.channels
@@ -279,7 +247,7 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     state.phase = DECIDED
     n, include = state.n, None
     if state.required_mask != (1 << n) - 1:
-        # the required indices, unpacked as `_bits` packs them
+        # the required indices: bit j of the mask is index j
         mask = state.required_mask.to_bytes((n + 7) // 8, "little")
         include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8),
                                                bitorder="little"))
@@ -350,10 +318,13 @@ class FloodingNode(netsim.Node):
     prepared aggregate goes only to the actors that read it, likewise
     `readers[instance]` where a subclass set it, otherwise the trusted
     collector, which gets one straight from every decider.  `_start` stores
-    and announces a process's own new state.
+    and announces a process's own new state and re-checks it at once;
+    `_try_decide` is that re-check, which the election overrides.
     Subclasses say what PREPARED and RESULT messages mean to them.
-    `required_mask`, the processes this one waits for, is all n until an
-    outlier or election node narrows it to `survivors` on a crash notice.
+    `required_mask`, the processes this one waits for, is all n until a
+    crash notice narrows it: outlier and election nodes take
+    `_wait_for_survivors` as their `on_crash_notice`, while averaging nodes
+    ignore notices and keep waiting for all n.
     """
 
     def __init__(self, pid: int, n: int, backend: SlotEngine):
@@ -416,6 +387,16 @@ class FloodingNode(netsim.Node):
         prepared = try_decide(state, self.backend)
         if prepared is not None:
             self._emit_prepared(ctx, state.instance, prepared)
+
+    def _wait_for_survivors(self, ctx, crashed):
+        """The crash rule of outlier and election nodes: narrow
+        `required_mask` to the survivors, then re-check each held active
+        state under it, in instance order."""
+        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
+        for _, state in sorted(self.states.items()):
+            if state.phase == ACTIVE:
+                state.required_mask = self.required_mask
+                self._try_decide(ctx, state)
 
 
 class AvgProcessNode(FloodingNode):

@@ -119,7 +119,7 @@ def _write_report(out: Path, scenario_raw: dict, reports) -> None:
     (out / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _write_summary(out: Path, scenario: ScenarioConfig, reports) -> None:
+def _write_summary(out: Path, reports) -> None:
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
@@ -150,7 +150,7 @@ def cmd_run(args) -> int:
         report.extra["diameter"] = topo.diameter()
         reports.append(report)
     _write_report(out, raw, reports)
-    _write_summary(out, scenario, reports)
+    _write_summary(out, reports)
 
     ok = True
     for trial, r in enumerate(reports):

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import (ACTIVE, DECIDED, PREPARED, RESULT, ConsensusState,
-                            FloodingNode, ProtocolMessage, survivors)
+                            FloodingNode, ProtocolMessage)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology, _is_int
 
@@ -266,10 +266,12 @@ class ElectionProcessNode(FloodingNode):
 
     `on_start` encodes the ballot once for the whole run, and processes
     0 .. f, f being the context's `crash_bound`, each start a lineage with
-    it.  Each message of a batch is folded by `on_receive_election`.  The
-    first complete copy of a lineage goes only to the keyholder, with that
-    copy's own support, and decides the state; any other adopted copy is
-    rebroadcast.
+    it through `FloodingNode._start`.  Each message of a batch is folded by
+    `on_receive_election`.  The first complete copy of a lineage goes only
+    to the keyholder, with that copy's own support, and decides the state;
+    any other adopted copy is rebroadcast.  `_try_decide` hands on a held
+    copy that a start or a crash notice completed; the crash rule,
+    `FloodingNode._wait_for_survivors`, is the outlier node's.
     """
 
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
@@ -281,18 +283,14 @@ class ElectionProcessNode(FloodingNode):
     def on_start(self, ctx):
         self.ballot_vec = make_ballot_vector(self.ballot, self.n,
                                              self.backend.config.slot_capacity)
-        if self.pid > ctx.crash_bound:
-            return
-        state, msg = init_election(self.pid, self.ballot_vec, self.pk, self.n,
-                                   self.backend)
-        self.states[state.instance] = state
-        ctx.broadcast(msg)
-        self._emit_if_complete(ctx, state)
+        if self.pid <= ctx.crash_bound:
+            self._start(ctx, *init_election(self.pid, self.ballot_vec, self.pk,
+                                            self.n, self.backend))
 
-    def _emit_if_complete(self, ctx, state):
+    def _try_decide(self, ctx, state):
         """Hand a held active copy that counts every required process to the
         keyholder; a start or a crash notice can complete one with no message."""
-        if state.phase == ACTIVE and not self.required_mask & ~state.support:
+        if not self.required_mask & ~state.support:
             self._emit_prepared(ctx, state.instance,
                                 (self.backend.mark_prepared(state.channels[0]), state.support))
 
@@ -326,12 +324,7 @@ class ElectionProcessNode(FloodingNode):
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["winner"])
 
-    def on_crash_notice(self, ctx, crashed):
-        """Narrow `required_mask` to the survivors, then hand on each held
-        copy that now covers it, in instance order."""
-        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
-        for _, state in sorted(self.states.items()):
-            self._emit_if_complete(ctx, state)
+    on_crash_notice = FloodingNode._wait_for_survivors
 
 
 class ElectionCollectorNode(netsim.Node):

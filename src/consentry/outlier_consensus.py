@@ -23,10 +23,9 @@ import math
 import numpy as np
 
 from . import netsim
-from .avg_consensus import (ACTIVE, RESULT, ConsensusState, FloodingNode,
-                            ProtocolMessage, TrustedCollectorNode, _finite_values,
-                            _sum_fits, finalize_trusted, init_consensus, on_receive,
-                            prepare, survivors)
+from .avg_consensus import (RESULT, ConsensusState, FloodingNode, ProtocolMessage,
+                            TrustedCollectorNode, _finite_values, _sum_fits,
+                            finalize_trusted, init_consensus, on_receive, prepare)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology
 
@@ -160,12 +159,7 @@ class OutlierProcessNode(FloodingNode):
             # no value on the all-outliers result
             ctx.decide(msg.extra.get("value"))
 
-    def on_crash_notice(self, ctx, crashed):
-        self.required_mask = survivors(set(range(self.n)) - crashed, self.n)
-        for _, state in sorted(self.states.items()):
-            if state.phase == ACTIVE:
-                state.required_mask = self.required_mask
-                self._try_decide(ctx, state)
+    on_crash_notice = FloodingNode._wait_for_survivors
 
 
 class OutlierCollectorNode(TrustedCollectorNode):

@@ -2,10 +2,9 @@
 
 from consentry import netsim
 from consentry import topology as topo
-from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, AvgProcessNode,
-                                     ProtocolMessage, UntrustedProcessNode,
-                                     build_trusted, build_untrusted,
-                                     instance_for_initiator)
+from consentry.avg_consensus import (INSTANCE_TRUSTED, AvgProcessNode,
+                                     UntrustedProcessNode, build_trusted,
+                                     build_untrusted, instance_for_initiator)
 from consentry.netsim import SchedulePolicy
 
 
@@ -13,10 +12,9 @@ class LeakyAvgNode(AvgProcessNode):
     """Mutation: copies its private value into a plaintext message field."""
 
     def _snapshot_msg(self, state):
-        return ProtocolMessage(state.instance, AGGREGATE,
-                               ciphertexts=(state.channels[0],),
-                               counts=tuple(int(x) for x in state.counts),
-                               extra={"debug_value": self.value})
+        msg = state.snapshot()
+        msg.extra = {"debug_value": self.value}
+        return msg
 
 
 class NestedLeakAvgNode(AvgProcessNode):

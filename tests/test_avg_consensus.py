@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from consentry import avg_consensus, he_slots, netsim, outlier_consensus
+from consentry import avg_consensus, he_slots, leader_election, netsim, outlier_consensus
 from consentry import topology as topo
 from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      PREPARED, RESULT, ConsensusState,
@@ -16,8 +16,8 @@ from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
                                      ProtocolMessage, build_trusted,
                                      build_untrusted, finalize_trusted,
                                      fold, init_consensus, instance_for_initiator,
-                                     on_receive, prepare, try_decide)
-from consentry.outlier_consensus import init_round3, survivors
+                                     on_receive, prepare, survivors, try_decide)
+from consentry.outlier_consensus import init_round3
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 
 from oracles import mean_oracle
@@ -54,12 +54,14 @@ def test_padding_slot_stays_zero():
     assert state.counts[3] == 0
 
 
-def msg_of(state):
-    return ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],),
-                           counts=tuple(int(x) for x in state.counts))
+def read_only(counts):
+    """`counts` as a read-only float64 array, as a state holds them."""
+    counts = np.array(counts, dtype=np.float64)
+    counts.setflags(write=False)
+    return counts
 
 
-def test_tuple_count_message_folds_like_the_snapshot_it_copies():
+def test_a_snapshot_folds_its_counts_and_support_once():
     b = make_backend(cap=8)
     km = b.keygen("T")
     states = [init_consensus(pid, 1.5 * pid - 2.0, km.public_part, 5, b)[0]
@@ -67,20 +69,16 @@ def test_tuple_count_message_folds_like_the_snapshot_it_copies():
     on_receive(states[2], states[1].snapshot(), b)
     on_receive(states[3], states[1].snapshot(), b)
     on_receive(states[3], states[2].snapshot(), b)    # counts (0, 2, 1, 1, ...)
-    source = states[3]
-    snap, copy = source.snapshot(), msg_of(source)
-    assert copy.count_array.tolist() == snap.count_array.tolist() == [0, 2, 1, 1, 0, 0, 0, 0]
-    assert copy.support == snap.support == 0b1110
-    folded = {}
-    for name, msg in (("snapshot", snap), ("tuple", copy)):
-        state, _ = init_consensus(0, -2.0, km.public_part, 5, b)
-        _, out, dec = on_receive(state, msg, b)
-        again = on_receive(state, msg, b)
-        folded[name] = (state.counts.tolist(), state.support, bool(out), dec,
-                        b.inspect_payload(state.channels[0]).tolist(), again[1:])
-    assert folded["snapshot"] == folded["tuple"]
-    assert folded["tuple"][:3] == ([1, 2, 1, 1, 0, 0, 0, 0], 0b1111, True)
-    assert folded["tuple"][5] == (False, None)
+    snap = states[3].snapshot()
+    assert snap.count_array.tolist() == [0, 2, 1, 1, 0, 0, 0, 0]
+    assert snap.support == 0b1110
+    state, _ = init_consensus(0, -2.0, km.public_part, 5, b)
+    _, out, dec = on_receive(state, snap, b)
+    assert (state.counts.tolist(), state.support, out, dec) == \
+        ([1, 2, 1, 1, 0, 0, 0, 0], 0b1111, True, None)
+    assert b.inspect_payload(state.channels[0]).tolist() == \
+        [-2.0, -1.0, 1.0, 2.5, 0, 0, 0, 0]
+    assert on_receive(state, snap, b)[1:] == (False, None)
 
 
 def test_snapshot_counts_are_read_only_and_outlive_later_folds():
@@ -93,26 +91,26 @@ def test_snapshot_counts_are_read_only_and_outlive_later_folds():
         with pytest.raises(ValueError):
             msg.count_array[2] = 5
     on_receive(state, other, b)
-    on_receive(state, msg_of(state), b)
+    on_receive(state, state.snapshot(), b)
     assert first.count_array.tolist() == [1, 0, 0, 0] and first.support == 0b1
     assert state.counts.tolist() == [1, 1, 0, 0] and state.support == 0b11
     assert state.snapshot().count_array.tolist() == [1, 1, 0, 0]
-    own = np.array([1.0, 1.0, 0.0, 0.0])
-    msg = ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],), counts=own)
-    own[2] = 7.0
-    assert msg.count_array.tolist() == [1, 1, 0, 0] and not msg.count_array.flags.writeable
 
 
-def test_an_aggregate_carries_counts_or_a_support():
+def test_protocol_message_refuses_aggregate_and_unknown_kinds():
     b = make_backend()
     km = b.keygen("T")
     state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
-    with pytest.raises(ValueError, match="counts or a support"):
-        ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],))
-    msg = ProtocolMessage(state.instance, AGGREGATE, ciphertexts=(state.channels[0],), support=0b1)
-    assert msg.support == 0b1 and msg.count_array is None
-    with pytest.raises(ValueError, match="unknown message kind"):
-        ProtocolMessage(state.instance, "complete", ciphertexts=(b.mark_prepared(state.channels[0]),))
+    prepared = (b.mark_prepared(state.channels[0]),)
+    for kind, ciphertexts in ((AGGREGATE, state.channels), (AGGREGATE, prepared),
+                              ("complete", prepared)):
+        with pytest.raises(ValueError, match=f"builds prepared and result messages, "
+                                             f"not '{kind}'"):
+            ProtocolMessage(state.instance, kind, ciphertexts=ciphertexts, support=0b1)
+    with pytest.raises(ValueError, match="unprepared ciphertext"):
+        ProtocolMessage(state.instance, PREPARED, ciphertexts=state.channels)
+    msg = ProtocolMessage(state.instance, PREPARED, ciphertexts=prepared, support=0b1)
+    assert (msg.kind, msg.support, msg.count_array) == (PREPARED, 0b1, None)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
@@ -123,7 +121,8 @@ def test_init_and_fold_count_arrays_are_read_only(eps):
     arrays = []
     for pid, (state, msg) in enumerate(pairs):
         assert msg.count_array is state.counts
-        assert state.support == msg.support == 1 << pid == avg_consensus._support_mask(state.counts)
+        nonzero = sum(1 << j for j, count in enumerate(state.counts) if count > 0)
+        assert state.support == msg.support == 1 << pid == nonzero
         arrays.append(state.counts)
     states = [state for state, _ in pairs]
     # one merge (the `add_ct` path), then two in one batch (the `add_many` path)
@@ -166,6 +165,66 @@ def test_try_decide_follows_a_shrunk_required_set():
     assert finalize_trusted(b, km.secret_part, prepared, 2) == pytest.approx(6.5, abs=1e-12)
 
 
+class SendLog:
+    """A process's context that records each send as (destinations, message)."""
+    crash_bound = 0
+
+    def __init__(self, neighbors):
+        self.neighbors = neighbors
+        self.sent = []
+
+    def multicast(self, dsts, msg):
+        self.sent.append((tuple(dsts), msg))
+
+    def broadcast(self, msg):
+        self.multicast(self.neighbors, msg)
+
+    def send(self, dst, msg):
+        self.multicast((dst,), msg)
+
+    def mark_complete(self, instance):
+        pass
+
+
+@pytest.mark.parametrize("protocol", ["outlier", "election"])
+def test_a_crash_notice_hands_on_each_state_that_covers_the_survivors(protocol):
+    # process 0 holds an active state with every process but q = 3
+    n, q = 4, 3
+    t = topo.complete(n)
+    ctx = SendLog(t.adjacency[0])
+    if protocol == "outlier":
+        setup = outlier_consensus.build(t, [1.0, 2.0, 3.0, 4.0], c=1.0, seed=1)
+        node = setup.nodes[0]
+        node.on_start(ctx)
+        batch = [(p, init_consensus(p, float(p + 1), node.pk, n, setup.backend,
+                                    outlier_consensus.R1)[1]) for p in (1, 2)]
+    else:
+        setup = leader_election.build(t, [{"primary": p} for p in range(n)], seed=1)
+        node, backend = setup.nodes[0], setup.backend
+        node.on_start(ctx)
+        cap = backend.config.slot_capacity
+        votes = None
+        for p in range(q):
+            ct = backend.encrypt(node.pk, leader_election.make_ballot_vector(
+                leader_election.Ballot(p), n, cap), (p, "elect/0:ballot"))
+            votes = ct if votes is None else backend.add_ct(votes, ct)
+        copy = ConsensusState("elect/0", n, (votes,), counts=None, support=0b0111)
+        batch = [(1, copy.snapshot())]
+    node.on_deliver(ctx, batch)
+    state, = node.states.values()
+    assert (state.support, state.phase) == (0b0111, "active")
+
+    def prepared():
+        return [(dsts, msg) for dsts, msg in ctx.sent if msg.kind == PREPARED]
+    assert prepared() == []
+    node.on_crash_notice(ctx, frozenset({q}))
+    (dsts, msg), = prepared()
+    assert dsts == (netsim.TRUSTED,) and msg.instance == state.instance
+    assert state.phase == "decided"
+    node.on_crash_notice(ctx, frozenset({q, 1}))
+    assert len(prepared()) == 1
+
+
 @pytest.mark.parametrize("required", [(0,), (3, 1), (0, 2, 3), tuple(range(1, 200, 3))],
                          ids=["one", "unsorted", "gap", "past-64-bits"])
 def test_required_mask_matches_a_bit_loop(required):
@@ -194,11 +253,11 @@ def test_on_receive_double_count_then_prepare_undoes_it():
     states = {}
     for pid in range(4):
         states[pid], _ = init_consensus(pid, v[pid], km.public_part, 4, b)
-    on_receive(states[2], msg_of(states[1]), b)   # branch A: {1,2}
-    on_receive(states[3], msg_of(states[1]), b)   # branch B: {1,3}
+    on_receive(states[2], states[1].snapshot(), b)   # branch A: {1,2}
+    on_receive(states[3], states[1].snapshot(), b)   # branch B: {1,3}
     state0 = states[0]
-    on_receive(state0, msg_of(states[2]), b)
-    state0, out, dec = on_receive(state0, msg_of(states[3]), b)
+    on_receive(state0, states[2].snapshot(), b)
+    state0, out, dec = on_receive(state0, states[3].snapshot(), b)
     assert state0.counts.tolist() == [1, 2, 1, 1]   # vote of 1 counted twice
     prepared, = dec                                  # all counts nonzero
     got = b.decrypt(km.secret_part, prepared)
@@ -210,8 +269,8 @@ def test_on_receive_decision_trigger():
     km = b.keygen("T")
     state, _ = init_consensus(0, 1.0, km.public_part, 4, b)
     other = b.encrypt(km.public_part, SlotVector([0, 5, 6, 7]), ("x", "agg"))
-    m = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, ciphertexts=(other,),
-                        counts=(0, 1, 1, 1))
+    m = ConsensusState(INSTANCE_TRUSTED, 4, (other,), read_only([0, 1, 1, 1]),
+                       support=0b1110).snapshot()
     state, out, dec = on_receive(state, m, b)
     assert state.counts.tolist() == [1, 1, 1, 1]
     assert state.phase == "decided" and [ct.prepared for ct in dec] == [True]
@@ -558,8 +617,8 @@ def test_prepare_divides_out_counts_beyond_int64():
     big = 2 ** 70
     votes = b.encrypt(km.public_part, SlotVector([0.0, 4.0 * big, 6.0 * big, 8.0 * big]),
                       ("x", "agg"))
-    msg = ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, ciphertexts=(votes,),
-                          counts=(0, big, big, big))
+    msg = ConsensusState(INSTANCE_TRUSTED, 4, (votes,), read_only([0, big, big, big]),
+                         support=0b1110).snapshot()
     state, out, dec = on_receive(state, msg, b)
     assert out
     prepared, = dec
@@ -575,10 +634,11 @@ def test_a_fold_that_overflows_fails_closed():
     state, _ = init_consensus(0, 8.0, km.public_part, 4, b)
     big = 2 ** 1020
     top = 8.0 * big
-    msgs = [ProtocolMessage(INSTANCE_TRUSTED, AGGREGATE, counts=counts, ciphertexts=(
-                b.encrypt(km.public_part, SlotVector(votes), ("x", "agg")),))
-            for votes, counts in (([0, top, top, 0], (0, big, big, 0)),
-                                  ([0, 0, top, top], (0, 0, big, big)))]
+    msgs = [ConsensusState(INSTANCE_TRUSTED, 4, (
+                b.encrypt(km.public_part, SlotVector(votes), ("x", "agg")),),
+                read_only(counts), support=support).snapshot()
+            for votes, counts, support in (([0, top, top, 0], (0, big, big, 0), 0b0110),
+                                           ([0, 0, top, top], (0, 0, big, big), 0b1100))]
     merged, (dec,) = fold(state, msgs, b)
     assert merged
     assert np.isinf(b.inspect_payload(dec)).all()
@@ -836,7 +896,8 @@ def test_try_decide_prepares_like_an_explicit_include(eps, alive):
         b = make_backend(cap=8, eps=eps, seed=6)
         km = b.keygen("T")
         state = ConsensusState(INSTANCE_TRUSTED, n,
-                               (b.encrypt(km.public_part, values, ("x", "agg")),), counts)
+                               (b.encrypt(km.public_part, values, ("x", "agg")),),
+                               read_only(counts), support=0b11111)
         if out is got:
             if alive is not None:
                 state.required_mask = survivors(alive, n)

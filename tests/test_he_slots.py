@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from consentry import avg_consensus, he_slots, leader_election, outlier_consensus
-from consentry.avg_consensus import AGGREGATE, ProtocolMessage
+from consentry.avg_consensus import ConsensusState
 from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchError,
                                 SlotBackend, SlotEngine, SlotVector, slot_capacity_for)
 from consentry.netsim import SimTrace
@@ -243,7 +243,9 @@ def test_audit_view_possession_and_decryptability():
     b = make_backend(4)
     km = b.keygen("T")
     ct = b.encrypt(km.public_part, SlotVector([1, 0, 0, 0]), ("1", "v"))
-    msg = ProtocolMessage("avg", AGGREGATE, ciphertexts=(ct,), counts=(1, 0, 0, 0))
+    counts = np.array([1.0, 0.0, 0.0, 0.0])
+    counts.setflags(write=False)
+    msg = ConsensusState("avg", 4, (ct,), counts, support=0b1).snapshot()
     log = [(1, "1", "T", msg), (2, "T", "1", msg)]
     trace = SimTrace(b, log, deliveries=len(log))
     view1 = audit_view(trace, [km], "1")

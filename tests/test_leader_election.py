@@ -7,7 +7,7 @@ import pytest
 
 from consentry import leader_election, netsim
 from consentry import topology as topo
-from consentry.avg_consensus import AGGREGATE, PREPARED, ProtocolMessage
+from consentry.avg_consensus import PREPARED, ConsensusState, ProtocolMessage
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        InvalidBallotError, ballot_layout,
@@ -149,7 +149,6 @@ def test_elect_winner_matches_oracle_randomized():
 
 
 def test_on_receive_election_contribution_rules():
-    from consentry.avg_consensus import AGGREGATE, ProtocolMessage
     from consentry.leader_election import init_election, on_receive_election
     n = 3
     _, cap = ballot_layout(n)
@@ -167,8 +166,8 @@ def test_on_receive_election_contribution_rules():
     payload = backend.inspect_payload(state.channels[0])
     assert payload[flat_index(3, 1, 2)] == 1 and payload[flat_index(3, 2, 0)] == 1
     # the same copy revisiting a contributor: no growth, no forward
-    revisit = ProtocolMessage(msg.instance, AGGREGATE, ciphertexts=(state.channels[0],),
-                              support=state.support)
+    revisit = ConsensusState(msg.instance, n, state.channels, counts=None,
+                             support=state.support).snapshot()
     state2, out2, complete2 = on_receive_election(state, revisit,
                                                   make_ballot_vector(Ballot(2, 0), n, cap),
                                                   km.public_part, backend,
@@ -454,7 +453,7 @@ def lineage_copy(backend, pk, n, ballots, contributors, instance="elect/0"):
                               (p, f"{instance}:ballot"))
         ct = enc if ct is None else backend.add_ct(ct, enc)
     support = sum(1 << p for p in contributors)
-    return ProtocolMessage(instance, AGGREGATE, ciphertexts=(ct,), support=support)
+    return ConsensusState(instance, n, (ct,), counts=None, support=support).snapshot()
 
 
 def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():

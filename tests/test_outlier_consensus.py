@@ -9,13 +9,13 @@ import pytest
 from consentry import netsim, outlier_consensus
 from consentry import topology as topo
 from consentry.avg_consensus import (PREPARED, RESULT, ConsensusState, ProtocolMessage,
-                                     finalize_trusted, prepare, try_decide)
+                                     finalize_trusted, prepare, survivors, try_decide)
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 from consentry.outlier_consensus import (AllOutliersError, finalize_outlier,
                                          init_round3, is_outlier,
                                          on_receive_round3, round2_input,
-                                         sigma_from_round2, survivors)
+                                         sigma_from_round2)
 
 from oracles import outlier_oracle
 
@@ -297,8 +297,10 @@ def test_survivors_unit():
     b = make_backend()
     km = b.keygen("T")
     votes = b.encrypt(km.public_part, SlotVector([1, 2, 3, 4]), ("x", "agg"))
-    state = ConsensusState(instance="out/r2", n=4, channels=(votes,),
-                           counts=np.array([1, 1, 1, 0]))
+    counts = np.array([1.0, 1.0, 1.0, 0.0])
+    counts.setflags(write=False)
+    state = ConsensusState(instance="out/r2", n=4, channels=(votes,), counts=counts,
+                           support=0b0111)
     state.required_mask = survivors({0, 1, 2}, state.n)
     assert state.required_mask == 0b111
     # prepare weights the survivors only and divides by their number
