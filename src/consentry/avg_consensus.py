@@ -358,12 +358,16 @@ class FloodingNode(netsim.Node):
             elif kind == RESULT:
                 self._handle_result(ctx, msg)
         for instance, msgs in sorted(per_instance.items()):
-            changed, decision = self._fold_instance(instance, msgs)
-            if changed:
-                ctx.multicast(self.fanout.get(instance, ctx.neighbors),
-                              self._snapshot_msg(self.states[instance]))
-            if decision is not None:
-                self._emit_prepared(ctx, instance, decision)
+            self._hand_on(ctx, instance, *self._fold_instance(instance, msgs))
+
+    def _hand_on(self, ctx, instance: str, changed: bool, decision):
+        """Act on what `_fold_instance` returned: multicast a changed state
+        to its fan-out, and hand a decision to `_emit_prepared`."""
+        if changed:
+            ctx.multicast(self.fanout.get(instance, ctx.neighbors),
+                          self._snapshot_msg(self.states[instance]))
+        if decision is not None:
+            self._emit_prepared(ctx, instance, decision)
 
     def _fold_instance(self, instance: str, msgs) -> tuple[bool, object]:
         """Fold one instance's share of a delivery batch; returns whether to

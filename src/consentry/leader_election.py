@@ -3,25 +3,29 @@
 Every process casts a one-hot ballot into a flattened n*n matrix (entry
 p*n + s counts ballots with primary p and secondary s) followed by n
 primary-only slots.  Ballot ciphertexts cannot be merged across copies, so
-each origin's ciphertext travels as a lineage: a process contributes its
-ballot to a lineage copy at most once (tracked by the copy's `support`
-bitmask, bit p set once process p contributed).  Only processes 0 .. f
-start a lineage, f being the crash bound `netsim.Context.crash_bound`: as
-in FloodSet (Lynch, Distributed Algorithms, 6.2), one of f + 1 origins never
-crashes, so its lineage is never lost.  A process stores and forwards a copy
-only if that copy, with its own ballot added, comes later than the held one
-in one total order: more contributors first, then the larger support as an
-integer.  Under that order the latest copy of a lineage spreads and grows
-until it covers the survivors; two copies of one size cannot block each
-other.  A lineage copy is a `ConsensusState` with no counts and that
-support, handled by a `FloodingNode` that folds it with
-`on_receive_election`.  The fold first places the copy, counting the ballot
-it would gain, against the held copy, and encrypts the process's ballot
-(encoded once per run) only for a copy it adopts.  A copy whose
-contributors cover every process not known to have crashed is complete and
-goes to the keyholder as a PREPARED message with that copy's own support;
-the keyholder's decryption reveals the tallies and how many ballots they
-hold, never who voted for whom.
+each ballot must be added to a copy exactly once; a copy's `support` bitmask
+has bit p set once process p contributed.  With no crash allowed, f = 0
+being the crash bound `netsim.Context.crash_bound`, the ballots are summed
+up one BFS tree from process 0, as in TAG (Madden et al., OSDI 2002): each
+process adds its children's sums to its own ballot and sends one copy to its
+parent, and the root hands the complete copy to the keyholder, so a run
+sends 2n messages and, in sync, decides at depth + 2.  With f >= 1 each
+origin's ciphertext travels as a lineage, to which a process contributes its
+ballot at most once.  Only processes 0 .. f start a lineage: as in FloodSet
+(Lynch, Distributed Algorithms, 6.2), one of f + 1 origins never crashes, so
+its lineage is never lost.  A process stores and forwards a copy only if
+that copy, with its own ballot added, comes later than the held one in one
+total order: more contributors first, then the larger support as an integer.
+Under that order the latest copy of a lineage spreads and grows until it
+covers the survivors; two copies of one size cannot block each other.  A
+lineage copy is a `ConsensusState` with no counts and that support, handled
+by a `FloodingNode` that folds it with `on_receive_election`.  The fold
+first places the copy, counting the ballot it would gain, against the held
+copy, and encrypts the process's ballot (encoded once per run) only for a
+copy it adopts.  A copy whose contributors cover every process not known to
+have crashed is complete and goes to the keyholder as a PREPARED message
+with that copy's own support; the keyholder's decryption reveals the tallies
+and how many ballots they hold, never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -40,7 +44,7 @@ from . import netsim
 from .avg_consensus import (ACTIVE, DECIDED, PREPARED, RESULT, ConsensusState,
                             FloodingNode, ProtocolMessage)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
-from .topology import Topology, _is_int
+from .topology import Topology, TopologyError, _is_int
 
 
 class InvalidBallotError(Exception):
@@ -262,28 +266,44 @@ def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
 # -- simulation actors --------------------------------------------------------
 
 class ElectionProcessNode(FloodingNode):
-    """Lineage flooding participant: one ConsensusState per lineage it holds.
+    """Election participant: one ConsensusState per lineage it holds.
 
-    `on_start` encodes the ballot once for the whole run, and processes
-    0 .. f, f being the context's `crash_bound`, each start a lineage with
-    it through `FloodingNode._start`.  Each message of a batch is folded by
-    `on_receive_election`.  The first complete copy of a lineage goes only
-    to the keyholder, with that copy's own support, and decides the state;
-    any other adopted copy is rebroadcast.  `_try_decide` hands on a held
-    copy that a start or a crash notice completed; the crash rule,
-    `FloodingNode._wait_for_survivors`, is the outlier node's.
+    `on_start` encodes the ballot once for the whole run.  With f = 0, f
+    being the context's `crash_bound`, the process sums ballots up the BFS
+    tree `build` gave it, as one copy of lineage 0 (`_fold_up`), and its
+    `required_mask` is itself and its children.  With f >= 1, processes
+    0 .. f each start a lineage through `FloodingNode._start`, and each
+    message of a batch is folded by `on_receive_election`.  The first
+    complete copy of a lineage goes only to the keyholder, with that copy's
+    own support, and decides the state; any other adopted copy is
+    rebroadcast.  `_try_decide` hands on a held copy that a start or a crash
+    notice completed; the crash rule, `FloodingNode._wait_for_survivors`,
+    is the outlier node's.
     """
 
-    def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine):
+    def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine,
+                 parent: int | None = None, children: tuple = ()):
         super().__init__(pid, n, backend)
         self.ballot = ballot
         self.ballot_vec: SlotVector | None = None
         self.pk = pk
+        self.parent, self.children = parent, children
+        self.tree = False      # summing up the tree: set at start, when f = 0
 
     def on_start(self, ctx):
         self.ballot_vec = make_ballot_vector(self.ballot, self.n,
                                              self.backend.config.slot_capacity)
-        if self.pid <= ctx.crash_bound:
+        self.tree = ctx.crash_bound == 0
+        if self.tree:
+            self.required_mask = sum(1 << p for p in (self.pid, *self.children))
+            instance = instance_for_origin(0)
+            ct = self.backend.encrypt(self.pk, self.ballot_vec,
+                                      (self.pid, f"{instance}:ballot"))
+            state = ConsensusState(instance, self.n, (ct,), counts=None,
+                                   support=1 << self.pid)
+            self.states[instance], self.fanout[instance] = state, (self.parent,)
+            self._hand_on(ctx, instance, *self._fold_up(state, ()))
+        elif self.pid <= ctx.crash_bound:
             self._start(ctx, *init_election(self.pid, self.ballot_vec, self.pk,
                                             self.n, self.backend))
 
@@ -294,11 +314,26 @@ class ElectionProcessNode(FloodingNode):
             self._emit_prepared(ctx, state.instance,
                                 (self.backend.mark_prepared(state.channels[0]), state.support))
 
+    def _fold_up(self, state, msgs):
+        """Add each child's copy to the held one with `add_ct`; once every
+        child has reported, send it to the parent (the fan-out), or from the
+        root hand it to the keyholder as (ciphertext, support)."""
+        for msg in msgs:
+            state.channels = (self.backend.add_ct(state.channels[0], msg.votes_ct),)
+            state.support |= msg.support
+        if self.required_mask & ~state.support:
+            return False, None
+        if self.parent is None:
+            return False, (self.backend.mark_prepared(state.channels[0]), state.support)
+        return True, None
+
     def _fold_instance(self, instance, msgs):
         """Fold a batch's copies of one lineage; a completing copy is handed
         on as (ciphertext, support) even if a later, larger copy that does not
         cover `required_mask` replaces it as the held state."""
         state = self.states.get(instance)
+        if self.tree:
+            return self._fold_up(state, msgs)
         grown, complete = False, None
         for msg in msgs:
             state, merged, done = on_receive_election(
@@ -328,10 +363,11 @@ class ElectionProcessNode(FloodingNode):
 
 
 class ElectionCollectorNode(netsim.Node):
-    """Keyholder: tallies the first complete lineage, verifies the rest.
+    """Keyholder: tallies the first complete copy, verifies the rest.
 
-    Under crashes, lineages may complete with different contributor sets;
-    only lineages with the same contributors must agree.
+    A fault-free run hands it one copy, the root's sum up the tree.  Under
+    crashes, lineages may complete with different contributor sets; only
+    lineages with the same contributors must agree.
     """
 
     def __init__(self, key_material, n: int, backend: SlotEngine):
@@ -383,15 +419,32 @@ def parse_ballots(raw, n: int) -> list[Ballot]:
 
 def build(topology: Topology, ballots, *, seed: int = 0,
           noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
+    """The election's nodes.  Each process gets its parent and children in
+    one BFS tree from process 0, whose parent is the lowest-id neighbour one
+    level nearer the root; a fault-free run sums the ballots up it."""
     n = topology.n
     parsed = parse_ballots(ballots, n)
+    parent, level = {0: None}, [0]
+    while level:
+        below = []
+        for u in level:
+            for v in topology.adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    below.append(v)
+        level = sorted(below)
+    if len(parent) < n:
+        raise TopologyError("an election needs a connected topology")
+    children = [[] for _ in range(n)]
+    for pid in range(1, n):
+        children[parent[pid]].append(pid)
     _, cap = ballot_layout(n)
     backend = seeded_backend(cap, noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
     for pid in range(n):
-        nodes[pid] = ElectionProcessNode(pid, parsed[pid], key.public_part,
-                                         n, backend)
+        nodes[pid] = ElectionProcessNode(pid, parsed[pid], key.public_part, n, backend,
+                                         parent[pid], tuple(children[pid]))
     nodes[netsim.TRUSTED] = ElectionCollectorNode(key, n, backend)
     return netsim.ProtocolSetup(
         nodes=nodes, backend=backend,

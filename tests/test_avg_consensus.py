@@ -781,7 +781,11 @@ RING8_BALLOTS = [{"primary": (3 * p) % 8, "secondary": (p + 1) % 8} for p in ran
     dict(protocol="outlier", topology=G16, c=1.5),
     dict(protocol="outlier", topology=G16, c=1.5, variance_route="encrypted"),
     dict(protocol="election", topology={"family": "ring", "n": 8}, inputs=RING8_BALLOTS),
-], ids=["avg-trusted", "outlier-decrypt", "outlier-encrypted", "election-ring8"])
+    # a crash in the plan runs lineages, which a fault-free election does not
+    dict(protocol="election", topology={"family": "ring", "n": 8}, inputs=RING8_BALLOTS,
+         faults=netsim.FaultPlan((netsim.CrashFault(5, 2),))),
+], ids=["avg-trusted", "outlier-decrypt", "outlier-encrypted", "election-ring8",
+        "election-ring8-crash"])
 def test_a_merging_fold_builds_no_message(scenario, monkeypatch):
     """Every AGGREGATE message built during a run is sent: a fold reports a
     merge with a flag and builds no snapshot that nobody sends.  A message

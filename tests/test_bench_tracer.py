@@ -40,6 +40,9 @@ def test_tracer_patches_every_name_and_restores_it():
 
 
 def test_tracer_counts_the_folds_and_prepares_of_an_election():
+    # a crash in the plan (f = 1) runs lineages, which fold copies with
+    # `on_receive_election`; a fault-free run sums up a tree, folds no
+    # lineage and prepares one copy, at the root
     config = json.loads((CONFIGS / "fig2_election.json").read_text())
     pkg = types.SimpleNamespace(
         netsim=netsim, cli=cli, topology=topology, avg_consensus=avg_consensus,
@@ -47,10 +50,11 @@ def test_tracer_counts_the_folds_and_prepares_of_an_election():
     tracer = load_tracer().Tracer(pkg, types.SimpleNamespace(set_up=lambda raw: raw))
     tracer.install()
     try:
-        tracer.begin_op()
-        netsim.run(netsim.ScenarioConfig.from_dict(config))
-        tracer.end_op("election")
+        for faults in ([{"process": 3, "time": 2}], []):
+            tracer.begin_op()
+            netsim.run(netsim.ScenarioConfig.from_dict(dict(config, faults=faults)))
+            tracer.end_op("election")
     finally:
         tracer.uninstall()
-    op, = tracer.ops
-    assert (op["fold_attempts"], op["fold_merges"], op["prepare_calls"]) == (24, 15, 2)
+    assert [(op["fold_attempts"], op["fold_merges"], op["prepare_calls"])
+            for op in tracer.ops] == [(25, 18, 2), (0, 0, 1)]

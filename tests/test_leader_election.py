@@ -1,6 +1,7 @@
 """Ballot layout, elimination procedure, tie-breaking, and simulated runs."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -600,6 +601,9 @@ def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypat
     ballots = random_ballots(rng, n)
     t = topo.random_connected(n, 0.4, rng)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=2)
+    # a crash plan makes f = 1, so lineages run; the last process crashes
+    # before its first message arrives, so the survivors' ballots are counted
+    faults = netsim.FaultPlan((netsim.CrashFault(n - 1, 0),))
     adopted_lacking = 0
     fold = leader_election.on_receive_election
 
@@ -614,14 +618,40 @@ def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypat
     encrypt = setup.backend.encrypt
     setup.backend.encrypt = lambda pk, vec, tag: encrypted.append((tag[0], vec)) or \
         encrypt(pk, vec, tag)
-    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5)).run()
+    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5),
+                                  faults=faults).run()
     assert report.termination == "decided"
-    want = irv_oracle(ballots, n)
-    assert all(report.decided_values[p] == want for p in range(n))
-    assert report.decided_values[netsim.TRUSTED] == want
-    # no crash in the plan: f = 0, so process 0 alone starts a lineage
-    assert len(encrypted) == 1 + adopted_lacking
+    want = irv_oracle(ballots[:-1], n)
+    assert report.decided_values == {**dict.fromkeys(range(n - 1), want),
+                                     netsim.TRUSTED: want}
+    # processes 0 and 1 start lineages; any other encryption is an adopted copy's
+    assert adopted_lacking > 0
+    assert len(encrypted) == 2 + adopted_lacking
     assert all(vec is setup.nodes[pid].ballot_vec for pid, vec in encrypted)
+
+
+def test_a_fault_free_election_adds_each_ballot_once_up_a_tree(monkeypatch):
+    rng = random.Random(24)
+    n = 24
+    ballots = random_ballots(rng, n)
+    t = topo.random_connected(n, 0.4, rng)
+    setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=2)
+    monkeypatch.setattr(leader_election, "on_receive_election", None)
+    calls = Counter()
+    for op in ("encrypt", "add_ct", "mark_prepared"):
+        def counted(*args, _op=op, _f=getattr(setup.backend, op)):
+            calls[_op, args[2][0] if _op == "encrypt" else None] += 1
+            return _f(*args)
+        setattr(setup.backend, op, counted)
+    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5)).run()
+    want = irv_oracle(ballots, n)
+    assert report.termination == "decided"
+    assert report.decided_values == {**dict.fromkeys(range(n), want), netsim.TRUSTED: want}
+    # each ballot encrypted once, each child's sum added once, one prepare at
+    # the root, and one message from each process
+    assert calls == Counter({**{("encrypt", p): 1 for p in range(n)},
+                             ("add_ct", None): n - 1, ("mark_prepared", None): 1})
+    assert report.messages_sent == {**dict.fromkeys(range(n), 1), netsim.TRUSTED: n}
 
 
 def test_parse_ballots_rejects_an_unknown_key():
@@ -649,8 +679,11 @@ def test_the_first_f_plus_1_processes_encrypt_a_ballot_at_the_start(n, crashes, 
     setup.backend.encrypt = lambda pk, vec, tag: \
         (sim._now == 0 and started.append(tag)) or encrypt(pk, vec, tag)
     sim.run()
-    origins = range(min(n, f + 1))
-    assert started == [(p, f"elect/{p}:ballot") for p in origins]
+    if f:
+        assert started == [(p, f"elect/{p}:ballot") for p in range(min(n, f + 1))]
+    else:
+        # no lineage: every process encrypts its ballot into the tree's copy
+        assert started == [(p, "elect/0:ballot") for p in range(n)]
 
 
 def test_only_a_surviving_origin_carries_the_election():

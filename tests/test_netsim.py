@@ -16,7 +16,7 @@ from consentry.netsim import (CrashFault, FaultPlan, ScenarioConfig,
 
 import mutations
 from exposures import audit_view
-from oracles import mean_oracle
+from oracles import irv_oracle, mean_oracle
 
 
 def ring4_scenario(**kw):
@@ -98,6 +98,42 @@ def test_sync_traffic_follows_the_graph_exactly(protocol, fields):
                 else:
                     want = dict(enumerate(ecc), **{netsim.TRUSTED: rad + 1})
                 assert report.rounds_to_decide == want, (family, n, eps)
+
+
+def test_a_fault_free_election_sends_2n_messages_and_decides_at_depth_plus_2():
+    """Without a crash the ballots are summed up a BFS tree from process 0:
+    every process sends one message, to its parent or, at the root, to the
+    keyholder, which sends one result per process.  In sync a process
+    decides at depth + 2, depth being process 0's eccentricity, and the
+    keyholder at depth + 1.  In async only the 2n total is fixed."""
+    cases = [("path", 1)] + [(family, n) for family in (
+        "ring", "path", "star", "complete", "tree", "random") for n in (2, 7, 16, 32)]
+    for family, n in cases:
+        t = topo.from_family(family, n, random.Random(n))
+        depth = _eccentricities(t)[0]
+        rng = random.Random(n)
+        ballots = []
+        for _ in range(n):
+            primary = rng.randrange(n)
+            ballots.append((primary, rng.choice([None, *range(primary), *range(primary + 1, n)])))
+        want = irv_oracle(ballots, n)
+        for schedule in ("sync", "async"):
+            for eps in (0.0, 1e-9):
+                report = netsim.run(ScenarioConfig.from_dict(dict(
+                    protocol="election", topology=t.to_dict(), seed=n, schedule=schedule,
+                    inputs=[{"primary": p, "secondary": s} for p, s in ballots],
+                    noise_epsilon=eps)))
+                case = (family, n, schedule, eps)
+                assert report.termination == "decided", case
+                assert report.decided_values == dict.fromkeys(
+                    [*range(n), netsim.TRUSTED], want), case
+                if schedule == "async":
+                    assert sum(report.messages_sent.values()) == 2 * n, case
+                    continue
+                assert report.messages_sent == dict(
+                    dict.fromkeys(range(n), 1), **{netsim.TRUSTED: n}), case
+                assert report.rounds_to_decide == dict(
+                    dict.fromkeys(range(n), depth + 2), **{netsim.TRUSTED: depth + 1}), case
 
 
 def test_async_seed_changes_order_not_values():
