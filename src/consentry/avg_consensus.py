@@ -321,8 +321,9 @@ class FloodingNode(netsim.Node):
     and announces a process's own new state and re-checks it at once;
     `_try_decide` is that re-check, which the election overrides.
     Subclasses say what PREPARED and RESULT messages mean to them.
-    `required_mask`, the processes this one waits for, is all n until a
-    crash notice narrows it: outlier and election nodes take
+    `required_mask`, the processes this one waits for, is all n (in a
+    fault-free election, the node and its tree children) until a crash
+    notice narrows it: outlier and election nodes take
     `_wait_for_survivors` as their `on_crash_notice`, while averaging nodes
     ignore notices and keep waiting for all n.
     """

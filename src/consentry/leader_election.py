@@ -424,20 +424,16 @@ def build(topology: Topology, ballots, *, seed: int = 0,
     level nearer the root; a fault-free run sums the ballots up it."""
     n = topology.n
     parsed = parse_ballots(ballots, n)
-    parent, level = {0: None}, [0]
+    parent, children, level = {0: None}, [[] for _ in range(n)], [0]
     while level:
-        below = []
         for u in level:
             for v in topology.adjacency[u]:
                 if v not in parent:
                     parent[v] = u
-                    below.append(v)
-        level = sorted(below)
+                    children[u].append(v)
+        level = sorted(v for u in level for v in children[u])
     if len(parent) < n:
         raise TopologyError("an election needs a connected topology")
-    children = [[] for _ in range(n)]
-    for pid in range(1, n):
-        children[parent[pid]].append(pid)
     _, cap = ballot_layout(n)
     backend = seeded_backend(cap, noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)

@@ -16,6 +16,7 @@ from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        init_election, make_ballot_vector,
                                        on_receive_election, tally, tie_break)
 from consentry.netsim import ScenarioConfig
+from consentry.topology import TopologyError
 
 from exposures import audit_view
 from oracles import irv_oracle
@@ -403,6 +404,17 @@ def test_lone_process_elects_itself():
     report = run_election([(0, None)], topo.Topology(1, []))
     assert report.termination == "decided"
     assert report.decided_values == {0: 0, netsim.TRUSTED: 0}
+
+
+def test_build_gives_each_process_its_lowest_id_parent_one_level_up():
+    # 4 is reached from 1 before 3 is from 2, yet 5, a neighbour of both,
+    # takes 3: the lower id of the level above, not the first one reached
+    t = topo.Topology(6, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)])
+    nodes = build(t, [{"primary": 0}] * 6).nodes
+    assert [(nodes[p].parent, nodes[p].children) for p in range(6)] == [
+        (None, (1, 2)), (0, (4,)), (0, (3,)), (2, (5,)), (1, ()), (3, ())]
+    with pytest.raises(TopologyError, match="connected"):
+        build(topo.Topology(3, [(0, 1)]), [{"primary": 0}] * 3)
 
 
 def test_contributor_support_has_one_bit_per_process():
