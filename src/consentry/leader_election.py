@@ -36,6 +36,7 @@ or an all-tied mod-k break.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,11 +270,12 @@ class ElectionProcessNode(FloodingNode):
     """Election participant: one ConsensusState per lineage it holds.
 
     `on_start` encodes the ballot once for the whole run.  With f = 0, f
-    being the context's `crash_bound`, the process sums ballots up the BFS
-    tree `build` gave it, as one copy of lineage 0 (`_fold_up`), and its
-    `required_mask` is itself and its children.  With f >= 1, processes
-    0 .. f each start a lineage through `FloodingNode._start`, and each
-    message of a batch is folded by `on_receive_election`.  The first
+    being the context's `crash_bound`, the process takes its `parent` and
+    `children` from the BFS tree `bfs` returns, and sums ballots up it as
+    one copy of lineage 0 (`_fold_up`); its `required_mask` is itself and
+    its children.  With f >= 1, processes 0 .. f each start a lineage
+    through `FloodingNode._start`, and each message of a batch is folded by
+    `on_receive_election`.  The first
     complete copy of a lineage goes only to the keyholder, with that copy's
     own support, and decides the state; any other adopted copy is
     rebroadcast.  `_try_decide` hands on a held copy that a start or a crash
@@ -281,20 +283,22 @@ class ElectionProcessNode(FloodingNode):
     is the outlier node's.
     """
 
-    def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine,
-                 parent: int | None = None, children: tuple = ()):
+    def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine, bfs):
         super().__init__(pid, n, backend)
         self.ballot = ballot
         self.ballot_vec: SlotVector | None = None
         self.pk = pk
-        self.parent, self.children = parent, children
-        self.tree = False      # summing up the tree: set at start, when f = 0
+        self.bfs = bfs          # () -> (parents, children), shared by the run's nodes
+        self.tree = False       # summing up the tree: set at start, when f = 0
+        self.parent, self.children = None, []
 
     def on_start(self, ctx):
         self.ballot_vec = make_ballot_vector(self.ballot, self.n,
                                              self.backend.config.slot_capacity)
         self.tree = ctx.crash_bound == 0
         if self.tree:
+            parents, children = self.bfs()
+            self.parent, self.children = parents[self.pid], children[self.pid]
             self.required_mask = sum(1 << p for p in (self.pid, *self.children))
             instance = instance_for_origin(0)
             ct = self.backend.encrypt(self.pk, self.ballot_vec,
@@ -417,30 +421,37 @@ def parse_ballots(raw, n: int) -> list[Ballot]:
     return out
 
 
-def build(topology: Topology, ballots, *, seed: int = 0,
-          noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
-    """The election's nodes.  Each process gets its parent and children in
-    one BFS tree from process 0, whose parent is the lowest-id neighbour one
-    level nearer the root; a fault-free run sums the ballots up it."""
-    n = topology.n
-    parsed = parse_ballots(ballots, n)
+def bfs_tree(adjacency) -> tuple[dict, list]:
+    """Each process's parent (None at the root) and children in one BFS tree
+    from process 0, in one pass over `Topology.adjacency`: a process's
+    parent is its lowest-id neighbour one level nearer the root."""
+    n = len(adjacency)
     parent, children, level = {0: None}, [[] for _ in range(n)], [0]
     while level:
         for u in level:
-            for v in topology.adjacency[u]:
+            for v in adjacency[u]:
                 if v not in parent:
                     parent[v] = u
                     children[u].append(v)
         level = sorted(v for u in level for v in children[u])
     if len(parent) < n:
         raise TopologyError("an election needs a connected topology")
+    return parent, children
+
+
+def build(topology: Topology, ballots, *, seed: int = 0,
+          noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
+    n = topology.n
+    parsed = parse_ballots(ballots, n)
+    # only a fault-free run uses the tree, and f is known at start: the first
+    # start that needs it computes it for all
+    bfs = functools.cache(lambda: bfs_tree(topology.adjacency))
     _, cap = ballot_layout(n)
     backend = seeded_backend(cap, noise_epsilon, seed)
     key = backend.keygen(netsim.TRUSTED)
     nodes = {}
     for pid in range(n):
-        nodes[pid] = ElectionProcessNode(pid, parsed[pid], key.public_part, n, backend,
-                                         parent[pid], tuple(children[pid]))
+        nodes[pid] = ElectionProcessNode(pid, parsed[pid], key.public_part, n, backend, bfs)
     nodes[netsim.TRUSTED] = ElectionCollectorNode(key, n, backend)
     return netsim.ProtocolSetup(
         nodes=nodes, backend=backend,

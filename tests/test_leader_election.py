@@ -406,15 +406,20 @@ def test_lone_process_elects_itself():
     assert report.decided_values == {0: 0, netsim.TRUSTED: 0}
 
 
-def test_build_gives_each_process_its_lowest_id_parent_one_level_up():
+def test_the_bfs_tree_takes_the_lowest_id_parent_one_level_up():
     # 4 is reached from 1 before 3 is from 2, yet 5, a neighbour of both,
     # takes 3: the lower id of the level above, not the first one reached
     t = topo.Topology(6, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)])
-    nodes = build(t, [{"primary": 0}] * 6).nodes
-    assert [(nodes[p].parent, nodes[p].children) for p in range(6)] == [
-        (None, (1, 2)), (0, (4,)), (0, (3,)), (2, (5,)), (1, ()), (3, ())]
+    parent, children = leader_election.bfs_tree(t.adjacency)
+    assert [parent[p] for p in range(6)] == [None, 0, 0, 2, 1, 3]
+    assert children == [[1, 2], [4], [3], [5], [], []]
+    # the nodes take their places in it at the start of a fault-free run
+    setup = build(t, [{"primary": 0}] * 6)
+    netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1)).run()
+    assert [(setup.nodes[p].parent, setup.nodes[p].children) for p in range(6)] == \
+        [(parent[p], children[p]) for p in range(6)]
     with pytest.raises(TopologyError, match="connected"):
-        build(topo.Topology(3, [(0, 1)]), [{"primary": 0}] * 3)
+        leader_election.bfs_tree(topo.Topology(3, [(0, 1)]).adjacency)
 
 
 def test_contributor_support_has_one_bit_per_process():
