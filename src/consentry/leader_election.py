@@ -275,12 +275,11 @@ class ElectionProcessNode(FloodingNode):
     one copy of lineage 0 (`_fold_up`); its `required_mask` is itself and
     its children.  With f >= 1, processes 0 .. f each start a lineage
     through `FloodingNode._start`, and each message of a batch is folded by
-    `on_receive_election`.  The first
-    complete copy of a lineage goes only to the keyholder, with that copy's
-    own support, and decides the state; any other adopted copy is
-    rebroadcast.  `_try_decide` hands on a held copy that a start or a crash
-    notice completed; the crash rule, `FloodingNode._wait_for_survivors`,
-    is the outlier node's.
+    `on_receive_election`.  The first complete copy of a lineage goes only
+    to the keyholder, with that copy's own support, and decides the state;
+    any other adopted copy is rebroadcast.  `_try_decide` hands on a held
+    copy that a start or a crash notice completed; the crash rule,
+    `FloodingNode._wait_for_survivors`, is the outlier node's.
     """
 
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine, bfs):
