@@ -116,7 +116,7 @@ def _write_report(out: Path, scenario_raw: dict, reports) -> None:
     # become strings and sort as strings, where `SimReport.to_json` sorts
     # them as ints
     payload = json.loads(json.dumps(payload))
-    (out / "report.json").write_text(json.dumps(payload, sort_keys=True, indent=2))
+    (out / "report.json").write_text(netsim.report_json(payload))
 
 
 def _write_summary(out: Path, reports) -> None:

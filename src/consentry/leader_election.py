@@ -207,58 +207,52 @@ class ElectionResult:
 def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
     """Shallow instant-runoff over the aggregated ballot matrix.
 
-    Each round records the live tallies.  From the second round on, a sole
-    survivor wins ("last-standing") and an all-tied field is broken by the
-    mod-k rule ("tie-break"); then a majority of non-exhausted votes wins.
-    Otherwise the fewest-vote candidate is eliminated (mod-k pick among the
-    tied) and its ballots transfer once to live secondaries or exhaust.
+    Each round records the live tallies, in ascending id order.  From the
+    second round on, a sole survivor wins ("last-standing") and an all-tied
+    field is broken by the mod-k rule ("tie-break"); then a majority of
+    non-exhausted votes wins.  Otherwise the fewest-vote candidate is
+    eliminated (mod-k pick among the tied), and only its ballot groups move:
+    each live candidate keeps its vote total and its groups (secondary,
+    count), and a group transfers once to a live secondary or exhausts.
     """
     k = len(primary_tallies)
     if k == 0:
         raise ValueError("no candidates")
     total = int(sum(primary_tallies))
-    groups = []              # [current, secondary, count, transferred]
-    for p in range(k):
-        groups.extend([p, s, int(matrix[p][s]), False]
-                      for s in range(k) if matrix[p][s])
-        if primary_only[p]:
-            groups.append([p, None, int(primary_only[p]), False])
-    live = set(range(k))
+    held = {p: [(s, int(count)) for s, count in (*enumerate(matrix[p]), (None, primary_only[p]))
+                if count] for p in range(k)}
+    totals = {p: sum(count for _, count in groups) for p, groups in held.items()}
     exhausted = 0
     rounds = []
     while True:
-        votes = dict.fromkeys(sorted(live), 0)
-        for current, _, count, _ in groups:
-            if current in live:
-                votes[current] += count
+        votes = dict(totals)
         record = {"tallies": votes, "exhausted": exhausted, "eliminated": None,
                   "tie_break": None, "winner": None, "by": None}
         rounds.append(record)
-        fewest = min(votes.values())
-        tied = [c for c in votes if votes[c] == fewest]
-        top = max(votes, key=votes.get)
-        if len(rounds) > 1 and len(live) == 1:
+        fewest, most = min(votes.values()), max(votes.values())
+        top = next(c for c, v in votes.items() if v == most)
+        if len(rounds) > 1 and len(votes) == 1:
             record["winner"], record["by"] = top, "last-standing"
-        elif len(rounds) > 1 and len(tied) == len(live):
+        elif len(rounds) > 1 and fewest == most:
+            tied = list(votes)
             winner = tie_break(tied, fewest)
             record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": winner}
             record["winner"], record["by"] = winner, "tie-break"
-        elif 2 * votes[top] > total - exhausted:
+        elif 2 * most > total - exhausted:
             record["winner"], record["by"] = top, "majority"
         else:
+            tied = [c for c, v in votes.items() if v == fewest]
             loser = tie_break(tied, fewest)
             if len(tied) > 1:
                 record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": loser}
             record["eliminated"] = loser
-            live.discard(loser)
-            for g in groups:
-                if g[0] != loser:
-                    continue
-                if not g[3] and g[1] in live:
-                    g[0], g[3] = g[1], True
+            del totals[loser]
+            for secondary, count in held.pop(loser):
+                if secondary in totals:
+                    totals[secondary] += count
+                    held[secondary].append((None, count))
                 else:
-                    g[0] = None
-                    exhausted += g[2]
+                    exhausted += count
             record["exhausted_after"] = exhausted
             continue
         return ElectionResult(record["winner"], tuple(rounds), exhausted)

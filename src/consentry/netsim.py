@@ -10,10 +10,12 @@ reports serialize byte-identically across repeats.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .he_slots import MAX_NOISE_EPSILON, PrivacyViolation
 from .topology import Topology, _is_int, _is_real, load_topology
@@ -221,11 +223,60 @@ class SimReport:
     def to_json(self) -> str:
         # a shallow dict of the fields: `json.dumps` only reads them
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["decided_values"] = {str(k): v for k, v in self.decided_values.items()}
-        payload["rounds_to_decide"] = {str(k): v for k, v in self.rounds_to_decide.items()}
-        payload["messages_sent"] = {str(k): v for k, v in self.messages_sent.items()}
-        payload["bytes_modeled"] = {str(k): v for k, v in self.bytes_modeled.items()}
-        return json.dumps(payload, sort_keys=True, indent=2)
+        for name in ("decided_values", "rounds_to_decide", "messages_sent", "bytes_modeled"):
+            payload[name] = {str(k): v for k, v in payload[name].items()}
+        return report_json(payload)
+
+
+#: the exact types json writes as scalars, and those written here
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_LITERALS = {str: encode_basestring_ascii, int: int.__repr__,
+             bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+@functools.cache
+def _flat_encoder(level: int):
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", ",\n" + "  " * level, True, False, True)
+
+
+def report_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for any
+    acyclic `obj`: the one writer of reports and of `report.json`.
+
+    json's C encoder serves only `indent=None`: one call of it, one item to a
+    line at the container's indent and its brackets re-wrapped, writes each
+    list, tuple or dict whose items all have the exact types str, int, float,
+    bool or None.  Other containers, subclasses included, are walked here.
+    Exact str, int, bool and None are written here; the C encoder formats
+    anything else, or raises TypeError, as `json.dumps` does."""
+    return _encode(obj, 0) if c_make_encoder else json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _encode(o, level: int) -> str:
+    literal = _LITERALS.get(type(o))
+    if literal is not None:
+        return literal(o)
+    is_dict = isinstance(o, dict)
+    if not (is_dict or isinstance(o, (list, tuple))) or not o:
+        return "".join(_flat_encoder(0)(o, 0))
+    inner = "\n" + "  " * (level + 1)
+    if type(o) in (dict, list, tuple) and \
+            _SCALARS.issuperset(map(type, o.values() if is_dict else o)):
+        body = "".join(_flat_encoder(level + 1)(o, 0))[1:-1]
+    elif is_dict:
+        body = ("," + inner).join([f"{_key(k)}: {_encode(v, level + 1)}"
+                                   for k, v in sorted(o.items())])
+    else:
+        body = ("," + inner).join([_encode(v, level + 1) for v in o])
+    return ("{" if is_dict else "[") + inner + body + inner[:-2] + ("}" if is_dict else "]")
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: its C encoder writes {k: 0} as {"k": 0}."""
+    if type(k) is str:
+        return encode_basestring_ascii(k)
+    return "".join(_flat_encoder(0)({k: 0}, 0))[1:-4]
 
 
 @dataclass

@@ -27,30 +27,54 @@ def outlier_oracle(values, c, participants=None):
     return mu, sigma, flags, filtered
 
 
-def irv_oracle(ballots, candidates):
+def irv_oracle(ballots, candidates, with_rounds=False):
     """Per-ballot shallow instant-runoff simulation.
 
     `ballots` is a list of (primary, secondary-or-None); `candidates` the
-    number of candidates.  Returns the winner id.
+    number of candidates.  Returns the winner id; with `with_rounds`,
+    (winner, round records, exhausted ballots), each record holding what a
+    report's `election_rounds` holds: the live tallies in ascending id order,
+    the ballots exhausted before the round, and how the round ended.
     """
     state = [{"cand": p, "sec": s, "moved": False} for p, s in ballots]
     live = set(range(candidates))
     total = len(ballots)
     exhausted = 0
+    records = []
 
     def votes_of(c):
         return sum(1 for b in state if b["cand"] == c)
 
+    def crown(record, winner, by):
+        record["winner"], record["by"] = winner, by
+        return (winner, records, exhausted) if with_rounds else winner
+
     while True:
-        votes = {c: votes_of(c) for c in live}
+        votes = {c: votes_of(c) for c in sorted(live)}
+        record = {"tallies": votes, "exhausted": exhausted, "eliminated": None,
+                  "tie_break": None, "winner": None, "by": None}
+        records.append(record)
+        if len(records) > 1:
+            # the checks that follow an elimination
+            if len(live) == 1:
+                return crown(record, next(iter(live)), "last-standing")
+            if len(set(votes.values())) == 1:
+                shared = next(iter(votes.values()))
+                ids = sorted(live)
+                record["tie_break"] = {"among": ids, "v_tie": shared,
+                                       "picked": ids[shared % len(ids)]}
+                return crown(record, ids[shared % len(ids)], "tie-break")
         active = total - exhausted
         top = max(sorted(live), key=lambda c: votes[c])
         if 2 * votes[top] > active:
-            return top
+            return crown(record, top, "majority")
 
         fewest = min(votes[c] for c in live)
         tied = sorted(c for c in live if votes[c] == fewest)
         loser = tied[fewest % len(tied)]
+        if len(tied) > 1:
+            record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": loser}
+        record["eliminated"] = loser
         live.discard(loser)
         for b in state:
             if b["cand"] == loser:
@@ -60,11 +84,4 @@ def irv_oracle(ballots, candidates):
                 else:
                     b["cand"] = None
                     exhausted += 1
-
-        if len(live) == 1:
-            return next(iter(live))
-        after = {c: votes_of(c) for c in live}
-        if len(set(after.values())) == 1:
-            shared = next(iter(after.values()))
-            ids = sorted(live)
-            return ids[shared % len(ids)]
+        record["exhausted_after"] = exhausted

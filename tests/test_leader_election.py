@@ -141,13 +141,31 @@ def random_ballots(rng, n):
 
 
 def test_elect_winner_matches_oracle_randomized():
+    """Every round record, the winner and the exhausted count, against the
+    per-ballot oracle, for 1 to 13 candidates and each share of ballots with
+    no secondary; every finish and a tie-broken elimination occur."""
     rng = random.Random(99)
-    for _ in range(300):
-        n = rng.randrange(3, 9)
-        ballots = random_ballots(rng, n)
-        tallies, matrix, primary_only = matrix_from_ballots(ballots, n)
-        assert elect_winner(tallies, matrix, primary_only).winner == \
-            irv_oracle(ballots, n), ballots
+    finishes, tied_eliminations = set(), 0
+    for _ in range(500):
+        k = rng.randrange(1, 14)
+        primary_only_share = rng.choice((0, 0.3, 0.7, 1))
+        ballots = []
+        for _ in range(rng.randrange(1, 2 * k + 2)):
+            p = rng.randrange(k)
+            s = rng.randrange(k - 1) if k > 1 else None
+            if s is None or rng.random() < primary_only_share:
+                ballots.append((p, None))
+            else:
+                ballots.append((p, s + (s >= p)))
+        result = elect_winner(*matrix_from_ballots(ballots, k))
+        winner, rounds, exhausted = irv_oracle(ballots, k, with_rounds=True)
+        assert (result.winner, list(result.rounds), result.exhausted) == \
+            (winner, rounds, exhausted), ballots
+        finishes.add(result.rounds[-1]["by"])
+        tied_eliminations += sum(r["eliminated"] is not None and r["tie_break"] is not None
+                                 for r in result.rounds)
+    assert finishes == {"majority", "last-standing", "tie-break"}
+    assert tied_eliminations
 
 
 def test_on_receive_election_contribution_rules():

@@ -1,9 +1,12 @@
 """Simulator determinism, scheduling modes, crash faults, privacy auditor."""
 
 import dataclasses
+import json
 import random
 import tracemalloc
+from collections import OrderedDict, defaultdict
 
+import numpy as np
 import pytest
 
 from consentry import leader_election, netsim, outlier_consensus
@@ -24,6 +27,59 @@ def ring4_scenario(**kw):
                 inputs=[1, 2, 3, 4], seed=7)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    """Iterates backwards: json reads a list subclass through `__iter__`."""
+
+    def __iter__(self):
+        return list.__reversed__(self)
+
+
+def _json_leaf(rng):
+    return rng.choice([
+        "", "plain", "tab\t \"quoted\" \\ \x00\x1f", "ünï 漢字 😀", _Str("sub"),
+        0, -7, 10 ** 30, _Int(3), True, False, None,
+        0.0, -0.0, 1.5, 1e-300, 1e300, float("nan"), float("inf"), float("-inf"),
+        np.float64(0.1), rng.random()])
+
+
+def _json_tree(rng, depth):
+    """A random value of everything json writes: flat and nested containers,
+    subclasses of dict and list, and keys of every type json converts."""
+    if depth == 0 or rng.random() < 0.3:
+        return _json_leaf(rng)
+    size = rng.randrange(5)
+    key = rng.choice([lambda: rng.choice("abcä\n") + str(rng.randrange(9)),
+                      lambda: rng.randrange(-9, 9), lambda: rng.randrange(4) + 0.5,
+                      lambda: rng.choice([True, False, 2]), lambda: None])
+    kind = rng.choice([dict, dict, OrderedDict, list, list, tuple, _List, defaultdict])
+    if kind in (list, tuple, _List):
+        return kind(_json_tree(rng, depth - 1) for _ in range(size))
+    items = [(key(), _json_tree(rng, depth - 1)) for _ in range(size)]
+    return defaultdict(list, items) if kind is defaultdict else kind(items)
+
+
+def test_report_writer_matches_json_dumps_byte_for_byte():
+    rng = random.Random(37)
+    trees = [_json_tree(rng, rng.randrange(1, 5)) for _ in range(1500)]
+    trees += [{}, [], (), {"a": []}, [{}], ((1, "x"), (2.5, None)), defaultdict(list),
+              OrderedDict(b=1, a=2), _List([1, 2]), {"n": defaultdict(int, z=1, y=2)}]
+    for tree in trees:
+        assert netsim.report_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    for bad in (np.int64(3), {1, 2}, object(), {"a": 1, 2: 3}, {(1,): 2},
+                [{"x": [1, np.int64(2)]}], {"k": {"a": [0], 1: [1]}}):
+        for write in (netsim.report_json, lambda o: json.dumps(o, sort_keys=True, indent=2)):
+            with pytest.raises(TypeError):
+                write(bad)
 
 
 def test_deterministic_reports_byte_identical():
