@@ -230,18 +230,17 @@ def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
                   "tie_break": None, "winner": None, "by": None}
         rounds.append(record)
         fewest, most = min(votes.values()), max(votes.values())
+        tied = [c for c, v in votes.items() if v == fewest]
         top = next(c for c, v in votes.items() if v == most)
         if len(rounds) > 1 and len(votes) == 1:
             record["winner"], record["by"] = top, "last-standing"
-        elif len(rounds) > 1 and fewest == most:
-            tied = list(votes)
+        elif len(rounds) > 1 and len(tied) == len(votes):
             winner = tie_break(tied, fewest)
             record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": winner}
             record["winner"], record["by"] = winner, "tie-break"
         elif 2 * most > total - exhausted:
             record["winner"], record["by"] = top, "majority"
         else:
-            tied = [c for c, v in votes.items() if v == fewest]
             loser = tie_break(tied, fewest)
             if len(tied) > 1:
                 record["tie_break"] = {"among": tied, "v_tie": fewest, "picked": loser}

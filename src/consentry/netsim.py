@@ -221,7 +221,7 @@ class SimReport:
     extra: dict
 
     def to_json(self) -> str:
-        # a shallow dict of the fields: `json.dumps` only reads them
+        # a shallow dict of the fields: `report_json` only reads them
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         for name in ("decided_values", "rounds_to_decide", "messages_sent", "bytes_modeled"):
             payload[name] = {str(k): v for k, v in payload[name].items()}
@@ -244,13 +244,13 @@ def report_json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for any
     acyclic `obj`: the one writer of reports and of `report.json`.
 
-    json's C encoder serves only `indent=None`: one call of it, one item to a
-    line at the container's indent and its brackets re-wrapped, writes each
-    list, tuple or dict whose items all have the exact types str, int, float,
-    bool or None.  Other containers, subclasses included, are walked here.
-    Exact str, int, bool and None are written here; the C encoder formats
-    anything else, or raises TypeError, as `json.dumps` does."""
-    return _encode(obj, 0) if c_make_encoder else json.dumps(obj, sort_keys=True, indent=2)
+    Before 3.13, json's C encoder serves only `indent=None`: one call of it,
+    one item to a line and its brackets re-wrapped, writes each list, tuple
+    or dict of exact str, int, float, bool or None; other containers are
+    walked here, and the C encoder writes what is not an exact scalar."""
+    if c_make_encoder is None or sys.version_info >= (3, 13):
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return _encode(obj, 0)
 
 
 def _encode(o, level: int) -> str:
