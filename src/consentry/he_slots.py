@@ -10,9 +10,9 @@ recorded.  A real lattice-crypto library can be substituted behind
 
 `rotate_sum` draws its noise, takes its handles and computes its noise bound
 when it is called, but sums its payload only the first time the payload is
-read (by `decrypt`, `inspect_payload` or another engine op), and at most
-once, for the result and its `mark_prepared` copy together; a prepared
-aggregate that no keyholder opens is never summed.
+read (by `decrypt` or another engine op), and at most once, for the
+result and its `mark_prepared` copy together; a prepared aggregate that no
+keyholder opens is never summed.
 """
 
 from __future__ import annotations
@@ -117,10 +117,9 @@ class TagTable:
     A tag without a first element is owned by no one.
     """
 
-    __slots__ = ("tags", "bits", "owned")
+    __slots__ = ("bits", "owned")
 
     def __init__(self):
-        self.tags: list = []
         self.bits: dict = {}
         self.owned: dict = {}
 
@@ -128,8 +127,7 @@ class TagTable:
         """The one-bit mask of `tag`, assigning the next bit to a new tag."""
         bit = self.bits.get(tag)
         if bit is None:
-            bit = 1 << len(self.tags)
-            self.tags.append(tag)
+            bit = 1 << len(self.bits)
             self.bits[tag] = bit
             try:
                 owner = tag[0]
@@ -138,27 +136,16 @@ class TagTable:
             self.owned[owner] = self.owned.get(owner, 0) | bit
         return bit
 
-    def tags_of(self, mask: int) -> frozenset:
-        """The tags whose bits are set in `mask`."""
-        tags = self.tags
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(tags[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
-
 
 class Ciphertext:
     """Opaque handle to an encrypted slot vector.
 
     The payload is reachable only through :meth:`SlotBackend.decrypt` (audited,
-    access-controlled) or the test-only introspection hook.  `taint_mask`
-    records which raw inputs flowed into this value, as bits of
-    `tag_table` (its backend's), and `taint` reads it as a frozenset of tags;
-    `prepared` marks aggregates whose decryption reveals only protocol-level
-    results and is set exclusively by the sanctioned prepare/complete steps
-    of the protocol layer.
+    access-controlled).  `taint_mask` records which raw inputs flowed into
+    this value, as bits of `tag_table` (its backend's); `prepared` marks
+    aggregates whose decryption reveals only protocol-level results and is
+    set exclusively by the sanctioned prepare/complete steps of the protocol
+    layer.
     """
 
     __slots__ = ("key_id", "taint_mask", "tag_table", "prepared", "depth",
@@ -177,11 +164,6 @@ class Ciphertext:
         self.handle = handle
         payload.setflags(write=False)
         self._payload = payload
-
-    @property
-    def taint(self) -> frozenset:
-        """The tags of the raw inputs that flowed into this value."""
-        return self.tag_table.tags_of(self.taint_mask)
 
     def _slot_count(self) -> int:
         return len(self._payload)
@@ -282,8 +264,7 @@ class AuditEvent(NamedTuple):
     """One ledger entry: a decryption attempt.
 
     It names the ciphertext by handle and holds no reference to it; it keeps
-    the ciphertext's taint mask and tag table, and `taint` reads them as a
-    frozenset of tags.
+    the ciphertext's taint mask.
     """
 
     kind: str            # "decrypt" | "decrypt-denied"
@@ -291,12 +272,7 @@ class AuditEvent(NamedTuple):
     handle: int
     key_id: str
     taint_mask: int
-    tag_table: TagTable
     prepared: bool
-
-    @property
-    def taint(self) -> frozenset:
-        return self.tag_table.tags_of(self.taint_mask)
 
 
 @dataclass
@@ -375,7 +351,7 @@ class SlotBackend(SlotEngine):
     The ledger rules are checked when a decryption or a possession is
     recorded, since a key's holder is fixed at `keygen`; `violations()`
     lists what they flagged, in event order.  `events()` keeps decryptions
-    only: who came to hold what is the simulator's delivery log.
+    only: a possession is checked when it is reported, and not kept.
 
     Each `encrypt` tag is interned to one bit of the backend's `TagTable`,
     so combining two ciphertexts ORs their taint masks; operands interned in
@@ -580,11 +556,11 @@ class SlotBackend(SlotEngine):
         return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table,
                           True, ct.depth, ct.noise_bound, ct.handle)
 
-    # -- ledger and introspection (simulator and tests, not protocol code) -
+    # -- ledger (simulator, not protocol code) ------------------------------
 
     def _log(self, kind, observer, ct: Ciphertext):
         self._events.append(AuditEvent(kind, observer, ct.handle, ct.key_id,
-                                       ct.taint_mask, ct.tag_table, ct.prepared))
+                                       ct.taint_mask, ct.prepared))
 
     def _check_exposure(self, kind, holder, ct: Ciphertext):
         """Flag `holder`, the holder of `ct`'s key, seeing it while it is not
@@ -604,8 +580,7 @@ class SlotBackend(SlotEngine):
         key's holder seeing an unprepared aggregate.  It acts only when
         `observer` holds `ct`'s key, so the simulator calls it only for a
         ciphertext under a key `key_holders()` maps to `observer`.  It
-        keeps no ledger entry; the simulator's delivery log is the record of
-        possession."""
+        keeps no ledger entry."""
         if self._holders.get(ct.key_id) == observer:
             self._check_exposure("possess", observer, ct)
 
@@ -615,13 +590,6 @@ class SlotBackend(SlotEngine):
     def violations(self) -> list[PrivacyViolation]:
         """Ledger-rule violations flagged so far, in event order."""
         return list(self._violations)
-
-    def inspect_payload(self, ct: Ciphertext) -> np.ndarray:
-        """Test/introspection hook: raw payload, bypassing access control.
-
-        Never used by protocol code; reads are not audit events.
-        """
-        return np.array(ct._payload)
 
 
 def seeded_backend(slot_capacity: int, noise_epsilon: float, seed: int) -> SlotBackend:

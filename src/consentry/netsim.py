@@ -283,8 +283,8 @@ def _key(k) -> str:
 class SimTrace:
     """Run artifacts: what the privacy auditor reads, and delivery counts.
 
-    `messages` is the run's one possession record: each delivery, in order,
-    as (time, sender, receiver, ProtocolMessage); [] without `keep_log`.
+    `messages` is always empty: the run keeps no delivery log.  The field
+    stays because `bench/tracer.py` reads its length.
     """
 
     backend: object
@@ -391,21 +391,18 @@ class Simulation:
     fixed before the run) is reported to the engine, which checks the ledger
     rules; a possession by anyone but the key's holder cannot break them, so
     it is not reported.  Every delivery's plaintext fields are checked for
-    private inputs.  The log and the plaintext check are passes over a
-    receiver's batch, each made only when it can apply: with `keep_log`,
-    and when some message of that time carries plaintext fields.  The
+    private inputs.  The plaintext check is a pass over a receiver's batch,
+    made only when some message of that time carries plaintext fields.  The
     possession report needs no pass of its own: the scan of a time's
     calendar entries lists each ciphertext under the key's one holder, when
     that holder is a destination, in delivery order, and the holder's list
     is reported before its callback.  The trace counts deliveries and delivery
-    batches either way.  Only with `keep_log=True` does the run also keep
-    every delivered message, the one record of who came to hold which
-    ciphertext; by default memory does not grow with traffic.
+    batches; the run keeps no delivered message, so memory does not grow
+    with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
-                 policy: SchedulePolicy, faults: FaultPlan | None = None,
-                 keep_log: bool = False):
+                 policy: SchedulePolicy, faults: FaultPlan | None = None):
         self.topology = topology
         self.setup = setup
         self.policy = policy
@@ -427,7 +424,6 @@ class Simulation:
         self._completions: dict = {}
         self._messages_sent: dict = {}
         self._bytes: dict = {}
-        self._message_log: list | None = [] if keep_log else None
         self._leaks: list[PrivacyViolation] = []
 
     # -- engine internals -------------------------------------------------
@@ -498,7 +494,7 @@ class Simulation:
         for pid in order:
             nodes[pid].on_start(ctxs[pid])
         calendar, crashed_at = self._calendar, self._crashed_at
-        log, record = self._message_log, backend.record_possession
+        record = backend.record_possession
         holder_of = backend.key_holders()
         rank = {actor: i for i, actor in enumerate(order)}
         deadline_hit = False
@@ -543,8 +539,6 @@ class Simulation:
             for dst in sorted(per_receiver, key=rank.__getitem__):
                 deliveries = per_receiver[dst]
                 delivered += len(deliveries)
-                if log is not None:
-                    log.extend([(now, frm, dst, msg) for frm, msg in deliveries])
                 if plain:
                     for frm, msg in deliveries:
                         if msg.extra:
@@ -554,7 +548,7 @@ class Simulation:
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
 
         report = self._build_report(deadline_hit)
-        trace = SimTrace(backend=backend, messages=list(log or ()),
+        trace = SimTrace(backend=backend, messages=[],
                          leaks=list(self._leaks), deliveries=delivered,
                          batches=batches)
         return report, trace
@@ -570,17 +564,16 @@ class Simulation:
                      if inst == self.setup.primary_instance}}
         extra = dict(self.extra)
         extra["completion_times"] = {
-            f"{pid}:{inst}": t for (pid, inst), t in sorted(
-                self._completions.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))}
+            f"{pid}:{inst}": t for (pid, inst), t in self._completions.items()}
         if self._crashed_at:
-            extra["crashed"] = {str(p): t for p, t in sorted(self._crashed_at.items())}
+            extra["crashed"] = {str(p): t for p, t in self._crashed_at.items()}
         return SimReport(
             schema_version=1,
             protocol="", n=self.topology.n, seed=0, schedule=self.policy.mode,
-            decided_values=dict(sorted(self._decided.items(), key=lambda kv: str(kv[0]))),
-            rounds_to_decide=dict(sorted(rounds.items(), key=lambda kv: str(kv[0]))),
-            messages_sent=dict(sorted(self._messages_sent.items(), key=lambda kv: str(kv[0]))),
-            bytes_modeled=dict(sorted(self._bytes.items(), key=lambda kv: str(kv[0]))),
+            decided_values=dict(self._decided),
+            rounds_to_decide=rounds,
+            messages_sent=dict(self._messages_sent),
+            bytes_modeled=dict(self._bytes),
             privacy_violations=[],
             termination=termination,
             extra=extra,

@@ -76,6 +76,6 @@ def run_mutated(node_cls):
     returns the privacy violations the auditor found."""
     t = topo.ring(4)
     setup = mutated_setup(t, [5.0, 6.0, 7.0, 8.0], node_cls, seed=1)
-    sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 1), keep_log=True)
+    sim = netsim.Simulation(t, setup, SchedulePolicy("sync", 1))
     report, trace = sim.run()
     return netsim.privacy_audit(trace)

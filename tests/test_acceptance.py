@@ -16,7 +16,7 @@ from consentry.avg_consensus import NON_VIABLE
 from consentry.leader_election import elect_winner
 from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 
-from exposures import audit_view
+from exposures import audit_view, record_deliveries
 from mutations import LeakyAvgNode, MisroutingAvgNode, run_mutated
 from oracles import irv_oracle, mean_oracle, outlier_oracle
 
@@ -174,12 +174,12 @@ def test_criterion_5_privacy_audit():
     # direct ledger checks on a trusted-collector run
     from consentry.avg_consensus import build_trusted
     setup = build_trusted(t, inputs, seed=9)
-    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 9), keep_log=True)
-    _, trace = sim.run()
+    log = record_deliveries(setup)
+    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 9)).run()
     keys = [setup.nodes[netsim.TRUSTED].key]
     for pid in range(t.n):
-        ok = ok and all(not d for _, _, d in audit_view(trace, keys, pid))
-    ok = ok and all(ev.prepared for ev, _, _ in audit_view(trace, keys, netsim.TRUSTED))
+        ok = ok and all(not d for _, _, d in audit_view(trace, log, keys, pid))
+    ok = ok and all(ev.prepared for ev, _, _ in audit_view(trace, log, keys, netsim.TRUSTED))
 
     # mutations must each raise at least one violation
     ok = ok and any(v.rule == "plaintext-leak" for v in run_mutated(LeakyAvgNode))

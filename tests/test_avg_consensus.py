@@ -20,6 +20,7 @@ from consentry.avg_consensus import (AGGREGATE, INSTANCE_TRUSTED, NON_VIABLE,
 from consentry.outlier_consensus import init_round3
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 
+from exposures import record_deliveries
 from oracles import mean_oracle
 
 
@@ -31,7 +32,7 @@ def test_init_consensus_impulse():
     b = make_backend()
     km = b.keygen("T")
     state, msg = init_consensus(2, 7.0, km.public_part, 4, b)
-    assert b.inspect_payload(state.channels[0]).tolist() == [0, 0, 7, 0]
+    assert state.channels[0]._payload.tolist() == [0, 0, 7, 0]
     assert state.counts.tolist() == [0, 0, 1, 0]
     assert msg.kind == AGGREGATE and msg.count_array.tolist() == [0, 0, 1, 0]
 
@@ -40,7 +41,7 @@ def test_init_consensus_zero_vote_still_counted():
     b = make_backend()
     km = b.keygen("T")
     state, _ = init_consensus(0, 0.0, km.public_part, 4, b)
-    assert b.inspect_payload(state.channels[0]).tolist() == [0, 0, 0, 0]
+    assert state.channels[0]._payload.tolist() == [0, 0, 0, 0]
     assert state.counts.tolist() == [1, 0, 0, 0]
 
 
@@ -50,7 +51,7 @@ def test_padding_slot_stays_zero():
     state, _ = init_consensus(1, 3.5, km.public_part, 3, b)
     s2, m2 = init_consensus(2, -1.0, km.public_part, 3, b)
     on_receive(state, m2, b)
-    assert b.inspect_payload(state.channels[0])[3] == 0.0
+    assert state.channels[0]._payload[3] == 0.0
     assert state.counts[3] == 0
 
 
@@ -76,7 +77,7 @@ def test_a_snapshot_folds_its_counts_and_support_once():
     _, out, dec = on_receive(state, snap, b)
     assert (state.counts.tolist(), state.support, out, dec) == \
         ([1, 2, 1, 1, 0, 0, 0, 0], 0b1111, True, None)
-    assert b.inspect_payload(state.channels[0]).tolist() == \
+    assert state.channels[0]._payload.tolist() == \
         [-2.0, -1.0, 1.0, 2.5, 0, 0, 0, 0]
     assert on_receive(state, snap, b)[1:] == (False, None)
 
@@ -291,10 +292,10 @@ def _fold_against_on_receive(make, eps=0.0, cap=8):
             merged = any(out for out, _ in outs)
             decision = next((dec for _, dec in outs if dec is not None), None)
         if decision is not None:
-            decision = tuple(b.inspect_payload(ct).tobytes() for ct in decision)
+            decision = tuple(ct._payload.tobytes() for ct in decision)
         channels = state.channels
         seen.append((merged, decision, state.counts.tobytes(), state.support, state.phase,
-                     [(b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.taint_mask)
+                     [(ct._payload.tobytes(), ct.noise_bound, ct.taint_mask)
                       for ct in channels],
                      b.encrypt(km.public_part, SlotVector(np.zeros(cap)), ("p", "z")).handle))
     assert seen[0] == seen[1]
@@ -492,7 +493,7 @@ def test_conservation_invariant_throughout_run():
             state = node.states.get(INSTANCE_TRUSTED)
             if state is None or state.phase != "active":
                 continue
-            payload = node.backend.inspect_payload(state.channels[0])
+            payload = state.channels[0]._payload
             for j in range(4):
                 assert math.isclose(payload[j], state.counts[j] * inputs[j],
                                     rel_tol=1e-12, abs_tol=1e-12)
@@ -641,7 +642,7 @@ def test_a_fold_that_overflows_fails_closed():
                                            ([0, 0, top, top], (0, 0, big, big), 0b1100))]
     merged, (dec,) = fold(state, msgs, b)
     assert merged
-    assert np.isinf(b.inspect_payload(dec)).all()
+    assert np.isinf(dec._payload).all()
     with pytest.raises(PreparedSlotsError, match="not finite"):
         finalize_trusted(b, km.secret_part, dec, 4)
 
@@ -751,12 +752,12 @@ def test_every_aggregate_delivery_goes_through_fold(build, schedule, monkeypatch
     monkeypatch.setattr(avg_consensus.FloodingNode, "_start", started)
     monkeypatch.setattr(netsim.Context, "multicast", recorded)
     setup = FOLDING_BUILDS[build](t, inputs, seed=3)
-    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy(schedule, 3),
-                                      keep_log=True).run()
-    assert report.termination == "decided"
+    log = record_deliveries(setup)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy(schedule, 3)).run()
+    assert report.termination == "decided" and len(log) == trace.deliveries
     # the wrapper saw every AGGREGATE the simulator delivered to a process
     assert Counter((pid, id(msg)) for pid, msg in held) <= \
-        Counter((dst, id(msg)) for _, _, dst, msg in trace.messages)
+        Counter((dst, id(msg)) for _, _, dst, msg in log)
     assert len(held) == len(folds) > 0
     # a batch is folded instance by instance, so compare without order
     assert Counter((pid, id(msg)) for pid, msg in folds) == \
@@ -818,25 +819,25 @@ def test_a_merging_fold_builds_no_message(scenario, monkeypatch):
 # -- traffic ----------------------------------------------------------------
 
 def _g16_run(build):
-    """A sync run on G(16, 0.4) that keeps the delivered-message log."""
+    """The delivered messages of a sync run on G(16, 0.4), in delivery order."""
     t = topo.random_connected(16, 0.4, random.Random(16))
     setup = build(t, [float(i) for i in range(16)], seed=3)
-    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3),
-                                      keep_log=True).run()
-    assert report.termination == "decided"
+    log = record_deliveries(setup)
+    report, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
+    assert report.termination == "decided" and len(log) == trace.deliveries
     assert report.privacy_violations == [] and trace.leaks == []
-    return trace
+    return log
 
 
 def test_trusted_prepared_goes_only_to_the_collector():
-    prepared = [(frm, dst) for _, frm, dst, msg in _g16_run(build_trusted).messages
+    prepared = [(frm, dst) for _, frm, dst, msg in _g16_run(build_trusted)
                 if msg.kind == PREPARED]
     assert all(dst == netsim.TRUSTED for _, dst in prepared)
     assert sorted(frm for frm, _ in prepared) == list(range(16))
 
 
 def test_untrusted_prepared_goes_to_its_initiator_and_one_result_per_process():
-    messages = _g16_run(build_untrusted).messages
+    messages = _g16_run(build_untrusted)
     prepared = [(dst, msg.instance) for _, _, dst, msg in messages if msg.kind == PREPARED]
     assert {dst for dst, _ in prepared} == set(range(16))
     assert all(instance == instance_for_initiator(dst) for dst, instance in prepared)
@@ -909,8 +910,8 @@ def test_try_decide_prepares_like_an_explicit_include(eps, alive):
         else:
             include = np.array(sorted(range(n) if alive is None else alive))
             ct = prepare(b, state.channels[0], counts, len(include), include=include)
-        out += [b.inspect_payload(ct).tobytes(), ct.noise_bound, ct.handle, ct.prepared]
+        out += [ct._payload.tobytes(), ct.noise_bound, ct.handle, ct.prepared]
         # the next draw and handle follow as well
         nxt = b.encrypt(km.public_part, values, ("x", "next"))
-        out += [b.inspect_payload(nxt).tobytes(), nxt.handle]
+        out += [nxt._payload.tobytes(), nxt.handle]
     assert got == want

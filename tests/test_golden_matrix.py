@@ -17,9 +17,11 @@ moved in each field; put that summary in CHANGES.md and say why it moved.
 
 The same cells check agreement: every process and collector that decides
 in a cell decides the same bits.  avg-untrusted does not yet (ROADMAP
-item 9), so its 40 cells are one strict expected failure.
+item 9), so its 40 cells are one strict expected failure.  Each cell runs
+once per session; the digest and agreement tests share its report.
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -56,6 +58,7 @@ BALLOTS = [{"primary": (3 * p) % N, "secondary": None if p % 3 == 2 else (p + 1)
 CRASH = [{"process": 5, "time": 2}]
 
 
+@functools.cache
 def cells() -> dict:
     """Cell name -> the scenario dict it runs."""
     out = {}
@@ -77,9 +80,15 @@ def _short(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def receipt(raw: dict) -> dict:
+@functools.cache
+def cell_report(name: str) -> netsim.SimReport:
+    """The report of the named cell's run, made once and then shared."""
+    return netsim.run(ScenarioConfig.from_dict(cells()[name]))
+
+
+def receipt(name: str) -> dict:
     """The report digest of one cell and the digest of each of its fields."""
-    text = netsim.run(ScenarioConfig.from_dict(raw)).to_json()
+    text = cell_report(name).to_json()
     report = json.loads(text)
     fields = {key: _short(value) for key, value in report.items() if key != "extra"}
     fields.update((f"extra.{key}", _short(value)) for key, value in report["extra"].items())
@@ -87,7 +96,7 @@ def receipt(raw: dict) -> dict:
 
 
 def receipts() -> dict:
-    return {name: receipt(raw) for name, raw in sorted(cells().items())}
+    return {name: receipt(name) for name in sorted(cells())}
 
 
 def moved_fields(want: dict, got: dict) -> list:
@@ -136,8 +145,8 @@ def disagreeing(untrusted: bool) -> list:
     for name, raw in sorted(cells().items()):
         if (raw["protocol"] == "avg-untrusted") != untrusted:
             continue
-        report = netsim.run(ScenarioConfig.from_dict(raw))
-        if len({repr(v) for v in report.decided_values.values()}) > 1:
+        decided = cell_report(name).decided_values
+        if len({repr(v) for v in decided.values()}) > 1:
             out.append(name)
     return out
 

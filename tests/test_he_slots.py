@@ -24,6 +24,13 @@ def make_backend(cap=4, eps=0.0, seed=11):
     return SlotBackend(BackendConfig(cap, eps), seed=seed)
 
 
+def mask_of(b, tags):
+    """The taint mask of the set `tags` in `b`'s tag table: its tags' bits
+    are distinct powers of two, so their sum is their OR."""
+    bits = b._tag_table.bits
+    return sum(bits[tag] for tag in tags)
+
+
 def test_backend_config_validation():
     with pytest.raises(ValueError):
         BackendConfig(3)
@@ -79,7 +86,8 @@ def test_encrypt_taint_and_distinguishable_handles():
     v = SlotVector([1, 2, 3, 4])
     c1 = b.encrypt(km.public_part, v, ("p", "t"))
     c2 = b.encrypt(km.public_part, v, ("p", "t"))
-    assert c1.taint == frozenset({("p", "t")})
+    assert b._tag_table.bits == {("p", "t"): 1}
+    assert c1.taint_mask == c2.taint_mask == 1
     assert c1.handle != c2.handle
 
 
@@ -190,11 +198,12 @@ def test_taint_monotonicity():
     cx = b.encrypt(km.public_part, SlotVector([1, 0, 0, 0]), ("a", "x"))
     cy = b.encrypt(km.public_part, SlotVector([0, 1, 0, 0]), ("b", "y"))
     s = b.add_ct(cx, cy)
-    assert s.taint >= cx.taint and s.taint >= cy.taint
+    assert s.taint_mask & cx.taint_mask == cx.taint_mask
+    assert s.taint_mask & cy.taint_mask == cy.taint_mask
     m = b.mult_ct(s, cy)
-    assert m.taint == {("a", "x"), ("b", "y")}
-    assert b.mult_pt(s, SlotVector(np.ones(4))).taint == s.taint
-    assert b.rotate(s, 1).taint == s.taint
+    assert m.taint_mask == mask_of(b, {("a", "x"), ("b", "y")}) == 0b11
+    assert b.mult_pt(s, SlotVector(np.ones(4))).taint_mask == s.taint_mask
+    assert b.rotate(s, 1).taint_mask == s.taint_mask
 
 
 def test_noise_bound_respected():
@@ -225,7 +234,7 @@ def test_noise_bound_respected():
                 amt = rng.randrange(8)
                 ce, cn = exact.rotate(ce, amt), noisy.rotate(cn, amt)
                 k_ops += 1
-            max_abs = max(max_abs, float(np.max(np.abs(exact.inspect_payload(ce)))))
+            max_abs = max(max_abs, float(np.max(np.abs(ce._payload))))
         diff = np.abs(noisy.decrypt(kn.secret_part, cn).values
                       - exact.decrypt(ke.secret_part, ce).values)
         assert float(np.max(diff)) <= cn.noise_bound + 1e-18
@@ -247,13 +256,14 @@ def test_audit_view_possession_and_decryptability():
     counts.setflags(write=False)
     msg = ConsensusState("avg", 4, (ct,), counts, support=0b1).snapshot()
     log = [(1, "1", "T", msg), (2, "T", "1", msg)]
-    trace = SimTrace(b, log, deliveries=len(log))
-    view1 = audit_view(trace, [km], "1")
+    trace = SimTrace(b, [], deliveries=len(log))
+    view1 = audit_view(trace, log, [km], "1")
     assert view1 and all(not decryptable for _, _, decryptable in view1)
-    viewT = audit_view(trace, [km], "T")
+    viewT = audit_view(trace, log, [km], "T")
     assert viewT and all(decryptable for _, _, decryptable in viewT)
+    assert {mask for _, mask, _ in view1 + viewT} == {ct.taint_mask}
     with pytest.raises(LookupError):
-        audit_view(trace, [km], "nobody")
+        audit_view(trace, log, [km], "nobody")
 
 
 def test_mark_prepared_sets_flag_only():
@@ -275,9 +285,10 @@ def old_exposed(taint, prepared, holder):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_taint_masks_match_the_frozenset_union_rule(seed):
-    """Random op sequences: `taint` equals a frozenset kept by the union
-    rule, each possession or decryption by a keyholder is flagged exactly
-    when the loop rule says so, and its ledger entry reads the same taint."""
+    """Random op sequences: each taint mask is the mask of a frozenset kept
+    by the union rule, each possession or decryption by a keyholder is
+    flagged exactly when the loop rule says so, and its ledger entry reads
+    the same mask."""
     rng = random.Random(seed)
     b = make_backend(8, eps=rng.choice([0.0, 1e-9]), seed=seed)
     keys = [b.keygen(h) for h in ("T", 0, 1, "x")]
@@ -312,11 +323,11 @@ def test_taint_masks_match_the_frozenset_union_rule(seed):
             else:
                 b.decrypt(km.secret_part, x)
                 ev = b.events()[-1]
-                assert ev.handle == x.handle and ev.taint == tx
+                assert ev.handle == x.handle and ev.taint_mask == mask_of(b, tx)
             assert len(b.violations()) - before == old_exposed(tx, x.prepared, km.holder)
             continue
         ct, taint = item
-        assert ct.taint == taint
+        assert ct.taint_mask == mask_of(b, taint)
         pool.append(item)
 
 
@@ -326,8 +337,11 @@ def test_exposure_rule_with_string_tags_and_other_owners():
     enc = lambda tag: b.encrypt(kx.public_part, SlotVector([1, 0, 0, 0]), tag)
     own = b.add_ct(enc("xy"), enc(("x", "s")))        # both owned by "x"
     mixed = b.add_ct(own, enc((0, "a")))               # process 0's input too
-    for ct, flagged in ((own, False), (mixed, True), (b.mark_prepared(mixed), False)):
-        assert old_exposed(ct.taint, ct.prepared, "x") is flagged
+    own_tags, mixed_tags = {"xy", ("x", "s")}, {"xy", ("x", "s"), (0, "a")}
+    for ct, tags, flagged in ((own, own_tags, False), (mixed, mixed_tags, True),
+                              (b.mark_prepared(mixed), mixed_tags, False)):
+        assert ct.taint_mask == mask_of(b, tags)
+        assert old_exposed(tags, ct.prepared, "x") is flagged
         before = len(b.violations())
         b.record_possession("x", ct)
         assert len(b.violations()) - before == flagged
@@ -340,7 +354,7 @@ def test_rotate_equals_np_roll(cap):
     x = np.arange(cap, dtype=np.float64) * 1.5 - 3.0
     ct = b.encrypt(km.public_part, SlotVector(x), ("p", "v"))
     for amount in range(-cap, 2 * cap + 1):
-        assert np.array_equal(b.inspect_payload(b.rotate(ct, amount)),
+        assert np.array_equal(b.rotate(ct, amount)._payload,
                               np.roll(x, -amount)), amount
 
 
@@ -382,10 +396,11 @@ def _add_many_operands(b, width, k, cap=8):
 
 
 def _assert_same_ct(b1, x, b2, y):
-    assert b1.inspect_payload(x).tobytes() == b2.inspect_payload(y).tobytes()
-    assert (x.key_id, x.noise_bound, x.depth, x.taint_mask, x.taint, x.prepared,
-            x.handle) == (y.key_id, y.noise_bound, y.depth, y.taint_mask, y.taint,
+    assert x._payload.tobytes() == y._payload.tobytes()
+    assert (x.key_id, x.noise_bound, x.depth, x.taint_mask, x.prepared,
+            x.handle) == (y.key_id, y.noise_bound, y.depth, y.taint_mask,
                           y.prepared, y.handle)
+    assert b1._tag_table.bits == b2._tag_table.bits
 
 
 def _assert_same_next(b1, km1, b2, km2, cap):
@@ -475,10 +490,10 @@ def test_rotate_sum_equals_the_rotate_add_loop(eps, cap, monkeypatch):
     _assert_same_ct(loop, ct1, batched, ct2)
     assert ct2.depth == 1
     if not eps:
-        assert len(set(batched.inspect_payload(ct2).tolist())) == 1
+        assert len(set(ct2._payload.tolist())) == 1
     # the prepared copy reads the same bits and shares the one sum
     opened = batched.decrypt(km2.secret_part, prepared).values
-    assert opened.tobytes() == batched.inspect_payload(ct2).tobytes()
+    assert opened.tobytes() == ct2._payload.tobytes()
     assert (prepared.prepared, prepared.handle, prepared.noise_bound) == \
         (True, ct2.handle, ct2.noise_bound)
     assert batched.violations() == [] and len(sums) == 1

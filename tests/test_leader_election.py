@@ -18,7 +18,7 @@ from consentry.leader_election import (Ballot, CorruptedTallyError,
 from consentry.netsim import ScenarioConfig
 from consentry.topology import TopologyError
 
-from exposures import audit_view
+from exposures import audit_view, record_deliveries
 from oracles import irv_oracle
 
 
@@ -183,7 +183,7 @@ def test_on_receive_election_contribution_rules():
                                                pid=1, n=n, required_mask=0b111)
     assert state.support == 0b011 and state.counts is None
     assert out and complete is None
-    payload = backend.inspect_payload(state.channels[0])
+    payload = state.channels[0]._payload
     assert payload[flat_index(3, 1, 2)] == 1 and payload[flat_index(3, 2, 0)] == 1
     # the same copy revisiting a contributor: no growth, no forward
     revisit = ConsensusState(msg.instance, n, state.channels, counts=None,
@@ -284,10 +284,10 @@ def test_simulated_ring_run_completes_and_matches_oracle():
     t = topo.ring(5)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=1)
     policy = netsim.SchedulePolicy("sync", 5)
-    sim = netsim.Simulation(t, setup, policy, keep_log=True)
-    report, trace = sim.run()
-    assert report.termination == "decided"
-    assert any(msg.kind == PREPARED for _, _, _, msg in trace.messages)
+    log = record_deliveries(setup)
+    report, trace = netsim.Simulation(t, setup, policy).run()
+    assert report.termination == "decided" and len(log) == trace.deliveries
+    assert any(msg.kind == PREPARED for _, _, _, msg in log)
     want = irv_oracle(ballots, 5)
     assert want == 0
     for pid in range(5):
@@ -313,8 +313,8 @@ def test_candidate_privacy_only_keyholder_decrypts_completes():
     ballots = FIG2_BALLOTS
     t = topo.ring(5)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=3)
-    sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5), keep_log=True)
-    _, trace = sim.run()
+    log = record_deliveries(setup)
+    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5)).run()
     backend = setup.backend
     for ev in backend.events():
         if ev.kind == "decrypt":
@@ -322,7 +322,7 @@ def test_candidate_privacy_only_keyholder_decrypts_completes():
             assert ev.prepared            # complete ciphertexts only
     keys = [setup.nodes[netsim.TRUSTED].key]
     for pid in range(5):
-        for _, _, decryptable in audit_view(trace, keys, pid):
+        for _, _, decryptable in audit_view(trace, log, keys, pid):
             assert not decryptable
 
 
@@ -353,13 +353,16 @@ def election_config(topology, ballots, seed, schedule="sync", crashes=()):
 
 
 def run_logged(raw):
-    """Trial 0 of a scenario dict through `netsim.run`'s steps, keeping the
-    delivery log: (report, trace)."""
+    """Trial 0 of a scenario dict through `netsim.run`'s steps, recording
+    its deliveries: (report, trace, log)."""
     sc = ScenarioConfig.from_dict(raw)
     t = sc.resolve_topology()
     setup = build(t, sc.inputs, seed=sc.seed, noise_epsilon=sc.noise_epsilon)
     policy = netsim.SchedulePolicy(sc.schedule, sc.seed * 7919 + 13, sc.max_latency)
-    return netsim.Simulation(t, setup, policy, faults=sc.faults, keep_log=True).run()
+    log = record_deliveries(setup)
+    report, trace = netsim.Simulation(t, setup, policy, faults=sc.faults).run()
+    assert len(log) == trace.deliveries
+    return report, trace, log
 
 
 @pytest.mark.parametrize("topology, seed, crashes, ballots", [
@@ -372,9 +375,9 @@ def test_a_crash_notice_completes_the_copies_a_process_holds(topology, seed, cra
                                                              ballots):
     # the last crash leaves a held copy covering every survivor, and no
     # further message arrives to complete it: both runs once missed the deadline
-    report, trace = run_logged(election_config(topology, ballots, seed, crashes=crashes))
+    report, trace, log = run_logged(election_config(topology, ballots, seed, crashes=crashes))
     assert report.termination == "decided"
-    first = next(msg for _, _, _, msg in trace.messages if msg.kind == PREPARED)
+    first = next(msg for _, _, _, msg in log if msg.kind == PREPARED)
     want = irv_oracle([b for p, b in enumerate(ballots) if first.support >> p & 1], 5)
     assert report.decided_values and set(report.decided_values.values()) == {want}
     assert netsim.privacy_audit(trace) == []
@@ -450,9 +453,10 @@ def test_contributor_support_has_one_bit_per_process():
                                setup.nodes[0].pk, n, setup.backend)
     assert state.support == msg.support == 0b001
     assert state.counts is None and msg.count_array is None
-    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1),
-                                 keep_log=True).run()
-    completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]
+    log = record_deliveries(setup)
+    _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1)).run()
+    assert len(log) == trace.deliveries
+    completes = [msg for _, _, _, msg in log if msg.kind == PREPARED]
     assert completes and all(msg.support == 0b111 and msg.count_array is None
                              for msg in completes)
 
@@ -615,16 +619,17 @@ def test_complete6_with_three_crashes_tallies_what_each_copy_counts():
     faults = netsim.FaultPlan(tuple(netsim.CrashFault(process=p, time=time)
                                     for p, time in ((5, 1), (4, 4), (1, 5))))
     sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("async", 66 * 7919 + 13, 4),
-                            faults=faults, keep_log=True)
+                            faults=faults)
+    log = record_deliveries(setup)
     report, trace = sim.run()
-    assert report.termination == "decided"
-    completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]
+    assert report.termination == "decided" and len(log) == trace.deliveries
+    completes = [msg for _, _, _, msg in log if msg.kind == PREPARED]
     assert completes
     _, cap = ballot_layout(6)
     for msg in completes:
         want = sum(make_ballot_vector(Ballot(*ballots[p]), 6, cap).values
                    for p in range(6) if msg.support >> p & 1)
-        assert np.array_equal(setup.backend.inspect_payload(msg.votes_ct), want)
+        assert np.array_equal(msg.votes_ct._payload, want)
     first = [p for p in range(6) if completes[0].support >> p & 1]
     winner = irv_oracle([ballots[p] for p in first], 6)
     assert all(report.decided_values[p] == winner for p in (0, 2, 3, netsim.TRUSTED))
@@ -725,10 +730,10 @@ def test_only_a_surviving_origin_carries_the_election():
     # FloodSet's edge case: f = 2 gives origins 0, 1 and 2, and 0 and 1 crash
     # before their lineages leave them, so only lineage 2 reaches the keyholder
     ballots = [(0, None), (0, None), (4, 5), (5, 0), (4, None), (3, 0)]
-    report, trace = run_logged(election_config(
+    report, trace, log = run_logged(election_config(
         {"family": "ring", "n": 6}, ballots, seed=1, crashes=((0, 0), (1, 1))))
     assert report.termination == "decided"
-    completes = [msg for _, _, _, msg in trace.messages if msg.kind == PREPARED]
+    completes = [msg for _, _, _, msg in log if msg.kind == PREPARED]
     assert completes and {(msg.instance, msg.support) for msg in completes} == \
         {("elect/2", 0b111100)}
     want = irv_oracle(ballots[2:], 6)
