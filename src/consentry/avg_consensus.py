@@ -19,11 +19,12 @@ message and returns only whether anything merged.  A wide batch (on a
 dense graph, a first round brings one impulse per neighbour) is summed in
 one numpy call per array (`he_slots.sum_in_order`).  The node then
 multicasts one snapshot per changed instance to that instance's fan-out.
-Once the local mask covers the required one the process prepares each
-channel: multiply by the plaintext weights 1/(count_j * n) to undo
-duplicates, then rotate-sum (one engine `rotate_sum` call) so every slot
-holds the average.  Only prepared aggregates ever reach the keyholder's
-secret key.
+Once the local mask covers the required one the state is decided.  A
+decided state is prepared only for its readers, the keyholders its
+prepared aggregate goes to: each channel is multiplied by the plaintext
+weights 1/(count_j * n) to undo duplicates, then rotate-summed (one engine
+`rotate_sum` call) so every slot holds the average.  Only prepared
+aggregates ever reach the keyholder's secret key.
 
 A prepared aggregate is sent only to the keyholder that opens it; no process
 forwards one.  Two deployment shapes are provided: a trusted collector
@@ -32,7 +33,8 @@ which broadcasts the result to every process, and the collector-free variant
 where each initiator runs an instance under its own key and sits out the
 flooding.  There the initiator's neighbours, which all decide its instance,
 send it their prepared aggregates; it decrypts the first, and each process
-floods one result, the first it decides on.
+floods one result, the first it decides on.  Every other process decides
+that instance too but, having no reader for it, prepares nothing.
 """
 
 from __future__ import annotations
@@ -127,9 +129,12 @@ class ConsensusState:
     copy has no counts (None), only its support.  `snapshot` builds the
     state's AGGREGATE message, the only way one is built.  `required_mask`
     marks the indices whose counts must become nonzero and that `try_decide`
-    weights: all n, or an outlier node's.  A state is DECIDED once
-    `try_decide` prepared it; an election lineage copy once it went to the
-    keyholder.
+    weights: all n, or an outlier node's.  `readers` are the actors its
+    prepared aggregate goes to: the trusted collector, or in avg-untrusted
+    the instance's initiator when it is a neighbour, else no one.  A state
+    is DECIDED once `try_decide` found its required counts nonzero, and
+    prepared then only if it has readers; an election lineage copy is
+    DECIDED once it went to the keyholder.
     """
 
     def __init__(self, instance: str, n: int, channels: tuple, counts, support: int):
@@ -142,6 +147,7 @@ class ConsensusState:
         self.support = support
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
+        self.readers = (netsim.TRUSTED,)
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing this state's channels, sharing
@@ -236,15 +242,19 @@ def on_receive(state: ConsensusState, msg: ProtocolMessage,
 
 
 def try_decide(state: ConsensusState, backend: SlotEngine):
-    """Prepare every channel once all required counts are nonzero.
+    """Decide once all required counts are nonzero, and prepare every
+    channel for the state's readers.
 
     Serves message arrival, round start and crash notices alike.  Returns
     None while a required count is zero; otherwise marks the state decided
-    and returns the tuple of its prepared channels, in the state's order.
+    and returns the tuple of its prepared channels, in the state's order,
+    which is empty for a state without readers: nobody would open them.
     """
     if state.phase != ACTIVE or state.required_mask & ~state.support:
         return None
     state.phase = DECIDED
+    if not state.readers:
+        return ()
     n, include = state.n, None
     if state.required_mask != (1 << n) - 1:
         # the required indices: bit j of the mask is index j
@@ -314,13 +324,15 @@ class FloodingNode(netsim.Node):
     which is what keeps per-process traffic within a constant factor of
     diameter * degree.  A rebroadcast is one multicast to the instance's
     fan-out, a destination tuple fixed once per instance: `fanout[instance]`
-    where a subclass set it, otherwise the neighbours.  A decided instance's
-    prepared aggregate goes only to the actors that read it, likewise
-    `readers[instance]` where a subclass set it, otherwise the trusted
-    collector, which gets one straight from every decider.  `_start` stores
-    and announces a process's own new state and re-checks it at once;
-    `_try_decide` is that re-check, which the election overrides.
-    Subclasses say what PREPARED and RESULT messages mean to them.
+    where a subclass set it, otherwise the neighbours.  A decided instance
+    is prepared only for its state's `readers`, the actors that read its
+    prepared aggregate: the trusted collector, which gets one straight from
+    every decider, unless a subclass set others or none.  An instance
+    without readers is decided and marked complete, but neither prepared
+    nor sent.  `_start` stores and announces a process's own new state and
+    re-checks it at once; `_try_decide` is that re-check, which the
+    election overrides.  Subclasses say what PREPARED and RESULT messages
+    mean to them.
     `required_mask`, the processes this one waits for, is all n (in a
     fault-free election, the node and its tree children) until a crash
     notice narrows it: outlier and election nodes take
@@ -334,7 +346,6 @@ class FloodingNode(netsim.Node):
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
         self.fanout: dict[str, tuple] = {}
-        self.readers: dict[str, tuple] = {}
         self.required_mask = (1 << n) - 1
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
@@ -380,11 +391,12 @@ class FloodingNode(netsim.Node):
 
     def _emit_prepared(self, ctx, instance: str, prepared):
         """Send the prepared channels `try_decide` returned for a decided
-        instance to its readers; with none, no message is built."""
+        instance to its readers; with none, nothing was prepared and no
+        message is built."""
         ctx.mark_complete(instance)
-        readers = self.readers.get(instance, (netsim.TRUSTED,))
-        if readers:
-            ctx.multicast(readers, ProtocolMessage(instance, PREPARED, prepared))
+        if prepared:
+            ctx.multicast(self.states[instance].readers,
+                          ProtocolMessage(instance, PREPARED, prepared))
 
     def _try_decide(self, ctx, state: ConsensusState):
         """Round starts and crash adjustments can satisfy a pending
@@ -498,8 +510,10 @@ class UntrustedProcessNode(FloodingNode):
     value under its own key, hands that seed to one neighbor, stays out of
     the flooding, and decrypts the first prepared aggregate its neighbours
     send it.  So `on_start` fixes each other instance's fan-out as the
-    neighbours other than its initiator, and its prepared readers as that
-    initiator when it is a neighbour, else no one.  A node holds every
+    neighbours other than its initiator, and its state's readers as that
+    initiator when it is a neighbour, else no one: a node decides every
+    instance it holds but prepares only those of its neighbouring
+    initiators.  A node holds every
     viable initiator's public key and only its own secret key.  Each node
     broadcasts one RESULT, the one it decides on: its own instance's, or the
     first that reaches it, forwarded.
@@ -528,10 +542,10 @@ class UntrustedProcessNode(FloodingNode):
                 self.states[instance] = state
                 # every neighbour of a viable initiator decides its instance
                 if k in ctx.neighbors:
-                    self.readers[instance] = (k,)
+                    state.readers = (k,)
                     fanout = tuple(d for d in ctx.neighbors if d != k)
                 else:
-                    self.readers[instance] = ()
+                    state.readers = ()
                     fanout = ctx.neighbors
                 self.fanout[instance] = fanout
                 ctx.multicast(fanout, msg)

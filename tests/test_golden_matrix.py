@@ -155,7 +155,8 @@ def test_every_decider_in_a_cell_decides_the_same_bits():
     assert disagreeing(untrusted=False) == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: an avg-untrusted process "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: an avg-untrusted process "
                    "decides the first initiator's result that reaches it")
 def test_every_avg_untrusted_decider_decides_the_same_bits():
     assert disagreeing(untrusted=True) == []
