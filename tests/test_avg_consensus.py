@@ -858,21 +858,33 @@ def test_untrusted_dense_graph_traffic_bound():
 
 # -- prepare work ------------------------------------------------------------
 
-@pytest.mark.parametrize("build, graph, schedule, read", [
-    (build_trusted, lambda: topo.random_connected(16, 0.4, random.Random(16)), "sync", 16),
-    (build_untrusted, lambda: topo.ring(8), "async", 16),
-], ids=["trusted-g16-sync", "untrusted-ring8-async"])
-def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, read):
-    """Every process decides every instance it holds, but only the channels
-    of decided instances with readers are rotate-summed (all of them in
-    avg-trusted, two neighbours per initiator on a ring), and only the
-    prepared aggregates a keyholder decrypts have their payload summed."""
-    calls, sums, opened = [], [], set()
+def _g16():
+    return topo.random_connected(16, 0.4, random.Random(16))
+
+
+@pytest.mark.parametrize("build, graph, schedule, eps, read", [
+    (build_trusted, _g16, "sync", 0.0, 16),
+    (build_untrusted, lambda: topo.ring(8), "async", 0.0, 16),
+    (build_untrusted, _g16, "sync", 0.0, 108),
+    (build_untrusted, _g16, "sync", 1e-9, 108),
+], ids=["trusted-g16-sync", "untrusted-ring8-async", "untrusted-g16-sync-eps0",
+        "untrusted-g16-sync-eps1e-09"])
+def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, eps, read):
+    """Every process decides, and marks complete, every instance it holds,
+    but only the channels of decided instances with readers are prepared,
+    each by one `prepare` and one `rotate_sum` call: every channel in
+    avg-trusted, and in avg-untrusted one per viable initiator per neighbour
+    of it.  Only the prepared aggregates a keyholder decrypts have their
+    payload summed."""
+    calls, prepares, sums, opened = [], [], [], set()
     rotate_sum, decrypt = SlotBackend.rotate_sum, SlotBackend.decrypt
     monkeypatch.setattr(SlotBackend, "rotate_sum",
                         lambda self, ct: calls.append(ct.handle) or rotate_sum(self, ct))
     monkeypatch.setattr(he_slots, "_rotate_add",
                         lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
+    monkeypatch.setattr(avg_consensus, "prepare",
+                        lambda *args, f=avg_consensus.prepare, **kwargs:
+                        prepares.append(1) or f(*args, **kwargs))
 
     def opening(self, secret, ct, caller=None):
         if ct.prepared:
@@ -881,43 +893,22 @@ def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, 
     monkeypatch.setattr(SlotBackend, "decrypt", opening)
     t = graph()
     values = [float(i) for i in range(t.n)]
-    setup = build(t, values, seed=3)
+    setup = build(t, values, seed=3, noise_epsilon=eps)
     report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy(schedule, 3)).run()
     assert report.termination == "decided" and report.privacy_violations == []
-    assert all(v == pytest.approx(mean_oracle(values), abs=1e-9)
+    assert all(v == pytest.approx(mean_oracle(values), abs=1e-6 if eps else 1e-9)
                for v in report.decided_values.values())
-    states = [state for node in setup.nodes.values()
-              for state in getattr(node, "states", {}).values()]
-    assert states and all(state.phase == "decided" for state in states)
-    assert len(calls) == sum(len(state.channels) for state in states if state.readers) == read
+    held = [(pid, state) for pid, node in setup.nodes.items()
+            for state in getattr(node, "states", {}).values()]
+    assert held and all(state.phase == "decided" for _, state in held)
+    assert {f"{pid}:{state.instance}" for pid, state in held} <= \
+        set(report.extra["completion_times"])
+    assert len(calls) == len(prepares) == read == \
+        sum(len(state.channels) for _, state in held if state.readers)
+    if build is build_untrusted:
+        viable = set(range(t.n)) - t.cut_vertices()
+        assert read == sum(len(viable & set(t.adjacency[p])) for p in range(t.n))
     assert len(opened) < read and len(sums) == len(opened)
-
-
-@pytest.mark.parametrize("eps", [0.0, 1e-9])
-def test_untrusted_prepares_only_for_neighbouring_initiators(monkeypatch, eps):
-    """On avg-untrusted G(16, 0.4), sync, a process prepares an instance
-    only when its initiator is a neighbour, the one reader of that
-    instance's prepared aggregate: `prepare` runs once per viable initiator
-    per neighbour of it.  Every instance a process decides still has its
-    completion time."""
-    calls = []
-    monkeypatch.setattr(avg_consensus, "prepare",
-                        lambda *args, f=avg_consensus.prepare, **kwargs:
-                        calls.append(1) or f(*args, **kwargs))
-    t = topo.random_connected(16, 0.4, random.Random(16))
-    values = [float(i) for i in range(16)]
-    setup = build_untrusted(t, values, seed=3, noise_epsilon=eps)
-    report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 3)).run()
-    assert report.termination == "decided" and report.privacy_violations == []
-    assert all(v == pytest.approx(mean_oracle(values), abs=1e-6)
-               for v in report.decided_values.values())
-    viable = set(range(16)) - t.cut_vertices()
-    assert len(calls) == sum(len(viable & set(t.adjacency[p])) for p in range(16))
-    decided = [f"{pid}:{instance}" for pid in range(16)
-               for instance, state in setup.nodes[pid].states.items()
-               if state.phase == "decided"]
-    assert len(decided) == sum(len(viable - {p}) for p in range(16)) > len(calls)
-    assert set(decided) <= set(report.extra["completion_times"])
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
