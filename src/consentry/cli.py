@@ -5,10 +5,11 @@ configured protocol for the configured number of trials, writing
 `report.json` (full per-trial reports) and `summary.csv`.  `consentry sweep`
 replays a base scenario over a grid of topology families / sizes and writes
 `sweep.csv` with per-cell aggregates, including the measured message-bound
-constant K.  Exit codes: 0 clean, 2 configuration error, 3 privacy violation
-or unexpected termination, 4 internal fault (a corrupted tally, a refused
-decryption of an unprepared aggregate, or prepared slots that disagree or
-are not finite).
+constant K.  Exit codes: 0 clean, 2 configuration error (an output
+directory it cannot create or an output file it cannot write included), 3
+privacy violation or unexpected termination, 4 internal fault (a corrupted
+tally, a refused decryption of an unprepared aggregate, or prepared slots
+that disagree or are not finite).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -77,17 +79,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _processes(per_actor: dict) -> list:
+    """A per-actor report field's values for the processes (the int ids)."""
+    return [v for k, v in per_actor.items() if isinstance(k, int)]
+
+
 def _decided_summary(report: netsim.SimReport) -> str:
     if report.protocol == "avg-untrusted":
         items = sorted((k, v) for k, v in report.extra.items()
                        if k.startswith("initiator_result/"))
         return ";".join(f"{k.split('/')[-1]}={_fmt(v)}" for k, v in items)
-    values = []
-    for pid, v in report.decided_values.items():
-        if isinstance(pid, int) and v is not None:
-            values.append(v)
-    unique = sorted(set(_fmt(v) for v in values))
-    return ";".join(unique)
+    return ";".join(sorted({_fmt(v) for v in _processes(report.decided_values)
+                            if v is not None}))
 
 
 def _run_trials(scenario: ScenarioConfig) -> list[tuple[Topology, netsim.SimReport]]:
@@ -105,38 +108,28 @@ def _run_trials(scenario: ScenarioConfig) -> list[tuple[Topology, netsim.SimRepo
     return trials
 
 
-def _write_report(out: Path, scenario_raw: dict, reports) -> None:
-    payload = {
-        "schema_version": 1,
-        "scenario": scenario_raw,
-        "trials": [{f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
-                   for r in reports],
-    }
-    # read back first, so nested int keys such as an election's tally ids
-    # become strings and sort as strings, where `SimReport.to_json` sorts
-    # them as ints
-    payload = json.loads(json.dumps(payload))
-    (out / "report.json").write_text(netsim.report_json(payload))
+def _string_keys(value):
+    """A report payload as `json.loads(json.dumps(value))` reads it back, for
+    the int and str keys reports have: every dict key, nested ones such as an
+    election's tally ids included, becomes a string and every tuple a list."""
+    if isinstance(value, dict):
+        return {str(k): _string_keys(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_string_keys(v) for v in value]
+    return value
 
 
-def _write_summary(out: Path, reports) -> None:
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for trial, report in enumerate(reports):
-            rounds = [v for k, v in report.rounds_to_decide.items()
-                      if isinstance(k, int)]
-            msgs = [v for k, v in report.messages_sent.items()
-                    if isinstance(k, int)]
-            writer.writerow([
-                trial, report.protocol, report.n,
-                report.extra.get("diameter", ""),
-                _decided_summary(report),
-                max(rounds) if rounds else "",
-                sum(msgs),
-                len(report.privacy_violations),
-                report.termination,
-            ])
+def _write(path: Path, text: str, newline=None) -> None:
+    try:
+        path.write_text(text, newline=newline)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_csv(path: Path, rows: list) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write(path, buf.getvalue(), newline="")
 
 
 def cmd_run(args) -> int:
@@ -145,21 +138,23 @@ def cmd_run(args) -> int:
         raw["seed"] = args.seed
     scenario = ScenarioConfig.from_dict(_topology_beside(raw, args.config))
     out = _out_dir(args)
-    reports = []
-    for topo, report in _run_trials(scenario):
-        report.extra["diameter"] = topo.diameter()
-        reports.append(report)
-    _write_report(out, raw, reports)
-    _write_summary(out, reports)
-
-    ok = True
-    for trial, r in enumerate(reports):
-        expected = "decided" if scenario.expect_termination else "deadline-exceeded"
-        clean = not r.privacy_violations and r.termination == expected
-        ok = ok and clean
+    expected = "decided" if scenario.expect_termination else "deadline-exceeded"
+    trials, rows, ok = [], [], True
+    for trial, (topo, r) in enumerate(_run_trials(scenario)):
+        r.extra["diameter"] = topo.diameter()
+        trials.append({f.name: getattr(r, f.name) for f in dataclasses.fields(r)})
+        decided = _decided_summary(r)
+        rounds = _processes(r.rounds_to_decide)
+        rows.append([trial, r.protocol, r.n, r.extra["diameter"], decided,
+                     max(rounds) if rounds else "", sum(_processes(r.messages_sent)),
+                     len(r.privacy_violations), r.termination])
         print(f"trial {trial}: protocol={r.protocol} n={r.n} "
-              f"decided={_decided_summary(r) or '-'} termination={r.termination} "
+              f"decided={decided or '-'} termination={r.termination} "
               f"violations={len(r.privacy_violations)}")
+        ok = ok and not r.privacy_violations and r.termination == expected
+    payload = {"schema_version": 1, "scenario": raw, "trials": trials}
+    _write(out / "report.json", netsim.report_json(_string_keys(payload)))
+    _write_csv(out / "summary.csv", [SUMMARY_COLUMNS] + rows)
     print(f"wrote {out / 'report.json'} and {out / 'summary.csv'}")
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 
@@ -207,9 +202,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_vary(args.vary)
     keys = sorted(grid)
     out = _out_dir(args)
-    rows = []
-    worst_k = 0.0
-    any_violation = False
+    rows, worst_k, any_violation = [], 0.0, False
     for combo in itertools.product(*(grid[k] for k in keys)):
         assignment = dict(zip(keys, combo))
         scenario = _cell_scenario(base, assignment)
@@ -223,10 +216,8 @@ def cmd_sweep(args) -> int:
                 if not isinstance(pid, int) or topo.degree(pid) == 0:
                     continue
                 k_cell = max(k_cell, count / (diameter * topo.degree(pid)))
-            rounds.extend(v for k, v in report.rounds_to_decide.items()
-                          if isinstance(k, int))
-            msgs.extend(v for k, v in report.messages_sent.items()
-                        if isinstance(k, int))
+            rounds.extend(_processes(report.rounds_to_decide))
+            msgs.extend(_processes(report.messages_sent))
             violations += len(report.privacy_violations)
             non_viable += sum(1 for k, v in report.extra.items()
                               if k.startswith("initiator_result/")
@@ -241,10 +232,7 @@ def cmd_sweep(args) -> int:
                      f"{sum(msgs) / len(msgs):.3f}" if msgs else "",
                      max(msgs) if msgs else "",
                      f"{k_cell:.4f}", non_viable, violations])
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", [SWEEP_COLUMNS] + rows)
     print(f"swept {len(rows)} cells; worst-case K = {worst_k:.4f}")
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_ACCEPTANCE if any_violation else EXIT_OK

@@ -1,0 +1,42 @@
+"""A reference slot engine: the batched and lazy ops as the loops they stand for.
+
+`SlotEngine` defines `add_many` and `rotate_sum` as fixed sequences of
+`add_ct` and `rotate` calls, which `SlotBackend` must equal bit for bit.
+`ReferenceBackend` runs exactly those sequences, so a run under it and a run
+under `SlotBackend` must write the same report bytes, at any size.  Each
+backend counts its reference calls in `calls`, so a test can tell that they
+ran.
+"""
+
+from collections import Counter
+
+from consentry.he_slots import Ciphertext, SlotBackend, seeded_backend
+
+
+class ReferenceBackend(SlotBackend):
+
+    def add_many(self, accs: tuple, rows) -> tuple:
+        self.calls["add_many"] += 1
+        accs = list(accs)
+        for row in rows:
+            for c, ct in enumerate(row):
+                accs[c] = self.add_ct(accs[c], ct)
+        return tuple(accs)
+
+    def rotate_sum(self, a: Ciphertext) -> Ciphertext:
+        self.calls["rotate_sum"] += 1
+        amount = self.config.slot_capacity // 2
+        while amount >= 1:
+            a = self.add_ct(a, self.rotate(a, amount))
+            amount //= 2
+        return a
+
+
+def seeded_reference_backend(slot_capacity: int, noise_epsilon: float,
+                             seed: int) -> ReferenceBackend:
+    """`seeded_backend`'s engine, with its config and seed, as a
+    `ReferenceBackend`."""
+    backend = seeded_backend(slot_capacity, noise_epsilon, seed)
+    backend.__class__ = ReferenceBackend
+    backend.calls = Counter()
+    return backend

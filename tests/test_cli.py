@@ -608,3 +608,22 @@ def test_an_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot create output directory {out}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, extra, name", [
+    ("run", [], "report.json"),
+    ("run", [], "summary.csv"),
+    ("sweep", ["--vary", "n=4"], "sweep.csv"),
+], ids=["run-report", "run-summary", "sweep"])
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys, command, extra,
+                                                        name):
+    # a directory in the file's place once ended in an IsADirectoryError
+    # traceback, with exit code 1 for `sweep`
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    rc = main([command, "--config", str(CONFIGS / "sweep_base.json"),
+               "--out", str(out)] + extra)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import pytest
 
-from consentry import netsim
+import reference_engine
+from consentry import avg_consensus, leader_election, netsim, outlier_consensus
 from consentry.netsim import ScenarioConfig
 
 MATRIX = Path(__file__).resolve().parent / "golden" / "matrix.json"
@@ -127,6 +128,29 @@ def test_every_matrix_cell_matches_its_digest():
     moved = [f"{name} [{', '.join(moved_fields(want[name], got[name]))}]"
              for name in sorted(got) if got[name] != want[name]]
     assert moved == [], f"{len(moved)} report(s) moved: {'; '.join(moved)}"
+
+
+def test_every_matrix_cell_matches_its_digest_under_the_reference_engine(monkeypatch):
+    # the reference engine runs `add_many` and `rotate_sum` as the `add_ct`
+    # and `rotate` loops they stand for, so its reports must be the same bytes
+    backends = []
+
+    def seeded(*args):
+        backends.append(reference_engine.seeded_reference_backend(*args))
+        return backends[-1]
+    for module in (avg_consensus, outlier_consensus, leader_election):
+        monkeypatch.setattr(module, "seeded_backend", seeded)
+    want = json.loads(MATRIX.read_text())
+    moved = []
+    for name, raw in sorted(cells().items()):
+        made = len(backends)
+        text = netsim.run(ScenarioConfig.from_dict(raw)).to_json()
+        assert len(backends) > made, f"{name} ran without the reference engine"
+        if hashlib.sha256(text.encode()).hexdigest() != want[name]["report"]:
+            moved.append(name)
+    assert moved == [], f"{len(moved)} report(s) moved: {'; '.join(moved)}"
+    calls = sum((backend.calls for backend in backends), Counter())
+    assert calls["add_many"] > 0 and calls["rotate_sum"] > 0, calls
 
 
 def test_a_moved_cell_names_the_fields_that_moved():
