@@ -17,8 +17,11 @@ count arrays, ORs their masks and adds their channels in one engine
 `add_many` call, which ORs the ciphertexts' taint masks; it builds no
 message and returns only whether anything merged.  A wide batch (on a
 dense graph, a first round brings one impulse per neighbour) is summed in
-one numpy call per array (`he_slots.sum_in_order`).  The node then
-multicasts one snapshot per changed instance to that instance's fan-out.
+one numpy call per array (`he_slots.sum_in_order`).  A one-message batch,
+most of an async run's, costs its one mask test, one count add and one
+`add_ct` per channel.  The node then multicasts one snapshot per changed
+instance to that instance's fan-out; every snapshot shares one read-only
+empty `extra`.  A batch for one instance is not sorted.
 Once the local mask covers the required one the state is decided.  A
 decided state is prepared only for its readers, the keyholders its
 prepared aggregate goes to: each channel is multiplied by the plaintext
@@ -34,13 +37,16 @@ where each initiator runs an instance under its own key and sits out the
 flooding.  There the initiator's neighbours, which all decide its instance,
 send it their prepared aggregates; it decrypts the first, and each process
 floods one result, the first it decides on.  Every other process decides
-that instance too but, having no reader for it, prepares nothing.
+that instance too but, having no reader for it, prepares nothing.  A process
+builds its impulse vector and one-hot counts once and starts all n - 1 of
+its instances from them; each instance still encrypts under its own key.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,6 +67,10 @@ NON_VIABLE = "non-viable"
 
 #: relative tolerance for the "all prepared slots equal" sanity assertion
 PREPARED_SLOT_TOLERANCE = 1e-6
+
+#: the `extra` of every AGGREGATE: none has plaintext fields, so all share
+#: one empty mapping, which cannot be written
+NO_EXTRA = MappingProxyType({})
 
 
 class PrivacyGuardError(Exception):
@@ -151,31 +161,45 @@ class ConsensusState:
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing this state's channels, sharing
-        its channel tuple, read-only counts and support."""
+        its channel tuple, read-only counts and support, and the read-only
+        empty `NO_EXTRA`."""
         msg = object.__new__(ProtocolMessage)
-        msg.instance, msg.kind, msg.extra = self.instance, AGGREGATE, {}
+        msg.instance, msg.kind, msg.extra = self.instance, AGGREGATE, NO_EXTRA
         msg.ciphertexts = self.channels
         msg.count_array, msg.support = self.counts, self.support
         return msg
 
 
+def one_hot(capacity: int, pid: int) -> np.ndarray:
+    """The read-only start counts of process `pid`: 1 at `pid`, 0 elsewhere."""
+    counts = np.zeros(capacity)
+    counts[pid] = 1
+    counts.setflags(write=False)
+    return counts
+
+
 def init_consensus(pid: int, value: float, pk, n: int, backend: SlotEngine,
                    instance: str = INSTANCE_TRUSTED,
-                   channels: tuple | None = None) -> tuple[ConsensusState, ProtocolMessage]:
+                   channels: tuple | None = None, vector: SlotVector | None = None,
+                   counts: np.ndarray | None = None) -> tuple[ConsensusState, ProtocolMessage]:
     """Create the unit-impulse state and the broadcast that announces it.
 
     `channels`, when given, is the state's tuple of already-encrypted
-    channels, which stands in for the one encryption of `value`.
+    channels, which stands in for the one encryption of `value`.  `vector`
+    (`SlotVector.impulse` of `value` at `pid`) and `counts` (`one_hot`), when
+    given, are built once by a process that starts many instances and shared
+    by them; the encryption, its tag and its handle are still the instance's
+    own.
     """
     cap = backend.config.slot_capacity
     if cap < n:
         raise ValueError(f"slot capacity {cap} < process count {n}")
     if channels is None:
-        channels = (backend.encrypt(pk, SlotVector.impulse(cap, pid, value),
-                                    (pid, f"{instance}:value")),)
-    counts = np.zeros(cap)
-    counts[pid] = 1
-    counts.setflags(write=False)
+        if vector is None:
+            vector = SlotVector.impulse(cap, pid, value)
+        channels = (backend.encrypt(pk, vector, (pid, f"{instance}:value")),)
+    if counts is None:
+        counts = one_hot(cap, pid)
     state = ConsensusState(instance, n, channels, counts, support=1 << pid)
     return state, state.snapshot()
 
@@ -186,38 +210,54 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
 
     A message whose support is a subset of the local one (as grown by the
     messages before it) is dropped, and so is every message after the one
-    that completes the required counts, since the state then decides.  The
-    merged messages' channel tuples are added to the state's in one
-    `add_many` call, or by one `add_ct` per channel when only one merges, as
-    most do in async runs, where `add_ct` is the cheaper call.  The state's
-    count array and theirs are summed, in that order, into one new array (by
-    `sum_in_order` when more than one merges: a wide batch, of
-    `he_slots.WIDE` arrays or more, in one numpy call), which is frozen in
-    place (`setflags`) and replaces the state's counts; no count array is
-    ever written once shared.
+    that completes the required counts, since the state then decides.  A
+    one-message batch, most of an async run's, takes a path of its own: one
+    subset test, then the state's count array plus the message's and one
+    `add_ct` per channel, with no list of rows built.  Otherwise the merged
+    messages' channel tuples are added to the state's in one `add_many`
+    call, or by one `add_ct` per channel when only one merges, where
+    `add_ct` is the cheaper call.  The state's count array and theirs are
+    summed, in that order, into one new array (by `sum_in_order` when more
+    than one merges: a wide batch, of `he_slots.WIDE` arrays or more, in one
+    numpy call), which is frozen in place (`setflags`) and replaces the
+    state's counts; no count array is ever written once shared.  Both paths
+    make the same engine calls, so the bits, noise draws and handles agree.
     Returns whether any message merged and what `try_decide` returned.
     """
     if state.phase != ACTIVE:
         return False, None
     support, required = state.support, state.required_mask
-    rows, arrays = [], [state.counts]
-    for msg in msgs:
+    if len(msgs) == 1:
+        msg = msgs[0]
         other = msg.support
         if not other & ~support:
-            continue
-        rows.append(msg.ciphertexts)
-        arrays.append(msg.count_array)
+            return False, None
         support |= other
-        if not required & ~support:
-            break
-    if not rows:
-        return False, None
-    if len(rows) == 1:
-        counts = arrays[0] + arrays[1]
-        state.channels = tuple(map(backend.add_ct, state.channels, rows[0]))
+        counts = state.counts + msg.count_array
+        channels = state.channels
+        if len(channels) == 1:
+            state.channels = (backend.add_ct(channels[0], msg.ciphertexts[0]),)
+        else:
+            state.channels = tuple(map(backend.add_ct, channels, msg.ciphertexts))
     else:
-        counts = sum_in_order(arrays)
-        state.channels = backend.add_many(state.channels, rows)
+        rows, arrays = [], [state.counts]
+        for msg in msgs:
+            other = msg.support
+            if not other & ~support:
+                continue
+            rows.append(msg.ciphertexts)
+            arrays.append(msg.count_array)
+            support |= other
+            if not required & ~support:
+                break
+        if not rows:
+            return False, None
+        if len(rows) == 1:
+            counts = arrays[0] + arrays[1]
+            state.channels = tuple(map(backend.add_ct, state.channels, rows[0]))
+        else:
+            counts = sum_in_order(arrays)
+            state.channels = backend.add_many(state.channels, rows)
     counts.setflags(write=False)
     state.counts = counts
     state.support = support
@@ -322,7 +362,9 @@ class FloodingNode(netsim.Node):
 
     Coalesces all merges from one delivery batch into a single rebroadcast,
     which is what keeps per-process traffic within a constant factor of
-    diameter * degree.  A rebroadcast is one multicast to the instance's
+    diameter * degree.  `on_deliver` folds a batch's instances in instance
+    order (a one-instance batch unsorted) and acts on each fold's result as
+    `_hand_on` does.  A rebroadcast is one multicast to the instance's
     fan-out, a destination tuple fixed once per instance: `fanout[instance]`
     where a subclass set it, otherwise the neighbours.  A decided instance
     is prepared only for its state's `readers`, the actors that read its
@@ -369,12 +411,22 @@ class FloodingNode(netsim.Node):
                 self._handle_prepared(ctx, msg)
             elif kind == RESULT:
                 self._handle_result(ctx, msg)
-        for instance, msgs in sorted(per_instance.items()):
-            self._hand_on(ctx, instance, *self._fold_instance(instance, msgs))
+        # one instance, as in most async batches, needs no sort
+        items = per_instance.items()
+        if len(per_instance) > 1:
+            items = sorted(items)
+        for instance, msgs in items:
+            changed, decision = self._fold_instance(instance, msgs)
+            if changed:
+                ctx.multicast(self.fanout.get(instance, ctx.neighbors),
+                              self._snapshot_msg(self.states[instance]))
+            if decision is not None:
+                self._emit_prepared(ctx, instance, decision)
 
     def _hand_on(self, ctx, instance: str, changed: bool, decision):
-        """Act on what `_fold_instance` returned: multicast a changed state
-        to its fan-out, and hand a decision to `_emit_prepared`."""
+        """Act on what `_fold_instance` returned, as `on_deliver` does
+        inline: multicast a changed state to its fan-out, and hand a
+        decision to `_emit_prepared`."""
         if changed:
             ctx.multicast(self.fanout.get(instance, ctx.neighbors),
                           self._snapshot_msg(self.states[instance]))
@@ -532,10 +584,15 @@ class UntrustedProcessNode(FloodingNode):
     def on_start(self, ctx):
         if self.viable.get(self.pid) is False:
             ctx.note(f"initiator_result/{self.pid}", NON_VIABLE)
+        # one impulse vector and one count array, shared by every instance
+        cap = self.backend.config.slot_capacity
+        vector = SlotVector.impulse(cap, self.pid, self.value)
+        counts = one_hot(cap, self.pid)
         for k, pk in sorted(self.pks.items()):
             instance = instance_for_initiator(k)
-            state, msg = init_consensus(self.pid, self.value, pk,
-                                        self.n, self.backend, instance)
+            state, msg = init_consensus(self.pid, self.value, pk, self.n,
+                                        self.backend, instance,
+                                        vector=vector, counts=counts)
             if k == self.pid:
                 ctx.send(min(ctx.neighbors), msg)
             else:

@@ -173,6 +173,9 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     if float(np.max(np.abs(flat - rounded))) > tolerance:
         raise CorruptedTallyError(
             f"slots deviate from integers beyond {tolerance:g}")
+    # no ballot writes past the layout; written so that NaN fails it
+    if not np.all(np.abs(vec.values[n * n + n:]) <= tolerance):
+        raise CorruptedTallyError(f"padding slots deviate from 0 beyond {tolerance:g}")
     ints = rounded.astype(np.int64)
     matrix = ints[:n * n].reshape(n, n)
     primary_only = ints[n * n:]

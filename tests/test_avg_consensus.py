@@ -383,6 +383,53 @@ def test_fold_without_a_new_index_changes_nothing():
     assert np.frombuffer(counts).tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
+def _avg_starts(b, km, n):
+    return [init_consensus(pid, 1.5 * pid - 2.0, km.public_part, n, b) for pid in range(n)]
+
+
+def _round3_starts(b, km, n):
+    return [init_round3(pid, 1.5 * pid, pid == 3, km.public_part, n, b) for pid in range(n)]
+
+
+def _fold_view(b, state, out):
+    """Everything a fold can change: its return value, the state, and the
+    backend's handle counter and noise stream."""
+    def cts(channels):
+        return [(ct._payload.tobytes(), ct.handle, ct.noise_bound, ct.taint_mask,
+                 ct.prepared) for ct in channels]
+    merged, decision = out
+    return (merged, None if decision is None else cts(decision), state.counts.tobytes(),
+            state.support, state.phase, cts(state.channels), b._handle_seq,
+            b._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("starts", [_avg_starts, _round3_starts], ids=["avg", "round3"])
+def test_a_one_message_fold_matches_the_batch_path(starts, eps):
+    # each message m goes alone to one state, and after a covered c to its
+    # twin on a twin backend, so the twin folds it on the batch path
+    twins = []
+    for _ in range(2):
+        b = make_backend(cap=8, eps=eps, seed=4)
+        km = b.keygen("T")
+        seeds = starts(b, km, 5)
+        states = [state for state, _ in seeds]
+        on_receive(states[2], seeds[1][1], b)
+        on_receive(states[2], seeds[3][1], b)
+        # {1}, {1, 2, 3}, a repeat of {1}, then {4}, which completes the counts
+        msgs = [seeds[1][1], states[2].snapshot(), seeds[1][1], seeds[4][1]]
+        twins.append((b, states[0], seeds[0][1], msgs))
+    (b, state, covered, msgs), (b2, twin, covered2, msgs2) = twins
+    for m, m2 in zip(msgs, msgs2):
+        before = (b._handle_seq, b._rng.bit_generator.state)
+        assert fold(state, (covered,), b) == (False, None)
+        assert (b._handle_seq, b._rng.bit_generator.state) == before
+        assert _fold_view(b, state, fold(state, (m,), b)) == \
+            _fold_view(b2, twin, fold(twin, (covered2, m2), b2))
+    assert state.phase == "decided" and state.support == 0b11111
+    assert state.counts.tolist() == [1, 2, 1, 1, 1, 0, 0, 0]
+
+
 def test_prepare_uniform_counts():
     b = make_backend()
     km = b.keygen("T")
@@ -611,7 +658,30 @@ def test_untrusted_node_holds_only_its_own_secret(family, holders):
     assert report.termination == "decided"
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_an_untrusted_start_shares_read_only_arrays_across_instances(eps):
+    t = topo.ring(5)
+    setup = build_untrusted(t, [1.0, 2.0, 3.0, 4.0, 5.0], seed=3, noise_epsilon=eps)
+    node = setup.nodes[2]
+    ctx = SendLog(t.adjacency[2])
+    node.on_start(ctx)
+    starts = [msg for _, msg in ctx.sent]
+    assert len(starts) == t.n and len(node.states) == t.n - 1
+    arrays = [state.counts for state in node.states.values()]
+    arrays += [msg.count_array for msg in starts]
+    arrays += [ct._payload for msg in starts for ct in msg.ciphertexts]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    cts = [msg.votes_ct for msg in starts]
+    assert len({ct.key_id for ct in cts}) == len({ct.handle for ct in cts}) == \
+        len({ct.taint_mask for ct in cts}) == t.n
+    assert all(msg.count_array.tolist() == [0, 0, 1, 0, 0, 0, 0, 0] for msg in starts)
+
+
 def test_prepare_divides_out_counts_beyond_int64():
+
     b = make_backend()
     km = b.keygen("T")
     state, _ = init_consensus(0, 1.0, km.public_part, 4, b)

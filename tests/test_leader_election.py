@@ -406,8 +406,10 @@ def test_noisy_tallies_round_within_their_noise_bound(eps):
      "total ballots 3 != contributor count 2"),
     ({1: 1, 5: 1, 9: 1}, None, 0.5, ValueError,
      "noise_epsilon too large to round tallies to integers"),
+    ({1: 1, 5: 1, 6: 1, 14: 5.0}, 0b111, 0.0, CorruptedTallyError,
+     "padding slots deviate from 0"),
 ], ids=["nonzero-diagonal", "negative-entry", "ballots-not-the-support",
-        "noise-hides-the-integers"])
+        "noise-hides-the-integers", "nonzero-padding"])
 def test_tally_rejects_a_corrupted_aggregate(slots, contributors, eps, error, message):
     n = 3
     _, cap = ballot_layout(n)
