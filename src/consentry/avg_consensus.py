@@ -141,7 +141,8 @@ class ConsensusState:
     marks the indices whose counts must become nonzero and that `try_decide`
     weights: all n, or an outlier node's.  `readers` are the actors its
     prepared aggregate goes to: the trusted collector, or in avg-untrusted
-    the instance's initiator when it is a neighbour, else no one.  A state
+    the instance's initiator when it is a neighbour, else no one.  `fanout`
+    is where a changed state is multicast, None for the neighbours.  A state
     is DECIDED once `try_decide` found its required counts nonzero, and
     prepared then only if it has readers; an election lineage copy is
     DECIDED once it went to the keyholder.
@@ -158,6 +159,7 @@ class ConsensusState:
         self.phase = ACTIVE
         self.required_mask = (1 << n) - 1
         self.readers = (netsim.TRUSTED,)
+        self.fanout = None
 
     def snapshot(self) -> ProtocolMessage:
         """The AGGREGATE message announcing this state's channels, sharing
@@ -363,18 +365,14 @@ class FloodingNode(netsim.Node):
     Coalesces all merges from one delivery batch into a single rebroadcast,
     which is what keeps per-process traffic within a constant factor of
     diameter * degree.  `on_deliver` folds a batch's instances in instance
-    order (a one-instance batch unsorted) and acts on each fold's result as
-    `_hand_on` does.  A rebroadcast is one multicast to the instance's
-    fan-out, a destination tuple fixed once per instance: `fanout[instance]`
-    where a subclass set it, otherwise the neighbours.  A decided instance
-    is prepared only for its state's `readers`, the actors that read its
-    prepared aggregate: the trusted collector, which gets one straight from
-    every decider, unless a subclass set others or none.  An instance
+    order (a one-instance batch unsorted), multicasts each changed state to
+    its `fanout` and hands each decision to `_emit_prepared`.  A decided
+    instance is prepared only for its state's `readers`; an instance
     without readers is decided and marked complete, but neither prepared
     nor sent.  `_start` stores and announces a process's own new state and
-    re-checks it at once; `_try_decide` is that re-check, which the
-    election overrides.  Subclasses say what PREPARED and RESULT messages
-    mean to them.
+    re-checks it at once; `_try_decide` is that re-check outside a delivery
+    batch, which the election overrides.  Subclasses say what PREPARED and
+    RESULT messages mean to them.
     `required_mask`, the processes this one waits for, is all n (in a
     fault-free election, the node and its tree children) until a crash
     notice narrows it: outlier and election nodes take
@@ -387,7 +385,6 @@ class FloodingNode(netsim.Node):
         self.n = n
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
-        self.fanout: dict[str, tuple] = {}
         self.required_mask = (1 << n) - 1
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
@@ -418,20 +415,11 @@ class FloodingNode(netsim.Node):
         for instance, msgs in items:
             changed, decision = self._fold_instance(instance, msgs)
             if changed:
-                ctx.multicast(self.fanout.get(instance, ctx.neighbors),
-                              self._snapshot_msg(self.states[instance]))
+                state = self.states[instance]
+                ctx.multicast(ctx.neighbors if state.fanout is None else state.fanout,
+                              self._snapshot_msg(state))
             if decision is not None:
                 self._emit_prepared(ctx, instance, decision)
-
-    def _hand_on(self, ctx, instance: str, changed: bool, decision):
-        """Act on what `_fold_instance` returned, as `on_deliver` does
-        inline: multicast a changed state to its fan-out, and hand a
-        decision to `_emit_prepared`."""
-        if changed:
-            ctx.multicast(self.fanout.get(instance, ctx.neighbors),
-                          self._snapshot_msg(self.states[instance]))
-        if decision is not None:
-            self._emit_prepared(ctx, instance, decision)
 
     def _fold_instance(self, instance: str, msgs) -> tuple[bool, object]:
         """Fold one instance's share of a delivery batch; returns whether to
@@ -604,7 +592,7 @@ class UntrustedProcessNode(FloodingNode):
                 else:
                     state.readers = ()
                     fanout = ctx.neighbors
-                self.fanout[instance] = fanout
+                state.fanout = fanout
                 ctx.multicast(fanout, msg)
 
     def _handle_prepared(self, ctx, msg):
@@ -633,6 +621,8 @@ def build_untrusted(topology: Topology, inputs, initiators=None, *,
     initiators = sorted(initiators) if initiators is not None else list(range(n))
     if any(not (0 <= k < n) for k in initiators):
         raise ValueError(f"initiators out of range for n={n}: {initiators}")
+    if repeated := [k for k, after in zip(initiators, initiators[1:]) if k == after]:
+        raise ValueError(f"initiator {repeated[0]} is listed more than once: {initiators}")
     values = _finite_values(inputs)
     backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     cut = topology.cut_vertices()

@@ -165,6 +165,8 @@ def _parse_vary(items) -> dict:
         if "=" not in item:
             raise ScenarioError(f"--vary expects KEY=v1,v2,..., got {item!r}")
         key, _, values = item.partition("=")
+        if key in grid:
+            raise ScenarioError(f"--vary {key} is given more than once; list its values once")
         parsed = []
         for token in values.split(","):
             token = token.strip()

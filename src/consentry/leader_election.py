@@ -268,13 +268,14 @@ class ElectionProcessNode(FloodingNode):
     `on_start` encodes the ballot once for the whole run.  With f = 0, f
     being the context's `crash_bound`, the process takes its `parent` and
     `children` from the BFS tree `bfs` returns, and sums ballots up it as
-    one copy of lineage 0 (`_fold_up`); its `required_mask` is itself and
-    its children.  With f >= 1, processes 0 .. f each start a lineage
-    through `FloodingNode._start`, and each message of a batch is folded by
-    `on_receive_election`.  The first complete copy of a lineage goes only
-    to the keyholder, with that copy's own support, and decides the state;
-    any other adopted copy is rebroadcast.  `_try_decide` hands on a held
-    copy that a start or a crash notice completed; the crash rule,
+    one copy of lineage 0 (`_fold_up`), whose fan-out is the parent; its
+    `required_mask` is itself and its children.  With f >= 1, processes
+    0 .. f each start a lineage through `FloodingNode._start`, and each
+    message of a batch is folded by `on_receive_election`.  The first
+    complete copy of a lineage goes only to the keyholder, with that copy's
+    own support, and decides the state; any other adopted copy is
+    rebroadcast.  `_try_decide` is the one rule for a held copy that a start
+    or a crash notice completed; the crash rule,
     `FloodingNode._wait_for_survivors`, is the outlier node's.
     """
 
@@ -300,16 +301,22 @@ class ElectionProcessNode(FloodingNode):
                                       (self.pid, f"{instance}:ballot"))
             state = ConsensusState(instance, self.n, (ct,), counts=None,
                                    support=1 << self.pid)
-            self.states[instance], self.fanout[instance] = state, (self.parent,)
-            self._hand_on(ctx, instance, *self._fold_up(state, ()))
+            state.fanout = (self.parent,)
+            self.states[instance] = state
+            self._try_decide(ctx, state)
         elif self.pid <= ctx.crash_bound:
             self._start(ctx, *init_election(self.pid, self.ballot_vec, self.pk,
                                             self.n, self.backend))
 
     def _try_decide(self, ctx, state):
-        """Hand a held active copy that counts every required process to the
-        keyholder; a start or a crash notice can complete one with no message."""
-        if not self.required_mask & ~state.support:
+        """Hand on a held copy that a start or a crash notice completed: a
+        tree node below the root sends it to its parent (`parent` is None
+        elsewhere), and the root, like every lineage copy, to the keyholder."""
+        if self.required_mask & ~state.support:
+            return
+        if self.parent is not None:
+            ctx.multicast(state.fanout, self._snapshot_msg(state))
+        else:
             self._emit_prepared(ctx, state.instance,
                                 (self.backend.mark_prepared(state.channels[0]), state.support))
 

@@ -313,15 +313,14 @@ class Context:
     `send` is one point-to-point message.  `multicast` hands a whole
     destination tuple to the simulator at once, counted, ordered and
     delivered as one message per destination, as that many sends would be;
-    `broadcast` and `broadcast_processes` are multicasts.
+    `broadcast` and `broadcast_processes` are multicasts.  A process has a
+    channel to each of its `neighbors` and to TRUSTED, and to no one else.
     """
 
     def __init__(self, sim: "Simulation", pid):
         self._sim = sim
         self.pid = pid
         self.neighbors = sim.topology.adjacency[pid] if isinstance(pid, int) else ()
-        #: the actors this one has a channel to: its neighbours and TRUSTED
-        self.reach = frozenset((*self.neighbors, TRUSTED))
         #: f, how many processes may crash: the distinct processes of the
         #: fault plan.  Every process knows the bound, not who crashes or when.
         self.crash_bound = sim.crash_bound
@@ -410,7 +409,7 @@ class Simulation:
         self.crash_bound = len({crash.process for crash in self.faults.crashes})
         self.extra: dict = {}
         self._calendar: dict[int, list] = defaultdict(list)   # time -> [(frm, dsts, msg)]
-        self._reach: dict = {}   # sender -> its `Context.reach`; set by run()
+        self._reach: dict = {}   # sender -> its neighbours and TRUSTED; set by run()
         # the schedule as `_send` reads it: sync, or async latencies drawn as
         # randrange(1, span + 1) draws them, from getrandbits(bits)
         self._sync = policy.mode == "sync"
@@ -481,7 +480,7 @@ class Simulation:
         nodes = self.setup.nodes
         backend = self.setup.backend
         ctxs = {pid: Context(self, pid) for pid in nodes}
-        self._reach = {pid: ctx.reach for pid, ctx in ctxs.items()}
+        self._reach = {pid: frozenset((*ctx.neighbors, TRUSTED)) for pid, ctx in ctxs.items()}
         order = sorted(nodes, key=_actor_order)
         crashes: dict[int, list] = {}
         for crash in self.faults.crashes:

@@ -1,5 +1,6 @@
 """State-machine and end-to-end tests for the flooding average consensus."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -621,6 +622,23 @@ def test_untrusted_average_includes_initiator_vote():
 def test_untrusted_rejects_out_of_range_initiators():
     with pytest.raises(ValueError, match="initiators out of range"):
         untrusted_report(topo.path(3), [1.0, 2.0, 3.0], initiators={7})
+
+
+# a repeated initiator once ran a second keygen, which moved every later
+# noise draw, and the run went on with other decided values
+def test_untrusted_rejects_a_repeated_initiator(tmp_path, capsys):
+    from consentry.cli import EXIT_CONFIG, main
+    with pytest.raises(ValueError, match="initiator 0 is listed more than once"):
+        untrusted_report(topo.ring(5), [1, 2, 3, 4, 10], initiators=[0, 0, 2],
+                         noise_epsilon=1e-9)
+    config = tmp_path / "repeated.json"
+    config.write_text(json.dumps({"protocol": "avg-untrusted",
+                                  "topology": {"family": "ring", "n": 5},
+                                  "inputs": [1, 2, 3, 4, 10], "initiators": [0, 0, 2],
+                                  "noise_epsilon": 1e-9}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initiator 0 ") and err.count("\n") == 1
 
 
 def _reachable(root):

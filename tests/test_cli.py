@@ -197,6 +197,16 @@ def test_sweep_empty_grid_exits_2(tmp_path):
                  "--vary", "n", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+# the second --vary n once replaced the first: one row, exit 0
+def test_sweep_repeated_vary_key_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--config", str(CONFIGS / "sweep_base.json"), "--vary", "n=4",
+                 "--vary", "n=8", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --vary n ") and err.count("\n") == 1
+    assert "list its values once" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_election_over_a_family_decides_each_cell(tmp_path, monkeypatch):
     base = json.loads((CONFIGS / "fig2_election.json").read_text())
     base["topology"] = {"family": "ring", "n": 5}

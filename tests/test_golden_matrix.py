@@ -32,6 +32,7 @@ import pytest
 
 import reference_engine
 from consentry import avg_consensus, leader_election, netsim, outlier_consensus
+from consentry.he_slots import seeded_backend
 from consentry.netsim import ScenarioConfig
 
 MATRIX = Path(__file__).resolve().parent / "golden" / "matrix.json"
@@ -151,6 +152,57 @@ def test_every_matrix_cell_matches_its_digest_under_the_reference_engine(monkeyp
     assert moved == [], f"{len(moved)} report(s) moved: {'; '.join(moved)}"
     calls = sum((backend.calls for backend in backends), Counter())
     assert calls["add_many"] > 0 and calls["rotate_sum"] > 0, calls
+
+
+#: what protocol code and `Simulation` may use of an engine: the members of
+#: `SlotEngine`, then the simulator's and the audit's hooks
+SEAM = frozenset({"config", "keygen", "encrypt", "decrypt", "add_ct", "mult_pt",
+                  "mult_ct", "rotate", "add_many", "rotate_sum", "mark_prepared",
+                  "key_holders", "record_possession", "violations", "events"})
+
+
+class SeamProxy:
+    """Stands in for an engine: counts every member read from it or written
+    to it in `touched`, and forwards the access."""
+
+    def __init__(self, engine, touched: Counter):
+        object.__setattr__(self, "_seam", (engine, touched))
+
+    def __getattribute__(self, name):
+        engine, touched = object.__getattribute__(self, "_seam")
+        touched[name] += 1
+        return getattr(engine, name)
+
+    def __setattr__(self, name, value):
+        engine, touched = object.__getattribute__(self, "_seam")
+        touched[f"{name} (set)"] += 1
+        setattr(engine, name, value)
+
+
+def test_matrix_cells_use_only_the_engine_seam(monkeypatch):
+    # README's claim that another engine can stand behind `SlotEngine`: the
+    # protocols and the simulator reach the engine only through `SEAM`, in
+    # every variant, family, schedule and crash plan, at noise 1e-9
+    touched, proxies = Counter(), []
+
+    def seeded(*args):
+        proxies.append(SeamProxy(seeded_backend(*args), touched))
+        return proxies[-1]
+    for module in (avg_consensus, outlier_consensus, leader_election):
+        monkeypatch.setattr(module, "seeded_backend", seeded)
+    want = json.loads(MATRIX.read_text())
+    moved = []
+    for name, raw in sorted(cells().items()):
+        if raw["noise_epsilon"] == 0:
+            continue
+        made = len(proxies)
+        text = netsim.run(ScenarioConfig.from_dict(raw)).to_json()
+        assert len(proxies) > made, f"{name} ran without the proxy"
+        if hashlib.sha256(text.encode()).hexdigest() != want[name]["report"]:
+            moved.append(name)
+    assert moved == [], f"{len(moved)} report(s) moved: {'; '.join(moved)}"
+    assert sorted(touched.keys() - SEAM) == []
+    assert {"record_possession", "key_holders", "violations", "rotate_sum"} <= touched.keys()
 
 
 def test_a_moved_cell_names_the_fields_that_moved():
