@@ -68,8 +68,8 @@ NON_VIABLE = "non-viable"
 #: relative tolerance for the "all prepared slots equal" sanity assertion
 PREPARED_SLOT_TOLERANCE = 1e-6
 
-#: the `extra` of every AGGREGATE: none has plaintext fields, so all share
-#: one empty mapping, which cannot be written
+#: the `extra` of every message without plaintext fields: all share one
+#: empty mapping, which cannot be written
 NO_EXTRA = MappingProxyType({})
 
 
@@ -101,9 +101,10 @@ class ProtocolMessage:
     order: a PREPARED message's prepared channels; a RESULT carries none, or
     the prepared round-1 mean on the encrypted variance route.  An election's
     PREPARED copy also carries its contributors' `support`.  One message
-    object goes to every receiver, so treat it as immutable.  An AGGREGATE
-    shares its state's channel tuple, read-only float64 `count_array` and
-    `support`; a message built here has no counts.
+    object goes to every receiver, so treat it as immutable.  `extra` holds
+    a RESULT's plaintext fields; a message without any gets the read-only
+    `NO_EXTRA`.  An AGGREGATE shares its state's channel tuple, read-only
+    float64 `count_array` and `support`; a message built here has no counts.
     """
 
     __slots__ = ("instance", "kind", "ciphertexts", "extra", "count_array", "support")
@@ -118,7 +119,7 @@ class ProtocolMessage:
         self.instance = instance
         self.kind = kind
         self.ciphertexts = tuple(ciphertexts)
-        self.extra = {} if extra is None else extra
+        self.extra = NO_EXTRA if extra is None else extra
         self.count_array = None
         self.support = support
 
@@ -300,9 +301,7 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     n, include = state.n, None
     if state.required_mask != (1 << n) - 1:
         # the required indices: bit j of the mask is index j
-        mask = state.required_mask.to_bytes((n + 7) // 8, "little")
-        include = np.flatnonzero(np.unpackbits(np.frombuffer(mask, np.uint8),
-                                               bitorder="little"))
+        include = [j for j in range(n) if state.required_mask >> j & 1]
         n = len(include)
     return tuple(prepare(backend, ct, state.counts, n, include=include)
                  for ct in state.channels)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netsim
-from .avg_consensus import PreparedSlotsError, PrivacyGuardError
+from .avg_consensus import NON_VIABLE, PreparedSlotsError, PrivacyGuardError
 from .leader_election import CorruptedTallyError, InvalidBallotError
 from .netsim import ScenarioConfig, ScenarioError
 from .topology import Topology, TopologyError
@@ -168,14 +168,14 @@ def _parse_vary(items) -> dict:
         if key in grid:
             raise ScenarioError(f"--vary {key} is given more than once; list its values once")
         parsed = []
-        for token in values.split(","):
-            token = token.strip()
-            if not token:
-                continue
+        for token in filter(None, map(str.strip, values.split(","))):
             try:
-                parsed.append(json.loads(token))
+                value = json.loads(token)
             except json.JSONDecodeError:
-                parsed.append(token)
+                value = token
+            if value in parsed:
+                raise ScenarioError(f"--vary {key} lists {token} more than once")
+            parsed.append(value)
         if not parsed:
             raise ScenarioError(f"--vary {key} has no values")
         grid[key] = parsed
@@ -222,8 +222,7 @@ def cmd_sweep(args) -> int:
             msgs.extend(_processes(report.messages_sent))
             violations += len(report.privacy_violations)
             non_viable += sum(1 for k, v in report.extra.items()
-                              if k.startswith("initiator_result/")
-                              and v == "non-viable")
+                              if k.startswith("initiator_result/") and v == NON_VIABLE)
         worst_k = max(worst_k, k_cell)
         any_violation = any_violation or violations > 0
         topology = scenario.topology

@@ -112,9 +112,9 @@ class KeyMaterial:
 class TagTable:
     """Interns taint tags: the i-th tag interned is bit i of a taint mask.
 
-    `owned[o]` is the OR of the bits of the tags whose first element is `o`,
-    so a mask holds only `o`'s inputs iff `mask & ~owned.get(o, 0)` is 0.
-    A tag without a first element is owned by no one.
+    Each tag is an `(owner, label)` pair.  `owned[o]` is the OR of the bits
+    of the tags whose owner is `o`, so a mask holds only `o`'s inputs iff
+    `mask & ~owned.get(o, 0)` is 0.
     """
 
     __slots__ = ("bits", "owned")
@@ -129,11 +129,7 @@ class TagTable:
         if bit is None:
             bit = 1 << len(self.bits)
             self.bits[tag] = bit
-            try:
-                owner = tag[0]
-            except (TypeError, IndexError, KeyError):
-                return bit
-            self.owned[owner] = self.owned.get(owner, 0) | bit
+            self.owned[tag[0]] = self.owned.get(tag[0], 0) | bit
         return bit
 
 
@@ -550,11 +546,10 @@ class SlotBackend(SlotEngine):
         rotate-sum and the election completeness check (both of which
         compose already-aggregate values).
         """
-        if type(ct) is _SummedCiphertext:     # share the sum, not force it
-            return _SummedCiphertext(ct.key_id, ct._sum, ct.taint_mask, ct.tag_table,
-                                     True, ct.depth, ct.noise_bound, ct.handle)
-        return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table,
-                          True, ct.depth, ct.noise_bound, ct.handle)
+        cls = type(ct)      # a rotate-sum copy shares its pending sum, unforced
+        store = ct._sum if cls is _SummedCiphertext else ct._payload
+        return cls(ct.key_id, store, ct.taint_mask, ct.tag_table, True,
+                   ct.depth, ct.noise_bound, ct.handle)
 
     # -- ledger (simulator, not protocol code) ------------------------------
 

@@ -207,6 +207,16 @@ def test_sweep_repeated_vary_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+# a value listed twice once ran its cell twice: two identical rows, exit 0
+def test_sweep_repeated_vary_value_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--config", str(CONFIGS / "sweep_base.json"), "--vary", "n=4,4",
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --vary n ") and err.count("\n") == 1
+    assert "4 more than once" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_election_over_a_family_decides_each_cell(tmp_path, monkeypatch):
     base = json.loads((CONFIGS / "fig2_election.json").read_text())
     base["topology"] = {"family": "ring", "n": 5}
@@ -436,6 +446,11 @@ RING4 = {"family": "ring", "n": 4}
     ({"protocol": "avg-trusted", "topology": {"family": "ring", "n": 1}, "inputs": [1]}, []),
     ({"protocol": "avg-trusted", "topology": 5, "inputs": [1, 2, 3, 4]}, []),
     ({"protocol": "avg-untrusted", "topology": {"family": "path", "n": 1}, "inputs": [5]}, []),
+    ({"protocol": "election", "topology": {"family": "ring", "n": 3},
+      "inputs": [{"primary": 0, "secondary": 7}, {"primary": 1}, {"primary": 2}]}, []),
+    # G(40, 0.001) is not drawn connected in the family's 1,000 attempts
+    ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 40, "p": 0.001},
+      "inputs": {"random_uniform": [0, 1]}}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
@@ -447,7 +462,7 @@ RING4 = {"family": "ring", "n": 4}
         "outlier-sum-of-squares-overflows", "key-beside-random-uniform",
         "avg-trusted-nan-input", "avg-trusted-infinite-input", "outlier-nan-input",
         "outlier-infinite-input", "one-process-ring", "number-topology",
-        "one-process-untrusted"])
+        "one-process-untrusted", "secondary-out-of-range", "undrawable-random-family"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
