@@ -478,13 +478,13 @@ class SlotBackend(SlotEngine):
     def add_many(self, accs: tuple, rows) -> tuple:
         """The nested `add_ct` calls, bit for bit: the same payloads, noise
         draws (row by row, channel by channel), bounds, depths, taint and
-        handles.  A ragged row or an operand under another key or tag table
-        raises before anything is drawn.  Each channel is checked in one pass
-        over the rows, which gathers its terms in the nested calls' order (the
-        accumulator, then each row's payload and, with noise on, that row's
-        noise), and `sum_in_order` adds them: a wide batch in one numpy call.
-        With noise on, every operand is checked first, since the one draw
-        comes before any sum."""
+        handles.  One pass over the operands, channel by channel and row by
+        row, checks each one's key and tag table and gathers its payload; a
+        ragged row, then a mismatched operand, raises before anything is
+        drawn or numbered, at every noise level.  With noise on, the one draw
+        follows that pass and each row's noise goes in after its payload, the
+        nested calls' order; `sum_in_order` then adds each channel's terms: a
+        wide batch in one numpy call."""
         rows = list(rows)
         if not rows:
             return tuple(accs)
@@ -493,19 +493,12 @@ class SlotBackend(SlotEngine):
             if len(row) != width:
                 raise ValueError(f"add_many rows must have {width} channel(s)")
         eps = self.config.noise_epsilon
-        noise = None
-        if eps > 0:
-            for c, acc in enumerate(accs):
-                for row in rows:
-                    self._check_pair(acc, row[c], "add_many")
-            noise = self._rng.uniform(-eps, eps, size=(len(rows), width, len(accs[0]._payload)))
-        seq = self._handle_seq + (len(rows) - 1) * width
-        out = []
+        channels = []
         for c, acc in enumerate(accs):
             key, table = acc.key_id, acc.tag_table
             mask, depth, bound = acc.taint_mask, acc.depth, acc.noise_bound
             terms = [acc._payload]
-            for i, row in enumerate(rows):
+            for row in rows:
                 ct = row[c]
                 if ct.key_id != key:
                     raise KeyMismatchError("add_many operands under different keys")
@@ -516,10 +509,18 @@ class SlotBackend(SlotEngine):
                     depth = ct.depth
                 bound = bound + ct.noise_bound + eps
                 terms.append(ct._payload)
-                if noise is not None:
-                    terms.append(noise[i, c])
-            out.append(Ciphertext(key, sum_in_order(terms), mask, table, False, depth,
-                                  bound, seq + c + 1))
+            channels.append((terms, mask, depth, bound))
+        if eps > 0:
+            noise = self._rng.uniform(-eps, eps, size=(len(rows), width, len(accs[0]._payload)))
+            for c, gathered in enumerate(channels):
+                terms = gathered[0]
+                terms[1:] = [t for pair in zip(terms[1:], noise[:, c]) for t in pair]
+        seq = self._handle_seq + (len(rows) - 1) * width
+        out = []
+        for c, acc in enumerate(accs):
+            terms, mask, depth, bound = channels[c]
+            out.append(Ciphertext(acc.key_id, sum_in_order(terms), mask, acc.tag_table, False,
+                                  depth, bound, seq + c + 1))
         self._handle_seq += len(rows) * width
         return tuple(out)
 

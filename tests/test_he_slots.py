@@ -572,6 +572,30 @@ def test_add_ct_mismatch_raises_before_drawing(eps):
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_add_many_mismatch_raises_before_drawing(eps):
+    b, foreign = make_backend(8, eps, seed=7), make_backend(8, eps, seed=7)
+    _, accs, rows = _add_many_operands(b, 2, 3)
+    other_key = b.encrypt(b.keygen("U").public_part, SlotVector(np.ones(8)), ("q", "v"))
+    other_table = foreign.encrypt(foreign.keygen("T").public_part, SlotVector(np.ones(8)),
+                                  ("p", "v"))
+    for bad, why in ((other_key, "under different keys"),
+                     (other_table, "from different tag tables")):
+        state, handle = _rng_state(b), b._handle_seq
+        # the last row of the second channel: every operand is checked
+        with pytest.raises(KeyMismatchError, match=f"^add_many operands {why}$"):
+            b.add_many(accs, rows[:2] + [(rows[2][0], bad)])
+        # channel by channel: the first channel's fault is the one named
+        other = other_table if bad is other_key else other_key
+        with pytest.raises(KeyMismatchError, match=f"^add_many operands {why}$"):
+            b.add_many(accs, [(rows[0][0], other), rows[1], (bad, rows[2][1])])
+        # a ragged row raises first, though an earlier row holds a bad operand
+        with pytest.raises(ValueError, match="^add_many rows must have 2 channel"):
+            b.add_many(accs, [(rows[0][0], bad), rows[1], (rows[2][0],)])
+        assert _rng_state(b) == state and b._handle_seq == handle
+    assert len(b.add_many(accs, rows)) == 2 and b._handle_seq == handle + 6
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
 def test_every_engine_result_payload_is_read_only(eps):
     b = make_backend(8, eps)
     km = b.keygen("T")
