@@ -7,9 +7,9 @@ how many times each vote was folded into the aggregate.  A message shares
 its sender's channel tuple and counts, a read-only float64 array that a
 fold replaces, never writes, and carries the bitmask of its nonzero
 entries.  A message whose mask is a subset of the local one,
-`msg.support & ~state.support == 0`, carries no new information and is
-dropped after that one mask test.  A node hands each instance's share of a
-delivery batch to one `fold` (the election overrides
+`state.support | msg.support == state.support`, carries no new information
+and is dropped after that one OR and compare.  A node hands each
+instance's share of a delivery batch to one `fold` (the election overrides
 `FloodingNode._fold_instance` to fold lineage copies by its own rule),
 which runs that test message by message in delivery order and stops at the
 message that completes the required mask.  It adds the merged messages'
@@ -45,7 +45,6 @@ its instances from them; each instance still encrypts under its own key.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from types import MappingProxyType
 
 import numpy as np
@@ -213,17 +212,21 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
 
     A message whose support is a subset of the local one (as grown by the
     messages before it) is dropped, and so is every message after the one
-    that completes the required counts, since the state then decides.  A
-    one-message batch, most of an async run's, takes a path of its own: one
-    subset test, then the state's count array plus the message's and one
-    `add_ct` per channel, with no list of rows built.  Otherwise the merged
-    messages' channel tuples are added to the state's in one `add_many`
-    call, or by one `add_ct` per channel when only one merges, where
-    `add_ct` is the cheaper call.  The state's count array and theirs are
-    summed, in that order, into one new array (by `sum_in_order` when more
-    than one merges: a wide batch, of `he_slots.WIDE` arrays or more, in one
-    numpy call), which is frozen in place (`setflags`) and replaces the
-    state's counts; no count array is ever written once shared.  Both paths
+    that completes the required counts, since the state then decides.  Each
+    message costs one OR and one compare on the masks: it is a subset when
+    `support | msg.support` equals `support`, and the grown mask completes
+    the counts when `grown & required` equals `required`; no complement of
+    a mask is built.  A one-message batch, most of an async run's, takes a
+    path of its own: one subset test, then the state's count array plus the
+    message's and one `add_ct` per channel, with no list of rows built.
+    Otherwise the merged messages' channel tuples are added to the state's
+    in one `add_many` call, or by one `add_ct` per channel when only one
+    merges, where `add_ct` is the cheaper call.  The state's count array
+    and theirs are summed, in that order, into one new array (by
+    `sum_in_order` when more than one merges: a wide batch, of
+    `he_slots.WIDE` arrays or more, in one numpy call), which is frozen in
+    place (`setflags`) and replaces the state's counts; no count array is
+    ever written once shared.  Both paths
     make the same engine calls, so the bits, noise draws and handles agree.
     Returns whether any message merged and what `try_decide` returned.
     """
@@ -232,10 +235,10 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     support, required = state.support, state.required_mask
     if len(msgs) == 1:
         msg = msgs[0]
-        other = msg.support
-        if not other & ~support:
+        grown = support | msg.support
+        if grown == support:
             return False, None
-        support |= other
+        support = grown
         counts = state.counts + msg.count_array
         channels = state.channels
         if len(channels) == 1:
@@ -245,13 +248,13 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     else:
         rows, arrays = [], [state.counts]
         for msg in msgs:
-            other = msg.support
-            if not other & ~support:
+            grown = support | msg.support
+            if grown == support:
                 continue
             rows.append(msg.ciphertexts)
             arrays.append(msg.count_array)
-            support |= other
-            if not required & ~support:
+            support = grown
+            if grown & required == required:
                 break
         if not rows:
             return False, None
@@ -264,7 +267,7 @@ def fold(state: ConsensusState, msgs, backend: SlotEngine) -> tuple[bool, object
     counts.setflags(write=False)
     state.counts = counts
     state.support = support
-    if required & ~support:
+    if support & required != required:
         return True, None
     return True, try_decide(state, backend)
 
@@ -293,15 +296,16 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     and returns the tuple of its prepared channels, in the state's order,
     which is empty for a state without readers: nobody would open them.
     """
-    if state.phase != ACTIVE or state.required_mask & ~state.support:
+    required = state.required_mask
+    if state.phase != ACTIVE or state.support & required != required:
         return None
     state.phase = DECIDED
     if not state.readers:
         return ()
     n, include = state.n, None
-    if state.required_mask != (1 << n) - 1:
+    if required != (1 << n) - 1:
         # the required indices: bit j of the mask is index j
-        include = [j for j in range(n) if state.required_mask >> j & 1]
+        include = [j for j in range(n) if required >> j & 1]
         n = len(include)
     return tuple(prepare(backend, ct, state.counts, n, include=include)
                  for ct in state.channels)
@@ -363,15 +367,17 @@ class FloodingNode(netsim.Node):
 
     Coalesces all merges from one delivery batch into a single rebroadcast,
     which is what keeps per-process traffic within a constant factor of
-    diameter * degree.  `on_deliver` folds a batch's instances in instance
-    order (a one-instance batch unsorted), multicasts each changed state to
-    its `fanout` and hands each decision to `_emit_prepared`.  A decided
-    instance is prepared only for its state's `readers`; an instance
-    without readers is decided and marked complete, but neither prepared
-    nor sent.  `_start` stores and announces a process's own new state and
-    re-checks it at once; `_try_decide` is that re-check outside a delivery
-    batch, which the election overrides.  Subclasses say what PREPARED and
-    RESULT messages mean to them.
+    diameter * degree.  `on_deliver` groups a batch's aggregates by
+    instance, in first-seen order, with one dict lookup per run of
+    consecutive aggregates of one instance, not one per message.  It folds
+    the instances in instance order (a one-instance batch unsorted),
+    multicasts each changed state to its `fanout` and hands each decision
+    to `_emit_prepared`.  A decided instance is prepared only for its
+    state's `readers`; an instance without readers is decided and marked
+    complete, but neither prepared nor sent.  `_start` stores and announces
+    a process's own new state and re-checks it at once; `_try_decide` is
+    that re-check outside a delivery batch, which the election overrides.
+    Subclasses say what PREPARED and RESULT messages mean to them.
     `required_mask`, the processes this one waits for, is all n (in a
     fault-free election, the node and its tree children) until a crash
     notice narrows it: outlier and election nodes take
@@ -398,11 +404,15 @@ class FloodingNode(netsim.Node):
         self._try_decide(ctx, state)
 
     def on_deliver(self, ctx, batch):
-        per_instance: dict[str, list] = defaultdict(list)
+        per_instance: dict[str, list] = {}
+        run = run_msgs = None    # the instance of the last aggregate, and its list
         for sender, msg in batch:
             kind = msg.kind
             if kind == AGGREGATE:
-                per_instance[msg.instance].append(msg)
+                if msg.instance != run:
+                    run = msg.instance
+                    run_msgs = per_instance.setdefault(run, [])
+                run_msgs.append(msg)
             elif kind == PREPARED:
                 self._handle_prepared(ctx, msg)
             elif kind == RESULT:

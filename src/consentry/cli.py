@@ -8,8 +8,10 @@ replays a base scenario over a grid of topology families / sizes and writes
 constant K.  Exit codes: 0 clean, 2 configuration error (an output
 directory it cannot create or an output file it cannot write included), 3
 privacy violation or unexpected termination, 4 internal fault (a corrupted
-tally, a refused decryption of an unprepared aggregate, or prepared slots
-that disagree or are not finite).
+tally, a refused decryption of an unprepared aggregate, prepared slots that
+disagree or are not finite, a materially negative variance average, or
+operands under different keys or a secret that does not match its
+ciphertext).
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import NON_VIABLE, PreparedSlotsError, PrivacyGuardError
+from .he_slots import AccessDeniedError, KeyMismatchError
 from .leader_election import CorruptedTallyError, InvalidBallotError
 from .netsim import ScenarioConfig, ScenarioError
+from .outlier_consensus import NegativeVarianceError
 from .topology import Topology, TopologyError
 
 SUMMARY_COLUMNS = ["trial", "protocol", "n", "diameter", "decided", "rounds",
@@ -264,7 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorruptedTallyError, PrivacyGuardError, PreparedSlotsError) as exc:
+    except (CorruptedTallyError, PrivacyGuardError, PreparedSlotsError,
+            NegativeVarianceError, KeyMismatchError, AccessDeniedError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ScenarioError, TopologyError, InvalidBallotError, ValueError) as exc:

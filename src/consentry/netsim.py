@@ -391,13 +391,16 @@ class Simulation:
     rules; a possession by anyone but the key's holder cannot break them, so
     it is not reported.  Every delivery's plaintext fields are checked for
     private inputs.  The plaintext check is a pass over a receiver's batch,
-    made only when some message of that time carries plaintext fields.  The
-    possession report needs no pass of its own: the scan of a time's
-    calendar entries lists each ciphertext under the key's one holder, when
-    that holder is a destination, in delivery order, and the holder's list
-    is reported before its callback.  The trace counts deliveries and delivery
-    batches; the run keeps no delivered message, so memory does not grow
-    with traffic.
+    made only when some message of that time carries plaintext fields.  A
+    ciphertext under a key held outside the graph (the collector's) is found
+    by a pass over its holder's own batch, just before the callback, so no
+    multicast among processes scans its destinations for the holder.  One
+    under a key a process holds is listed, as the time's calendar entries
+    are scanned, under that holder when it is among the entry's
+    destinations, and the list is reported before its callback.  Either way
+    a receiver's ciphertexts are reported in delivery order.  The trace
+    counts deliveries and delivery batches; the run keeps no delivered
+    message, so memory does not grow with traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
@@ -495,6 +498,10 @@ class Simulation:
         calendar, crashed_at = self._calendar, self._crashed_at
         record = backend.record_possession
         holder_of = backend.key_holders()
+        # a key a process holds is looked for among each calendar entry's
+        # destinations; one held outside the graph, in its holder's own batch
+        held_by_process = {key: h for key, h in holder_of.items() if isinstance(h, int)}
+        outside_holders = {h for h in holder_of.values() if not isinstance(h, int)}
         rank = {actor: i for i, actor in enumerate(order)}
         deadline_hit = False
         delivered = batches = 0
@@ -526,10 +533,11 @@ class Simulation:
                     dsts = [dst for dst in dsts if dst not in crashed_at]
                 if msg.extra:
                     plain = True
-                for ct in msg.ciphertexts:
-                    holder = holder_of.get(ct.key_id)
-                    if holder is not None and holder in dsts:
-                        held.setdefault(holder, []).append(ct)
+                if held_by_process:
+                    for ct in msg.ciphertexts:
+                        holder = held_by_process.get(ct.key_id)
+                        if holder is not None and holder in dsts:
+                            held.setdefault(holder, []).append(ct)
                 delivery = (frm, msg)
                 for dst in dsts:
                     per_receiver[dst].append(delivery)
@@ -544,6 +552,11 @@ class Simulation:
                             self._check_leaks(frm, msg)
                 for ct in held.get(dst, ()):
                     record(dst, ct)
+                if dst in outside_holders:
+                    for frm, msg in deliveries:
+                        for ct in msg.ciphertexts:
+                            if holder_of.get(ct.key_id) == dst:
+                                record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
 
         report = self._build_report(deadline_hit)

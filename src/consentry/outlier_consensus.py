@@ -38,6 +38,11 @@ class AllOutliersError(Exception):
     """Round 3 had no participants: every value was classified an outlier."""
 
 
+class NegativeVarianceError(ValueError):
+    """A round-2 average below zero by more than rounding dust: a fault of the
+    run, not of its config."""
+
+
 def round2_input(v: float, mu: float) -> float:
     """Squared deviation fed into the variance round."""
     return (v - mu) ** 2
@@ -50,7 +55,7 @@ _VARIANCE_DUST = 1e-9
 def sigma_from_round2(variance_avg: float) -> float:
     """Standard deviation from the round-2 average, clamping tiny negatives."""
     if variance_avg < -_VARIANCE_DUST:
-        raise ValueError(f"variance average materially negative: {variance_avg}")
+        raise NegativeVarianceError(f"variance average materially negative: {variance_avg}")
     return math.sqrt(max(0.0, variance_avg))
 
 

@@ -50,14 +50,33 @@ class MisroutingUntrustedNode(UntrustedProcessNode):
                 ctx.send(k, state.snapshot())
 
 
-def mutated_untrusted_setup(t, inputs, seed):
-    """An avg-untrusted setup on `t` with every process replaced by
-    `MisroutingUntrustedNode`."""
+class OverfannedAvgNode(AvgProcessNode):
+    """Mutation: multicasts each changed state to its neighbours and, in the
+    same multicast, to the keyholder, unprepared."""
+
+    def on_start(self, ctx):
+        super().on_start(ctx)
+        self.states[INSTANCE_TRUSTED].fanout = (*ctx.neighbors, netsim.TRUSTED)
+
+
+class OverfannedUntrustedNode(UntrustedProcessNode):
+    """Mutation: multicasts each changed state of every instance to all its
+    neighbours, a neighbouring initiator among them, unprepared."""
+
+    def on_start(self, ctx):
+        super().on_start(ctx)
+        for state in self.states.values():
+            state.fanout = ctx.neighbors
+
+
+def mutated_untrusted_setup(t, inputs, seed, node_cls=MisroutingUntrustedNode):
+    """An avg-untrusted setup on `t` with every process replaced by the
+    mutated node class."""
     setup = build_untrusted(t, inputs, seed=seed)
     for pid in range(t.n):
         node = setup.nodes[pid]
-        setup.nodes[pid] = MisroutingUntrustedNode(pid, inputs[pid], t.n, setup.backend,
-                                                   node.pks, node.viable, node.secret)
+        setup.nodes[pid] = node_cls(pid, inputs[pid], t.n, setup.backend,
+                                    node.pks, node.viable, node.secret)
     return setup
 
 

@@ -431,6 +431,75 @@ def test_a_one_message_fold_matches_the_batch_path(starts, eps):
     assert state.counts.tolist() == [1, 2, 1, 1, 1, 0, 0, 0]
 
 
+def _complement_fold(state, msgs, b):
+    """`fold` written with complement masks: a message merges when
+    `other & ~support` is nonzero, the batch stops once `required & ~support`
+    is zero, and the state decides then.  It makes `fold`'s engine calls:
+    one `add_ct` per channel when one message merges, else one `add_many`."""
+    if state.phase != "active":
+        return False, None
+    support, required = state.support, state.required_mask
+    rows, arrays = [], [state.counts]
+    for msg in msgs:
+        other = msg.support
+        if not other & ~support:
+            continue
+        rows.append(msg.ciphertexts)
+        arrays.append(msg.count_array)
+        support |= other
+        if not required & ~support:
+            break
+    if not rows:
+        return False, None
+    if len(rows) == 1:
+        counts = arrays[0] + arrays[1]
+        state.channels = tuple(map(b.add_ct, state.channels, rows[0]))
+    else:
+        counts = he_slots.sum_in_order(arrays)
+        state.channels = b.add_many(state.channels, rows)
+    counts.setflags(write=False)
+    state.counts, state.support = counts, support
+    if required & ~support:
+        return True, None
+    state.phase = "decided"
+    n, include = state.n, None
+    if required != (1 << n) - 1:
+        include = [j for j in range(n) if required >> j & 1]
+        n = len(include)
+    return True, tuple(prepare(b, ct, state.counts, n, include=include)
+                       for ct in state.channels)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("starts", [_avg_starts, _round3_starts], ids=["avg", "round3"])
+def test_fold_covers_as_the_complement_mask_test_does(starts, eps):
+    """Seeded random batches: supports grown by random merges, so subsets
+    interleave; a required mask narrowed as after a crash, so supports carry
+    bits outside it; repeats, and messages after the completing one."""
+    n = 9
+    outcomes = Counter()
+    for trial in range(60):
+        views = []
+        for folder in (fold, _complement_fold):
+            rng = random.Random(trial)
+            b = make_backend(cap=16, eps=eps, seed=trial)
+            km = b.keygen("T")
+            states = [state for state, _ in starts(b, km, n)]
+            for _ in range(rng.randrange(20)):
+                i, j = rng.sample(range(n), 2)
+                on_receive(states[i], states[j].snapshot(), b)
+            target = states[rng.randrange(n)]
+            if rng.random() < 0.75:
+                target.required_mask = survivors(rng.sample(range(n), rng.randint(1, n - 1)), n)
+            batch = [rng.choice(states).snapshot() for _ in range(rng.randint(1, 16))]
+            views.append(_fold_view(b, target, folder(target, batch, b)))
+        assert views[0] == views[1], trial
+        merged, decision = views[0][:2]
+        outcomes[merged, decision is not None] += 1
+    # some batches merge nothing, some merge without deciding, some decide
+    assert len(outcomes) == 3, outcomes
+
+
 def test_prepare_uniform_counts():
     b = make_backend()
     km = b.keygen("T")

@@ -12,7 +12,7 @@ import pytest
 from consentry import avg_consensus, netsim
 from consentry.avg_consensus import PreparedSlotsError, PrivacyGuardError
 from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
-from consentry.he_slots import MAX_NOISE_EPSILON
+from consentry.he_slots import MAX_NOISE_EPSILON, AccessDeniedError, KeyMismatchError
 from consentry.leader_election import CorruptedTallyError
 import mutations
 from oracles import irv_oracle
@@ -270,7 +270,8 @@ def test_bad_ballot_is_a_config_error(tmp_path, capsys, ballot):
 
 
 @pytest.mark.parametrize("fault", [CorruptedTallyError, PrivacyGuardError,
-                                   PreparedSlotsError])
+                                   PreparedSlotsError, KeyMismatchError,
+                                   AccessDeniedError])
 def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
     def broken(scenario, trial=0):
         raise fault("injected")
@@ -280,6 +281,22 @@ def test_internal_fault_exits_4(tmp_path, capsys, monkeypatch, fault):
     assert rc == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_a_materially_negative_variance_inside_a_run_exits_4(tmp_path, capsys):
+    # a valid config: with one survivor left, round 2's average comes out at
+    # -2.26e-09, past the rounding dust, and this once exited 2 as a config error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "protocol": "outlier", "c": 1.5, "topology": {"family": "random", "n": 3, "p": 0.5},
+        "inputs": {"random_uniform": [0, 100]}, "seed": 669, "schedule": "sync",
+        "noise_epsilon": 1e-9,
+        "faults": [{"process": 1, "time": 1}, {"process": 2, "time": 4}]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: NegativeVarianceError: variance average "
+                          "materially negative:") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("protocol, topology", [

@@ -582,6 +582,51 @@ def test_pre_prepare_exposure_mutation_is_flagged():
     assert any(v.rule == "unprepared-exposure" for v in violations)
 
 
+_HOLDER_AMONG_DESTINATIONS = {
+    ("trusted", "sync"): [(netsim.TRUSTED, h) for h in (8, 12, 22, 24, 26, 27, 35, 43, 52)],
+    ("trusted", "async"): [(netsim.TRUSTED, h) for h in (6, 9, 11, 19, 21, 10, 23, 33, 43, 51)],
+    ("untrusted", "sync"): [
+        (0, 41), (0, 67), (0, 81), (1, 28), (1, 69), (1, 77), (1, 82), (2, 31), (2, 51),
+        (2, 78), (3, 55), (3, 71), (4, 37), (4, 65), (0, 128), (0, 158), (1, 87), (1, 136),
+        (1, 155), (1, 166), (2, 95), (2, 112), (2, 156), (3, 145), (4, 104), (4, 120),
+        (1, 171), (1, 188), (2, 179)],
+    ("untrusted", "async"): [
+        (0, 37), (0, 48), (2, 30), (0, 44), (1, 77), (2, 39), (2, 49), (2, 78), (4, 35),
+        (4, 43), (4, 63), (0, 71), (0, 79), (0, 106), (1, 28), (2, 52), (3, 40), (3, 55),
+        (3, 108), (0, 98), (1, 73), (1, 122), (1, 128), (1, 164), (2, 81), (2, 136), (3, 74),
+        (4, 89), (0, 156), (1, 153), (2, 155), (0, 166), (1, 144), (2, 174), (1, 182),
+        (1, 191)],
+}
+
+
+@pytest.mark.parametrize("schedule", ["sync", "async"])
+@pytest.mark.parametrize("deployment", ["trusted", "untrusted"])
+def test_a_keyholder_among_several_destinations_is_flagged_per_ciphertext(deployment,
+                                                                          schedule):
+    """An unprepared snapshot multicast to the key's holder and others: the
+    collector beside a process's neighbours, or an initiator among its
+    neighbour's fan-out.  Every unprepared ciphertext delivered to its key's
+    holder is one `unprepared-exposure`, in delivery order, with the handles
+    the simulator reported when it scanned every multicast's destinations."""
+    t = topo.random_connected(5, 0.6, random.Random(11))
+    inputs = [3.0, -1.5, 8.0, 0.25, 4.0]
+    if deployment == "trusted":
+        setup = mutations.mutated_setup(t, inputs, mutations.OverfannedAvgNode, 3)
+    else:
+        setup = mutations.mutated_untrusted_setup(t, inputs, 3,
+                                                  mutations.OverfannedUntrustedNode)
+    holders = setup.backend.key_holders()
+    log = record_deliveries(setup)
+    report, trace = netsim.Simulation(t, setup, SchedulePolicy(schedule, 5, max_latency=3)).run()
+    assert report.termination == "decided"
+    delivered = [(dst, ct.handle) for _, _, dst, msg in log for ct in msg.ciphertexts
+                 if holders[ct.key_id] == dst and not ct.prepared]
+    assert delivered == _HOLDER_AMONG_DESTINATIONS[deployment, schedule]
+    assert [(v.rule, v.observer, v.detail) for v in netsim.privacy_audit(trace)] == [
+        ("unprepared-exposure", dst, f"keyholder saw raw aggregate {handle} (kind=possess)")
+        for dst, handle in delivered]
+
+
 @pytest.mark.parametrize("node_name", ["LeakyAvgNode", "MisroutingAvgNode"])
 def test_audit_finds_the_same_violations_without_the_log(monkeypatch, node_name):
     import mutations
