@@ -337,7 +337,7 @@ def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
                      n: int, caller=None) -> float:
     """Decrypt a prepared aggregate and return the average it carries.
 
-    A noise bound that is not finite raises `ValueError` naming
+    A noise bound that is not finite raises `ScenarioError` naming
     `noise_epsilon`, before anything is decrypted: the noise of so large an
     epsilon can overflow the payload, and no slot could be trusted.  Slots
     that disagree, or any slot that is not finite (an overflowed payload),
@@ -345,7 +345,7 @@ def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,
     if not prepared_ct.prepared:
         raise PrivacyGuardError("refusing to decrypt an unprepared aggregate")
     if not math.isfinite(prepared_ct.noise_bound):
-        raise ValueError(
+        raise netsim.ScenarioError(
             f"noise_epsilon {backend.config.noise_epsilon!r} is too large: the noise "
             f"bound of a prepared aggregate is not finite, so it holds no result")
     vec = backend.decrypt(secret, prepared_ct, caller=caller)
@@ -515,7 +515,7 @@ def _finite_values(inputs) -> list[float]:
     values = [float(v) for v in inputs]
     for v in values:
         if not math.isfinite(v):
-            raise ValueError(f"initial value must be finite, got {v!r}")
+            raise netsim.ScenarioError(f"initial value must be finite, got {v!r}")
     _sum_fits(values)
     return values
 
@@ -527,8 +527,8 @@ def _sum_fits(values: list[float], squares: bool = False):
     top = max(map(abs, values), default=0.0)
     if not math.isfinite(len(values) * (top * top if squares else top)):
         what = "the squares of " if squares else ""
-        raise ValueError(f"the sum of {what}{len(values)} initial values up to "
-                         f"{top!r} in magnitude overflows float64")
+        raise netsim.ScenarioError(f"the sum of {what}{len(values)} initial values up to "
+                                   f"{top!r} in magnitude overflows float64")
 
 
 def build_trusted(topology: Topology, inputs, *, seed: int = 0,
@@ -625,13 +625,14 @@ def build_untrusted(topology: Topology, inputs, initiators=None, *,
                     seed: int = 0, noise_epsilon: float = 0.0) -> netsim.ProtocolSetup:
     n = topology.n
     if n < 2:
-        raise ValueError(f"avg-untrusted needs at least 2 processes, got {n}: "
-                         f"each initiator hands its seed to a neighbour")
+        raise netsim.ScenarioError(f"avg-untrusted needs at least 2 processes, got {n}: "
+                                   f"each initiator hands its seed to a neighbour")
     initiators = sorted(initiators) if initiators is not None else list(range(n))
     if any(not (0 <= k < n) for k in initiators):
-        raise ValueError(f"initiators out of range for n={n}: {initiators}")
+        raise netsim.ScenarioError(f"initiators out of range for n={n}: {initiators}")
     if repeated := [k for k, after in zip(initiators, initiators[1:]) if k == after]:
-        raise ValueError(f"initiator {repeated[0]} is listed more than once: {initiators}")
+        raise netsim.ScenarioError(
+            f"initiator {repeated[0]} is listed more than once: {initiators}")
     values = _finite_values(inputs)
     backend = seeded_backend(slot_capacity_for(n), noise_epsilon, seed)
     cut = topology.cut_vertices()

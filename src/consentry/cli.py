@@ -5,13 +5,9 @@ configured protocol for the configured number of trials, writing
 `report.json` (full per-trial reports) and `summary.csv`.  `consentry sweep`
 replays a base scenario over a grid of topology families / sizes and writes
 `sweep.csv` with per-cell aggregates, including the measured message-bound
-constant K.  Exit codes: 0 clean, 2 configuration error (an output
-directory it cannot create or an output file it cannot write included), 3
-privacy violation or unexpected termination, 4 internal fault (a corrupted
-tally, a refused decryption of an unprepared aggregate, prepared slots that
-disagree or are not finite, a materially negative variance average, or
-operands under different keys or a secret that does not match its
-ciphertext).
+constant K.  Exit codes: 0 clean, 2 bad input (a `ScenarioError` or a
+`TopologyError`, an output path it cannot use included), 3 privacy violation
+or unexpected termination, 4 internal fault (any other exception).
 """
 
 from __future__ import annotations
@@ -29,11 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import netsim
-from .avg_consensus import NON_VIABLE, PreparedSlotsError, PrivacyGuardError
-from .he_slots import AccessDeniedError, KeyMismatchError
-from .leader_election import CorruptedTallyError, InvalidBallotError
+from .avg_consensus import NON_VIABLE
 from .netsim import ScenarioConfig, ScenarioError
-from .outlier_consensus import NegativeVarianceError
 from .topology import Topology, TopologyError
 
 SUMMARY_COLUMNS = ["trial", "protocol", "n", "diameter", "decided", "rounds",
@@ -61,7 +54,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict):
         raise ScenarioError(f"config {path} must hold a JSON object, got {raw!r}")
@@ -268,13 +261,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorruptedTallyError, PrivacyGuardError, PreparedSlotsError,
-            NegativeVarianceError, KeyMismatchError, AccessDeniedError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ScenarioError, TopologyError, InvalidBallotError, ValueError) as exc:
+    except (ScenarioError, TopologyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

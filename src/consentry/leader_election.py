@@ -48,7 +48,7 @@ from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_c
 from .topology import Topology, TopologyError, _is_int
 
 
-class InvalidBallotError(Exception):
+class InvalidBallotError(netsim.ScenarioError):
     pass
 
 
@@ -164,7 +164,7 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
     # the emulated noise may move a slot by up to its tracked bound
     tolerance = _TALLY_TOLERANCE + complete_ct.noise_bound
     if tolerance >= 0.5:
-        raise ValueError(
+        raise netsim.ScenarioError(
             f"noise_epsilon too large to round tallies to integers: noise bound "
             f"{complete_ct.noise_bound:.3g} + tolerance {_TALLY_TOLERANCE} >= 0.5")
     vec = backend.decrypt(secret, complete_ct, caller=caller)
@@ -405,7 +405,7 @@ def parse_ballots(raw, n: int) -> list[Ballot]:
     if not isinstance(raw, (list, tuple)):
         raise InvalidBallotError(f"ballots must be a list, got {raw!r}")
     if len(raw) != n:
-        raise ValueError(f"need one ballot per process, got {len(raw)} for n={n}")
+        raise InvalidBallotError(f"need one ballot per process, got {len(raw)} for n={n}")
     out = []
     for item in raw:
         unknown = isinstance(item, dict) and item.keys() - {"primary", "secondary"}

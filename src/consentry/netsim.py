@@ -31,8 +31,9 @@ DECLARED_PLAIN_KEYS = frozenset(
     {"average", "mu", "variance", "value", "winner", "outcome"})
 
 
-class ScenarioError(Exception):
-    pass
+class ScenarioError(ValueError):
+    """Input that no run can use.  `cli.main` exits 2 on it or a `TopologyError`,
+    and 4 on any other exception, which is a fault of the program."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,9 @@ class ScenarioConfig:
                                 f"so that its noise range 2 * noise_epsilon is finite, "
                                 f"got {self.noise_epsilon!r}")
         inputs = self.inputs
+        numbers = () if self.protocol == "election" else inputs   # ballots are checked later
         if isinstance(inputs, dict) and "random_uniform" in inputs:
-            bounds = inputs["random_uniform"]
+            numbers = bounds = inputs["random_uniform"]
             if not isinstance(bounds, (list, tuple)) or len(bounds) != 2 or \
                     not all(_is_real(b) for b in bounds):
                 raise ScenarioError(f"random_uniform needs [lo, hi], got {bounds!r}")
@@ -134,6 +136,8 @@ class ScenarioConfig:
                 f"inputs must be a list or {{\"random_uniform\": [lo, hi]}}, got {inputs!r}")
         elif self.protocol != "election" and not all(_is_real(v) for v in inputs):
             raise ScenarioError(f"inputs must be numbers, got {inputs!r}")
+        if not all(abs(v) <= sys.float_info.max for v in numbers):
+            raise ScenarioError(f"inputs must be finite, got {inputs!r}")
         if self.initiators is not None and (
                 not isinstance(self.initiators, (list, tuple, set, frozenset))
                 or not self.initiators or not all(_is_int(k) for k in self.initiators)):

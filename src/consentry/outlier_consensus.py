@@ -220,7 +220,7 @@ def build(topology: Topology, inputs, c: float, *, variance_route: str = "decryp
     values = _finite_values(inputs)
     _sum_fits(values, squares=True)
     if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+        raise netsim.ScenarioError(f"c must be positive, got {c}")
     for pid in range(n):
         nodes[pid] = OutlierProcessNode(pid, values[pid], c, key.public_part, n, backend)
     nodes[netsim.TRUSTED] = OutlierCollectorNode(key, n, backend, route=variance_route)

@@ -211,7 +211,7 @@ def load_topology(source, rng: random.Random | None = None) -> Topology:
         try:
             with open(source) as fh:
                 source = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise TopologyError(f"cannot read topology {source}: {exc}") from exc
     if not isinstance(source, dict):
         raise TopologyError(f"topology must be an object or a file path, got {source!r}")

@@ -299,6 +299,30 @@ def test_a_materially_negative_variance_inside_a_run_exits_4(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("error", [RuntimeError, KeyError])
+def test_an_exception_no_rule_names_raised_mid_run_exits_4(tmp_path, capsys, monkeypatch,
+                                                            error):
+    # an exception that is neither a config error nor a named fault once
+    # escaped `main` as a traceback
+    def broken(self, ctx, msg):
+        raise error("injected")
+    monkeypatch.setattr(avg_consensus.TrustedCollectorNode, "_open", broken)
+    rc = main(["run", "--config", str(CONFIGS / "ring4_avg.json"), "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == f"internal error: {error.__name__}: {error('injected')}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_an_interrupt_mid_run_is_not_reported_as_a_fault(tmp_path, capsys, monkeypatch):
+    def interrupted(self, ctx, msg):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(avg_consensus.TrustedCollectorNode, "_open", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(CONFIGS / "ring4_avg.json"), "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("protocol, topology", [
     ("avg-trusted", {"n": 4, "edges": [[0, 1], [2, 3]]}),
     ("avg-untrusted", {"n": 1, "edges": []}),    # no initiator can sit out
@@ -504,6 +528,43 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, key, config, value):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+# float() and random.uniform raised OverflowError on these, a traceback with exit 1
+@pytest.mark.parametrize("config", [
+    {"protocol": "avg-trusted", "inputs": [1, 2, 10 ** 400]},
+    {"protocol": "outlier", "c": 1.0, "inputs": [1, 2, 10 ** 400]},
+    {"protocol": "avg-trusted", "inputs": [1, 2, -10 ** 400]},
+    {"protocol": "avg-trusted", "inputs": {"random_uniform": [0, 10 ** 400]}},
+    {"protocol": "election", "inputs": {"random_uniform": [-10 ** 400, 0]}},
+], ids=["avg-trusted", "outlier", "negative", "uniform-bound", "election-uniform-bound"])
+def test_an_input_past_float_range_exits_2_naming_inputs(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "topology": {"family": "ring", "n": 3}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: inputs must be finite, got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
+# json.load raises no JSONDecodeError on these: UnicodeDecodeError, a
+# ValueError, on bytes that are not UTF-8, and RecursionError on deep nesting
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+@pytest.mark.parametrize("unreadable", ["config", "topology"])
+def test_a_file_json_cannot_read_exits_2_with_one_line(tmp_path, capsys, unreadable,
+                                                       content):
+    (tmp_path / "bytes.json").write_bytes(content)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "avg-trusted", "topology": "bytes.json",
+                               "inputs": [1, 2, 3]}))
+    config = tmp_path / ("bytes.json" if unreadable == "config" else "cfg.json")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("value", [1e308, 10 ** 400], ids=["1e308", "int-past-float-range"])
