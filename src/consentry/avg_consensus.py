@@ -25,9 +25,9 @@ empty `extra`.  A batch for one instance is not sorted.
 Once the local mask covers the required one the state is decided.  A
 decided state is prepared only for its readers, the keyholders its
 prepared aggregate goes to: each channel is multiplied by the plaintext
-weights 1/(count_j * n) to undo duplicates, then rotate-summed (one engine
-`rotate_sum` call) so every slot holds the average.  Only prepared
-aggregates ever reach the keyholder's secret key.
+weights 1/(count_j * n) to undo duplicates and rotate-summed so every slot
+holds the average, in one `weighted_rotate_sum` call that the engine may
+defer until it is opened.  Only prepared aggregates reach the secret key.
 
 A prepared aggregate is sent only to the keyholder that opens it; no process
 forwards one.  Two deployment shapes are provided: a trusted collector
@@ -44,6 +44,7 @@ its instances from them; each instance still encrypts under its own key.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import MappingProxyType
 
@@ -295,6 +296,7 @@ def try_decide(state: ConsensusState, backend: SlotEngine):
     None while a required count is zero; otherwise marks the state decided
     and returns the tuple of its prepared channels, in the state's order,
     which is empty for a state without readers: nobody would open them.
+    `prepare`'s `weighted_rotate_sum` defers each channel's weights and sum.
     """
     required = state.required_mask
     if state.phase != ACTIVE or state.support & required != required:
@@ -316,7 +318,9 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
     """Divide out duplicate counts and rotate-sum so every slot is the average.
 
     Padding slots (and excluded indices, under faults) get weight zero, which
-    keeps the full-capacity rotate-sum exact.
+    keeps the full-capacity rotate-sum exact.  A zero included count raises
+    here; `weighted_rotate_sum` may defer `_weights` and the sum until opened,
+    so `counts` must not change after the call (a state's counts never do).
     """
     counts = np.asarray(counts, dtype=np.float64)
     include = slice(n) if include is None else np.asarray(include, dtype=np.intp)
@@ -326,11 +330,16 @@ def prepare(backend: SlotEngine, votes_ct: Ciphertext, counts,
         first = np.flatnonzero(~(included > 0))[0]
         index = np.arange(len(counts))[include][first]
         raise ValueError(f"prepare requires a nonzero count at index {index}")
-    weights = np.zeros(len(counts))
+    weights = functools.partial(_weights, len(counts), include, included, n)
+    return backend.weighted_rotate_sum(votes_ct, weights, len(counts))
+
+
+def _weights(size: int, include, included: np.ndarray, n: int) -> SlotVector:
+    """`prepare`'s plaintext: 1/(count_j * n) at each included index j."""
+    weights = np.zeros(size)
     # a float factor: numpy scales by a Python int through a slower path
     weights[include] = 1.0 / (included * float(n))
-    ct = backend.mult_pt(votes_ct, SlotVector(weights))
-    return backend.mark_prepared(backend.rotate_sum(ct))
+    return SlotVector(weights)
 
 
 def finalize_trusted(backend: SlotEngine, secret, prepared_ct: Ciphertext,

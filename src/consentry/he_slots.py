@@ -8,11 +8,11 @@ information-flow properties, checked as each decryption and possession is
 recorded.  A real lattice-crypto library can be substituted behind
 :class:`SlotEngine` without touching protocol code.
 
-`rotate_sum` draws its noise, takes its handles and computes its noise bound
-when it is called, but sums its payload only the first time the payload is
-read (by `decrypt` or another engine op), and at most once, for the
-result and its `mark_prepared` copy together; a prepared aggregate that no
-keyholder opens is never summed.
+`rotate_sum` and `weighted_rotate_sum` draw their noise and take their
+handles when they are called, but compute the payload and its noise bound
+only when either is first read (by `decrypt` or another engine op), once for
+the result and its `mark_prepared` copy; `weighted_rotate_sum` builds its
+weights then too, so a prepared aggregate no keyholder opens costs neither.
 """
 
 from __future__ import annotations
@@ -195,56 +195,63 @@ def sum_in_order(arrays) -> np.ndarray:
 
 def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:
     """The payload of the `rotate`/`add_ct` loop of a rotate-sum: at each
-    level, from the widest rotation down, add the rotation's noise row to
-    the rotated payload, add that to the payload, then add the sum's row."""
+    level j, from the widest rotation down, add noise row 2j to the rotated
+    payload, add that to the payload, then add row 2j + 1."""
     levels = len(payload).bit_length() - 1
     for j in range(levels):
         k = 2 ** (levels - 1 - j)
         rotated = np.concatenate((payload[k:], payload[:k]))
         if noise is not None:
-            rotated += noise[j, 0]
+            rotated += noise[2 * j]
         payload = payload + rotated
         if noise is not None:
-            payload += noise[j, 1]
+            payload += noise[2 * j + 1]
     payload.setflags(write=False)
     return payload
 
 
 class _PendingSum:
-    """A rotate-sum's payload, summed by `read` the first time it is needed
-    and kept; the source and the noise drawn at the call are then dropped."""
+    """A rotate-sum's payload and noise bound, computed by `read` the first
+    time either is needed and kept; the source, its bound and the noise drawn
+    at the call are then dropped.  A weighted one first multiplies the source
+    by `weights()` and adds noise row 0, as `mult_pt` would."""
 
-    __slots__ = ("source", "noise", "payload")
+    __slots__ = ("source", "noise", "bound", "eps", "weights", "payload")
 
-    def __init__(self, source: np.ndarray, noise):
-        self.source, self.noise, self.payload = source, noise, None
-
-    def __len__(self):
-        return len(self.source if self.payload is None else self.payload)
+    def __init__(self, source: np.ndarray, noise, bound: float, eps: float, weights=None):
+        self.source, self.noise, self.bound = source, noise, bound
+        self.eps, self.weights, self.payload = eps, weights, None
 
     def read(self) -> np.ndarray:
         if self.payload is None:
-            self.payload = _rotate_add(self.source, self.noise)
-            self.source = self.noise = None
+            source, noise, bound, eps = self.source, self.noise, self.bound, self.eps
+            if self.weights is not None:
+                p = self.weights().values
+                source, bound = source * p, bound * float(np.abs(p).max()) + eps
+                if noise is not None:
+                    source += noise[0]
+                    noise = noise[1:]
+            for _ in range(len(source).bit_length() - 1):
+                bound = bound + (bound + eps) + eps
+            self.payload, self.bound = _rotate_add(source, noise), bound
+            self.source = self.noise = self.weights = None
         return self.payload
 
 
 class _SummedCiphertext(Ciphertext):
-    """A `rotate_sum` result: it holds a `_PendingSum` where a ciphertext
-    holds its payload, shared with its `mark_prepared` copy, and `_payload`
-    reads it."""
+    """A `rotate_sum` or `weighted_rotate_sum` result: it holds a
+    `_PendingSum` where a ciphertext holds its payload and noise bound,
+    shared with its `mark_prepared` copy, and reads both from it."""
 
     __slots__ = ("_sum",)
 
     def __init__(self, key_id, pending: _PendingSum, taint_mask: int,
-                 tag_table: TagTable, prepared: bool, depth: int,
-                 noise_bound: float, handle: int):
+                 tag_table: TagTable, prepared: bool, depth: int, handle: int):
         self.key_id = key_id
         self.taint_mask = taint_mask
         self.tag_table = tag_table
         self.prepared = prepared
         self.depth = depth
-        self.noise_bound = noise_bound
         self.handle = handle
         self._sum = pending
 
@@ -252,8 +259,13 @@ class _SummedCiphertext(Ciphertext):
     def _payload(self) -> np.ndarray:
         return self._sum.read()
 
+    @property
+    def noise_bound(self) -> float:
+        self._sum.read()
+        return self._sum.bound
+
     def _slot_count(self) -> int:
-        return len(self._sum)
+        return len(self._sum.source if self._sum.payload is None else self._sum.payload)
 
 
 class AuditEvent(NamedTuple):
@@ -292,9 +304,10 @@ class SlotEngine(abc.ABC):
     simulator) and decryptions as they happen, flagging a decryption by
     anyone but the key's holder and a holder's exposure to an unprepared
     aggregate of other processes' inputs; protocol code makes no ledger
-    calls.  `add_many` and `rotate_sum` each stand for a fixed sequence of
-    `add_ct` and `rotate` calls, which they must equal bit for bit, so that
-    a protocol folds a delivery batch, or rotate-sums a prepare, in one call.
+    calls.  `add_many`, `rotate_sum` and `weighted_rotate_sum` each stand
+    for a fixed sequence of calls, which they must equal bit for bit, so
+    that a protocol folds a delivery batch, or prepares an aggregate, in one
+    call; `SlotBackend` defers the last one's weights and sum until opened.
     """
 
     #: engine parameters; protocol code reads `config.slot_capacity`
@@ -331,6 +344,11 @@ class SlotEngine(abc.ABC):
     def rotate_sum(self, a: Ciphertext) -> Ciphertext:
         """Sum every slot into every slot: `a = add_ct(a, rotate(a, 2**i))`
         for i from log2(capacity) - 1 down to 0 (OpenFHE's `EvalSum`)."""
+
+    @abc.abstractmethod
+    def weighted_rotate_sum(self, a: Ciphertext, weights, length: int) -> Ciphertext:
+        """`mark_prepared(rotate_sum(mult_pt(a, weights())))`, where `weights`
+        is a zero-argument callable returning the `length`-slot plaintext."""
 
     @abc.abstractmethod
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext: ...
@@ -395,15 +413,15 @@ class SlotBackend(SlotEngine):
         if a.tag_table is not b.tag_table:
             raise KeyMismatchError(f"{op} operands from different tag tables")
 
-    def _check_len(self, vec: SlotVector):
-        if len(vec) != self.config.slot_capacity:
+    def _check_len(self, length: int):
+        if length != self.config.slot_capacity:
             raise ValueError(
-                f"vector length {len(vec)} != slot capacity {self.config.slot_capacity}")
+                f"vector length {length} != slot capacity {self.config.slot_capacity}")
 
     # -- engine operations ---------------------------------------------
 
     def encrypt(self, public_part: PublicPart, vector: SlotVector, tag) -> Ciphertext:
-        self._check_len(vector)
+        self._check_len(len(vector))
         if public_part.key_id not in self._holders:
             raise KeyMismatchError(f"unknown key {public_part.key_id!r}")
         table = self._tag_table
@@ -446,7 +464,7 @@ class SlotBackend(SlotEngine):
                           a.noise_bound + b.noise_bound + eps, self._handle_seq)
 
     def mult_pt(self, a: Ciphertext, p: SlotVector) -> Ciphertext:
-        self._check_len(p)
+        self._check_len(len(p))
         scale = float(np.abs(p.values).max())
         return self._fresh(a.key_id, a._payload * p.values,
                            a.taint_mask, a.tag_table,
@@ -527,30 +545,41 @@ class SlotBackend(SlotEngine):
     def rotate_sum(self, a: Ciphertext) -> Ciphertext:
         """The `rotate`/`add_ct` loop, bit for bit: the same payload, noise
         draws, bound and handles.  The noise is drawn, in one call, and the
-        handles taken now; the payload is summed when first read."""
+        handles taken now; the payload and bound are computed when first read."""
         eps = self.config.noise_epsilon
-        payload, bound = a._payload, a.noise_bound
+        payload = a._payload
         levels = len(payload).bit_length() - 1
-        noise = (self._rng.uniform(-eps, eps, size=(levels, 2, len(payload)))
-                 if eps > 0 else None)
-        for _ in range(levels):
-            bound = bound + (bound + eps) + eps
+        noise = self._rng.uniform(-eps, eps, (2 * levels, len(payload))) if eps > 0 else None
         self._handle_seq += 2 * levels
-        return _SummedCiphertext(a.key_id, _PendingSum(payload, noise),
+        return _SummedCiphertext(a.key_id, _PendingSum(payload, noise, a.noise_bound, eps),
                                  a.taint_mask, a.tag_table, False, a.depth,
-                                 bound, self._handle_seq)
+                                 self._handle_seq)
+
+    def weighted_rotate_sum(self, a: Ciphertext, weights, length: int) -> Ciphertext:
+        """The `mult_pt`, `rotate_sum` and `mark_prepared` calls, bit for bit.
+        The length is checked, the noise drawn and the handles taken now; the
+        weights, product, sum and bound are computed when first read."""
+        self._check_len(length)
+        eps = self.config.noise_epsilon
+        rows = 2 * length.bit_length() - 1
+        noise = self._rng.uniform(-eps, eps, (rows, length)) if eps > 0 else None
+        self._handle_seq += rows
+        pending = _PendingSum(a._payload, noise, a.noise_bound, eps, weights)
+        return _SummedCiphertext(a.key_id, pending, a.taint_mask, a.tag_table, True,
+                                 a.depth + 1, self._handle_seq)
 
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.
 
-        Called only by the sanctioned protocol steps: the prepare-phase
-        rotate-sum and the election completeness check (both of which
-        compose already-aggregate values).
+        Called only by a sanctioned protocol step that composes
+        already-aggregate values, the election completeness check; a
+        prepare's `weighted_rotate_sum` result comes out marked.
         """
-        cls = type(ct)      # a rotate-sum copy shares its pending sum, unforced
-        store = ct._sum if cls is _SummedCiphertext else ct._payload
-        return cls(ct.key_id, store, ct.taint_mask, ct.tag_table, True,
-                   ct.depth, ct.noise_bound, ct.handle)
+        if type(ct) is _SummedCiphertext:   # a copy shares its pending sum, unforced
+            return _SummedCiphertext(ct.key_id, ct._sum, ct.taint_mask, ct.tag_table,
+                                     True, ct.depth, ct.handle)
+        return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table, True,
+                          ct.depth, ct.noise_bound, ct.handle)
 
     # -- ledger (simulator, not protocol code) ------------------------------
 

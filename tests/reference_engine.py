@@ -1,11 +1,12 @@
 """A reference slot engine: the batched and lazy ops as the loops they stand for.
 
 `SlotEngine` defines `add_many` and `rotate_sum` as fixed sequences of
-`add_ct` and `rotate` calls, which `SlotBackend` must equal bit for bit.
-`ReferenceBackend` runs exactly those sequences, so a run under it and a run
-under `SlotBackend` must write the same report bytes, at any size.  Each
-backend counts its reference calls in `calls`, so a test can tell that they
-ran.
+`add_ct` and `rotate` calls, and `weighted_rotate_sum` as `mult_pt`, then
+`rotate_sum`, then `mark_prepared`, which `SlotBackend` must equal bit for
+bit.  `ReferenceBackend` runs exactly those sequences, eagerly, so a run
+under it and a run under `SlotBackend` must write the same report bytes, at
+any size.  Each backend counts its reference calls in `calls`, so a test can
+tell that they ran.
 """
 
 from collections import Counter
@@ -30,6 +31,11 @@ class ReferenceBackend(SlotBackend):
             a = self.add_ct(a, self.rotate(a, amount))
             amount //= 2
         return a
+
+    def weighted_rotate_sum(self, a: Ciphertext, weights, length: int) -> Ciphertext:
+        self.calls["weighted_rotate_sum"] += 1
+        self._check_len(length)
+        return self.mark_prepared(self.rotate_sum(self.mult_pt(a, weights())))
 
 
 def seeded_reference_backend(slot_capacity: int, noise_epsilon: float,

@@ -1,15 +1,16 @@
-"""Five runs past the matrix's size, under both engines, must write the same bytes.
+"""Six runs past the matrix's size, under both engines, must write the same bytes.
 
 Each case runs once under `seeded_backend` and once under the reference
 engine of `reference_engine.py`, which runs `add_many` and `rotate_sum` as
-the `add_ct` and `rotate` loops they stand for.  The cases reach where the
-n = 8 matrix does not: batches of hundreds of rows, 1,024 slots, and noise
-tracked over long folds.  Run from the repository root with
+the `add_ct` and `rotate` loops they stand for, and `weighted_rotate_sum`
+eagerly as `mult_pt`, `rotate_sum` and `mark_prepared`.  The cases reach
+where the n = 8 matrix does not: batches of hundreds of rows, 1,024 slots,
+and noise tracked over long folds.  Run from the repository root with
 
     PYTHONPATH=src python tests/scale_differential.py
 
 It prints one line per case and exits 1 naming each case whose report bytes
-differ.  pytest does not collect it: the five cases take about 10 s.
+differ.  pytest does not collect it: the six cases take about 10 s.
 """
 
 import sys
@@ -31,6 +32,10 @@ CASES = {
         "protocol": "avg-untrusted", "topology": {"family": "random", "n": 32, "p": 0.4}},
     "outlier encrypted G(128, 0.4)": {
         "protocol": "outlier", "c": 1.5, "variance_route": "encrypted", "topology": G128},
+    # round 3 prepares two deferred channels per decider, here under noise
+    "outlier decrypt G(128, 0.4) eps 1e-9": {
+        "protocol": "outlier", "c": 1.5, "variance_route": "decrypt", "topology": G128,
+        "noise_epsilon": 1e-9},
     # at 1e-9 per-slot rounding differences average away below one ulp of
     # the decided mean, so rows added out of order went unseen
     "avg-trusted complete(600) eps 1e-6": {

@@ -549,7 +549,8 @@ def test_prepare_weights_match_the_per_index_loop():
     for j in include:
         want[j] = 1.0 / (counts[j] * len(include))
     seen = []
-    b.mult_pt = lambda ct, pt, mult=b.mult_pt: seen.append(pt.values) or mult(ct, pt)
+    b.weighted_rotate_sum = lambda ct, weights, length, f=b.weighted_rotate_sum: \
+        seen.append(weights().values) or f(ct, weights, length)
     votes = b.encrypt(km.public_part, SlotVector([1.0] * 8), ("x", "agg"))
     prepare(b, votes, counts, len(include), include=include)
     assert seen[0].tobytes() == want.tobytes()
@@ -1029,14 +1030,20 @@ def _g16():
 def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, eps, read):
     """Every process decides, and marks complete, every instance it holds,
     but only the channels of decided instances with readers are prepared,
-    each by one `prepare` and one `rotate_sum` call: every channel in
-    avg-trusted, and in avg-untrusted one per viable initiator per neighbour
-    of it.  Only the prepared aggregates a keyholder decrypts have their
-    payload summed."""
-    calls, prepares, sums, opened = [], [], [], set()
-    rotate_sum, decrypt = SlotBackend.rotate_sum, SlotBackend.decrypt
-    monkeypatch.setattr(SlotBackend, "rotate_sum",
-                        lambda self, ct: calls.append(ct.handle) or rotate_sum(self, ct))
+    each by one `prepare` and one `weighted_rotate_sum` call: every channel
+    in avg-trusted, and in avg-untrusted one per viable initiator per
+    neighbour of it.  Only the prepared aggregates a keyholder decrypts have
+    their weights built and their payload summed; no prepare makes a
+    separate `mult_pt`, `rotate_sum` or `mark_prepared` call."""
+    calls, prepares, built, sums, opened = [], [], [], [], set()
+    weighted, decrypt = SlotBackend.weighted_rotate_sum, SlotBackend.decrypt
+
+    def counted(self, ct, weights, length):
+        calls.append(ct.handle)
+        return weighted(self, ct, lambda: built.append(1) or weights(), length)
+    monkeypatch.setattr(SlotBackend, "weighted_rotate_sum", counted)
+    for name in ("mult_pt", "rotate_sum", "mark_prepared"):
+        monkeypatch.setattr(SlotBackend, name, None)
     monkeypatch.setattr(he_slots, "_rotate_add",
                         lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
     monkeypatch.setattr(avg_consensus, "prepare",
@@ -1065,7 +1072,7 @@ def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, 
     if build is build_untrusted:
         viable = set(range(t.n)) - t.cut_vertices()
         assert read == sum(len(viable & set(t.adjacency[p])) for p in range(t.n))
-    assert len(opened) < read and len(sums) == len(opened)
+    assert len(opened) < read and len(sums) == len(built) == len(opened)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])

@@ -1,6 +1,7 @@
 """CLI runner: file outputs, exit codes, sweeps."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -40,6 +41,20 @@ def test_run_ring4_avg(tmp_path, capsys):
     assert rows[0]["protocol"] == "avg-trusted"
     assert rows[0]["privacy_violations"] == "0"
     assert "decided=2.5" in capsys.readouterr().out
+
+
+def test_a_second_main_call_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # `main` builds its parser once per process: each build left 108
+    # argparse objects in reference cycles, and a built parser makes none
+    argv = ["run", "--config", str(CONFIGS / "ring4_avg.json"), "--out", str(tmp_path)]
+    gc.disable()
+    try:
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        assert main(argv) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_is_idempotent_byte_for_byte(tmp_path):

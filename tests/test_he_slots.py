@@ -499,6 +499,44 @@ def test_rotate_sum_equals_the_rotate_add_loop(eps, cap, monkeypatch):
     assert batched.violations() == [] and len(sums) == 1
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_weighted_rotate_sum_equals_the_three_call_composition(eps, monkeypatch):
+    # `mark_prepared(rotate_sum(mult_pt(ct, weights())))`: the op takes the
+    # composition's handles and draws at the call, and builds its weights,
+    # product and sum only when the payload or the bound is first read
+    cap, built, sums = 16, [], []
+    monkeypatch.setattr(he_slots, "_rotate_add",
+                        lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
+    weights = SlotVector(np.random.default_rng(4).uniform(0, 0.25, cap))
+    composed, deferred = make_backend(cap, eps, seed=8), make_backend(cap, eps, seed=8)
+    km1, km2 = composed.keygen("T"), deferred.keygen("T")
+    x = _random_cts(composed, km1, 2, cap, np.random.default_rng(6))[1]     # depth 1
+    y = _random_cts(deferred, km2, 2, cap, np.random.default_rng(6))[1]
+    want = composed.mark_prepared(composed.rotate_sum(composed.mult_pt(x, weights)))
+    want._payload                               # the composition's own lazy sum
+    got = deferred.weighted_rotate_sum(y, lambda: built.append(1) or weights, cap)
+    assert _rng_state(composed) == _rng_state(deferred)
+    assert composed._handle_seq == deferred._handle_seq == got.handle
+    assert (got.depth, got.taint_mask, got.prepared) == (2, y.taint_mask, True)
+    assert f"slots={cap}," in repr(got)
+    assert built == [] and sums == [1]
+    # the bound is read first here, and builds the weights and the sum once
+    assert got.noise_bound == want.noise_bound and (got.noise_bound > 0) == (eps > 0)
+    assert built == [1] and sums == [1, 1]
+    _assert_same_ct(composed, want, deferred, got)
+    opened = deferred.decrypt(km2.secret_part, got).values
+    assert opened.tobytes() == want._payload.tobytes()
+    assert built == [1] and sums == [1, 1] and deferred.violations() == []
+    _assert_same_next(composed, km1, deferred, km2, cap)
+    # a wrong length raises at the call, before anything is drawn or numbered
+    state, handle = _rng_state(deferred), deferred._handle_seq
+    for length in (cap // 2, 2 * cap):
+        with pytest.raises(ValueError, match=f"^vector length {length} != slot capacity"):
+            deferred.weighted_rotate_sum(y, lambda: built.append(1) or weights, length)
+    assert _rng_state(deferred) == state and deferred._handle_seq == handle
+    assert built == [1]
+
+
 def test_batched_ops_raise_like_the_nested_calls():
     b1, b2 = make_backend(seed=7), make_backend(seed=7)
     k1, k2 = b1.keygen("T"), b2.keygen("T")

@@ -290,6 +290,26 @@ def test_averaging_decides_when_a_process_crashes_before_its_vote_spreads():
     assert wrong == []
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: a run in which every process crashes "
+                   "reports that it decided")
+@pytest.mark.parametrize("protocol, inputs, extra", [
+    ("avg-trusted", [1.0, 2.0, 3.0], {}),
+    ("outlier", [1.0, 2.0, 3.0], {"c": 1.5}),
+    ("election", [{"primary": 0}, {"primary": 1}, {"primary": 2}], {}),
+], ids=["avg-trusted", "outlier", "election"])
+def test_a_run_in_which_every_process_crashes_does_not_report_decided(protocol, inputs,
+                                                                      extra):
+    """ring(3), every process crashing at t = 0: nothing is decided, and
+    "every expected decider that did not crash has decided" holds only
+    vacuously, so the report must not say `decided`."""
+    report = netsim.run(ScenarioConfig(
+        protocol=protocol, topology=topo.ring(3).to_dict(), inputs=inputs, seed=1,
+        faults=FaultPlan(tuple(CrashFault(process=p, time=0) for p in range(3))), **extra))
+    assert report.decided_values == {}
+    assert report.termination != "decided"
+
+
 def test_crashed_process_emits_nothing_after_crash():
     t = topo.ring(5)
     setup = build_trusted(t, [1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
