@@ -8,11 +8,10 @@ information-flow properties, checked as each decryption and possession is
 recorded.  A real lattice-crypto library can be substituted behind
 :class:`SlotEngine` without touching protocol code.
 
-`rotate_sum` and `weighted_rotate_sum` draw their noise and take their
-handles when they are called, but compute the payload and its noise bound
-only when either is first read (by `decrypt` or another engine op), once for
-the result and its `mark_prepared` copy; `weighted_rotate_sum` builds its
-weights then too, so a prepared aggregate no keyholder opens costs neither.
+`weighted_rotate_sum`, the one deferred op, draws its noise and takes its
+handles when it is called, but builds its weights and computes the payload
+and its noise bound only when either is first read (by `decrypt` or another
+engine op), so a prepared aggregate no keyholder opens costs neither.
 """
 
 from __future__ import annotations
@@ -210,62 +209,49 @@ def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:
     return payload
 
 
-class _PendingSum:
-    """A rotate-sum's payload and noise bound, computed by `read` the first
-    time either is needed and kept; the source, its bound and the noise drawn
-    at the call are then dropped.  A weighted one first multiplies the source
-    by `weights()` and adds noise row 0, as `mult_pt` would."""
+class _PreparedSum(Ciphertext):
+    """A `weighted_rotate_sum` result.  It holds the source payload and bound,
+    the noise drawn at the call, eps and the weights recipe, and computes its
+    payload and noise bound when either is first read, then drops them."""
 
-    __slots__ = ("source", "noise", "bound", "eps", "weights", "payload")
+    __slots__ = ("_source", "_noise", "_bound", "_eps", "_weights", "_sum")
 
-    def __init__(self, source: np.ndarray, noise, bound: float, eps: float, weights=None):
-        self.source, self.noise, self.bound = source, noise, bound
-        self.eps, self.weights, self.payload = eps, weights, None
-
-    def read(self) -> np.ndarray:
-        if self.payload is None:
-            source, noise, bound, eps = self.source, self.noise, self.bound, self.eps
-            if self.weights is not None:
-                p = self.weights().values
-                source, bound = source * p, bound * float(np.abs(p).max()) + eps
-                if noise is not None:
-                    source += noise[0]
-                    noise = noise[1:]
-            for _ in range(len(source).bit_length() - 1):
-                bound = bound + (bound + eps) + eps
-            self.payload, self.bound = _rotate_add(source, noise), bound
-            self.source = self.noise = self.weights = None
-        return self.payload
-
-
-class _SummedCiphertext(Ciphertext):
-    """A `rotate_sum` or `weighted_rotate_sum` result: it holds a
-    `_PendingSum` where a ciphertext holds its payload and noise bound,
-    shared with its `mark_prepared` copy, and reads both from it."""
-
-    __slots__ = ("_sum",)
-
-    def __init__(self, key_id, pending: _PendingSum, taint_mask: int,
-                 tag_table: TagTable, prepared: bool, depth: int, handle: int):
+    def __init__(self, key_id, source: np.ndarray, bound: float, noise, eps: float,
+                 weights, taint_mask: int, tag_table: TagTable, depth: int, handle: int):
         self.key_id = key_id
         self.taint_mask = taint_mask
         self.tag_table = tag_table
-        self.prepared = prepared
+        self.prepared = True
         self.depth = depth
         self.handle = handle
-        self._sum = pending
+        self._source, self._bound, self._noise = source, bound, noise
+        self._eps, self._weights, self._sum = eps, weights, None
+
+    def _read(self) -> np.ndarray:
+        if self._sum is None:
+            # `mult_pt`: the product, noise row 0 and the bound's weight maximum
+            noise, eps, p = self._noise, self._eps, self._weights().values
+            source, bound = self._source * p, self._bound * float(np.abs(p).max()) + eps
+            if noise is not None:
+                source += noise[0]
+                noise = noise[1:]
+            for _ in range(len(source).bit_length() - 1):
+                bound = bound + (bound + eps) + eps
+            self._sum, self._bound = _rotate_add(source, noise), bound
+            self._source = self._noise = self._weights = None
+        return self._sum
 
     @property
     def _payload(self) -> np.ndarray:
-        return self._sum.read()
+        return self._read()
 
     @property
     def noise_bound(self) -> float:
-        self._sum.read()
-        return self._sum.bound
+        self._read()
+        return self._bound
 
     def _slot_count(self) -> int:
-        return len(self._sum.source if self._sum.payload is None else self._sum.payload)
+        return len(self._source if self._sum is None else self._sum)
 
 
 class AuditEvent(NamedTuple):
@@ -304,10 +290,10 @@ class SlotEngine(abc.ABC):
     simulator) and decryptions as they happen, flagging a decryption by
     anyone but the key's holder and a holder's exposure to an unprepared
     aggregate of other processes' inputs; protocol code makes no ledger
-    calls.  `add_many`, `rotate_sum` and `weighted_rotate_sum` each stand
-    for a fixed sequence of calls, which they must equal bit for bit, so
-    that a protocol folds a delivery batch, or prepares an aggregate, in one
-    call; `SlotBackend` defers the last one's weights and sum until opened.
+    calls.  `add_many` and `weighted_rotate_sum` each stand for a fixed
+    sequence of calls, which they must equal bit for bit, so that a
+    protocol folds a delivery batch, or prepares an aggregate, in one call;
+    `SlotBackend` defers the second one's weights and sum until opened.
     """
 
     #: engine parameters; protocol code reads `config.slot_capacity`
@@ -332,23 +318,17 @@ class SlotEngine(abc.ABC):
     def mult_ct(self, a: Ciphertext, b: Ciphertext) -> Ciphertext: ...
 
     @abc.abstractmethod
-    def rotate(self, a: Ciphertext, amount: int) -> Ciphertext: ...
-
-    @abc.abstractmethod
     def add_many(self, accs: tuple, rows) -> tuple:
         """Fold each row of ciphertexts into the accumulators `accs`, channel
         by channel: `accs[c] = add_ct(accs[c], row[c])` for each row in
         order (OpenFHE's `EvalAddMany`, SEAL's `Evaluator::add_many`)."""
 
     @abc.abstractmethod
-    def rotate_sum(self, a: Ciphertext) -> Ciphertext:
-        """Sum every slot into every slot: `a = add_ct(a, rotate(a, 2**i))`
-        for i from log2(capacity) - 1 down to 0 (OpenFHE's `EvalSum`)."""
-
-    @abc.abstractmethod
     def weighted_rotate_sum(self, a: Ciphertext, weights, length: int) -> Ciphertext:
         """`mark_prepared(rotate_sum(mult_pt(a, weights())))`, where `weights`
-        is a zero-argument callable returning the `length`-slot plaintext."""
+        is a zero-argument callable returning the `length`-slot plaintext and
+        `rotate_sum(a)` is `a = add_ct(a, rotate(a, 2**i))` for i from
+        log2(capacity) - 1 down to 0 (OpenFHE's `EvalSum`)."""
 
     @abc.abstractmethod
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext: ...
@@ -485,6 +465,7 @@ class SlotBackend(SlotEngine):
                            noise_bound=bound)
 
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext:
+        # not in the seam: a step of the loop `weighted_rotate_sum` stands for;
         # np.roll(payload, -amount), by slicing
         payload = a._payload
         k = int(amount) % len(payload)
@@ -542,31 +523,17 @@ class SlotBackend(SlotEngine):
         self._handle_seq += len(rows) * width
         return tuple(out)
 
-    def rotate_sum(self, a: Ciphertext) -> Ciphertext:
-        """The `rotate`/`add_ct` loop, bit for bit: the same payload, noise
-        draws, bound and handles.  The noise is drawn, in one call, and the
-        handles taken now; the payload and bound are computed when first read."""
-        eps = self.config.noise_epsilon
-        payload = a._payload
-        levels = len(payload).bit_length() - 1
-        noise = self._rng.uniform(-eps, eps, (2 * levels, len(payload))) if eps > 0 else None
-        self._handle_seq += 2 * levels
-        return _SummedCiphertext(a.key_id, _PendingSum(payload, noise, a.noise_bound, eps),
-                                 a.taint_mask, a.tag_table, False, a.depth,
-                                 self._handle_seq)
-
     def weighted_rotate_sum(self, a: Ciphertext, weights, length: int) -> Ciphertext:
-        """The `mult_pt`, `rotate_sum` and `mark_prepared` calls, bit for bit.
-        The length is checked, the noise drawn and the handles taken now; the
-        weights, product, sum and bound are computed when first read."""
+        """The `mult_pt`, `rotate`/`add_ct` loop and `mark_prepared` calls, bit
+        for bit.  The length is checked, the noise drawn and the handles taken
+        now; the weights, product, sum and bound are computed when first read."""
         self._check_len(length)
         eps = self.config.noise_epsilon
         rows = 2 * length.bit_length() - 1
         noise = self._rng.uniform(-eps, eps, (rows, length)) if eps > 0 else None
         self._handle_seq += rows
-        pending = _PendingSum(a._payload, noise, a.noise_bound, eps, weights)
-        return _SummedCiphertext(a.key_id, pending, a.taint_mask, a.tag_table, True,
-                                 a.depth + 1, self._handle_seq)
+        return _PreparedSum(a.key_id, a._payload, a.noise_bound, noise, eps, weights,
+                            a.taint_mask, a.tag_table, a.depth + 1, self._handle_seq)
 
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.
@@ -575,9 +542,6 @@ class SlotBackend(SlotEngine):
         already-aggregate values, the election completeness check; a
         prepare's `weighted_rotate_sum` result comes out marked.
         """
-        if type(ct) is _SummedCiphertext:   # a copy shares its pending sum, unforced
-            return _SummedCiphertext(ct.key_id, ct._sum, ct.taint_mask, ct.tag_table,
-                                     True, ct.depth, ct.handle)
         return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table, True,
                           ct.depth, ct.noise_bound, ct.handle)
 

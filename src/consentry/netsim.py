@@ -380,7 +380,8 @@ class Simulation:
     receivers in actor order, each receiver's batch in send order.  The run
     ends when nothing is pending.  The hard stop is logical time
     `last crash + 10 * L * (n + 2)`, L being the schedule's largest latency;
-    a run that reaches it reports `deadline-exceeded`.
+    a process re-sends only when its state grows, so a run goes quiet
+    before it, and reaching it is a fault: `run` raises `RuntimeError`.
 
     A calendar entry is `(frm, dsts, msg)`: one multicast to the
     destination tuple `dsts`.  A send over a missing edge raises
@@ -507,14 +508,13 @@ class Simulation:
         held_by_process = {key: h for key, h in holder_of.items() if isinstance(h, int)}
         outside_holders = {h for h in holder_of.values() if not isinstance(h, int)}
         rank = {actor: i for i, actor in enumerate(order)}
-        deadline_hit = False
         delivered = batches = 0
 
         while calendar or crashes:
             now = min([*calendar, *crashes])
             if now > stop:
-                deadline_hit = True
-                break
+                raise RuntimeError(f"the run reached its horizon, logical time {stop}, "
+                                   f"with messages still in flight")
             self._now = now
             for pid in crashes.pop(now, ()):
                 if pid in crashed_at:
@@ -563,17 +563,17 @@ class Simulation:
                                 record(dst, ct)
                 nodes[dst].on_deliver(ctxs[dst], deliveries)
 
-        report = self._build_report(deadline_hit)
+        report = self._build_report()
         trace = SimTrace(backend=backend, messages=[],
                          leaks=list(self._leaks), deliveries=delivered,
                          batches=batches)
         return report, trace
 
-    def _build_report(self, deadline_hit: bool) -> SimReport:
+    def _build_report(self) -> SimReport:
         expected = {p for p in self.setup.expected_deciders
                     if p not in self._crashed_at}
         all_decided = all(p in self._decided for p in expected)
-        termination = "decided" if (all_decided and not deadline_hit) else "deadline-exceeded"
+        termination = "decided" if all_decided else "deadline-exceeded"
         # completion of the primary instance where there is one, else decision
         rounds = {**self._decide_time,
                   **{pid: t for (pid, inst), t in self._completions.items()

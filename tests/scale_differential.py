@@ -1,11 +1,11 @@
 """Six runs past the matrix's size, under both engines, must write the same bytes.
 
 Each case runs once under `seeded_backend` and once under the reference
-engine of `reference_engine.py`, which runs `add_many` and `rotate_sum` as
-the `add_ct` and `rotate` loops they stand for, and `weighted_rotate_sum`
-eagerly as `mult_pt`, `rotate_sum` and `mark_prepared`.  The cases reach
-where the n = 8 matrix does not: batches of hundreds of rows, 1,024 slots,
-and noise tracked over long folds.  Run from the repository root with
+engine of `reference_engine.py`, which runs `add_many` as the `add_ct`
+loop it stands for, and `weighted_rotate_sum`, the engine's one deferred
+op, eagerly as `mult_pt`, the `rotate` and `add_ct` loop and
+`mark_prepared`.  The cases reach where the n = 8 matrix does not: batches
+of hundreds of rows, 1,024 slots, and noise tracked over long folds.  Run from the repository root with
 
     PYTHONPATH=src python tests/scale_differential.py
 

@@ -1034,7 +1034,8 @@ def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, 
     in avg-trusted, and in avg-untrusted one per viable initiator per
     neighbour of it.  Only the prepared aggregates a keyholder decrypts have
     their weights built and their payload summed; no prepare makes a
-    separate `mult_pt`, `rotate_sum` or `mark_prepared` call."""
+    separate `mult_pt` or `mark_prepared` call, and the engine has no
+    `rotate_sum` to call."""
     calls, prepares, built, sums, opened = [], [], [], [], set()
     weighted, decrypt = SlotBackend.weighted_rotate_sum, SlotBackend.decrypt
 
@@ -1042,7 +1043,8 @@ def test_only_opened_aggregates_are_summed(monkeypatch, build, graph, schedule, 
         calls.append(ct.handle)
         return weighted(self, ct, lambda: built.append(1) or weights(), length)
     monkeypatch.setattr(SlotBackend, "weighted_rotate_sum", counted)
-    for name in ("mult_pt", "rotate_sum", "mark_prepared"):
+    assert not hasattr(SlotBackend, "rotate_sum")
+    for name in ("mult_pt", "mark_prepared"):
         monkeypatch.setattr(SlotBackend, name, None)
     monkeypatch.setattr(he_slots, "_rotate_add",
                         lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))

@@ -12,7 +12,8 @@ import pytest
 
 from consentry import avg_consensus, netsim
 from consentry.avg_consensus import PreparedSlotsError, PrivacyGuardError
-from consentry.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, main
+from consentry.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK,
+                           build_parser, main)
 from consentry.he_slots import MAX_NOISE_EPSILON, AccessDeniedError, KeyMismatchError
 from consentry.leader_election import CorruptedTallyError
 import mutations
@@ -45,12 +46,15 @@ def test_run_ring4_avg(tmp_path, capsys):
 
 def test_a_second_main_call_leaves_no_cyclic_garbage(tmp_path, capsys):
     # `main` builds its parser once per process: each build left 108
-    # argparse objects in reference cycles, and a built parser makes none
+    # argparse objects in reference cycles.  The one build leaves argparse's
+    # formatter and section cycles; past it, no `main` call leaves any
     argv = ["run", "--config", str(CONFIGS / "ring4_avg.json"), "--out", str(tmp_path)]
     gc.disable()
     try:
-        assert main(argv) == EXIT_OK
+        build_parser()
         gc.collect()
+        assert main(argv) == EXIT_OK
+        assert gc.collect() == 0
         assert main(argv) == EXIT_OK
         assert gc.collect() == 0
     finally:
@@ -326,6 +330,21 @@ def test_an_exception_no_rule_names_raised_mid_run_exits_4(tmp_path, capsys, mon
     assert rc == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == f"internal error: {error.__name__}: {error('injected')}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_run_that_reaches_its_horizon_exits_4(tmp_path, capsys, monkeypatch):
+    # a process that answers every delivery with a send never lets the run go
+    # quiet; at the horizon, logical time 10 * L * (n + 2) = 60 on sync
+    # ring(4), the run is a fault, not a `deadline-exceeded` report
+    def resend(self, ctx, batch):
+        ctx.broadcast(avg_consensus.ProtocolMessage("echo", avg_consensus.RESULT))
+    monkeypatch.setattr(avg_consensus.AvgProcessNode, "on_deliver", resend)
+    rc = main(["run", "--config", str(CONFIGS / "ring4_avg.json"), "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: the run reached its horizon, "
+                          "logical time 60, ") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
 
 

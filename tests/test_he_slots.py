@@ -13,6 +13,7 @@ from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchErr
                                 SlotBackend, SlotEngine, SlotVector, slot_capacity_for)
 from consentry.netsim import SimTrace
 
+import reference_engine
 from exposures import audit_view
 
 #: owners "T", 0, 1 and "x"; the string tags are owned by their first letter
@@ -468,65 +469,44 @@ def test_add_many_of_no_rows_returns_the_accumulators():
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
-@pytest.mark.parametrize("cap", [2, 8, 64])
-def test_rotate_sum_equals_the_rotate_add_loop(eps, cap, monkeypatch):
-    sums = []
-    monkeypatch.setattr(he_slots, "_rotate_add",
-                        lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    loop, batched = make_backend(cap, eps, seed=4), make_backend(cap, eps, seed=4)
-    km1, km2 = loop.keygen("T"), batched.keygen("T")
-    ct1 = _random_cts(loop, km1, 2, cap, rng1)[1]           # depth 1
-    ct2 = _random_cts(batched, km2, 2, cap, rng2)[1]
-    for i in range(cap.bit_length() - 2, -1, -1):
-        ct1 = loop.add_ct(ct1, loop.rotate(ct1, 2 ** i))
-    ct2 = batched.rotate_sum(ct2)
-    # the call took its noise draws and handles: the next op's follow the
-    # loop's before the payload is summed
-    _assert_same_next(loop, km1, batched, km2, cap)
-    prepared = batched.mark_prepared(ct2)
-    assert f"slots={cap}," in repr(ct2) + repr(prepared)
-    assert sums == []
-    _assert_same_ct(loop, ct1, batched, ct2)
-    assert ct2.depth == 1
-    if not eps:
-        assert len(set(ct2._payload.tolist())) == 1
-    # the prepared copy reads the same bits and shares the one sum
-    opened = batched.decrypt(km2.secret_part, prepared).values
-    assert opened.tobytes() == ct2._payload.tobytes()
-    assert (prepared.prepared, prepared.handle, prepared.noise_bound) == \
-        (True, ct2.handle, ct2.noise_bound)
-    assert batched.violations() == [] and len(sums) == 1
-
-
-@pytest.mark.parametrize("eps", [0.0, 1e-9])
-def test_weighted_rotate_sum_equals_the_three_call_composition(eps, monkeypatch):
-    # `mark_prepared(rotate_sum(mult_pt(ct, weights())))`: the op takes the
-    # composition's handles and draws at the call, and builds its weights,
-    # product and sum only when the payload or the bound is first read
-    cap, built, sums = 16, [], []
+@pytest.mark.parametrize("cap", [2, 8, 16, 64])
+def test_weighted_rotate_sum_equals_the_three_call_composition(eps, cap, monkeypatch):
+    # `mark_prepared(rotate_sum(mult_pt(ct, weights())))`, run eagerly by the
+    # reference engine: the op takes the composition's handles and draws at
+    # the call, and builds its weights, product and sum only when the
+    # payload or the bound is first read
+    built, sums = [], []
     monkeypatch.setattr(he_slots, "_rotate_add",
                         lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
     weights = SlotVector(np.random.default_rng(4).uniform(0, 0.25, cap))
-    composed, deferred = make_backend(cap, eps, seed=8), make_backend(cap, eps, seed=8)
+    composed = reference_engine.seeded_reference_backend(cap, eps, 8)
+    deferred = he_slots.seeded_backend(cap, eps, 8)
     km1, km2 = composed.keygen("T"), deferred.keygen("T")
     x = _random_cts(composed, km1, 2, cap, np.random.default_rng(6))[1]     # depth 1
     y = _random_cts(deferred, km2, 2, cap, np.random.default_rng(6))[1]
-    want = composed.mark_prepared(composed.rotate_sum(composed.mult_pt(x, weights)))
-    want._payload                               # the composition's own lazy sum
+    want = composed.mark_prepared(
+        reference_engine.rotate_sum(composed, composed.mult_pt(x, weights)))
     got = deferred.weighted_rotate_sum(y, lambda: built.append(1) or weights, cap)
     assert _rng_state(composed) == _rng_state(deferred)
     assert composed._handle_seq == deferred._handle_seq == got.handle
     assert (got.depth, got.taint_mask, got.prepared) == (2, y.taint_mask, True)
     assert f"slots={cap}," in repr(got)
-    assert built == [] and sums == [1]
+    # the call took its noise draws and handles: the next op's follow the
+    # composition's before the payload is summed
+    _assert_same_next(composed, km1, deferred, km2, cap)
+    assert built == [] and sums == []
     # the bound is read first here, and builds the weights and the sum once
     assert got.noise_bound == want.noise_bound and (got.noise_bound > 0) == (eps > 0)
-    assert built == [1] and sums == [1, 1]
+    assert built == [1] and sums == [1]
     _assert_same_ct(composed, want, deferred, got)
+    if not eps:
+        assert len(set(got._payload.tolist())) == 1
     opened = deferred.decrypt(km2.secret_part, got).values
     assert opened.tobytes() == want._payload.tobytes()
-    assert built == [1] and sums == [1, 1] and deferred.violations() == []
+    assert built == [1] and sums == [1] and deferred.violations() == []
+    # marking the result again reads it: the same bits, bound and handle
+    _assert_same_ct(composed, want, deferred, deferred.mark_prepared(got))
+    assert built == [1] and sums == [1]
     _assert_same_next(composed, km1, deferred, km2, cap)
     # a wrong length raises at the call, before anything is drawn or numbered
     state, handle = _rng_state(deferred), deferred._handle_seq
@@ -575,7 +555,7 @@ def test_add_ct_equals_the_check_pair_fresh_composition(eps):
     for b in (former, inline):
         km = b.keygen("T")
         d0, d1, d0b = _random_cts(b, km, 3, 8, np.random.default_rng(2))   # depths 0, 1, 0
-        summed = b.rotate_sum(d0b)
+        summed = b.weighted_rotate_sum(d0b, lambda: SlotVector(np.arange(1.0, 9.0)), 8)
         operands.append([(d0, d0b), (d1, d0), (d0, d1), (summed, d1), (d0, summed),
                          (d0, d0)])
     depths = []
@@ -587,7 +567,7 @@ def test_add_ct_equals_the_check_pair_fresh_composition(eps):
         assert former._handle_seq == inline._handle_seq
         assert (got.noise_bound > 0) == (eps > 0)
         depths.append(got.depth)
-    assert depths == [0, 1, 1, 1, 0, 0]
+    assert depths == [0, 1, 1, 1, 1, 0]
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])
@@ -638,7 +618,7 @@ def test_every_engine_result_payload_is_read_only(eps):
     b = make_backend(8, eps)
     km = b.keygen("T")
     x, y = _random_cts(b, km, 2, 8, np.random.default_rng(3))
-    summed = b.rotate_sum(x)
+    summed = b.weighted_rotate_sum(x, lambda: SlotVector(np.arange(8.0)), 8)
     results = [x, y, b.add_ct(x, y), b.mult_pt(x, SlotVector(np.arange(8.0))),
                b.mult_ct(x, y), b.rotate(x, 3), *b.add_many((x, y), [(y, x), (x, x)]),
                summed, b.mark_prepared(summed), b.mark_prepared(y)]
