@@ -1,8 +1,8 @@
 """Privacy-preserving leader election with one optional secondary vote.
 
-Every process casts a one-hot ballot into a flattened n*n matrix (entry
-p*n + s counts ballots with primary p and secondary s) followed by n
-primary-only slots.  Ballot ciphertexts cannot be merged across copies, so
+Every process casts a one-hot ballot into a flattened n-by-n grid: cell
+p*n + s counts ballots (p, s), and diagonal cell p*n + p the primary-only
+ballots for p.  Ballot ciphertexts cannot be merged across copies, so
 each ballot must be added to a copy exactly once; a copy's `support` bitmask
 has bit p set once process p contributed.  With no crash allowed, f = 0
 being the crash bound `netsim.Context.crash_bound`, the ballots are summed
@@ -24,8 +24,8 @@ first places the copy, counting the ballot it would gain, against the held
 copy, and encrypts the process's ballot (encoded once per run) only for a
 copy it adopts.  A copy whose contributors cover every process not known to
 have crashed is complete and goes to the keyholder as a PREPARED message
-with that copy's own support; the keyholder's decryption reveals the tallies
-and how many ballots they hold, never who voted for whom.
+with that copy's own support; the keyholder's decryption reveals the grid
+and how many ballots it holds, never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -72,16 +72,15 @@ def instance_for_origin(origin: int) -> str:
 
 
 def ballot_layout(n: int) -> tuple[int, int]:
-    """(flat length n*n + n, padded slot capacity)."""
-    flat = n * n + n
-    return flat, slot_capacity_for(flat)
+    """(grid length n*n, padded slot capacity)."""
+    return n * n, slot_capacity_for(n * n)
 
 
 def flat_index(n: int, primary: int, secondary: int | None) -> int:
     if not (0 <= primary < n):
         raise InvalidBallotError(f"primary {primary} out of range for n={n}")
     if secondary is None:
-        return n * n + primary
+        return primary * n + primary
     if not (0 <= secondary < n):
         raise InvalidBallotError(f"secondary {secondary} out of range for n={n}")
     if secondary == primary:
@@ -90,7 +89,7 @@ def flat_index(n: int, primary: int, secondary: int | None) -> int:
 
 
 def make_ballot_vector(ballot: Ballot, n: int, capacity: int) -> SlotVector:
-    """One-hot encoding of a ballot in the flattened matrix layout, in a
+    """One-hot encoding of a ballot in the flattened grid layout, in a
     vector of `capacity` slots (`ballot_layout`)."""
     return SlotVector.impulse(capacity, flat_index(n, ballot.primary, ballot.secondary))
 
@@ -145,16 +144,11 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
 _TALLY_TOLERANCE = 0.01
 
 
-@dataclass(frozen=True)
-class TallyResult:
-    primary_tallies: tuple
-    matrix: tuple            # n rows of n secondary counts
-    primary_only: tuple
-
-
 def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
-          caller=None, *, contributors: int) -> TallyResult:
-    """Decrypt a complete ballot aggregate and reshape into tallies.
+          caller=None, *, contributors: int) -> tuple:
+    """Decrypt a complete ballot aggregate into its grid: n row tuples, row p
+    holding the ballots with primary p, cell s those with secondary s and
+    the diagonal cell p the primary-only ones.
 
     `contributors` is the lineage's support bitmask; the ballots must number
     exactly its set bits (fewer than n when crashed processes were left out).
@@ -168,28 +162,21 @@ def tally(backend: SlotEngine, secret, complete_ct: Ciphertext, n: int,
             f"noise_epsilon too large to round tallies to integers: noise bound "
             f"{complete_ct.noise_bound:.3g} + tolerance {_TALLY_TOLERANCE} >= 0.5")
     vec = backend.decrypt(secret, complete_ct, caller=caller)
-    flat = np.asarray(vec.values[:n * n + n])
+    flat = np.asarray(vec.values[:n * n])
     rounded = np.rint(flat)
     if float(np.max(np.abs(flat - rounded))) > tolerance:
         raise CorruptedTallyError(
             f"slots deviate from integers beyond {tolerance:g}")
-    # no ballot writes past the layout; written so that NaN fails it
-    if not np.all(np.abs(vec.values[n * n + n:]) <= tolerance):
+    # no ballot writes past the grid; written so that NaN fails it
+    if not np.all(np.abs(vec.values[n * n:]) <= tolerance):
         raise CorruptedTallyError(f"padding slots deviate from 0 beyond {tolerance:g}")
     ints = rounded.astype(np.int64)
-    matrix = ints[:n * n].reshape(n, n)
-    primary_only = ints[n * n:]
-    if np.any(np.diag(matrix) != 0):
-        raise CorruptedTallyError("diagonal (primary == secondary) is nonzero")
     if np.any(ints < 0):
         raise CorruptedTallyError("negative tally entry")
-    primary = matrix.sum(axis=1) + primary_only
-    count = contributors.bit_count()
-    if int(primary.sum()) != count:
-        raise CorruptedTallyError(
-            f"total ballots {int(primary.sum())} != contributor count {count}")
-    return TallyResult(tuple(primary.tolist()), tuple(map(tuple, matrix.tolist())),
-                       tuple(primary_only.tolist()))
+    total, count = int(ints.sum()), contributors.bit_count()
+    if total != count:
+        raise CorruptedTallyError(f"total ballots {total} != contributor count {count}")
+    return tuple(map(tuple, ints.reshape(n, n).tolist()))
 
 
 def tie_break(tied_ids, v_tie: int) -> int:
@@ -207,24 +194,26 @@ class ElectionResult:
     exhausted: int
 
 
-def elect_winner(primary_tallies, matrix, primary_only) -> ElectionResult:
-    """Shallow instant-runoff over the aggregated ballot matrix.
+def elect_winner(grid) -> ElectionResult:
+    """Shallow instant-runoff over the aggregated ballot grid (`tally`).
 
-    Each round records the live tallies, in ascending id order.  From the
-    second round on, a sole survivor wins ("last-standing") and an all-tied
-    field is broken by the mod-k rule ("tie-break"); then a majority of
-    non-exhausted votes wins.  Otherwise the fewest-vote candidate is
-    eliminated (mod-k pick among the tied), and only its ballot groups move:
-    each live candidate keeps its vote total and its groups (secondary,
-    count), and a group transfers once to a live secondary or exhausts.
+    Candidate p's ballot groups (secondary, count) are the nonzero cells of
+    row p; the diagonal cell, the primary-only group, names p itself, so it
+    exhausts when p is eliminated.  Each round records the live tallies, in
+    ascending id order.  From the second round on, a sole survivor wins
+    ("last-standing") and an all-tied field is broken by the mod-k rule
+    ("tie-break"); then a majority of non-exhausted votes wins.  Otherwise
+    the fewest-vote candidate is eliminated (mod-k pick among the tied), and
+    only its ballot groups move: each live candidate keeps its vote total
+    and its groups, and a group transfers once to a live secondary or
+    exhausts.
     """
-    k = len(primary_tallies)
-    if k == 0:
+    if not grid:
         raise ValueError("no candidates")
-    total = int(sum(primary_tallies))
-    held = {p: [(s, int(count)) for s, count in (*enumerate(matrix[p]), (None, primary_only[p]))
-                if count] for p in range(k)}
+    held = {p: [(s, count) for s, count in enumerate(row) if count]
+            for p, row in enumerate(grid)}
     totals = {p: sum(count for _, count in groups) for p, groups in held.items()}
+    total = sum(totals.values())
     exhausted = 0
     rounds = []
     while True:
@@ -381,24 +370,23 @@ class ElectionCollectorNode(netsim.Node):
         self.n = n
         self.backend = backend
         self.result: ElectionResult | None = None
-        self.tallies: dict[int, TallyResult] = {}   # contributor support -> first tally
+        self.grids: dict[int, tuple] = {}   # contributor support -> first grid
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
-            t = tally(self.backend, self.key.secret_part, msg.votes_ct,
-                      self.n, caller=ctx.pid, contributors=msg.support)
-            first = self.tallies.setdefault(msg.support, t)
+            grid = tally(self.backend, self.key.secret_part, msg.votes_ct,
+                         self.n, caller=ctx.pid, contributors=msg.support)
+            first = self.grids.setdefault(msg.support, grid)
             if self.result is None:
-                self.result = elect_winner(t.primary_tallies, t.matrix,
-                                           t.primary_only)
+                self.result = elect_winner(grid)
                 ctx.decide(self.result.winner)
                 ctx.note("election_rounds", list(self.result.rounds))
                 ctx.note("election_exhausted", self.result.exhausted)
                 ctx.broadcast_processes(ProtocolMessage(
                     msg.instance, RESULT, extra={"winner": self.result.winner}))
-            elif t.primary_tallies != first.primary_tallies:
+            elif grid != first:
                 raise CorruptedTallyError(
-                    "complete lineages disagree on primary tallies")
+                    "complete lineages with one support disagree on the grid")
 
 
 def parse_ballots(raw, n: int) -> list[Ballot]:

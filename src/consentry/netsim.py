@@ -572,7 +572,10 @@ class Simulation:
     def _build_report(self) -> SimReport:
         expected = {p for p in self.setup.expected_deciders
                     if p not in self._crashed_at}
-        all_decided = all(p in self._decided for p in expected)
+        # a run whose expected deciders all crashed decided nothing; a setup
+        # that expects none (no viable untrusted initiator) still counts
+        all_decided = (expected or not self.setup.expected_deciders) and \
+            all(p in self._decided for p in expected)
         termination = "decided" if all_decided else "deadline-exceeded"
         # completion of the primary instance where there is one, else decision
         rounds = {**self._decide_time,

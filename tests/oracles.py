@@ -85,3 +85,13 @@ def irv_oracle(ballots, candidates, with_rounds=False):
                     b["cand"] = None
                     exhausted += 1
         record["exhausted_after"] = exhausted
+
+
+def grid_from_ballots(ballots, candidates):
+    """The tally grid of (primary, secondary-or-None) ballots: a list of
+    `candidates` rows, cell [p][s] counting ballots (p, s) and the diagonal
+    cell [p][p] the ballots with primary p and no secondary."""
+    grid = [[0] * candidates for _ in range(candidates)]
+    for p, s in ballots:
+        grid[p][p if s is None else s] += 1
+    return grid

@@ -18,7 +18,7 @@ from consentry.netsim import CrashFault, FaultPlan, ScenarioConfig
 
 from exposures import audit_view, record_deliveries
 from mutations import LeakyAvgNode, MisroutingAvgNode, run_mutated
-from oracles import irv_oracle, mean_oracle, outlier_oracle
+from oracles import grid_from_ballots, irv_oracle, mean_oracle, outlier_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -130,16 +130,7 @@ def test_criterion_4_election_oracle_equivalence():
             else:
                 s = rng.randrange(n - 1)
                 ballots.append((p, s if s < p else s + 1))
-        matrix = [[0] * n for _ in range(n)]
-        primary_only = [0] * n
-        for p, s in ballots:
-            if s is None:
-                primary_only[p] += 1
-            else:
-                matrix[p][s] += 1
-        tallies = [sum(matrix[p]) + primary_only[p] for p in range(n)]
-        ok = ok and (elect_winner(tallies, matrix, primary_only).winner
-                     == irv_oracle(ballots, n))
+        ok = ok and elect_winner(grid_from_ballots(ballots, n)).winner == irv_oracle(ballots, n)
     fig2 = ScenarioConfig.from_dict(
         json.loads((CONFIGS / "fig2_election.json").read_text()))
     report = netsim.run(fig2)

@@ -8,7 +8,7 @@ import pytest
 
 from consentry import leader_election, netsim
 from consentry import topology as topo
-from consentry.avg_consensus import PREPARED, ConsensusState, ProtocolMessage
+from consentry.avg_consensus import PREPARED, RESULT, ConsensusState, ProtocolMessage
 from consentry.he_slots import BackendConfig, SlotBackend, SlotVector
 from consentry.leader_election import (Ballot, CorruptedTallyError,
                                        InvalidBallotError, ballot_layout,
@@ -19,7 +19,7 @@ from consentry.netsim import ScenarioConfig
 from consentry.topology import TopologyError
 
 from exposures import audit_view, record_deliveries
-from oracles import irv_oracle
+from oracles import grid_from_ballots, irv_oracle
 
 
 def test_ballot_validation():
@@ -30,21 +30,32 @@ def test_ballot_validation():
 
 
 def test_ballot_layout_and_indices():
-    assert ballot_layout(3) == (12, 16)
+    assert ballot_layout(3) == (9, 16)
+    assert ballot_layout(64) == (4096, 4096)     # n² + n would pad to 8,192
     assert flat_index(3, 1, 0) == 3
-    assert flat_index(3, 2, None) == 11
+    assert flat_index(3, 2, None) == 8
     assert flat_index(3, 0, 2) == 2
-    with pytest.raises(InvalidBallotError):
+    with pytest.raises(InvalidBallotError, match="secondary vote cannot equal primary"):
         flat_index(3, 2, 2)
-    with pytest.raises(InvalidBallotError):
+    with pytest.raises(InvalidBallotError, match="primary 3 out of range for n=3"):
         flat_index(3, 3, None)
+    with pytest.raises(InvalidBallotError, match="secondary 3 out of range for n=3"):
+        flat_index(3, 0, 3)
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 64])
+def test_flat_index_maps_the_valid_ballots_one_to_one_onto_the_grid(n):
+    # n primary-only ballots and n(n - 1) pairs, n² in all
+    ballots = [(p, None) for p in range(n)] + \
+        [(p, s) for p in range(n) for s in range(n) if s != p]
+    assert sorted(flat_index(n, p, s) for p, s in ballots) == list(range(n * n))
 
 
 def test_make_ballot_vector():
     v = make_ballot_vector(Ballot(1, 0), 3, 16)
     assert len(v) == 16 and v.values[3] == 1.0 and sum(v.values.tolist()) == 1.0
     v2 = make_ballot_vector(Ballot(2), 3, 16)
-    assert v2.values[11] == 1.0
+    assert len(v2) == 16 and v2.values[8] == 1.0 and sum(v2.values.tolist()) == 1.0
 
 
 def test_tie_break_examples():
@@ -65,25 +76,12 @@ def test_tie_break_id_shift_independence():
         assert shifted == base + 100
 
 
-def matrix_from_ballots(ballots, k):
-    matrix = [[0] * k for _ in range(k)]
-    primary_only = [0] * k
-    for p, s in ballots:
-        if s is None:
-            primary_only[p] += 1
-        else:
-            matrix[p][s] += 1
-    tallies = [sum(matrix[p]) + primary_only[p] for p in range(k)]
-    return tallies, matrix, primary_only
-
-
 FIG2_BALLOTS = [(0, 2), (0, 1), (1, 0), (2, 0), (2, 1)]
 
 
 def test_elect_winner_fig2_scenario():
-    tallies, matrix, primary_only = matrix_from_ballots(FIG2_BALLOTS, 3)
-    assert tallies == [2, 1, 2]          # tie between candidates 0 and 2
-    result = elect_winner(tallies, matrix, primary_only)
+    result = elect_winner(grid_from_ballots(FIG2_BALLOTS, 3))
+    assert result.rounds[0]["tallies"] == {0: 2, 1: 1, 2: 2}    # 0 and 2 tie
     assert result.winner == 0            # secondary of (1,0) breaks the tie
     assert result.rounds[0]["eliminated"] == 1
     assert result.rounds[-1]["by"] == "majority"
@@ -91,9 +89,8 @@ def test_elect_winner_fig2_scenario():
 
 
 def test_elect_winner_unanimous():
-    tallies, matrix, primary_only = matrix_from_ballots([(0, 1), (0, 2), (0, None)], 3)
-    assert tallies == [3, 0, 0]
-    result = elect_winner(tallies, matrix, primary_only)
+    result = elect_winner(grid_from_ballots([(0, 1), (0, 2), (0, None)], 3))
+    assert result.rounds[0]["tallies"] == {0: 3, 1: 0, 2: 0}
     assert result.winner == 0 and result.rounds[0]["by"] == "majority"
 
 
@@ -101,9 +98,8 @@ def test_elect_winner_exhaustion_then_tie_break():
     # five votes, no secondary anywhere: eliminating candidate 2 exhausts its
     # ballot, leaving 0 and 1 tied at 2 -> tie_break({0,1}, 2) -> winner 0
     ballots = [(0, None), (0, None), (1, None), (1, None), (2, None)]
-    tallies, matrix, primary_only = matrix_from_ballots(ballots, 3)
-    assert tallies == [2, 2, 1]
-    result = elect_winner(tallies, matrix, primary_only)
+    result = elect_winner(grid_from_ballots(ballots, 3))
+    assert result.rounds[0]["tallies"] == {0: 2, 1: 2, 2: 1}
     assert result.winner == 0
     assert result.rounds[-1]["by"] == "tie-break"
     assert result.exhausted == 1
@@ -112,8 +108,7 @@ def test_elect_winner_exhaustion_then_tie_break():
 def test_elect_winner_transferred_ballots_exhaust_on_second_elimination():
     # (2,1): transfers to 1 when 2 falls, then exhausts when 1 falls
     ballots = [(0, None), (0, None), (0, 1), (1, 2), (2, 1)]
-    tallies, matrix, primary_only = matrix_from_ballots(ballots, 3)
-    result = elect_winner(tallies, matrix, primary_only)
+    result = elect_winner(grid_from_ballots(ballots, 3))
     assert result.winner == irv_oracle(ballots, 3)
 
 
@@ -122,8 +117,7 @@ def test_elect_winner_ballot_conservation():
     for _ in range(50):
         n = rng.randrange(3, 8)
         ballots = random_ballots(rng, n)
-        tallies, matrix, primary_only = matrix_from_ballots(ballots, n)
-        result = elect_winner(tallies, matrix, primary_only)
+        result = elect_winner(grid_from_ballots(ballots, n))
         for record in result.rounds:
             assert sum(record["tallies"].values()) + record["exhausted"] == n
 
@@ -157,7 +151,7 @@ def test_elect_winner_matches_oracle_randomized():
                 ballots.append((p, None))
             else:
                 ballots.append((p, s + (s >= p)))
-        result = elect_winner(*matrix_from_ballots(ballots, k))
+        result = elect_winner(grid_from_ballots(ballots, k))
         winner, rounds, exhausted = irv_oracle(ballots, k, with_rounds=True)
         assert (result.winner, list(result.rounds), result.exhausted) == \
             (winner, rounds, exhausted), ballots
@@ -218,9 +212,9 @@ def test_tally_roundtrip():
     backend = SlotBackend(BackendConfig(cap), seed=1)
     km = backend.keygen("T")
     ct = complete_ct_for(FIG2_BALLOTS[:n], n, backend, km)
-    t = tally(backend, km.secret_part, ct, n, caller="T", contributors=(1 << n) - 1)
-    assert sum(t.primary_tallies) == n
-    assert t.matrix[0][2] == 1 and t.matrix[0][1] == 1 and t.matrix[1][0] == 1
+    grid = tally(backend, km.secret_part, ct, n, caller="T", contributors=(1 << n) - 1)
+    assert grid == ((0, 1, 1), (1, 0, 0), (0, 0, 0))
+    assert grid == tuple(map(tuple, grid_from_ballots(FIG2_BALLOTS[:n], n)))
 
 
 def test_tally_primary_only_column_identity():
@@ -229,9 +223,9 @@ def test_tally_primary_only_column_identity():
     backend = SlotBackend(BackendConfig(cap), seed=1)
     km = backend.keygen("T")
     ct = complete_ct_for([(0, None), (2, None), (2, None)], n, backend, km)
-    t = tally(backend, km.secret_part, ct, n, caller="T", contributors=(1 << n) - 1)
-    assert all(sum(row) == 0 for row in t.matrix)
-    assert t.primary_tallies == t.primary_only == (1, 0, 2)
+    grid = tally(backend, km.secret_part, ct, n, caller="T", contributors=(1 << n) - 1)
+    assert tuple(grid[p][p] for p in range(n)) == (1, 0, 2)
+    assert all(grid[p][s] == 0 for p in range(n) for s in range(n) if s != p)
 
 
 def test_tally_rejects_non_integral_and_unprepared():
@@ -397,19 +391,20 @@ def test_noisy_tallies_round_within_their_noise_bound(eps):
     assert all(report.decided_values[p] == want for p in range(4))
 
 
-# n = 3: slot p * 3 + s counts ballots (p, s), slot 9 + p primary-only ones
+# n = 3: slot p * 3 + s counts ballots (p, s), slot p * 3 + p primary-only
+# ones, and slots 9 to 15 are padding
 @pytest.mark.parametrize("slots, contributors, eps, error, message", [
-    ({0: 1, 5: 1, 9: 1}, None, 0.0, CorruptedTallyError,
-     r"diagonal \(primary == secondary\) is nonzero"),
-    ({1: 2, 5: 2, 9: -1}, None, 0.0, CorruptedTallyError, "negative tally entry"),
-    ({1: 1, 5: 1, 9: 1}, 0b011, 0.0, CorruptedTallyError,
+    ({1: 2, 5: 2, 8: -1}, None, 0.0, CorruptedTallyError, "negative tally entry"),
+    ({1: 1, 5: 1, 8: 1}, 0b011, 0.0, CorruptedTallyError,
      "total ballots 3 != contributor count 2"),
-    ({1: 1, 5: 1, 9: 1}, None, 0.5, ValueError,
+    ({1: 1, 5: 1, 8: 1}, None, 0.5, ValueError,
      "noise_epsilon too large to round tallies to integers"),
     ({1: 1, 5: 1, 6: 1, 14: 5.0}, 0b111, 0.0, CorruptedTallyError,
      "padding slots deviate from 0"),
-], ids=["nonzero-diagonal", "negative-entry", "ballots-not-the-support",
-        "noise-hides-the-integers", "nonzero-padding"])
+    ({1: 1, 5: 1, 6: 1, 9: 1.0}, 0b111, 0.0, CorruptedTallyError,
+     "padding slots deviate from 0"),
+], ids=["negative-entry", "ballots-not-the-support",
+        "noise-hides-the-integers", "nonzero-padding", "padding-just-past-the-grid"])
 def test_tally_rejects_a_corrupted_aggregate(slots, contributors, eps, error, message):
     n = 3
     _, cap = ballot_layout(n)
@@ -471,6 +466,21 @@ def test_32_ring_election_decides_the_irv_winner():
     want = irv_oracle(ballots, 32)
     assert all(report.decided_values[p] == want for p in range(32))
     assert report.privacy_violations == []
+
+
+def test_a_noisy_g16_election_decides_in_256_slot_ballots():
+    # 16² = 256 slots fit a 256-slot ciphertext, where 16² + 16 padded to 512
+    rng = random.Random(16)
+    ballots = random_ballots(rng, 16)
+    raw = {**election_config({"family": "random", "n": 16, "p": 0.4}, ballots, seed=3),
+           "noise_epsilon": 1e-9}
+    report, trace, log = run_logged(raw)
+    want = irv_oracle(ballots, 16)
+    assert report.termination == "decided"
+    assert report.decided_values == {**dict.fromkeys(range(16), want), netsim.TRUSTED: want}
+    ballot_cts = [ct for _, _, _, msg in log if msg.kind != RESULT for ct in msg.ciphertexts]
+    assert ballot_cts and {len(ct._payload) for ct in ballot_cts} == {256}
+    assert max(ct.noise_bound for ct in ballot_cts) > 0
 
 
 def test_two_way_swap_ends_last_standing():
@@ -578,7 +588,7 @@ def test_complete_lineages_with_one_support_and_two_tallies_are_a_fault():
              for pid, ct in enumerate(votes)]
     ctx = CollectorContext()
     with pytest.raises(CorruptedTallyError,
-                       match="complete lineages disagree on primary tallies"):
+                       match="complete lineages with one support disagree on the grid"):
         collector.on_deliver(ctx, batch)
     assert ctx.decided == 0
 

@@ -290,9 +290,6 @@ def test_averaging_decides_when_a_process_crashes_before_its_vote_spreads():
     assert wrong == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 24: a run in which every process crashes "
-                   "reports that it decided")
 @pytest.mark.parametrize("protocol, inputs, extra", [
     ("avg-trusted", [1.0, 2.0, 3.0], {}),
     ("outlier", [1.0, 2.0, 3.0], {"c": 1.5}),
@@ -308,6 +305,19 @@ def test_a_run_in_which_every_process_crashes_does_not_report_decided(protocol, 
         faults=FaultPlan(tuple(CrashFault(process=p, time=0) for p in range(3))), **extra))
     assert report.decided_values == {}
     assert report.termination != "decided"
+
+
+@pytest.mark.parametrize("crashes", [(), (0, 1, 2)], ids=["no-crash", "all-crash"])
+def test_a_setup_that_expects_no_decider_reports_decided(crashes):
+    """avg-untrusted on path(3) whose only initiator is the cut vertex 1 has
+    no viable initiator, so it expects no decider and ends `decided`, also
+    when every process crashes."""
+    report = netsim.run(ScenarioConfig(
+        protocol="avg-untrusted", topology=topo.path(3).to_dict(), inputs=[1.0, 2.0, 3.0],
+        initiators=[1], seed=1,
+        faults=FaultPlan(tuple(CrashFault(process=p, time=0) for p in crashes))))
+    assert report.decided_values == {}
+    assert report.termination == "decided"
 
 
 def test_crashed_process_emits_nothing_after_crash():
