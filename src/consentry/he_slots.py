@@ -8,15 +8,16 @@ information-flow properties, checked as each decryption and possession is
 recorded.  A real lattice-crypto library can be substituted behind
 :class:`SlotEngine` without touching protocol code.
 
-`weighted_rotate_sum`, the one deferred op, draws its noise and takes its
-handles when it is called, but builds its weights and computes the payload
-and its noise bound only when either is first read (by `decrypt` or another
-engine op), so a prepared aggregate no keyholder opens costs neither.
+`weighted_rotate_sum`, the one deferred op, takes its handles and keeps the
+noise stream's state when called; the first read of its payload or bound (by
+`decrypt` or another op) replays its `mult_pt` and `rotate`/`add_ct` calls
+from that state on a private engine, so an unread prepare computes nothing.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -192,66 +193,45 @@ def sum_in_order(arrays) -> np.ndarray:
     return np.add.reduce(rows.reshape(len(arrays), len(arrays[0])))
 
 
-def _rotate_add(payload: np.ndarray, noise) -> np.ndarray:
-    """The payload of the `rotate`/`add_ct` loop of a rotate-sum: at each
-    level j, from the widest rotation down, add noise row 2j to the rotated
-    payload, add that to the payload, then add row 2j + 1."""
-    levels = len(payload).bit_length() - 1
-    for j in range(levels):
-        k = 2 ** (levels - 1 - j)
-        rotated = np.concatenate((payload[k:], payload[:k]))
-        if noise is not None:
-            rotated += noise[2 * j]
-        payload = payload + rotated
-        if noise is not None:
-            payload += noise[2 * j + 1]
-    payload.setflags(write=False)
-    return payload
-
-
 class _PreparedSum(Ciphertext):
-    """A `weighted_rotate_sum` result.  It holds the source payload and bound,
-    the noise drawn at the call, eps and the weights recipe, and computes its
-    payload and noise bound when either is first read, then drops them."""
+    """A `weighted_rotate_sum` result: the source, the weights recipe, the
+    engine to replay on and, with noise on, the stream's state at the call.
+    The first read of its payload or bound runs the `mult_pt` and
+    `rotate`/`add_ct` calls there, keeps the result and drops the rest."""
 
-    __slots__ = ("_source", "_noise", "_bound", "_eps", "_weights", "_sum")
+    __slots__ = ("_source", "_weights", "_engine", "_state", "_sum")
 
-    def __init__(self, key_id, source: np.ndarray, bound: float, noise, eps: float,
-                 weights, taint_mask: int, tag_table: TagTable, depth: int, handle: int):
-        self.key_id = key_id
-        self.taint_mask = taint_mask
-        self.tag_table = tag_table
-        self.prepared = True
-        self.depth = depth
-        self.handle = handle
-        self._source, self._bound, self._noise = source, bound, noise
-        self._eps, self._weights, self._sum = eps, weights, None
+    def __init__(self, a: Ciphertext, weights, engine: SlotBackend, state, handle: int):
+        self.key_id, self.taint_mask, self.tag_table = a.key_id, a.taint_mask, a.tag_table
+        self.prepared, self.depth, self.handle = True, a.depth + 1, handle
+        self._source, self._weights, self._engine, self._state = a, weights, engine, state
+        self._sum = None
 
-    def _read(self) -> np.ndarray:
+    def _read(self) -> Ciphertext:
         if self._sum is None:
-            # `mult_pt`: the product, noise row 0 and the bound's weight maximum
-            noise, eps, p = self._noise, self._eps, self._weights().values
-            source, bound = self._source * p, self._bound * float(np.abs(p).max()) + eps
-            if noise is not None:
-                source += noise[0]
-                noise = noise[1:]
-            for _ in range(len(source).bit_length() - 1):
-                bound = bound + (bound + eps) + eps
-            self._sum, self._bound = _rotate_add(source, noise), bound
-            self._source = self._noise = self._weights = None
+            engine, source = self._engine, self._source
+            source.noise_bound          # a deferred source replays first, on the same engine
+            if self._state is not None:
+                engine._rng.bit_generator.state = self._state
+            ct = engine.mult_pt(source, self._weights())
+            amount = engine.config.slot_capacity // 2
+            while amount:
+                ct = engine.add_ct(ct, engine.rotate(ct, amount))
+                amount //= 2
+            self._sum = ct
+            self._source = self._weights = self._engine = self._state = None
         return self._sum
 
     @property
     def _payload(self) -> np.ndarray:
-        return self._read()
+        return self._read()._payload
 
     @property
     def noise_bound(self) -> float:
-        self._read()
-        return self._bound
+        return self._read().noise_bound
 
     def _slot_count(self) -> int:
-        return len(self._source if self._sum is None else self._sum)
+        return (self._source if self._sum is None else self._sum)._slot_count()
 
 
 class AuditEvent(NamedTuple):
@@ -465,8 +445,8 @@ class SlotBackend(SlotEngine):
                            noise_bound=bound)
 
     def rotate(self, a: Ciphertext, amount: int) -> Ciphertext:
-        # not in the seam: a step of the loop `weighted_rotate_sum` stands for;
-        # np.roll(payload, -amount), by slicing
+        # not in the seam: a step of the loop `weighted_rotate_sum` stands for
+        # and replays when read; np.roll(payload, -amount), by slicing
         payload = a._payload
         k = int(amount) % len(payload)
         return self._fresh(a.key_id, np.concatenate((payload[k:], payload[:k])),
@@ -525,15 +505,26 @@ class SlotBackend(SlotEngine):
 
     def weighted_rotate_sum(self, a: Ciphertext, weights, length: int) -> Ciphertext:
         """The `mult_pt`, `rotate`/`add_ct` loop and `mark_prepared` calls, bit
-        for bit.  The length is checked, the noise drawn and the handles taken
-        now; the weights, product, sum and bound are computed when first read."""
+        for bit; the first two run on `_replayer` when the result is first
+        read.  The length is checked and the handles taken now; with noise on,
+        the stream's state is kept and the stream moved past the calls' draws."""
         self._check_len(length)
-        eps = self.config.noise_epsilon
         rows = 2 * length.bit_length() - 1
-        noise = self._rng.uniform(-eps, eps, (rows, length)) if eps > 0 else None
+        state = None
+        if self.config.noise_epsilon > 0:
+            bits = self._rng.bit_generator
+            state = bits.state
+            # `advance` clears the 32-bit half buffer, which the draws leave as it was
+            bits.state = dict(bits.advance(rows * length).state,
+                              has_uint32=state["has_uint32"], uinteger=state["uinteger"])
         self._handle_seq += rows
-        return _PreparedSum(a.key_id, a._payload, a.noise_bound, noise, eps, weights,
-                            a.taint_mask, a.tag_table, a.depth + 1, self._handle_seq)
+        return _PreparedSum(a, weights, self._replayer, state, self._handle_seq)
+
+    @functools.cached_property
+    def _replayer(self) -> SlotBackend:
+        """The private engine deferred prepares run their calls on: this
+        config, its own stream and handles, none of this one's wrappers."""
+        return SlotBackend(self.config)
 
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.

@@ -24,8 +24,9 @@ first places the copy, counting the ballot it would gain, against the held
 copy, and encrypts the process's ballot (encoded once per run) only for a
 copy it adopts.  A copy whose contributors cover every process not known to
 have crashed is complete and goes to the keyholder as a PREPARED message
-with that copy's own support; the keyholder's decryption reveals the grid
-and how many ballots it holds, never who voted for whom.
+with that copy's own support.  The keyholder opens only copies with the
+support of the first it opens, so its decryptions reveal one grid and how
+many ballots it holds, never who voted for whom.
 
 Elimination follows the shallow ranked-vote rule: no majority -> eliminate
 the fewest-vote candidate (ties picked by the id-independent mod-k rule),
@@ -361,8 +362,10 @@ class ElectionCollectorNode(netsim.Node):
     """Keyholder: tallies the first complete copy, verifies the rest.
 
     A fault-free run hands it one copy, the root's sum up the tree.  Under
-    crashes, lineages may complete with different contributor sets; only
-    lineages with the same contributors must agree.
+    crashes, lineages may complete with different contributor sets.  It opens
+    only copies with the first tally's support, which must agree, and drops
+    the rest unopened: grids whose supports differ by one process differ by
+    that process's ballot.
     """
 
     def __init__(self, key_material, n: int, backend: SlotEngine):
@@ -370,21 +373,23 @@ class ElectionCollectorNode(netsim.Node):
         self.n = n
         self.backend = backend
         self.result: ElectionResult | None = None
-        self.grids: dict[int, tuple] = {}   # contributor support -> first grid
+        self.support = self.grid = None     # the first tally's contributors and grid
 
     def on_deliver(self, ctx, batch):
         for sender, msg in batch:
+            if self.result is not None and msg.support != self.support:
+                continue
             grid = tally(self.backend, self.key.secret_part, msg.votes_ct,
                          self.n, caller=ctx.pid, contributors=msg.support)
-            first = self.grids.setdefault(msg.support, grid)
             if self.result is None:
+                self.support, self.grid = msg.support, grid
                 self.result = elect_winner(grid)
                 ctx.decide(self.result.winner)
                 ctx.note("election_rounds", list(self.result.rounds))
                 ctx.note("election_exhausted", self.result.exhausted)
                 ctx.broadcast_processes(ProtocolMessage(
                     msg.instance, RESULT, extra={"winner": self.result.winner}))
-            elif grid != first:
+            elif grid != self.grid:
                 raise CorruptedTallyError(
                     "complete lineages with one support disagree on the grid")
 

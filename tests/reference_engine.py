@@ -5,7 +5,9 @@
 loop, then `mark_prepared`, which `SlotBackend` must equal bit for bit.
 `ReferenceBackend` runs exactly those sequences, eagerly, so a run under it
 and a run under `SlotBackend` must write the same report bytes, at any size.
-`rotate_sum` is the only eager statement of the loop the engine defers.
+`rotate_sum` states the loop that a deferred prepare's first read replays
+on `SlotBackend`'s private engine; here it runs at the call, on the engine
+itself.
 Each backend counts its reference calls in `calls`, so a test can tell that
 they ran.
 """

@@ -526,6 +526,11 @@ RING4 = {"family": "ring", "n": 4}
     # G(40, 0.001) is not drawn connected in the family's 1,000 attempts
     ({"protocol": "avg-trusted", "topology": {"family": "random", "n": 40, "p": 0.001},
       "inputs": {"random_uniform": [0, 1]}}, []),
+    # both bounds are finite, but their distance is not, so a draw is infinite
+    ({"protocol": "avg-trusted", "topology": RING4,
+      "inputs": {"random_uniform": [-1.7e308, 1.7e308]}}, []),
+    ({"protocol": "avg-trusted", "topology": {"family": "path", "n": 0},
+      "inputs": {"random_uniform": [0, 1]}}, []),
 ], ids=["number", "list-with-seed", "family-without-n", "string-seed",
         "string-max-latency", "ballot-not-a-mapping", "number-inputs", "null-input",
         "string-uniform-bound", "string-initiators", "number-faults", "boolean-n",
@@ -537,7 +542,8 @@ RING4 = {"family": "ring", "n": 4}
         "outlier-sum-of-squares-overflows", "key-beside-random-uniform",
         "avg-trusted-nan-input", "avg-trusted-infinite-input", "outlier-nan-input",
         "outlier-infinite-input", "one-process-ring", "number-topology",
-        "one-process-untrusted", "secondary-out-of-range", "undrawable-random-family"])
+        "one-process-untrusted", "secondary-out-of-range", "undrawable-random-family",
+        "uniform-draw-past-float-range", "zero-process-path"])
 def test_mistyped_config_exits_2_with_one_line(tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

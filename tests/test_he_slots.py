@@ -472,15 +472,17 @@ def test_add_many_of_no_rows_returns_the_accumulators():
 @pytest.mark.parametrize("cap", [2, 8, 16, 64])
 def test_weighted_rotate_sum_equals_the_three_call_composition(eps, cap, monkeypatch):
     # `mark_prepared(rotate_sum(mult_pt(ct, weights())))`, run eagerly by the
-    # reference engine: the op takes the composition's handles and draws at
-    # the call, and builds its weights, product and sum only when the
-    # payload or the bound is first read
-    built, sums = [], []
-    monkeypatch.setattr(he_slots, "_rotate_add",
-                        lambda p, noise, f=he_slots._rotate_add: sums.append(1) or f(p, noise))
+    # reference engine: the op takes the composition's handles and moves the
+    # stream past its draws at the call, and builds its weights, product and
+    # sum, by those calls on its private engine, only when the payload or
+    # the bound is first read
+    built, sums, rotations = [], [], []
     weights = SlotVector(np.random.default_rng(4).uniform(0, 0.25, cap))
     composed = reference_engine.seeded_reference_backend(cap, eps, 8)
     deferred = he_slots.seeded_backend(cap, eps, 8)
+    replayer = deferred._replayer
+    replayer.mult_pt = lambda a, p, f=replayer.mult_pt: sums.append(1) or f(a, p)
+    replayer.rotate = lambda a, k, f=replayer.rotate: rotations.append(k) or f(a, k)
     km1, km2 = composed.keygen("T"), deferred.keygen("T")
     x = _random_cts(composed, km1, 2, cap, np.random.default_rng(6))[1]     # depth 1
     y = _random_cts(deferred, km2, 2, cap, np.random.default_rng(6))[1]
@@ -498,6 +500,7 @@ def test_weighted_rotate_sum_equals_the_three_call_composition(eps, cap, monkeyp
     # the bound is read first here, and builds the weights and the sum once
     assert got.noise_bound == want.noise_bound and (got.noise_bound > 0) == (eps > 0)
     assert built == [1] and sums == [1]
+    assert rotations == [cap >> i for i in range(1, cap.bit_length())]
     _assert_same_ct(composed, want, deferred, got)
     if not eps:
         assert len(set(got._payload.tolist())) == 1
@@ -515,6 +518,29 @@ def test_weighted_rotate_sum_equals_the_three_call_composition(eps, cap, monkeyp
             deferred.weighted_rotate_sum(y, lambda: built.append(1) or weights, length)
     assert _rng_state(deferred) == state and deferred._handle_seq == handle
     assert built == [1]
+
+
+@pytest.mark.parametrize("keys", [1, 2], ids=["buffered-half", "no-buffered-half"])
+def test_a_prepare_of_an_unread_prepare_replays_both(keys):
+    # the outer read replays the unread source first, then its own calls
+    # from its own state, on the one private engine; each call moves the
+    # stream past its draws and keeps the 32-bit half the keys may buffer
+    weights = SlotVector(np.random.default_rng(4).uniform(0, 0.25, 8))
+    composed = reference_engine.seeded_reference_backend(8, 1e-9, 8)
+    deferred = he_slots.seeded_backend(8, 1e-9, 8)
+    results = []
+    for b in (composed, deferred):
+        km = [b.keygen(f"T{i}") for i in range(keys)][0]
+        x = _random_cts(b, km, 1, 8, np.random.default_rng(6))[0]
+        inner = b.weighted_rotate_sum(x, lambda: weights, 8)
+        b.encrypt(km.public_part, weights, ("p", "between"))     # draws between the calls
+        results.append((km, b.weighted_rotate_sum(inner, lambda: weights, 8), inner))
+    assert _rng_state(composed) == _rng_state(deferred)
+    assert _rng_state(deferred)["has_uint32"] == keys % 2
+    (km1, want, want_inner), (km2, got, got_inner) = results
+    _assert_same_ct(composed, want, deferred, got)
+    _assert_same_ct(composed, want_inner, deferred, got_inner)
+    _assert_same_next(composed, km1, deferred, km2, 8)
 
 
 def test_batched_ops_raise_like_the_nested_calls():

@@ -377,6 +377,59 @@ def test_a_crash_notice_completes_the_copies_a_process_holds(topology, seed, cra
     assert netsim.privacy_audit(trace) == []
 
 
+def opened_supports(raw):
+    """Trial 0 of an election scenario dict: (report, the supports of the
+    complete copies sent to the keyholder, the support of each one it
+    decrypted, in ledger order)."""
+    report, trace, log = run_logged(raw)
+    sent = {msg.votes_ct.handle: msg.support for _, _, to, msg in log
+            if to == netsim.TRUSTED and msg.kind == PREPARED}
+    opened = [sent[event.handle] for event in trace.backend.events()
+              if event.kind == "decrypt" and event.observer == netsim.TRUSTED]
+    return report, set(sent.values()), opened
+
+
+def test_the_keyholder_opens_copies_of_one_support_only():
+    # process 3 crashes at t = 3: the keyholder is sent copies of {0, 1, 2}
+    # and of {0, 1, 2, 3}; it once opened both, and the two grids differed
+    # by process 3's ballot, cell (1, 1)
+    ballots = [(1, None), (2, 0), (1, 3), (1, None)]
+    for eps in (0.0, 1e-9):
+        raw = election_config({"family": "star", "n": 4}, ballots, 0, crashes=[(3, 3)])
+        report, sent, opened = opened_supports(dict(raw, noise_epsilon=eps))
+        assert report.termination == "decided" and report.privacy_violations == []
+        assert sent == {0b0111, 0b1111}
+        assert opened and set(opened) == {opened[0]}
+        want = irv_oracle([b for p, b in enumerate(ballots) if opened[0] >> p & 1], 4)
+        assert set(report.decided_values.values()) == {want}
+
+
+def test_crash_elections_open_one_support():
+    """A seeded sweep of 300 crash elections: n in {3, 4, 5, 6, 8}, six
+    families, both schedules, one or two crashes at t = 0-4 that leave the
+    survivors connected.  Each decides, and its keyholder decrypts copies of
+    one support only, though many are sent copies of two or more."""
+    rng = random.Random(28)
+    runs, mixed, leaks = 0, 0, []
+    while runs < 300:
+        n, family = rng.choice((3, 4, 5, 6, 8)), rng.choice(FAMILIES)
+        schedule, seed = rng.choice(("sync", "async")), rng.randrange(1000)
+        t = ScenarioConfig.from_dict(election_config(
+            {"family": family, "n": n}, [(0, None)] * n, seed)).resolve_topology()
+        crashed = rng.sample(range(n), rng.choice((1, 2)))
+        if not t.connected_without(crashed):
+            continue
+        crashes = [(p, rng.randrange(5)) for p in crashed]
+        raw = election_config(t.to_dict(), random_ballots(rng, n), seed, schedule, crashes)
+        report, sent, opened = opened_supports(raw)
+        assert report.termination == "decided", raw
+        runs += 1
+        mixed += len(sent) > 1
+        if len(set(opened)) != 1:
+            leaks.append((family, n, schedule, seed, crashes))
+    assert leaks == [] and mixed >= 30, (leaks, mixed)
+
+
 @pytest.mark.parametrize("eps", [0.003, 0.03])
 def test_noisy_tallies_round_within_their_noise_bound(eps):
     """The complete ciphertext's noise bound (0.021 at eps 0.003) exceeds
