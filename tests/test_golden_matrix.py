@@ -88,13 +88,17 @@ def cell_report(name: str) -> netsim.SimReport:
     return netsim.run(ScenarioConfig.from_dict(cells()[name]))
 
 
-def receipt(name: str) -> dict:
-    """The report digest of one cell and the digest of each of its fields."""
-    text = cell_report(name).to_json()
+def report_receipt(text: str) -> dict:
+    """The digest of a report's JSON and the digest of each of its fields."""
     report = json.loads(text)
     fields = {key: _short(value) for key, value in report.items() if key != "extra"}
     fields.update((f"extra.{key}", _short(value)) for key, value in report["extra"].items())
     return {"report": hashlib.sha256(text.encode()).hexdigest(), "fields": fields}
+
+
+def receipt(name: str) -> dict:
+    """The receipt of one cell's report."""
+    return report_receipt(cell_report(name).to_json())
 
 
 def receipts() -> dict:

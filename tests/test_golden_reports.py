@@ -149,8 +149,10 @@ def test_output_matches_golden(name, tmp_path, capsys):
 
 
 def test_every_golden_file_has_a_case():
-    # matrix.json holds the digests `test_golden_matrix.py` checks
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, "matrix.json"])
+    # matrix.json and corpus.json hold the digests `test_golden_matrix.py`
+    # and `test_golden_corpus.py` check
+    assert sorted(p.name for p in GOLDEN.iterdir()) == \
+        sorted([*CASES, "matrix.json", "corpus.json"])
 
 
 if __name__ == "__main__":
