@@ -530,8 +530,9 @@ class SlotBackend(SlotEngine):
         """Flag an aggregate as safe to decrypt.
 
         Called only by a sanctioned protocol step that composes
-        already-aggregate values, the election completeness check; a
-        prepare's `weighted_rotate_sum` result comes out marked.
+        already-aggregate values: `ElectionProcessNode._emit_prepared`, as it
+        hands a complete ballot copy to the keyholder.  A prepare's
+        `weighted_rotate_sum` result comes out marked.
         """
         return Ciphertext(ct.key_id, ct._payload, ct.taint_mask, ct.tag_table, True,
                           ct.depth, ct.noise_bound, ct.handle)

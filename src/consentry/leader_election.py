@@ -19,11 +19,12 @@ total order: more contributors first, then the larger support as an integer.
 Under that order the latest copy of a lineage spreads and grows until it
 covers the survivors; two copies of one size cannot block each other.  A
 lineage copy is a `ConsensusState` with no counts and that support, handled
-by a `FloodingNode` that folds it with `on_receive_election`.  The fold
-first places the copy, counting the ballot it would gain, against the held
-copy, and encrypts the process's ballot (encoded once per run) only for a
-copy it adopts.  A copy whose contributors cover every process not known to
-have crashed is complete and goes to the keyholder as a PREPARED message
+by a `FloodingNode` that folds it with `on_receive_election`.  Each process
+encrypts its ballot once, at start, and adds that one ciphertext to every
+copy it adopts; the fold places the copy, counting the ballot it would
+gain, against the held copy first, so a rejected copy costs no engine call.
+A copy whose contributors cover every process not known to have crashed is
+complete and goes to the keyholder, marked prepared, as a PREPARED message
 with that copy's own support.  The keyholder opens only copies with the
 support of the first it opens, so its decryptions reveal one grid and how
 many ballots it holds, never who voted for whom.
@@ -95,31 +96,28 @@ def make_ballot_vector(ballot: Ballot, n: int, capacity: int) -> SlotVector:
     return SlotVector.impulse(capacity, flat_index(n, ballot.primary, ballot.secondary))
 
 
-def init_election(pid: int, ballot_vec: SlotVector, pk, n: int,
-                  backend: SlotEngine) -> tuple[ConsensusState, ProtocolMessage]:
-    """Start this process's own lineage, already carrying its encoded ballot
-    (`make_ballot_vector`)."""
-    instance = instance_for_origin(pid)
-    ct = backend.encrypt(pk, ballot_vec, (pid, f"{instance}:ballot"))
-    state = ConsensusState(instance, n, (ct,), counts=None, support=1 << pid)
+def init_election(pid: int, ballot_ct: Ciphertext,
+                  n: int) -> tuple[ConsensusState, ProtocolMessage]:
+    """Start this process's own lineage, carrying its encrypted ballot."""
+    state = ConsensusState(instance_for_origin(pid), n, (ballot_ct,), counts=None,
+                           support=1 << pid)
     return state, state.snapshot()
 
 
 def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
-                        ballot_vec: SlotVector, pk, backend: SlotEngine,
+                        ballot_ct: Ciphertext, backend: SlotEngine,
                         pid: int, n: int, required_mask: int):
     """Adopt a copy that comes later than the held one, adding this
-    process's ballot to it once.
+    process's encrypted ballot, `ballot_ct`, to it once.
 
     Copies are ordered by contributor count, then by support as an integer,
     and the arriving copy is placed with this process's ballot counted, so a
-    copy that does not come later is rejected before `ballot_vec`, the
-    encoded ballot, is encrypted; only an adopted copy that lacks this
-    process pays for `encrypt` and `add_ct`.  A copy is complete once its
-    support covers `required_mask`.  Returns (state, whether the copy was
-    adopted, complete ciphertext or None); the complete ciphertext goes with
-    the returned state's support, and the caller announces an adopted copy
-    that is not complete.
+    copy that does not come later is rejected with no engine call; only an
+    adopted copy that lacks this process pays for one `add_ct`.  A copy is
+    complete once its support covers `required_mask`.  Returns (state,
+    whether the copy was adopted, complete ciphertext or None); the complete
+    ciphertext, not yet marked prepared, goes with the returned state's
+    support, and the caller announces an adopted copy that is not complete.
     """
     support = msg.support | 1 << pid
     if state is not None:
@@ -128,15 +126,12 @@ def on_receive_election(state: ConsensusState | None, msg: ProtocolMessage,
             return state, False, None
     cand_ct = msg.votes_ct
     if support != msg.support:
-        fresh = backend.encrypt(pk, ballot_vec, (pid, f"{msg.instance}:ballot"))
-        cand_ct = backend.add_ct(cand_ct, fresh)
+        cand_ct = backend.add_ct(cand_ct, ballot_ct)
     if state is None:
         state = ConsensusState(msg.instance, n, (cand_ct,), counts=None, support=support)
     else:
         state.channels, state.support = (cand_ct,), support
-    if not required_mask & ~support:
-        return state, True, backend.mark_prepared(cand_ct)
-    return state, True, None
+    return state, True, None if required_mask & ~support else cand_ct
 
 
 # -- tallying and elimination -------------------------------------------------
@@ -255,73 +250,66 @@ def elect_winner(grid) -> ElectionResult:
 class ElectionProcessNode(FloodingNode):
     """Election participant: one ConsensusState per lineage it holds.
 
-    `on_start` encodes the ballot once for the whole run.  With f = 0, f
-    being the context's `crash_bound`, the process takes its `parent` and
-    `children` from the BFS tree `bfs` returns, and sums ballots up it as
-    one copy of lineage 0 (`_fold_up`), whose fan-out is the parent; its
-    `required_mask` is itself and its children.  With f >= 1, processes
-    0 .. f each start a lineage through `FloodingNode._start`, and each
-    message of a batch is folded by `on_receive_election`.  The first
-    complete copy of a lineage goes only to the keyholder, with that copy's
-    own support, and decides the state; any other adopted copy is
-    rebroadcast.  `_try_decide` is the one rule for a held copy that a start
-    or a crash notice completed; the crash rule,
+    `on_start` encrypts the ballot once for the whole run, as `ballot_ct`.
+    With f = 0, f being the context's `crash_bound`, the process takes its
+    `parent` and `children` from the BFS tree `bfs` returns, and sums ballots
+    up it as one copy of lineage 0, adding each child's copy with `add_ct`;
+    the copy's fan-out is the parent, and `required_mask` is the process and
+    its children.  With f >= 1, processes 0 .. f each start a lineage
+    through `FloodingNode._start`, and each message of a batch is folded by
+    `on_receive_election`; any adopted copy is rebroadcast.  `_hand_on` is
+    the one rule for a held copy that a start, a crash notice or a tree fold
+    completed, and `_emit_prepared` the one place a copy is marked prepared:
+    the first complete copy of a lineage goes only to the keyholder, with
+    that copy's own support, and decides the state.  The crash rule,
     `FloodingNode._wait_for_survivors`, is the outlier node's.
     """
 
     def __init__(self, pid: int, ballot: Ballot, pk, n: int, backend: SlotEngine, bfs):
         super().__init__(pid, n, backend)
         self.ballot = ballot
-        self.ballot_vec: SlotVector | None = None
+        self.ballot_ct: Ciphertext | None = None
         self.pk = pk
         self.bfs = bfs          # () -> (parents, children), shared by the run's nodes
         self.tree = False       # summing up the tree: set at start, when f = 0
         self.parent, self.children = None, []
 
     def on_start(self, ctx):
-        self.ballot_vec = make_ballot_vector(self.ballot, self.n,
-                                             self.backend.config.slot_capacity)
+        self.ballot_ct = self.backend.encrypt(
+            self.pk, make_ballot_vector(self.ballot, self.n, self.backend.config.slot_capacity),
+            (self.pid, "ballot"))
         self.tree = ctx.crash_bound == 0
         if self.tree:
             parents, children = self.bfs()
             self.parent, self.children = parents[self.pid], children[self.pid]
             self.required_mask = sum(1 << p for p in (self.pid, *self.children))
             instance = instance_for_origin(0)
-            ct = self.backend.encrypt(self.pk, self.ballot_vec,
-                                      (self.pid, f"{instance}:ballot"))
-            state = ConsensusState(instance, self.n, (ct,), counts=None,
+            state = ConsensusState(instance, self.n, (self.ballot_ct,), counts=None,
                                    support=1 << self.pid)
             state.fanout = (self.parent,)
             self.states[instance] = state
             self._try_decide(ctx, state)
         elif self.pid <= ctx.crash_bound:
-            self._start(ctx, *init_election(self.pid, self.ballot_vec, self.pk,
-                                            self.n, self.backend))
+            self._start(ctx, *init_election(self.pid, self.ballot_ct, self.n))
 
-    def _try_decide(self, ctx, state):
-        """Hand on a held copy that a start or a crash notice completed: a
-        tree node below the root sends it to its parent (`parent` is None
-        elsewhere), and the root, like every lineage copy, to the keyholder."""
-        if self.required_mask & ~state.support:
-            return
-        if self.parent is not None:
-            ctx.multicast(state.fanout, self._snapshot_msg(state))
-        else:
-            self._emit_prepared(ctx, state.instance,
-                                (self.backend.mark_prepared(state.channels[0]), state.support))
-
-    def _fold_up(self, state, msgs):
-        """Add each child's copy to the held one with `add_ct`; once every
-        child has reported, send it to the parent (the fan-out), or from the
-        root hand it to the keyholder as (ciphertext, support)."""
-        for msg in msgs:
-            state.channels = (self.backend.add_ct(state.channels[0], msg.votes_ct),)
-            state.support |= msg.support
+    def _hand_on(self, state):
+        """(whether to send the held copy to the parent, (ciphertext, support)
+        for the keyholder or None): once the copy counts every required
+        process, a tree node below the root sends it up (`parent` is None
+        elsewhere), and the root, like every lineage copy, hands it on."""
         if self.required_mask & ~state.support:
             return False, None
-        if self.parent is None:
-            return False, (self.backend.mark_prepared(state.channels[0]), state.support)
-        return True, None
+        if self.parent is not None:
+            return True, None
+        return False, (state.channels[0], state.support)
+
+    def _try_decide(self, ctx, state):
+        """Hand on a held copy that a start or a crash notice completed."""
+        up, complete = self._hand_on(state)
+        if up:
+            ctx.multicast(state.fanout, self._snapshot_msg(state))
+        elif complete is not None:
+            self._emit_prepared(ctx, state.instance, complete)
 
     def _fold_instance(self, instance, msgs):
         """Fold a batch's copies of one lineage; a completing copy is handed
@@ -329,11 +317,14 @@ class ElectionProcessNode(FloodingNode):
         cover `required_mask` replaces it as the held state."""
         state = self.states.get(instance)
         if self.tree:
-            return self._fold_up(state, msgs)
+            for msg in msgs:
+                state.channels = (self.backend.add_ct(state.channels[0], msg.votes_ct),)
+                state.support |= msg.support
+            return self._hand_on(state)
         grown, complete = False, None
         for msg in msgs:
             state, merged, done = on_receive_election(
-                state, msg, self.ballot_vec, self.pk, self.backend, self.pid, self.n,
+                state, msg, self.ballot_ct, self.backend, self.pid, self.n,
                 required_mask=self.required_mask)
             grown = grown or merged
             if done is not None:
@@ -344,13 +335,13 @@ class ElectionProcessNode(FloodingNode):
         return grown, None
 
     def _emit_prepared(self, ctx, instance, complete):
-        """Hand a lineage copy that counts every required process, as
-        (prepared ciphertext, its support), to the keyholder."""
+        """Hand a lineage copy that counts every required process, given as
+        (ciphertext, its support), to the keyholder, marked prepared."""
         complete_ct, support = complete
         self.states[instance].phase = DECIDED
         ctx.mark_complete(instance)
         ctx.send(netsim.TRUSTED, ProtocolMessage(
-            instance, PREPARED, (complete_ct,), support=support))
+            instance, PREPARED, (self.backend.mark_prepared(complete_ct),), support=support))
 
     def _handle_result(self, ctx, msg):
         ctx.decide(msg.extra["winner"])

@@ -96,13 +96,8 @@ def report_receipt(text: str) -> dict:
     return {"report": hashlib.sha256(text.encode()).hexdigest(), "fields": fields}
 
 
-def receipt(name: str) -> dict:
-    """The receipt of one cell's report."""
-    return report_receipt(cell_report(name).to_json())
-
-
 def receipts() -> dict:
-    return {name: receipt(name) for name in sorted(cells())}
+    return {name: report_receipt(cell_report(name).to_json()) for name in sorted(cells())}
 
 
 def moved_fields(want: dict, got: dict) -> list:

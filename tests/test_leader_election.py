@@ -163,17 +163,17 @@ def test_elect_winner_matches_oracle_randomized():
 
 
 def test_on_receive_election_contribution_rules():
-    from consentry.leader_election import init_election, on_receive_election
     n = 3
     _, cap = ballot_layout(n)
     backend = SlotBackend(BackendConfig(cap), seed=4)
     km = backend.keygen("T")
-    origin_state, msg = init_election(0, make_ballot_vector(Ballot(1, 2), n, cap),
-                                      km.public_part, n, backend)
+    cts = [backend.encrypt(km.public_part, make_ballot_vector(Ballot(*b), n, cap),
+                           (pid, "ballot"))
+           for pid, b in enumerate([(1, 2), (2, 0), (0, 1)])]
+    origin_state, msg = init_election(0, cts[0], n)
+    assert origin_state.channels == (cts[0],) and origin_state.support == 0b001
     # fresh lineage at a non-contributor: contributes, support gains its bit
-    state, out, complete = on_receive_election(None, msg,
-                                               make_ballot_vector(Ballot(2, 0), n, cap),
-                                               km.public_part, backend,
+    state, out, complete = on_receive_election(None, msg, cts[1], backend,
                                                pid=1, n=n, required_mask=0b111)
     assert state.support == 0b011 and state.counts is None
     assert out and complete is None
@@ -182,17 +182,16 @@ def test_on_receive_election_contribution_rules():
     # the same copy revisiting a contributor: no growth, no forward
     revisit = ConsensusState(msg.instance, n, state.channels, counts=None,
                              support=state.support).snapshot()
-    state2, out2, complete2 = on_receive_election(state, revisit,
-                                                  make_ballot_vector(Ballot(2, 0), n, cap),
-                                                  km.public_part, backend,
+    state2, out2, complete2 = on_receive_election(state, revisit, cts[1], backend,
                                                   pid=1, n=n, required_mask=0b111)
-    assert out2 is False and complete2 is None
-    # final contributor completes the lineage: adopted, complete ciphertext
-    state3, out3, complete3 = on_receive_election(None, revisit,
-                                                  make_ballot_vector(Ballot(0, 1), n, cap),
-                                                  km.public_part, backend,
+    assert state2 is state and out2 is False and complete2 is None
+    # final contributor completes the lineage: adopted, and the complete
+    # ciphertext is the held one, left for the caller to mark prepared
+    state3, out3, complete3 = on_receive_election(None, revisit, cts[2], backend,
                                                   pid=2, n=n, required_mask=0b111)
-    assert complete3 is not None and complete3.prepared and out3 is True
+    assert out3 is True and complete3 is state3.channels[0] and not complete3.prepared
+    assert state3.support == 0b111
+    assert np.array_equal(complete3._payload, sum(ct._payload for ct in cts))
 
 
 def complete_ct_for(ballots, n, backend, km):
@@ -499,9 +498,11 @@ def test_contributor_support_has_one_bit_per_process():
     t = topo.ring(n)
     setup = build(t, [{"primary": p, "secondary": s} for p, s in ballots], seed=1)
     assert setup.backend.config.slot_capacity == 16
-    state, msg = init_election(0, make_ballot_vector(Ballot(0, 1), n, 16),
-                               setup.nodes[0].pk, n, setup.backend)
+    ct = setup.backend.encrypt(setup.nodes[0].pk, make_ballot_vector(Ballot(0, 1), n, 16),
+                               (0, "ballot"))
+    state, msg = init_election(0, ct, n)
     assert state.support == msg.support == 0b001
+    assert state.channels == (ct,) and msg.votes_ct is ct
     assert state.counts is None and msg.count_array is None
     log = record_deliveries(setup)
     _, trace = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1)).run()
@@ -562,6 +563,8 @@ def lineage_copy(backend, pk, n, ballots, contributors, instance="elect/0"):
 
 
 def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
+    # the fold encrypts nothing: an adopted copy that lacks this process
+    # pays one `add_ct` of the ballot encrypted at start, a rejected one nothing
     n, pid = 4, 3
     ballots = [(0, 1), (1, None), (2, 0), (3, 2)]
     _, cap = ballot_layout(n)
@@ -569,7 +572,8 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
     pk = backend.keygen("T").public_part
     copies = {c: lineage_copy(backend, pk, n, ballots, c)
               for c in ((0,), (1, 2), (0, 1), (1, 3), (0, 1, 2))}
-    ballot_vec = make_ballot_vector(Ballot(*ballots[pid]), n, cap)
+    ballot_ct = backend.encrypt(pk, make_ballot_vector(Ballot(*ballots[pid]), n, cap),
+                                (pid, "ballot"))
     encrypted, added = [], []
     encrypt, add_ct = backend.encrypt, backend.add_ct
     backend.encrypt = lambda pk, vec, tag: encrypted.append(vec) or encrypt(pk, vec, tag)
@@ -578,15 +582,15 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
     def fold(state, contributors):
         before = (len(encrypted), len(added), backend._handle_seq)
         state, adopted, complete = on_receive_election(
-            state, copies[contributors], ballot_vec, pk, backend, pid, n, (1 << n) - 1)
+            state, copies[contributors], ballot_ct, backend, pid, n, (1 << n) - 1)
         calls = (len(encrypted) - before[0], len(added) - before[1])
         return state, adopted, complete, calls, backend._handle_seq - before[2]
 
-    # adopted copies that lack this process: one encrypt and one add_ct each
+    # adopted copies that lack this process: one add_ct each, no encrypt
     state, adopted, complete, calls, handles = fold(None, (0,))
-    assert adopted and complete is None and calls == (1, 1) and handles == 2
+    assert adopted and complete is None and calls == (0, 1) and handles == 1
     state, adopted, complete, calls, handles = fold(state, (1, 2))
-    assert adopted and complete is None and calls == (1, 1) and handles == 2
+    assert adopted and complete is None and calls == (0, 1) and handles == 1
     assert state.support == 0b1110
     # 2 + 1 and 2 + 0 contributors are no more than the held 3: no engine call
     for contributors in ((0, 1), (1, 3)):
@@ -595,9 +599,10 @@ def test_a_copy_no_larger_than_the_held_one_is_rejected_before_encrypting():
         assert (adopted, complete, calls, handles) == (False, None, (0, 0), 0)
         assert state.channels[0] is held
     state, adopted, complete, calls, handles = fold(state, (0, 1, 2))
-    assert adopted and complete is not None and calls == (1, 1) and handles == 2
+    assert adopted and calls == (0, 1) and handles == 1
+    assert complete is state.channels[0] and not complete.prepared
     assert state.support == 0b1111
-    assert len(encrypted) == 3 and all(vec is ballot_vec for vec in encrypted)
+    assert encrypted == [] and len(added) == 3 and all(ct is ballot_ct for ct in added)
 
 
 class RecordingContext:
@@ -700,7 +705,8 @@ def test_complete6_with_three_crashes_tallies_what_each_copy_counts():
     assert all(report.decided_values[p] == winner for p in (0, 2, 3, netsim.TRUSTED))
 
 
-def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypatch):
+def test_dense_election_encrypts_once_per_process_and_adds_once_per_adopted_copy(
+        monkeypatch):
     rng = random.Random(24)
     n = 24
     ballots = random_ballots(rng, n)
@@ -712,27 +718,31 @@ def test_dense_election_encrypts_once_per_process_and_per_adopted_copy(monkeypat
     adopted_lacking = 0
     fold = leader_election.on_receive_election
 
-    def counted(state, msg, ballot_vec, pk, backend, pid, n, **kw):
+    def counted(state, msg, ballot_ct, backend, pid, n, **kw):
         nonlocal adopted_lacking
-        out = fold(state, msg, ballot_vec, pk, backend, pid, n, **kw)
+        assert ballot_ct is setup.nodes[pid].ballot_ct
+        out = fold(state, msg, ballot_ct, backend, pid, n, **kw)
         adopted_lacking += out[1] and not (msg.support >> pid & 1)
         return out
 
     monkeypatch.setattr(leader_election, "on_receive_election", counted)
-    encrypted = []
-    encrypt = setup.backend.encrypt
-    setup.backend.encrypt = lambda pk, vec, tag: encrypted.append((tag[0], vec)) or \
+    encrypted, added = [], []
+    encrypt, add_ct = setup.backend.encrypt, setup.backend.add_ct
+    setup.backend.encrypt = lambda pk, vec, tag: encrypted.append(tag) or \
         encrypt(pk, vec, tag)
+    setup.backend.add_ct = lambda a, b: added.append(b) or add_ct(a, b)
     report, _ = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 5),
                                   faults=faults).run()
     assert report.termination == "decided"
     want = irv_oracle(ballots[:-1], n)
     assert report.decided_values == {**dict.fromkeys(range(n - 1), want),
                                      netsim.TRUSTED: want}
-    # processes 0 and 1 start lineages; any other encryption is an adopted copy's
-    assert adopted_lacking > 0
-    assert len(encrypted) == 2 + adopted_lacking
-    assert all(vec is setup.nodes[pid].ballot_vec for pid, vec in encrypted)
+    # each process encrypts its ballot once, at start; each adopted copy
+    # that lacks a process pays one add_ct of that process's ciphertext
+    assert encrypted == [(p, "ballot") for p in range(n)]
+    assert adopted_lacking > 0 and len(added) == adopted_lacking
+    ballot_cts = {id(setup.nodes[p].ballot_ct) for p in range(n)}
+    assert all(id(ct) in ballot_cts for ct in added)
 
 
 def test_a_fault_free_election_adds_each_ballot_once_up_a_tree(monkeypatch):
@@ -759,9 +769,15 @@ def test_a_fault_free_election_adds_each_ballot_once_up_a_tree(monkeypatch):
     assert report.messages_sent == {**dict.fromkeys(range(n), 1), netsim.TRUSTED: n}
 
 
-def test_parse_ballots_rejects_an_unknown_key():
-    with pytest.raises(InvalidBallotError, match=r"unknown ballot keys \['secondry'\]"):
-        leader_election.parse_ballots([{"primary": 0}, {"primary": 0, "secondry": 1}], 2)
+@pytest.mark.parametrize("ballots, message", [
+    ([{"primary": 0}, {"primary": 0, "secondry": 1}, {"primary": 1}],
+     r"unknown ballot keys \['secondry'\]"),
+    ({"random_uniform": [0, 1]}, "ballots must be a list"),
+    ([{"primary": 0}, {"primary": 1}], "need one ballot per process, got 2 for n=3"),
+], ids=["unknown-key", "not-a-list", "one-short"])
+def test_parse_ballots_rejects_malformed_ballots(ballots, message):
+    with pytest.raises(InvalidBallotError, match=message):
+        leader_election.build(topo.ring(3), ballots)
 
 
 # -- f + 1 origins and the adoption order -------------------------------------
@@ -773,22 +789,32 @@ def test_parse_ballots_rejects_an_unknown_key():
     (6, ((4, 9), (4, 2), (1, 3)), 2),     # process 4 listed twice counts once
     (3, ((0, 5), (1, 5), (2, 6)), 3),     # f + 1 is more than n
 ])
-def test_the_first_f_plus_1_processes_encrypt_a_ballot_at_the_start(n, crashes, f):
+def test_the_first_f_plus_1_processes_encrypt_a_ballot_at_the_start(n, crashes, f,
+                                                                     monkeypatch):
+    # every process encrypts its ballot exactly once, at t = 0, whatever f
+    # is; of them only processes 0 .. f start a lineage, and with f = 0 none
+    # does, each adding its ciphertext to the tree's copy
     t = topo.ring(n) if n > 1 else topo.Topology(1, [])
     setup = build(t, [{"primary": p % n} for p in range(n)], seed=1)
     faults = netsim.FaultPlan(tuple(netsim.CrashFault(p, time) for p, time in crashes))
     sim = netsim.Simulation(t, setup, netsim.SchedulePolicy("sync", 1), faults=faults)
     assert sim.crash_bound == f
-    started = []
+    encrypted, origins = [], []
     encrypt = setup.backend.encrypt
     setup.backend.encrypt = lambda pk, vec, tag: \
-        (sim._now == 0 and started.append(tag)) or encrypt(pk, vec, tag)
+        encrypted.append((sim._now, tag)) or encrypt(pk, vec, tag)
+    init = leader_election.init_election
+
+    def started(pid, ballot_ct, n):
+        assert sim._now == 0 and ballot_ct is setup.nodes[pid].ballot_ct
+        origins.append(pid)
+        return init(pid, ballot_ct, n)
+
+    monkeypatch.setattr(leader_election, "init_election", started)
     sim.run()
-    if f:
-        assert started == [(p, f"elect/{p}:ballot") for p in range(min(n, f + 1))]
-    else:
-        # no lineage: every process encrypts its ballot into the tree's copy
-        assert started == [(p, "elect/0:ballot") for p in range(n)]
+    assert encrypted == [(0, (p, "ballot")) for p in range(n)]
+    assert origins == list(range(min(n, f + 1) if f else 0))
+    assert all(setup.nodes[p].tree == (f == 0) for p in range(n))
 
 
 def test_only_a_surviving_origin_carries_the_election():
