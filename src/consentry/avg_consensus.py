@@ -386,12 +386,15 @@ class FloodingNode(netsim.Node):
     complete, but neither prepared nor sent.  `_start` stores and announces
     a process's own new state and re-checks it at once; `_try_decide` is
     that re-check outside a delivery batch, which the election overrides.
-    Subclasses say what PREPARED and RESULT messages mean to them.
+    Subclasses say what opening a PREPARED message and a RESULT mean to them.
     `required_mask`, the processes this one waits for, is all n (in a
     fault-free election, the node and its tree children) until a crash
     notice narrows it: outlier and election nodes take
     `_wait_for_survivors` as their `on_crash_notice`, while averaging nodes
-    ignore notices and keep waiting for all n.
+    ignore notices and keep waiting for all n.  Every keyholder is a
+    `FloodingNode`, and `_handle_prepared` is their one opening rule: it
+    opens (`_open`) the first PREPARED message of each instance, keeps it
+    in `prepared`, and drops later ones unopened.
     """
 
     def __init__(self, pid: int, n: int, backend: SlotEngine):
@@ -400,6 +403,7 @@ class FloodingNode(netsim.Node):
         self.backend = backend
         self.states: dict[str, ConsensusState] = {}
         self.required_mask = (1 << n) - 1
+        self.prepared: dict[str, ProtocolMessage] = {}   # instance -> the message opened
 
     def _snapshot_msg(self, state: ConsensusState) -> ProtocolMessage:
         return state.snapshot()
@@ -438,6 +442,11 @@ class FloodingNode(netsim.Node):
                               self._snapshot_msg(state))
             if decision is not None:
                 self._emit_prepared(ctx, instance, decision)
+
+    def _handle_prepared(self, ctx, msg):
+        if msg.instance not in self.prepared:
+            self.prepared[msg.instance] = msg
+            self._open(ctx, msg)
 
     def _fold_instance(self, instance: str, msgs) -> tuple[bool, object]:
         """Fold one instance's share of a delivery batch; returns whether to
@@ -490,22 +499,15 @@ class AvgProcessNode(FloodingNode):
         ctx.decide(msg.extra["average"])
 
 
-class TrustedCollectorNode(netsim.Node):
-    """Out-of-graph keyholder: opens the first prepared aggregate of each
-    instance and hands out the result.  `_open` says what opening means;
-    here it decrypts the average, decides it and broadcasts it."""
+class TrustedCollectorNode(FloodingNode):
+    """Out-of-graph keyholder: a `FloodingNode` with no instance state, so it
+    acts only on PREPARED messages, by the one opening rule.  `_open` says
+    what opening means; here it decrypts the average, decides it and
+    broadcasts it."""
 
     def __init__(self, key_material, n: int, backend: SlotEngine):
+        super().__init__(netsim.TRUSTED, n, backend)
         self.key = key_material
-        self.n = n
-        self.backend = backend
-        self.prepared: dict[str, ProtocolMessage] = {}
-
-    def on_deliver(self, ctx, batch):
-        for sender, msg in batch:
-            if msg.kind == PREPARED and msg.instance not in self.prepared:
-                self.prepared[msg.instance] = msg
-                self._open(ctx, msg)
 
     def _decrypt(self, ct) -> float:
         return finalize_trusted(self.backend, self.key.secret_part, ct,
@@ -516,6 +518,9 @@ class TrustedCollectorNode(netsim.Node):
         ctx.decide(value)
         ctx.broadcast_processes(ProtocolMessage(
             msg.instance, RESULT, extra={"average": value}))
+
+    def _handle_result(self, ctx, msg):
+        """A collector hands results out and takes none."""
 
 
 def _finite_values(inputs) -> list[float]:
@@ -566,15 +571,15 @@ class UntrustedProcessNode(FloodingNode):
 
     For its own instance a node acts as the keyholder: it encrypts its own
     value under its own key, hands that seed to one neighbor, stays out of
-    the flooding, and decrypts the first prepared aggregate its neighbours
-    send it.  So `on_start` fixes each other instance's fan-out as the
-    neighbours other than its initiator, and its state's readers as that
-    initiator when it is a neighbour, else no one: a node decides every
-    instance it holds but prepares only those of its neighbouring
-    initiators.  A node holds every
-    viable initiator's public key and only its own secret key.  Each node
-    broadcasts one RESULT, the one it decides on: its own instance's, or the
-    first that reaches it, forwarded.
+    the flooding, and decrypts (`_open`) the first prepared aggregate its
+    neighbours send it, by the one opening rule.  So `on_start` fixes each
+    other instance's fan-out as the neighbours other than its initiator,
+    and its state's readers as that initiator when it is a neighbour, else
+    no one: a node decides every instance it holds but prepares only those
+    of its neighbouring initiators.  A node holds every viable initiator's
+    public key and only its own secret key.  Each node broadcasts one
+    RESULT, the one it decides on: its own instance's, or the first that
+    reaches it, forwarded.
     """
 
     def __init__(self, pid: int, value: float, n: int, backend: SlotEngine,
@@ -584,7 +589,6 @@ class UntrustedProcessNode(FloodingNode):
         self.pks = pks                 # viable initiator -> PublicPart
         self.secret = secret           # own SecretPart, if a viable initiator
         self.viable = viable           # initiator -> bool
-        self.opened = False            # own instance's prepared aggregate decrypted
         self.decided = False           # a RESULT decided on and broadcast
 
     def on_start(self, ctx):
@@ -613,10 +617,7 @@ class UntrustedProcessNode(FloodingNode):
                 state.fanout = fanout
                 ctx.multicast(fanout, msg)
 
-    def _handle_prepared(self, ctx, msg):
-        if self.opened:
-            return
-        self.opened = True
+    def _open(self, ctx, msg):
         value = finalize_trusted(self.backend, self.secret,
                                  msg.votes_ct, self.n, caller=self.pid)
         ctx.note(f"initiator_result/{self.pid}", value)

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import netsim
 from .avg_consensus import (ACTIVE, DECIDED, PREPARED, RESULT, ConsensusState,
-                            FloodingNode, ProtocolMessage)
+                            FloodingNode, ProtocolMessage, TrustedCollectorNode)
 from .he_slots import Ciphertext, SlotEngine, SlotVector, seeded_backend, slot_capacity_for
 from .topology import Topology, TopologyError, _is_int
 
@@ -349,40 +349,37 @@ class ElectionProcessNode(FloodingNode):
     on_crash_notice = FloodingNode._wait_for_survivors
 
 
-class ElectionCollectorNode(netsim.Node):
+class ElectionCollectorNode(TrustedCollectorNode):
     """Keyholder: tallies the first complete copy, verifies the rest.
 
     A fault-free run hands it one copy, the root's sum up the tree.  Under
-    crashes, lineages may complete with different contributor sets.  It opens
-    only copies with the first tally's support, which must agree, and drops
-    the rest unopened: grids whose supports differ by one process differ by
-    that process's ballot.
+    crashes, lineages, each an instance, may complete with different
+    contributor sets.  So its `_handle_prepared` puts the one-support rule
+    in place of the one opening rule: it keeps the first copy it tallies in
+    `prepared`, opens only copies with that support, whose grids must agree,
+    and drops the rest unopened: grids whose supports differ by one process
+    differ by that process's ballot.  It acts only on PREPARED messages.
     """
 
-    def __init__(self, key_material, n: int, backend: SlotEngine):
-        self.key = key_material
-        self.n = n
-        self.backend = backend
-        self.result: ElectionResult | None = None
-        self.support = self.grid = None     # the first tally's contributors and grid
+    grid = None     # the first tally's grid
 
-    def on_deliver(self, ctx, batch):
-        for sender, msg in batch:
-            if self.result is not None and msg.support != self.support:
-                continue
-            grid = tally(self.backend, self.key.secret_part, msg.votes_ct,
-                         self.n, caller=ctx.pid, contributors=msg.support)
-            if self.result is None:
-                self.support, self.grid = msg.support, grid
-                self.result = elect_winner(grid)
-                ctx.decide(self.result.winner)
-                ctx.note("election_rounds", list(self.result.rounds))
-                ctx.note("election_exhausted", self.result.exhausted)
-                ctx.broadcast_processes(ProtocolMessage(
-                    msg.instance, RESULT, extra={"winner": self.result.winner}))
-            elif grid != self.grid:
-                raise CorruptedTallyError(
-                    "complete lineages with one support disagree on the grid")
+    def _handle_prepared(self, ctx, msg):
+        first = next(iter(self.prepared.values()), None)
+        if first is not None and msg.support != first.support:
+            return
+        grid = tally(self.backend, self.key.secret_part, msg.votes_ct,
+                     self.n, caller=self.pid, contributors=msg.support)
+        if first is None:
+            self.prepared[msg.instance], self.grid = msg, grid
+            result = elect_winner(grid)
+            ctx.decide(result.winner)
+            ctx.note("election_rounds", list(result.rounds))
+            ctx.note("election_exhausted", result.exhausted)
+            ctx.broadcast_processes(ProtocolMessage(
+                msg.instance, RESULT, extra={"winner": result.winner}))
+        elif grid != self.grid:
+            raise CorruptedTallyError(
+                "complete lineages with one support disagree on the grid")
 
 
 def parse_ballots(raw, n: int) -> list[Ballot]:
