@@ -385,8 +385,9 @@ class Simulation:
 
     A calendar entry is `(frm, dsts, msg)`: one multicast to the
     destination tuple `dsts`.  A send over a missing edge raises
-    `ScenarioError` before anything is counted; each destination counts as
-    one message.  In sync mode a multicast is one entry; in async mode each
+    `RuntimeError` before anything is counted: only protocol code picks
+    destinations, so it is a fault, not bad input.  Each destination counts
+    as one message.  In sync mode a multicast is one entry; in async mode each
     destination draws its own latency, in the order given, and gets an
     entry of its own.
 
@@ -442,7 +443,7 @@ class Simulation:
             reach = self._reach[frm]
             if not reach.issuperset(dsts):
                 dst = next(d for d in dsts if d not in reach)
-                raise ScenarioError(f"no channel from {frm!r} to {dst!r}")
+                raise RuntimeError(f"no channel from {frm!r} to {dst!r}")
         count = len(dsts)
         self._messages_sent[frm] = self._messages_sent.get(frm, 0) + count
         self._bytes[frm] = self._bytes.get(frm, 0) + count * (

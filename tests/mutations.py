@@ -1,10 +1,11 @@
 """Deliberately broken protocol variants for negative privacy tests."""
 
-from consentry import netsim
+from consentry import leader_election, netsim
 from consentry import topology as topo
 from consentry.avg_consensus import (INSTANCE_TRUSTED, AvgProcessNode,
                                      UntrustedProcessNode, build_trusted,
                                      build_untrusted, instance_for_initiator)
+from consentry.leader_election import ElectionProcessNode, init_election
 from consentry.netsim import SchedulePolicy
 
 
@@ -69,6 +70,15 @@ class OverfannedUntrustedNode(UntrustedProcessNode):
             state.fanout = ctx.neighbors
 
 
+class MisroutingElectionNode(ElectionProcessNode):
+    """Mutation: also sends its unprepared start copy, its own encrypted
+    ballot, to the keyholder."""
+
+    def on_start(self, ctx):
+        super().on_start(ctx)
+        ctx.send(netsim.TRUSTED, init_election(self.pid, self.ballot_ct, self.n)[1])
+
+
 def mutated_untrusted_setup(t, inputs, seed, node_cls=MisroutingUntrustedNode):
     """An avg-untrusted setup on `t` with every process replaced by the
     mutated node class."""
@@ -88,6 +98,19 @@ def mutated_setup(t, inputs, node_cls, seed):
     for pid in range(t.n):
         setup.nodes[pid] = node_cls(pid, inputs[pid], pk, t.n, setup.backend)
     return setup
+
+
+def run_mutated_election(node_cls, ballots):
+    """Run a sync election on a 4-ring with every process replaced by the
+    mutated node class; returns the report and the privacy violations the
+    auditor found."""
+    t = topo.ring(4)
+    setup = leader_election.build(t, ballots, seed=1)
+    for pid in range(t.n):
+        node = setup.nodes[pid]
+        setup.nodes[pid] = node_cls(pid, node.ballot, node.pk, t.n, setup.backend, node.bfs)
+    report, trace = netsim.Simulation(t, setup, SchedulePolicy("sync", 1)).run()
+    return report, netsim.privacy_audit(trace)
 
 
 def run_mutated(node_cls):

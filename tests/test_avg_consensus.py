@@ -995,6 +995,43 @@ def test_trusted_prepared_goes_only_to_the_collector():
     assert sorted(frm for frm, _ in prepared) == list(range(16))
 
 
+class KeyholderContext:
+    pid = netsim.TRUSTED
+
+    def __init__(self):
+        self.decided, self.results = [], []
+
+    def decide(self, value):
+        self.decided.append(value)
+
+    def broadcast_processes(self, msg):
+        self.results.append(msg)
+
+
+def test_the_collector_opens_only_the_first_prepared_aggregate_of_an_instance():
+    # `FloodingNode._handle_prepared`, the one opening rule: a second
+    # prepared aggregate of an opened instance, an aggregate and a result
+    # open nothing, and the collector holds no instance state
+    n = 4
+    setup = build_trusted(topo.ring(n), [1.0, 2.0, 3.0, 4.0], seed=1)
+    backend, collector = setup.backend, setup.nodes[netsim.TRUSTED]
+    pk = collector.key.public_part
+    starts = [init_consensus(p, float(p + 1), pk, n, backend)[0] for p in range(n)]
+    prepared = []
+    for p in (0, 1):
+        _, channels = fold(starts[p], [s.snapshot() for s in starts if s is not starts[p]],
+                                backend)
+        prepared.append(ProtocolMessage(INSTANCE_TRUSTED, PREPARED, channels))
+    batch = [(2, starts[2].snapshot()), (3, ProtocolMessage(INSTANCE_TRUSTED, RESULT)),
+             (0, prepared[0]), (1, prepared[1])]
+    ctx = KeyholderContext()
+    collector.on_deliver(ctx, batch)
+    assert ctx.decided == [pytest.approx(2.5)] and len(ctx.results) == 1
+    assert collector.prepared == {INSTANCE_TRUSTED: prepared[0]} and collector.states == {}
+    assert [ev.handle for ev in backend.events() if ev.kind == "decrypt"] == \
+        [prepared[0].votes_ct.handle]
+
+
 def test_untrusted_prepared_goes_to_its_initiator_and_one_result_per_process():
     messages = _g16_run(build_untrusted)
     prepared = [(dst, msg.instance) for _, _, dst, msg in messages if msg.kind == PREPARED]

@@ -333,6 +333,19 @@ def test_an_exception_no_rule_names_raised_mid_run_exits_4(tmp_path, capsys, mon
     assert not (tmp_path / "report.json").exists()
 
 
+def test_a_send_to_a_non_neighbour_exits_4(tmp_path, capsys, monkeypatch):
+    # only protocol code picks destinations, so a send over a missing edge
+    # is a fault of the program; it once exited 2 as a config error
+    def start(self, ctx, start=avg_consensus.AvgProcessNode.on_start):
+        start(self, ctx)
+        ctx.send((self.pid + 2) % self.n, self.states[avg_consensus.INSTANCE_TRUSTED].snapshot())
+    monkeypatch.setattr(avg_consensus.AvgProcessNode, "on_start", start)
+    rc = main(["run", "--config", str(CONFIGS / "ring4_avg.json"), "--out", str(tmp_path)])
+    assert rc == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: RuntimeError: no channel from 0 to 2\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_a_run_that_reaches_its_horizon_exits_4(tmp_path, capsys, monkeypatch):
     # a process that answers every delivery with a send never lets the run go
     # quiet; at the horizon, logical time 10 * L * (n + 2) = 60 on sync

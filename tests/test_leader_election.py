@@ -18,6 +18,7 @@ from consentry.leader_election import (Ballot, CorruptedTallyError,
 from consentry.netsim import ScenarioConfig
 from consentry.topology import TopologyError
 
+import mutations
 from exposures import audit_view, record_deliveries
 from oracles import grid_from_ballots, irv_oracle
 
@@ -649,6 +650,21 @@ def test_complete_lineages_with_one_support_and_two_tallies_are_a_fault():
                        match="complete lineages with one support disagree on the grid"):
         collector.on_deliver(ctx, batch)
     assert ctx.decided == 0
+
+
+def test_the_keyholder_ignores_an_unprepared_copy_sent_to_it():
+    # every process also hands the keyholder its start copy, its ballot
+    # alone: the keyholder once tallied it and the run raised
+    # CorruptedTallyError; now it opens only PREPARED copies, and the
+    # auditor still flags what it saw
+    ballots = [(1, None), (2, 0), (1, 3), (1, None)]
+    report, violations = mutations.run_mutated_election(
+        mutations.MisroutingElectionNode,
+        [{"primary": p, "secondary": s} for p, s in ballots])
+    assert report.termination == "decided"
+    assert set(report.decided_values.values()) == {irv_oracle(ballots, 4)}
+    assert violations and {v.rule for v in violations} == {"unprepared-exposure"}
+    assert {v.observer for v in violations} == {netsim.TRUSTED}
 
 
 def test_a_completing_copy_goes_out_with_its_own_support():
