@@ -84,9 +84,9 @@ def _processes(per_actor: dict) -> list:
 
 def _decided_summary(report: netsim.SimReport) -> str:
     if report.protocol == "avg-untrusted":
-        items = sorted((k, v) for k, v in report.extra.items()
+        items = sorted((int(k.split("/")[1]), v) for k, v in report.extra.items()
                        if k.startswith("initiator_result/"))
-        return ";".join(f"{k.split('/')[-1]}={_fmt(v)}" for k, v in items)
+        return ";".join(f"{k}={_fmt(v)}" for k, v in items)
     return ";".join(sorted({_fmt(v) for v in _processes(report.decided_values)
                             if v is not None}))
 
@@ -104,17 +104,6 @@ def _run_trials(scenario: ScenarioConfig) -> list[tuple[Topology, netsim.SimRepo
             report = netsim.run(dataclasses.replace(scenario, topology=topo), trial=t)
             trials.append((topo, report))
     return trials
-
-
-def _string_keys(value):
-    """A report payload as `json.loads(json.dumps(value))` reads it back, for
-    the int and str keys reports have: every dict key, nested ones such as an
-    election's tally ids included, becomes a string and every tuple a list."""
-    if isinstance(value, dict):
-        return {str(k): _string_keys(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_string_keys(v) for v in value]
-    return value
 
 
 def _write(path: Path, text: str, newline=None) -> None:
@@ -140,7 +129,7 @@ def cmd_run(args) -> int:
     trials, rows, ok = [], [], True
     for trial, (topo, r) in enumerate(_run_trials(scenario)):
         r.extra["diameter"] = topo.diameter()
-        trials.append({f.name: getattr(r, f.name) for f in dataclasses.fields(r)})
+        trials.append(r.as_dict())
         decided = _decided_summary(r)
         rounds = _processes(r.rounds_to_decide)
         rows.append([trial, r.protocol, r.n, r.extra["diameter"], decided,
@@ -151,7 +140,7 @@ def cmd_run(args) -> int:
               f"violations={len(r.privacy_violations)}")
         ok = ok and not r.privacy_violations and r.termination == expected
     payload = {"schema_version": 1, "scenario": raw, "trials": trials}
-    _write(out / "report.json", netsim.report_json(_string_keys(payload)))
+    _write(out / "report.json", netsim.report_json(payload))
     _write_csv(out / "summary.csv", [SUMMARY_COLUMNS] + rows)
     print(f"wrote {out / 'report.json'} and {out / 'summary.csv'}")
     return EXIT_OK if ok else EXIT_ACCEPTANCE

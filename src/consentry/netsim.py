@@ -224,12 +224,16 @@ class SimReport:
     termination: str            # "decided" | "deadline-exceeded"
     extra: dict
 
-    def to_json(self) -> str:
-        # a shallow dict of the fields: `report_json` only reads them
+    def as_dict(self) -> dict:
+        """A shallow dict of the fields, each per-actor map keyed by the actor
+        id as a string: what `to_json` writes, and a trial of `report.json`."""
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         for name in ("decided_values", "rounds_to_decide", "messages_sent", "bytes_modeled"):
             payload[name] = {str(k): v for k, v in payload[name].items()}
-        return report_json(payload)
+        return payload
+
+    def to_json(self) -> str:
+        return report_json(self.as_dict())
 
 
 #: the exact types json writes as scalars, and those written here

@@ -1,4 +1,21 @@
-"""Per-observer exposure views read from a run's recorded deliveries."""
+"""Per-observer exposure views read from a run's recorded deliveries and sends."""
+
+from consentry import netsim
+
+
+def record_sends(monkeypatch):
+    """The list every later run fills with its sends, in send order, as
+    (time, sender, destinations, kind, instance, ciphertext count): what a
+    network observer sees of a send, its payloads aside.  It wraps
+    `Simulation._send` through `monkeypatch`, so it lasts for the test."""
+    log = []
+
+    def send(sim, frm, dsts, msg, _send=netsim.Simulation._send):
+        log.append((sim._now, frm, tuple(dsts), msg.kind, msg.instance,
+                    len(msg.ciphertexts)))
+        return _send(sim, frm, dsts, msg)
+    monkeypatch.setattr(netsim.Simulation, "_send", send)
+    return log
 
 
 def record_deliveries(setup):

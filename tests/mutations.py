@@ -29,6 +29,21 @@ class NestedLeakAvgNode(AvgProcessNode):
         return msg
 
 
+class DelayedStartAvgNode(AvgProcessNode):
+    """Mutation: a process with a positive value holds its start broadcast
+    until its first delivery, so when it first sends depends on its input.
+    Every message it sends is well formed and encrypted."""
+
+    def on_start(self, ctx):
+        if self.value <= 0:
+            super().on_start(ctx)
+
+    def on_deliver(self, ctx, batch):
+        if INSTANCE_TRUSTED not in self.states:
+            super().on_start(ctx)
+        super().on_deliver(ctx, batch)
+
+
 class MisroutingAvgNode(AvgProcessNode):
     """Mutation: hands the raw (pre-prepare) aggregate to the keyholder."""
 

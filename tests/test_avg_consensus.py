@@ -47,6 +47,13 @@ def test_init_consensus_zero_vote_still_counted():
     assert state.counts.tolist() == [1, 0, 0, 0]
 
 
+def test_init_consensus_on_a_capacity_below_n_raises():
+    b = make_backend(cap=4)
+    km = b.keygen("T")
+    with pytest.raises(ValueError, match="slot capacity 4 < process count 5"):
+        init_consensus(0, 1.0, km.public_part, 5, b)
+
+
 def test_padding_slot_stays_zero():
     b = make_backend(cap=4)
     km = b.keygen("T")

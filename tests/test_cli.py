@@ -419,6 +419,33 @@ def test_run_untrusted_summary_lists_each_initiator(tmp_path):
     assert row["diameter"] == "2"
 
 
+def test_run_untrusted_summary_lists_initiators_in_id_order(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "avg-untrusted",
+                               "topology": {"family": "ring", "n": 12},
+                               "inputs": list(range(12)), "seed": 5}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    row, = read_summary(tmp_path)
+    ids = [int(item.split("=")[0]) for item in row["decided"].split(";")]
+    assert ids == list(range(12))
+    assert f"decided={row['decided']} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_each_report_json_trial_is_the_netsim_report_plus_the_diameter(tmp_path, config):
+    # `json.dumps` without `sort_keys` writes each trial back in the file's
+    # own key order, so a tally whose ids the file sorts as text, not as
+    # numbers, shows; `report_json` would sort them as text again
+    assert main(["run", "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == EXIT_OK
+    raw = json.loads((CONFIGS / config).read_text())
+    scenario = netsim.ScenarioConfig.from_dict(raw)
+    trials = json.loads((tmp_path / "report.json").read_text())["trials"]
+    assert len(trials) == scenario.trials
+    for t, trial in enumerate(trials):
+        assert trial["extra"].pop("diameter") == scenario.resolve_topology(t).diameter()
+        assert json.dumps(trial, indent=2) == netsim.run(scenario, t).to_json()
+
+
 def test_run_random_family_reports_each_trials_diameter(tmp_path):
     raw = {"protocol": "avg-trusted", "topology": {"family": "random", "n": 8},
            "inputs": {"random_uniform": [-10, 10]}, "seed": 2, "trials": 3}

@@ -24,16 +24,20 @@ once per session; the digest and agreement tests share its report.
 import functools
 import hashlib
 import json
+import random
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import mutations
 import reference_engine
 from consentry import avg_consensus, leader_election, netsim, outlier_consensus
+from consentry import topology as topo
 from consentry.he_slots import seeded_backend
-from consentry.netsim import ScenarioConfig
+from consentry.netsim import ScenarioConfig, SchedulePolicy
+from exposures import record_sends
 
 MATRIX = Path(__file__).resolve().parent / "golden" / "matrix.json"
 
@@ -213,6 +217,59 @@ def test_a_moved_cell_names_the_fields_that_moved():
     assert summary({"election-x": want}, {"election-x": got}).splitlines()[-4:] == [
         "election: 1 of 1 cells moved", "  extra.crashed: 1", "  messages_sent: 1",
         "  seed: 1"]
+
+
+#: a second input draw for every cell: uniform values from another stream,
+#: and for the election primary 5p + 1 mod 8 with a secondary p + 3 on
+#: every other ballot
+_OTHER_STREAM = random.Random(4)
+OTHER_VALUES = [_OTHER_STREAM.uniform(-100, 100) for _ in range(N)]
+OTHER_BALLOTS = [{"primary": (5 * p + 1) % N, "secondary": None if p % 2 else (p + 3) % N}
+                 for p in range(N)]
+
+
+def send_logs(log, runs) -> list:
+    """The sends each run, a callable that runs simulations, adds to `log`,
+    a `record_sends` list."""
+    out = []
+    for run in runs:
+        log.clear()
+        run()
+        out.append(log[:])
+    return out
+
+
+def test_no_cell_sends_differently_under_other_inputs(monkeypatch):
+    # who sends what kind of message of which instance with how many
+    # ciphertexts, to whom and when, must not depend on the inputs: a timing
+    # or traffic pattern that did would leak them with every payload sealed
+    log, differ = record_sends(monkeypatch), []
+    for name, raw in sorted(cells().items()):
+        other = dict(raw, inputs=OTHER_BALLOTS if raw["protocol"] == "election"
+                     else OTHER_VALUES)
+        first, second = send_logs(log, [
+            functools.partial(netsim.run, ScenarioConfig.from_dict(scenario))
+            for scenario in (raw, other)])
+        assert first, f"{name} sent nothing"
+        if first != second:
+            differ.append(name)
+    assert differ == []
+
+
+def test_a_start_held_back_by_a_positive_input_changes_the_send_log(monkeypatch):
+    # the privacy audit passes the mutant: it leaks its inputs' signs by when
+    # it sends, not by what it sends
+    def run(inputs, out):
+        t = topo.ring(4)
+        setup = mutations.mutated_setup(t, inputs, mutations.DelayedStartAvgNode, seed=1)
+        report, trace = netsim.Simulation(t, setup, SchedulePolicy("sync", 1)).run()
+        out.append((set(report.decided_values.values()), netsim.privacy_audit(trace)))
+    outcomes = []
+    first, second = send_logs(record_sends(monkeypatch), [
+        functools.partial(run, inputs, outcomes)
+        for inputs in ([5.0, -6.0, 7.0, -8.0], [-5.0, -6.0, 7.0, -8.0])])
+    assert outcomes == [({-0.5}, []), ({-3.0}, [])]
+    assert first != second
 
 
 def disagreeing(untrusted: bool) -> list:

@@ -9,9 +9,11 @@ purpose, re-capture with
     PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 
 which writes the named golden files, or every one when no name is given,
-and say in CHANGES.md why the bytes moved.
+prints for each whether its parsed JSON changed or only its bytes did, and
+say in CHANGES.md why the bytes moved.
 """
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -148,6 +150,28 @@ def test_output_matches_golden(name, tmp_path, capsys):
     assert CASES[name](tmp_path) == (GOLDEN / name).read_bytes()
 
 
+def receipt(old: bytes | None, new: bytes) -> str:
+    """How a golden file's bytes `new` differ from its bytes `old`."""
+    if old is None:
+        return "new file"
+    if old == new:
+        return "unchanged"
+    try:
+        same = json.loads(old) == json.loads(new)
+    except ValueError:
+        return "bytes changed (not JSON)"
+    return "bytes changed, parsed JSON equal" if same else "parsed JSON changed"
+
+
+def test_a_receipt_tells_a_reordering_from_a_change():
+    old = b'{"b": 1, "a": [2]}'
+    assert receipt(None, old) == "new file"
+    assert receipt(old, old) == "unchanged"
+    assert receipt(old, b'{"a": [2], "b": 1}') == "bytes changed, parsed JSON equal"
+    assert receipt(old, b'{"a": [2], "b": 2}') == "parsed JSON changed"
+    assert receipt(b"x,y\r\n", b"x,z\r\n") == "bytes changed (not JSON)"
+
+
 def test_every_golden_file_has_a_case():
     # matrix.json and corpus.json hold the digests `test_golden_matrix.py`
     # and `test_golden_corpus.py` check
@@ -168,5 +192,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp, \
                 contextlib.redirect_stdout(sys.stderr):
             data = CASES[name](tmp)
-        (GOLDEN / name).write_bytes(data)
-        print(f"wrote {GOLDEN.name}/{name}", file=sys.stderr)
+        path = GOLDEN / name
+        old = path.read_bytes() if path.exists() else None
+        path.write_bytes(data)
+        print(f"wrote {GOLDEN.name}/{name}: {receipt(old, data)}", file=sys.stderr)

@@ -10,7 +10,8 @@ import pytest
 from consentry import avg_consensus, he_slots, leader_election, outlier_consensus
 from consentry.avg_consensus import ConsensusState
 from consentry.he_slots import (AccessDeniedError, BackendConfig, KeyMismatchError,
-                                SlotBackend, SlotEngine, SlotVector, slot_capacity_for)
+                                PublicPart, SlotBackend, SlotEngine, SlotVector,
+                                slot_capacity_for)
 from consentry.netsim import SimTrace
 
 import reference_engine
@@ -97,6 +98,20 @@ def test_encrypt_length_mismatch():
     km = b.keygen("T")
     with pytest.raises(ValueError):
         b.encrypt(km.public_part, SlotVector([1, 2]), ("p", "t"))
+
+
+def test_encrypt_under_a_key_the_backend_never_issued_raises():
+    b = make_backend(4)
+    b.keygen("T")
+    stranger = make_backend(4, seed=12).keygen("U")
+    for public_part in (stranger.public_part, PublicPart("key01-never-issued")):
+        with pytest.raises(KeyMismatchError, match="unknown key"):
+            b.encrypt(public_part, SlotVector([1, 2, 3, 4]), ("p", "t"))
+
+
+def test_slot_vector_of_a_two_dimensional_array_raises():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SlotVector(np.zeros((2, 2)))
 
 
 def test_decrypt_key_mismatch_is_access_denied():
