@@ -228,15 +228,11 @@ OTHER_BALLOTS = [{"primary": (5 * p + 1) % N, "secondary": None if p % 2 else (p
                  for p in range(N)]
 
 
-def send_logs(log, runs) -> list:
-    """The sends each run, a callable that runs simulations, adds to `log`,
-    a `record_sends` list."""
-    out = []
-    for run in runs:
-        log.clear()
-        run()
-        out.append(log[:])
-    return out
+def sends(log, run, *args) -> list:
+    """The sends `run(*args)` adds to `log`, a `record_sends` list."""
+    log.clear()
+    run(*args)
+    return log[:]
 
 
 def test_no_cell_sends_differently_under_other_inputs(monkeypatch):
@@ -247,10 +243,9 @@ def test_no_cell_sends_differently_under_other_inputs(monkeypatch):
     for name, raw in sorted(cells().items()):
         other = dict(raw, inputs=OTHER_BALLOTS if raw["protocol"] == "election"
                      else OTHER_VALUES)
-        first, second = send_logs(log, [
-            functools.partial(netsim.run, ScenarioConfig.from_dict(scenario))
-            for scenario in (raw, other)])
+        first = sends(log, netsim.run, ScenarioConfig.from_dict(raw))
         assert first, f"{name} sent nothing"
+        second = sends(log, netsim.run, ScenarioConfig.from_dict(other))
         if first != second:
             differ.append(name)
     assert differ == []
@@ -259,15 +254,14 @@ def test_no_cell_sends_differently_under_other_inputs(monkeypatch):
 def test_a_start_held_back_by_a_positive_input_changes_the_send_log(monkeypatch):
     # the privacy audit passes the mutant: it leaks its inputs' signs by when
     # it sends, not by what it sends
-    def run(inputs, out):
+    def run(inputs):
         t = topo.ring(4)
         setup = mutations.mutated_setup(t, inputs, mutations.DelayedStartAvgNode, seed=1)
         report, trace = netsim.Simulation(t, setup, SchedulePolicy("sync", 1)).run()
-        out.append((set(report.decided_values.values()), netsim.privacy_audit(trace)))
-    outcomes = []
-    first, second = send_logs(record_sends(monkeypatch), [
-        functools.partial(run, inputs, outcomes)
-        for inputs in ([5.0, -6.0, 7.0, -8.0], [-5.0, -6.0, 7.0, -8.0])])
+        outcomes.append((set(report.decided_values.values()), netsim.privacy_audit(trace)))
+    log, outcomes = record_sends(monkeypatch), []
+    first = sends(log, run, [5.0, -6.0, 7.0, -8.0])
+    second = sends(log, run, [-5.0, -6.0, 7.0, -8.0])
     assert outcomes == [({-0.5}, []), ({-3.0}, [])]
     assert first != second
 
