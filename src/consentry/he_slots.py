@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,12 +91,14 @@ class SlotVector:
 @dataclass(frozen=True)
 class PublicPart:
     key_id: str
+    issuer: object = field(default=None, repr=False)   # the one backend that takes it
 
 
 @dataclass(frozen=True)
 class SecretPart:
     key_id: str
     holder: object
+    issuer: object = field(default=None, repr=False)   # the one backend that takes it
 
 
 @dataclass(frozen=True)
@@ -318,9 +320,10 @@ class SlotBackend(SlotEngine):
     """Cleartext-simulating engine with taint tracking and a decrypt ledger.
 
     Deterministic under a supplied seed (key ids, handles and emulated noise
-    all derive from it).  With ``noise_epsilon`` = 0 all operations are exact;
-    otherwise every operation adds per-slot uniform noise in [-eps, +eps] and
-    each ciphertext carries a rigorously tracked cumulative `noise_bound`.
+    all derive from it, so a key id is unique only within its backend).
+    With ``noise_epsilon`` = 0 all operations are exact; otherwise every
+    operation adds per-slot uniform noise in [-eps, +eps] and each
+    ciphertext carries a rigorously tracked cumulative `noise_bound`.
 
     The ledger rules are checked when a decryption or a possession is
     recorded, since a key's holder is fixed at `keygen`; `violations()`
@@ -351,8 +354,8 @@ class SlotBackend(SlotEngine):
         return KeyMaterial(
             key_id=key_id,
             holder=holder,
-            public_part=PublicPart(key_id),
-            secret_part=SecretPart(key_id, holder),
+            public_part=PublicPart(key_id, self),
+            secret_part=SecretPart(key_id, holder, self),
         )
 
     # -- ciphertext construction -----------------------------------------
@@ -382,7 +385,7 @@ class SlotBackend(SlotEngine):
 
     def encrypt(self, public_part: PublicPart, vector: SlotVector, tag) -> Ciphertext:
         self._check_len(len(vector))
-        if public_part.key_id not in self._holders:
+        if public_part.issuer is not self:
             raise KeyMismatchError(f"unknown key {public_part.key_id!r}")
         table = self._tag_table
         # the vector's read-only array: noise, when on, makes a new one
@@ -391,7 +394,8 @@ class SlotBackend(SlotEngine):
 
     def decrypt(self, secret_part: SecretPart, ct: Ciphertext, caller=None) -> SlotVector:
         observer = caller if caller is not None else secret_part.holder
-        if not isinstance(secret_part, SecretPart) or secret_part.key_id != ct.key_id:
+        if not isinstance(secret_part, SecretPart) or secret_part.issuer is not self \
+                or secret_part.key_id != ct.key_id:
             self._log("decrypt-denied", observer, ct)
             raise AccessDeniedError(
                 f"secret for {getattr(secret_part, 'key_id', None)!r} cannot decrypt "

@@ -297,7 +297,7 @@ class SimTrace:
 
     backend: object
     messages: list
-    leaks: list = field(default_factory=list)   # plaintext-leak violations, in delivery order
+    leaks: list = field(default_factory=list)   # plaintext-leak violations, in calendar-entry order
     deliveries: int = 0         # messages handed to a live receiver
     batches: int = 0            # delivery times with at least one delivery
 
@@ -399,18 +399,18 @@ class Simulation:
     A delivered ciphertext under a key its receiver holds (`key_holders()`,
     fixed before the run) is reported to the engine, which checks the ledger
     rules; a possession by anyone but the key's holder cannot break them, so
-    it is not reported.  Every delivery's plaintext fields are checked for
-    private inputs.  The plaintext check is a pass over a receiver's batch,
-    made only when some message of that time carries plaintext fields.  A
-    ciphertext under a key held outside the graph (the collector's) is found
-    by a pass over its holder's own batch, just before the callback, so no
-    multicast among processes scans its destinations for the holder.  One
-    under a key a process holds is listed, as the time's calendar entries
-    are scanned, under that holder when it is among the entry's
-    destinations, and the list is reported before its callback.  Either way
-    a receiver's ciphertexts are reported in delivery order.  The trace
-    counts deliveries and delivery batches; the run keeps no delivered
-    message, so memory does not grow with traffic.
+    it is not reported.  An entry with plaintext fields has them checked for
+    private inputs once, after its crashed destinations are dropped, and a
+    leak counts once per live destination.  A ciphertext under a key held
+    outside the graph (the collector's) is found by a pass over its holder's
+    own batch, just before the callback, so no multicast among processes
+    scans its destinations for the holder.  One under a key a process holds
+    is listed, as the time's calendar entries are scanned, under that holder
+    when it is among the entry's destinations, and the list is reported
+    before its callback.  Either way a receiver's ciphertexts are reported
+    in delivery order.  The trace counts deliveries and delivery batches;
+    the run keeps no delivered message, so memory does not grow with
+    traffic.
     """
 
     def __init__(self, topology: Topology, setup: ProtocolSetup,
@@ -473,19 +473,19 @@ class Simulation:
     def _record_complete(self, pid, instance):
         self._completions.setdefault((pid, instance), self._now)
 
-    def _check_leaks(self, frm, msg):
-        """Flag each undeclared plaintext field of a delivered message whose
-        value equals a private input."""
+    def _check_leaks(self, frm, msg, copies):
+        """Flag each undeclared plaintext field of `msg` equal to a private
+        input, once for each of its `copies` live destinations."""
         private = self.setup.private_values
         for key, value in msg.extra.items():
             if key in DECLARED_PLAIN_KEYS:
                 continue
             for leaf in _float_leaves(value):
                 if leaf in private:
-                    self._leaks.append(PrivacyViolation(
+                    self._leaks += [PrivacyViolation(
                         "plaintext-leak", frm,
                         f"field {key!r} in {msg.kind} message at t={self._now} "
-                        f"equals a private input"))
+                        f"equals a private input") for _ in range(copies)]
 
     # -- main loop ---------------------------------------------------------
 
@@ -533,7 +533,6 @@ class Simulation:
                 continue
 
             per_receiver = defaultdict(list)
-            plain = False    # some message of this time has plaintext fields
             held = {}        # receiver -> ciphertexts it gets under its own key
             for frm, dsts, msg in calendar.pop(now):
                 if crashed_at:
@@ -541,7 +540,7 @@ class Simulation:
                         continue
                     dsts = [dst for dst in dsts if dst not in crashed_at]
                 if msg.extra:
-                    plain = True
+                    self._check_leaks(frm, msg, len(dsts))
                 if held_by_process:
                     for ct in msg.ciphertexts:
                         holder = held_by_process.get(ct.key_id)
@@ -555,10 +554,6 @@ class Simulation:
             for dst in sorted(per_receiver, key=rank.__getitem__):
                 deliveries = per_receiver[dst]
                 delivered += len(deliveries)
-                if plain:
-                    for frm, msg in deliveries:
-                        if msg.extra:
-                            self._check_leaks(frm, msg)
                 for ct in held.get(dst, ()):
                     record(dst, ct)
                 if dst in outside_holders:
@@ -613,8 +608,8 @@ def privacy_audit(trace: SimTrace) -> list[PrivacyViolation]:
     holder and (b) keyholder exposure to a non-prepared ciphertext tainted
     by other processes' inputs, as it records each decryption and
     possession.  The simulator flags (c) any undeclared plaintext field of a
-    delivered message whose value equals a private input.  Returns (a) and
-    (b) in event order, then (c) in delivery order.
+    message equal to a private input, once per live destination.  Returns
+    (a) and (b) in event order, then (c) in calendar-entry order.
     """
     return trace.backend.violations() + list(trace.leaks)
 

@@ -102,9 +102,13 @@ def test_encrypt_length_mismatch():
 
 def test_encrypt_under_a_key_the_backend_never_issued_raises():
     b = make_backend(4)
-    b.keygen("T")
+    own = b.keygen("T")
     stranger = make_backend(4, seed=12).keygen("U")
-    for public_part in (stranger.public_part, PublicPart("key01-never-issued")):
+    # a backend of the same seed issues the same key id
+    twin = make_backend(4).keygen("U")
+    assert twin.key_id == own.key_id
+    for public_part in (stranger.public_part, twin.public_part,
+                        PublicPart("key01-never-issued"), PublicPart(own.key_id)):
         with pytest.raises(KeyMismatchError, match="unknown key"):
             b.encrypt(public_part, SlotVector([1, 2, 3, 4]), ("p", "t"))
 
@@ -121,6 +125,19 @@ def test_decrypt_key_mismatch_is_access_denied():
     ct = b.encrypt(kb.public_part, SlotVector([1, 2, 3, 4]), ("B", "x"))
     with pytest.raises(AccessDeniedError):
         b.decrypt(ka.secret_part, ct, caller="A")
+
+
+def test_decrypt_with_a_same_seed_backends_secret_is_access_denied():
+    b, twin = make_backend(4), make_backend(4)
+    own, foreign = b.keygen("T"), twin.keygen("T")
+    assert foreign.key_id == own.key_id
+    ct = b.encrypt(own.public_part, SlotVector([1, 2, 3, 4]), ("T", "x"))
+    with pytest.raises(AccessDeniedError):
+        b.decrypt(foreign.secret_part, ct, caller="T")
+    assert [(ev.kind, ev.observer, ev.handle) for ev in b.events()] == [
+        ("decrypt-denied", "T", ct.handle)]
+    assert b.violations() == []
+    assert b.decrypt(own.secret_part, ct).values.tolist() == [1, 2, 3, 4]
 
 
 def test_add_examples():

@@ -95,6 +95,11 @@ def test_elect_winner_unanimous():
     assert result.winner == 0 and result.rounds[0]["by"] == "majority"
 
 
+def test_elect_winner_on_an_empty_grid_raises():
+    with pytest.raises(ValueError, match="^no candidates$"):
+        elect_winner(grid_from_ballots([], 0))
+
+
 def test_elect_winner_exhaustion_then_tie_break():
     # five votes, no secondary anywhere: eliminating candidate 2 exhausts its
     # ballot, leaving 0 and 1 tied at 2 -> tie_break({0,1}, 2) -> winner 0

@@ -608,6 +608,31 @@ def test_a_private_value_nested_in_a_list_or_a_dict_is_flagged():
                    for v in violations), key
 
 
+def test_a_leak_counts_once_per_live_destination_in_calendar_entry_order():
+    """Three senders leak at one time step, two of them to the interleaved
+    receivers 2 and 3, while process 4 crashes: each leaking field counts
+    once per live destination, an entry whose destinations all crashed
+    counts none, and the leaks come entry by entry, not receiver by
+    receiver."""
+    def leak(dsts, **extra):
+        return lambda ctx, _: ctx.multicast(dsts, ProtocolMessage("probe", RESULT, extra=extra))
+
+    sends = {0: leak((2, 4, 3), a=10.0, b=[0.5, {"c": 10.0}], average=10.0, d=0.5),
+             1: leak((3, 2), a=20.0),
+             2: leak((4,), a=30.0)}
+    nodes = {pid: SendAtStart(sends.get(pid)) for pid in range(5)}
+    setup = netsim.ProtocolSetup(nodes=nodes, backend=SlotBackend(BackendConfig(8), seed=0),
+                                 private_values=frozenset({10.0, 20.0, 30.0}),
+                                 expected_deciders=set())
+    sim = netsim.Simulation(topo.complete(5), setup, SchedulePolicy("sync", 1),
+                            faults=FaultPlan((CrashFault(process=4, time=1),)))
+    _, trace = sim.run()
+    assert [nodes[pid].senders for pid in range(5)] == [[], [], [0, 1], [0, 1], []]
+    assert [(v.rule, v.observer, v.detail) for v in netsim.privacy_audit(trace)] == [
+        ("plaintext-leak", frm, f"field {key!r} in {RESULT} message at t=1 equals a private input")
+        for frm, key in [(0, "a"), (0, "a"), (0, "b"), (0, "b"), (1, "a"), (1, "a")]]
+
+
 def test_pre_prepare_exposure_mutation_is_flagged():
     from mutations import MisroutingAvgNode, run_mutated
     violations = run_mutated(MisroutingAvgNode)
