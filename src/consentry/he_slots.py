@@ -26,7 +26,7 @@ import numpy as np
 
 
 class AccessDeniedError(Exception):
-    """Decryption attempted with a secret that does not match the ciphertext."""
+    """Decryption with a secret that does not match the ciphertext, or of another backend's."""
 
 
 class KeyMismatchError(Exception):
@@ -400,6 +400,9 @@ class SlotBackend(SlotEngine):
             raise AccessDeniedError(
                 f"secret for {getattr(secret_part, 'key_id', None)!r} cannot decrypt "
                 f"ciphertext under {ct.key_id!r}")
+        if ct.tag_table is not self._tag_table:
+            self._log("decrypt-denied", observer, ct)
+            raise AccessDeniedError(f"ciphertext under {ct.key_id!r} was made by another backend")
         self._log("decrypt", observer, ct)
         holder = self._holders.get(ct.key_id)
         if observer != holder:

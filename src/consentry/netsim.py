@@ -85,7 +85,6 @@ class ScenarioConfig:
     trials: int = 1
     noise_epsilon: float = 0.0
     initiators: list[int] | None = None
-    expect_termination: bool = True
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
@@ -143,9 +142,6 @@ class ScenarioConfig:
                 or not self.initiators or not all(_is_int(k) for k in self.initiators)):
             raise ScenarioError(
                 f"initiators must be a non-empty list of process ids, got {self.initiators!r}")
-        if not isinstance(self.expect_termination, bool):
-            raise ScenarioError(
-                f"expect_termination must be true or false, got {self.expect_termination!r}")
         if self.protocol not in _PROTOCOLS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.schedule not in ("sync", "async"):

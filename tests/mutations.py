@@ -5,6 +5,7 @@ from consentry import topology as topo
 from consentry.avg_consensus import (INSTANCE_TRUSTED, AvgProcessNode,
                                      UntrustedProcessNode, build_trusted,
                                      build_untrusted, instance_for_initiator)
+from consentry.he_slots import SlotVector
 from consentry.leader_election import ElectionProcessNode, init_election
 from consentry.netsim import SchedulePolicy
 
@@ -42,6 +43,19 @@ class DelayedStartAvgNode(AvgProcessNode):
         if INSTANCE_TRUSTED not in self.states:
             super().on_start(ctx)
         super().on_deliver(ctx, batch)
+
+
+class SpareEncryptAvgNode(AvgProcessNode):
+    """Mutation: a process with a positive value encrypts it once more at the
+    start and drops the ciphertext, so how many engine calls it makes
+    depends on its input.  What it sends, and when, is unchanged."""
+
+    def on_start(self, ctx):
+        if self.value > 0:
+            cap = self.backend.config.slot_capacity
+            self.backend.encrypt(self.pk, SlotVector.impulse(cap, self.pid, self.value),
+                                 (self.pid, "spare"))
+        super().on_start(ctx)
 
 
 class MisroutingAvgNode(AvgProcessNode):

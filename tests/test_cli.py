@@ -116,7 +116,7 @@ def test_run_bad_config_exits_2(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_run_unexpected_termination_exits_3(tmp_path):
+def test_run_unexpected_termination_exits_3(tmp_path, capsys):
     cfg = tmp_path / "crash.json"
     cfg.write_text(json.dumps({
         "protocol": "avg-trusted",
@@ -133,7 +133,11 @@ def test_run_unexpected_termination_exits_3(tmp_path):
         "faults": [{"process": 1, "time": 1}],
         "expect_termination": False,
     }))
-    assert main(["run", "--config", str(cfg2), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    # no key turns a stalled trial into a pass
+    assert main(["run", "--config", str(cfg2), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "config error: unknown config keys: ['expect_termination']\n"
 
 
 def test_a_plaintext_leak_is_reported_and_exits_3(tmp_path, monkeypatch):

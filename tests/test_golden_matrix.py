@@ -35,7 +35,7 @@ import mutations
 import reference_engine
 from consentry import avg_consensus, leader_election, netsim, outlier_consensus
 from consentry import topology as topo
-from consentry.he_slots import seeded_backend
+from consentry.he_slots import Ciphertext, SlotEngine, seeded_backend
 from consentry.netsim import ScenarioConfig, SchedulePolicy
 from exposures import record_sends
 
@@ -228,42 +228,106 @@ OTHER_BALLOTS = [{"primary": (5 * p + 1) % N, "secondary": None if p % 2 else (p
                  for p in range(N)]
 
 
-def sends(log, run, *args) -> list:
-    """The sends `run(*args)` adds to `log`, a `record_sends` list."""
-    log.clear()
+def handles(value):
+    """The ciphertext handles in `value`, nested as its tuples and lists
+    nest them; None for anything that is not a ciphertext."""
+    if isinstance(value, Ciphertext):
+        return value.handle
+    if isinstance(value, (tuple, list)):
+        return tuple(map(handles, value))
+    return None
+
+
+class TapeProxy:
+    """Stands in for an engine: appends each call of a `SlotEngine` operation
+    to `tape` as (op, operand handles, result handle), and forwards every
+    access."""
+
+    def __init__(self, engine, tape: list):
+        self._tape = (engine, tape)
+
+    def __getattribute__(self, name):
+        engine, tape = object.__getattribute__(self, "_tape")
+        member = getattr(engine, name)
+        if name not in SlotEngine.__abstractmethods__:
+            return member
+
+        def call(*args, **kwargs):
+            result = member(*args, **kwargs)
+            tape.append((name, handles((*args, *kwargs.values())), handles(result)))
+            return result
+        return call
+
+
+def record_tape(monkeypatch) -> list:
+    """The list every later run fills with its engine calls, in call order,
+    as `TapeProxy` logs them."""
+    tape = []
+    for module in (avg_consensus, outlier_consensus, leader_election):
+        monkeypatch.setattr(module, "seeded_backend",
+                            lambda *args: TapeProxy(seeded_backend(*args), tape))
+    return tape
+
+
+def logged(logs, run, *args) -> tuple:
+    """What `run(*args)` adds to each list in `logs`, a `record_sends` or a
+    `record_tape` list."""
+    for log in logs:
+        log.clear()
     run(*args)
-    return log[:]
+    return tuple(log[:] for log in logs)
 
 
 def test_no_cell_sends_differently_under_other_inputs(monkeypatch):
     # who sends what kind of message of which instance with how many
     # ciphertexts, to whom and when, must not depend on the inputs: a timing
-    # or traffic pattern that did would leak them with every payload sealed
-    log, differ = record_sends(monkeypatch), []
+    # or traffic pattern that did would leak them with every payload sealed.
+    # Nor may the engine tape, which ops run on which handles: on a real
+    # engine its timing would leak them the same way
+    logs, differ = (record_sends(monkeypatch), record_tape(monkeypatch)), []
     for name, raw in sorted(cells().items()):
         other = dict(raw, inputs=OTHER_BALLOTS if raw["protocol"] == "election"
                      else OTHER_VALUES)
-        first = sends(log, netsim.run, ScenarioConfig.from_dict(raw))
-        assert first, f"{name} sent nothing"
-        second = sends(log, netsim.run, ScenarioConfig.from_dict(other))
-        if first != second:
-            differ.append(name)
+        first = logged(logs, netsim.run, ScenarioConfig.from_dict(raw))
+        assert all(first), f"{name} sent nothing or made no engine call"
+        second = logged(logs, netsim.run, ScenarioConfig.from_dict(other))
+        differ += [f"{name} {what}" for what, a, b in zip(("sends", "tape"), first, second)
+                   if a != b]
     assert differ == []
+
+
+def mutant_logs(monkeypatch, node_cls) -> list:
+    """The sends and engine tape of two sync 4-ring runs of `node_cls`
+    whose inputs differ in one sign, each with its decided values and its
+    privacy audit."""
+    def run(inputs):
+        t = topo.ring(4)
+        setup = mutations.mutated_setup(t, inputs, node_cls, seed=1)
+        report, trace = netsim.Simulation(t, setup, SchedulePolicy("sync", 1)).run()
+        outcomes.append((set(report.decided_values.values()), netsim.privacy_audit(trace)))
+    logs, outcomes = (record_sends(monkeypatch), record_tape(monkeypatch)), []
+    runs = [logged(logs, run, inputs)
+            for inputs in ([5.0, -6.0, 7.0, -8.0], [-5.0, -6.0, 7.0, -8.0])]
+    assert outcomes == [({-0.5}, []), ({-3.0}, [])]
+    return runs
 
 
 def test_a_start_held_back_by_a_positive_input_changes_the_send_log(monkeypatch):
     # the privacy audit passes the mutant: it leaks its inputs' signs by when
     # it sends, not by what it sends
-    def run(inputs):
-        t = topo.ring(4)
-        setup = mutations.mutated_setup(t, inputs, mutations.DelayedStartAvgNode, seed=1)
-        report, trace = netsim.Simulation(t, setup, SchedulePolicy("sync", 1)).run()
-        outcomes.append((set(report.decided_values.values()), netsim.privacy_audit(trace)))
-    log, outcomes = record_sends(monkeypatch), []
-    first = sends(log, run, [5.0, -6.0, 7.0, -8.0])
-    second = sends(log, run, [-5.0, -6.0, 7.0, -8.0])
-    assert outcomes == [({-0.5}, []), ({-3.0}, [])]
+    (first, _), (second, _) = mutant_logs(monkeypatch, mutations.DelayedStartAvgNode)
     assert first != second
+
+
+def test_an_encrypt_added_by_a_positive_input_changes_only_the_engine_tape(monkeypatch):
+    # the privacy audit and the send log both pass the mutant: it leaks its
+    # inputs' signs only by how much engine work it does
+    (sends, tape), (other_sends, other_tape) = mutant_logs(
+        monkeypatch, mutations.SpareEncryptAvgNode)
+    assert sends == other_sends and tape != other_tape
+    (sends, tape), (other_sends, other_tape) = mutant_logs(
+        monkeypatch, avg_consensus.AvgProcessNode)
+    assert sends == other_sends and tape == other_tape
 
 
 def disagreeing(untrusted: bool) -> list:

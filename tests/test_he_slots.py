@@ -140,6 +140,19 @@ def test_decrypt_with_a_same_seed_backends_secret_is_access_denied():
     assert b.decrypt(own.secret_part, ct).values.tolist() == [1, 2, 3, 4]
 
 
+def test_decrypt_of_a_same_seed_backends_ciphertext_is_access_denied():
+    b, twin = make_backend(4), make_backend(4)
+    own, foreign = b.keygen("T"), twin.keygen("T")
+    assert foreign.key_id == own.key_id
+    ct = twin.encrypt(foreign.public_part, SlotVector([1, 2, 3, 4]), ("U", "x"))
+    with pytest.raises(AccessDeniedError, match="made by another backend"):
+        b.decrypt(own.secret_part, ct, caller="T")
+    assert [(ev.kind, ev.observer, ev.handle) for ev in b.events()] == [
+        ("decrypt-denied", "T", ct.handle)]
+    assert b.violations() == []
+    assert twin.decrypt(foreign.secret_part, ct).values.tolist() == [1, 2, 3, 4]
+
+
 def test_add_examples():
     b = make_backend(4)
     km = b.keygen("T")

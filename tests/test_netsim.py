@@ -282,8 +282,7 @@ def test_averaging_decides_when_a_process_crashes_before_its_vote_spreads():
         for time in (0, 1):
             report = netsim.run(ScenarioConfig(
                 protocol=protocol, topology=topo.ring(5).to_dict(), inputs=inputs,
-                seed=2, faults=FaultPlan((CrashFault(process=2, time=time),)),
-                expect_termination=False))
+                seed=2, faults=FaultPlan((CrashFault(process=2, time=time),))))
             values = set(report.decided_values.values())
             if report.termination != "decided" or not values <= {4.0, 4.25}:
                 wrong.append((protocol, time, report.termination, values))
@@ -336,8 +335,7 @@ def test_disconnecting_crash_reports_deadline():
     t = topo.path(4)
     sc = ScenarioConfig(protocol="avg-trusted", topology=t.to_dict(),
                         inputs=[1.0, 2.0, 3.0, 4.0], seed=0,
-                        faults=FaultPlan((CrashFault(process=1, time=1),)),
-                        expect_termination=False)
+                        faults=FaultPlan((CrashFault(process=1, time=1),)))
     report = netsim.run(sc)
     assert report.termination == "deadline-exceeded"
 

@@ -329,7 +329,7 @@ def test_disconnecting_crash_flags_deadline():
     t = topo.path(4)
     faults = FaultPlan((CrashFault(process=1, time=3),))
     sc = ScenarioConfig(protocol="outlier", topology=t.to_dict(), inputs=values,
-                        c=2.0, seed=2, faults=faults, expect_termination=False)
+                        c=2.0, seed=2, faults=faults)
     report = netsim.run(sc)
     assert report.termination == "deadline-exceeded"
 
@@ -420,7 +420,7 @@ def test_routes_agree_under_a_crash(seed):
     reports = [netsim.run(ScenarioConfig.from_dict(dict(
         protocol="outlier", topology={"family": "random", "n": n, "p": 0.6},
         inputs=values, c=1.0, seed=seed, schedule=schedule, variance_route=route,
-        faults=[crash], expect_termination=False)))
+        faults=[crash])))
         for route in ("decrypt", "encrypted")]
     assert reports[0].termination == reports[1].termination
     assert reports[0].decided_values == reports[1].decided_values
