@@ -319,11 +319,14 @@ class SlotEngine(abc.ABC):
 class SlotBackend(SlotEngine):
     """Cleartext-simulating engine with taint tracking and a decrypt ledger.
 
-    Deterministic under a supplied seed (key ids, handles and emulated noise
-    all derive from it, so a key id is unique only within its backend).
-    With ``noise_epsilon`` = 0 all operations are exact; otherwise every
-    operation adds per-slot uniform noise in [-eps, +eps] and each
-    ciphertext carries a rigorously tracked cumulative `noise_bound`.
+    Deterministic under a supplied seed.  With ``noise_epsilon`` = 0 a run
+    draws nothing: its handles and key ids (``keyNN``, numbered from 01, so
+    unique only within their backend) are counters, all operations are
+    exact, and no PCG64 generator is built.  Otherwise the seed also fixes
+    the PCG64 stream, built at its first draw: each `keygen` takes one
+    draw, so the noise starts after one draw per key, and every operation
+    adds per-slot uniform noise in [-eps, +eps]; each ciphertext carries a
+    rigorously tracked cumulative `noise_bound`.
 
     The ledger rules are checked when a decryption or a possession is
     recorded, since a key's holder is fixed at `keygen`; `violations()`
@@ -337,7 +340,7 @@ class SlotBackend(SlotEngine):
 
     def __init__(self, config: BackendConfig, seed: int | None = None):
         self.config = config
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
         self._holders: dict[str, object] = {}
         self._events: list[AuditEvent] = []
         self._violations: list[PrivacyViolation] = []
@@ -345,11 +348,24 @@ class SlotBackend(SlotEngine):
         self._key_seq = 0
         self._handle_seq = 0
 
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        """The noise stream, built from the seed when first drawn from or
+        set to a kept state; at noise 0 neither happens, so `numpy.random`
+        is not imported."""
+        return np.random.default_rng(self._seed)
+
     # -- keys ------------------------------------------------------------
 
     def keygen(self, holder) -> KeyMaterial:
+        """A key whose id is ``keyNN``, NN its 1-based number in this backend.
+        With noise on it takes one `integers(0, 2**32)` draw and drops it:
+        the noisy golden reports rest on a noise stream that begins after
+        one such draw per key."""
         self._key_seq += 1
-        key_id = f"key{self._key_seq:02d}-{int(self._rng.integers(0, 2**32)):08x}"
+        key_id = f"key{self._key_seq:02d}"
+        if self.config.noise_epsilon > 0:
+            self._rng.integers(0, 2**32)
         self._holders[key_id] = holder
         return KeyMaterial(
             key_id=key_id,
@@ -530,8 +546,10 @@ class SlotBackend(SlotEngine):
     @functools.cached_property
     def _replayer(self) -> SlotBackend:
         """The private engine deferred prepares run their calls on: this
-        config, its own stream and handles, none of this one's wrappers."""
-        return SlotBackend(self.config)
+        config, its own stream and handles, none of this one's wrappers.
+        Its stream is seeded with this one's seed only so that building it
+        reads no OS entropy: each replay sets its kept state before a draw."""
+        return SlotBackend(self.config, self._seed)
 
     def mark_prepared(self, ct: Ciphertext) -> Ciphertext:
         """Flag an aggregate as safe to decrypt.

@@ -191,7 +191,9 @@ _SCENARIO_FIELDS = frozenset(f.name for f in fields(ScenarioConfig))
 
 class SchedulePolicy:
     """Delivery-order source: the schedule mode, the largest latency, and the
-    seeded stream `Simulation._send` draws each async send's latency from."""
+    seed of the stream `Simulation._send` draws each async send's latency
+    from.  The stream is built from the seed at its first draw, so a sync
+    run, whose latencies are all 1, builds none."""
 
     def __init__(self, mode: str, seed: int, max_latency: int = 4):
         if mode not in ("sync", "async"):
@@ -200,7 +202,11 @@ class SchedulePolicy:
             raise ScenarioError(f"max_latency must be an integer >= 1, got {max_latency!r}")
         self.mode = mode
         self.max_latency = int(max_latency)
-        self._rng = random.Random(seed)
+        self._seed = seed
+
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        return random.Random(self._seed)
 
 
 @dataclass
@@ -424,7 +430,7 @@ class Simulation:
         self._sync = policy.mode == "sync"
         self._span = span = policy.max_latency
         self._bits = span.bit_length()
-        self._getrandbits = policy._rng.getrandbits
+        self._getrandbits = None if self._sync else policy._rng.getrandbits
         self._now = 0
         self._crashed_at: dict[int, int] = {}
         self._decided: dict = {}

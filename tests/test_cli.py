@@ -748,6 +748,25 @@ def test_an_overflowing_run_writes_one_stderr_line_outside_pytest(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_a_noise_free_run_leaves_numpy_random_unloaded(tmp_path):
+    # a fresh interpreter, so no earlier import has loaded numpy.random
+    script = ("import sys, numpy\n"
+              "before = 'numpy.random' in sys.modules\n"
+              "from consentry import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(before, code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(CONFIGS / "ring4_avg.json"),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    before, code, after = proc.stdout.splitlines()[-1].split()
+    if before == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert (code, after) == (str(EXIT_OK), "False")
+
+
 def test_encrypted_route_near_1e9_decides_the_oracle_value(tmp_path, capsys):
     # the one-pass variance avg(v^2) - mu^2 came out at -128 here
     cfg = tmp_path / "cfg.json"

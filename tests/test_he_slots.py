@@ -73,6 +73,29 @@ def test_keygen_reproducible_under_seed():
     assert k1 == k2
 
 
+def test_a_noise_free_backend_numbers_its_keys_and_builds_no_generator():
+    b = make_backend(eps=0.0)
+    keys = [b.keygen("T") for _ in range(3)]
+    assert [km.key_id for km in keys] == ["key01", "key02", "key03"]
+    ct = b.encrypt(keys[0].public_part, SlotVector([1, 2, 3, 4]), ("p", "v"))
+    b.decrypt(keys[0].secret_part, b.weighted_rotate_sum(
+        b.add_ct(ct, ct), lambda: SlotVector([0.5] * 4), 4), caller="T")
+    assert "_rng" not in vars(b) and "_rng" not in vars(b._replayer)
+
+
+@pytest.mark.parametrize("keys", [1, 2, 5])
+def test_each_noisy_keygen_takes_one_draw_before_the_noise_stream(keys):
+    # every noise stream begins after one integers(0, 2**32) draw per key,
+    # which the noisy golden reports rest on
+    b = make_backend(eps=1e-9, seed=11)
+    assert [b.keygen("T").key_id for _ in range(keys)] == \
+        [f"key{i:02d}" for i in range(1, keys + 1)]
+    want = np.random.default_rng(11)
+    for _ in range(keys):
+        want.integers(0, 2**32)
+    assert b._rng.bit_generator.state == want.bit_generator.state
+
+
 def test_encrypt_decrypt_roundtrip():
     b = make_backend(4)
     km = b.keygen("T")

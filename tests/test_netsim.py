@@ -156,6 +156,55 @@ def test_sync_traffic_follows_the_graph_exactly(protocol, fields):
                 assert report.rounds_to_decide == want, (family, n, eps)
 
 
+def _distances_without(t, src, removed):
+    """Each process's hop distance from `src` in the graph without `removed`."""
+    dist, frontier = {src: 0}, [src]
+    while frontier:
+        step = []
+        for i in frontier:
+            for j in t.neighbors(i):
+                if j != removed and j not in dist:
+                    dist[j] = dist[i] + 1
+                    step.append(j)
+        frontier = step
+    return dist
+
+
+def test_sync_untrusted_traffic_follows_the_graph_exactly():
+    """A fault-free sync avg-untrusted run sends, for each viable initiator
+    k, on H = G - k with m = min N(k): one seed from k to m; from every
+    other process p, its start and one rebroadcast per growth of its state
+    to its deg_H(p) neighbours other than k, and its prepared aggregate to
+    k when k is a neighbour.  p's state grows at every step until it holds
+    all n votes, at max(ecc_H(p), d_H(m, p) + 1), k's vote entering H at m
+    at step 1.  Then, once any initiator is viable, every process
+    broadcasts one result to its neighbours: 2|E| messages."""
+    for family in ("ring", "path", "star", "complete", "random"):
+        for n in (2, 3, 5, 8, 12):
+            t = topo.from_family(family, n, random.Random(n))
+            for initiators in (None, [0], list(range(0, n, 3))):
+                raw = dict(protocol="avg-untrusted", topology=t.to_dict(), seed=n,
+                           inputs={"random_uniform": [-100, 100]})
+                if initiators is not None:
+                    raw["initiators"] = initiators
+                viable = [k for k in (initiators or range(n)) if k not in t.cut_vertices()]
+                want = dict.fromkeys(range(n), 0)
+                for k in viable:
+                    from_m = _distances_without(t, min(t.neighbors(k)), k)
+                    want[k] += 1
+                    for p in set(range(n)) - {k}:
+                        ecc = max(_distances_without(t, p, k).values())
+                        adjacent = k in t.neighbors(p)
+                        want[p] += ((t.degree(p) - adjacent) * (1 + max(ecc, from_m[p] + 1))
+                                    + adjacent)
+                for p in range(n):
+                    want[p] += t.degree(p) if viable else 0
+                report = netsim.run(ScenarioConfig.from_dict(raw))
+                case = (family, n, initiators)
+                assert report.termination == "decided", case
+                assert report.messages_sent == {p: c for p, c in want.items() if c}, case
+
+
 def test_a_fault_free_election_sends_2n_messages_and_decides_at_depth_plus_2():
     """Without a crash the ballots are summed up a BFS tree from process 0:
     every process sends one message, to its parent or, at the root, to the
@@ -252,6 +301,50 @@ def test_async_sends_draw_the_latencies_randrange_draws(longest):
     rng = random.Random(29)
     assert drawn_latencies(SchedulePolicy("async", 29, max_latency=longest), 300) == \
         [rng.randrange(1, longest + 1) for _ in range(300)]
+
+
+NOISE_FREE_SYNC = {
+    "avg-trusted": {"protocol": "avg-trusted"},
+    "avg-untrusted": {"protocol": "avg-untrusted"},
+    "outlier-decrypt": {"protocol": "outlier", "c": 1.0, "variance_route": "decrypt"},
+    "outlier-encrypted": {"protocol": "outlier", "c": 1.0, "variance_route": "encrypted"},
+    "election": {"protocol": "election"},
+    "election-crash": {"protocol": "election", "faults": [{"process": 1, "time": 2}]},
+}
+
+
+@pytest.mark.parametrize("fields", NOISE_FREE_SYNC.values(), ids=NOISE_FREE_SYNC)
+def test_a_sync_noise_free_run_draws_no_randomness(fields, monkeypatch):
+    # randomness serves noise and async latencies only: without either, a
+    # run builds no numpy generator and its schedule no latency stream
+    def refuse(*args, **kwargs):
+        raise AssertionError("a noise-free run built a numpy generator")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    policies = []
+
+    class Recorded(SchedulePolicy):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            policies.append(self)
+    monkeypatch.setattr(netsim, "SchedulePolicy", Recorded)
+    t = topo.random_connected(6, 0.5, random.Random(2))
+    inputs = ([{"primary": p % 3} for p in range(6)] if fields["protocol"] == "election"
+              else [float(p) for p in range(6)])
+    report = netsim.run(ScenarioConfig.from_dict(dict(
+        fields, topology=t.to_dict(), inputs=inputs, seed=4)))
+    assert report.termination == "decided"
+    assert len(policies) == 1 and "_rng" not in vars(policies[0])
+
+
+def test_a_noisy_run_seeds_generators_with_its_backend_seed_only(monkeypatch):
+    # the replayer's stream is set to a kept state before each replay, so it
+    # is seeded, not built from OS entropy, and only with its backend's seed
+    seeds = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None, f=np.random.default_rng: seeds.append(seed) or f(seed))
+    report = netsim.run(ring4_scenario(seed=3, noise_epsilon=1e-9))
+    assert report.termination == "decided"
+    assert seeds == [3 * 104729 + 7] * 2        # the backend's, then its replayer's
 
 
 def test_crash_keeping_graph_connected_still_decides():
